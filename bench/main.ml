@@ -16,6 +16,8 @@ module Prng = Bess_util.Prng
 module Stats = Bess_util.Stats
 module Page_id = Bess_cache.Page_id
 module Fault = Bess_fault.Fault
+module Driver = Bess_sched.Driver
+module Planes = Bess_sched.Planes
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
@@ -835,7 +837,7 @@ let e11 () =
       let server = Bess.Db.server db in
       (* Working set well above the population keeps lock conflicts rare:
          this experiment isolates force amortisation, not contention. *)
-      let pages = Workloads.driver_pages db ~n_pages:(8 * n_clients) in
+      let pages = Driver.seed_working_set db ~n_pages:(8 * n_clients) in
       let wal = Bess_wal.Log.stats (Bess.Store.log (Bess.Server.store server)) in
       let hist name =
         match Stats.find_histogram wal name with
@@ -846,7 +848,7 @@ let e11 () =
       let pf_c0, pf_s0 = hist "wal.group.commits_per_force" in
       let wt_c0, wt_s0 = hist "wal.force_wait_ticks" in
       let cfg =
-        { Bess_sched.Driver.default with
+        { Driver.default with
           n_clients;
           txns_per_client = txns;
           think_ns = 200_000;
@@ -854,23 +856,23 @@ let e11 () =
           seed = 11;
         }
       in
-      let r = Bess_sched.Driver.run server ~pages cfg in
+      let r = Driver.run server ~pages cfg in
       let forces = Stats.get wal "log.forces" - forces0 in
       let mean (c0, s0) (c1, s1) =
         if c1 > c0 then float_of_int (s1 - s0) /. float_of_int (c1 - c0) else 0.0
       in
       let per_force = mean (pf_c0, pf_s0) (hist "wal.group.commits_per_force") in
       let wait = mean (wt_c0, wt_s0) (hist "wal.force_wait_ticks") in
-      let committed = Stdlib.max 1 r.Bess_sched.Driver.r_commits in
+      let committed = Stdlib.max 1 r.Driver.r_commits in
       rows :=
         [
           Bess_wal.Group_commit.policy_to_string policy;
-          Report.count r.Bess_sched.Driver.r_commits;
+          Report.count r.Driver.r_commits;
           Report.count forces;
           Report.fixed (float_of_int forces /. float_of_int committed);
           Report.fixed per_force;
           Report.ns wait;
-          Report.ns (float_of_int r.Bess_sched.Driver.r_sim_ns /. float_of_int committed);
+          Report.ns (float_of_int r.Driver.r_sim_ns /. float_of_int committed);
         ]
         :: !rows)
     Bess_wal.Group_commit.[ Immediate; Group_n 4; Group_n 16; Group_n 64 ];
@@ -881,6 +883,93 @@ let e11 () =
     ~header:
       [ "policy"; "txns"; "forces"; "forces/txn"; "commits/force"; "commit wait"; "sim ns/txn" ]
     (List.rev !rows)
+
+(* ---- The chaos rig (E12, E13) ----------------------------------------------- *)
+
+(* [n_clients] remote fetchers over a simulated network against a fresh
+   db committing through group:2, racing on one scratch page. *)
+let chaos_rig n_clients =
+  let db = Workloads.fresh_db () in
+  let server = Bess.Db.server db in
+  Bess.Server.set_group_policy server (Bess_wal.Group_commit.Group_n 2);
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  Bess.Session.commit s;
+  Bess.Session.drop_all_cached s;
+  let page =
+    { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
+      page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page }
+  in
+  let net = Bess.Remote.network () in
+  Bess.Remote.serve net server;
+  let fetchers =
+    Array.init n_clients (fun i ->
+        Bess.Remote.fetcher net ~client_id:(3000 + i) ~server_id:(Bess.Db.db_id db))
+  in
+  (server, page, net, fetchers)
+
+(* [rounds] commit rounds in which client i writes [value i round] into
+   its own 8-byte slot of [page]. Ack classification as in the torture
+   suite: a returned barrier is ACKED (durable by contract); an
+   exception anywhere past commit_begin is INDETERMINATE -- the commit
+   point may have been passed, so the value may or may not survive. A
+   later ack on the slot resolves earlier indeterminates (prefix
+   durability). Returns the last ack and the open indeterminates per
+   slot, and the ack and indeterminate counts. *)
+let commit_rounds fetchers page ~rounds ~value =
+  let n_clients = Array.length fetchers in
+  let acked = Array.make n_clients 0 in
+  let maybes = Array.make n_clients [] in
+  let acked_n = ref 0 and maybe_n = ref 0 in
+  for round = 1 to rounds do
+    for i = 0 to n_clients - 1 do
+      let f = fetchers.(i) in
+      let v = value i round in
+      match f.Bess.Fetcher.f_begin () with
+      | exception _ -> ()
+      | txn -> (
+          match
+            let bytes = f.Bess.Fetcher.f_fetch_page ~txn page ~mode:Bess_lock.Lock_mode.X in
+            let after = Bytes.create 8 in
+            Bess_util.Codec.set_i64 after 0 v;
+            ({ Bess.Server.page; offset = i * 8;
+               before = Bytes.sub bytes (i * 8) 8; after }
+              : Bess.Server.update)
+          with
+          | exception _ -> ( try f.Bess.Fetcher.f_abort ~txn with _ -> ())
+          | u -> (
+              match f.Bess.Fetcher.f_commit_begin ~txn [ u ] with
+              | barrier -> (
+                  match barrier () with
+                  | () ->
+                      incr acked_n;
+                      acked.(i) <- v;
+                      maybes.(i) <- []
+                  | exception _ ->
+                      incr maybe_n;
+                      maybes.(i) <- v :: maybes.(i))
+              | exception _ ->
+                  incr maybe_n;
+                  maybes.(i) <- v :: maybes.(i);
+                  (try f.Bess.Fetcher.f_abort ~txn with _ -> ())))
+    done
+  done;
+  (acked, maybes, !acked_n, !maybe_n)
+
+(* Crash and recover the server, then count the slots holding neither
+   their last ack nor one of their open indeterminates. *)
+let lost_after_recovery server page ~acked ~maybes =
+  Bess.Server.crash server;
+  ignore (Bess.Server.recover server);
+  let bytes = Bess.Server.read_page server page in
+  let violations = ref 0 in
+  Array.iteri
+    (fun i last ->
+      let v = Bess_util.Codec.get_i64 bytes (i * 8) in
+      if not (List.mem v (last :: maybes.(i))) then incr violations)
+    acked;
+  !violations
 
 (* ---- E12: chaos sweep ------------------------------------------------------ *)
 
@@ -905,81 +994,25 @@ let e12 () =
       let violations = ref 0 and leaks = ref 0 in
       let retries = ref 0 and replays = ref 0 and fires = ref 0 in
       for run = 1 to seeds do
-        let db = Workloads.fresh_db () in
-        let server = Bess.Db.server db in
-        Bess.Server.set_group_policy server (Bess_wal.Group_commit.Group_n 2);
-        let s = Bess.Db.session db in
-        Bess.Session.begin_txn s;
-        let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
-        Bess.Session.commit s;
-        Bess.Session.drop_all_cached s;
-        let page =
-          { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
-            page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page }
+        let server, page, net, fetchers = chaos_rig n_clients in
+        (* The plane is disarmed before the crash: the invariant is about
+           what the faulty workload left durable, not about faults during
+           recovery. *)
+        let acked, maybes =
+          Planes.with_installed ~faults:(!fault_seed + run, sites) (fun () ->
+              let acked, maybes, a, m =
+                commit_rounds fetchers page ~rounds ~value:(fun i round ->
+                    (run * 1000) + (i * 100) + round)
+              in
+              acked_n := !acked_n + a;
+              maybe_n := !maybe_n + m;
+              fires := !fires + Stats.get (Fault.stats ()) "fault.fires";
+              (acked, maybes))
         in
-        let net = Bess.Remote.network () in
-        Bess.Remote.serve net server;
-        let fetchers =
-          Array.init n_clients (fun i ->
-              Bess.Remote.fetcher net ~client_id:(3000 + i) ~server_id:(Bess.Db.db_id db))
-        in
-        let fires0 = Stats.get (Fault.stats ()) "fault.fires" in
-        Fault.seed (!fault_seed + run);
-        Fault.apply_profile sites;
-        (* Ack classification as in the torture suite: a returned barrier
-           is ACKED (durable by contract); an exception anywhere past
-           commit_begin is INDETERMINATE -- the commit point may have been
-           passed, so the value may or may not survive. A later ack on
-           the slot resolves earlier indeterminates (prefix durability). *)
-        let acked = Array.make n_clients 0 in
-        let maybes = Array.make n_clients [] in
-        for round = 1 to rounds do
-          for i = 0 to n_clients - 1 do
-            let f = fetchers.(i) in
-            let v = (run * 1000) + (i * 100) + round in
-            match f.Bess.Fetcher.f_begin () with
-            | exception _ -> ()
-            | txn -> (
-                match
-                  let bytes = f.Bess.Fetcher.f_fetch_page ~txn page ~mode:Bess_lock.Lock_mode.X in
-                  let after = Bytes.create 8 in
-                  Bess_util.Codec.set_i64 after 0 v;
-                  ({ Bess.Server.page; offset = i * 8;
-                     before = Bytes.sub bytes (i * 8) 8; after }
-                    : Bess.Server.update)
-                with
-                | exception _ -> ( try f.Bess.Fetcher.f_abort ~txn with _ -> ())
-                | u -> (
-                    match f.Bess.Fetcher.f_commit_begin ~txn [ u ] with
-                    | barrier -> (
-                        match barrier () with
-                        | () ->
-                            incr acked_n;
-                            acked.(i) <- v;
-                            maybes.(i) <- []
-                        | exception _ ->
-                            incr maybe_n;
-                            maybes.(i) <- v :: maybes.(i))
-                    | exception _ ->
-                        incr maybe_n;
-                        maybes.(i) <- v :: maybes.(i);
-                        (try f.Bess.Fetcher.f_abort ~txn with _ -> ())))
-          done
-        done;
         leaks := !leaks + Bess_lock.Lock_mgr.n_locks (Bess.Server.locks server);
         retries := !retries + Stats.get (Bess_net.Net.stats net) "net.client_retries";
         replays := !replays + Stats.get (Bess.Server.stats server) "server.dup_replays";
-        fires := !fires + Stats.get (Fault.stats ()) "fault.fires" - fires0;
-        (* Disarm before the crash: the invariant is about what the faulty
-           workload left durable, not about faults during recovery. *)
-        Fault.reset ();
-        Bess.Server.crash server;
-        ignore (Bess.Server.recover server);
-        let bytes = Bess.Server.read_page server page in
-        for i = 0 to n_clients - 1 do
-          let v = Bess_util.Codec.get_i64 bytes (i * 8) in
-          if not (List.mem v (acked.(i) :: maybes.(i))) then incr violations
-        done
+        violations := !violations + lost_after_recovery server page ~acked ~maybes
       done;
       let total = float_of_int (seeds * n_clients * rounds) in
       rows :=
@@ -1023,73 +1056,13 @@ let e13 () =
   let n_clients = 4 in
   let rounds = scale 80 in
   let profile = "chaos" in
-  let prev_series = Bess_obs.Series.installed () in
   let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:1_000_000 () in
-  let db = Workloads.fresh_db () in
-  let server = Bess.Db.server db in
-  Bess.Server.set_group_policy server (Bess_wal.Group_commit.Group_n 2);
-  let s = Bess.Db.session db in
-  Bess.Session.begin_txn s;
-  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
-  Bess.Session.commit s;
-  Bess.Session.drop_all_cached s;
-  let page =
-    { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
-      page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page }
+  let server, page, _, fetchers = chaos_rig n_clients in
+  let acked, maybes, acked_n, _ =
+    Planes.with_installed ~faults:(!fault_seed, List.assoc profile Fault.profiles) ~series
+      (fun () -> commit_rounds fetchers page ~rounds ~value:(fun i round -> (i * 1000) + round))
   in
-  let net = Bess.Remote.network () in
-  Bess.Remote.serve net server;
-  let fetchers =
-    Array.init n_clients (fun i ->
-        Bess.Remote.fetcher net ~client_id:(3000 + i) ~server_id:(Bess.Db.db_id db))
-  in
-  Fault.seed !fault_seed;
-  Fault.apply_profile (List.assoc profile Fault.profiles);
-  Bess_obs.Series.install (Some series);
-  let acked = Array.make n_clients 0 in
-  let maybes = Array.make n_clients [] in
-  let acked_n = ref 0 in
-  for round = 1 to rounds do
-    for i = 0 to n_clients - 1 do
-      let f = fetchers.(i) in
-      let v = (i * 1000) + round in
-      match f.Bess.Fetcher.f_begin () with
-      | exception _ -> ()
-      | txn -> (
-          match
-            let bytes = f.Bess.Fetcher.f_fetch_page ~txn page ~mode:Bess_lock.Lock_mode.X in
-            let after = Bytes.create 8 in
-            Bess_util.Codec.set_i64 after 0 v;
-            ({ Bess.Server.page; offset = i * 8;
-               before = Bytes.sub bytes (i * 8) 8; after }
-              : Bess.Server.update)
-          with
-          | exception _ -> ( try f.Bess.Fetcher.f_abort ~txn with _ -> ())
-          | u -> (
-              match f.Bess.Fetcher.f_commit_begin ~txn [ u ] with
-              | barrier -> (
-                  match barrier () with
-                  | () ->
-                      incr acked_n;
-                      acked.(i) <- v;
-                      maybes.(i) <- []
-                  | exception _ -> maybes.(i) <- v :: maybes.(i))
-              | exception _ ->
-                  maybes.(i) <- v :: maybes.(i);
-                  (try f.Bess.Fetcher.f_abort ~txn with _ -> ())))
-    done
-  done;
-  Bess_obs.Series.flush series;
-  Fault.reset ();
-  Bess.Server.crash server;
-  ignore (Bess.Server.recover server);
-  let bytes = Bess.Server.read_page server page in
-  let violations = ref 0 in
-  for i = 0 to n_clients - 1 do
-    let v = Bess_util.Codec.get_i64 bytes (i * 8) in
-    if not (List.mem v (acked.(i) :: maybes.(i))) then incr violations
-  done;
-  Bess_obs.Series.install prev_series;
+  let violations = lost_after_recovery server page ~acked ~maybes in
   let samples = Bess_obs.Series.to_list series in
   let n_samples = List.length samples in
   (* Up to 10 evenly spaced windows keep the table readable; the JSON
@@ -1139,26 +1112,91 @@ let e13 () =
   in
   Report.note "%d acked commits, %d violations after crash+recovery; %d gauges sampled \
 per window (%s)"
-    !acked_n !violations (List.length gauge_names)
+    acked_n violations (List.length gauge_names)
     (String.concat ", " gauge_names);
-  let series_json = Bess_obs.Series.json_of series in
-  Report.add_section "e13_series" series_json;
-  (* Timestamped artifact so the perf trajectory accumulates comparable
-     runs (the bench_report.json section is overwritten each time). *)
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+  Report.artifact ~id:"e13" ~what:"series" ~section:"e13_series"
+    ~fields:
+      [ ("fault_seed", string_of_int !fault_seed);
+        ("profile", Bess_obs.Registry.json_string profile);
+        ("clients", string_of_int n_clients); ("rounds", string_of_int rounds);
+        ("acked", string_of_int acked_n); ("violations", string_of_int violations) ]
+    ("series", Bess_obs.Series.json_of series)
+
+(* ---- The closed-loop fleet point (E14-E16, E18) ------------------------------ *)
+
+(* E14-E16 sweep the same populations over the same working set, each
+   spreading ~[fleet_attempts] transaction attempts over its clients. *)
+let fleet_sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ]
+let fleet_sweep_json = "[" ^ String.concat "," (List.map string_of_int fleet_sweep) ^ "]"
+let fleet_pages = 2048
+let fleet_attempts = scale 40_000
+
+(* Their one client mix: zipf(0.8) over the working set + 5% hot-8, with
+   0.2% session churn. *)
+let fleet_cfg ~seed n_clients =
+  { Driver.default with
+    n_clients;
+    txns_per_client = Stdlib.max 1 (fleet_attempts / n_clients);
+    zipf_theta = 0.8;
+    hot_fraction = 0.05;
+    hot_pages = 8;
+    churn = 0.002;
+    seed;
+  }
+
+(* A fresh db committing through group:16, with timeout deadlock
+   detection (the graph detector is O(table) per blocked request), the
+   handoff switch set before any client runs, and the seeded working
+   set. *)
+let fleet_db ?(cache_slots = 2 * fleet_pages) ?db_id ?handoff () =
+  let db =
+    Workloads.fresh_db ~cache_slots ~group_commit:(Bess_wal.Group_commit.Group_n 16) ?db_id ()
   in
-  let oc = open_out "BENCH_e13.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e13\",\"wall_time\":%s,\"fault_seed\":%d,\"profile\":%s,\"clients\":%d,\"rounds\":%d,\"acked\":%d,\"violations\":%d,\"series\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    !fault_seed
-    (Bess_obs.Registry.json_string profile)
-    n_clients rounds !acked_n !violations series_json;
-  close_out oc;
-  Report.note "series written to BENCH_e13.json (%s) and bench_report.json#e13_series" stamp
+  let server = Bess.Db.server db in
+  Bess.Server.set_detection server `Timeout;
+  Option.iter (Bess.Server.set_lock_handoff server) handoff;
+  (server, Driver.seed_working_set db ~n_pages:fleet_pages)
+
+type point = {
+  server : Bess.Server.t;
+  sched : Bess_sched.Sched.t;
+  r : Driver.result;
+  wall : float;  (* real seconds inside [Driver.run] *)
+  fires : int;   (* fault fires during the run *)
+  fp : string;   (* counter fingerprint, see [drive] *)
+}
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* Drive [cfg] against a [fleet_db] on a fresh scheduler, with the given
+   planes installed for the run. The scheduler (rebinding the registry's
+   sched.* stats to a fresh zeroed instance) exists before any series
+   goes in, so the first window's baseline snapshot sees the new
+   instance, not the previous point's counts. The fingerprint is the
+   printed sched/server/lock/cache stats of the run's own fresh
+   substrate instances — bit-identical across same-seed runs if and only
+   if the simulation is deterministic. *)
+let drive ?faults ?spans ?critpath ?series ?slo (server, pages) cfg =
+  let sched = Bess_sched.Sched.create () in
+  let (r, wall), fires =
+    Planes.with_installed ?faults ?spans ?critpath ?series ?slo (fun () ->
+        let run = timed (fun () -> Driver.run ~sched server ~pages cfg) in
+        (run, Stats.get (Fault.stats ()) "fault.fires"))
+  in
+  let fp =
+    Fmt.str "%a|%a|%a|%a" Stats.pp (Bess_sched.Sched.stats sched) Stats.pp
+      (Bess.Server.stats server) Stats.pp
+      (Bess_lock.Lock_mgr.stats (Bess.Server.locks server))
+      Stats.pp
+      (Bess_cache.Cache.stats (Bess.Store.cache (Bess.Server.store server)))
+  in
+  { server; sched; r; wall; fires; fp }
+
+let leaked_locks p = Bess_lock.Lock_mgr.n_locks (Bess.Server.locks p.server)
+let flaky_disk () = (!fault_seed, List.assoc "flaky-disk" Fault.profiles)
 
 (* ---- E14: closed-loop client-count sweep ----------------------------------- *)
 
@@ -1175,76 +1213,24 @@ per window (%s)"
    flaky-disk fault profile checks chaos-under-load invariants (no lock
    leaks, no stuck transactions). *)
 let e14 () =
-  let sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
-  let n_pages = 2048 in
-  let total_attempts = scale 40_000 in
   let seed = 1404 in
-  (* One sweep point: fresh db + working set, its own windowed series,
-     timeout deadlock detection (the graph detector is O(table) per
-     blocked request). Returns the driver result plus a counter
-     fingerprint: the printed sched/server/lock stats of the run's own
-     fresh substrate instances — bit-identical across same-seed runs if
-     and only if the simulation is deterministic. *)
-  let run_point ?(fault_sites = []) ~seed n_clients =
-    let prev_series = Bess_obs.Series.installed () in
+  (* One sweep point with its own windowed series. *)
+  let run_point ?faults n_clients =
     let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
-    let db =
-      Workloads.fresh_db ~cache_slots:(2 * n_pages)
-        ~group_commit:(Bess_wal.Group_commit.Group_n 16) ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    let pages = Workloads.driver_pages db ~n_pages in
-    (match fault_sites with
-    | [] -> ()
-    | sites ->
-        Fault.seed !fault_seed;
-        Fault.apply_profile sites);
-    (* Create the scheduler (rebinding the registry's sched.* stats to a
-       fresh zeroed instance) before installing the series, so the first
-       window's baseline snapshot sees the new instance, not the previous
-       point's counts. *)
-    let sched = Bess_sched.Sched.create () in
-    Bess_obs.Series.install (Some series);
-    let cfg =
-      { Bess_sched.Driver.default with
-        n_clients;
-        txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        zipf_theta = 0.8;
-        hot_fraction = 0.05;
-        hot_pages = 8;
-        churn = 0.002;
-        seed;
-      }
-    in
-    let fires0 = Stats.get (Fault.stats ()) "fault.fires" in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    let fires = Stats.get (Fault.stats ()) "fault.fires" - fires0 in
-    Bess_obs.Series.flush series;
-    Bess_obs.Series.install prev_series;
-    (match fault_sites with [] -> () | _ -> Fault.reset ());
-    let leaked = Bess_lock.Lock_mgr.n_locks (Bess.Server.locks server) in
-    let fingerprint =
-      Fmt.str "%a|%a|%a" Stats.pp
-        (Bess_sched.Sched.stats sched)
-        Stats.pp (Bess.Server.stats server) Stats.pp
-        (Bess_lock.Lock_mgr.stats (Bess.Server.locks server))
-    in
-    (r, series, wall, leaked, fires, fingerprint)
+    (drive ?faults ~series (fleet_db ()) (fleet_cfg ~seed n_clients), series)
   in
   let rows = ref [] in
   let series_sections = ref [] in
   let fp_1000 = ref "" in
   List.iter
     (fun n_clients ->
-      let r, series, wall, leaked, _, fp = run_point ~seed n_clients in
-      if n_clients = 1_000 then fp_1000 := fp;
-      if leaked <> 0 then
+      let p, series = run_point n_clients in
+      if n_clients = 1_000 then fp_1000 := p.fp;
+      if leaked_locks p <> 0 then
         Report.note "e14: LOCK LEAK at %d clients: %d entries left in the table" n_clients
-          leaked;
-      let open Bess_sched.Driver in
+          (leaked_locks p);
+      let open Driver in
+      let r = p.r in
       series_sections :=
         (Printf.sprintf "\"clients_%d\":%s" n_clients (Bess_obs.Series.json_of series))
         :: !series_sections;
@@ -1260,53 +1246,41 @@ let e14 () =
           Printf.sprintf "%.0f/s" (throughput r);
           Report.ns (float_of_int r.r_commit_p50_ns);
           Report.ns (float_of_int r.r_commit_p99_ns);
-          Printf.sprintf "%.0f ms" (wall *. 1e3);
+          Printf.sprintf "%.0f ms" (p.wall *. 1e3);
         ]
         :: !rows)
-    sweep;
+    fleet_sweep;
   Report.table ~id:"E14"
     ~caption:
       (Printf.sprintf
          "closed-loop client sweep on the event scheduler: ~%d txn attempts spread over \
           each population, zipf(0.8) over %d pages + 5%% hot-8, group:16, 0.2%% churn"
-         total_attempts n_pages)
+         fleet_attempts fleet_pages)
     ~header:
       [ "clients"; "commits"; "aborts"; "indet"; "churns"; "events"; "sim time";
         "throughput"; "commit p50"; "commit p99"; "wall" ]
     (List.rev !rows);
   (* Same seed, same config, fresh substrates: the counter snapshots must
      be bit-identical or the scheduler has a nondeterminism bug. *)
-  let _, _, _, _, _, fp2 = run_point ~seed 1_000 in
-  let deterministic = String.equal !fp_1000 fp2 in
+  let again, _ = run_point 1_000 in
+  let deterministic = String.equal !fp_1000 again.fp in
   Report.note "e14: same-seed determinism at 1000 clients: %s"
     (if deterministic then "OK (counter snapshots identical)"
      else "FAILED (counter snapshots differ)");
   (* Chaos under load: the fault plane armed while 1000 clients run.
      Outcomes may be lost (indeterminate) but nothing may leak. *)
-  let rc, _, _, leaked_c, fires_c, _ =
-    run_point ~fault_sites:(List.assoc "flaky-disk" Fault.profiles) ~seed 1_000
-  in
+  let chaos, _ = run_point ~faults:(flaky_disk ()) 1_000 in
   Report.note
     "e14: chaos under load (flaky-disk, seed %d): %d commits, %d indeterminate, %d fault \
      fires, %d leaked locks"
-    !fault_seed rc.Bess_sched.Driver.r_commits rc.Bess_sched.Driver.r_indeterminate fires_c
-    leaked_c;
-  let series_json = "{" ^ String.concat "," (List.rev !series_sections) ^ "}" in
-  Report.add_section "e14_series" series_json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let oc = open_out "BENCH_e14.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e14\",\"wall_time\":%s,\"seed\":%d,\"clients\":%s,\"deterministic\":%b,\"chaos_leaked_locks\":%d,\"series\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed
-    ("[" ^ String.concat "," (List.map string_of_int sweep) ^ "]")
-    deterministic leaked_c series_json;
-  close_out oc;
-  Report.note "series written to BENCH_e14.json (%s) and bench_report.json#e14_series" stamp
+    !fault_seed chaos.r.Driver.r_commits chaos.r.Driver.r_indeterminate chaos.fires
+    (leaked_locks chaos);
+  Report.artifact ~id:"e14" ~what:"series" ~section:"e14_series"
+    ~fields:
+      [ ("seed", string_of_int seed); ("clients", fleet_sweep_json);
+        ("deterministic", string_of_bool deterministic);
+        ("chaos_leaked_locks", string_of_int (leaked_locks chaos)) ]
+    ("series", "{" ^ String.concat "," (List.rev !series_sections) ^ "}")
 
 (* Tail-latency attribution: the e14 client sweep re-run with span
    tracing, the critical-path sink and the SLO watch plane installed.
@@ -1320,9 +1294,6 @@ let e14 () =
    Artifacts: bench_report.json#e15 and a timestamped BENCH_e15.json
    with per-client-count phase fractions. *)
 let e15 () =
-  let sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
-  let n_pages = 2048 in
-  let total_attempts = scale 40_000 in
   let seed = 1505 in
   let budget_ns = 20_000_000 in
   let rule s =
@@ -1330,22 +1301,10 @@ let e15 () =
     | Ok r -> r
     | Error e -> failwith ("e15 rule: " ^ e)
   in
-  (* One sweep point, instrumented: fresh db + working set, a private
-     span collector feeding the critical-path sink, a windowed series
-     carrying per-window tails, and the SLO watcher on the series
-     window hook. Returns the driver result plus everything the
-     attribution plane measured. *)
-  let run_point ~seed n_clients =
-    let prev_series = Bess_obs.Series.installed () in
-    let db =
-      Workloads.fresh_db ~cache_slots:(2 * n_pages)
-        ~group_commit:(Bess_wal.Group_commit.Group_n 16) ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    let pages = Workloads.driver_pages db ~n_pages in
-    let sched = Bess_sched.Sched.create () in
-    let coll = Bess_obs.Span.create () in
+  (* One sweep point, instrumented: a private span collector feeding the
+     critical-path sink, a windowed series carrying per-window tails,
+     and the SLO watcher on the series window hook. *)
+  let run_point n_clients =
     let cp = Bess_obs.Critpath.create ~top_k:8 () in
     let slo =
       Bess_obs.Slo.create
@@ -1358,30 +1317,11 @@ let e15 () =
         ()
     in
     let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
-    Bess_obs.Span.install (Some coll);
-    Bess_obs.Critpath.install (Some cp);
-    Bess_obs.Series.install (Some series);
-    Bess_obs.Slo.watch slo series;
-    let cfg =
-      { Bess_sched.Driver.default with
-        n_clients;
-        txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        zipf_theta = 0.8;
-        hot_fraction = 0.05;
-        hot_pages = 8;
-        churn = 0.002;
-        seed;
-      }
+    let p =
+      drive ~spans:(Bess_obs.Span.create ()) ~critpath:cp ~series ~slo (fleet_db ())
+        (fleet_cfg ~seed n_clients)
     in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    Bess_obs.Series.flush series;
-    Bess_obs.Slo.unwatch series;
-    Bess_obs.Series.install prev_series;
-    Bess_obs.Critpath.install None;
-    Bess_obs.Span.install None;
-    (r, cp, slo, wall)
+    (p, cp, slo)
   in
   let phase_names = List.map Bess_obs.Critpath.phase_name Bess_obs.Critpath.phases in
   let rows = ref [] in
@@ -1390,7 +1330,7 @@ let e15 () =
   let budget_ok = ref true and conserved = ref true in
   List.iter
     (fun n_clients ->
-      let r, cp, slo, wall = run_point ~seed n_clients in
+      let p, cp, slo = run_point n_clients in
       if n_clients = 1_000 then begin
         fp_1000 := Bess_obs.Critpath.fingerprint cp;
         breaches_1000 := Bess_obs.Slo.breaches slo
@@ -1403,7 +1343,7 @@ let e15 () =
       let phase_sum = List.fold_left (fun acc (_, ns) -> acc + ns) 0 totals in
       let gap = Stdlib.abs (phase_sum - total) in
       if total > 0 && gap * 100 > total then conserved := false;
-      if n_clients = List.hd sweep && Bess_obs.Slo.breaches_of slo "commit_p99" > 0 then
+      if n_clients = List.hd fleet_sweep && Bess_obs.Slo.breaches_of slo "commit_p99" > 0 then
         budget_ok := false;
       let frac ns =
         if total = 0 then 0.0 else 100.0 *. float_of_int ns /. float_of_int total
@@ -1428,30 +1368,30 @@ let e15 () =
                 (Bess_obs.Slo.report slo)))
         :: !point_sections;
       rows :=
-        ([ Report.count n_clients; Report.count r.Bess_sched.Driver.r_commits;
+        ([ Report.count n_clients; Report.count p.r.Driver.r_commits;
            Report.count (Bess_obs.Critpath.txns cp) ]
         @ List.map (fun name -> Printf.sprintf "%.1f%%" (share name)) phase_names
         @ [ Report.count (Bess_obs.Slo.breaches slo);
-            Printf.sprintf "%.0f ms" (wall *. 1e3) ])
+            Printf.sprintf "%.0f ms" (p.wall *. 1e3) ])
         :: !rows)
-    sweep;
+    fleet_sweep;
   Report.table ~id:"E15"
     ~caption:
       (Printf.sprintf
          "critical-path blame over the closed-loop sweep: per-phase share of total \
           transaction time, ~%d attempts per population, zipf(0.8) over %d pages, group:16; \
           SLO budget commit p99 < %dms per 10ms window"
-         total_attempts n_pages (budget_ns / 1_000_000))
+         fleet_attempts fleet_pages (budget_ns / 1_000_000))
     ~header:([ "clients"; "commits"; "txns" ] @ phase_names @ [ "breaches"; "wall" ])
     (List.rev !rows);
   Report.note "e15: attribution conservation (phases sum to measured latency within 1%%): %s"
     (if !conserved then "OK" else "FAILED");
   Report.note "e15: latency budget gate at %d clients (commit p99 < %dms): %s"
-    (List.hd sweep) (budget_ns / 1_000_000)
+    (List.hd fleet_sweep) (budget_ns / 1_000_000)
     (if !budget_ok then "OK" else "BREACHED");
   (* Same seed, fresh substrates: the blame decomposition and the SLO
      breach counts must reproduce bit for bit. *)
-  let _, cp2, slo2, _ = run_point ~seed 1_000 in
+  let _, cp2, slo2 = run_point 1_000 in
   let fp2 = Bess_obs.Critpath.fingerprint cp2 in
   let deterministic =
     String.equal !fp_1000 fp2 && !breaches_1000 = Bess_obs.Slo.breaches slo2
@@ -1461,33 +1401,17 @@ let e15 () =
      else
        Printf.sprintf "FAILED (%s vs %s; breaches %d vs %d)" !fp_1000 fp2 !breaches_1000
          (Bess_obs.Slo.breaches slo2));
-  let json =
-    Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections))
-  in
-  Report.add_section "e15" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let oc = open_out "BENCH_e15.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e15\",\"wall_time\":%s,\"seed\":%d,\"clients\":%s,\"budget_ns\":%d,\"deterministic\":%b,\"conserved\":%b,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed
-    ("[" ^ String.concat "," (List.map string_of_int sweep) ^ "]")
-    budget_ns deterministic !conserved json;
-  close_out oc;
-  Report.note "blame breakdown written to BENCH_e15.json (%s) and bench_report.json#e15" stamp
+  Report.artifact ~id:"e15" ~what:"blame breakdown" ~section:"e15"
+    ~fields:
+      [ ("seed", string_of_int seed); ("clients", fleet_sweep_json);
+        ("budget_ns", string_of_int budget_ns);
+        ("deterministic", string_of_bool deterministic);
+        ("conserved", string_of_bool !conserved) ]
+    ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)))
 
 (* One (population, handoff) measurement for E16. *)
 type e16_point = {
-  p_commits : int;
-  p_give_ups : int;
-  p_tp : float;
-  p_wall : float;
-  p_leaked : int;
-  p_fp : string;          (* counter-snapshot fingerprint (determinism) *)
+  p : point;
   p_lock_frac : float;    (* lock wait + retry backoff share of total txn time *)
   p_parks : int;
   p_wakeups : int;
@@ -1511,70 +1435,23 @@ type e16_point = {
    and a flaky-disk chaos run with handoff on must leak zero locks.
    Artifacts: bench_report.json#e16 and a timestamped BENCH_e16.json. *)
 let e16 () =
-  let sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
-  let n_pages = 2048 in
-  let total_attempts = scale 40_000 in
   let seed = 1606 in
-  (* One sweep point: fresh db + working set, timeout detection, the
-     handoff switch set before any client runs, the span collector
-     feeding the critical-path sink so lock blame is attributable, and
-     a counter fingerprint over the run's own substrate instances. *)
-  let run_point ?(fault_sites = []) ~handoff ~seed n_clients =
-    let prev_series = Bess_obs.Series.installed () in
-    let db =
-      Workloads.fresh_db ~cache_slots:(2 * n_pages)
-        ~group_commit:(Bess_wal.Group_commit.Group_n 16) ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    Bess.Server.set_lock_handoff server handoff;
-    let pages = Workloads.driver_pages db ~n_pages in
-    (match fault_sites with
-    | [] -> ()
-    | sites ->
-        Fault.seed !fault_seed;
-        Fault.apply_profile sites);
-    let sched = Bess_sched.Sched.create () in
-    let coll = Bess_obs.Span.create () in
+  (* The span collector feeds the critical-path sink so lock blame is
+     attributable. *)
+  let run_point ?faults ~handoff n_clients =
     let cp = Bess_obs.Critpath.create ~top_k:8 () in
-    let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
-    Bess_obs.Span.install (Some coll);
-    Bess_obs.Critpath.install (Some cp);
-    Bess_obs.Series.install (Some series);
-    let cfg =
-      { Bess_sched.Driver.default with
-        n_clients;
-        txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        zipf_theta = 0.8;
-        hot_fraction = 0.05;
-        hot_pages = 8;
-        churn = 0.002;
-        seed;
-      }
+    let p =
+      drive ?faults ~spans:(Bess_obs.Span.create ()) ~critpath:cp (fleet_db ~handoff ())
+        (fleet_cfg ~seed n_clients)
     in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    Bess_obs.Series.flush series;
-    Bess_obs.Series.install prev_series;
-    Bess_obs.Critpath.install None;
-    Bess_obs.Span.install None;
-    (match fault_sites with [] -> () | _ -> Fault.reset ());
-    let locks = Bess.Server.locks server in
-    let sst = Bess_sched.Sched.stats sched in
-    let lst = Bess_lock.Lock_mgr.stats locks in
+    let sst = Bess_sched.Sched.stats p.sched in
+    let lst = Bess_lock.Lock_mgr.stats (Bess.Server.locks p.server) in
     let total = Bess_obs.Critpath.total_ns cp in
     let totals = Bess_obs.Critpath.blame_totals cp in
     let blame name = Option.value ~default:0 (List.assoc_opt name totals) in
     let w2g = Stats.find_histogram lst "lock.wake_to_grant_ticks" in
     {
-      p_commits = r.Bess_sched.Driver.r_commits;
-      p_give_ups = r.Bess_sched.Driver.r_give_ups;
-      p_tp = Bess_sched.Driver.throughput r;
-      p_wall = wall;
-      p_leaked = Bess_lock.Lock_mgr.n_locks locks;
-      p_fp =
-        Fmt.str "%a|%a|%a" Stats.pp sst Stats.pp (Bess.Server.stats server) Stats.pp lst;
+      p;
       p_lock_frac =
         (if total = 0 then 0.0
          else float_of_int (blame "lock" + blame "backoff") /. float_of_int total);
@@ -1587,11 +1464,12 @@ let e16 () =
       p_w2g_sum = (match w2g with None -> 0 | Some h -> Bess_util.Histogram.sum h);
     }
   in
-  let point_json p =
+  let tp e = Driver.throughput e.p.r in
+  let point_json e =
     Printf.sprintf
       "{\"commits\":%d,\"give_ups\":%d,\"throughput\":%.1f,\"lock_blame_frac\":%.4f,\"parks\":%d,\"wakeups\":%d,\"retries\":%d,\"handoffs\":%d,\"wake_to_grant\":{\"count\":%d,\"sum_ticks\":%d},\"leaked_locks\":%d}"
-      p.p_commits p.p_give_ups p.p_tp p.p_lock_frac p.p_parks p.p_wakeups p.p_retries
-      p.p_handoffs p.p_w2g_count p.p_w2g_sum p.p_leaked
+      e.p.r.Driver.r_commits e.p.r.Driver.r_give_ups (tp e) e.p_lock_frac e.p_parks
+      e.p_wakeups e.p_retries e.p_handoffs e.p_w2g_count e.p_w2g_sum (leaked_locks e.p)
   in
   let rows = ref [] in
   let point_sections = ref [] in
@@ -1599,20 +1477,20 @@ let e16 () =
   let fp_off_1000 = ref "" and fp_on_1000 = ref "" in
   List.iter
     (fun n_clients ->
-      let off = run_point ~handoff:false ~seed n_clients in
-      let on_ = run_point ~handoff:true ~seed n_clients in
+      let off = run_point ~handoff:false n_clients in
+      let on_ = run_point ~handoff:true n_clients in
       if n_clients = 1_000 then begin
-        fp_off_1000 := off.p_fp;
-        fp_on_1000 := on_.p_fp
+        fp_off_1000 := off.p.fp;
+        fp_on_1000 := on_.p.fp
       end;
-      if off.p_leaked <> 0 || on_.p_leaked <> 0 then
+      if leaked_locks off.p <> 0 || leaked_locks on_.p <> 0 then
         Report.note "e16: LOCK LEAK at %d clients (off %d, on %d)" n_clients
-          off.p_leaked on_.p_leaked;
+          (leaked_locks off.p) (leaked_locks on_.p);
       if n_clients >= 10_000 then begin
         if not (on_.p_lock_frac < off.p_lock_frac) then blame_ok := false;
         if not (on_.p_retries < off.p_retries) then retries_ok := false
       end;
-      if on_.p_tp < off.p_tp then tp_ok := false;
+      if tp on_ < tp off then tp_ok := false;
       point_sections :=
         Printf.sprintf "\"clients_%d\":{\"off\":%s,\"on\":%s}" n_clients (point_json off)
           (point_json on_)
@@ -1620,8 +1498,8 @@ let e16 () =
       rows :=
         [
           Report.count n_clients;
-          Printf.sprintf "%.0f/s" off.p_tp;
-          Printf.sprintf "%.0f/s" on_.p_tp;
+          Printf.sprintf "%.0f/s" (tp off);
+          Printf.sprintf "%.0f/s" (tp on_);
           Printf.sprintf "%.1f%%" (100. *. off.p_lock_frac);
           Printf.sprintf "%.1f%%" (100. *. on_.p_lock_frac);
           Report.count off.p_retries;
@@ -1629,10 +1507,10 @@ let e16 () =
           Report.count on_.p_parks;
           Report.count on_.p_wakeups;
           Report.count on_.p_handoffs;
-          Printf.sprintf "%.0f ms" ((off.p_wall +. on_.p_wall) *. 1e3);
+          Printf.sprintf "%.0f ms" ((off.p.wall +. on_.p.wall) *. 1e3);
         ]
         :: !rows)
-    sweep;
+    fleet_sweep;
   Report.table ~id:"E16"
     ~caption:
       (Printf.sprintf
@@ -1640,12 +1518,12 @@ let e16 () =
           seed %d (handoff off / on), ~%d attempts, zipf(0.8) over %d pages + 5%% hot-8, \
           group:16, 0.2%% churn; blame = lock-wait + retry-backoff share of total \
           transaction time"
-         seed total_attempts n_pages)
+         seed fleet_attempts fleet_pages)
     ~header:
       [ "clients"; "tp off"; "tp on"; "blame off"; "blame on"; "retries off";
         "retries on"; "parks on"; "wakes on"; "handoffs"; "wall" ]
     (List.rev !rows);
-  let big = List.filter (fun n -> n >= 10_000) sweep in
+  let big = List.filter (fun n -> n >= 10_000) fleet_sweep in
   let big_desc =
     match big with
     | [] -> "no 10^4+ populations at --quick scale, gates vacuous"
@@ -1661,10 +1539,10 @@ let e16 () =
   (* Same seed, fresh substrates, both variants: the counter snapshots
      must be bit-identical or the handoff path (wake ordering, jitter
      stream separation) has introduced nondeterminism. *)
-  let off2 = run_point ~handoff:false ~seed 1_000 in
-  let on2 = run_point ~handoff:true ~seed 1_000 in
+  let off2 = run_point ~handoff:false 1_000 in
+  let on2 = run_point ~handoff:true 1_000 in
   let deterministic =
-    String.equal !fp_off_1000 off2.p_fp && String.equal !fp_on_1000 on2.p_fp
+    String.equal !fp_off_1000 off2.p.fp && String.equal !fp_on_1000 on2.p.fp
   in
   Report.note "e16: same-seed determinism at 1000 clients (both variants): %s"
     (if deterministic then "OK (counter snapshots identical)"
@@ -1672,31 +1550,21 @@ let e16 () =
   (* Chaos with handoff on: commit outcomes may be lost to injected
      faults, but disconnect-while-parked churn must never leak a lock
      or a wake subscription. *)
-  let chaos =
-    run_point ~fault_sites:(List.assoc "flaky-disk" Fault.profiles) ~handoff:true ~seed
-      1_000
-  in
+  let chaos = run_point ~faults:(flaky_disk ()) ~handoff:true 1_000 in
   Report.note
     "e16: chaos under load (flaky-disk, seed %d, handoff on): %d commits, %d give-ups, \
      %d leaked locks"
-    !fault_seed chaos.p_commits chaos.p_give_ups chaos.p_leaked;
-  let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)) in
-  Report.add_section "e16" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let oc = open_out "BENCH_e16.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e16\",\"wall_time\":%s,\"seed\":%d,\"clients\":%s,\"deterministic\":%b,\"blame_strictly_lower\":%b,\"retries_strictly_lower\":%b,\"throughput_no_worse\":%b,\"chaos_leaked_locks\":%d,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed
-    ("[" ^ String.concat "," (List.map string_of_int sweep) ^ "]")
-    deterministic !blame_ok !retries_ok !tp_ok chaos.p_leaked json;
-  close_out oc;
-  Report.note "handoff ablation written to BENCH_e16.json (%s) and bench_report.json#e16"
-    stamp
+    !fault_seed chaos.p.r.Driver.r_commits chaos.p.r.Driver.r_give_ups
+    (leaked_locks chaos.p);
+  Report.artifact ~id:"e16" ~what:"handoff ablation" ~section:"e16"
+    ~fields:
+      [ ("seed", string_of_int seed); ("clients", fleet_sweep_json);
+        ("deterministic", string_of_bool deterministic);
+        ("blame_strictly_lower", string_of_bool !blame_ok);
+        ("retries_strictly_lower", string_of_bool !retries_ok);
+        ("throughput_no_worse", string_of_bool !tp_ok);
+        ("chaos_leaked_locks", string_of_int (leaked_locks chaos.p)) ]
+    ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)))
 
 (* ---- E17: sharded presumed-abort 2PC fleets ------------------------------ *)
 
@@ -1734,18 +1602,9 @@ let e17 () =
   in
   let total_attempts = scale 8_000 in
   let seed = 1707 in
-  let run_point ?(fault_sites = []) ~seed ~n_shards n_clients =
-    let prev_series = Bess_obs.Series.installed () in
+  let run_point ?faults ~n_shards n_clients =
     let sh = Bess_shard.Shard.create ~n:n_shards ~pages_per_shard:64 () in
-    (match fault_sites with
-    | [] -> ()
-    | sites ->
-        Fault.seed !fault_seed;
-        Fault.apply_profile sites);
-    let coll = Bess_obs.Span.create () in
     let cp = Bess_obs.Critpath.create ~top_k:8 () in
-    Bess_obs.Span.install (Some coll);
-    Bess_obs.Critpath.install (Some cp);
     let cfg =
       { Bess_shard.Fleet.default with
         n_clients;
@@ -1755,15 +1614,13 @@ let e17 () =
         seed;
       }
     in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_shard.Fleet.run sh cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    Bess_obs.Critpath.install None;
-    Bess_obs.Span.install None;
-    Bess_obs.Series.install prev_series;
-    (* Quiesce: disarm, re-drive unacked decisions, resolve survivors by
+    (* The plane is disarmed at the end of the run, then the ring
+       quiesces: re-drive unacked decisions, resolve survivors by
        coordinator query — the same protocol a real restart runs. *)
-    (match fault_sites with [] -> () | _ -> Fault.reset ());
+    let r, wall =
+      Planes.with_installed ?faults ~spans:(Bess_obs.Span.create ()) ~critpath:cp (fun () ->
+          timed (fun () -> Bess_shard.Fleet.run sh cfg))
+    in
     ignore (Bess_shard.Twopc.redrive (Bess_shard.Shard.coord sh));
     ignore (Bess_shard.Shard.resolve_in_doubt sh);
     let st = Bess_shard.Twopc.stats (Bess_shard.Shard.coord sh) in
@@ -1816,7 +1673,7 @@ let e17 () =
   let mid = List.nth sweep (List.length sweep / 2) in
   List.iter
     (fun (n_shards, n_clients) ->
-      let p = run_point ~seed ~n_shards n_clients in
+      let p = run_point ~n_shards n_clients in
       if (n_shards, n_clients) = mid then fp_mid := p.s_fp;
       if p.s_cross = 0 then cross_ok := false;
       if p.s_leaked <> 0 || p.s_in_doubt <> 0 then clean_ok := false;
@@ -1857,7 +1714,7 @@ let e17 () =
   (* Same seed, fresh ring: the Fleet fingerprint (outcome counts + the
      CRC of every shard's working set) must be byte-identical. *)
   let n_shards_mid, n_clients_mid = mid in
-  let again = run_point ~seed ~n_shards:n_shards_mid n_clients_mid in
+  let again = run_point ~n_shards:n_shards_mid n_clients_mid in
   let deterministic = String.equal !fp_mid again.s_fp in
   Report.note "e17: same-seed fingerprint determinism at %dx%d: %s" n_shards_mid
     n_clients_mid
@@ -1867,8 +1724,8 @@ let e17 () =
      resolution nothing may stay locked or in doubt. *)
   let chaos =
     run_point
-      ~fault_sites:(List.assoc "chaos-2pc" Fault.profiles)
-      ~seed ~n_shards:n_shards_mid n_clients_mid
+      ~faults:(!fault_seed, List.assoc "chaos-2pc" Fault.profiles)
+      ~n_shards:n_shards_mid n_clients_mid
   in
   Report.note
     "e17: chaos under load (chaos-2pc, seed %d): %d commits, %d indeterminate, %d \
@@ -1876,21 +1733,14 @@ let e17 () =
     !fault_seed chaos.s_commits chaos.s_indet
     (Option.value ~default:0 (List.assoc_opt "2pc.redrives" chaos.s_counters))
     chaos.s_leaked chaos.s_in_doubt;
-  let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)) in
-  Report.add_section "e17" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let oc = open_out "BENCH_e17.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e17\",\"wall_time\":%s,\"seed\":%d,\"deterministic\":%b,\"cross_shard_everywhere\":%b,\"quiesced_clean\":%b,\"chaos_leaked_locks\":%d,\"chaos_in_doubt\":%d,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed deterministic !cross_ok !clean_ok chaos.s_leaked chaos.s_in_doubt json;
-  close_out oc;
-  Report.note "sharded 2PC sweep written to BENCH_e17.json (%s) and bench_report.json#e17"
-    stamp
+  Report.artifact ~id:"e17" ~what:"sharded 2PC sweep" ~section:"e17"
+    ~fields:
+      [ ("seed", string_of_int seed); ("deterministic", string_of_bool deterministic);
+        ("cross_shard_everywhere", string_of_bool !cross_ok);
+        ("quiesced_clean", string_of_bool !clean_ok);
+        ("chaos_leaked_locks", string_of_int chaos.s_leaked);
+        ("chaos_in_doubt", string_of_int chaos.s_in_doubt) ]
+    ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)))
 
 (* ---- E18: the memory X-ray ------------------------------------------------ *)
 
@@ -1907,7 +1757,6 @@ let e17 () =
    not perturb the observed. Artifacts: bench_report.json#e18 and a
    timestamped BENCH_e18.json. *)
 let e18 () =
-  let n_pages = 2048 in
   let total_attempts = scale 20_000 in
   let seed = 1818 in
   let n_clients = 200 in
@@ -1918,13 +1767,7 @@ let e18 () =
     (* Pinned db_id: area ids (hence page keys, hence the key-labeled
        heat JSON) derive from it, and gate (b) compares those bytes
        across re-runs. *)
-    let db =
-      Workloads.fresh_db ~cache_slots ~group_commit:(Bess_wal.Group_commit.Group_n 16)
-        ~db_id:9181 ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    let pages = Workloads.driver_pages db ~n_pages in
+    let ((server, _) as db) = fleet_db ~cache_slots ~db_id:9181 () in
     let store = Bess.Server.store server in
     let cache = Bess.Store.cache store in
     let cstats = Bess_cache.Cache.stats cache in
@@ -1932,21 +1775,18 @@ let e18 () =
        both sketches and the measured hit rate see workload traffic
        only. *)
     let h0 = Stats.get cstats "cache.hits" and m0 = Stats.get cstats "cache.misses" in
-    let sched = Bess_sched.Sched.create () in
     (* 1/4 spatial sampling: coarser rates leave too few sampled depths
        below the smallest swept cache size for a 5-point gate. *)
     let memx = if xray then Some (Bess_cache.Memx.install ~rate_bits:2 cache) else None in
-    let cfg =
-      { Bess_sched.Driver.default with
-        n_clients;
-        txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        zipf_theta = skew;
-        seed;
-      }
+    let p =
+      drive db
+        { Driver.default with
+          n_clients;
+          txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
+          zipf_theta = skew;
+          seed;
+        }
     in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
     let dh = Stats.get cstats "cache.hits" - h0 in
     let dm = Stats.get cstats "cache.misses" - m0 in
     let measured =
@@ -1958,11 +1798,6 @@ let e18 () =
       + Stats.get (Bess.Store.stats store) "store.page_flush_bytes"
     in
     let wamp = if logical = 0 then 0.0 else float_of_int durable /. float_of_int logical in
-    let fp =
-      Fmt.str "%a|%a|%a" Stats.pp
-        (Bess_sched.Sched.stats sched)
-        Stats.pp (Bess.Server.stats server) Stats.pp cstats
-    in
     let x =
       Option.map
         (fun m ->
@@ -1973,13 +1808,11 @@ let e18 () =
           (predicted, mrc_json, heat_json))
         memx
     in
-    ( r,
+    ( p,
       measured,
       wamp,
       Stats.get cstats "cache.evict_clean",
       Stats.get cstats "cache.evict_dirty",
-      fp,
-      wall,
       x )
   in
   let rows = ref [] in
@@ -1991,9 +1824,7 @@ let e18 () =
     (fun skew ->
       List.iter
         (fun cache_slots ->
-          let r, measured, wamp, evc, evd, fp, wall, x =
-            run_point ~xray:true ~skew ~cache_slots
-          in
+          let p, measured, wamp, evc, evd, x = run_point ~xray:true ~skew ~cache_slots in
           let predicted, mrc_json, heat_json =
             match x with Some v -> v | None -> assert false
           in
@@ -2006,7 +1837,7 @@ let e18 () =
               skew cache_slots (100.0 *. predicted) (100.0 *. measured)
           end;
           if gated && cache_slots = gate_size then begin
-            gate_fp := fp;
+            gate_fp := p.fp;
             gate_mrc := mrc_json;
             gate_heat := heat_json
           end;
@@ -2018,14 +1849,14 @@ let e18 () =
             [
               Printf.sprintf "%.2f" skew;
               Report.count cache_slots;
-              Report.count r.Bess_sched.Driver.r_commits;
+              Report.count p.r.Driver.r_commits;
               Printf.sprintf "%.1f%%" (100.0 *. measured);
               Printf.sprintf "%.1f%%" (100.0 *. predicted);
               Printf.sprintf "%.1f" (100.0 *. delta);
               Printf.sprintf "%.2fx" wamp;
               Report.count evc;
               Report.count evd;
-              Printf.sprintf "%.0f ms" (wall *. 1e3);
+              Printf.sprintf "%.0f ms" (p.wall *. 1e3);
             ]
             :: !rows)
         sizes)
@@ -2037,7 +1868,7 @@ let e18 () =
           pages, group:16; predicted = SHARDS MRC (rate 1/4) at the configured size, \
           measured = cache hits/(hits+misses) over the workload, wamp = durable bytes \
           (WAL forces + page writebacks) per logical byte"
-         total_attempts n_clients n_pages)
+         total_attempts n_clients fleet_pages)
     ~header:
       [ "skew"; "slots"; "commits"; "measured"; "predicted"; "delta pts"; "write-amp";
         "evict clean"; "evict dirty"; "wall" ]
@@ -2048,35 +1879,24 @@ let e18 () =
   (* Same seed, fresh substrates: both sketches must render byte for
      byte the same artifacts (heat stamps are epoch-relative exactly so
      this holds at any absolute clock offset). *)
-  let _, _, _, _, _, fp2, _, x2 = run_point ~xray:true ~skew:gate_skew ~cache_slots:gate_size in
+  let p2, _, _, _, _, x2 = run_point ~xray:true ~skew:gate_skew ~cache_slots:gate_size in
   let mrc2, heat2 = match x2 with Some (_, m, h) -> (m, h) | None -> assert false in
   let deterministic = String.equal !gate_mrc mrc2 && String.equal !gate_heat heat2 in
   Report.note "e18: same-seed byte-identical MRC/heat JSON: %s"
     (if deterministic then "OK" else "FAILED");
   (* Observer effect: the same point with the X-ray never installed must
-     produce bit-identical sched/server/cache counter snapshots. *)
-  let _, _, _, _, _, fp_bare, _, _ =
-    run_point ~xray:false ~skew:gate_skew ~cache_slots:gate_size
-  in
-  let zero_cost = String.equal !gate_fp fp2 && String.equal fp2 fp_bare in
+     produce bit-identical substrate counter snapshots. *)
+  let bare, _, _, _, _, _ = run_point ~xray:false ~skew:gate_skew ~cache_slots:gate_size in
+  let zero_cost = String.equal !gate_fp p2.fp && String.equal p2.fp bare.fp in
   Report.note "e18: zero observer effect (counter fingerprints bit-identical without the \
                X-ray): %s"
     (if zero_cost then "OK" else "FAILED");
-  let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !sections)) in
-  Report.add_section "e18" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let oc = open_out "BENCH_e18.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e18\",\"wall_time\":%s,\"seed\":%d,\"accuracy_ok\":%b,\"deterministic\":%b,\"zero_cost\":%b,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed !accuracy_ok deterministic zero_cost json;
-  close_out oc;
-  Report.note "memory X-ray sweep written to BENCH_e18.json (%s) and bench_report.json#e18"
-    stamp
+  Report.artifact ~id:"e18" ~what:"memory X-ray sweep" ~section:"e18"
+    ~fields:
+      [ ("seed", string_of_int seed); ("accuracy_ok", string_of_bool !accuracy_ok);
+        ("deterministic", string_of_bool deterministic);
+        ("zero_cost", string_of_bool zero_cost) ]
+    ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !sections)))
 
 (* ---- F1: segment and object structure (Figure 1) ------------------------- *)
 
@@ -2691,21 +2511,21 @@ let () =
     end
     else None
   in
-  (match !fault_profile with
-  | Some sites ->
-      Fault.seed !fault_seed;
-      Fault.apply_profile sites;
-      Printf.printf "fault plane armed: seed %d, %d sites\n" !fault_seed (List.length sites)
-  | None -> ());
+  let faults = Option.map (fun sites -> (!fault_seed, sites)) !fault_profile in
+  Option.iter
+    (fun (seed, sites) ->
+      Printf.printf "fault plane armed: seed %d, %d sites\n" seed (List.length sites))
+    faults;
   Printf.printf "BeSS experiment harness (%s scale)\n" (if quick then "quick" else "full");
-  List.iter
-    (fun name ->
-      if name = "micro" then micro ()
-      else
-        match List.assoc_opt name experiments with
-        | Some f -> Report.with_observed name f
-        | None -> Printf.printf "unknown experiment %S\n" name)
-    selected;
+  Planes.with_installed ?faults (fun () ->
+      List.iter
+        (fun name ->
+          if name = "micro" then micro ()
+          else
+            match List.assoc_opt name experiments with
+            | Some f -> Report.with_observed name f
+            | None -> Printf.printf "unknown experiment %S\n" name)
+        selected);
   Option.iter Bess_obs.Span.finish_all collector;
   Option.iter
     (fun s ->

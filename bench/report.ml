@@ -137,6 +137,31 @@ let write_json path =
   output_string oc "}\n";
   close_out oc
 
+(* One experiment's artifacts: [json] becomes the bench_report.json
+   section [section] and, after the experiment name, a wall-clock stamp
+   and [fields] (name, rendered JSON), the last field [key] of a
+   timestamped BENCH_<id>.json, so successive runs accumulate comparable
+   files (the report section is overwritten each time). *)
+let artifact ~id ~what ~section ~fields (key, json) =
+  add_section section json;
+  let tm = Unix.gmtime (Unix.gettimeofday ()) in
+  let stamp =
+    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
+      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+  in
+  let path = "BENCH_" ^ id ^ ".json" in
+  let oc = open_out path in
+  output_string oc "{";
+  List.iteri
+    (fun i (k, v) ->
+      Printf.fprintf oc "%s%s:%s" (if i = 0 then "" else ",") (Bess_obs.Registry.json_string k) v)
+    ([ ("experiment", Bess_obs.Registry.json_string id);
+       ("wall_time", Bess_obs.Registry.json_string stamp) ]
+    @ fields @ [ (key, json) ]);
+  output_string oc "}\n";
+  close_out oc;
+  note "%s written to %s (%s) and bench_report.json#%s" what path stamp section
+
 (* Wall-clock timing of a thunk, median of [runs]. *)
 let time_ns ?(runs = 3) f =
   let samples =

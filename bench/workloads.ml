@@ -1,6 +1,6 @@
 (* Workload builders shared by the experiments: object graphs in BeSS and
-   in the baseline stores, page reference streams, and multi-client
-   transaction drivers. All deterministic from explicit seeds. *)
+   in the baseline stores, and page reference streams. All deterministic
+   from explicit seeds. *)
 
 module Vmem = Bess_vmem.Vmem
 module Prng = Bess_util.Prng
@@ -234,32 +234,3 @@ let build_oid_vm_ring ~n =
       Vmem.write_i64 store.Oid_vm.vmem addr next_onum)
     objs;
   (store, objs)
-
-(* ---- Closed-loop driver working sets -------------------------------------- *)
-
-(* Seed [n_pages] committed data pages for the Bess_sched closed-loop
-   driver, in popularity order (Zipf rank i -> element i). Segments cap
-   at one extent of contiguous pages, so the working set is built from
-   128-page segments and returned as an explicit page array. The session's
-   cached copies are dropped so driver clients never trigger callbacks to
-   the seeding session. *)
-let driver_pages db ~n_pages =
-  let s = Bess.Db.session db in
-  Bess.Session.begin_txn s;
-  let pages = ref [] in
-  let remaining = ref n_pages in
-  while !remaining > 0 do
-    let n = Stdlib.min 128 !remaining in
-    let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:n () in
-    let d = seg.Bess.Session.data_disk in
-    for i = 0 to n - 1 do
-      pages :=
-        { Bess_cache.Page_id.area = d.Bess_storage.Seg_addr.area;
-          page = d.Bess_storage.Seg_addr.first_page + i }
-        :: !pages
-    done;
-    remaining := !remaining - n
-  done;
-  Bess.Session.commit s;
-  Bess.Session.drop_all_cached s;
-  Array.of_list (List.rev !pages)

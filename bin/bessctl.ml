@@ -19,11 +19,17 @@
    catalog.meta. *)
 
 open Cmdliner
+module Driver = Bess_sched.Driver
+module Planes = Bess_sched.Planes
 
 let dir_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Database directory")
 
 let with_db dir f =
+  if not (Sys.file_exists (Filename.concat dir "catalog.meta")) then begin
+    Printf.eprintf "bessctl: no database in %s\n" dir;
+    exit 2
+  end;
   let db = Bess.Db.open_dir ~db_id:1 dir in
   Fun.protect ~finally:(fun () -> Bess.Db.close db) (fun () -> f db)
 
@@ -193,6 +199,16 @@ let verify_cmd =
 
 (* ---- stats ---- *)
 
+(* One transaction touching every segment once: the full pass stats,
+   trace and top make over the database. *)
+let full_pass db s =
+  Bess.Session.begin_txn s;
+  List.iter
+    (fun seg_id ->
+      Bess.Session.ensure_slotted s (Bess.Session.get_seg s ~db_id:(Bess.Db.db_id db) ~seg_id))
+    (Bess.Catalog.segment_ids (Bess.Db.catalog db));
+  Bess.Session.commit s
+
 let stats_cmd =
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the registry snapshot as JSON") in
   let prom =
@@ -202,16 +218,10 @@ let stats_cmd =
   in
   let run dir json prom =
     with_db dir (fun db ->
-        (* Touch every segment once so the snapshot reflects a full pass
-           over the database, not an idle process. *)
+        (* The snapshot reflects a full pass over the database, not an
+           idle process. *)
         let s = Bess.Db.session db in
-        Bess.Session.begin_txn s;
-        List.iter
-          (fun seg_id ->
-            let seg = Bess.Session.get_seg s ~db_id:(Bess.Db.db_id db) ~seg_id in
-            Bess.Session.ensure_slotted s seg)
-          (Bess.Catalog.segment_ids (Bess.Db.catalog db));
-        Bess.Session.commit s;
+        full_pass db s;
         let snap = Bess_obs.Registry.snapshot () in
         if prom then print_string (Bess_obs.Registry.prom_of_snapshot snap)
         else if json then print_string (Bess_obs.Registry.json_of_snapshot snap ^ "\n")
@@ -249,20 +259,11 @@ let trace_cmd =
   in
   let run dir spans chrome =
     let c = Bess_obs.Span.create () in
-    Bess_obs.Span.install (Some c);
-    Fun.protect ~finally:(fun () -> Bess_obs.Span.install None) (fun () ->
+    Planes.with_installed ~spans:c (fun () ->
         with_db dir (fun db ->
-            (* One traced transaction touching every segment: the same
-               full pass `bessctl stats` makes, but timed on the span
-               clock instead of counted. *)
-            let s = Bess.Db.session db in
-            Bess.Session.begin_txn s;
-            List.iter
-              (fun seg_id ->
-                let seg = Bess.Session.get_seg s ~db_id:(Bess.Db.db_id db) ~seg_id in
-                Bess.Session.ensure_slotted s seg)
-              (Bess.Catalog.segment_ids (Bess.Db.catalog db));
-            Bess.Session.commit s);
+            (* The full pass, timed on the span clock instead of
+               counted. *)
+            full_pass db (Bess.Db.session db));
         Bess_obs.Span.finish_all c;
         (match chrome with
         | Some path ->
@@ -360,91 +361,50 @@ let top_cmd =
     let series =
       Bess_obs.Series.create ~capacity:4096 ~window_ns:(Stdlib.max 1 window_us * 1000) ()
     in
-    Bess_obs.Series.install (Some series);
-    Fun.protect ~finally:(fun () -> Bess_obs.Series.install None) (fun () ->
+    Planes.with_installed ~series (fun () ->
         with_db dir (fun db ->
             (* The same full pass [bessctl stats] makes, repeated with the
                cache dropped in between so every pass does real work. *)
             let s = Bess.Db.session db in
             for _ = 1 to passes do
-              Bess.Session.begin_txn s;
-              List.iter
-                (fun seg_id ->
-                  let seg = Bess.Session.get_seg s ~db_id:(Bess.Db.db_id db) ~seg_id in
-                  Bess.Session.ensure_slotted s seg)
-                (Bess.Catalog.segment_ids (Bess.Db.catalog db));
-              Bess.Session.commit s;
+              full_pass db s;
               Bess.Session.drop_all_cached s
-            done);
-        Bess_obs.Series.flush series;
-        let samples = Bess_obs.Series.to_list series in
-        if not json then
-          Printf.printf "top: %d windows of >=%dus simulated time, %d passes\n"
-            (List.length samples) window_us passes;
-        print_window_report ~json samples ~limit)
+            done));
+    let samples = Bess_obs.Series.to_list series in
+    if not json then
+      Printf.printf "top: %d windows of >=%dus simulated time, %d passes\n"
+        (List.length samples) window_us passes;
+    print_window_report ~json samples ~limit
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:"Sample repeated database passes into per-window rates and show the busiest metrics")
     Term.(const run $ dir_arg $ passes $ window_us $ limit $ json_arg)
 
-(* ---- load ---- *)
+(* ---- load, slow, mrc, heat: the closed-loop drivers ---- *)
 
-(* Closed-loop load generator: N simulated clients on the discrete-event
-   scheduler run a named workload against the database, and the same
-   windowed-rate report [bessctl top] uses shows where the time went. *)
-
-(* Working set for the load drivers: committed data pages in 128-page
-   segments (extents cap contiguous allocation). *)
-let seed_working_set db pages =
-  let s = Bess.Db.session db in
-  Bess.Session.begin_txn s;
-  let acc = ref [] in
-  let remaining = ref (Stdlib.max 1 pages) in
-  while !remaining > 0 do
-    let n = Stdlib.min 128 !remaining in
-    let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:n () in
-    let d = seg.Bess.Session.data_disk in
-    for i = 0 to n - 1 do
-      acc :=
-        { Bess_cache.Page_id.area = d.Bess_storage.Seg_addr.area;
-          page = d.Bess_storage.Seg_addr.first_page + i }
-        :: !acc
-    done;
-    remaining := !remaining - n
-  done;
-  Bess.Session.commit s;
-  Bess.Session.drop_all_cached s;
-  Array.of_list (List.rev !acc)
+(* N simulated clients on the discrete-event scheduler run a named
+   workload against the database; each subcommand reports a different
+   plane's view of the run. *)
 
 let load_workloads =
   [
-    ("uniform", fun c -> { c with Bess_sched.Driver.zipf_theta = 0.0 });
-    ("zipf", fun c -> { c with Bess_sched.Driver.zipf_theta = 0.8 });
-    ( "hotspot",
-      fun c ->
-        { c with Bess_sched.Driver.zipf_theta = 0.8; hot_fraction = 0.1; hot_pages = 8 } );
+    ("uniform", fun c -> { c with Driver.zipf_theta = 0.0 });
+    ("zipf", fun c -> { c with Driver.zipf_theta = 0.8 });
+    ("hotspot", fun c -> { c with Driver.zipf_theta = 0.8; hot_fraction = 0.1; hot_pages = 8 });
     ( "churn",
       fun c ->
-        { c with
-          Bess_sched.Driver.zipf_theta = 0.8;
-          hot_fraction = 0.1;
-          hot_pages = 8;
-          churn = 0.005;
-        } );
+        { c with Driver.zipf_theta = 0.8; hot_fraction = 0.1; hot_pages = 8; churn = 0.005 } );
   ]
 
-(* Shared by load and slow: the e16 ablation switch, exposed so the
-   poll-retry convoy can be reproduced interactively. *)
-let no_handoff_arg =
-  Arg.(value & flag
-       & info [ "no-handoff" ]
-           ~doc:
-             "Disable wake-on-release lock handoff: blocked clients fall back to the \
-              bounded-backoff poll-retry loop (the pre-handoff behaviour)")
+type workload = { name : string; clients : int; txns : int; pages : int; seed : int }
 
-let load_cmd =
-  let workload_arg =
+let describe w ~n_pages =
+  Printf.sprintf "%S, %d clients x %d txns over %d pages, seed %d" w.name w.clients w.txns
+    n_pages w.seed
+
+let workload_term =
+  let workload =
     Arg.(value & opt string "zipf"
          & info [ "workload" ] ~docv:"NAME"
              ~doc:
@@ -461,6 +421,44 @@ let load_cmd =
     Arg.(value & opt int 1024 & info [ "pages" ] ~docv:"N" ~doc:"Working-set pages to seed")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed") in
+  Term.(
+    const (fun name clients txns pages seed -> { name; clients; txns; pages; seed })
+    $ workload $ clients $ txns $ pages $ seed)
+
+(* Open [dir], seed the working set, configure the server for fleet
+   scale, and hand [f] the server, the seeded page count and the run:
+   [drive ()] runs the workload with the given planes installed. *)
+let drive_workload ?spans ?critpath ?series ?(no_handoff = false) dir w f =
+  match List.assoc_opt w.name load_workloads with
+  | None ->
+      Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" w.name;
+      exit 2
+  | Some shape ->
+      with_db dir (fun db ->
+          let server = Bess.Db.server db in
+          Bess.Server.set_detection server `Timeout;
+          if no_handoff then Bess.Server.set_lock_handoff server false;
+          let pages = Driver.seed_working_set db ~n_pages:w.pages in
+          let cfg =
+            shape
+              { Driver.default with n_clients = w.clients; txns_per_client = w.txns; seed = w.seed }
+          in
+          f ~server ~n_pages:(Array.length pages) (fun () ->
+              Planes.with_installed ?spans ?critpath ?series (fun () ->
+                  Driver.run server ~pages cfg)))
+
+(* Shared by load and slow: the e16 ablation switch, exposed so the
+   poll-retry convoy can be reproduced interactively. *)
+let no_handoff_arg =
+  Arg.(value & flag
+       & info [ "no-handoff" ]
+           ~doc:
+             "Disable wake-on-release lock handoff: blocked clients fall back to the \
+              bounded-backoff poll-retry loop (the pre-handoff behaviour)")
+
+(* load: the windowed-rate report [bessctl top] uses shows where the
+   time went. *)
+let load_cmd =
   let window_us =
     Arg.(value & opt int 1000
          & info [ "window-us" ] ~docv:"US" ~doc:"Sampling window in simulated microseconds")
@@ -468,82 +466,36 @@ let load_cmd =
   let limit =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Counters to show (busiest first)")
   in
-  let run dir workload clients txns pages seed window_us limit no_handoff =
-    match List.assoc_opt workload load_workloads with
-    | None ->
-        Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" workload;
-        exit 2
-    | Some shape ->
-        let series =
-          Bess_obs.Series.create ~capacity:4096 ~window_ns:(Stdlib.max 1 window_us * 1000) ()
-        in
-        with_db dir (fun db ->
-            let server = Bess.Db.server db in
-            Bess.Server.set_detection server `Timeout;
-            if no_handoff then Bess.Server.set_lock_handoff server false;
-            let page_ids = seed_working_set db pages in
-            let cfg =
-              shape
-                { Bess_sched.Driver.default with
-                  n_clients = clients;
-                  txns_per_client = txns;
-                  seed;
-                }
-            in
-            Bess_obs.Series.install (Some series);
-            let r =
-              Fun.protect
-                ~finally:(fun () -> Bess_obs.Series.install None)
-                (fun () -> Bess_sched.Driver.run server ~pages:page_ids cfg)
-            in
-            Bess_obs.Series.flush series;
-            let samples = Bess_obs.Series.to_list series in
-            Printf.printf "load: %S, %d clients x %d txns over %d pages, seed %d\n" workload
-              clients txns (Array.length page_ids) seed;
-            Printf.printf
-              "  commits %d  aborts %d  give-ups %d  indeterminate %d  churns %d\n"
-              r.Bess_sched.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate
-              r.r_disconnects;
-            Printf.printf "  %.1f ms simulated, %.0f commits/s, commit p50 %.1fus p99 %.1fus\n"
-              (float_of_int r.r_sim_ns /. 1e6)
-              (Bess_sched.Driver.throughput r)
-              (float_of_int r.r_commit_p50_ns /. 1e3)
-              (float_of_int r.r_commit_p99_ns /. 1e3);
-            Printf.printf "  %d windows of >=%dus simulated time\n" (List.length samples)
-              window_us;
-            print_window_report samples ~limit)
+  let run dir w window_us limit no_handoff =
+    let series =
+      Bess_obs.Series.create ~capacity:4096 ~window_ns:(Stdlib.max 1 window_us * 1000) ()
+    in
+    drive_workload ~series ~no_handoff dir w (fun ~server:_ ~n_pages drive ->
+        let r = drive () in
+        let samples = Bess_obs.Series.to_list series in
+        Printf.printf "load: %s\n" (describe w ~n_pages);
+        Printf.printf "  commits %d  aborts %d  give-ups %d  indeterminate %d  churns %d\n"
+          r.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate r.r_disconnects;
+        Printf.printf "  %.1f ms simulated, %.0f commits/s, commit p50 %.1fus p99 %.1fus\n"
+          (float_of_int r.r_sim_ns /. 1e6)
+          (Driver.throughput r)
+          (float_of_int r.r_commit_p50_ns /. 1e3)
+          (float_of_int r.r_commit_p99_ns /. 1e3);
+        Printf.printf "  %d windows of >=%dus simulated time\n" (List.length samples)
+          window_us;
+        print_window_report samples ~limit)
   in
   Cmd.v
     (Cmd.info "load"
        ~doc:
          "Run a named closed-loop workload at a given client count on the event scheduler \
           and report windowed rates")
-    Term.(const run $ dir_arg $ workload_arg $ clients $ txns $ pages $ seed $ window_us
-          $ limit $ no_handoff_arg)
+    Term.(const run $ dir_arg $ workload_term $ window_us $ limit $ no_handoff_arg)
 
-(* ---- slow ---- *)
-
-(* Tail-latency attribution: run the same closed-loop workload [bessctl
-   load] runs, but with span tracing and the critical-path sink
-   installed, and report where the slowest transactions spent their
-   time, phase by phase. *)
-
+(* slow: tail-latency attribution. Span tracing and the critical-path
+   sink ride the run, and the report says where the slowest
+   transactions spent their time, phase by phase. *)
 let slow_cmd =
-  let workload_arg =
-    Arg.(value & opt string "zipf"
-         & info [ "workload" ] ~docv:"NAME"
-             ~doc:"Named workload (same set as $(b,bessctl load))")
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N" ~doc:"Simulated clients")
-  in
-  let txns =
-    Arg.(value & opt int 50 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client")
-  in
-  let pages =
-    Arg.(value & opt int 1024 & info [ "pages" ] ~docv:"N" ~doc:"Working-set pages to seed")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed") in
   let top_k =
     Arg.(value & opt int 10
          & info [ "slowest" ] ~docv:"K" ~doc:"Slowest transactions to capture and print")
@@ -551,144 +503,80 @@ let slow_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the slow-transaction reservoir as JSON")
   in
-  let run dir workload clients txns pages seed top_k json no_handoff =
-    match List.assoc_opt workload load_workloads with
-    | None ->
-        Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" workload;
-        exit 2
-    | Some shape ->
-        with_db dir (fun db ->
-            let server = Bess.Db.server db in
-            Bess.Server.set_detection server `Timeout;
-            if no_handoff then Bess.Server.set_lock_handoff server false;
-            let page_ids = seed_working_set db pages in
-            let cfg =
-              shape
-                { Bess_sched.Driver.default with
-                  n_clients = clients;
-                  txns_per_client = txns;
-                  seed;
-                }
-            in
-            let coll = Bess_obs.Span.create () in
-            let cp = Bess_obs.Critpath.create ~top_k () in
-            Bess_obs.Span.install (Some coll);
-            Bess_obs.Critpath.install (Some cp);
-            let r =
-              Fun.protect
-                ~finally:(fun () ->
-                  Bess_obs.Critpath.install None;
-                  Bess_obs.Span.install None)
-                (fun () -> Bess_sched.Driver.run server ~pages:page_ids cfg)
-            in
-            if json then print_string (Bess_obs.Critpath.json_of_slow cp ^ "\n")
-            else begin
-              Printf.printf "slow: %S, %d clients x %d txns over %d pages, seed %d\n" workload
-                clients txns (Array.length page_ids) seed;
-              Printf.printf "  commits %d  aborts %d  give-ups %d  indeterminate %d\n"
-                r.Bess_sched.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate;
-              let total = Bess_obs.Critpath.total_ns cp in
-              Printf.printf "  %d transactions attributed, %.1f ms total\n"
-                (Bess_obs.Critpath.txns cp)
-                (float_of_int total /. 1e6);
-              Printf.printf "  %-10s %14s %7s\n" "PHASE" "TOTAL-NS" "SHARE";
-              List.iter
-                (fun (name, ns) ->
-                  if ns > 0 then
-                    Printf.printf "  %-10s %14d %6.1f%%\n" name ns
-                      (100.0 *. float_of_int ns /. float_of_int (Stdlib.max 1 total)))
-                (Bess_obs.Critpath.blame_totals cp);
-              let slow = Bess_obs.Critpath.slow cp in
-              Printf.printf "slowest %d transactions:\n" (List.length slow);
-              List.iteri
-                (fun i (st : Bess_obs.Critpath.slow_txn) ->
-                  let b = st.st_blame in
-                  let root = st.st_root in
-                  let outcome =
-                    Option.value ~default:"?" (List.assoc_opt "outcome" root.attrs)
-                  in
-                  let parts =
-                    List.concat
-                      (List.mapi
-                         (fun j p ->
-                           let ns = b.b_phase_ns.(j) in
-                           if ns > 0 then
-                             [ Printf.sprintf "%s %dns" (Bess_obs.Critpath.phase_name p) ns ]
-                           else [])
-                         Bess_obs.Critpath.phases)
-                  in
-                  Printf.printf "  #%-2d span %-6d %8dns %-13s %d spans %d faults | %s\n"
-                    (i + 1) root.id b.b_total_ns outcome
-                    (List.length st.st_spans)
-                    (List.length st.st_faults)
-                    (String.concat ", " parts))
-                slow
-            end)
+  let run dir w top_k json no_handoff =
+    let cp = Bess_obs.Critpath.create ~top_k () in
+    drive_workload ~spans:(Bess_obs.Span.create ()) ~critpath:cp ~no_handoff dir w
+      (fun ~server:_ ~n_pages drive ->
+        let r = drive () in
+        if json then print_string (Bess_obs.Critpath.json_of_slow cp ^ "\n")
+        else begin
+          Printf.printf "slow: %s\n" (describe w ~n_pages);
+          Printf.printf "  commits %d  aborts %d  give-ups %d  indeterminate %d\n"
+            r.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate;
+          let total = Bess_obs.Critpath.total_ns cp in
+          Printf.printf "  %d transactions attributed, %.1f ms total\n"
+            (Bess_obs.Critpath.txns cp)
+            (float_of_int total /. 1e6);
+          Printf.printf "  %-10s %14s %7s\n" "PHASE" "TOTAL-NS" "SHARE";
+          List.iter
+            (fun (name, ns) ->
+              if ns > 0 then
+                Printf.printf "  %-10s %14d %6.1f%%\n" name ns
+                  (100.0 *. float_of_int ns /. float_of_int (Stdlib.max 1 total)))
+            (Bess_obs.Critpath.blame_totals cp);
+          let slow = Bess_obs.Critpath.slow cp in
+          Printf.printf "slowest %d transactions:\n" (List.length slow);
+          List.iteri
+            (fun i (st : Bess_obs.Critpath.slow_txn) ->
+              let b = st.st_blame in
+              let root = st.st_root in
+              let outcome = Option.value ~default:"?" (List.assoc_opt "outcome" root.attrs) in
+              let parts =
+                List.concat
+                  (List.mapi
+                     (fun j p ->
+                       let ns = b.b_phase_ns.(j) in
+                       if ns > 0 then
+                         [ Printf.sprintf "%s %dns" (Bess_obs.Critpath.phase_name p) ns ]
+                       else [])
+                     Bess_obs.Critpath.phases)
+              in
+              Printf.printf "  #%-2d span %-6d %8dns %-13s %d spans %d faults | %s\n" (i + 1)
+                root.id b.b_total_ns outcome (List.length st.st_spans)
+                (List.length st.st_faults) (String.concat ", " parts))
+            slow
+        end)
   in
   Cmd.v
     (Cmd.info "slow"
        ~doc:
          "Run a closed-loop workload with critical-path attribution installed and print the \
           slowest transactions' phase-by-phase blame breakdown")
-    Term.(const run $ dir_arg $ workload_arg $ clients $ txns $ pages $ seed $ top_k
-          $ json_arg $ no_handoff_arg)
+    Term.(const run $ dir_arg $ workload_term $ top_k $ json_arg $ no_handoff_arg)
 
-(* ---- mrc / heat: the memory X-ray ---- *)
-
-(* Shared runner: install the X-ray on the server's page cache AFTER
-   seeding (so the sketches see the workload, not the loader), drive the
-   named workload, and hand the sketches plus the workload-only hit/miss
-   deltas to the reporter. *)
-let run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits ~heat_window_us f =
-  match List.assoc_opt workload load_workloads with
-  | None ->
-      Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" workload;
-      exit 2
-  | Some shape ->
-      with_db dir (fun db ->
-          let server = Bess.Db.server db in
-          Bess.Server.set_detection server `Timeout;
-          let page_ids = seed_working_set db pages in
-          let cache = Bess.Store.cache (Bess.Server.store server) in
-          let stats = Bess_cache.Cache.stats cache in
-          let h0 = Bess_util.Stats.get stats "cache.hits" in
-          let m0 = Bess_util.Stats.get stats "cache.misses" in
-          let memx =
-            Bess_cache.Memx.install ~rate_bits
-              ~heat_window_ns:(Stdlib.max 1 heat_window_us * 1000)
-              cache
+(* mrc, heat: the memory X-ray on the server's page cache, installed
+   AFTER seeding (so the sketches see the workload, not the loader);
+   the reporter gets the sketches plus the workload-only hit rate. *)
+let run_xray dir w ~rate_bits ~heat_window_us f =
+  drive_workload dir w (fun ~server ~n_pages drive ->
+      let cache = Bess.Store.cache (Bess.Server.store server) in
+      let stats = Bess_cache.Cache.stats cache in
+      let h0 = Bess_util.Stats.get stats "cache.hits" in
+      let m0 = Bess_util.Stats.get stats "cache.misses" in
+      let memx =
+        Bess_cache.Memx.install ~rate_bits ~heat_window_ns:(Stdlib.max 1 heat_window_us * 1000)
+          cache
+      in
+      Fun.protect
+        ~finally:(fun () -> Bess_cache.Memx.uninstall memx)
+        (fun () ->
+          let r = drive () in
+          let dh = Bess_util.Stats.get stats "cache.hits" - h0 in
+          let dm = Bess_util.Stats.get stats "cache.misses" - m0 in
+          let measured =
+            if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
           in
-          let cfg =
-            shape
-              { Bess_sched.Driver.default with
-                n_clients = clients;
-                txns_per_client = txns;
-                seed;
-              }
-          in
-          Fun.protect
-            ~finally:(fun () -> Bess_cache.Memx.uninstall memx)
-            (fun () ->
-              let r = Bess_sched.Driver.run server ~pages:page_ids cfg in
-              let dh = Bess_util.Stats.get stats "cache.hits" - h0 in
-              let dm = Bess_util.Stats.get stats "cache.misses" - m0 in
-              let measured =
-                if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
-              in
-              f ~cache ~memx ~result:r ~measured ~n_pages:(Array.length page_ids)))
-
-let xray_workload_arg =
-  Arg.(value & opt string "zipf"
-       & info [ "workload" ] ~docv:"NAME"
-           ~doc:"Named workload (same set as $(b,bessctl load))")
-
-let xray_clients = Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N" ~doc:"Simulated clients")
-let xray_txns = Arg.(value & opt int 50 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client")
-
-let xray_pages =
-  Arg.(value & opt int 1024 & info [ "pages" ] ~docv:"N" ~doc:"Working-set pages to seed")
-
-let xray_seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed")
+          f ~cache ~memx ~result:r ~measured ~n_pages))
 
 let xray_json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the sketch as deterministic JSON")
 
@@ -698,16 +586,15 @@ let mrc_cmd =
          & info [ "rate-bits" ] ~docv:"B"
              ~doc:"SHARDS spatial sampling rate 2^-B (0 = track every access)")
   in
-  let run dir workload clients txns pages seed rate_bits json =
-    run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits ~heat_window_us:1000
+  let run dir w rate_bits json =
+    run_xray dir w ~rate_bits ~heat_window_us:1000
       (fun ~cache ~memx ~result:r ~measured ~n_pages ->
         let mrc = Bess_cache.Memx.mrc memx in
         if json then print_string (Bess_cache.Memx.json_of_mrc memx ^ "\n")
         else begin
-          Printf.printf "mrc: %S, %d clients x %d txns over %d pages, seed %d, rate 1/%d\n"
-            workload clients txns n_pages seed (1 lsl rate_bits);
+          Printf.printf "mrc: %s, rate 1/%d\n" (describe w ~n_pages) (1 lsl rate_bits);
           Printf.printf "  commits %d  aborts %d  accesses %d  sampled %d  tracked keys %d\n"
-            r.Bess_sched.Driver.r_commits r.r_aborts (Bess_obs.Mrc.n_total mrc)
+            r.Driver.r_commits r.r_aborts (Bess_obs.Mrc.n_total mrc)
             (Bess_obs.Mrc.n_sampled mrc) (Bess_obs.Mrc.tracked_keys mrc);
           Printf.printf "  %8s  %9s\n" "SIZE" "PREDICTED";
           let max_size =
@@ -732,8 +619,7 @@ let mrc_cmd =
          "Run a closed-loop workload with the SHARDS miss-ratio-curve sampler installed and \
           print the predicted hit rate at every power-of-two cache size against the measured \
           rate at the configured size")
-    Term.(const run $ dir_arg $ xray_workload_arg $ xray_clients $ xray_txns $ xray_pages
-          $ xray_seed $ rate_bits $ xray_json)
+    Term.(const run $ dir_arg $ workload_term $ rate_bits $ xray_json)
 
 let heat_cmd =
   let top_arg =
@@ -744,17 +630,16 @@ let heat_cmd =
          & info [ "window-us" ] ~docv:"US"
              ~doc:"Decay window in simulated microseconds (frequencies halve once per window)")
   in
-  let run dir workload clients txns pages seed top window_us json =
-    run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits:4 ~heat_window_us:window_us
+  let run dir w top window_us json =
+    run_xray dir w ~rate_bits:4 ~heat_window_us:window_us
       (fun ~cache:_ ~memx ~result:r ~measured ~n_pages ->
         let heat = Bess_cache.Memx.heat memx in
         if json then print_string (Bess_cache.Memx.json_of_heat ~k:top memx ^ "\n")
         else begin
-          Printf.printf "heat: %S, %d clients x %d txns over %d pages, seed %d\n" workload
-            clients txns n_pages seed;
+          Printf.printf "heat: %s\n" (describe w ~n_pages);
           Printf.printf
             "  commits %d  aborts %d  accesses %d  tracked pages %d  decays %d  hit %.1f%%\n"
-            r.Bess_sched.Driver.r_commits r.r_aborts (Bess_obs.Heat.n_total heat)
+            r.Driver.r_commits r.r_aborts (Bess_obs.Heat.n_total heat)
             (Bess_obs.Heat.tracked_keys heat) (Bess_obs.Heat.n_decays heat)
             (100.0 *. measured);
           Printf.printf "  %-12s %8s %14s\n" "PAGE" "FREQ" "LAST-NS";
@@ -771,8 +656,7 @@ let heat_cmd =
        ~doc:
          "Run a closed-loop workload with the decayed page-heat sketch installed and print \
           the hottest pages")
-    Term.(const run $ dir_arg $ xray_workload_arg $ xray_clients $ xray_txns $ xray_pages
-          $ xray_seed $ top_arg $ window_us $ xray_json)
+    Term.(const run $ dir_arg $ workload_term $ top_arg $ window_us $ xray_json)
 
 (* ---- flightrec ---- *)
 
@@ -883,13 +767,9 @@ let chaos_cmd =
            carries the slowest transactions whole (aux_slow_txns). *)
         let frdir = Option.value ~default:dir flightrec_dir in
         Bess_obs.Flightrec.arm ~dir:frdir ();
-        let coll = Bess_obs.Span.create () in
-        Bess_obs.Span.install (Some coll);
-        Bess_obs.Critpath.install (Some (Bess_obs.Critpath.create ~top_k:8 ()));
-        Fun.protect ~finally:(fun () ->
-            Bess_obs.Critpath.install None;
-            Bess_obs.Span.install None;
-            Bess_obs.Flightrec.disarm ())
+        Fun.protect ~finally:Bess_obs.Flightrec.disarm @@ fun () ->
+        Planes.with_installed ~spans:(Bess_obs.Span.create ())
+          ~critpath:(Bess_obs.Critpath.create ~top_k:8 ())
         @@ fun () ->
         with_db dir (fun db ->
             let server = Bess.Db.server db in
@@ -910,9 +790,10 @@ let chaos_cmd =
               Array.init n_clients (fun i ->
                   Bess.Remote.fetcher net ~client_id:(4000 + i) ~server_id:(Bess.Db.db_id db))
             in
-            Fun.protect ~finally:Fault.reset @@ fun () ->
-            Fault.seed seed;
-            Fault.apply_profile sites;
+            (* The plane is disarmed once the workload is reported; the
+               recovery drill below runs fault-free. *)
+            let acked, maybes, leaked =
+            Planes.with_installed ~faults:(seed, sites) @@ fun () ->
             let acked = Array.make n_clients 0 in
             let maybes = Array.make n_clients [] in
             let acked_n = ref 0 and maybe_n = ref 0 in
@@ -970,14 +851,15 @@ let chaos_cmd =
                     Printf.printf "  schedule %-23s %s\n" site
                       (String.concat "+" (List.map string_of_int ords)))
               (Fault.configured ());
-            (* Black-box the faulted phase now: [Fault.reset] clears the
-               firing ring, and the recovery drill below runs fault-free. *)
+            (* Black-box the faulted phase now: disarming clears the
+               firing ring. *)
             (match Bess_obs.Flightrec.dump ~reason:"chaos-workload" () with
             | Some path -> Printf.printf "flight recorder: %s\n" path
             | None -> ());
-            (* Disarm, then the recovery drill: every acked value must
-               survive the crash. *)
-            Fault.reset ();
+            (acked, maybes, leaked)
+            in
+            (* The recovery drill: every acked value must survive the
+               crash. *)
             Bess.Server.crash server;
             ignore (Bess.Server.recover server);
             let bytes = Bess.Server.read_page server page in
@@ -1050,12 +932,7 @@ let shard_cmd =
         Printf.eprintf "bad --fault-profile %S: %s\n" profile e;
         exit 2
     | Ok sites ->
-        Fun.protect ~finally:Fault.reset @@ fun () ->
         let sh = Shard.create ~n:n_shards ~pages_per_shard:64 () in
-        if sites <> [] then begin
-          Fault.seed seed;
-          Fault.apply_profile sites
-        end;
         let cfg =
           { Fleet.default with
             n_clients;
@@ -1065,17 +942,19 @@ let shard_cmd =
             seed;
           }
         in
-        let r = Fleet.run sh cfg in
-        let schedules =
-          List.filter_map
-            (fun (site, _) ->
-              match Fault.schedule site with [] -> None | ords -> Some (site, ords))
-            (Fault.configured ())
+        (* The plane is disarmed at the end of the run, then the ring
+           quiesces exactly like a restart would: re-drive unacked commit
+           decisions, resolve the prepared stragglers by coordinator query
+           (absent decision = presumed abort). *)
+        let r, schedules =
+          Planes.with_installed ~faults:(seed, sites) (fun () ->
+              let r = Fleet.run sh cfg in
+              ( r,
+                List.filter_map
+                  (fun (site, _) ->
+                    match Fault.schedule site with [] -> None | ords -> Some (site, ords))
+                  (Fault.configured ()) ))
         in
-        (* Quiesce exactly like a restart would: disarm faults, re-drive
-           unacked commit decisions, resolve the prepared stragglers by
-           coordinator query (absent decision = presumed abort). *)
-        Fault.reset ();
         let unacked = Twopc.redrive (Shard.coord sh) in
         let resolved, unresolved = Shard.resolve_in_doubt sh in
         Printf.printf "shard: %d shards, %d clients x %d txns, cross %.2f, seed %d, profile %S\n"

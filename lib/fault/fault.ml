@@ -151,6 +151,21 @@ let configured () =
   Hashtbl.fold (fun name s acc -> (name, s.policy) :: acc) sites []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+(* What a scoped install puts back: the master seed and every site's
+   policy. Restoring re-derives the streams from the seed, as [seed]
+   does, so a restored plane replays from its first check. *)
+type saved = int * (string * policy) list
+
+let save () : saved = (!master_seed, configured ())
+
+let restore ((s, profile) : saved) =
+  reset ();
+  master_seed := s;
+  if profile <> [] then begin
+    seed s;
+    apply_profile profile
+  end
+
 (* ---- Parsing ---- *)
 
 let policy_to_string = function

@@ -41,6 +41,17 @@ val apply_profile : (string * policy) list -> unit
     cleared, master seed kept. *)
 val reset : unit -> unit
 
+(** The arming in force: master seed and every site's policy. *)
+type saved
+
+val save : unit -> saved
+
+(** [restore saved] disarms everything, then re-arms [saved]'s sites
+    from its seed: streams restart and counters clear, as after
+    {!seed}. Restoring a save taken while nothing was configured is
+    {!reset}. *)
+val restore : saved -> unit
+
 (** True when at least one site has a non-[Never] policy. *)
 val armed : unit -> bool
 

@@ -142,6 +142,25 @@ type client = {
   mutable c_backoff_ns : int; (* previous guard delay (decorrelated jitter state) *)
 }
 
+(* Segments cap at one extent of contiguous pages, so the working set is
+   built from 128-page segments. *)
+let seed_working_set db ~n_pages =
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let pages = ref [] in
+  let remaining = ref (Stdlib.max 1 n_pages) in
+  while !remaining > 0 do
+    let n = Stdlib.min 128 !remaining in
+    let d = (Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:n ()).data_disk in
+    for i = 0 to n - 1 do
+      pages := { Page_id.area = d.area; page = d.first_page + i } :: !pages
+    done;
+    remaining := !remaining - n
+  done;
+  Bess.Session.commit s;
+  Bess.Session.drop_all_cached s;
+  Array.of_list (List.rev !pages)
+
 let run ?sched server ~pages cfg =
   if cfg.n_clients <= 0 then invalid_arg "Driver.run: n_clients must be positive";
   let n_pages = Array.length pages in

@@ -75,6 +75,12 @@ val make_picker :
 
 val exp_think : mean_ns:int -> Bess_util.Prng.t -> int
 
+(** [seed_working_set db ~n_pages] commits [max 1 n_pages] fresh data
+    pages to [db] and returns them in creation order, ready to be
+    [run]'s working set. The seeding session's cached copies are
+    dropped, so clients never call back to it. *)
+val seed_working_set : Bess.Db.t -> n_pages:int -> Bess_cache.Page_id.t array
+
 (** [run server ~pages cfg] drives [cfg.n_clients] clients against
     [server] until every client has consumed its attempt budget.
     [pages] is the working set, in popularity order: the Zipf picker

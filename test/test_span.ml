@@ -411,6 +411,47 @@ let test_span_kinds_complete () =
         kinds
   | _ -> () (* git unavailable: nothing to check *)
 
+(* A scoped install whose body raises puts back every plane it found:
+   the outer collector, critpath sink and series, and the fault arming,
+   disarmed or armed. *)
+let test_scoped_install_restores () =
+  let module Planes = Bess_sched.Planes in
+  let module Critpath = Bess_obs.Critpath in
+  let module Series = Bess_obs.Series in
+  let module Fault = Bess_fault.Fault in
+  let is x = function Some y -> y == x | None -> false in
+  let raising ~faults =
+    match
+      Planes.with_installed ~spans:(Span.create ()) ~critpath:(Critpath.create ())
+        ~series:(Series.create ()) ~faults (fun () ->
+          Alcotest.(check bool) "armed inside" true (Fault.armed ());
+          failwith "body raised")
+    with
+    | () -> Alcotest.fail "the body's exception was swallowed"
+    | exception Failure _ -> ()
+  in
+  with_collector (fun outer ->
+      let cp = Critpath.create () and series = Series.create () in
+      Critpath.install (Some cp);
+      Series.install (Some series);
+      Fun.protect
+        ~finally:(fun () ->
+          Series.install None;
+          Critpath.install None;
+          Fault.reset ())
+        (fun () ->
+          raising ~faults:(7, List.assoc "chaos" Fault.profiles);
+          Alcotest.(check bool) "outer collector back" true (is outer (Span.installed ()));
+          Alcotest.(check bool) "outer critpath back" true (is cp (Critpath.installed ()));
+          Alcotest.(check bool) "outer series back" true (is series (Series.installed ()));
+          Alcotest.(check bool) "faults disarmed again" false (Fault.armed ());
+          let flaky = List.assoc "flaky-disk" Fault.profiles in
+          Fault.seed 3;
+          Fault.apply_profile flaky;
+          let before = Fault.configured () in
+          raising ~faults:(9, List.assoc "flaky-net" Fault.profiles);
+          Alcotest.(check bool) "outer profile re-armed" true (Fault.configured () = before)))
+
 let suite =
   [
     Alcotest.test_case "nesting_and_attrs" `Quick test_nesting_and_attrs;
@@ -423,4 +464,5 @@ let suite =
     Alcotest.test_case "chrome_json_roundtrip" `Quick test_chrome_json_roundtrip;
     Alcotest.test_case "end_to_end_spans" `Quick test_end_to_end_spans;
     Alcotest.test_case "span_kinds_complete" `Quick test_span_kinds_complete;
+    Alcotest.test_case "scoped_install_restores" `Quick test_scoped_install_restores;
   ]
