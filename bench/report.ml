@@ -49,6 +49,19 @@ let table ~id ~caption ~header rows =
 
 let note fmt = Printf.printf ("    " ^^ fmt ^^ "\n%!")
 
+(* A pass/fail check: prints the note [fmt] followed by [pass] or
+   [fail], and counts a failure so the harness exits 1 once its
+   artifacts are written — which is what makes `dune build @smoke`, and
+   with it `dune runtest`, fail on a broken gate. *)
+let gates_failed = ref 0
+
+let gate ?(pass = "OK") ?(fail = "FAILED") ok fmt =
+  Printf.ksprintf
+    (fun line ->
+      if not ok then incr gates_failed;
+      note "%s%s" line (if ok then pass else fail))
+    fmt
+
 (* ---- Observability report --------------------------------------------- *)
 
 (* Each experiment runs under [with_observed], which brackets it with

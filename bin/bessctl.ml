@@ -428,7 +428,7 @@ let workload_term =
 (* Open [dir], seed the working set, configure the server for fleet
    scale, and hand [f] the server, the seeded page count and the run:
    [drive ()] runs the workload with the given planes installed. *)
-let drive_workload ?spans ?critpath ?series ?(no_handoff = false) dir w f =
+let drive_workload ?spans ?critpath ?series dir w f =
   match List.assoc_opt w.name load_workloads with
   | None ->
       Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" w.name;
@@ -437,7 +437,6 @@ let drive_workload ?spans ?critpath ?series ?(no_handoff = false) dir w f =
       with_db dir (fun db ->
           let server = Bess.Db.server db in
           Bess.Server.set_detection server `Timeout;
-          if no_handoff then Bess.Server.set_lock_handoff server false;
           let pages = Driver.seed_working_set db ~n_pages:w.pages in
           let cfg =
             shape
@@ -446,15 +445,6 @@ let drive_workload ?spans ?critpath ?series ?(no_handoff = false) dir w f =
           f ~server ~n_pages:(Array.length pages) (fun () ->
               Planes.with_installed ?spans ?critpath ?series (fun () ->
                   Driver.run server ~pages cfg)))
-
-(* Shared by load and slow: the e16 ablation switch, exposed so the
-   poll-retry convoy can be reproduced interactively. *)
-let no_handoff_arg =
-  Arg.(value & flag
-       & info [ "no-handoff" ]
-           ~doc:
-             "Disable wake-on-release lock handoff: blocked clients fall back to the \
-              bounded-backoff poll-retry loop (the pre-handoff behaviour)")
 
 (* load: the windowed-rate report [bessctl top] uses shows where the
    time went. *)
@@ -466,11 +456,11 @@ let load_cmd =
   let limit =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Counters to show (busiest first)")
   in
-  let run dir w window_us limit no_handoff =
+  let run dir w window_us limit =
     let series =
       Bess_obs.Series.create ~capacity:4096 ~window_ns:(Stdlib.max 1 window_us * 1000) ()
     in
-    drive_workload ~series ~no_handoff dir w (fun ~server:_ ~n_pages drive ->
+    drive_workload ~series dir w (fun ~server:_ ~n_pages drive ->
         let r = drive () in
         let samples = Bess_obs.Series.to_list series in
         Printf.printf "load: %s\n" (describe w ~n_pages);
@@ -490,7 +480,7 @@ let load_cmd =
        ~doc:
          "Run a named closed-loop workload at a given client count on the event scheduler \
           and report windowed rates")
-    Term.(const run $ dir_arg $ workload_term $ window_us $ limit $ no_handoff_arg)
+    Term.(const run $ dir_arg $ workload_term $ window_us $ limit)
 
 (* slow: tail-latency attribution. Span tracing and the critical-path
    sink ride the run, and the report says where the slowest
@@ -503,9 +493,9 @@ let slow_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the slow-transaction reservoir as JSON")
   in
-  let run dir w top_k json no_handoff =
+  let run dir w top_k json =
     let cp = Bess_obs.Critpath.create ~top_k () in
-    drive_workload ~spans:(Bess_obs.Span.create ()) ~critpath:cp ~no_handoff dir w
+    drive_workload ~spans:(Bess_obs.Span.create ()) ~critpath:cp dir w
       (fun ~server:_ ~n_pages drive ->
         let r = drive () in
         if json then print_string (Bess_obs.Critpath.json_of_slow cp ^ "\n")
@@ -552,7 +542,7 @@ let slow_cmd =
        ~doc:
          "Run a closed-loop workload with critical-path attribution installed and print the \
           slowest transactions' phase-by-phase blame breakdown")
-    Term.(const run $ dir_arg $ workload_term $ top_k $ json_arg $ no_handoff_arg)
+    Term.(const run $ dir_arg $ workload_term $ top_k $ json_arg)
 
 (* mrc, heat: the memory X-ray on the server's page cache, installed
    AFTER seeding (so the sketches see the workload, not the loader);

@@ -1,11 +1,12 @@
 (* The lock table: strict two-phase locking with FIFO wait queues.
 
    The simulation is cooperative, so [acquire] never blocks a thread --
-   it returns [`Granted] or [`Blocked], and the scheduler retries blocked
-   clients after each [release_all]. Deadlocks are detected two ways, both
-   from the paper's world: timeouts (what BeSS uses for the distributed
-   case) via a logical clock, and an exact waits-for-graph cycle check
-   (what a local lock manager can afford). Experiments can choose either.
+   it returns [`Granted] or [`Blocked], and a blocked client waits until
+   a [release_all] hands it the lock (grant handoff, below). Deadlocks
+   are detected two ways, both from the paper's world: timeouts (what
+   BeSS uses for the distributed case) via a logical clock, and an exact
+   waits-for-graph cycle check (what a local lock manager can afford).
+   Experiments can choose either.
 
    Resources are small integer triples so page, file and object locks all
    fit one table: [space] names the namespace (see {!resource}).
@@ -23,19 +24,19 @@
    visited; the regression test asserts it stays linear in the number of
    transactions.
 
-   Grant handoff (wake-on-release): with [handoff] enabled (the default),
-   [release_all] does not merely hint at who might be grantable — it
-   grants the maximal compatible FIFO prefix of each affected queue *in
-   place*, transferring the lock before any new acquirer can barge, and
-   fires the registered wake hook once per granted transaction. Blocked
-   callers park on that wake instead of poll-retrying, so a hot resource
-   pays zero dead time between a release and the successor's grant
-   ([lock.handoffs] counts the transfers, [lock.wake_to_grant_ticks] the
-   dead time — identically zero for handoff grants). The optional grant
-   filter lets the server veto an in-place grant that still conflicts
-   with other clients' *cached* copies (callback locking): a vetoed
-   waiter keeps its queue position and is picked up by the caller's
-   timeout-guard re-poll, so FIFO order survives the veto.
+   Grant handoff (wake-on-release): [release_all] does not merely hint
+   at who might be grantable — it grants the maximal compatible FIFO
+   prefix of each affected queue *in place*, transferring the lock
+   before any new acquirer can barge, and fires the registered wake
+   hook once per granted transaction. Blocked callers park on that wake
+   instead of poll-retrying, so a hot resource pays zero dead time
+   between a release and the successor's grant ([lock.handoffs] counts
+   the transfers, [lock.wake_to_grant_ticks] the dead time — identically
+   zero for handoff grants). The optional grant filter lets the server
+   veto an in-place grant that still conflicts with other clients'
+   *cached* copies (callback locking): a vetoed waiter keeps its queue
+   position and is woken so its own re-poll resolves the conflict, so
+   FIFO order survives the veto.
 
    Timeout discovery is event-driven too: waiters join a global expiry
    FIFO at enqueue (the logical clock is monotonic and the timeout a
@@ -81,7 +82,6 @@ type t = {
   timeout : int; (* ticks a request may wait before being declared deadlocked *)
   stats : Bess_util.Stats.t;
   mutable n_waiters : int; (* live waiters across all entries, kept incrementally *)
-  mutable handoff : bool; (* grant-in-place on release vs wake-hint-only *)
   mutable wake_hook : (txn:int -> unit) option;
   mutable grant_filter : (txn:int -> resource -> Lock_mode.t -> bool) option;
   (* Every waiter, in enqueue (= deadline) order; cancelled nodes are
@@ -94,7 +94,7 @@ type t = {
   wait_spans : (int * resource, Span.handle) Hashtbl.t;
 }
 
-let create ?(timeout = 1000) ?(handoff = true) () =
+let create ?(timeout = 1000) () =
   let stats = Bess_util.Stats.create () in
   (* Eager: the wait and wake-to-grant distributions are part of every
      report even when no request ever blocked. *)
@@ -103,7 +103,7 @@ let create ?(timeout = 1000) ?(handoff = true) () =
   Bess_obs.Registry.register_stats "lock" stats;
   let t =
     { table = Hashtbl.create 256; held = Hashtbl.create 32; waits = Hashtbl.create 32;
-      tick = 0; timeout; stats; n_waiters = 0; handoff; wake_hook = None;
+      tick = 0; timeout; stats; n_waiters = 0; wake_hook = None;
       grant_filter = None; expiry = Queue.create (); wait_spans = Hashtbl.create 16 }
   in
   Bess_obs.Registry.register_gauge "lock" "lock.table_size" (fun () ->
@@ -115,27 +115,24 @@ let create ?(timeout = 1000) ?(handoff = true) () =
 
 let stats t = t.stats
 
-(* Wake waiters whose deadline has passed (handoff mode only — with it
-   off, guard re-polls discover timeouts, the pre-handoff behaviour).
-   The expiry queue is in deadline order, so this pops an expired or
-   cancelled front and stops at the first live waiter still inside its
-   budget: O(1) amortised per enqueue. The wake hook only schedules the
-   parked client's re-poll (which then observes [`Timeout]); under
-   [`Graph] detection the wake is spurious but harmless. *)
+(* Wake waiters whose deadline has passed. The expiry queue is in
+   deadline order, so this pops an expired or cancelled front and stops
+   at the first live waiter still inside its budget: O(1) amortised per
+   enqueue. The wake hook only schedules the parked client's re-poll
+   (which then observes [`Timeout]); under [`Graph] detection the wake
+   is spurious but harmless. *)
 let check_expiry t =
-  if t.handoff then begin
-    let continue_ = ref true in
-    while !continue_ do
-      match Queue.peek_opt t.expiry with
-      | Some w when w.w_cancelled -> ignore (Queue.pop t.expiry)
-      | Some w when t.tick - w.w_enqueued > t.timeout ->
-          ignore (Queue.pop t.expiry);
-          w.w_woken <- t.tick;
-          Bess_util.Stats.incr t.stats "lock.expiry_wakes";
-          (match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn)
-      | _ -> continue_ := false
-    done
-  end
+  let continue_ = ref true in
+  while !continue_ do
+    match Queue.peek_opt t.expiry with
+    | Some w when w.w_cancelled -> ignore (Queue.pop t.expiry)
+    | Some w when t.tick - w.w_enqueued > t.timeout ->
+        ignore (Queue.pop t.expiry);
+        w.w_woken <- t.tick;
+        Bess_util.Stats.incr t.stats "lock.expiry_wakes";
+        (match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn)
+    | _ -> continue_ := false
+  done
 
 let tick t =
   t.tick <- t.tick + 1;
@@ -143,8 +140,6 @@ let tick t =
 
 let now t = t.tick
 let n_waiters t = t.n_waiters
-let handoff t = t.handoff
-let set_handoff t b = t.handoff <- b
 let set_wake_hook t f = t.wake_hook <- f
 let set_grant_filter t f = t.grant_filter <- f
 
@@ -202,42 +197,60 @@ let blocked_by_queue e ~txn =
 (* ---- Waits-for graph ----------------------------------------------------- *)
 
 (* Edges: each waiter waits for every granted holder it conflicts with and
-   for earlier incompatible waiters. Exact cycle detection by DFS. This
-   scans the whole table — affordable for the exact local detector; use
-   [`Timeout] detection at simulated-fleet scale. *)
-let waits_for t =
-  let edges = Hashtbl.create 32 in
-  let add_edge a b = if a <> b then Hashtbl.add edges a b in
-  Hashtbl.iter
-    (fun _ e ->
-      iter_live e (fun w ->
-          List.iter
-            (fun (g, gm) -> if not (Lock_mode.compatible w.w_mode gm) then add_edge w.w_txn g)
-            e.granted;
-          (* earlier waiters that conflict also precede us *)
-          (try
-             iter_live e (fun w' ->
-                 if w' == w then raise Exit
-                 else if not (Lock_mode.compatible w.w_mode w'.w_mode) then
-                   add_edge w.w_txn w'.w_txn)
-           with Exit -> ())))
-    t.table;
-  edges
+   for earlier incompatible waiters. Exact cycle detection by DFS from the
+   requester, walking successors on demand through the [waits] index, so
+   only the part of the graph the requester can reach is ever touched.
 
+   Pruning: an older waiter of a resource reaches a subset of what a
+   newer waiter of the same mode reaches (the same holders, a shorter
+   queue prefix), so once a waiter's prefix has been enumerated, older
+   same-mode waiters on that resource need not be. [covered] remembers,
+   per (resource, mode), the newest enumerated waiter. The one successor
+   the newer waiter skipped is its own transaction (as a holder, for an
+   upgrade); that only matters when it is the requester, which the skip
+   checks. A convoy of n same-mode waiters costs O(n) per check, where
+   rebuilding the whole table's edges cost O(sum of queue^2). *)
 let creates_cycle t ~txn =
-  let edges = waits_for t in
-  (* DFS from txn looking for a path back to txn. *)
   let visited = Hashtbl.create 16 in
-  let rec dfs v =
-    if Hashtbl.mem visited v then false
-    else begin
-      Hashtbl.add visited v ();
-      let succs = Hashtbl.find_all edges v in
-      List.exists (fun s -> s = txn || dfs s) succs
-    end
+  let covered = Hashtbl.create 8 in
+  let rec reaches v =
+    match Hashtbl.find_opt t.waits v with
+    | None -> false
+    | Some rs ->
+        let rs = Hashtbl.fold (fun r () acc -> r :: acc) rs [] in
+        List.exists (fun r -> reaches_via v r) rs
+  and reaches_via v r =
+    let e = Hashtbl.find t.table r in
+    let w = Hashtbl.find e.by_txn v in
+    let conflicts_with m = not (Lock_mode.compatible w.w_mode m) in
+    match Hashtbl.find_opt covered (r, w.w_mode) with
+    | Some (newest, setter) when newest.w_enqueued > w.w_enqueued ->
+        setter = txn
+        && (match List.assoc_opt txn e.granted with
+           | Some m -> conflicts_with m
+           | None -> false)
+    | _ ->
+        Hashtbl.replace covered (r, w.w_mode) (w, v);
+        (* Newest-first, so the first expansion of a convoy covers it. *)
+        let earlier = ref [] in
+        (try
+           iter_live e (fun w' ->
+               if w' == w then raise Exit
+               else if conflicts_with w'.w_mode then earlier := w'.w_txn :: !earlier)
+         with Exit -> ());
+        let holders =
+          List.filter_map (fun (g, m) -> if conflicts_with m then Some g else None) e.granted
+        in
+        List.exists (fun s -> s <> v && (s = txn || visit s)) holders
+        || List.exists (fun s -> s <> v && (s = txn || visit s)) !earlier
+  and visit s =
+    (not (Hashtbl.mem visited s))
+    && begin
+         Hashtbl.add visited s ();
+         reaches s
+       end
   in
-  let succs = Hashtbl.find_all edges txn in
-  List.exists (fun s -> s = txn || dfs s) succs
+  reaches txn
 
 (* ---- Acquire / release --------------------------------------------------- *)
 
@@ -276,8 +289,8 @@ let enqueue_waiter t e ~txn r mode =
 (* A request that waited is about to be granted: record how long it sat
    in the queue, and — if a release woke it — the dead time between that
    wake and the grant, in logical ticks. Handoff grants set [w_woken] to
-   the current tick first, so their dead time is identically zero; poll
-   grants pay the gap between the waking release and the next re-poll. *)
+   the current tick first, so their dead time is identically zero; a
+   waiter woken by a veto or an expiry pays the gap until its re-poll. *)
 let observe_wait t e ~txn =
   match Hashtbl.find_opt e.by_txn txn with
   | Some w ->
@@ -448,9 +461,8 @@ let grant_scan t e r =
    transactions queued behind them must be woken or they stall forever,
    since no release on those resources is coming).
 
-   With handoff on, the returned list is the transactions *granted* in
-   place (their wake hooks already fired); with it off, the transactions
-   that may now be grantable, for the scheduler to re-poll. *)
+   Returns the transactions granted in place (their wake hooks already
+   fired). *)
 let release_all t ~txn =
   let wake = ref [] in
   let woken = Hashtbl.create 16 in
@@ -461,11 +473,6 @@ let release_all t ~txn =
       wake := w_txn :: !wake
     end
   in
-  let wake_live e =
-    iter_live e (fun w ->
-        w.w_woken <- t.tick;
-        note_woken w.w_txn)
-  in
   let visit r =
     incr scanned;
     match Hashtbl.find_opt t.table r with
@@ -474,7 +481,7 @@ let release_all t ~txn =
         e.granted <- List.remove_assoc txn e.granted;
         remove_waiter t e ~txn r;
         end_wait t ~txn r ~outcome:"released";
-        if t.handoff then List.iter note_woken (grant_scan t e r) else wake_live e;
+        List.iter note_woken (grant_scan t e r);
         if entry_empty e then Hashtbl.remove t.table r
   in
   (match Hashtbl.find_opt t.held txn with
@@ -492,36 +499,17 @@ let release_all t ~txn =
   Bess_util.Stats.add t.stats "lock.release_scan_entries" !scanned;
   List.rev !wake
 
-(* Drop one resource early (used by callback processing, not by 2PL).
-   Successors are handed the lock in place here too, so an early release
-   under group commit moves the queue without waiting for the re-poll. *)
-let release_one t ~txn r =
-  (match Hashtbl.find_opt t.table r with
-  | None -> ()
-  | Some e ->
-      e.granted <- List.remove_assoc txn e.granted;
-      if t.handoff then ignore (grant_scan t e r);
-      if entry_empty e then Hashtbl.remove t.table r);
-  match Hashtbl.find_opt t.held txn with
-  | Some s ->
-      Hashtbl.remove s r;
-      if Hashtbl.length s = 0 then Hashtbl.remove t.held txn
-  | None -> ()
-
 let held_resources t ~txn =
   match Hashtbl.find_opt t.held txn with
   | Some s -> Hashtbl.fold (fun r () acc -> r :: acc) s []
   | None -> []
 
-let n_locks t = Hashtbl.length t.table
+let waiters t r =
+  match Hashtbl.find_opt t.table r with
+  | None -> []
+  | Some e ->
+      let acc = ref [] in
+      iter_live e (fun w -> acc := (w.w_txn, w.w_mode) :: !acc);
+      List.rev !acc
 
-(* Waiters blocked longer than the timeout, under timeout-based detection
-   (the paper: "timeouts are used for distributed deadlock detection"). *)
-let expired_waiters t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      let acc = ref acc in
-      iter_live e (fun w -> if t.tick - w.w_enqueued > t.timeout then acc := w.w_txn :: !acc);
-      !acc)
-    t.table []
-  |> List.sort_uniq compare
+let n_locks t = Hashtbl.length t.table

@@ -9,9 +9,7 @@
     wake-on-release handoff ([Bess.Server.lock_async]) and resume the
     moment the lock is transferred to them in place; a
     decorrelated-jitter guard timer survives per park solely for
-    [`Timeout]/[`Deadlock] recovery (with handoff disabled via
-    [Bess.Server.set_lock_handoff] it degenerates into the old bounded
-    backoff poll loop — the e16 ablation). Proven deadlocks and timeout
+    [`Timeout]/[`Deadlock] recovery. Proven deadlocks and timeout
     suspicions abort and consume the attempt; [sched.lock_parks],
     [sched.lock_wakeups] and [sched.lock_retries] count the park/wake
     traffic. Session churn disconnects clients (optionally while
@@ -33,7 +31,7 @@ type config = {
   think_ns : int;         (** mean think time (exponential) *)
   txn_work_ns : int;      (** modeled in-transaction work between lock and commit *)
   ack_delay_ns : int;     (** delay before a committer polls its durability ticket *)
-  lock_retry_ns : int;    (** base guard-timer delay for blocked lock requests *)
+  lock_retry_ns : int;    (** guard-timer unit: a blocked request's base delay is 16 units *)
   max_lock_retries : int; (** guard-fire budget before a blocked attempt gives up *)
   churn : float;          (** per-decision-point probability of disconnecting *)
   reconnect_ns : int;     (** delay before a churned client reconnects *)
@@ -87,7 +85,7 @@ val seed_working_set : Bess.Db.t -> n_pages:int -> Bess_cache.Page_id.t array
     favours low indices and the hot set is the first [hot_pages]
     entries. The pages must already exist on the server. Use
     [Bess.Server.set_detection server `Timeout] at simulated-fleet
-    scale — the exact graph detector scans the whole table per blocked
-    request. A fresh {!Sched} is created unless [sched] is supplied. *)
+    scale — the exact graph detector walks the reachable waits-for graph
+    per blocked request. A fresh {!Sched} is created unless [sched] is supplied. *)
 val run :
   ?sched:Sched.t -> Bess.Server.t -> pages:Bess_cache.Page_id.t array -> config -> result

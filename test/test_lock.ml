@@ -157,33 +157,6 @@ let test_handoff_shared_prefix () =
   let granted = Lock_mgr.release_all m ~txn:3 in
   Alcotest.(check (list int)) "writer granted once readers drain" [ 4 ] granted
 
-(* Handoff off: release only hints (wake list), nothing is transferred,
-   and the poll grant pays its wake-to-grant dead time in ticks. *)
-let test_handoff_off_poll_path () =
-  let m = Lock_mgr.create ~handoff:false () in
-  let wakes = ref [] in
-  Lock_mgr.set_wake_hook m (Some (fun ~txn -> wakes := txn :: !wakes));
-  ignore (Lock_mgr.acquire m ~txn:1 r1 Lock_mode.X);
-  ignore (Lock_mgr.acquire m ~txn:2 r1 Lock_mode.X);
-  let woken = Lock_mgr.release_all m ~txn:1 in
-  Alcotest.(check (list int)) "wake hint only" [ 2 ] woken;
-  Alcotest.(check (list int)) "no hook fires" [] !wakes;
-  Alcotest.(check bool) "nothing transferred" true
-    (not (Lock_mgr.holds m ~txn:2 r1 Lock_mode.X));
-  Alcotest.(check int) "no handoffs" 0 (Bess_util.Stats.get (Lock_mgr.stats m) "lock.handoffs");
-  (* Three dead polls by an unrelated resource advance the clock... *)
-  for _ = 1 to 3 do
-    ignore (Lock_mgr.acquire m ~txn:9 r2 Lock_mode.S);
-    ignore (Lock_mgr.release_all m ~txn:9)
-  done;
-  (* ...so the eventual poll grant observes the gap since the release. *)
-  Alcotest.(check bool) "poll grant" true (Lock_mgr.acquire m ~txn:2 r1 Lock_mode.X = `Granted);
-  match Bess_util.Stats.find_histogram (Lock_mgr.stats m) "lock.wake_to_grant_ticks" with
-  | None -> Alcotest.fail "wake_to_grant_ticks histogram missing"
-  | Some h ->
-      Alcotest.(check int) "one observed grant-after-wake" 1 (Bess_util.Histogram.count h);
-      Alcotest.(check bool) "dead time paid in ticks" true (Bess_util.Histogram.sum h > 0)
-
 (* The grant filter vetoes a handoff (a cached-copy conflict the server
    must resolve first): the waiter keeps its FIFO position but is woken
    at once — its re-poll, after the veto lifts, still gets the lock
@@ -401,6 +374,89 @@ let prop_no_incompatible_grants =
             holders)
         resources)
 
+(* The waits-for graph the lock manager built over the whole table
+   before it walked successors on demand, kept as the reference. [state]
+   lists, per resource, the granted (txn, mode) pairs and the live
+   waiters in FIFO order. Edges: each waiter waits for every granted
+   holder it conflicts with and for earlier incompatible waiters. *)
+let reference_creates_cycle state ~txn =
+  let edges = Hashtbl.create 32 in
+  let add_edge a b = if a <> b then Hashtbl.add edges a b in
+  List.iter
+    (fun (granted, waiting) ->
+      List.iteri
+        (fun i (w, wm) ->
+          List.iter
+            (fun (g, gm) -> if not (Lock_mode.compatible wm gm) then add_edge w g)
+            granted;
+          List.iteri
+            (fun j (w', wm') ->
+              if j < i && not (Lock_mode.compatible wm wm') then add_edge w w')
+            waiting)
+        waiting)
+    state;
+  let visited = Hashtbl.create 16 in
+  let rec dfs v =
+    if Hashtbl.mem visited v then false
+    else begin
+      Hashtbl.add visited v ();
+      List.exists (fun s -> s = txn || dfs s) (Hashtbl.find_all edges v)
+    end
+  in
+  List.exists (fun s -> s = txn || dfs s) (Hashtbl.find_all edges txn)
+
+(* Random schedules under [`Graph] detection: every blocked request's
+   verdict ([`Deadlock] or [`Blocked]) must match the reference's, taken
+   on the table as the detector saw it — the state before the call plus
+   the request's own waiter, appended unless it was already queued. *)
+let prop_graph_detector_matches_reference =
+  QCheck.Test.make ~name:"graph detector agrees with the whole-table reference" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 40)
+        (quad (int_bound 3) (int_bound 2) (oneofl Lock_mode.[ S; X; IX; SIX ]) (int_bound 4)))
+    (fun ops ->
+      let m = Lock_mgr.create () in
+      let resources = [| r1; r2; obj1 |] in
+      let holders r =
+        List.filter_map
+          (fun t -> Option.map (fun mode -> (t, mode)) (Lock_mgr.held_mode m ~txn:t r))
+          [ 1; 2; 3; 4 ]
+      in
+      List.for_all
+        (fun (txn, ri, mode, op) ->
+          let txn = txn + 1 in
+          if op = 0 then begin
+            ignore (Lock_mgr.release_all m ~txn);
+            true
+          end
+          else begin
+            let target = resources.(ri) in
+            let want =
+              match Lock_mgr.held_mode m ~txn target with
+              | Some held -> Lock_mode.sup held mode
+              | None -> mode
+            in
+            let state =
+              Array.to_list
+                (Array.map
+                   (fun r ->
+                     let waiting = Lock_mgr.waiters m r in
+                     let waiting =
+                       if r = target && not (List.mem_assoc txn waiting) then
+                         waiting @ [ (txn, want) ]
+                       else waiting
+                     in
+                     (holders r, waiting))
+                   resources)
+            in
+            match Lock_mgr.acquire m ~txn target mode with
+            | `Granted -> true
+            | `Blocked -> not (reference_creates_cycle state ~txn)
+            | `Deadlock -> reference_creates_cycle state ~txn
+            | `Timeout -> false
+          end)
+        ops)
+
 let prop_release_all_is_total =
   QCheck.Test.make ~name:"release_all leaves nothing held or queued" ~count:100
     QCheck.(small_list (pair (int_bound 2) (oneofl Lock_mode.all)))
@@ -465,7 +521,6 @@ let suite =
     Alcotest.test_case "ghost_waiter_followers_woken" `Quick test_ghost_waiter_followers_woken;
     Alcotest.test_case "handoff_grants_in_place" `Quick test_handoff_grants_in_place;
     Alcotest.test_case "handoff_shared_prefix" `Quick test_handoff_shared_prefix;
-    Alcotest.test_case "handoff_off_poll_path" `Quick test_handoff_off_poll_path;
     Alcotest.test_case "grant_filter_veto" `Quick test_grant_filter_veto;
     Alcotest.test_case "wake_to_grant_bounded" `Quick test_wake_to_grant_bounded;
     Alcotest.test_case "expiry_wake_on_timeout" `Quick test_expiry_wake_on_timeout;
@@ -477,4 +532,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_release_unblocks;
     QCheck_alcotest.to_alcotest prop_no_incompatible_grants;
     QCheck_alcotest.to_alcotest prop_release_all_is_total;
+    QCheck_alcotest.to_alcotest prop_graph_detector_matches_reference;
   ]

@@ -351,18 +351,8 @@ let test_prom_exposition () =
 (* Hygiene: every dotted metric-name literal in lib/ (Stats calls and
    gauge registrations) must be snake_case with its first component in
    Registry.metric_namespaces — the counter analogue of the span-kinds
-   check. Skips when git is unavailable. *)
+   check. *)
 let test_metric_names_hygienic () =
-  let slurp cmd =
-    let ic = Unix.open_process_in cmd in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    match Unix.close_process_in ic with Unix.WEXITED 0 -> Some !lines | _ -> None
-  in
   let quoted line =
     match String.index_opt line '"' with
     | Some i ->
@@ -370,47 +360,47 @@ let test_metric_names_hygienic () =
         if j > i then Some (String.sub line (i + 1) (j - i - 1)) else None
     | None -> None
   in
-  let stats_lits =
-    slurp
-      "git grep -hoE 'Stats\\.(incr|add|set|observe|incr_labeled|add_labeled|histogram)[^\"]*\"[a-z0-9_.]+\"' -- ':(top)lib' 2>/dev/null | sort -u"
+  let stats_lines =
+    Lib_sources.matches
+      {|Stats\.\(incr\|add\|set\|observe\|incr_labeled\|add_labeled\|histogram\)[^"]*"[a-z0-9_.]+"|}
   in
-  let gauge_lits =
-    slurp
-      "git grep -hoE 'register_gauge[^\"]*\"[a-z0-9_]+\" +\"[a-z0-9_.]+\"' -- ':(top)lib' 2>/dev/null | sed 's/.*\" //' | sort -u"
+  (* A registration names its namespace, then the gauge: keep the last
+     literal. *)
+  let gauge_lines =
+    Lib_sources.matches {|register_gauge[^"]*"[a-z0-9_]+" +"[a-z0-9_.]+"|}
+    |> List.map (fun m ->
+           let i = String.rindex m ' ' + 1 in
+           String.sub m i (String.length m - i))
+    |> List.sort_uniq compare
   in
-  match (stats_lits, gauge_lits) with
-  | Some stats_lines, Some gauge_lines ->
-      let names =
-        List.filter_map quoted stats_lines @ List.filter_map quoted gauge_lines
+  let names = List.filter_map quoted stats_lines @ List.filter_map quoted gauge_lines in
+  Alcotest.(check bool) "grep found the instrumentation" true (List.length names > 40);
+  let is_component c =
+    c <> ""
+    && String.for_all (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false) c
+  in
+  List.iter
+    (fun name ->
+      (* Literals like "span." / "event." are prefixes completed at
+         runtime: validate the leading component only. *)
+      let parts = String.split_on_char '.' name in
+      let parts =
+        match List.rev parts with "" :: rest -> List.rev rest | _ -> parts
       in
-      Alcotest.(check bool) "grep found the instrumentation" true (List.length names > 40);
-      let is_component c =
-        c <> ""
-        && String.for_all (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false) c
-      in
+      (match parts with
+      | first :: _ ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S starts with a registered namespace" name)
+            true
+            (List.mem first Registry.metric_namespaces)
+      | [] -> Alcotest.failf "empty metric literal %S" name);
       List.iter
-        (fun name ->
-          (* Literals like "span." / "event." are prefixes completed at
-             runtime: validate the leading component only. *)
-          let parts = String.split_on_char '.' name in
-          let parts =
-            match List.rev parts with "" :: rest -> List.rev rest | _ -> parts
-          in
-          (match parts with
-          | first :: _ ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%S starts with a registered namespace" name)
-                true
-                (List.mem first Registry.metric_namespaces)
-          | [] -> Alcotest.failf "empty metric literal %S" name);
-          List.iter
-            (fun c ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%S component %S is snake_case" name c)
-                true (is_component c))
-            parts)
-        names
-  | _ -> () (* git unavailable: nothing to check *)
+        (fun c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S component %S is snake_case" name c)
+            true (is_component c))
+        parts)
+    names
 
 (* Hygiene: build artifacts must not be tracked. Skips when git (or the
    .git directory) is unavailable in the test environment. *)

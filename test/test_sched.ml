@@ -199,54 +199,40 @@ let test_churn_holding_locks_no_leak () =
   Alcotest.(check int) "no lock leak" 0 (Lock_mgr.n_locks (Bess.Server.locks server));
   Alcotest.(check int) "no pending events" 0 (Sched.pending sched)
 
-(* ---- Convoy regression: park/wake vs poll-retry -------------------------- *)
+(* ---- Convoy regression: park/wake ------------------------------------------ *)
 
-(* With handoff on, each contended acquisition parks once and is resumed
-   by its wake: guard timers almost never fire, so scheduled retry
-   events stay O(contended acquisitions). With handoff off, the same
-   workload re-polls every waiter repeatedly — O(retries x waiters). *)
+(* Each contended acquisition parks once and is resumed by its wake:
+   guard timers almost never fire, so scheduled retry events stay
+   O(contended acquisitions), not O(retries x waiters). *)
 let test_handoff_kills_retry_convoy () =
-  let run ~handoff =
-    let db = fresh_db () in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    Bess.Server.set_lock_handoff server handoff;
-    let pages = seed_pages db ~n_pages:8 in
-    let sched = Sched.create () in
-    let cfg =
-      { Driver.default with
-        n_clients = 48;
-        txns_per_client = 20;
-        hot_fraction = 0.6;
-        hot_pages = 2;
-        think_ns = 20_000;
-        seed = 11;
-      }
-    in
-    let r = Driver.run ~sched server ~pages cfg in
-    Alcotest.(check int) "no lock leak" 0 (Lock_mgr.n_locks (Bess.Server.locks server));
-    (r, Sched.stats sched)
+  let db = fresh_db () in
+  let server = Bess.Db.server db in
+  Bess.Server.set_detection server `Timeout;
+  let pages = seed_pages db ~n_pages:8 in
+  let sched = Sched.create () in
+  let cfg =
+    { Driver.default with
+      n_clients = 48;
+      txns_per_client = 20;
+      hot_fraction = 0.6;
+      hot_pages = 2;
+      think_ns = 20_000;
+      seed = 11;
+    }
   in
-  let r_on, st_on = run ~handoff:true in
-  let r_off, st_off = run ~handoff:false in
-  let parks_on = Stats.get st_on "sched.lock_parks" in
-  let retries_on = Stats.get st_on "sched.lock_retries" in
-  let retries_off = Stats.get st_off "sched.lock_retries" in
-  Alcotest.(check bool) "workload is contended" true (parks_on > 0);
+  ignore (Driver.run ~sched server ~pages cfg);
+  Alcotest.(check int) "no lock leak" 0 (Lock_mgr.n_locks (Bess.Server.locks server));
+  let st = Sched.stats sched in
+  let parks = Stats.get st "sched.lock_parks" in
+  let retries = Stats.get st "sched.lock_retries" in
+  Alcotest.(check bool) "workload is contended" true (parks > 0);
   Alcotest.(check bool) "parked clients resume via wakes" true
-    (Stats.get st_on "sched.lock_wakeups" > 0);
+    (Stats.get st "sched.lock_wakeups" > 0);
   (* O(contended acquisitions): at most one guard fire per park. *)
   Alcotest.(check bool)
-    (Printf.sprintf "retries (%d) bounded by parks (%d)" retries_on parks_on)
+    (Printf.sprintf "retries (%d) bounded by parks (%d)" retries parks)
     true
-    (retries_on <= parks_on);
-  (* The poll loop's event storm: strictly more re-polls without handoff. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "poll mode re-polls more (%d on vs %d off)" retries_on retries_off)
-    true
-    (retries_off >= 3 * Stdlib.max 1 retries_on);
-  Alcotest.(check bool) "throughput no worse with handoff" true
-    (Driver.throughput r_on >= Driver.throughput r_off)
+    (retries <= parks)
 
 let suite =
   [

@@ -374,42 +374,28 @@ let test_end_to_end_spans () =
 
 let test_span_kinds_complete () =
   (* Every ~kind:"..." literal passed to Span in lib/ must be listed in
-     Span.kinds. [:(top)] anchors at the repo root (the test binary runs
-     inside the dune sandbox). Skips when git is unavailable. *)
-  let ic =
-    Unix.open_process_in
-      "git grep -ho '~kind:\"[a-z._]*\"' -- ':(top)lib' 2>/dev/null | sort -u"
+     Span.kinds. *)
+  let kinds =
+    List.filter_map
+      (fun line ->
+        (* ~kind:"x.y" -> x.y *)
+        match String.index_opt line '"' with
+        | Some i ->
+            let j = String.rindex line '"' in
+            if j > i then Some (String.sub line (i + 1) (j - i - 1)) else None
+        | None -> None)
+      (Lib_sources.matches {|~kind:"[a-z._]*"|})
   in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 ->
-      let kinds =
-        List.filter_map
-          (fun line ->
-            (* ~kind:"x.y" -> x.y *)
-            match String.index_opt line '"' with
-            | Some i ->
-                let j = String.rindex line '"' in
-                if j > i then Some (String.sub line (i + 1) (j - i - 1)) else None
-            | None -> None)
-          !lines
-      in
-      (* Trace.record call sites also say ~kind, but always punned or
-         computed, never a string literal — so everything the grep finds
-         is a Span kind. *)
-      Alcotest.(check bool) "grep found the instrumentation" true (kinds <> []);
-      List.iter
-        (fun k ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S listed in Span.kinds" k)
-            true (List.mem k Span.kinds))
-        kinds
-  | _ -> () (* git unavailable: nothing to check *)
+  (* Trace.record call sites also say ~kind, but always punned or
+     computed, never a string literal — so everything the scan finds is
+     a Span kind. *)
+  Alcotest.(check bool) "grep found the instrumentation" true (kinds <> []);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S listed in Span.kinds" k)
+        true (List.mem k Span.kinds))
+    kinds
 
 (* A scoped install whose body raises puts back every plane it found:
    the outer collector, critpath sink and series, and the fault arming,
