@@ -25,15 +25,23 @@ let ranges ?(gap = 32) ~before ~after () =
   let run_start = ref (-1) in
   let last_diff = ref (-1) in
   while !i < n do
-    if Bytes.get before !i <> Bytes.get after !i then begin
-      if !run_start < 0 then run_start := !i
-      else if !i - !last_diff > gap then begin
-        emit !run_start (!last_diff + 1);
-        run_start := !i
-      end;
-      last_diff := !i
-    end;
-    incr i
+    (* An equal 8-byte word holds no changed byte, so skipping it leaves
+       the bytewise scan's decisions, and its ranges, unchanged. *)
+    if !i + 8 <= n && (Bytes.get_int64_ne before !i : int64) = Bytes.get_int64_ne after !i
+    then i := !i + 8
+    else begin
+      for j = !i to Stdlib.min n (!i + 8) - 1 do
+        if Bytes.get before j <> Bytes.get after j then begin
+          if !run_start < 0 then run_start := j
+          else if j - !last_diff > gap then begin
+            emit !run_start (!last_diff + 1);
+            run_start := j
+          end;
+          last_diff := j
+        end
+      done;
+      i := !i + 8
+    end
   done;
   if !run_start >= 0 then emit !run_start (!last_diff + 1);
   List.rev !out

@@ -28,19 +28,27 @@ type t =
   | Deadlock of { txn : int }
   | Protection_violation of { addr : int; write : bool }
 
-let kind = function
-  | Db_open _ -> "db_open"
-  | Db_close _ -> "db_close"
-  | Slotted_fault _ -> "slotted_fault"
-  | Data_fault _ -> "data_fault"
-  | Write_fault _ -> "write_fault"
-  | Segment_replacement _ -> "segment_replacement"
-  | Lock_acquired _ -> "lock_acquired"
-  | Txn_begin _ -> "txn_begin"
-  | Txn_commit _ -> "txn_commit"
-  | Txn_abort _ -> "txn_abort"
-  | Deadlock _ -> "deadlock"
-  | Protection_violation _ -> "protection_violation"
+(* Kind names in constructor order; [index] is the position. *)
+let kinds =
+  [| "db_open"; "db_close"; "slotted_fault"; "data_fault"; "write_fault";
+     "segment_replacement"; "lock_acquired"; "txn_begin"; "txn_commit"; "txn_abort";
+     "deadlock"; "protection_violation" |]
+
+let index = function
+  | Db_open _ -> 0
+  | Db_close _ -> 1
+  | Slotted_fault _ -> 2
+  | Data_fault _ -> 3
+  | Write_fault _ -> 4
+  | Segment_replacement _ -> 5
+  | Lock_acquired _ -> 6
+  | Txn_begin _ -> 7
+  | Txn_commit _ -> 8
+  | Txn_abort _ -> 9
+  | Deadlock _ -> 10
+  | Protection_violation _ -> 11
+
+let kind e = kinds.(index e)
 
 (* Payload rendering for the trace ring: key=value pairs, no lookup
    needed to replay a fault wave or deadlock sequence from the entries. *)
@@ -60,11 +68,14 @@ let pp ppf e = Fmt.string ppf (kind e)
 type hooks = {
   table : (string, (t -> unit) Queue.t) Hashtbl.t;
   stats : Bess_util.Stats.t;
+  counts : Bess_util.Stats.counter array; (* "event.<kind>", by [index] *)
   mutable trace : Bess_obs.Trace.t option;
 }
 
 let hooks_create () =
-  { table = Hashtbl.create 16; stats = Bess_util.Stats.create ();
+  let stats = Bess_util.Stats.create () in
+  { table = Hashtbl.create 16; stats;
+    counts = Array.map (fun k -> Bess_util.Stats.counter stats ("event." ^ k)) kinds;
     trace = Some Bess_obs.Trace.default }
 
 let set_trace h tr = h.trace <- tr
@@ -88,8 +99,9 @@ let clear h ~event = Hashtbl.remove h.table event
 
 (* Fire an event: run every hook registered for its kind, in order. *)
 let fire h e =
-  let k = kind e in
-  Bess_util.Stats.incr h.stats ("event." ^ k);
+  let i = index e in
+  let k = kinds.(i) in
+  Bess_util.Stats.bump h.counts.(i);
   (match h.trace with
   | Some tr -> Bess_obs.Trace.record tr ~kind:k ~detail:(detail e)
   | None -> ());

@@ -79,18 +79,28 @@ type ref_value =
 
 let max_slot_index = 0xFFFF
 
+(* The encoding on plain ints, for the per-field swizzling loops, which
+   must not allocate a [ref_value] per field. *)
+let encode_unswizzled ~seg ~slot =
+  if slot < 0 || slot > max_slot_index then invalid_arg "Layout.ref_encode: slot out of range";
+  1 lor (slot lsl 1) lor (seg lsl 17)
+
+let encode_swizzled addr =
+  if addr land 1 <> 0 || addr = 0 then invalid_arg "Layout.ref_encode: bad swizzled address";
+  addr
+
+let is_unswizzled v = v land 1 = 1
+let unswizzled_seg v = v lsr 17
+let unswizzled_slot v = (v lsr 1) land max_slot_index
+
 let ref_encode = function
   | Null -> 0
-  | Unswizzled { seg; slot } ->
-      if slot < 0 || slot > max_slot_index then invalid_arg "Layout.ref_encode: slot out of range";
-      1 lor (slot lsl 1) lor (seg lsl 17)
-  | Swizzled addr ->
-      if addr land 1 <> 0 || addr = 0 then invalid_arg "Layout.ref_encode: bad swizzled address";
-      addr
+  | Unswizzled { seg; slot } -> encode_unswizzled ~seg ~slot
+  | Swizzled addr -> encode_swizzled addr
 
 let ref_decode v =
   if v = 0 then Null
-  else if v land 1 = 1 then Unswizzled { seg = v lsr 17; slot = (v lsr 1) land max_slot_index }
+  else if is_unswizzled v then Unswizzled { seg = unswizzled_seg v; slot = unswizzled_slot v }
   else Swizzled v
 
 let pp_ref ppf = function

@@ -149,7 +149,7 @@ let resize_data_segment s (seg : Session.seg_rt) ~new_pages =
   done;
   Session.release_data_range s seg ~base:old_base ~npages:old_disk.npages;
   seg.data_disk <- new_disk;
-  seg.data_base <- new_base;
+  Session.set_data_base seg new_base;
   Session.write_header_seg_addr s seg ~field:Layout.hdr_data_disk new_disk;
   Session.commit s;
   b.b_fetcher.f_free_segment old_disk;

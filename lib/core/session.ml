@@ -40,6 +40,7 @@ module Lock_mgr = Bess_lock.Lock_mgr
 module Lock_mode = Bess_lock.Lock_mode
 module Seg_addr = Bess_storage.Seg_addr
 module Span = Bess_obs.Span
+module Stats = Bess_util.Stats
 
 exception Corruption of { addr : int }
 exception Stale_oid of Oid.t
@@ -56,6 +57,13 @@ type seg_rt = {
   mutable capacity : int; (* max slots the slotted pages can hold *)
   large_bases : (int, int) Hashtbl.t; (* slot -> VM base of its large-object range *)
   large_disks : (int, Seg_addr.t) Hashtbl.t; (* slot -> large-object disk segment *)
+  (* Reference map: for each data page, the page-relative offsets of the
+     reference fields of the used small objects overlapping it. Valid
+     while [refs_gen = gen]; [gen] moves whenever slot contents or
+     [data_base] may have changed (see [invalidate_refs]). *)
+  mutable gen : int;
+  mutable refs_gen : int;
+  mutable refs : int array array;
 }
 
 type region = Slotted of seg_rt | Data of seg_rt | Large of seg_rt * int
@@ -78,6 +86,16 @@ type db_binding = {
   mutable b_forward_seg : int option; (* segment holding forward objects *)
 }
 
+(* Counter handles for the counters the per-transaction path bumps. *)
+type counters = {
+  c_txns : Stats.counter;
+  c_commits : Stats.counter;
+  c_swizzles : Stats.counter;
+  c_data_faults : Stats.counter;
+  c_write_faults : Stats.counter;
+  c_callbacks_dropped : Stats.counter;
+}
+
 type t = {
   vmem : Vmem.t;
   pool : Cache.t;
@@ -86,7 +104,7 @@ type t = {
   dbs : (int, db_binding) Hashtbl.t;
   main_db : int;
   segs : (int * int, seg_rt) Hashtbl.t;
-  regions : (int, region) Hashtbl.t; (* vmem page index -> region *)
+  mutable regions : region option array; (* vmem page index -> region *)
   mapped : int Page_id.Tbl.t; (* disk page -> VM page address *)
   write_set : write_entry Page_id.Tbl.t;
   forwards : (int * int, int) Hashtbl.t; (* (src db, Oid.hash-free key) -> forward slot addr *)
@@ -95,7 +113,9 @@ type t = {
   mutable fetch_whole_segments : bool;
   mutable in_txn : bool;
   mutable txn_span : Span.handle; (* session.txn: open from begin to commit/abort *)
+  scratch : Bytes.t; (* one page: the commit-time after-image, diffed then reused *)
   stats : Bess_util.Stats.t;
+  c : counters;
 }
 
 let page_size t = Vmem.page_size t.vmem
@@ -118,13 +138,26 @@ let db_area_ids t db_id = (binding t db_id).b_area_ids
 
 (* ---- Region bookkeeping ---- *)
 
-let region_at t addr = Hashtbl.find_opt t.regions (addr / page_size t)
+(* [regions] holds one shared [Some region] per reserved range, so a
+   lookup is an array read and allocates nothing. *)
+let region_at t addr =
+  let i = addr / page_size t in
+  if i >= 0 && i < Array.length t.regions then t.regions.(i) else None
 
 let add_region t ~base ~npages region =
   let first = base / page_size t in
-  for i = first to first + npages - 1 do
-    Hashtbl.replace t.regions i region
-  done
+  let n = Array.length t.regions in
+  if first + npages > n then begin
+    let grown = Array.make (Stdlib.max (first + npages) (2 * n)) None in
+    Array.blit t.regions 0 grown 0 n;
+    t.regions <- grown
+  end;
+  Array.fill t.regions first npages (Some region)
+
+let remove_region t ~base ~npages = Array.fill t.regions (base / page_size t) npages None
+
+(* The reference map of a segment is stale from here on. *)
+let invalidate_refs seg = seg.gen <- seg.gen + 1
 
 (* Disk page behind a VM address, given its region. *)
 let page_id_of t region vm_page_addr =
@@ -246,7 +279,8 @@ let drop_cached_page t page_id =
                 Vmem.unmap t.vmem vmi
             | None -> ()
           done;
-          seg.slotted_present <- false
+          seg.slotted_present <- false;
+          invalidate_refs seg
       | Some (Data _ | Large _) | None -> unmap_vm_page t vm)
 
 (* ---- Segment runtime lookup ---- *)
@@ -271,6 +305,9 @@ let get_seg t ~db_id ~seg_id =
           capacity = Layout.slots_capacity ~pages:slotted_disk.npages ~page_size:(page_size t);
           large_bases = Hashtbl.create 4;
           large_disks = Hashtbl.create 4;
+          gen = 0;
+          refs_gen = -1;
+          refs = [||];
         }
       in
       add_region t ~base:slotted_base ~npages:slotted_disk.npages (Slotted seg);
@@ -282,12 +319,16 @@ let slot_addr seg idx = seg.slotted_base + Layout.slot_offset idx
 
 (* Reverse of swizzling: which (db, seg, slot) does a swizzled slot
    address name? *)
-let unswizzle_addr t addr =
+let slot_seg t addr =
   match region_at t addr with
-  | Some (Slotted seg) ->
-      let idx = (addr - seg.slotted_base - Layout.header_size) / Layout.slot_size in
-      (seg, idx)
+  | Some (Slotted seg) -> seg
   | _ -> invalid_arg (Printf.sprintf "Session: 0x%x is not a slot address" addr)
+
+let slot_index seg addr = (addr - seg.slotted_base - Layout.header_size) / Layout.slot_size
+
+let unswizzle_addr t addr =
+  let seg = slot_seg t addr in
+  (seg, slot_index seg addr)
 
 (* ---- Raw slot access on fetched-but-unmapped frames ----
 
@@ -334,9 +375,15 @@ let fault_span wave seg f =
       (if Span.enabled () then [ ("wave", wave); ("seg", string_of_int seg.seg_id) ] else [])
     f
 
+(* Every change of [data_base] goes through here: the reference map
+   holds data-relative offsets computed from it. *)
+let set_data_base seg base =
+  seg.data_base <- base;
+  invalidate_refs seg
+
 let ensure_data_range t seg =
   if seg.data_base = 0 && seg.data_disk.npages > 0 then begin
-    seg.data_base <- Vmem.reserve t.vmem seg.data_disk.npages;
+    set_data_base seg (Vmem.reserve t.vmem seg.data_disk.npages);
     add_region t ~base:seg.data_base ~npages:seg.data_disk.npages (Data seg);
     Bess_util.Stats.incr t.stats "session.data_reservations"
   end
@@ -381,6 +428,7 @@ let slotted_fault t seg =
            ~prot:Prot_read))
     pages;
   seg.slotted_present <- true;
+  invalidate_refs seg;
   Bess_util.Stats.incr t.stats "session.slotted_faults";
   Event.fire t.hooks (Slotted_fault { seg = seg.seg_id })
 
@@ -388,86 +436,93 @@ let ensure_slotted t seg = if not seg.slotted_present then slotted_fault t seg
 
 (* ---- Wave 3: data-segment fault, with swizzling ---- *)
 
-(* Iterate the used small objects of [seg] whose bytes overlap data-page
-   [page_idx]; [f obj_off size ty] gets data-segment-relative extents. *)
-let iter_objects_on_page t seg page_idx f =
+(* The reference map of [seg] (see [seg_rt]), rebuilt when stale. It is
+   read from the raw slot-page frames, not through protected accesses:
+   it runs inside the fault handler, where the replacement clock may
+   have revoked access to a slot page, and the runtime's own reads of
+   its control structures are not user accesses. Offsets on each page
+   keep slot order, then type-descriptor order. *)
+let ref_map t seg =
   ensure_slotted t seg;
-  let ps = page_size t in
-  let lo = page_idx * ps and hi = (page_idx + 1) * ps in
-  let n_slots = Vmem.read_u32 t.vmem (seg.slotted_base + Layout.hdr_n_slots) in
-  for idx = 0 to n_slots - 1 do
-    let s = slot_addr seg idx in
-    let flags = Vmem.read_u32 t.vmem (s + Layout.slot_flags) in
-    let transparent = flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0 in
-    if flags land Layout.flag_used <> 0 && not transparent then begin
-      let dp = Vmem.read_i64 t.vmem (s + Layout.slot_dp) in
-      let size = Vmem.read_u32 t.vmem (s + Layout.slot_objsize) in
-      let obj_off = dp - seg.data_base in
-      if obj_off < hi && obj_off + size > lo then
-        let ty_id = Vmem.read_u32 t.vmem (s + Layout.slot_type) in
-        f ~obj_off ~size ~ty_id
-    end
-  done
+  if seg.refs_gen <> seg.gen then begin
+    let ps = page_size t in
+    let frames =
+      Array.init seg.slotted_disk.npages (fun i ->
+          match Vmem.frame_at t.vmem (seg.slotted_base + (i * ps)) with
+          | Some f -> f
+          | None -> invalid_arg "Session: slot page not mapped")
+    in
+    (* Slots never straddle a page (Layout), so neither do their fields. *)
+    let u32 off = Bess_util.Codec.get_u32 frames.(off / ps) (off mod ps) in
+    let i64 off = Bess_util.Codec.get_i64 frames.(off / ps) (off mod ps) in
+    let types = Catalog.types (binding t seg.db_id).b_catalog in
+    let npages = seg.data_disk.npages in
+    let on_page = Array.make npages [] in
+    for idx = 0 to u32 Layout.hdr_n_slots - 1 do
+      let off = Layout.slot_offset idx in
+      let flags = u32 (off + Layout.slot_flags) in
+      let transparent = flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0 in
+      if flags land Layout.flag_used <> 0 && not transparent then begin
+        let obj_off = i64 (off + Layout.slot_dp) - seg.data_base in
+        let size = u32 (off + Layout.slot_objsize) in
+        let ty = Type_desc.find types (u32 (off + Layout.slot_type)) in
+        Array.iter
+          (fun roff ->
+            let abs = obj_off + roff in
+            let page = abs / ps in
+            let lo = page * ps in
+            (* The field lies wholly on [page], which the object overlaps. *)
+            if abs >= 0 && page < npages && abs + 8 <= lo + ps && obj_off < lo + ps
+               && obj_off + size > lo
+            then on_page.(page) <- (abs - lo) :: on_page.(page))
+          ty.ref_offsets
+      end
+    done;
+    seg.refs <- Array.map (fun l -> Array.of_list (List.rev l)) on_page;
+    seg.refs_gen <- seg.gen
+  end;
+  seg.refs
 
 (* Swizzle the references contained in one raw data page image (wave 3
    proper): unswizzled values become VM slot addresses, reserving target
    slotted ranges as needed (wave 1 for the referenced segments). *)
 let swizzle_page_raw t seg page_idx (bytes : Bytes.t) =
-  let ps = page_size t in
-  let lo = page_idx * ps in
-  let b = binding t seg.db_id in
-  let types = Catalog.types b.b_catalog in
-  iter_objects_on_page t seg page_idx (fun ~obj_off ~size:_ ~ty_id ->
-      let ty = Type_desc.find types ty_id in
-      Array.iter
-        (fun roff ->
-          let abs = obj_off + roff in
-          if abs >= lo && abs + 8 <= lo + ps then begin
-            let v = Bess_util.Codec.get_i64 bytes (abs - lo) in
-            match Layout.ref_decode v with
-            | Layout.Unswizzled { seg = tseg; slot } ->
-                let target = get_seg t ~db_id:seg.db_id ~seg_id:tseg in
-                let addr = slot_addr target slot in
-                Bess_util.Codec.set_i64 bytes (abs - lo) (Layout.ref_encode (Swizzled addr));
-                Bess_util.Stats.incr t.stats "session.swizzles"
-            | Layout.Null | Layout.Swizzled _ -> ()
-          end)
-        ty.ref_offsets)
+  Array.iter
+    (fun off ->
+      let v = Bess_util.Codec.get_i64 bytes off in
+      if Layout.is_unswizzled v then begin
+        let target = get_seg t ~db_id:seg.db_id ~seg_id:(Layout.unswizzled_seg v) in
+        Bess_util.Codec.set_i64 bytes off
+          (Layout.encode_swizzled (slot_addr target (Layout.unswizzled_slot v)));
+        Stats.bump t.c.c_swizzles
+      end)
+    (ref_map t seg).(page_idx)
 
-(* The inverse, for commit and before-images: produce the canonical
-   (unswizzled) image of a mapped page. *)
-let unswizzle_page_image t region vm_page_addr =
+(* The inverse, for commit and before-images: write the canonical
+   (unswizzled) image of a mapped page into [img], one page long. *)
+let unswizzle_page_into t region vm_page_addr img =
   let ps = page_size t in
   let frame =
     match Vmem.frame_at t.vmem vm_page_addr with
     | Some f -> f
     | None -> invalid_arg "Session: page not mapped"
   in
-  let img = Bytes.copy frame in
-  (match region with
+  Bytes.blit frame 0 img 0 ps;
+  match region with
   | Large _ -> () (* raw bytes: nothing to canonicalise *)
   | Data seg ->
       let page_idx = (vm_page_addr - seg.data_base) / ps in
-      let lo = page_idx * ps in
-      let b = binding t seg.db_id in
-      let types = Catalog.types b.b_catalog in
-      iter_objects_on_page t seg page_idx (fun ~obj_off ~size:_ ~ty_id ->
-          let ty = Type_desc.find types ty_id in
-          Array.iter
-            (fun roff ->
-              let abs = obj_off + roff in
-              if abs >= lo && abs + 8 <= lo + ps then begin
-                let v = Bess_util.Codec.get_i64 img (abs - lo) in
-                match Layout.ref_decode v with
-                | Layout.Swizzled addr ->
-                    let tseg, slot = unswizzle_addr t addr in
-                    if tseg.db_id <> seg.db_id then
-                      failwith "Session: direct cross-database reference (must be forward)";
-                    Bess_util.Codec.set_i64 img (abs - lo)
-                      (Layout.ref_encode (Unswizzled { seg = tseg.seg_id; slot }))
-                | Layout.Null | Layout.Unswizzled _ -> ()
-              end)
-            ty.ref_offsets)
+      Array.iter
+        (fun off ->
+          let v = Bess_util.Codec.get_i64 img off in
+          if v <> 0 && not (Layout.is_unswizzled v) then begin
+            let tseg = slot_seg t v in
+            if tseg.db_id <> seg.db_id then
+              failwith "Session: direct cross-database reference (must be forward)";
+            Bess_util.Codec.set_i64 img off
+              (Layout.encode_unswizzled ~seg:tseg.seg_id ~slot:(slot_index tseg v))
+          end)
+        (ref_map t seg).(page_idx)
   | Slotted seg ->
       let page_idx = (vm_page_addr - seg.slotted_base) / ps in
       let lo = page_idx * ps in
@@ -493,31 +548,46 @@ let unswizzle_page_image t region vm_page_addr =
         end
         else if flags land Layout.flag_used <> 0 then fix Layout.slot_dp 8 0;
         fix Layout.slot_lock 8 0
-      done);
+      done
+
+let unswizzle_page_image t region vm_page_addr =
+  let img = Bytes.create (page_size t) in
+  unswizzle_page_into t region vm_page_addr img;
   img
 
 (* Fetch one data page (or, under the whole-segment policy, every
-   still-unmapped page of the data segment). *)
+   still-unmapped page of the data segment). The faulting page stays
+   pinned until the wave ends: the wave's later loads run the
+   replacement clock, which must not evict it before the access it
+   serves is retried. *)
 let data_fault t seg faulting_page_idx =
   fault_span "data" seg @@ fun () ->
   ensure_slotted t seg;
   let b = binding t seg.db_id in
   let txn = txn_for t b in
   let ps = page_size t in
+  let pinned = ref None in
   let fetch_one idx =
     let page_id = { Page_id.area = seg.data_disk.area; page = seg.data_disk.first_page + idx } in
     if not (Page_id.Tbl.mem t.mapped page_id) then begin
       let bytes = b.b_fetcher.f_fetch_page ~txn page_id ~mode:Lock_mode.S in
       if t.policy = Eager then swizzle_page_raw t seg idx bytes;
-      ignore (map_frame t (Data seg) page_id (seg.data_base + (idx * ps)) bytes ~pin:false ~prot:Prot_read)
+      let pin = idx = faulting_page_idx in
+      let slot =
+        map_frame t (Data seg) page_id (seg.data_base + (idx * ps)) bytes ~pin ~prot:Prot_read
+      in
+      if pin then pinned := Some slot
     end
   in
-  if t.fetch_whole_segments then
-    for idx = 0 to seg.data_disk.npages - 1 do
-      fetch_one idx
-    done
-  else fetch_one faulting_page_idx;
-  Bess_util.Stats.incr t.stats "session.data_faults";
+  Fun.protect
+    ~finally:(fun () -> Option.iter (Cache.unpin t.pool) !pinned)
+    (fun () ->
+      if t.fetch_whole_segments then
+        for idx = 0 to seg.data_disk.npages - 1 do
+          fetch_one idx
+        done
+      else fetch_one faulting_page_idx);
+  Stats.bump t.c.c_data_faults;
   Event.fire t.hooks (Data_fault { seg = seg.seg_id })
 
 (* Large-object page fault: fetch from the object's own disk segment. *)
@@ -557,7 +627,7 @@ let note_write t region vm_page_addr =
     (match Cache.find_slot t.pool page_id with
     | Some slot -> slot.Cache.pins <- slot.Cache.pins + 1
     | None -> ());
-    Bess_util.Stats.incr t.stats "session.write_faults"
+    Stats.bump t.c.c_write_faults
   end
 
 let write_fault t region vm_page_addr =
@@ -576,6 +646,19 @@ let write_fault t region vm_page_addr =
 
 (* ---- The fault handler ---- *)
 
+(* Give a clock-protected page its access back, at the level it had
+   before the sweep; returns that level. *)
+let regrant t region vm_page =
+  let page_id = page_id_of t region vm_page in
+  let level =
+    if Page_id.Tbl.mem t.write_set page_id then Vmem.Prot_read_write else Vmem.Prot_read
+  in
+  Vmem.set_prot t.vmem vm_page 1 level;
+  (match Cache.find_slot t.pool page_id with
+  | Some slot -> State_clock.access t.clock ~vframe:slot.Cache.index
+  | None -> ());
+  level
+
 let handle_fault t _vm ~addr ~access =
   let ps = page_size t in
   let vm_page = addr / ps * ps in
@@ -590,31 +673,24 @@ let handle_fault t _vm ~addr ~access =
              this is the first write to a read-only page. *)
           match (Vmem.prot_at t.vmem vm_page, access) with
           | Vmem.Prot_none, _ ->
-              (* Clock-protected: re-grant at the level the page had. *)
-              let page_id = page_id_of t region vm_page in
-              let level =
-                if Page_id.Tbl.mem t.write_set page_id then Vmem.Prot_read_write
-                else Vmem.Prot_read
-              in
-              Vmem.set_prot t.vmem vm_page 1 level;
-              (match Cache.find_slot t.pool page_id with
-              | Some slot -> State_clock.access t.clock ~vframe:slot.Cache.index
-              | None -> ());
+              let level = regrant t region vm_page in
               if access = Vmem.Write && level = Vmem.Prot_read then
                 write_fault t region vm_page
           | Vmem.Prot_read, Vmem.Write -> write_fault t region vm_page
           | Vmem.Prot_read, Vmem.Read | Vmem.Prot_read_write, _ -> ())
-      | None -> (
+      | None ->
           (* Not fetched yet. *)
           (match region with
           | Slotted seg -> slotted_fault t seg
           | Data seg -> data_fault t seg ((vm_page - seg.data_base) / ps)
           | Large (seg, slot) ->
               large_fault t seg slot ((vm_page - Hashtbl.find seg.large_bases slot) / ps));
-          if access = Vmem.Write then
-            match region with
-            | Slotted _ -> write_fault t region vm_page (* raises Corruption *)
-            | Data _ | Large _ -> write_fault t region vm_page))
+          (* The wave's own loads may have swept the faulting page to
+             protected; the retried access must find it granted. *)
+          if Vmem.frame_at t.vmem vm_page <> None && Vmem.prot_at t.vmem vm_page = Vmem.Prot_none
+          then ignore (regrant t region vm_page);
+          (* On a slot page this raises Corruption. *)
+          if access = Vmem.Write then write_fault t region vm_page)
 
 (* ---- Construction ---- *)
 
@@ -623,6 +699,8 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
   let area_ids = Option.value ~default:[ default_area ] area_ids in
   let vmem = Vmem.create ~page_size () in
   let pool = Cache.create ~nslots:pool_slots ~page_size in
+  let stats = Stats.create () in
+  Bess_obs.Registry.register_stats "session" stats;
   let t =
     {
       vmem;
@@ -632,7 +710,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
       dbs = Hashtbl.create 4;
       main_db = db_id;
       segs = Hashtbl.create 64;
-      regions = Hashtbl.create 1024;
+      regions = Array.make 1024 None;
       mapped = Page_id.Tbl.create 1024;
       write_set = Page_id.Tbl.create 64;
       forwards = Hashtbl.create 16;
@@ -641,10 +719,15 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
       fetch_whole_segments = true;
       in_txn = false;
       txn_span = Span.none;
-      stats =
-        (let stats = Bess_util.Stats.create () in
-         Bess_obs.Registry.register_stats "session" stats;
-         stats);
+      scratch = Bytes.create page_size;
+      stats;
+      c =
+        { c_txns = Stats.counter stats "session.txns";
+          c_commits = Stats.counter stats "session.commits";
+          c_swizzles = Stats.counter stats "session.swizzles";
+          c_data_faults = Stats.counter stats "session.data_faults";
+          c_write_faults = Stats.counter stats "session.write_faults";
+          c_callbacks_dropped = Stats.counter stats "session.callbacks_dropped" };
     }
   in
   Bess_obs.Registry.register_gauge "session" "session.cached_segments" (fun () ->
@@ -668,7 +751,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
           if t.in_txn then `Refused
           else begin
             drop_cached_page t page_id;
-            Bess_util.Stats.incr t.stats "session.callbacks_dropped";
+            Stats.bump t.c.c_callbacks_dropped;
             `Dropped
           end
       | _ -> `Dropped);
@@ -689,7 +772,7 @@ let attach_db t ?area_ids ~db_id ~catalog ~fetcher ~default_area () =
           if t.in_txn then `Refused
           else begin
             drop_cached_page t page_id;
-            Bess_util.Stats.incr t.stats "session.callbacks_dropped";
+            Stats.bump t.c.c_callbacks_dropped;
             `Dropped
           end
       | _ -> `Dropped);
@@ -711,7 +794,8 @@ let runtime_write t seg ~addr ~width f =
     vm := !vm + ps
   done;
   let npages = ((last - first) / ps) + 1 in
-  Vmem.with_unprotected t.vmem first npages f
+  Fun.protect ~finally:(fun () -> invalidate_refs seg) (fun () ->
+      Vmem.with_unprotected t.vmem first npages f)
 
 (* Session-local slot fix-up: not a database update, so no lock, no
    write-set entry -- just a brief unprotect window. Used for state whose
@@ -722,7 +806,8 @@ let local_slot_write_i64 t seg idx ~field v =
   let ps = page_size t in
   let first = addr / ps * ps in
   let npages = (((addr + 8 - 1) / ps * ps) - first) / ps + 1 in
-  Vmem.with_unprotected t.vmem first npages (fun () -> Vmem.write_i64 t.vmem addr v)
+  Vmem.with_unprotected t.vmem first npages (fun () -> Vmem.write_i64 t.vmem addr v);
+  invalidate_refs seg
 
 let write_slot_u32 t seg idx ~field v =
   let addr = slot_addr seg idx + field in
@@ -752,7 +837,7 @@ let begin_txn t =
      the first BeSS server the application establishes a connection
      with"). *)
   ignore (txn_for t (main_binding t));
-  Bess_util.Stats.incr t.stats "session.txns"
+  Stats.bump t.c.c_txns
 
 let updates_by_db t =
   let per_db = Hashtbl.create 4 in
@@ -761,8 +846,8 @@ let updates_by_db t =
       let db =
         match we.we_region with Slotted s | Data s | Large (s, _) -> s.db_id
       in
-      let after = unswizzle_page_image t we.we_region we.we_vm in
-      let ranges = Diff.ranges ~before:we.we_before ~after () in
+      unswizzle_page_into t we.we_region we.we_vm t.scratch;
+      let ranges = Diff.ranges ~before:we.we_before ~after:t.scratch () in
       let updates =
         List.map
           (fun (r : Diff.range) ->
@@ -858,7 +943,7 @@ let commit_with t ~deferred =
   Span.finish ~attrs:[ ("outcome", "commit") ] t.txn_span;
   t.txn_span <- Span.none;
   Event.fire t.hooks (Txn_commit { txn = 0 });
-  Bess_util.Stats.incr t.stats "session.commits";
+  Stats.bump t.c.c_commits;
   barrier
 
 let commit t = (commit_with t ~deferred:false) ()
@@ -878,6 +963,7 @@ let restore_frame t we =
           let page_idx = (we.we_vm - seg.data_base) / page_size t in
           swizzle_page_raw t seg page_idx frame
       | Slotted seg ->
+          invalidate_refs seg;
           let ps = page_size t in
           let page_idx = (we.we_vm - seg.slotted_base) / ps in
           if page_idx = 0 then
@@ -1133,7 +1219,8 @@ let make_forward t ~src_db target_oid =
 
 (* Chase a forward object to the slot it names, transparently. *)
 let rec follow_forward t addr =
-  let seg, idx = seg_of_slot t addr in
+  let seg = slot_seg t addr in
+  let idx = slot_index seg addr in
   let flags = read_slot_u32 t seg idx ~field:Layout.slot_flags in
   if flags land Layout.flag_forward = 0 then addr
   else begin
@@ -1150,18 +1237,18 @@ let rec follow_forward t addr =
    chasing forward objects. *)
 let read_ref t ~data_addr =
   let v = Vmem.read_i64 t.vmem data_addr in
-  match Layout.ref_decode v with
-  | Layout.Null -> None
-  | Layout.Swizzled addr -> Some (follow_forward t addr)
-  | Layout.Unswizzled { seg; slot } ->
-      let db_id =
-        match region_at t data_addr with
-        | Some (Data s) | Some (Large (s, _)) | Some (Slotted s) -> s.db_id
-        | None -> invalid_arg "Session.read_ref: address outside any region"
-      in
-      let target = get_seg t ~db_id ~seg_id:seg in
-      Bess_util.Stats.incr t.stats "session.deref_swizzles";
-      Some (follow_forward t (slot_addr target slot))
+  if v = 0 then None
+  else if not (Layout.is_unswizzled v) then Some (follow_forward t v)
+  else begin
+    let db_id =
+      match region_at t data_addr with
+      | Some (Data s) | Some (Large (s, _)) | Some (Slotted s) -> s.db_id
+      | None -> invalid_arg "Session.read_ref: address outside any region"
+    in
+    let target = get_seg t ~db_id ~seg_id:(Layout.unswizzled_seg v) in
+    Bess_util.Stats.incr t.stats "session.deref_swizzles";
+    Some (follow_forward t (slot_addr target (Layout.unswizzled_slot v)))
+  end
 
 (* Store a reference field: same-database targets store the swizzled slot
    address; cross-database targets go through a forward object,
@@ -1196,9 +1283,9 @@ let delete_object t addr =
       | Some base ->
           let ps = page_size t in
           for i = 0 to disk.npages - 1 do
-            unmap_vm_page t (base + (i * ps));
-            Hashtbl.remove t.regions ((base + (i * ps)) / ps)
+            unmap_vm_page t (base + (i * ps))
           done;
+          remove_region t ~base ~npages:disk.npages;
           Vmem.release t.vmem base disk.npages;
           Hashtbl.remove seg.large_bases idx
       | None -> ())
@@ -1277,9 +1364,11 @@ let large_data_ptr t addr =
 
 (* Unified data pointer: transparent for small and large objects alike. *)
 let obj_data t addr =
-  let seg, idx = seg_of_slot t addr in
+  let seg = slot_seg t addr in
+  let idx = slot_index seg addr in
   let flags = read_slot_u32 t seg idx ~field:Layout.slot_flags in
-  if flags land Layout.flag_large <> 0 then large_data_ptr t addr else data_ptr t addr
+  if flags land Layout.flag_large <> 0 then large_data_ptr t addr
+  else read_slot_i64 t seg idx ~field:Layout.slot_dp
 
 (* ---- Reorganisation support (used by {!Reorg}) ---- *)
 
@@ -1355,11 +1444,11 @@ let map_zero_page t region page_id vm =
 let release_data_range t _seg ~base ~npages =
   let ps = page_size t in
   for i = 0 to npages - 1 do
-    (match Vmem.frame_at t.vmem (base + (i * ps)) with
+    match Vmem.frame_at t.vmem (base + (i * ps)) with
     | Some _ -> Vmem.unmap t.vmem (base + (i * ps))
-    | None -> ());
-    Hashtbl.remove t.regions ((base / ps) + i)
+    | None -> ()
   done;
+  remove_region t ~base ~npages;
   Vmem.release t.vmem base npages
 
 (* ---- Cache control ---- *)

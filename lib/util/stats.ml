@@ -31,6 +31,24 @@ let add t name n = find t name := !(find t name) + n
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 let set t name v = find t name := v
 
+(* Counter handles for hot paths: the name is looked up once, on the
+   first bump, and the handle keeps the counter's cell from then on.
+   Cells are never removed from the table ([reset] zeroes them in place),
+   so a resolved handle stays valid for the life of its [t]. Until its
+   first bump a handle adds no key, so a counter nobody touched still
+   never shows up in [to_list]. *)
+type counter = { owner : t; name : string; mutable cell : int ref }
+
+let unresolved = ref 0
+let counter t name = { owner = t; name; cell = unresolved }
+
+let cell c =
+  if c.cell == unresolved then c.cell <- find c.owner c.name;
+  c.cell
+
+let bump c = Stdlib.incr (cell c)
+let value c = if c.cell == unresolved then get c.owner c.name else !(c.cell)
+
 (* Labeled counters: one counter per (name, label) pair. *)
 let labeled_key name label = name ^ "{" ^ label ^ "}"
 let incr_labeled t name ~label = incr t (labeled_key name label)

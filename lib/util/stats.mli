@@ -11,6 +11,18 @@ val get : t -> string -> int
 
 val set : t -> string -> int -> unit
 
+(** A handle on one named counter of a [t], for hot paths: the name is
+    resolved on the first {!bump}, after which a bump is one increment.
+    The handle survives {!reset}; until its first bump it adds no key, so
+    an untouched counter stays out of {!to_list}. *)
+type counter
+
+val counter : t -> string -> counter
+val bump : counter -> unit
+
+(** [value c] is [get t name] for the handle's counter. *)
+val value : counter -> int
+
 (** Labeled counters: one counter per (name, label) pair, stored under
     the prometheus-style key [name{label}]. *)
 val incr_labeled : t -> string -> label:string -> unit

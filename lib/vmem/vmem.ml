@@ -16,6 +16,7 @@
    (Sullivan-Stonebraker style protection overhead). *)
 
 module Span = Bess_obs.Span
+module Stats = Bess_util.Stats
 
 (* Simulated cost of taking the protection trap and delivering the
    signal, charged to the span clock per resolved fault (the handler's
@@ -45,13 +46,27 @@ type t = {
   mutable free_ranges : (int * int) list; (* (first_page, npages) returned ranges *)
   mutable handler : (t -> addr:int -> access:access -> unit) option;
   mutable in_handler : bool;
-  mutable tlb : (int * page) option; (* last resolved (page_idx, page) *)
+  (* One-entry TLB: the last resolved page index and its record; [-1]
+     when empty. Two plain fields, so a hit allocates nothing. *)
+  mutable tlb_idx : int;
+  mutable tlb_page : page;
   mutable reserved_now : int; (* pages *)
   mutable reserved_peak : int;
   mutable mapped_now : int;
   mutable protected_now : int; (* reserved pages short of read-write *)
   stats : Bess_util.Stats.t;
+  (* Counter handles (see {!Stats.counter}): the accessors bump these on
+     every call, so they skip the by-name lookup. *)
+  c_tlb_hits : Stats.counter;
+  c_faults_read : Stats.counter;
+  c_faults_write : Stats.counter;
+  c_reserve_calls : Stats.counter;
+  c_protect_calls : Stats.counter;
+  c_map_calls : Stats.counter;
 }
+
+(* The TLB's empty entry: never in a page table, never mutated. *)
+let no_page = { prot = Prot_none; frame = None }
 
 let counts_protected = function Prot_none | Prot_read -> true | Prot_read_write -> false
 
@@ -77,12 +92,19 @@ let create ?(page_size = 4096) () =
       free_ranges = [];
       handler = None;
       in_handler = false;
-      tlb = None;
+      tlb_idx = -1;
+      tlb_page = no_page;
       reserved_now = 0;
       reserved_peak = 0;
       mapped_now = 0;
       protected_now = 0;
       stats;
+      c_tlb_hits = Stats.counter stats "vmem.tlb_hits";
+      c_faults_read = Stats.counter stats "vmem.faults.read";
+      c_faults_write = Stats.counter stats "vmem.faults.write";
+      c_reserve_calls = Stats.counter stats "vmem.reserve_calls";
+      c_protect_calls = Stats.counter stats "vmem.protect_calls";
+      c_map_calls = Stats.counter stats "vmem.map_calls";
     }
   in
   Bess_obs.Registry.register_gauge "vmem" "vmem.reserved_pages" (fun () -> t.reserved_now);
@@ -105,6 +127,7 @@ let set_fault_handler t f = t.handler <- Some f
 let clear_fault_handler t = t.handler <- None
 
 let page_index t addr = addr / t.page_size
+let flush_tlb t = t.tlb_idx <- -1
 
 let ensure_capacity t upto =
   let n = Array.length t.pages in
@@ -142,7 +165,7 @@ let reserve t npages =
   t.protected_now <- t.protected_now + npages;
   t.reserved_now <- t.reserved_now + npages;
   if t.reserved_now > t.reserved_peak then t.reserved_peak <- t.reserved_now;
-  Bess_util.Stats.incr t.stats "vmem.reserve_calls";
+  Stats.bump t.c_reserve_calls;
   Bess_util.Stats.add t.stats "vmem.reserved_pages_total" npages;
   first * t.page_size
 
@@ -161,7 +184,7 @@ let release t addr npages =
     t.pages.(i) <- None
   done;
   t.reserved_now <- t.reserved_now - npages;
-  t.tlb <- None;
+  flush_tlb t;
   let rec insert (first, npages) = function
     | [] -> [ (first, npages) ]
     | (f, n) :: rest ->
@@ -190,8 +213,8 @@ let set_prot t addr npages prot =
         p.prot <- prot
     | None -> invalid_arg "Vmem.set_prot: page not reserved"
   done;
-  t.tlb <- None;
-  Bess_util.Stats.incr t.stats "vmem.protect_calls"
+  flush_tlb t;
+  Stats.bump t.c_protect_calls
 
 let prot_at t addr =
   match get_page t addr with
@@ -208,8 +231,8 @@ let map t addr frame =
   | Some p ->
       if p.frame = None then t.mapped_now <- t.mapped_now + 1;
       p.frame <- Some frame;
-      t.tlb <- None;
-      Bess_util.Stats.incr t.stats "vmem.map_calls"
+      flush_tlb t;
+      Stats.bump t.c_map_calls
 
 let unmap t addr =
   match get_page t addr with
@@ -219,7 +242,7 @@ let unmap t addr =
       p.frame <- None;
       if not (counts_protected p.prot) then t.protected_now <- t.protected_now + 1;
       p.prot <- Prot_none;
-      t.tlb <- None;
+      flush_tlb t;
       Bess_util.Stats.incr t.stats "vmem.unmap_calls"
 
 let frame_at t addr = match get_page t addr with Some p -> p.frame | None -> None
@@ -232,49 +255,37 @@ let allows prot access =
   | Prot_read, Read -> true
   | Prot_read, Write | Prot_none, _ -> false
 
-(* Resolve one page for [access], invoking the fault handler at most once.
-   Returns the backing frame. This mirrors the kernel path: consult the
-   (one-entry) TLB; on a miss, walk the page table and refill; if the
-   protection is violated, deliver the signal; retry the instruction; a
-   second violation is fatal. The TLB entry caches the page record, whose
-   protection is still re-checked per access (a read-resolved entry must
-   not serve a write), and every set_prot/map/unmap/release flushes it. *)
-let resolve t addr access =
+(* The frame behind page [idx] if [access] is allowed there, refilling
+   the TLB on success. *)
+let walk t idx access =
+  if idx >= Array.length t.pages then None
+  else
+    match t.pages.(idx) with
+    | Some p when allows p.prot access && p.frame <> None ->
+        t.tlb_idx <- idx;
+        t.tlb_page <- p;
+        p.frame
+    | _ -> None
+
+(* "System calls" issued so far: the work a real SIGSEGV handler would
+   spend in mmap/mprotect. *)
+let syscalls t =
+  Stats.value t.c_reserve_calls + Stats.value t.c_protect_calls + Stats.value t.c_map_calls
+
+(* A TLB miss: walk the page table; if the protection is violated,
+   deliver the signal; retry the instruction; a second violation is
+   fatal. *)
+let resolve_miss t addr access idx =
   let violation reason = raise (Access_violation { addr; access; reason }) in
-  let idx = page_index t addr in
-  match t.tlb with
-  | Some (tlb_idx, p) when tlb_idx = idx && allows p.prot access && p.frame <> None ->
-      Bess_util.Stats.incr t.stats "vmem.tlb_hits";
-      Option.get p.frame
-  | _ -> (
-  let check () =
-    match get_page t addr with
-    | None -> None
-    | Some p ->
-        if allows p.prot access && p.frame <> None then begin
-          t.tlb <- Some (idx, p);
-          p.frame
-        end
-        else None
-  in
-  match check () with
+  match walk t idx access with
   | Some frame -> frame
   | None -> (
-      (match access with
-      | Read -> Bess_util.Stats.incr t.stats "vmem.faults.read"
-      | Write -> Bess_util.Stats.incr t.stats "vmem.faults.write");
+      Stats.bump (match access with Read -> t.c_faults_read | Write -> t.c_faults_write);
       match t.handler with
       | None -> violation "no fault handler installed"
       | Some _ when t.in_handler -> violation "recursive fault in handler"
       | Some h ->
-          (* "System calls" issued while resolving this fault: the work a
-             real SIGSEGV handler would spend in mmap/mprotect. *)
-          let syscalls () =
-            Bess_util.Stats.get t.stats "vmem.reserve_calls"
-            + Bess_util.Stats.get t.stats "vmem.protect_calls"
-            + Bess_util.Stats.get t.stats "vmem.map_calls"
-          in
-          let before = syscalls () in
+          let before = syscalls t in
           t.in_handler <- true;
           Span.with_span ~kind:"vmem.fault"
             ~attrs:
@@ -287,10 +298,25 @@ let resolve t addr access =
               Fun.protect
                 ~finally:(fun () -> t.in_handler <- false)
                 (fun () -> h t ~addr ~access));
-          Bess_util.Stats.observe t.stats "vmem.fault_work" (syscalls () - before);
-          (match check () with
+          Stats.observe t.stats "vmem.fault_work" (syscalls t - before);
+          (match walk t idx access with
           | Some frame -> frame
-          | None -> violation "fault handler did not resolve access")))
+          | None -> violation "fault handler did not resolve access"))
+
+(* Resolve one page for [access], invoking the fault handler at most once.
+   Returns the backing frame. This mirrors the kernel path: consult the
+   (one-entry) TLB, and on a miss take [resolve_miss]. The TLB entry
+   caches the page record, whose protection is still re-checked per
+   access (a read-resolved entry must not serve a write), and every
+   set_prot/map/unmap/release flushes it. A hit allocates nothing. *)
+let resolve t addr access =
+  let idx = page_index t addr in
+  let p = t.tlb_page in
+  match p.frame with
+  | Some frame when t.tlb_idx = idx && allows p.prot access ->
+      Stats.bump t.c_tlb_hits;
+      frame
+  | _ -> resolve_miss t addr access idx
 
 (* Generic accessor over a byte range that may span pages. [f] is applied
    per page chunk with (frame, offset_in_frame, offset_in_range, len). *)
@@ -400,5 +426,5 @@ let with_unprotected t addr npages f =
         (fun i prot ->
           match t.pages.(first + i) with Some p -> p.prot <- prot | None -> ())
         saved;
-      Bess_util.Stats.incr t.stats "vmem.protect_calls")
+      Stats.bump t.c_protect_calls)
     (fun () -> f ())

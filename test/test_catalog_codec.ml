@@ -133,6 +133,53 @@ let prop_diff_gap_coalescing =
       let rs = Bess.Diff.ranges ~gap:64 ~before ~after () in
       Bytes.equal (Bess.Diff.apply before rs) after && List.length rs <= 2)
 
+(* The bytewise scan [Diff.ranges] used before it skipped equal words;
+   the reference its output must match byte for byte. *)
+let bytewise_ranges ~gap ~before ~after =
+  let n = Bytes.length before in
+  let out = ref [] in
+  let emit lo hi =
+    out :=
+      { Bess.Diff.offset = lo; before = Bytes.sub before lo (hi - lo);
+        after = Bytes.sub after lo (hi - lo) }
+      :: !out
+  in
+  let run_start = ref (-1) and last_diff = ref (-1) in
+  for i = 0 to n - 1 do
+    if Bytes.get before i <> Bytes.get after i then begin
+      if !run_start < 0 then run_start := i
+      else if i - !last_diff > gap then begin
+        emit !run_start (!last_diff + 1);
+        run_start := i
+      end;
+      last_diff := i
+    end
+  done;
+  if !run_start >= 0 then emit !run_start (!last_diff + 1);
+  List.rev !out
+
+(* Images of any length (unaligned tails included) with changed runs
+   placed a random distance after each other, often within a few bytes
+   of [gap], so runs both merge and split at the threshold. *)
+let prop_diff_wordwise =
+  QCheck.Test.make ~name:"diff ranges equal the bytewise scan" ~count:500
+    QCheck.(
+      triple (int_range 0 300) (int_range 0 40)
+        (small_list (pair (int_range 0 48) (int_range 1 12))))
+    (fun (n, gap, runs) ->
+      let before = Bytes.init n (fun i -> Char.chr ((i * 131) land 0xff)) in
+      let after = Bytes.copy before in
+      let pos = ref 0 in
+      List.iter
+        (fun (dist, len) ->
+          pos := !pos + dist;
+          for i = !pos to Stdlib.min n (!pos + len) - 1 do
+            Bytes.set after i (Char.chr (Char.code (Bytes.get before i) lxor 0x5a))
+          done;
+          pos := !pos + len)
+        runs;
+      Bess.Diff.ranges ~gap ~before ~after () = bytewise_ranges ~gap ~before ~after)
+
 let suite =
   [
     Alcotest.test_case "oid_codec" `Quick test_oid_codec;
@@ -146,4 +193,5 @@ let suite =
     Alcotest.test_case "diff_roundtrip" `Quick test_diff_roundtrip;
     QCheck_alcotest.to_alcotest prop_diff_reconstructs;
     QCheck_alcotest.to_alcotest prop_diff_gap_coalescing;
+    QCheck_alcotest.to_alcotest prop_diff_wordwise;
   ]

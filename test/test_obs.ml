@@ -149,6 +149,27 @@ let test_registry_with_fresh () =
     [ ("outer.c", 1) ]
     (Registry.counters (Registry.snapshot ~registry:reg ()))
 
+(* Counter handles across registry scopes: a handle taken before
+   [with_fresh] still counts inside it and after, and a handle never
+   bumped shows no key in any snapshot. *)
+let test_counter_handles_with_fresh () =
+  let reg = Registry.create () in
+  let st = Stats.create () in
+  let hot = Stats.counter st "vmem.tlb_hits" and idle = Stats.counter st "vmem.faults.read" in
+  Registry.register_stats ~registry:reg "vmem" st;
+  Stats.bump hot;
+  Registry.with_fresh ~registry:reg (fun () ->
+      Registry.register_stats ~registry:reg "vmem" st;
+      Stats.bump hot;
+      Alcotest.(check (list (pair string int)))
+        "inside with_fresh" [ ("vmem.tlb_hits", 2) ]
+        (Registry.counters (Registry.snapshot ~registry:reg ())));
+  Stats.bump hot;
+  Alcotest.(check (list (pair string int)))
+    "after with_fresh: one key, idle handle absent" [ ("vmem.tlb_hits", 3) ]
+    (Registry.counters (Registry.snapshot ~registry:reg ()));
+  Alcotest.(check int) "idle handle" 0 (Stats.value idle)
+
 let test_trace_with_fresh () =
   let tr = Trace.create ~capacity:8 () in
   Trace.record tr ~kind:"outer" ~detail:"1";
@@ -362,7 +383,7 @@ let test_metric_names_hygienic () =
   in
   let stats_lines =
     Lib_sources.matches
-      {|Stats\.\(incr\|add\|set\|observe\|incr_labeled\|add_labeled\|histogram\)[^"]*"[a-z0-9_.]+"|}
+      {|Stats\.\(incr\|add\|set\|observe\|incr_labeled\|add_labeled\|histogram\|counter\)[^"]*"[a-z0-9_.]+"|}
   in
   (* A registration names its namespace, then the gauge: keep the last
      literal. *)
@@ -427,6 +448,7 @@ let suite =
     Alcotest.test_case "trace_wrap_exact_capacity" `Quick test_trace_wrap_exact_capacity;
     Alcotest.test_case "trace_filter_roundtrip" `Quick test_trace_filter_roundtrip;
     Alcotest.test_case "registry_with_fresh" `Quick test_registry_with_fresh;
+    Alcotest.test_case "counter_handles_with_fresh" `Quick test_counter_handles_with_fresh;
     Alcotest.test_case "trace_with_fresh" `Quick test_trace_with_fresh;
     Alcotest.test_case "event_feeds_trace" `Quick test_event_feeds_trace;
     Alcotest.test_case "hook_order_preserved" `Quick test_hook_order_preserved;

@@ -246,6 +246,114 @@ let test_segment_full () =
   Alcotest.(check bool) "segment fills up" true full;
   Bess.Session.commit s
 
+(* A ring of [n] 32-byte nodes, [per_seg] to a segment: the reference
+   at 0, the ring position at 8, an update counter at 16. The building
+   session drops its cache, so only the returned OIDs lead in. *)
+let build_ring ~n ~per_seg =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  let mem = Bess.Session.mem s in
+  let ty =
+    Bess.Type_desc.register (Bess.Catalog.types (Bess.Db.catalog db)) ~name:"ring" ~size:32
+      ~ref_offsets:[| 0 |]
+  in
+  let slotted_pages = Bess.Layout.slotted_pages ~n_slots:per_seg ~page_size:4096 in
+  let data_pages = ((per_seg * 32) + 4095) / 4096 in
+  Bess.Session.begin_txn s;
+  let seg = ref None in
+  let nodes =
+    Array.init n (fun i ->
+        if i mod per_seg = 0 then
+          seg := Some (Bess.Session.create_segment s ~slotted_pages ~data_pages ());
+        let a = Bess.Session.create_object s (Option.get !seg) ty ~size:32 in
+        Vmem.write_i64 mem (Bess.Session.obj_data s a + 8) i;
+        a)
+  in
+  Array.iteri
+    (fun i a ->
+      Bess.Session.write_ref s ~data_addr:(Bess.Session.obj_data s a) (Some nodes.((i + 1) mod n)))
+    nodes;
+  let oids = Array.map (Bess.Session.oid_of s) nodes in
+  Bess.Session.commit s;
+  Bess.Session.drop_all_cached s;
+  (db, oids)
+
+(* Follow [hops] references from [start]; the sum of the positions read. *)
+let walk_ring s start hops =
+  let mem = Bess.Session.mem s in
+  let cur = ref start and sum = ref 0 in
+  for _ = 1 to hops do
+    let d = Bess.Session.obj_data s !cur in
+    sum := !sum + Vmem.read_i64 mem (d + 8);
+    match Bess.Session.read_ref s ~data_addr:d with
+    | Some next -> cur := next
+    | None -> Alcotest.fail "ring reference reads as null"
+  done;
+  !sum
+
+(* Two sessions whose pools are smaller than the working set take turns
+   traversing and updating a ring; each commit calls the other session
+   back. Slot pages stay pinned, so the clock sweeps them to protected
+   and evicts data pages, also in the middle of a fault wave. Used to
+   die with Access_violation: the wave read slot pages through protected
+   accesses ("recursive fault in handler"), and a wave's own loads could
+   protect or evict the page it was faulting in ("fault handler did not
+   resolve access"). *)
+let test_small_pool_ring () =
+  let n = 5000 and per_seg = 500 and hops = 300 and updates = 4 and txns = 40 in
+  let db, oids = build_ring ~n ~per_seg in
+  (* 10 segments of 8 slot pages and 4 data pages: 120 pages, of which
+     the 80 slot pages stay pinned. Six frames are left for data pages,
+     the write set pins up to four of them, and a whole-segment data
+     fault loads four: the wave evicts its own pages. *)
+  let clients = Array.init 2 (fun _ -> Bess.Db.session ~pool_slots:86 db) in
+  let prng = Bess_util.Prng.create 5 in
+  for k = 0 to txns - 1 do
+    let s = clients.(k land 1) in
+    let mem = Bess.Session.mem s in
+    let start = Bess_util.Prng.int prng n in
+    Bess.Session.begin_txn s;
+    let expected = List.fold_left ( + ) 0 (List.init hops (fun h -> (start + h) mod n)) in
+    Alcotest.(check int) "traversal checksum" expected
+      (walk_ring s (Bess.Session.by_oid s oids.(start)) hops);
+    for _ = 1 to updates do
+      let d = Bess.Session.obj_data s (Bess.Session.by_oid s oids.(Bess_util.Prng.int prng n)) + 16 in
+      Vmem.write_i64 mem d (Vmem.read_i64 mem d + 1)
+    done;
+    Bess.Session.commit s
+  done;
+  Alcotest.(check bool) "the pools replaced pages" true
+    (Array.exists
+       (fun s -> Bess_util.Stats.get (Bess_cache.Cache.stats (Bess.Session.pool s)) "cache.evictions" > 0)
+       clients);
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let total =
+    Array.fold_left
+      (fun acc oid ->
+        acc + Vmem.read_i64 (Bess.Session.mem s) (Bess.Session.obj_data s (Bess.Session.by_oid s oid) + 16))
+      0 oids
+  in
+  Bess.Session.commit s;
+  Alcotest.(check int) "every update committed" (txns * updates) total
+
+(* A warm traversal allocates a bounded number of minor words per hop:
+   the [Some] that [read_ref] returns and nothing else (no TLB entry,
+   region lookup, slot tuple or counter-name key). *)
+let test_traversal_allocation () =
+  let hops = 10_000 and max_words_per_hop = 4 in
+  let db, oids = build_ring ~n:1000 ~per_seg:250 in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let start = Bess.Session.by_oid s oids.(0) in
+  ignore (walk_ring s start 2000);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (walk_ring s start hops));
+  let per_hop = (Gc.minor_words () -. w0) /. float_of_int hops in
+  Bess.Session.commit s;
+  if per_hop > float_of_int max_words_per_hop then
+    Alcotest.failf "%.1f minor words per hop, bound %d" per_hop max_words_per_hop
+
 let suite =
   [
     Alcotest.test_case "create_read_write" `Quick test_create_read_write;
@@ -259,4 +367,6 @@ let suite =
     Alcotest.test_case "interdb_forward" `Quick test_interdb_forward;
     Alcotest.test_case "many_objects_many_segments" `Quick test_many_objects_many_segments;
     Alcotest.test_case "segment_full" `Quick test_segment_full;
+    Alcotest.test_case "small_pool_ring" `Quick test_small_pool_ring;
+    Alcotest.test_case "traversal_allocation" `Quick test_traversal_allocation;
   ]

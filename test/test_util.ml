@@ -90,6 +90,23 @@ let test_stats () =
   Stats.reset s;
   Alcotest.(check int) "reset" 0 (Stats.get s "a")
 
+(* A counter handle bumps the same cell as the by-name calls, keeps it
+   across [reset], and adds no key before its first bump. *)
+let test_stats_counter_handles () =
+  let s = Stats.create () in
+  let a = Stats.counter s "a" and idle = Stats.counter s "idle" in
+  Alcotest.(check (list (pair string int))) "no key before the first bump" [] (Stats.to_list s);
+  Stats.bump a;
+  Stats.bump a;
+  Stats.incr s "a";
+  Alcotest.(check int) "handle and name share one counter" 3 (Stats.get s "a");
+  Stats.reset s;
+  Alcotest.(check int) "reset reaches the handle" 0 (Stats.value a);
+  Stats.bump a;
+  Alcotest.(check int) "handle survives reset" 1 (Stats.get s "a");
+  Alcotest.(check int) "idle handle reads 0" 0 (Stats.value idle);
+  Alcotest.(check (list (pair string int))) "idle handle adds no key" [ ("a", 1) ] (Stats.to_list s)
+
 let test_histogram () =
   let h = Histogram.create () in
   List.iter (Histogram.observe h) [ 1; 2; 3; 4; 100; 1000 ];
@@ -171,6 +188,7 @@ let suite =
     Alcotest.test_case "crc_known_vector" `Quick test_crc_known_vector;
     Alcotest.test_case "crc_detects_change" `Quick test_crc_detects_change;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "stats_counter_handles" `Quick test_stats_counter_handles;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "histogram interpolation" `Quick test_histogram_interpolation;
     QCheck_alcotest.to_alcotest prop_codec_u32;
