@@ -12,6 +12,7 @@
    (section 4.2: "BeSS associates a counter with each cache slot"). *)
 
 module Span = Bess_obs.Span
+module Stats = Bess_util.Stats
 
 type slot = {
   index : int;
@@ -32,7 +33,15 @@ type t = {
   (* Observer of every counted lookup (the memory X-ray feeds off this);
      one match on [None] when absent, so the hot path stays free. *)
   mutable access_hook : (Page_id.t -> hit:bool -> unit) option;
-  stats : Bess_util.Stats.t;
+  stats : Stats.t;
+  c_hits : Stats.counter;
+  c_misses : Stats.counter;
+  c_loads : Stats.counter;
+  c_evictions : Stats.counter;
+  c_evict_clean : Stats.counter;
+  c_evict_dirty : Stats.counter;
+  c_dirty_writebacks : Stats.counter;
+  c_discards : Stats.counter;
 }
 
 let create ~nslots ~page_size =
@@ -42,7 +51,7 @@ let create ~nslots ~page_size =
         { index; bytes = Bytes.create page_size; page = None; dirty = false; pins = 0;
           refcount = 0 })
   in
-  let stats = Bess_util.Stats.create () in
+  let stats = Stats.create () in
   Bess_obs.Registry.register_stats "cache" stats;
   let t =
     {
@@ -54,6 +63,14 @@ let create ~nslots ~page_size =
       n_dirty = 0;
       access_hook = None;
       stats;
+      c_hits = Stats.counter stats "cache.hits";
+      c_misses = Stats.counter stats "cache.misses";
+      c_loads = Stats.counter stats "cache.loads";
+      c_evictions = Stats.counter stats "cache.evictions";
+      c_evict_clean = Stats.counter stats "cache.evict_clean";
+      c_evict_dirty = Stats.counter stats "cache.evict_dirty";
+      c_dirty_writebacks = Stats.counter stats "cache.dirty_writebacks";
+      c_discards = Stats.counter stats "cache.discards";
     }
   in
   (* Default policy: first unpinned, unmapped-elsewhere slot (FIFO-ish);
@@ -90,11 +107,11 @@ let clear_dirty t s =
 let lookup t page =
   match Page_id.Tbl.find_opt t.map page with
   | Some i ->
-      Bess_util.Stats.incr t.stats "cache.hits";
+      Stats.bump t.c_hits;
       (match t.access_hook with None -> () | Some f -> f page ~hit:true);
       Some t.slots.(i)
   | None ->
-      Bess_util.Stats.incr t.stats "cache.misses";
+      Stats.bump t.c_misses;
       (match t.access_hook with None -> () | Some f -> f page ~hit:false);
       None
 
@@ -102,6 +119,17 @@ let lookup t page =
 let find_slot t page = Option.map (fun i -> t.slots.(i)) (Page_id.Tbl.find_opt t.map page)
 
 let n_resident t = Page_id.Tbl.length t.map
+
+(* Every mapped slot has exactly one [map] entry, so the table's size
+   counts the unmapped slots too, in O(1). *)
+let n_unmapped t = Array.length t.slots - n_resident t
+
+(* Forget a slot's page (eviction, discard): it becomes free. *)
+let unmap t s page =
+  Page_id.Tbl.remove t.map page;
+  s.page <- None;
+  clear_dirty t s;
+  s.refcount <- 0
 
 exception Cache_full
 
@@ -122,27 +150,28 @@ let evict_one t =
                  [cache.evictions] stays as the total. *)
               if s.dirty then begin
                 t.writeback page s.bytes;
-                Bess_util.Stats.incr t.stats "cache.dirty_writebacks";
-                Bess_util.Stats.incr t.stats "cache.evict_dirty"
+                Stats.bump t.c_dirty_writebacks;
+                Stats.bump t.c_evict_dirty
               end
-              else Bess_util.Stats.incr t.stats "cache.evict_clean";
-              Page_id.Tbl.remove t.map page;
-              Bess_util.Stats.incr t.stats "cache.evictions"
-          | None -> ());
-          s.page <- None;
-          clear_dirty t s;
-          s.refcount <- 0;
+              else Stats.bump t.c_evict_clean;
+              unmap t s page;
+              Stats.bump t.c_evictions
+          | None ->
+              clear_dirty t s;
+              s.refcount <- 0);
           s)
 
-(* Find a free slot, evicting if necessary. *)
+(* Find a free slot, evicting if necessary: the lowest-index unmapped,
+   unpinned slot, else the policy's victim. A full cache (the steady
+   state of a spilling working set) goes straight to the policy. *)
 let free_slot t =
-  let found = ref None in
-  (try
-     Array.iter
-       (fun s -> if s.page = None && s.pins = 0 then begin found := Some s; raise Exit end)
-       t.slots
-   with Exit -> ());
-  match !found with Some s -> s | None -> evict_one t
+  let rec scan i =
+    if i >= Array.length t.slots then evict_one t
+    else
+      let s = t.slots.(i) in
+      match s.page with None when s.pins = 0 -> s | _ -> scan (i + 1)
+  in
+  if n_unmapped t = 0 then evict_one t else scan 0
 
 (* [load t page ~fill] returns the slot holding [page], reading it with
    [fill] on a miss. The returned slot is pinned; callers unpin. *)
@@ -160,7 +189,7 @@ let load t page ~fill =
         (fun () ->
           let s = free_slot t in
           fill s.bytes;
-          Bess_util.Stats.incr t.stats "cache.loads";
+          Stats.bump t.c_loads;
           s.page <- Some page;
           s.pins <- s.pins + 1;
           Page_id.Tbl.replace t.map page s.index;
@@ -184,11 +213,8 @@ let discard t page =
   | Some i ->
       let s = t.slots.(i) in
       if s.pins > 0 then invalid_arg "Cache.discard: page is pinned";
-      Page_id.Tbl.remove t.map page;
-      s.page <- None;
-      clear_dirty t s;
-      s.refcount <- 0;
-      Bess_util.Stats.incr t.stats "cache.discards"
+      unmap t s page;
+      Stats.bump t.c_discards
 
 (* Re-key a resident page to a new identity without touching its bytes
    (segment relocation: same frame, new disk address). *)
@@ -209,7 +235,7 @@ let flush_all t =
       | Some page when s.dirty ->
           t.writeback page s.bytes;
           clear_dirty t s;
-          Bess_util.Stats.incr t.stats "cache.flush_writebacks"
+          Stats.incr t.stats "cache.flush_writebacks"
       | _ -> ())
     t.slots
 
@@ -217,6 +243,6 @@ let iter_resident t f =
   Array.iter (fun s -> match s.page with Some page -> f page s | None -> ()) t.slots
 
 let hit_ratio t =
-  let h = Bess_util.Stats.get t.stats "cache.hits" in
-  let m = Bess_util.Stats.get t.stats "cache.misses" in
+  let h = Stats.get t.stats "cache.hits" in
+  let m = Stats.get t.stats "cache.misses" in
   if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)

@@ -41,6 +41,10 @@ val find_slot : t -> Page_id.t -> slot option
 
 val n_resident : t -> int
 
+(** Slots holding no page: [nslots t - n_resident t]. While it is 0,
+    {!load} goes straight to the replacement policy on a miss. *)
+val n_unmapped : t -> int
+
 exception Cache_full
 
 (** [load t page ~fill] returns the (pinned) slot holding [page], calling

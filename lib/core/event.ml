@@ -21,7 +21,7 @@ type t =
   | Data_fault of { seg : int }
   | Write_fault of { seg : int; addr : int }
   | Segment_replacement of { area : int; page : int }
-  | Lock_acquired of { txn : int; resource : string }
+  | Lock_acquired of { txn : int; resource : Bess_lock.Lock_mgr.resource }
   | Txn_begin of { txn : int }
   | Txn_commit of { txn : int }
   | Txn_abort of { txn : int }
@@ -51,13 +51,15 @@ let index = function
 let kind e = kinds.(index e)
 
 (* Payload rendering for the trace ring: key=value pairs, no lookup
-   needed to replay a fault wave or deadlock sequence from the entries. *)
+   needed to replay a fault wave or deadlock sequence from the entries.
+   The ring calls it when it is read, not when the event fires. *)
 let detail = function
   | Db_open { db } | Db_close { db } -> Printf.sprintf "db=%d" db
   | Slotted_fault { seg } | Data_fault { seg } -> Printf.sprintf "seg=%d" seg
   | Write_fault { seg; addr } -> Printf.sprintf "seg=%d addr=%d" seg addr
   | Segment_replacement { area; page } -> Printf.sprintf "area=%d page=%d" area page
-  | Lock_acquired { txn; resource } -> Printf.sprintf "txn=%d resource=%s" txn resource
+  | Lock_acquired { txn; resource } ->
+      Fmt.str "txn=%d resource=%a" txn Bess_lock.Lock_mgr.pp_resource resource
   | Txn_begin { txn } | Txn_commit { txn } | Txn_abort { txn } | Deadlock { txn } ->
       Printf.sprintf "txn=%d" txn
   | Protection_violation { addr; write } ->
@@ -66,7 +68,7 @@ let detail = function
 let pp ppf e = Fmt.string ppf (kind e)
 
 type hooks = {
-  table : (string, (t -> unit) Queue.t) Hashtbl.t;
+  table : (t -> unit) Queue.t array; (* hooks by kind [index] *)
   stats : Bess_util.Stats.t;
   counts : Bess_util.Stats.counter array; (* "event.<kind>", by [index] *)
   mutable trace : Bess_obs.Trace.t option;
@@ -74,39 +76,42 @@ type hooks = {
 
 let hooks_create () =
   let stats = Bess_util.Stats.create () in
-  { table = Hashtbl.create 16; stats;
+  { table = Array.map (fun _ -> Queue.create ()) kinds; stats;
     counts = Array.map (fun k -> Bess_util.Stats.counter stats ("event." ^ k)) kinds;
     trace = Some Bess_obs.Trace.default }
 
 let set_trace h tr = h.trace <- tr
 let trace h = h.trace
 
+(* The [index] of a kind name; a name no event has never fires. *)
+let index_of_kind event =
+  let rec go i =
+    if i = Array.length kinds then None
+    else if String.equal kinds.(i) event then Some i
+    else go (i + 1)
+  in
+  go 0
+
 (* Register [f] for events whose {!kind} equals [event]. A queue keeps
    registration order with constant-time insertion (the old [!l @ [f]]
    was quadratic in the number of hooks on one event). *)
 let register h ~event f =
-  let q =
-    match Hashtbl.find_opt h.table event with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.add h.table event q;
-        q
-  in
-  Queue.add f q
+  match index_of_kind event with Some i -> Queue.add f h.table.(i) | None -> ()
 
-let clear h ~event = Hashtbl.remove h.table event
+(* A fresh queue rather than [Queue.clear], so a [fire] already walking
+   the old one finishes it. *)
+let clear h ~event =
+  match index_of_kind event with Some i -> h.table.(i) <- Queue.create () | None -> ()
 
-(* Fire an event: run every hook registered for its kind, in order. *)
+(* Fire an event: run every hook registered for its kind, in order. The
+   trace entry's detail is rendered only if the ring is read. *)
 let fire h e =
   let i = index e in
-  let k = kinds.(i) in
   Bess_util.Stats.bump h.counts.(i);
   (match h.trace with
-  | Some tr -> Bess_obs.Trace.record tr ~kind:k ~detail:(detail e)
+  | Some tr -> Bess_obs.Trace.record_lazy tr ~kind:kinds.(i) (fun () -> detail e)
   | None -> ());
-  match Hashtbl.find_opt h.table k with
-  | None -> ()
-  | Some q -> Queue.iter (fun f -> f e) q
+  let q = h.table.(i) in
+  if not (Queue.is_empty q) then Queue.iter (fun f -> f e) q
 
 let stats h = h.stats

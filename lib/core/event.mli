@@ -14,7 +14,7 @@ type t =
   | Data_fault of { seg : int }
   | Write_fault of { seg : int; addr : int }
   | Segment_replacement of { area : int; page : int }
-  | Lock_acquired of { txn : int; resource : string }
+  | Lock_acquired of { txn : int; resource : Bess_lock.Lock_mgr.resource }
   | Txn_begin of { txn : int }
   | Txn_commit of { txn : int }
   | Txn_abort of { txn : int }

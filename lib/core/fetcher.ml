@@ -101,18 +101,8 @@ let direct ~client_id (server : Server.t) : t =
         | `Abort -> Server.abort_prepared server ~txn);
     f_alloc_segment =
       (fun ~area ~npages ->
-        let areas = Store.areas (Server.store server) in
-        match Bess_storage.Area_set.alloc_in areas ~area_id:area ~npages with
-        | Some addr ->
-            (* Zero the pages: clients fabricate fresh segments locally
-               assuming all-zero authoritative content, so recycled pages
-               must not leak a previous tenant's bytes. *)
-            let a = Bess_storage.Area_set.find areas area in
-            let zeros = Bytes.make (Bess_storage.Area.page_size a) '\000' in
-            for i = 0 to npages - 1 do
-              Bess_storage.Area.write_page a (addr.first_page + i) zeros
-            done;
-            addr
+        match Store.alloc_segment (Server.store server) ~area ~npages with
+        | Some addr -> addr
         | None -> failwith "Fetcher: storage area out of space");
     f_free_segment =
       (fun addr -> Bess_storage.Area_set.free (Store.areas (Server.store server)) addr);

@@ -99,23 +99,23 @@ let serve (net : network) (server : Server.t) =
      request's answer and replay it on redelivery. A handler that raises
      remembers nothing, so a retry after a dropped *request* (or a
      failed execution) runs it for real. *)
-  let completed : (int * int, resp) Hashtbl.t = Hashtbl.create 64 in
+  let completed : resp Bess_util.Int_pair.Tbl.t = Bess_util.Int_pair.Tbl.create 64 in
   let order : (int * int) Queue.t = Queue.create () in
   Bess_obs.Registry.register_gauge "server" "server.dedup_entries" (fun () ->
-      Hashtbl.length completed);
+      Bess_util.Int_pair.Tbl.length completed);
   let dedup ~src ~rid f =
     if rid = 0 then f ()
     else
-      match Hashtbl.find_opt completed (src, rid) with
+      match Bess_util.Int_pair.Tbl.find_opt completed (src, rid) with
       | Some resp ->
           Bess_util.Stats.incr (Server.stats server) "server.dup_replays";
           resp
       | None ->
           let resp = f () in
-          Hashtbl.replace completed (src, rid) resp;
+          Bess_util.Int_pair.Tbl.replace completed (src, rid) resp;
           Queue.push (src, rid) order;
           if Queue.length order > dedup_window then
-            Hashtbl.remove completed (Queue.pop order);
+            Bess_util.Int_pair.Tbl.remove completed (Queue.pop order);
           resp
   in
   let dispatch ~src req =
@@ -175,15 +175,8 @@ let serve (net : network) (server : Server.t) =
             R_ok)
     | Alloc { rid; area; npages } ->
         dedup ~src ~rid (fun () ->
-            let areas = Store.areas (Server.store server) in
-            match Bess_storage.Area_set.alloc_in areas ~area_id:area ~npages with
-            | Some addr ->
-                let a = Bess_storage.Area_set.find areas area in
-                let zeros = Bytes.make (Bess_storage.Area.page_size a) '\000' in
-                for i = 0 to npages - 1 do
-                  Bess_storage.Area.write_page a (addr.first_page + i) zeros
-                done;
-                R_seg addr
+            match Store.alloc_segment (Server.store server) ~area ~npages with
+            | Some addr -> R_seg addr
             | None -> R_error "out of space")
     | Free { rid; seg } ->
         dedup ~src ~rid (fun () ->

@@ -49,6 +49,37 @@ type txn_state = {
 
 type callback_reply = [ `Dropped | `Refused ]
 
+type counters = {
+  callbacks_sent : Bess_util.Stats.counter;
+  callbacks_refused : Bess_util.Stats.counter;
+  lock_wakes : Bess_util.Stats.counter;
+  lock_timeouts : Bess_util.Stats.counter;
+  segment_fetches : Bess_util.Stats.counter;
+  commits : Bess_util.Stats.counter;
+  aborts : Bess_util.Stats.counter;
+  abort_noops : Bess_util.Stats.counter;
+  prepares : Bess_util.Stats.counter;
+  prepare_noops : Bess_util.Stats.counter;
+  vote_no : Bess_util.Stats.counter;
+  decide_noops : Bess_util.Stats.counter;
+}
+
+let counters stats =
+  {
+    callbacks_sent = Bess_util.Stats.counter stats "server.callbacks_sent";
+    callbacks_refused = Bess_util.Stats.counter stats "server.callbacks_refused";
+    lock_wakes = Bess_util.Stats.counter stats "server.lock_wakes";
+    lock_timeouts = Bess_util.Stats.counter stats "server.lock_timeouts";
+    segment_fetches = Bess_util.Stats.counter stats "server.segment_fetches";
+    commits = Bess_util.Stats.counter stats "server.commits";
+    aborts = Bess_util.Stats.counter stats "server.aborts";
+    abort_noops = Bess_util.Stats.counter stats "server.abort_noops";
+    prepares = Bess_util.Stats.counter stats "server.prepares";
+    prepare_noops = Bess_util.Stats.counter stats "server.prepare_noops";
+    vote_no = Bess_util.Stats.counter stats "server.vote_no";
+    decide_noops = Bess_util.Stats.counter stats "server.decide_noops";
+  }
+
 type t = {
   id : int;
   store : Store.t;
@@ -65,6 +96,7 @@ type t = {
   mutable detect : [ `Graph | `Timeout ];
   mutable n_prepared : int; (* txns in [Prepared], kept incrementally *)
   stats : Bess_util.Stats.t;
+  c : counters; (* handles on [stats] for the per-commit path *)
 }
 
 (* Ask the other clients caching [r] in a conflicting mode to give it up.
@@ -83,13 +115,13 @@ let run_callbacks t ~requester r mode =
                 Callback.dropped t.cb ~client:other r;
                 true
             | Some sink -> (
-                Bess_util.Stats.incr t.stats "server.callbacks_sent";
+                Bess_util.Stats.bump t.c.callbacks_sent;
                 match sink r mode with
                 | `Dropped ->
                     Callback.dropped t.cb ~client:other r;
                     true
                 | `Refused ->
-                    Bess_util.Stats.incr t.stats "server.callbacks_refused";
+                    Bess_util.Stats.bump t.c.callbacks_refused;
                     false))
           others
       in
@@ -119,10 +151,12 @@ let install_lock_hooks t =
          | None -> ()
          | Some f ->
              Hashtbl.remove t.wake_subs txn;
-             Bess_util.Stats.incr t.stats "server.lock_wakes";
+             Bess_util.Stats.bump t.c.lock_wakes;
              f ()))
 
 let create ?log_path ?log ?group_commit ?(cache_slots = 1024) ?(detect = `Graph) ~id areas =
+  let stats = Bess_util.Stats.create () in
+  Bess_obs.Registry.register_stats "server" stats;
   let t =
     {
       id;
@@ -136,10 +170,8 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 1024) ?(detect = `Graph)
       next_txn = 1;
       detect;
       n_prepared = 0;
-      stats =
-        (let stats = Bess_util.Stats.create () in
-         Bess_obs.Registry.register_stats "server" stats;
-         stats);
+      stats;
+      c = counters stats;
     }
   in
   install_lock_hooks t;
@@ -203,8 +235,7 @@ let lock t ~txn:txn_id r mode =
   | `Ok -> (
       match Lock_mgr.acquire ~detect:t.detect t.locks ~txn:txn_id r mode with
       | `Granted ->
-          Event.fire t.hooks
-            (Lock_acquired { txn = txn_id; resource = Fmt.str "%a" Lock_mgr.pp_resource r });
+          Event.fire t.hooks (Lock_acquired { txn = txn_id; resource = r });
           `Granted
       | `Blocked -> `Blocked
       | `Deadlock ->
@@ -214,7 +245,7 @@ let lock t ~txn:txn_id r mode =
           (* Suspected deadlock only — no Deadlock event; the client's
              retry loop treats this as retriable where a proven cycle
              aborts for good. *)
-          Bess_util.Stats.incr t.stats "server.lock_timeouts";
+          Bess_util.Stats.bump t.c.lock_timeouts;
           `Timeout)
 
 (* Event-driven variant of {!lock}: on [`Blocked] the caller is
@@ -254,7 +285,7 @@ let fetch_segment t ~txn:txn_id (seg : Bess_storage.Seg_addr.t) ~mode =
   in
   match lock_pages 0 with
   | `Ok ->
-      Bess_util.Stats.incr t.stats "server.segment_fetches";
+      Bess_util.Stats.bump t.c.segment_fetches;
       `Pages (Store.read_segment t.store seg)
   | (`Blocked | `Deadlock | `Timeout) as v -> v
 
@@ -319,14 +350,14 @@ let commit_client_begin t ~txn:txn_id ~(updates : update list) =
         release_locks_keep_cached t ts;
         Hashtbl.remove t.txns txn_id;
         Event.fire t.hooks (Txn_commit { txn = txn_id });
-        Bess_util.Stats.incr t.stats "server.commits";
+        Bess_util.Stats.bump t.c.commits;
         raise e
     | _lsn, ticket ->
         ts.status <- Ended;
         release_locks_keep_cached t ts;
         Hashtbl.remove t.txns txn_id;
         Event.fire t.hooks (Txn_commit { txn = txn_id });
-        Bess_util.Stats.incr t.stats "server.commits";
+        Bess_util.Stats.bump t.c.commits;
         `Committed ticket
   end
 
@@ -347,7 +378,7 @@ let abort_client t ~txn:txn_id =
          already ended the transaction (an indeterminate failure the
          client resolved pessimistically), finds nothing to do — the
          locks are gone either way. *)
-      Bess_util.Stats.incr t.stats "server.abort_noops"
+      Bess_util.Stats.bump t.c.abort_noops
   | Some ts ->
       if ts.status <> Active then invalid_arg "Server.abort_client: transaction not active";
       (* Normally nothing was applied server-side before commit, so abort
@@ -361,7 +392,7 @@ let abort_client t ~txn:txn_id =
       release_locks_keep_cached t ts;
       Hashtbl.remove t.txns txn_id;
       Event.fire t.hooks (Txn_abort { txn = txn_id });
-      Bess_util.Stats.incr t.stats "server.aborts"
+      Bess_util.Stats.bump t.c.aborts
 
 (* ---- In-place (open server) path ---- *)
 
@@ -395,7 +426,7 @@ let commit_inplace t ~txn:txn_id =
   release_locks_keep_cached t ts;
   Hashtbl.remove t.txns txn_id;
   Event.fire t.hooks (Txn_commit { txn = txn_id });
-  Bess_util.Stats.incr t.stats "server.commits"
+  Bess_util.Stats.bump t.c.commits
 
 let abort_inplace t ~txn:txn_id =
   let ts = txn t txn_id in
@@ -404,7 +435,7 @@ let abort_inplace t ~txn:txn_id =
   release_locks_keep_cached t ts;
   Hashtbl.remove t.txns txn_id;
   Event.fire t.hooks (Txn_abort { txn = txn_id });
-  Bess_util.Stats.incr t.stats "server.aborts"
+  Bess_util.Stats.bump t.c.aborts
 
 (* ---- Two-phase commit (participant side) ---- *)
 
@@ -425,7 +456,7 @@ let prepare t ~txn:txn_id ~coordinator ~(updates : update list) =
   in_request "prepare" @@ fun () ->
   match Hashtbl.find_opt t.txns txn_id with
   | None ->
-      Bess_util.Stats.incr t.stats "server.prepare_noops";
+      Bess_util.Stats.bump t.c.prepare_noops;
       `Vote_no
   | Some ts when ts.status = Prepared -> `Vote_yes
   | Some ts ->
@@ -445,8 +476,8 @@ let prepare t ~txn:txn_id ~coordinator ~(updates : update list) =
         release_locks_keep_cached t ts;
         Hashtbl.remove t.txns txn_id;
         Event.fire t.hooks (Txn_abort { txn = txn_id });
-        Bess_util.Stats.incr t.stats "server.aborts";
-        Bess_util.Stats.incr t.stats "server.vote_no";
+        Bess_util.Stats.bump t.c.aborts;
+        Bess_util.Stats.bump t.c.vote_no;
         `Vote_no
       end
       else begin
@@ -460,7 +491,7 @@ let prepare t ~txn:txn_id ~coordinator ~(updates : update list) =
         ts.status <- Prepared;
         t.n_prepared <- t.n_prepared + 1;
         ts.coord <- coordinator;
-        Bess_util.Stats.incr t.stats "server.prepares";
+        Bess_util.Stats.bump t.c.prepares;
         `Vote_yes
       end
 
@@ -477,8 +508,8 @@ let commit_prepared t ~txn:txn_id =
       t.n_prepared <- t.n_prepared - 1;
       release_locks_keep_cached t ts;
       Hashtbl.remove t.txns txn_id;
-      Bess_util.Stats.incr t.stats "server.commits"
-  | Some _ | None -> Bess_util.Stats.incr t.stats "server.decide_noops"
+      Bess_util.Stats.bump t.c.commits
+  | Some _ | None -> Bess_util.Stats.bump t.c.decide_noops
 
 let abort_prepared t ~txn:txn_id =
   in_request "decide" @@ fun () ->
@@ -489,8 +520,8 @@ let abort_prepared t ~txn:txn_id =
       t.n_prepared <- t.n_prepared - 1;
       release_locks_keep_cached t ts;
       Hashtbl.remove t.txns txn_id;
-      Bess_util.Stats.incr t.stats "server.aborts"
-  | Some _ | None -> Bess_util.Stats.incr t.stats "server.decide_noops"
+      Bess_util.Stats.bump t.c.aborts
+  | Some _ | None -> Bess_util.Stats.bump t.c.decide_noops
 
 (* Transactions re-created as in-doubt by recovery. *)
 let adopt_in_doubt t ~txn:txn_id ~last_lsn ?(coordinator = -1) () =

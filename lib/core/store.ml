@@ -25,6 +25,9 @@ type t = {
   page_lsn : int Page_id.Tbl.t;
   mutable ckpt_bytes : int; (* log size when the last checkpoint completed *)
   stats : Bess_util.Stats.t;
+  c_updates : Bess_util.Stats.counter;
+  c_logical_bytes : Bess_util.Stats.counter;
+  c_page_flush_bytes : Bess_util.Stats.counter;
 }
 
 let to_wal_page (p : Page_id.t) : Bess_wal.Log_record.page_id = { area = p.area; page = p.page }
@@ -41,6 +44,8 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
   in
   let cache = Bess_cache.Cache.create ~nslots:cache_slots ~page_size in
   let the_log = match log with Some l -> l | None -> Bess_wal.Log.create ?path:log_path () in
+  let stats = Bess_util.Stats.create () in
+  Bess_obs.Registry.register_stats "store" stats;
   let t =
     {
       areas;
@@ -50,10 +55,10 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
       gc = Bess_wal.Group_commit.create ?policy:group_commit the_log;
       page_lsn = Page_id.Tbl.create 1024;
       ckpt_bytes = 0;
-      stats =
-        (let stats = Bess_util.Stats.create () in
-         Bess_obs.Registry.register_stats "store" stats;
-         stats);
+      stats;
+      c_updates = Bess_util.Stats.counter stats "store.updates";
+      c_logical_bytes = Bess_util.Stats.counter stats "store.logical_bytes";
+      c_page_flush_bytes = Bess_util.Stats.counter stats "store.page_flush_bytes";
     }
   in
   (* Log growth since the last completed checkpoint: the recovery-work
@@ -66,10 +71,10 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
      keeps two digits. Per-window ratios come from the Series deltas of
      the same three counters. *)
   Bess_obs.Registry.register_gauge "wal" "wal.write_amp_x100" (fun () ->
-      let logical = Bess_util.Stats.get t.stats "store.logical_bytes" in
+      let logical = Bess_util.Stats.value t.c_logical_bytes in
       let durable =
         Bess_util.Stats.get (Bess_wal.Log.stats t.log) "log.forced_bytes"
-        + Bess_util.Stats.get t.stats "store.page_flush_bytes"
+        + Bess_util.Stats.value t.c_page_flush_bytes
       in
       if logical = 0 then 0 else 100 * durable / logical);
   Bess_cache.Cache.set_writeback cache (fun page bytes ->
@@ -99,7 +104,7 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
         else Bess_storage.Area_set.write_page areas ~area_id:page.area page.page bytes
       in
       put 1;
-      Bess_util.Stats.add t.stats "store.page_flush_bytes" (Bytes.length bytes));
+      Bess_util.Stats.bump_by t.c_page_flush_bytes (Bytes.length bytes));
   t
 
 let cache t = t.cache
@@ -127,6 +132,25 @@ let with_page t (page : Page_id.t) f =
 (* Copy of a page's current contents (for shipping to clients). *)
 let read_page t page = with_page t page (fun slot -> Bytes.copy slot.Bess_cache.Cache.bytes)
 
+(* Allocate a disk segment whose pages read as zeros: clients fabricate
+   fresh segments locally assuming all-zero authoritative content, so
+   recycled pages must not leak a previous tenant's bytes. A recycled
+   page may still be resident in the cache, so its frame is zeroed too
+   (in place: its dirty bit and the counters stay as they were). *)
+let alloc_segment t ~area ~npages =
+  match Bess_storage.Area_set.alloc_in t.areas ~area_id:area ~npages with
+  | None -> None
+  | Some (addr : Bess_storage.Seg_addr.t) ->
+      let a = Bess_storage.Area_set.find t.areas area in
+      let zeros = Bytes.make (Bess_storage.Area.page_size a) '\000' in
+      for i = 0 to npages - 1 do
+        Bess_storage.Area.write_page a (addr.first_page + i) zeros;
+        match Bess_cache.Cache.find_slot t.cache { Page_id.area; page = addr.first_page + i } with
+        | Some slot -> Bytes.fill slot.Bess_cache.Cache.bytes 0 (Bytes.length zeros) '\000'
+        | None -> ()
+      done;
+      Some addr
+
 (* Read several contiguous pages of one area (segment fetch). *)
 let read_segment t (seg : Bess_storage.Seg_addr.t) =
   List.init seg.npages (fun i ->
@@ -145,10 +169,10 @@ let apply_update t ~txn ~prev_lsn (page : Page_id.t) ~offset ~before ~after =
       Bytes.blit after 0 slot.Bess_cache.Cache.bytes offset (Bytes.length after);
       Bess_cache.Cache.mark_dirty t.cache slot);
   set_page_lsn t page lsn;
-  Bess_util.Stats.incr t.stats "store.updates";
+  Bess_util.Stats.bump t.c_updates;
   (* The numerator's baseline: bytes the application asked to change,
      before logging and flushing amplify them. *)
-  Bess_util.Stats.add t.stats "store.logical_bytes" (Bytes.length after);
+  Bess_util.Stats.bump_by t.c_logical_bytes (Bytes.length after);
   lsn
 
 (* Append COMMIT and register its durability ticket with the group-commit

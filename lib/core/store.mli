@@ -42,6 +42,10 @@ val with_page : t -> Page_id.t -> (Bess_cache.Cache.slot -> 'a) -> 'a
 (** Copy of a page's current contents (for shipping to clients). *)
 val read_page : t -> Page_id.t -> Bytes.t
 
+(** Allocate a disk segment of [npages] in [area] whose pages read as
+    zeros, on disk and in the cache alike; [None] when the area is full. *)
+val alloc_segment : t -> area:int -> npages:int -> Bess_storage.Seg_addr.t option
+
 (** All pages of one disk segment, in order. *)
 val read_segment : t -> Bess_storage.Seg_addr.t -> Bytes.t list
 

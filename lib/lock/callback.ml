@@ -15,9 +15,17 @@ type entry = { mutable cached : (client * Lock_mode.t) list }
 type t = {
   table : (Lock_mgr.resource, entry) Hashtbl.t;
   stats : Bess_util.Stats.t;
+  c_grants : Bess_util.Stats.counter;
+  c_callbacks_needed : Bess_util.Stats.counter;
+  c_drops : Bess_util.Stats.counter;
 }
 
-let create () = { table = Hashtbl.create 256; stats = Bess_util.Stats.create () }
+let create () =
+  let stats = Bess_util.Stats.create () in
+  { table = Hashtbl.create 256; stats;
+    c_grants = Bess_util.Stats.counter stats "callback.grants";
+    c_callbacks_needed = Bess_util.Stats.counter stats "callback.callbacks_needed";
+    c_drops = Bess_util.Stats.counter stats "callback.drops" }
 
 let stats t = t.stats
 
@@ -48,11 +56,11 @@ let request t ~client r mode =
     let prior = List.assoc_opt client e.cached in
     let mode' = match prior with Some m -> Lock_mode.sup m mode | None -> mode in
     e.cached <- (client, mode') :: List.remove_assoc client e.cached;
-    Bess_util.Stats.incr t.stats "callback.grants";
+    Bess_util.Stats.bump t.c_grants;
     `Granted
   end
   else begin
-    Bess_util.Stats.incr t.stats "callback.callbacks_needed";
+    Bess_util.Stats.bump t.c_callbacks_needed;
     `Callback_needed (List.map fst conflicting)
   end
 
@@ -63,7 +71,7 @@ let dropped t ~client r =
   | Some e ->
       e.cached <- List.remove_assoc client e.cached;
       if e.cached = [] then Hashtbl.remove t.table r;
-      Bess_util.Stats.incr t.stats "callback.drops"
+      Bess_util.Stats.bump t.c_drops
 
 (* The client downgraded (e.g. X -> S after a writing txn ended). *)
 let downgraded t ~client r mode =

@@ -74,6 +74,37 @@ type entry = {
   mutable n_live : int;
 }
 
+type counters = {
+  expiry_wakes : Bess_util.Stats.counter;
+  regrants : Bess_util.Stats.counter;
+  grants : Bess_util.Stats.counter;
+  blocks : Bess_util.Stats.counter;
+  deadlocks : Bess_util.Stats.counter;
+  timeouts : Bess_util.Stats.counter;
+  handoffs : Bess_util.Stats.counter;
+  veto_wakes : Bess_util.Stats.counter;
+  release_alls : Bess_util.Stats.counter;
+  release_scan_entries : Bess_util.Stats.counter;
+  wait_ticks : Bess_util.Stats.hist;
+  wake_to_grant_ticks : Bess_util.Stats.hist;
+}
+
+let counters stats =
+  {
+    expiry_wakes = Bess_util.Stats.counter stats "lock.expiry_wakes";
+    regrants = Bess_util.Stats.counter stats "lock.regrants";
+    grants = Bess_util.Stats.counter stats "lock.grants";
+    blocks = Bess_util.Stats.counter stats "lock.blocks";
+    deadlocks = Bess_util.Stats.counter stats "lock.deadlocks";
+    timeouts = Bess_util.Stats.counter stats "lock.timeouts";
+    handoffs = Bess_util.Stats.counter stats "lock.handoffs";
+    veto_wakes = Bess_util.Stats.counter stats "lock.veto_wakes";
+    release_alls = Bess_util.Stats.counter stats "lock.release_alls";
+    release_scan_entries = Bess_util.Stats.counter stats "lock.release_scan_entries";
+    wait_ticks = Bess_util.Stats.hist stats "lock.wait_ticks";
+    wake_to_grant_ticks = Bess_util.Stats.hist stats "lock.wake_to_grant_ticks";
+  }
+
 type t = {
   table : (resource, entry) Hashtbl.t;
   held : (int, (resource, unit) Hashtbl.t) Hashtbl.t; (* txn -> granted resources *)
@@ -81,6 +112,7 @@ type t = {
   mutable tick : int;
   timeout : int; (* ticks a request may wait before being declared deadlocked *)
   stats : Bess_util.Stats.t;
+  c : counters;
   mutable n_waiters : int; (* live waiters across all entries, kept incrementally *)
   mutable wake_hook : (txn:int -> unit) option;
   mutable grant_filter : (txn:int -> resource -> Lock_mode.t -> bool) option;
@@ -103,7 +135,7 @@ let create ?(timeout = 1000) () =
   Bess_obs.Registry.register_stats "lock" stats;
   let t =
     { table = Hashtbl.create 256; held = Hashtbl.create 32; waits = Hashtbl.create 32;
-      tick = 0; timeout; stats; n_waiters = 0; wake_hook = None;
+      tick = 0; timeout; stats; c = counters stats; n_waiters = 0; wake_hook = None;
       grant_filter = None; expiry = Queue.create (); wait_spans = Hashtbl.create 16 }
   in
   Bess_obs.Registry.register_gauge "lock" "lock.table_size" (fun () ->
@@ -129,7 +161,7 @@ let check_expiry t =
     | Some w when t.tick - w.w_enqueued > t.timeout ->
         ignore (Queue.pop t.expiry);
         w.w_woken <- t.tick;
-        Bess_util.Stats.incr t.stats "lock.expiry_wakes";
+        Bess_util.Stats.bump t.c.expiry_wakes;
         (match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn)
     | _ -> continue_ := false
   done
@@ -294,9 +326,9 @@ let enqueue_waiter t e ~txn r mode =
 let observe_wait t e ~txn =
   match Hashtbl.find_opt e.by_txn txn with
   | Some w ->
-      Bess_util.Stats.observe t.stats "lock.wait_ticks" (t.tick - w.w_enqueued);
+      Bess_util.Stats.record t.c.wait_ticks (t.tick - w.w_enqueued);
       if w.w_woken >= 0 then
-        Bess_util.Stats.observe t.stats "lock.wake_to_grant_ticks" (t.tick - w.w_woken)
+        Bess_util.Stats.record t.c.wake_to_grant_ticks (t.tick - w.w_woken)
   | None -> ()
 
 (* Open the parked wait span for a newly enqueued request. Root span:
@@ -312,11 +344,13 @@ let begin_wait t ~txn r ~mode =
          ~kind:"lock.wait" ())
 
 let end_wait t ~txn r ~outcome =
-  match Hashtbl.find_opt t.wait_spans (txn, r) with
-  | None -> ()
-  | Some h ->
-      Hashtbl.remove t.wait_spans (txn, r);
-      Span.finish ~attrs:[ ("outcome", outcome) ] h
+  (* Empty unless spans are installed: skip hashing the key. *)
+  if Hashtbl.length t.wait_spans > 0 then
+    match Hashtbl.find_opt t.wait_spans (txn, r) with
+    | None -> ()
+    | Some h ->
+        Hashtbl.remove t.wait_spans (txn, r);
+        Span.finish ~attrs:[ ("outcome", outcome) ] h
 
 let acquire ?(detect = `Graph) t ~txn r mode : verdict =
   t.tick <- t.tick + 1;
@@ -333,7 +367,7 @@ let acquire ?(detect = `Graph) t ~txn r mode : verdict =
   Span.with_span ~attrs:(attrs ()) ~kind:"lock.acquire" (fun () ->
       match current with
       | Some m when Lock_mode.covers m mode ->
-          Bess_util.Stats.incr t.stats "lock.regrants";
+          Bess_util.Stats.bump t.c.regrants;
           observe_wait t e ~txn;
           remove_waiter t e ~txn r;
           end_wait t ~txn r ~outcome:"granted";
@@ -347,13 +381,13 @@ let acquire ?(detect = `Graph) t ~txn r mode : verdict =
             remove_waiter t e ~txn r;
             end_wait t ~txn r ~outcome:"granted";
             record_held t ~txn r;
-            Bess_util.Stats.incr t.stats "lock.grants";
+            Bess_util.Stats.bump t.c.grants;
             `Granted
           end
           else begin
             if not (Hashtbl.mem e.by_txn txn) then begin
               enqueue_waiter t e ~txn r want;
-              Bess_util.Stats.incr t.stats "lock.blocks";
+              Bess_util.Stats.bump t.c.blocks;
               begin_wait t ~txn r ~mode:want
             end;
             match detect with
@@ -361,7 +395,7 @@ let acquire ?(detect = `Graph) t ~txn r mode : verdict =
                 if creates_cycle t ~txn then begin
                   remove_waiter t e ~txn r;
                   end_wait t ~txn r ~outcome:"deadlock";
-                  Bess_util.Stats.incr t.stats "lock.deadlocks";
+                  Bess_util.Stats.bump t.c.deadlocks;
                   if entry_empty e then Hashtbl.remove t.table r;
                   `Deadlock
                 end
@@ -375,7 +409,7 @@ let acquire ?(detect = `Graph) t ~txn r mode : verdict =
                 if t.tick - enqueue_tick > t.timeout then begin
                   remove_waiter t e ~txn r;
                   end_wait t ~txn r ~outcome:"timeout";
-                  Bess_util.Stats.incr t.stats "lock.timeouts";
+                  Bess_util.Stats.bump t.c.timeouts;
                   if entry_empty e then Hashtbl.remove t.table r;
                   `Timeout
                 end
@@ -427,8 +461,8 @@ let grant_scan t e r =
         record_held t ~txn:w.w_txn r;
         remove_waiter t e ~txn:w.w_txn r;
         end_wait t ~txn:w.w_txn r ~outcome:"handoff";
-        Bess_util.Stats.incr t.stats "lock.grants";
-        Bess_util.Stats.incr t.stats "lock.handoffs";
+        Bess_util.Stats.bump t.c.grants;
+        Bess_util.Stats.bump t.c.handoffs;
         granted_txns := w.w_txn :: !granted_txns;
         match Queue.peek_opt e.waiting with
         | Some w' when w' == w -> ignore (Queue.pop e.waiting)
@@ -440,7 +474,7 @@ let grant_scan t e r =
            once instead of sleeping until a guard timer fires. *)
         if not w.w_cancelled then begin
           w.w_woken <- t.tick;
-          Bess_util.Stats.incr t.stats "lock.veto_wakes";
+          Bess_util.Stats.bump t.c.veto_wakes;
           match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn
         end;
         stop := true
@@ -495,8 +529,8 @@ let release_all t ~txn =
       (* Copy first: [visit] edits this set through [remove_waiter]. *)
       let rs = Hashtbl.fold (fun r () acc -> r :: acc) resources [] in
       List.iter visit rs);
-  Bess_util.Stats.incr t.stats "lock.release_alls";
-  Bess_util.Stats.add t.stats "lock.release_scan_entries" !scanned;
+  Bess_util.Stats.bump t.c.release_alls;
+  Bess_util.Stats.bump_by t.c.release_scan_entries !scanned;
   List.rev !wake
 
 let held_resources t ~txn =

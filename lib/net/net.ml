@@ -14,6 +14,8 @@
    orders of magnitude more expensive than a function call. *)
 
 module Span = Bess_obs.Span
+module Stats = Bess_util.Stats
+module Route = Bess_util.Int_pair.Tbl
 
 type ('req, 'resp) handler = src:int -> 'req -> 'resp
 
@@ -25,11 +27,18 @@ type ('req, 'resp) t = {
   per_byte_ns : int;
   mutable clock_ns : int;
   mutable in_flight : int; (* messages currently being delivered (nested RPCs stack) *)
-  stats : Bess_util.Stats.t;
+  stats : Stats.t;
+  c_messages : Stats.counter;
+  c_bytes : Stats.counter;
+  routes : route Route.t;
 }
 
+(* One route's labeled [net.calls{src->dst}] / [net.sends{src->dst}]
+   handles, made on its first message, so a delivery formats no label. *)
+and route = { calls : Stats.counter; sends : Stats.counter }
+
 let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost () =
-  let stats = Bess_util.Stats.create () in
+  let stats = Stats.create () in
   Bess_obs.Registry.register_stats "net" stats;
   let t =
     {
@@ -41,6 +50,9 @@ let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost 
       clock_ns = 0;
       in_flight = 0;
       stats;
+      c_messages = Stats.counter stats "net.messages";
+      c_bytes = Stats.counter stats "net.bytes";
+      routes = Route.create 16;
     }
   in
   Bess_obs.Registry.register_gauge "net" "net.in_flight" (fun () -> t.in_flight);
@@ -79,8 +91,20 @@ let account t ~bytes =
   (* Wire time is the dominant cost model, so it also drives the
      process-wide span clock: net.wire spans get their true width. *)
   Span.advance_ns cost;
-  Bess_util.Stats.incr t.stats "net.messages";
-  Bess_util.Stats.add t.stats "net.bytes" bytes
+  Stats.bump t.c_messages;
+  Stats.bump_by t.c_bytes bytes
+
+let route t ~src ~dst =
+  match Route.find_opt t.routes (src, dst) with
+  | Some r -> r
+  | None ->
+      let label = Printf.sprintf "%d->%d" src dst in
+      let r =
+        { calls = Stats.labeled_counter t.stats "net.calls" ~label;
+          sends = Stats.labeled_counter t.stats "net.sends" ~label }
+      in
+      Route.add t.routes (src, dst) r;
+      r
 
 let route_attrs src dst =
   if Span.enabled () then [ ("src", string_of_int src); ("dst", string_of_int dst) ] else []
@@ -90,7 +114,7 @@ let route_attrs src dst =
    will be) before raising. *)
 let dead_letter t ~bytes dst =
   account t ~bytes;
-  Bess_util.Stats.incr t.stats "net.dead_letters";
+  Stats.incr t.stats "net.dead_letters";
   raise (No_such_endpoint dst)
 
 (* Fault sites, consulted per delivery (all disarmed by default):
@@ -108,8 +132,8 @@ let inject_delay t =
     let spike = (1 + Bess_fault.Fault.draw "net.delay" ~bound:20) * t.per_message_ns in
     t.clock_ns <- t.clock_ns + spike;
     Span.advance_ns spike;
-    Bess_util.Stats.incr t.stats "net.delays";
-    Bess_util.Stats.add t.stats "net.delay_ns" spike
+    Stats.incr t.stats "net.delays";
+    Stats.add t.stats "net.delay_ns" spike
   end
 
 (* Synchronous RPC: one request message, one reply message. The call
@@ -124,14 +148,14 @@ let call t ~src ~dst req =
           inject_delay t;
           Span.with_span ~kind:"net.wire" (fun () -> account t ~bytes:(t.req_cost req));
           if Bess_fault.Fault.fire "net.drop_request" then begin
-            Bess_util.Stats.incr t.stats "net.dropped_requests";
+            Stats.incr t.stats "net.dropped_requests";
             raise (Timeout dst)
           end;
-          Bess_util.Stats.incr_labeled t.stats "net.calls" ~label:(Printf.sprintf "%d->%d" src dst);
+          Stats.bump (route t ~src ~dst).calls;
           let resp = Span.with_span ~kind:"net.handler" (fun () -> handler ~src req) in
           let resp =
             if Bess_fault.Fault.fire "net.dup" then begin
-              Bess_util.Stats.incr t.stats "net.duplicates";
+              Stats.incr t.stats "net.duplicates";
               Span.with_span ~kind:"net.wire" (fun () -> account t ~bytes:(t.req_cost req));
               Span.with_span ~kind:"net.handler" (fun () -> handler ~src req)
             end
@@ -139,7 +163,7 @@ let call t ~src ~dst req =
           in
           Span.with_span ~kind:"net.wire" (fun () -> account t ~bytes:(t.resp_cost resp));
           if Bess_fault.Fault.fire "net.drop_reply" then begin
-            Bess_util.Stats.incr t.stats "net.dropped_replies";
+            Stats.incr t.stats "net.dropped_replies";
             raise (Timeout dst)
           end;
           resp)
@@ -155,11 +179,11 @@ let send t ~src ~dst req =
           inject_delay t;
           Span.with_span ~kind:"net.wire" (fun () -> account t ~bytes:(t.req_cost req));
           if Bess_fault.Fault.fire "net.drop_request" then begin
-            Bess_util.Stats.incr t.stats "net.dropped_requests";
+            Stats.incr t.stats "net.dropped_requests";
             raise (Timeout dst)
           end;
-          Bess_util.Stats.incr_labeled t.stats "net.sends" ~label:(Printf.sprintf "%d->%d" src dst);
+          Stats.bump (route t ~src ~dst).sends;
           ignore (Span.with_span ~kind:"net.handler" (fun () -> handler ~src req)))
 
-let messages t = Bess_util.Stats.get t.stats "net.messages"
-let bytes t = Bess_util.Stats.get t.stats "net.bytes"
+let messages t = Stats.value t.c_messages
+let bytes t = Stats.value t.c_bytes

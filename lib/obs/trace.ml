@@ -12,8 +12,16 @@
 
 type entry = { seq : int; clock : int; kind : string; detail : string }
 
+(* The ring keeps each entry's fields in parallel arrays, and the detail
+   as the closure that renders it: [record] neither formats nor
+   allocates an entry; [to_list] renders what it returns. A renderer
+   must read only immutable data, since it runs whenever the ring is
+   read. *)
 type t = {
-  ring : entry option array;
+  seqs : int array;
+  clocks : int array;
+  kinds : string array;
+  renders : (unit -> string) array;
   mutable head : int; (* next write position *)
   mutable length : int;
   mutable clock : int;
@@ -21,15 +29,18 @@ type t = {
   mutable filter : (string, unit) Hashtbl.t option; (* None = record all kinds *)
 }
 
+let no_detail () = ""
+
 let create ?(capacity = 1024) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { ring = Array.make capacity None; head = 0; length = 0; clock = 0; next_seq = 0;
+  { seqs = Array.make capacity 0; clocks = Array.make capacity 0; kinds = Array.make capacity "";
+    renders = Array.make capacity no_detail; head = 0; length = 0; clock = 0; next_seq = 0;
     filter = None }
 
 (* The default, process-wide ring that freshly created hook tables feed. *)
 let default = create ~capacity:4096 ()
 
-let capacity t = Array.length t.ring
+let capacity t = Array.length t.seqs
 let length t = t.length
 let clock t = t.clock
 
@@ -45,29 +56,35 @@ let set_filter t kinds =
 let accepts t kind =
   match t.filter with None -> true | Some h -> Hashtbl.mem h kind
 
-let record t ~kind ~detail =
+let record_lazy t ~kind render =
   t.clock <- t.clock + 1;
   if accepts t kind then begin
-    let e = { seq = t.next_seq; clock = t.clock; kind; detail } in
+    let i = t.head in
+    t.seqs.(i) <- t.next_seq;
+    t.clocks.(i) <- t.clock;
+    t.kinds.(i) <- kind;
+    t.renders.(i) <- render;
     t.next_seq <- t.next_seq + 1;
-    t.ring.(t.head) <- Some e;
-    t.head <- (t.head + 1) mod Array.length t.ring;
-    if t.length < Array.length t.ring then t.length <- t.length + 1
+    t.head <- (if i + 1 = capacity t then 0 else i + 1);
+    if t.length < capacity t then t.length <- t.length + 1
   end
+
+let record t ~kind ~detail = record_lazy t ~kind (fun () -> detail)
 
 (* Oldest first. *)
 let to_list t =
-  let cap = Array.length t.ring in
+  let cap = capacity t in
   let first = (t.head - t.length + cap) mod cap in
-  List.init t.length (fun i ->
-      match t.ring.((first + i) mod cap) with
-      | Some e -> e
-      | None -> assert false)
+  List.init t.length (fun n ->
+      let i = (first + n) mod cap in
+      { seq = t.seqs.(i); clock = t.clocks.(i); kind = t.kinds.(i); detail = t.renders.(i) () })
 
 let find t ~kind = List.filter (fun e -> e.kind = kind) (to_list t)
 
+(* Drop the renderers too, so a cleared ring keeps nothing alive. *)
 let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
+  Array.fill t.kinds 0 (capacity t) "";
+  Array.fill t.renders 0 (capacity t) no_detail;
   t.head <- 0;
   t.length <- 0
 
@@ -76,19 +93,22 @@ let clear t =
    recorded. [f] runs against a zeroed ring (clock, seq and filter
    included); the prior contents are restored afterwards. *)
 let with_fresh ?(trace = default) f =
-  let saved_ring = Array.copy trace.ring in
+  let saved_seqs = Array.copy trace.seqs and saved_clocks = Array.copy trace.clocks in
+  let saved_kinds = Array.copy trace.kinds and saved_renders = Array.copy trace.renders in
   let saved_head = trace.head and saved_length = trace.length in
   let saved_clock = trace.clock and saved_seq = trace.next_seq in
   let saved_filter = trace.filter in
-  Array.fill trace.ring 0 (Array.length trace.ring) None;
-  trace.head <- 0;
-  trace.length <- 0;
+  clear trace;
   trace.clock <- 0;
   trace.next_seq <- 0;
   trace.filter <- None;
   Fun.protect
     ~finally:(fun () ->
-      Array.blit saved_ring 0 trace.ring 0 (Array.length trace.ring);
+      let cap = capacity trace in
+      Array.blit saved_seqs 0 trace.seqs 0 cap;
+      Array.blit saved_clocks 0 trace.clocks 0 cap;
+      Array.blit saved_kinds 0 trace.kinds 0 cap;
+      Array.blit saved_renders 0 trace.renders 0 cap;
       trace.head <- saved_head;
       trace.length <- saved_length;
       trace.clock <- saved_clock;

@@ -26,7 +26,13 @@ val set_filter : t -> string list option -> unit
 
 val record : t -> kind:string -> detail:string -> unit
 
-(** Retained entries, oldest first. *)
+(** [record_lazy t ~kind render] records an entry whose detail is
+    [render ()], called each time the entry is read ({!to_list},
+    {!find}) and never for an entry the filter drops. [render] must read
+    only immutable data. *)
+val record_lazy : t -> kind:string -> (unit -> string) -> unit
+
+(** Retained entries, oldest first, details rendered now. *)
 val to_list : t -> entry list
 
 (** Retained entries of one kind, oldest first. *)

@@ -166,6 +166,15 @@ let run ?sched server ~pages cfg =
   let st = Sched.stats sched in
   ignore (Stats.histogram st "sched.commit_latency_ns");
   ignore (Stats.histogram st "sched.txn_latency_ns");
+  let c_commits = Stats.counter st "sched.commits" in
+  let c_aborts = Stats.counter st "sched.aborts" in
+  let c_give_ups = Stats.counter st "sched.give_ups" in
+  let c_indeterminate = Stats.counter st "sched.indeterminate" in
+  let c_lock_wakeups = Stats.counter st "sched.lock_wakeups" in
+  let c_lock_parks = Stats.counter st "sched.lock_parks" in
+  let c_lock_retries = Stats.counter st "sched.lock_retries" in
+  let h_commit_latency = Stats.hist st "sched.commit_latency_ns" in
+  let h_txn_latency = Stats.hist st "sched.txn_latency_ns" in
   let commits = ref 0 and aborts = ref 0 and give_ups = ref 0 in
   let indeterminate = ref 0 and disconnects = ref 0 and reconnects = ref 0 in
   let t0 = Span.now_ns () in
@@ -279,7 +288,7 @@ let run ?sched server ~pages cfg =
          time: the hop lands at the current tick). *)
       if c.c_park = park then begin
         c.c_park <- c.c_park + 1;
-        Stats.incr st "sched.lock_wakeups";
+        Stats.bump c_lock_wakeups;
         Sched.schedule sched ~after:0 (resume ~retries)
       end
     in
@@ -306,7 +315,7 @@ let run ?sched server ~pages cfg =
              subscription just registered above. *)
           Bess.Server.abort_client server ~txn;
           incr give_ups;
-          Stats.incr st "sched.give_ups";
+          Stats.bump c_give_ups;
           finish_attempt c ~a ~outcome:"give_up"
         end
         else begin
@@ -315,19 +324,19 @@ let run ?sched server ~pages cfg =
              return the [`Timeout] verdict, and it is the sole path
              forward for waits no wake can resolve (a block caused by
              cached-copy callbacks alone). *)
-          Stats.incr st "sched.lock_parks";
+          Stats.bump c_lock_parks;
           a.A.a_backoff <-
             Span.start ~attrs:[ ("retries", string_of_int retries) ] ~kind:"client.backoff" ();
           Sched.schedule sched ~after:(next_backoff c ~retries) (fun () ->
               if c.c_park = park then begin
-                Stats.incr st "sched.lock_retries";
+                Stats.bump c_lock_retries;
                 resume ~retries:(retries + 1) ()
               end)
         end
     | `Deadlock | `Timeout ->
         Bess.Server.abort_client server ~txn;
         incr aborts;
-        Stats.incr st "sched.aborts";
+        Stats.bump c_aborts;
         finish_attempt c ~a ~outcome:"abort"
   and commit_txn c ~a ~txn ~t_begin ~page =
     let pid = pages.(page) in
@@ -344,12 +353,12 @@ let run ?sched server ~pages cfg =
            in fact passed). *)
         (try Bess.Server.abort_client server ~txn with _ -> ());
         incr indeterminate;
-        Stats.incr st "sched.indeterminate";
+        Stats.bump c_indeterminate;
         finish_attempt c ~a ~outcome:"indeterminate"
     | `Lock_violation ->
         Bess.Server.abort_client server ~txn;
         incr aborts;
-        Stats.incr st "sched.aborts";
+        Stats.bump c_aborts;
         finish_attempt c ~a ~outcome:"abort"
     | `Committed ticket ->
         let t_commit = Span.now_ns () in
@@ -367,16 +376,16 @@ let run ?sched server ~pages cfg =
     | () ->
         let now = Span.now_ns () in
         incr commits;
-        Stats.incr st "sched.commits";
-        Stats.observe st "sched.commit_latency_ns" (now - t_commit);
-        Stats.observe st "sched.txn_latency_ns" (now - t_begin);
+        Stats.bump c_commits;
+        Stats.record h_commit_latency (now - t_commit);
+        Stats.record h_txn_latency (now - t_begin);
         Span.finish a.A.a_ticket;
         a.A.a_ticket <- Span.none;
         finish_attempt c ~a ~outcome:"commit"
     | exception _ ->
         (* Ticket lost to a crash between registration and ack. *)
         incr indeterminate;
-        Stats.incr st "sched.indeterminate";
+        Stats.bump c_indeterminate;
         finish_attempt c ~a ~outcome:"indeterminate")
   and finish_attempt c ~a ~outcome =
     close_attempt a ~outcome;

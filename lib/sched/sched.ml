@@ -13,6 +13,7 @@
    that was masked. *)
 
 module Span = Bess_obs.Span
+module Stats = Bess_util.Stats
 
 type event = { at : int; seq : int; run : unit -> unit }
 
@@ -22,13 +23,18 @@ type t = {
   mutable next_seq : int;
   mutable events_run : int;
   mutable current_lag_ns : int; (* lateness of the event running right now *)
-  stats : Bess_util.Stats.t;
+  stats : Stats.t;
+  c_scheduled : Stats.counter;
+  c_heap_peak : Stats.counter;
+  c_events : Stats.counter;
+  c_late : Stats.counter;
+  h_late_ns : Stats.hist;
 }
 
 let dummy = { at = 0; seq = 0; run = ignore }
 
 let create () =
-  let stats = Bess_util.Stats.create () in
+  let stats = Stats.create () in
   Bess_obs.Registry.register_stats "sched" stats;
   let t =
     {
@@ -38,6 +44,11 @@ let create () =
       events_run = 0;
       current_lag_ns = 0;
       stats;
+      c_scheduled = Stats.counter stats "sched.scheduled";
+      c_heap_peak = Stats.counter stats "sched.heap_peak";
+      c_events = Stats.counter stats "sched.events";
+      c_late = Stats.counter stats "sched.late_events";
+      h_late_ns = Stats.hist stats "sched.late_ns";
     }
   in
   Bess_obs.Registry.register_gauge "sched" "sched.pending_events" (fun () -> t.size);
@@ -104,9 +115,8 @@ let schedule_at t ~at f =
   let e = { at; seq = t.next_seq; run = f } in
   t.next_seq <- t.next_seq + 1;
   push t e;
-  Bess_util.Stats.incr t.stats "sched.scheduled";
-  if t.size > Bess_util.Stats.get t.stats "sched.heap_peak" then
-    Bess_util.Stats.set t.stats "sched.heap_peak" t.size
+  Stats.bump t.c_scheduled;
+  if t.size > Stats.value t.c_heap_peak then Stats.assign t.c_heap_peak t.size
 
 let schedule t ~after f =
   if after < 0 then invalid_arg "Sched.schedule: negative delay";
@@ -128,14 +138,14 @@ let run ?max_events t =
          can bill queueing delay to the transaction it belongs to. *)
       t.current_lag_ns <- now - e.at;
       if e.at < now then begin
-        Bess_util.Stats.incr t.stats "sched.late_events";
-        Bess_util.Stats.observe t.stats "sched.late_ns" (now - e.at)
+        Stats.bump t.c_late;
+        Stats.record t.h_late_ns (now - e.at)
       end
     end;
     e.run ();
     t.current_lag_ns <- 0;
     incr ran;
     t.events_run <- t.events_run + 1;
-    Bess_util.Stats.incr t.stats "sched.events"
+    Stats.bump t.c_events
   done;
   !ran

@@ -70,6 +70,8 @@ let run ?sched (sh : Shard.t) cfg =
   if cfg.n_clients <= 0 then invalid_arg "Fleet.run: n_clients must be positive";
   let sched = match sched with Some s -> s | None -> Sched.create () in
   let st = Sched.stats sched in
+  let c_commits = Stats.counter st "sched.commits" in
+  let c_aborts = Stats.counter st "sched.aborts" in
   let n_shards = Shard.n_shards sh in
   let pick_rank =
     Driver.make_picker ~zipf_theta:cfg.zipf_theta ~hot_fraction:0.0 ~hot_pages:0
@@ -137,11 +139,11 @@ let run ?sched (sh : Shard.t) cfg =
     | `Committed ->
         incr commits;
         if cross then incr cross_commits;
-        Stats.incr st "sched.commits";
+        Stats.bump c_commits;
         finish c ~span ~outcome:"commit"
     | `Aborted ->
         incr aborts;
-        Stats.incr st "sched.aborts";
+        Stats.bump c_aborts;
         finish c ~span ~outcome:"abort"
     | `Blocked ->
         if retries >= cfg.max_retries then begin

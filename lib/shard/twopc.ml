@@ -40,6 +40,30 @@ module Group_commit = Bess_wal.Group_commit
 module Stats = Bess_util.Stats
 module Span = Bess_obs.Span
 module Fault = Bess_fault.Fault
+module Decided = Bess_util.Int_pair.Tbl
+
+type counters = {
+  begins : Stats.counter;
+  prepares_sent : Stats.counter;
+  votes_yes : Stats.counter;
+  votes_no : Stats.counter;
+  decisions_logged : Stats.counter;
+  acks : Stats.counter;
+  commits : Stats.counter;
+  aborts : Stats.counter;
+}
+
+let counters stats =
+  {
+    begins = Stats.counter stats "2pc.begins";
+    prepares_sent = Stats.counter stats "2pc.prepares_sent";
+    votes_yes = Stats.counter stats "2pc.votes_yes";
+    votes_no = Stats.counter stats "2pc.votes_no";
+    decisions_logged = Stats.counter stats "2pc.decisions_logged";
+    acks = Stats.counter stats "2pc.acks";
+    commits = Stats.counter stats "2pc.commits";
+    aborts = Stats.counter stats "2pc.aborts";
+  }
 
 type t = {
   id : int; (* network endpoint *)
@@ -49,7 +73,7 @@ type t = {
   (* Durable commit decisions by participant, INCLUDING fully acked
      ones: a participant that crashed after committing may still query
      long after the End record retired the gid, and must hear commit. *)
-  decided : (int * int, int) Hashtbl.t; (* (shard, txn) -> gid *)
+  decided : int Decided.t; (* (shard, txn) -> gid *)
   (* Commit decisions not yet acked by every participant, as
      (original index, shard, txn) so re-driven rids match the first
      send. *)
@@ -57,6 +81,7 @@ type t = {
   mutable next_gid : int;
   mutable up : bool;
   stats : Stats.t;
+  c : counters;
 }
 
 exception Crashed
@@ -85,7 +110,7 @@ let register_endpoint t =
       match req with
       | Remote.Query_decision { shard; txn; _ } ->
           Stats.incr t.stats "2pc.queries";
-          let known = Hashtbl.mem t.decided (shard, txn) in
+          let known = Decided.mem t.decided (shard, txn) in
           if not known then Stats.incr t.stats "2pc.presumed_aborts";
           Remote.R_decision known
       | _ -> Remote.R_error "coordinator only answers decision queries")
@@ -101,11 +126,12 @@ let create ?(id = 900) ?log_path ?(policy = Group_commit.Immediate) ~net () =
       net;
       log;
       gc;
-      decided = Hashtbl.create 256;
+      decided = Decided.create 256;
       pending = Hashtbl.create 32;
       next_gid = 1;
       up = true;
       stats;
+      c = counters stats;
     }
   in
   Bess_obs.Registry.register_gauge "2pc" "2pc.unresolved" (fun () ->
@@ -118,7 +144,7 @@ let stats t = t.stats
 let log t = t.log
 let up t = t.up
 let unresolved t = Hashtbl.length t.pending
-let has_decision t ~shard ~txn = Hashtbl.mem t.decided (shard, txn)
+let has_decision t ~shard ~txn = Decided.mem t.decided (shard, txn)
 
 (* Lose everything volatile; only the forced log prefix survives. The
    endpoint drops off the network, so participant queries bounce until
@@ -128,7 +154,7 @@ let crash t =
     Stats.incr t.stats "2pc.coord_crashes";
     Log.crash t.log ();
     Group_commit.reset t.gc;
-    Hashtbl.reset t.decided;
+    Decided.reset t.decided;
     Hashtbl.reset t.pending;
     Net.unregister t.net ~id:t.id;
     t.up <- false
@@ -160,7 +186,7 @@ let decide_round t gid =
               Rpc.call t.net ~src:t.id ~dst:shard (Remote.Decide { rid; txn; commit = true })
             with
             | Remote.R_ok ->
-                Stats.incr t.stats "2pc.acks";
+                Stats.bump t.c.acks;
                 false
             | _ -> true
             | exception (Rpc.Unreachable _ | Rpc.Exhausted _) -> true)
@@ -185,14 +211,14 @@ let redrive t =
   Hashtbl.length t.pending
 
 let recover t =
-  Hashtbl.reset t.decided;
+  Decided.reset t.decided;
   Hashtbl.reset t.pending;
   let max_gid = ref 0 in
   Log.iter t.log (fun _ (r : Log_record.t) ->
       match r.body with
       | Decision { gid; participants } ->
           max_gid := Stdlib.max !max_gid gid;
-          List.iter (fun k -> Hashtbl.replace t.decided k gid) participants;
+          List.iter (fun k -> Decided.replace t.decided k gid) participants;
           if participants <> [] then
             Hashtbl.replace t.pending gid
               (List.mapi (fun i (s, x) -> (i, s, x)) participants)
@@ -225,14 +251,14 @@ let commit ?(chaos = fun () -> ()) t ~parts =
   | _ when List.length parts > max_participants ->
       invalid_arg "Twopc.commit: too many participants"
   | _ -> ());
-  Stats.incr t.stats "2pc.begins";
+  Stats.bump t.c.begins;
   let gid = t.next_gid in
   t.next_gid <- gid + 1;
   let votes =
     Span.with_span ~kind:"2pc.prepare" @@ fun () ->
     List.mapi
       (fun idx (shard, txn, updates) ->
-        Stats.incr t.stats "2pc.prepares_sent";
+        Stats.bump t.c.prepares_sent;
         Span.advance_ns vote_work_ns;
         let rid = prepare_rid ~gid ~idx in
         match
@@ -240,10 +266,10 @@ let commit ?(chaos = fun () -> ()) t ~parts =
             (Remote.Prepare { rid; txn; coordinator = t.id; updates })
         with
         | Remote.R_vote true ->
-            Stats.incr t.stats "2pc.votes_yes";
+            Stats.bump t.c.votes_yes;
             `Yes
         | Remote.R_vote false ->
-            Stats.incr t.stats "2pc.votes_no";
+            Stats.bump t.c.votes_no;
             `No
         | _ -> `No_answer
         | exception (Rpc.Unreachable _ | Rpc.Exhausted _) ->
@@ -260,15 +286,15 @@ let commit ?(chaos = fun () -> ()) t ~parts =
     let pl = List.map (fun (s, x, _) -> (s, x)) parts in
     let lsn = Log.append t.log { prev_lsn = 0; body = Decision { gid; participants = pl } } in
     force t lsn;
-    List.iter (fun k -> Hashtbl.replace t.decided k gid) pl;
+    List.iter (fun k -> Decided.replace t.decided k gid) pl;
     Hashtbl.replace t.pending gid (List.mapi (fun i (s, x) -> (i, s, x)) pl);
-    Stats.incr t.stats "2pc.decisions_logged";
+    Stats.bump t.c.decisions_logged;
     if Fault.fire "2pc.coord.crash_decided" then begin
       crash t;
       raise Crashed
     end;
     decide_round t gid;
-    Stats.incr t.stats "2pc.commits";
+    Stats.bump t.c.commits;
     `Committed
   end
   else begin
@@ -288,6 +314,6 @@ let commit ?(chaos = fun () -> ()) t ~parts =
             with Rpc.Unreachable _ | Rpc.Exhausted _ -> ())
         | `No -> ())
       (List.combine parts votes);
-    Stats.incr t.stats "2pc.aborts";
+    Stats.bump t.c.aborts;
     `Aborted
   end

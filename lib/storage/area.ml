@@ -31,7 +31,15 @@ type t = {
   mutable growable : bool;
   backend : backend;
   stats : Bess_util.Stats.t;
+  c_page_reads : Bess_util.Stats.counter;
+  c_page_writes : Bess_util.Stats.counter;
 }
+
+let make ~id ~page_size ~extent_order ~growable backend =
+  let stats = Bess_util.Stats.create () in
+  { id; page_size; extent_order; extents = [||]; growable; backend; stats;
+    c_page_reads = Bess_util.Stats.counter stats "area.page_reads";
+    c_page_writes = Bess_util.Stats.counter stats "area.page_writes" }
 
 let magic = "BESSAREA"
 
@@ -52,7 +60,7 @@ let free_pages t =
 (* ---- Backend page I/O -------------------------------------------------- *)
 
 let backend_read t pageno buf =
-  Bess_util.Stats.incr t.stats "area.page_reads";
+  Bess_util.Stats.bump t.c_page_reads;
   match t.backend with
   | Memory m ->
       if pageno >= m.used then Bytes.fill buf 0 t.page_size '\000'
@@ -70,7 +78,7 @@ let backend_read t pageno buf =
       read_all 0
 
 let backend_write t pageno buf =
-  Bess_util.Stats.incr t.stats "area.page_writes";
+  Bess_util.Stats.bump t.c_page_writes;
   match t.backend with
   | Memory m ->
       if pageno >= Array.length m.pages then begin
@@ -205,10 +213,7 @@ let create ?(page_size = 4096) ?(extent_order = 8) ?(initial_extents = 1) ~id ba
         let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
         File { fd; path }
   in
-  let t =
-    { id; page_size; extent_order; extents = [||]; growable = true; backend;
-      stats = Bess_util.Stats.create () }
-  in
+  let t = make ~id ~page_size ~extent_order ~growable:true backend in
   for _ = 1 to initial_extents do
     add_extent t
   done;
@@ -231,10 +236,7 @@ let open_file ~id path =
   let extent_order = Bess_util.Codec.get_u32 probe 16 in
   let n = Bess_util.Codec.get_u32 probe 20 in
   let growable = Bess_util.Codec.get_u32 probe 24 = 1 in
-  let t =
-    { id; page_size; extent_order; extents = [||]; growable; backend = File { fd; path };
-      stats = Bess_util.Stats.create () }
-  in
+  let t = make ~id ~page_size ~extent_order ~growable (File { fd; path }) in
   t.extents <- Array.init n (fun i -> load_extent t i);
   t
 

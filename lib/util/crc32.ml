@@ -1,28 +1,25 @@
 (* CRC-32 (IEEE 802.3 polynomial, reflected) used to checksum WAL records
-   and storage-area superblocks. Table-driven, one table computed once. *)
+   and storage-area superblocks. Table-driven, one table computed once.
+   The running value lives in a native int (the low 32 bits), so the inner
+   loop neither boxes nor bounds-checks: [update] checks its range once. *)
 
 let table =
-  lazy
-    (let t = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
 
 let update crc b off len =
-  let t = Lazy.force table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Crc32.update";
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
   for i = off to off + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl) in
-    c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8)
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let bytes ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in

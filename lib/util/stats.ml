@@ -27,7 +27,11 @@ let find t name =
       r
 
 let incr t name = incr (find t name)
-let add t name n = find t name := !(find t name) + n
+
+let add t name n =
+  let r = find t name in
+  r := !r + n
+
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 let set t name v = find t name := v
 
@@ -47,10 +51,17 @@ let cell c =
   c.cell
 
 let bump c = Stdlib.incr (cell c)
+
+let bump_by c n =
+  let r = cell c in
+  r := !r + n
+
 let value c = if c.cell == unresolved then get c.owner c.name else !(c.cell)
+let assign c v = cell c := v
 
 (* Labeled counters: one counter per (name, label) pair. *)
 let labeled_key name label = name ^ "{" ^ label ^ "}"
+let labeled_counter t name ~label = counter t (labeled_key name label)
 let incr_labeled t name ~label = incr t (labeled_key name label)
 let add_labeled t name ~label n = add t (labeled_key name label) n
 let get_labeled t name ~label = get t (labeled_key name label)
@@ -66,6 +77,21 @@ let histogram t name =
       h
 
 let observe t name v = Histogram.observe (histogram t name) v
+
+(* Histogram handles, resolved like counter handles: on the first
+   [record], so a handle nobody records into adds no key. [reset] empties
+   histograms in place, so a resolved handle stays valid. *)
+type hist = { h_owner : t; h_name : string; mutable h : Histogram.t option }
+
+let hist t name = { h_owner = t; h_name = name; h = None }
+
+let record hh v =
+  match hh.h with
+  | Some h -> Histogram.observe h v
+  | None ->
+      let h = histogram hh.h_owner hh.h_name in
+      hh.h <- Some h;
+      Histogram.observe h v
 let find_histogram t name = Hashtbl.find_opt t.hists name
 
 let histograms t =

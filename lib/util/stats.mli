@@ -20,12 +20,21 @@ type counter
 val counter : t -> string -> counter
 val bump : counter -> unit
 
+(** [bump_by c n] is [add t name n] for the handle's counter. *)
+val bump_by : counter -> int -> unit
+
 (** [value c] is [get t name] for the handle's counter. *)
 val value : counter -> int
+
+(** [assign c v] is [set t name v] for the handle's counter. *)
+val assign : counter -> int -> unit
 
 (** Labeled counters: one counter per (name, label) pair, stored under
     the prometheus-style key [name{label}]. *)
 val incr_labeled : t -> string -> label:string -> unit
+
+(** A {!counter} handle on the labeled counter [name{label}]. *)
+val labeled_counter : t -> string -> label:string -> counter
 
 val add_labeled : t -> string -> label:string -> int -> unit
 val get_labeled : t -> string -> label:string -> int
@@ -37,6 +46,16 @@ val histogram : t -> string -> Histogram.t
 
 (** [observe t name v] records one sample into the named histogram. *)
 val observe : t -> string -> int -> unit
+
+(** A handle on one named histogram of a [t], resolved on the first
+    {!record} like a {!counter}: until then it adds no key, so an
+    untouched histogram stays out of {!histograms}. *)
+type hist
+
+val hist : t -> string -> hist
+
+(** [record h v] is [observe t name v] for the handle's histogram. *)
+val record : hist -> int -> unit
 
 val find_histogram : t -> string -> Histogram.t option
 

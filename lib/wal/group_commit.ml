@@ -29,6 +29,7 @@
    — the commit was never acknowledged and recovery rolls it back. *)
 
 module Span = Bess_obs.Span
+module Stats = Bess_util.Stats
 
 type policy = Immediate | Group_n of int | Window of int
 
@@ -46,6 +47,10 @@ type t = {
                               backlog gauge read this every registration, and a
                               List.length there is O(group) per commit *)
   mutable window_start : int; (* span clock at oldest pending; -1 when none *)
+  (* Kept in the log's stats. *)
+  c_forces : Stats.counter;
+  h_commits_per_force : Stats.hist;
+  h_force_wait : Stats.hist;
 }
 
 exception Lost_ticket
@@ -80,7 +85,13 @@ let policy_of_string s =
           | _ -> Error (Printf.sprintf "bad group-commit policy %S" s)))
 
 let create ?(policy = Immediate) log =
-  let t = { log; policy; pending = []; n_pending = 0; window_start = -1 } in
+  let st = Log.stats log in
+  let t =
+    { log; policy; pending = []; n_pending = 0; window_start = -1;
+      c_forces = Stats.counter st "wal.group.forces";
+      h_commits_per_force = Stats.hist st "wal.group.commits_per_force";
+      h_force_wait = Stats.hist st "wal.force_wait_ticks" }
+  in
   Bess_obs.Registry.register_gauge "wal" "wal.pending_tickets" (fun () -> t.n_pending);
   t
 
@@ -101,11 +112,10 @@ let release_durable t =
       | [] -> ()
       | _ ->
           let now = Span.now_ns () in
-          let st = stats t in
           List.iter
             (fun tk ->
               tk.tk_released <- true;
-              Bess_util.Stats.observe st "wal.force_wait_ticks" (now - tk.tk_registered_ns))
+              Stats.record t.h_force_wait (now - tk.tk_registered_ns))
             released);
       t.pending <- kept;
       t.n_pending <- List.length kept;
@@ -130,9 +140,8 @@ let force t =
             ~attrs:
               (if Span.enabled () then [ ("committers", string_of_int n) ] else [])
             flush);
-      let st = stats t in
-      Bess_util.Stats.incr st "wal.group.forces";
-      Bess_util.Stats.observe st "wal.group.commits_per_force" n;
+      Stats.bump t.c_forces;
+      Stats.record t.h_commits_per_force n;
       release_durable t
 
 (* Register a durability ticket for [lsn] and let the policy decide

@@ -7,6 +7,7 @@
    experiments can report group-commit-style savings. *)
 
 module Span = Bess_obs.Span
+module Stats = Bess_util.Stats
 
 (* Simulated cost of the fsync behind a log force, charged to the span
    clock so wal.force spans dominate commit timelines the way a real
@@ -19,33 +20,39 @@ type t = {
   mutable flushed : int; (* bytes durable; LSN <= flushed is safe *)
   mutable last_lsn : int;
   backing : Unix.file_descr option;
-  stats : Bess_util.Stats.t;
+  stats : Stats.t;
+  c_appends : Stats.counter;
+  c_bytes : Stats.counter;
+  h_append_bytes : Stats.hist;
+  c_forces : Stats.counter;
+  c_forced_bytes : Stats.counter;
 }
 
 let base = 1 (* first LSN *)
 
-let make_stats () =
-  let stats = Bess_util.Stats.create () in
+let make ~buf ~used ~backing =
+  let stats = Stats.create () in
   (* Eager: the append-size distribution is part of every report even
      before the first record. *)
-  ignore (Bess_util.Stats.histogram stats "log.append_bytes");
+  ignore (Stats.histogram stats "log.append_bytes");
   Bess_obs.Registry.register_stats "wal" stats;
-  stats
-
-let register_gauges t =
+  let t =
+    { buf; used; flushed = used; last_lsn = 0; backing; stats;
+      c_appends = Stats.counter stats "log.appends";
+      c_bytes = Stats.counter stats "log.bytes";
+      h_append_bytes = Stats.hist stats "log.append_bytes";
+      c_forces = Stats.counter stats "log.forces";
+      c_forced_bytes = Stats.counter stats "log.forced_bytes" }
+  in
   Bess_obs.Registry.register_gauge "wal" "wal.unflushed_bytes" (fun () ->
-      t.used - t.flushed)
+      t.used - t.flushed);
+  t
 
 let create ?path () =
   let backing =
     Option.map (fun p -> Unix.openfile p [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644) path
   in
-  let t =
-    { buf = Bytes.create 4096; used = 0; flushed = 0; last_lsn = 0; backing;
-      stats = make_stats () }
-  in
-  register_gauges t;
-  t
+  make ~buf:(Bytes.create 4096) ~used:0 ~backing
 
 let stats t = t.stats
 let last_lsn t = t.last_lsn
@@ -69,9 +76,9 @@ let append t (record : Log_record.t) =
       Bytes.blit image 0 t.buf t.used (Bytes.length image);
       t.used <- t.used + Bytes.length image;
       t.last_lsn <- lsn;
-      Bess_util.Stats.incr t.stats "log.appends";
-      Bess_util.Stats.add t.stats "log.bytes" (Bytes.length image);
-      Bess_util.Stats.observe t.stats "log.append_bytes" (Bytes.length image);
+      Stats.bump t.c_appends;
+      Stats.bump_by t.c_bytes (Bytes.length image);
+      Stats.record t.h_append_bytes (Bytes.length image);
       lsn)
 
 let write_backing t ~from ~upto =
@@ -112,20 +119,20 @@ let flush t ?lsn () =
         let rec attempt n =
           Span.advance_ns force_ns;
           if Bess_fault.Fault.fire "wal.force.eio" then begin
-            Bess_util.Stats.incr t.stats "log.force_errors";
+            Stats.incr t.stats "log.force_errors";
             if n >= 3 then raise (Bess_fault.Fault.Injected "wal.force: persistent I/O error");
             attempt (n + 1)
           end
           else begin
             let partial =
               if Bess_fault.Fault.fire "wal.force.torn" then begin
-                Bess_util.Stats.incr t.stats "log.torn_forces";
+                Stats.incr t.stats "log.torn_forces";
                 Some
                   (Stdlib.max t.flushed
                      (t.used - 1 - Bess_fault.Fault.draw "wal.force.torn" ~bound:16))
               end
               else if Bess_fault.Fault.fire "wal.force.short" then begin
-                Bess_util.Stats.incr t.stats "log.short_forces";
+                Stats.incr t.stats "log.short_forces";
                 Some (t.flushed + ((t.used - t.flushed) / 2))
               end
               else None
@@ -135,16 +142,16 @@ let flush t ?lsn () =
                 write_backing t ~from:t.flushed ~upto;
                 (* Partial or not, bytes that reached the platter count
                    toward write amplification. *)
-                Bess_util.Stats.add t.stats "log.forced_bytes" (upto - t.flushed);
+                Stats.bump_by t.c_forced_bytes (upto - t.flushed);
                 t.flushed <- upto;
                 if n >= 3 then
                   raise (Bess_fault.Fault.Injected "wal.force: torn write, retries exhausted");
                 attempt (n + 1)
             | _ ->
                 write_backing t ~from:t.flushed ~upto:t.used;
-                Bess_util.Stats.add t.stats "log.forced_bytes" (t.used - t.flushed);
+                Stats.bump_by t.c_forced_bytes (t.used - t.flushed);
                 t.flushed <- t.used;
-                Bess_util.Stats.incr t.stats "log.forces"
+                Stats.bump t.c_forces
           end
         in
         attempt 1)
@@ -217,11 +224,7 @@ let open_existing path =
     end
   in
   read_all 0;
-  let t =
-    { buf; used = len; flushed = len; last_lsn = 0; backing = Some fd;
-      stats = make_stats () }
-  in
-  register_gauges t;
+  let t = make ~buf ~used:len ~backing:(Some fd) in
   (* Find the valid prefix: walk the records with [decode], whose [next]
      offset already delimits each one — no re-encoding, and no dependency
      on encode/decode round-trip stability. *)
@@ -242,6 +245,6 @@ let open_existing path =
   if !valid < len then begin
     Unix.ftruncate fd !valid;
     Bytes.fill buf !valid (Bytes.length buf - !valid) '\000';
-    Bess_util.Stats.incr t.stats "log.reopen_truncations"
+    Stats.incr t.stats "log.reopen_truncations"
   end;
   t

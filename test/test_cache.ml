@@ -213,6 +213,80 @@ let prop_two_level_invariants =
       Two_level.check_invariants tl;
       true)
 
+(* The free-slot choice against the full scan it replaced. Random
+   load/discard/rekey sequences over a small cache, with some loads left
+   pinned and the default victim chooser evicting when no slot is free.
+   Before each miss the model predicts the slot: the lowest-index
+   unmapped, unpinned one (the old scan), else the chooser's victim;
+   after each step [n_unmapped] must equal the unmapped slots counted
+   one by one. *)
+type cache_op = Load of int * bool (* page, keep pinned *) | Unpin | Discard of int | Rekey of int * int
+
+let cache_op_gen =
+  let open QCheck.Gen in
+  let page = int_bound 11 in
+  frequency
+    [ (6, map2 (fun p pin -> Load (p, pin)) page (map (fun n -> n = 0) (int_bound 3)));
+      (2, return Unpin); (2, map (fun p -> Discard p) page);
+      (1, map2 (fun a b -> Rekey (a, b)) page page) ]
+
+let show_cache_op = function
+  | Load (p, pin) -> Printf.sprintf "Load(%d,%b)" p pin
+  | Unpin -> "Unpin"
+  | Discard p -> Printf.sprintf "Discard %d" p
+  | Rekey (a, b) -> Printf.sprintf "Rekey(%d,%d)" a b
+
+let prop_free_slot_matches_scan =
+  QCheck.Test.make ~name:"free slot equals the old scan" ~count:300
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "nslots=%d [%s]" n (String.concat "; " (List.map show_cache_op ops)))
+       QCheck.Gen.(pair (1 -- 6) (list_size (0 -- 60) cache_op_gen)))
+    (fun (nslots, ops) ->
+      let c = Cache.create ~nslots ~page_size:16 in
+      let slots () = List.init nslots (Cache.slot c) in
+      let first p = List.find_opt p (slots ()) in
+      let old_scan () = first (fun s -> s.Cache.page = None && s.Cache.pins = 0) in
+      let victim () = first (fun s -> s.Cache.pins = 0 && s.Cache.refcount = 0) in
+      let pinned = ref [] in
+      let step = function
+        | Load (p, keep) -> (
+            let expected =
+              match Cache.find_slot c (pid p) with
+              | Some s -> Some s
+              | None -> ( match old_scan () with Some s -> Some s | None -> victim ())
+            in
+            match Cache.load c (pid p) ~fill:ignore with
+            | s ->
+                if Option.map (fun e -> e.Cache.index) expected <> Some s.Cache.index then
+                  QCheck.Test.fail_reportf "load %d took slot %d" p s.Cache.index;
+                if keep then pinned := s :: !pinned else Cache.unpin c s
+            | exception Cache.Cache_full ->
+                if expected <> None then QCheck.Test.fail_reportf "load %d: spurious Cache_full" p)
+        | Unpin -> (
+            match !pinned with
+            | s :: rest ->
+                Cache.unpin c s;
+                pinned := rest
+            | [] -> ())
+        | Discard p -> (
+            match Cache.find_slot c (pid p) with
+            | Some s when s.Cache.pins = 0 -> Cache.discard c (pid p)
+            | _ -> ())
+        | Rekey (a, b) ->
+            if Cache.find_slot c (pid a) <> None && Cache.find_slot c (pid b) = None then
+              Cache.rekey c ~old_page:(pid a) ~new_page:(pid b)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          let unmapped = List.length (List.filter (fun s -> s.Cache.page = None) (slots ())) in
+          if Cache.n_unmapped c <> unmapped then
+            QCheck.Test.fail_reportf "after %s: n_unmapped %d, slots %d" (show_cache_op op)
+              (Cache.n_unmapped c) unmapped)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "load_hit_miss" `Quick test_load_hit_miss;
@@ -228,4 +302,5 @@ let suite =
     Alcotest.test_case "smt_stable" `Quick test_smt_stable_assignment;
     Alcotest.test_case "smt_svma" `Quick test_smt_svma_arithmetic;
     QCheck_alcotest.to_alcotest prop_two_level_invariants;
+    QCheck_alcotest.to_alcotest prop_free_slot_matches_scan;
   ]

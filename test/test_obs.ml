@@ -196,6 +196,37 @@ let test_event_feeds_trace () =
   | _ -> Alcotest.fail "commit not traced");
   Alcotest.(check int) "both events recorded" 2 (Trace.length tr)
 
+(* The lock grant event carries the resource itself; the ring renders
+   it on read, and the text is what the pre-formatted payload was. *)
+let test_lock_grant_trace_detail () =
+  let server = Bess.Db.server (Bess.Db.create_memory ~db_id:310 ()) in
+  let tr = Trace.create ~capacity:8 () in
+  Bess.Event.set_trace (Bess.Server.hooks server) (Some tr);
+  let txn = Bess.Server.begin_txn server ~client:1 in
+  let r = Bess_lock.Lock_mgr.page_resource ~area:3 ~page:7 in
+  Alcotest.(check bool) "granted" true
+    (Bess.Server.lock server ~txn r Bess_lock.Lock_mode.X = `Granted);
+  match Trace.find tr ~kind:"lock_acquired" with
+  | [ e ] ->
+      Alcotest.(check string) "rendered detail" (Printf.sprintf "txn=%d resource=page(3,7)" txn)
+        e.Trace.detail
+  | l -> Alcotest.failf "expected one lock_acquired entry, got %d" (List.length l)
+
+(* Details are rendered when the ring is read, never for an entry the
+   filter dropped. *)
+let test_trace_renders_on_read () =
+  let tr = Trace.create ~capacity:4 () in
+  let dropped = ref 0 and kept = ref 0 in
+  Trace.set_filter tr (Some [ "kept" ]);
+  Trace.record_lazy tr ~kind:"dropped" (fun () -> incr dropped; "d");
+  Trace.record_lazy tr ~kind:"kept" (fun () -> incr kept; "k");
+  Alcotest.(check int) "nothing rendered at record time" 0 (!dropped + !kept);
+  Alcotest.(check (list string)) "kept entry" [ "k" ]
+    (List.map (fun e -> e.Trace.detail) (Trace.to_list tr));
+  Alcotest.(check int) "kept entry rendered on read" 1 !kept;
+  Alcotest.(check int) "dropped entry never rendered" 0 !dropped;
+  Alcotest.(check int) "clock still counts the dropped record" 2 (Trace.clock tr)
+
 (* Regression: hooks must run in registration order even when many are
    attached to one event (the old list-append registration was quadratic
    and a natural "fix" -- prepending -- would reverse execution order). *)
@@ -383,7 +414,7 @@ let test_metric_names_hygienic () =
   in
   let stats_lines =
     Lib_sources.matches
-      {|Stats\.\(incr\|add\|set\|observe\|incr_labeled\|add_labeled\|histogram\|counter\)[^"]*"[a-z0-9_.]+"|}
+      {|Stats\.\(incr\|add\|set\|observe\|incr_labeled\|add_labeled\|histogram\|counter\|labeled_counter\|hist\)[^"]*"[a-z0-9_.]+"|}
   in
   (* A registration names its namespace, then the gauge: keep the last
      literal. *)
@@ -451,6 +482,8 @@ let suite =
     Alcotest.test_case "counter_handles_with_fresh" `Quick test_counter_handles_with_fresh;
     Alcotest.test_case "trace_with_fresh" `Quick test_trace_with_fresh;
     Alcotest.test_case "event_feeds_trace" `Quick test_event_feeds_trace;
+    Alcotest.test_case "lock_grant_trace_detail" `Quick test_lock_grant_trace_detail;
+    Alcotest.test_case "trace_renders_on_read" `Quick test_trace_renders_on_read;
     Alcotest.test_case "hook_order_preserved" `Quick test_hook_order_preserved;
     Alcotest.test_case "no_build_artifacts_tracked" `Quick test_no_build_artifacts_tracked;
     Alcotest.test_case "registry_gauges" `Quick test_registry_gauges;

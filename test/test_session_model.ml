@@ -260,13 +260,16 @@ let prop_session_model =
 
 (* Fixed sequences the random ones reach only sometimes: an object
    deleted, resurrected by abort and then linked from (the abort must
-   invalidate the reference map built while its slot was free), and a
-   resize between links. *)
+   invalidate the reference map built while its slot was free), a
+   resize between links, and resizes that recycle a freed data segment
+   whose pages the server still caches (a write of zeros into it must
+   reach a fresh session, not the previous tenant's cached bytes). *)
 let test_pinned_sequences () =
   List.iter
     (fun ops -> ignore (run_scenario ops))
     [ [ Create 1; Create 2; Commit; Delete 0; Abort; Link (0, 1) ];
-      [ Create 1; Create 2; Link (0, 1); Resize; Link (1, 0); Abort; Link (0, 0) ] ]
+      [ Create 1; Create 2; Link (0, 1); Resize; Link (1, 0); Abort; Link (0, 0) ];
+      [ Resize; Create 87; Resize; Resize; Write (8, 0); Resize ] ]
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_session_model;

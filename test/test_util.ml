@@ -107,6 +107,33 @@ let test_stats_counter_handles () =
   Alcotest.(check int) "idle handle reads 0" 0 (Stats.value idle);
   Alcotest.(check (list (pair string int))) "idle handle adds no key" [ ("a", 1) ] (Stats.to_list s)
 
+(* The other handle kinds: [bump_by]/[assign] on counters, labeled
+   handles, and histogram handles, which add no key until the first
+   [record] and stay valid across [reset]. *)
+let test_stats_hist_handles () =
+  let s = Stats.create () in
+  let bytes = Stats.counter s "bytes" and peak = Stats.counter s "peak" in
+  Stats.bump_by bytes 5;
+  Stats.add s "bytes" 2;
+  Alcotest.(check int) "bump_by and add share one counter" 7 (Stats.get s "bytes");
+  Stats.assign peak 9;
+  Alcotest.(check int) "assign is set" 9 (Stats.get s "peak");
+  let route = Stats.labeled_counter s "calls" ~label:"1->2" in
+  Stats.bump route;
+  Stats.incr_labeled s "calls" ~label:"1->2";
+  Alcotest.(check int) "labeled handle" 2 (Stats.get_labeled s "calls" ~label:"1->2");
+  let lat = Stats.hist s "lat" in
+  Alcotest.(check (list string)) "no histogram before the first record" []
+    (List.map fst (Stats.histograms s));
+  Stats.record lat 10;
+  Stats.observe s "lat" 30;
+  let h = Option.get (Stats.find_histogram s "lat") in
+  Alcotest.(check int) "handle and name share one histogram" 2 (Histogram.count h);
+  Stats.reset s;
+  Stats.record lat 20;
+  Alcotest.(check int) "handle survives reset" 1 (Histogram.count h);
+  Alcotest.(check int) "same samples" 20 (Histogram.sum h)
+
 let test_histogram () =
   let h = Histogram.create () in
   List.iter (Histogram.observe h) [ 1; 2; 3; 4; 100; 1000 ];
@@ -178,6 +205,69 @@ let prop_crc_concat =
       in
       whole = stepped)
 
+(* CRC-32 one bit at a time, straight from the polynomial: the
+   reference the table-driven [Crc32.update] must match. *)
+let crc_bitwise crc b off len =
+  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  for i = off to off + len - 1 do
+    c := Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)));
+    for _ = 0 to 7 do
+      if Int32.logand !c 1l <> 0l then
+        c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+      else c := Int32.shift_right_logical !c 1
+    done
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_crc_update_edges () =
+  let b = Bytes.of_string "xx123456789yy" in
+  Alcotest.(check int) "check value through an offset" 0xCBF43926
+    (Crc32.to_int (Crc32.update 0l b 2 9));
+  Alcotest.(check int) "reference agrees" 0xCBF43926 (Crc32.to_int (crc_bitwise 0l b 2 9));
+  Alcotest.(check int) "chained halves" 0xCBF43926
+    (Crc32.to_int (Crc32.update (Crc32.update 0l b 2 4) b 6 5));
+  Alcotest.(check int32) "empty range at the end" 7l (Crc32.update 7l b (Bytes.length b) 0);
+  List.iter
+    (fun (off, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "off=%d len=%d rejected" off len)
+        true
+        (raises_invalid (fun () -> Crc32.update 0l b off len)))
+    [ (-1, 1); (0, -1); (0, Bytes.length b + 1); (Bytes.length b + 1, 0); (5, Bytes.length b);
+      (max_int, 1) ]
+
+(* Random ranges around a random buffer, some reaching past either end,
+   from a random running value: an in-range update equals the bitwise
+   reference and two chained updates split anywhere; an out-of-range one
+   raises. *)
+let crc_case =
+  let open QCheck.Gen in
+  let* str = string_size (0 -- 300) in
+  let n = String.length str in
+  let* off = int_range (-2) (n + 2) in
+  let* len = int_range (-2) (Stdlib.max 0 (n - off) + 2) in
+  let* crc = ui32 in
+  let+ cut = nat in
+  (str, crc, off, len, cut)
+
+let prop_crc_reference =
+  QCheck.Test.make ~name:"crc update equals the bitwise reference" ~count:500
+    (QCheck.make
+       ~print:(fun (str, crc, off, len, cut) ->
+         Printf.sprintf "%S crc=%ld off=%d len=%d cut=%d" str crc off len cut)
+       crc_case)
+    (fun (str, crc, off, len, cut) ->
+      let b = Bytes.of_string str in
+      if off < 0 || len < 0 || off + len > Bytes.length b then
+        raises_invalid (fun () -> Crc32.update crc b off len)
+      else
+        let k = cut mod (len + 1) in
+        let one = Crc32.update crc b off len in
+        one = crc_bitwise crc b off len
+        && one = Crc32.update (Crc32.update crc b off k) b (off + k) (len - k))
+
 let suite =
   [
     Alcotest.test_case "prng_deterministic" `Quick test_prng_deterministic;
@@ -189,9 +279,12 @@ let suite =
     Alcotest.test_case "crc_detects_change" `Quick test_crc_detects_change;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "stats_counter_handles" `Quick test_stats_counter_handles;
+    Alcotest.test_case "stats_hist_handles" `Quick test_stats_hist_handles;
+    Alcotest.test_case "crc_update_edges" `Quick test_crc_update_edges;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "histogram interpolation" `Quick test_histogram_interpolation;
     QCheck_alcotest.to_alcotest prop_codec_u32;
     QCheck_alcotest.to_alcotest prop_codec_i64;
     QCheck_alcotest.to_alcotest prop_crc_concat;
+    QCheck_alcotest.to_alcotest prop_crc_reference;
   ]
