@@ -18,6 +18,7 @@ module Page_id = Bess_cache.Page_id
 module Fault = Bess_fault.Fault
 module Driver = Bess_sched.Driver
 module Planes = Bess_sched.Planes
+module Torture = Bess_sched.Torture
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
@@ -884,93 +885,6 @@ let e11 () =
       [ "policy"; "txns"; "forces"; "forces/txn"; "commits/force"; "commit wait"; "sim ns/txn" ]
     (List.rev !rows)
 
-(* ---- The chaos rig (E12, E13) ----------------------------------------------- *)
-
-(* [n_clients] remote fetchers over a simulated network against a fresh
-   db committing through group:2, racing on one scratch page. *)
-let chaos_rig n_clients =
-  let db = Workloads.fresh_db () in
-  let server = Bess.Db.server db in
-  Bess.Server.set_group_policy server (Bess_wal.Group_commit.Group_n 2);
-  let s = Bess.Db.session db in
-  Bess.Session.begin_txn s;
-  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
-  Bess.Session.commit s;
-  Bess.Session.drop_all_cached s;
-  let page =
-    { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
-      page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page }
-  in
-  let net = Bess.Remote.network () in
-  Bess.Remote.serve net server;
-  let fetchers =
-    Array.init n_clients (fun i ->
-        Bess.Remote.fetcher net ~client_id:(3000 + i) ~server_id:(Bess.Db.db_id db))
-  in
-  (server, page, net, fetchers)
-
-(* [rounds] commit rounds in which client i writes [value i round] into
-   its own 8-byte slot of [page]. Ack classification as in the torture
-   suite: a returned barrier is ACKED (durable by contract); an
-   exception anywhere past commit_begin is INDETERMINATE -- the commit
-   point may have been passed, so the value may or may not survive. A
-   later ack on the slot resolves earlier indeterminates (prefix
-   durability). Returns the last ack and the open indeterminates per
-   slot, and the ack and indeterminate counts. *)
-let commit_rounds fetchers page ~rounds ~value =
-  let n_clients = Array.length fetchers in
-  let acked = Array.make n_clients 0 in
-  let maybes = Array.make n_clients [] in
-  let acked_n = ref 0 and maybe_n = ref 0 in
-  for round = 1 to rounds do
-    for i = 0 to n_clients - 1 do
-      let f = fetchers.(i) in
-      let v = value i round in
-      match f.Bess.Fetcher.f_begin () with
-      | exception _ -> ()
-      | txn -> (
-          match
-            let bytes = f.Bess.Fetcher.f_fetch_page ~txn page ~mode:Bess_lock.Lock_mode.X in
-            let after = Bytes.create 8 in
-            Bess_util.Codec.set_i64 after 0 v;
-            ({ Bess.Server.page; offset = i * 8;
-               before = Bytes.sub bytes (i * 8) 8; after }
-              : Bess.Server.update)
-          with
-          | exception _ -> ( try f.Bess.Fetcher.f_abort ~txn with _ -> ())
-          | u -> (
-              match f.Bess.Fetcher.f_commit_begin ~txn [ u ] with
-              | barrier -> (
-                  match barrier () with
-                  | () ->
-                      incr acked_n;
-                      acked.(i) <- v;
-                      maybes.(i) <- []
-                  | exception _ ->
-                      incr maybe_n;
-                      maybes.(i) <- v :: maybes.(i))
-              | exception _ ->
-                  incr maybe_n;
-                  maybes.(i) <- v :: maybes.(i);
-                  (try f.Bess.Fetcher.f_abort ~txn with _ -> ())))
-    done
-  done;
-  (acked, maybes, !acked_n, !maybe_n)
-
-(* Crash and recover the server, then count the slots holding neither
-   their last ack nor one of their open indeterminates. *)
-let lost_after_recovery server page ~acked ~maybes =
-  Bess.Server.crash server;
-  ignore (Bess.Server.recover server);
-  let bytes = Bess.Server.read_page server page in
-  let violations = ref 0 in
-  Array.iteri
-    (fun i last ->
-      let v = Bess_util.Codec.get_i64 bytes (i * 8) in
-      if not (List.mem v (last :: maybes.(i))) then incr violations)
-    acked;
-  !violations
-
 (* ---- E12: chaos sweep ------------------------------------------------------ *)
 
 (* Robustness tentpole: deterministic fault injection swept over many
@@ -986,7 +900,7 @@ let e12 () =
   let n_clients = 4 in
   let rounds = 6 in
   let seeds = scale 50 in
-  let rows = ref [] in
+  let rows = ref [] and verdicts = ref [] in
   List.iter
     (fun profile ->
       let sites = List.assoc profile Fault.profiles in
@@ -994,26 +908,27 @@ let e12 () =
       let violations = ref 0 and leaks = ref 0 in
       let retries = ref 0 and replays = ref 0 and fires = ref 0 in
       for run = 1 to seeds do
-        let server, page, net, fetchers = chaos_rig n_clients in
+        let rig = Torture.create (Workloads.fresh_db ()) ~client_base:3000 ~n_clients in
         (* The plane is disarmed before the crash: the invariant is about
            what the faulty workload left durable, not about faults during
            recovery. *)
-        let acked, maybes =
+        let acks =
           Planes.with_installed ~faults:(!fault_seed + run, sites) (fun () ->
-              let acked, maybes, a, m =
-                commit_rounds fetchers page ~rounds ~value:(fun i round ->
+              let acks =
+                Torture.commit_rounds rig ~rounds ~value:(fun i round ->
                     (run * 1000) + (i * 100) + round)
               in
-              acked_n := !acked_n + a;
-              maybe_n := !maybe_n + m;
               fires := !fires + Stats.get (Fault.stats ()) "fault.fires";
-              (acked, maybes))
+              acks)
         in
-        leaks := !leaks + Bess_lock.Lock_mgr.n_locks (Bess.Server.locks server);
-        retries := !retries + Stats.get (Bess_net.Net.stats net) "net.client_retries";
-        replays := !replays + Stats.get (Bess.Server.stats server) "server.dup_replays";
-        violations := !violations + lost_after_recovery server page ~acked ~maybes
+        acked_n := !acked_n + acks.Torture.n_acked;
+        maybe_n := !maybe_n + acks.Torture.n_maybe;
+        leaks := !leaks + Bess_lock.Lock_mgr.n_locks (Bess.Server.locks rig.Torture.server);
+        retries := !retries + Stats.get (Bess_net.Net.stats rig.Torture.net) "net.client_retries";
+        replays := !replays + Stats.get (Bess.Server.stats rig.Torture.server) "server.dup_replays";
+        violations := !violations + List.length (Torture.lost_after_recovery rig acks)
       done;
+      verdicts := (profile, !violations, !leaks) :: !verdicts;
       let total = float_of_int (seeds * n_clients * rounds) in
       rows :=
         [
@@ -1040,7 +955,12 @@ let e12 () =
         "dup replays"; "acked lost"; "locks leaked" ]
     (List.rev !rows);
   Report.note "seeds derive from --fault-seed (base %d); identical bases replay identical schedules"
-    !fault_seed
+    !fault_seed;
+  List.iter
+    (fun (profile, lost, leaked) ->
+      Report.gate (lost = 0 && leaked = 0) "e12: %s: %d acked commits lost, %d locks leaked: "
+        profile lost leaked)
+    (List.rev !verdicts)
 
 (* ---- E13: time-series of a commit workload under chaos ------------------- *)
 
@@ -1057,12 +977,13 @@ let e13 () =
   let rounds = scale 80 in
   let profile = "chaos" in
   let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:1_000_000 () in
-  let server, page, _, fetchers = chaos_rig n_clients in
-  let acked, maybes, acked_n, _ =
+  let rig = Torture.create (Workloads.fresh_db ()) ~client_base:3000 ~n_clients in
+  let acks =
     Planes.with_installed ~faults:(!fault_seed, List.assoc profile Fault.profiles) ~series
-      (fun () -> commit_rounds fetchers page ~rounds ~value:(fun i round -> (i * 1000) + round))
+      (fun () -> Torture.commit_rounds rig ~rounds ~value:(fun i round -> (i * 1000) + round))
   in
-  let violations = lost_after_recovery server page ~acked ~maybes in
+  let acked_n = acks.Torture.n_acked in
+  let violations = List.length (Torture.lost_after_recovery rig acks) in
   let samples = Bess_obs.Series.to_list series in
   let n_samples = List.length samples in
   (* Up to 10 evenly spaced windows keep the table readable; the JSON
@@ -1110,8 +1031,8 @@ let e13 () =
     | [] -> []
     | s :: _ -> List.map fst s.Bess_obs.Series.w_gauges
   in
-  Report.note "%d acked commits, %d violations after crash+recovery; %d gauges sampled \
-per window (%s)"
+  Report.gate (violations = 0) ~pass:"" ~fail:" -- FAILED"
+    "%d acked commits, %d violations after crash+recovery; %d gauges sampled per window (%s)"
     acked_n violations (List.length gauge_names)
     (String.concat ", " gauge_names);
   Report.artifact ~id:"e13" ~what:"series" ~section:"e13_series"

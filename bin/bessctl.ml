@@ -21,6 +21,7 @@
 open Cmdliner
 module Driver = Bess_sched.Driver
 module Planes = Bess_sched.Planes
+module Torture = Bess_sched.Torture
 
 let dir_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Database directory")
@@ -762,72 +763,23 @@ let chaos_cmd =
           ~critpath:(Bess_obs.Critpath.create ~top_k:8 ())
         @@ fun () ->
         with_db dir (fun db ->
-            let server = Bess.Db.server db in
-            Bess.Server.set_group_policy server (Bess_wal.Group_commit.Group_n 2);
-            (* A scratch segment so the torture never touches user data. *)
-            let s = Bess.Db.session db in
-            Bess.Session.begin_txn s;
-            let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
-            Bess.Session.commit s;
-            Bess.Session.drop_all_cached s;
-            let page =
-              { Bess_cache.Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
-                page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page }
-            in
-            let net = Bess.Remote.network () in
-            Bess.Remote.serve net server;
-            let fetchers =
-              Array.init n_clients (fun i ->
-                  Bess.Remote.fetcher net ~client_id:(4000 + i) ~server_id:(Bess.Db.db_id db))
-            in
+            (* A scratch page so the torture never touches user data. *)
+            let t = Torture.create db ~client_base:4000 ~n_clients in
+            let server = t.Torture.server in
             (* The plane is disarmed once the workload is reported; the
                recovery drill below runs fault-free. *)
-            let acked, maybes, leaked =
+            let acks, leaked =
             Planes.with_installed ~faults:(seed, sites) @@ fun () ->
-            let acked = Array.make n_clients 0 in
-            let maybes = Array.make n_clients [] in
-            let acked_n = ref 0 and maybe_n = ref 0 in
-            for round = 1 to rounds do
-              for i = 0 to n_clients - 1 do
-                let f = fetchers.(i) in
-                let v = (seed * 1000) + (i * 100) + round in
-                match f.Bess.Fetcher.f_begin () with
-                | exception _ -> ()
-                | txn -> (
-                    match
-                      let bytes =
-                        f.Bess.Fetcher.f_fetch_page ~txn page ~mode:Bess_lock.Lock_mode.X
-                      in
-                      let after = Bytes.create 8 in
-                      Bess_util.Codec.set_i64 after 0 v;
-                      ({ Bess.Server.page; offset = i * 8;
-                         before = Bytes.sub bytes (i * 8) 8; after }
-                        : Bess.Server.update)
-                    with
-                    | exception _ -> ( try f.Bess.Fetcher.f_abort ~txn with _ -> ())
-                    | u -> (
-                        match f.Bess.Fetcher.f_commit_begin ~txn [ u ] with
-                        | barrier -> (
-                            match barrier () with
-                            | () ->
-                                incr acked_n;
-                                acked.(i) <- v;
-                                maybes.(i) <- []
-                            | exception _ ->
-                                incr maybe_n;
-                                maybes.(i) <- v :: maybes.(i))
-                        | exception _ ->
-                            incr maybe_n;
-                            maybes.(i) <- v :: maybes.(i);
-                            (try f.Bess.Fetcher.f_abort ~txn with _ -> ())))
-              done
-            done;
+            let acks =
+              Torture.commit_rounds t ~rounds ~value:(fun i round ->
+                  (seed * 1000) + (i * 100) + round)
+            in
             let leaked = Bess_lock.Lock_mgr.n_locks (Bess.Server.locks server) in
             Printf.printf "chaos: profile %S, seed %d, %d clients x %d rounds\n" profile seed
               n_clients rounds;
             Printf.printf "  acked %d, indeterminate %d, client retries %d, dup replays %d\n"
-              !acked_n !maybe_n
-              (Bess_util.Stats.get (Bess_net.Net.stats net) "net.client_retries")
+              acks.Torture.n_acked acks.Torture.n_maybe
+              (Bess_util.Stats.get (Bess_net.Net.stats t.Torture.net) "net.client_retries")
               (Bess_util.Stats.get (Bess.Server.stats server) "server.dup_replays");
             Printf.printf "fault counters:\n";
             List.iter
@@ -846,22 +798,17 @@ let chaos_cmd =
             (match Bess_obs.Flightrec.dump ~reason:"chaos-workload" () with
             | Some path -> Printf.printf "flight recorder: %s\n" path
             | None -> ());
-            (acked, maybes, leaked)
+            (acks, leaked)
             in
             (* The recovery drill: every acked value must survive the
                crash. *)
-            Bess.Server.crash server;
-            ignore (Bess.Server.recover server);
-            let bytes = Bess.Server.read_page server page in
-            let violations = ref 0 in
-            for i = 0 to n_clients - 1 do
-              let v = Bess_util.Codec.get_i64 bytes (i * 8) in
-              if not (List.mem v (acked.(i) :: maybes.(i))) then begin
-                incr violations;
-                Printf.printf "  VIOLATION: slot %d recovered %d, last ack %d\n" i v acked.(i)
-              end
-            done;
-            if !violations = 0 && leaked = 0 then begin
+            let violations = Torture.lost_after_recovery t acks in
+            List.iter
+              (fun { Torture.slot; recovered; last_ack } ->
+                Printf.printf "  VIOLATION: slot %d recovered %d, last ack %d\n" slot recovered
+                  last_ack)
+              violations;
+            if violations = [] && leaked = 0 then begin
               Printf.printf "verdict: OK -- all acked commits survived recovery, no locks leaked\n";
               Printf.printf "flight recorder: crash/recovery dumps in %s (bessctl flightrec)\n"
                 frdir
@@ -870,8 +817,8 @@ let chaos_cmd =
               (match Bess_obs.Flightrec.dump ~reason:"chaos-failure" () with
               | Some path -> Printf.printf "flight recorder: %s\n" path
               | None -> ());
-              Printf.printf "verdict: FAILED (%d violations, %d leaked locks)\n" !violations
-                leaked;
+              Printf.printf "verdict: FAILED (%d violations, %d leaked locks)\n"
+                (List.length violations) leaked;
               exit 1
             end)
   in

@@ -32,10 +32,9 @@ let key_label k = Fmt.str "%a" Page_id.pp (Page_id.of_key k)
 let json_of_mrc ?max_size t = Mrc.json_of ?max_size t.mrc
 let json_of_heat ?k t = Heat.json_of ?k:(match k with Some k -> Some k | None -> Some t.top_k) ~key_label t.heat
 
-let install ?(rate_bits = 4) ?(heat_window_ns = 1_000_000) ?(heat_max_keys = 4096)
-    ?(top_k = 20) cache =
+let install ?(rate_bits = 4) ?(heat_window_ns = 1_000_000) ?(top_k = 20) cache =
   let mrc = Mrc.create ~rate_bits () in
-  let heat = Heat.create ~window_ns:heat_window_ns ~max_keys:heat_max_keys () in
+  let heat = Heat.create ~window_ns:heat_window_ns () in
   let t = { mrc; heat; cache; top_k } in
   Cache.set_access_hook cache
     (Some

@@ -11,13 +11,12 @@
 type t
 
 (** Attach the sketches to [cache]. [rate_bits] is the MRC spatial
-    sampling rate (2^-bits, default 4); [heat_window_ns] /
-    [heat_max_keys] configure the heat sketch; [top_k] bounds the heat
-    entries rendered into JSON artifacts (default 20). *)
+    sampling rate (2^-bits, default 4); [heat_window_ns] is the heat
+    sketch's decay window (it tracks at most 4096 pages); [top_k] bounds
+    the heat entries rendered into JSON artifacts (default 20). *)
 val install :
   ?rate_bits:int ->
   ?heat_window_ns:int ->
-  ?heat_max_keys:int ->
   ?top_k:int ->
   Cache.t ->
   t

@@ -25,7 +25,6 @@ let create ~n_vframes =
 
 let n_vframes t = Array.length t.pages
 let vframe_of t page = Page_id.Tbl.find_opt t.index page
-let page_at t vframe = t.pages.(vframe)
 let n_assigned t = Page_id.Tbl.length t.index
 
 (* Assign a virtual frame to [page]: the existing one if present, else an

@@ -12,7 +12,6 @@ type t
 val create : n_vframes:int -> t
 val n_vframes : t -> int
 val vframe_of : t -> Page_id.t -> int option
-val page_at : t -> int -> Page_id.t option
 val n_assigned : t -> int
 
 (** Assign a frame to a page — the existing one if present, else an

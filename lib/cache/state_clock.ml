@@ -20,9 +20,6 @@
 
 type state = Invalid | Protected | Accessible
 
-let pp_state ppf s =
-  Fmt.string ppf (match s with Invalid -> "invalid" | Protected -> "protected" | Accessible -> "accessible")
-
 type t = {
   states : state array;
   slots : int array; (* backing slot per vframe; -1 = none *)

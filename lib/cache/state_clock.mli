@@ -12,8 +12,6 @@
 
 type state = Invalid | Protected | Accessible
 
-val pp_state : Format.formatter -> state -> unit
-
 type t
 
 (** [protect]/[invalidate] perform the actual protection changes (e.g.

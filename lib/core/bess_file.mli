@@ -45,9 +45,6 @@ val new_large_object : t -> size:int -> int
 
 (** {2 Cursors and scans} *)
 
-(** Visit every live object of one segment, in slot order. *)
-val iter_segment : Session.t -> db_id:int -> seg_id:int -> (int -> unit) -> unit
-
 (** Sequential scan in segment order. *)
 val iter : t -> (int -> unit) -> unit
 

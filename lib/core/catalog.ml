@@ -68,8 +68,6 @@ let find_segment t seg_id =
   | Some addr -> addr
   | None -> invalid_arg (Printf.sprintf "Catalog: unknown segment %d" seg_id)
 
-let segment_exists t seg_id = Hashtbl.mem t.segments seg_id
-let remove_segment t seg_id = Hashtbl.remove t.segments seg_id
 let n_segments t = Hashtbl.length t.segments
 
 let segment_ids t =

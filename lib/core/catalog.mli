@@ -35,15 +35,12 @@ val fresh_seg_id : t -> int
 val add_segment : t -> seg_id:int -> Bess_storage.Seg_addr.t -> unit
 
 val find_segment : t -> int -> Bess_storage.Seg_addr.t
-val segment_exists : t -> int -> bool
-val remove_segment : t -> int -> unit
 val n_segments : t -> int
 val segment_ids : t -> int list
 
 (** {2 Files} *)
 
 val create_file : t -> name:string -> area_id:int option -> file_info
-val find_file : t -> int -> file_info
 val find_file_by_name : t -> string -> file_info option
 val file_add_segment : t -> file_info -> int -> unit
 

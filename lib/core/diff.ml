@@ -46,12 +46,8 @@ let ranges ?(gap = 32) ~before ~after () =
   if !run_start >= 0 then emit !run_start (!last_diff + 1);
   List.rev !out
 
-let is_identical ~before ~after = Bytes.equal before after
-
 (* Apply a diff to a copy of [base]; used by tests to validate round trips. *)
 let apply base rs =
   let out = Bytes.copy base in
   List.iter (fun r -> Bytes.blit r.after 0 out r.offset (Bytes.length r.after)) rs;
   out
-
-let total_bytes rs = List.fold_left (fun acc r -> acc + Bytes.length r.after) 0 rs

@@ -12,11 +12,6 @@ type range = { offset : int; before : Bytes.t; after : Bytes.t }
     [Invalid_argument] if the images differ in length. *)
 val ranges : ?gap:int -> before:Bytes.t -> after:Bytes.t -> unit -> range list
 
-val is_identical : before:Bytes.t -> after:Bytes.t -> bool
-
 (** [apply base rs] returns a copy of [base] with every range's [after]
     written — reconstructs the after image from the before image. *)
 val apply : Bytes.t -> range list -> Bytes.t
-
-(** Total payload bytes carried by the ranges. *)
-val total_bytes : range list -> int

@@ -45,7 +45,5 @@ type t = {
       (** install the handler for server-initiated callbacks *)
 }
 
-val verdict_or_raise : [ `Granted | `Blocked | `Deadlock | `Timeout ] -> unit
-
 (** Direct same-machine embedding (node 2 of Figure 2). *)
 val direct : client_id:int -> Server.t -> t

@@ -199,12 +199,39 @@ exception Remote_error of string
    application can handle, not a transport exception leaking through. *)
 exception Unreachable of int
 
+(* Every attempt timed out; carries the destination endpoint. *)
+exception Exhausted of int
+
 (* Bounded exponential backoff on the simulated clock: 200 µs doubling
-   to a 12.8 ms cap, at most 8 attempts before the caller hears
-   [Remote_error]. *)
+   to a 12.8 ms cap, at most 8 attempts before [Exhausted]. *)
 let backoff_base_ns = 200_000
 let backoff_max_shift = 6
 let max_attempts = 8
+
+(* The retrying call every client of the wire shares (the remote
+   fetcher, the shard router, the 2PC coordinator). On [Net.Timeout]
+   the SAME request (same rid — the server dedups re-execution) is
+   resent after a backoff that only advances the simulated clock. Never
+   retries while no fault site is armed. *)
+let call (net : network) ~src ~dst req =
+  let rec go attempt =
+    match Net.call net ~src ~dst req with
+    | resp -> resp
+    | exception Net.Timeout _ ->
+        if attempt >= max_attempts then raise (Exhausted dst)
+        else begin
+          let delay = backoff_base_ns * (1 lsl Stdlib.min (attempt - 1) backoff_max_shift) in
+          Bess_obs.Span.with_span ~kind:"client.backoff"
+            ~attrs:
+              (if Bess_obs.Span.enabled () then [ ("attempt", string_of_int attempt) ] else [])
+            (fun () -> Bess_obs.Span.advance_ns delay);
+          Bess_util.Stats.incr (Net.stats net) "net.client_retries";
+          Bess_util.Stats.add (Net.stats net) "net.client_backoff_ns" delay;
+          go (attempt + 1)
+        end
+    | exception Net.No_such_endpoint id -> raise (Unreachable id)
+  in
+  go 1
 
 let fetcher (net : network) ~client_id ~server_id : Fetcher.t =
   (* Request ids are per-fetcher; the server keys them by (src, rid), so
@@ -214,30 +241,9 @@ let fetcher (net : network) ~client_id ~server_id : Fetcher.t =
     incr next_rid;
     !next_rid
   in
-  (* Retry on [Net.Timeout]: the request (same rid — the server dedups
-     re-execution) is resent after a backoff that only advances the
-     simulated clock. Never entered while no fault site is armed. *)
   let call req =
-    let rec go attempt =
-      match Net.call net ~src:client_id ~dst:server_id req with
-      | resp -> resp
-      | exception Net.Timeout _ ->
-          if attempt >= max_attempts then
-            raise (Remote_error "request timed out: retries exhausted")
-          else begin
-            let delay = backoff_base_ns * (1 lsl Stdlib.min (attempt - 1) backoff_max_shift) in
-            Bess_obs.Span.with_span ~kind:"client.backoff"
-              ~attrs:
-                (if Bess_obs.Span.enabled () then [ ("attempt", string_of_int attempt) ]
-                 else [])
-              (fun () -> Bess_obs.Span.advance_ns delay);
-            Bess_util.Stats.incr (Net.stats net) "net.client_retries";
-            Bess_util.Stats.add (Net.stats net) "net.client_backoff_ns" delay;
-            go (attempt + 1)
-          end
-      | exception Net.No_such_endpoint id -> raise (Unreachable id)
-    in
-    go 1
+    try call net ~src:client_id ~dst:server_id req
+    with Exhausted _ -> raise (Remote_error "request timed out: retries exhausted")
   in
   let verdict = function
     | R_verdict `Granted -> ()

@@ -33,11 +33,7 @@ val set_group_policy : t -> Bess_wal.Group_commit.policy -> unit
 val await_commit : t -> Bess_wal.Group_commit.ticket -> unit
 val areas : t -> Bess_storage.Area_set.t
 val stats : t -> Bess_util.Stats.t
-val get_page_lsn : t -> Page_id.t -> int
 val set_page_lsn : t -> Page_id.t -> int -> unit
-
-(** Pinned access to a page through the cache. *)
-val with_page : t -> Page_id.t -> (Bess_cache.Cache.slot -> 'a) -> 'a
 
 (** Copy of a page's current contents (for shipping to clients). *)
 val read_page : t -> Page_id.t -> Bytes.t

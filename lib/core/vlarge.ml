@@ -77,15 +77,15 @@ let write_descriptor session addr (ov : Seg_addr.t) len =
   Bess_util.Codec.set_u32 raw Seg_addr.encoded_size len;
   Vmem.write_bytes (Session.mem session) dp raw
 
-(* Create an empty very large object in [seg]. [hint] sizes leaves. *)
-let create ?hint db session (seg : Session.seg_rt) =
+(* Create an empty very large object in [seg]. *)
+let create db session (seg : Session.seg_rt) =
   let ty = vlarge_type session seg.db_id in
   let addr = Session.create_object session seg ty ~size:descriptor_size in
   let rt, idx = Session.seg_of_slot session addr in
   Session.write_slot_u32 session rt idx ~field:Layout.slot_flags
     (Layout.flag_used lor Layout.flag_vlarge);
   let area = area_of db session seg in
-  let lob = Lob.create ?hint area in
+  let lob = Lob.create area in
   let blob = Lob.encode lob in
   let ov = write_overflow area blob in
   write_descriptor session addr ov (Bytes.length blob);

@@ -10,10 +10,9 @@
     per object via {!Bess_largeobj.Lob.set_codec}. *)
 
 (** [create db session seg] makes an empty very large object in [seg]:
-    returns its slot address and the open Lob. [hint] sizes leaves for
-    the anticipated object size. Call {!save} after populating. *)
-val create :
-  ?hint:int -> Db.t -> Session.t -> Session.seg_rt -> int * Bess_largeobj.Lob.t
+    returns its slot address and the open Lob. Call {!save} after
+    populating. *)
+val create : Db.t -> Session.t -> Session.seg_rt -> int * Bess_largeobj.Lob.t
 
 (** Re-open the Lob behind a very large object's slot address. *)
 val open_ : Db.t -> Session.t -> int -> Bess_largeobj.Lob.t

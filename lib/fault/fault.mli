@@ -70,12 +70,6 @@ val draw : string -> bound:int -> int
     the last [seed]/[reset] — the reproducibility witness. *)
 val schedule : string -> int list
 
-(** Recent firings across all sites as [(site, ordinal, ts_ns)], oldest
-    first, stamped on the simulated clock — a bounded ring (last 4096)
-    feeding the flight recorder's instant events; cleared by
-    [seed]/[reset]. *)
-val recent_firings : unit -> (string * int * int) list
-
 (** Current [(site, policy)] bindings, sorted by site name. *)
 val configured : unit -> (string * policy) list
 

@@ -42,14 +42,10 @@ let node_size = function Leaf l -> l.len | Inner n -> n.bytes
 
 let default_max_leaf area = 8 * Bess_storage.Area.page_size area
 
-let create ?max_leaf ?(order = 16) ?hint area =
+let create ?max_leaf ?(order = 16) area =
   let max_leaf = match max_leaf with Some m -> m | None -> default_max_leaf area in
   if max_leaf < Bess_storage.Area.page_size area then
     invalid_arg "Lob.create: max_leaf smaller than a page";
-  ignore hint;
-  (* A size hint could preallocate; segments are allocated lazily so the
-     hint only tunes the initial leaf fill factor. Kept for interface
-     fidelity. *)
   {
     area;
     root = Leaf { seg = None; len = 0; plen = 0 };

@@ -87,6 +87,3 @@ let forget_client t ~client =
       if e.cached = [] then empty := r :: !empty)
     t.table;
   List.iter (Hashtbl.remove t.table) !empty
-
-let cached_by t r = match Hashtbl.find_opt t.table r with Some e -> e.cached | None -> []
-let n_entries t = Hashtbl.length t.table

@@ -31,6 +31,3 @@ val downgraded : t -> client:client -> Lock_mgr.resource -> Lock_mode.t -> unit
 
 (** Client disconnect: purge everything it cached. *)
 val forget_client : t -> client:client -> unit
-
-val cached_by : t -> Lock_mgr.resource -> (client * Lock_mode.t) list
-val n_entries : t -> int

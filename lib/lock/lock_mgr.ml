@@ -53,10 +53,9 @@ type resource = { space : int; a : int; b : int }
 
 let page_resource ~area ~page = { space = 0; a = area; b = page }
 let object_resource ~db ~slot = { space = 1; a = db; b = slot }
-let file_resource ~db ~file = { space = 2; a = db; b = file }
 
 let pp_resource ppf r =
-  let name = match r.space with 0 -> "page" | 1 -> "obj" | 2 -> "file" | _ -> "res" in
+  let name = match r.space with 0 -> "page" | 1 -> "obj" | _ -> "res" in
   Fmt.pf ppf "%s(%d,%d)" name r.a r.b
 
 type waiter = {

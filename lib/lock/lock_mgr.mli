@@ -12,13 +12,12 @@
     detected either by an exact waits-for-graph cycle check or by
     timeouts on a logical clock (the paper's distributed mechanism). *)
 
-(** A lockable resource: [space] separates the page / object / file
+(** A lockable resource: [space] separates the page / object
     namespaces; [a]/[b] are namespace-specific coordinates. *)
 type resource = { space : int; a : int; b : int }
 
 val page_resource : area:int -> page:int -> resource
 val object_resource : db:int -> slot:int -> resource
-val file_resource : db:int -> file:int -> resource
 val pp_resource : Format.formatter -> resource -> unit
 
 type t

@@ -32,7 +32,3 @@ let sup a b =
 (* [covers held want]: does holding [held] already satisfy a request for
    [want]? True iff sup held want = held. *)
 let covers held want = sup held want = held
-
-(* Is [a] at least as strong as a read lock / write lock? *)
-let allows_read = function S | SIX | X -> true | IS | IX -> false
-let allows_write = function X -> true | IS | IX | S | SIX -> false

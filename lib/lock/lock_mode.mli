@@ -16,6 +16,3 @@ val sup : t -> t -> t
 (** [covers held want]: does holding [held] satisfy a request for
     [want]? *)
 val covers : t -> t -> bool
-
-val allows_read : t -> bool
-val allows_write : t -> bool

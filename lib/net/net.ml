@@ -58,7 +58,6 @@ let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost 
   Bess_obs.Registry.register_gauge "net" "net.in_flight" (fun () -> t.in_flight);
   t
 
-let in_flight t = t.in_flight
 
 (* Bracket one delivery: the synchronous transport means the gauge reads
    as the nesting depth of in-progress messages (a node server
@@ -76,7 +75,6 @@ let unregister t ~id = Hashtbl.remove t.handlers id
 
 let stats t = t.stats
 let clock_ns t = t.clock_ns
-let reset_clock t = t.clock_ns <- 0
 
 exception No_such_endpoint of int
 

@@ -31,8 +31,6 @@ val stats : ('req, 'resp) t -> Bess_util.Stats.t
 (** Accumulated simulated wire time. *)
 val clock_ns : ('req, 'resp) t -> int
 
-val reset_clock : ('req, 'resp) t -> unit
-
 (** Raised on delivery to an unregistered endpoint — after the request
     bytes are accounted (they crossed the wire before bouncing). *)
 exception No_such_endpoint of int
@@ -52,9 +50,3 @@ val send : ('req, 'resp) t -> src:int -> dst:int -> 'req -> unit
 
 val messages : ('req, 'resp) t -> int
 val bytes : ('req, 'resp) t -> int
-
-(** Messages currently being delivered. The transport is synchronous, so
-    this reads as the nesting depth of in-progress deliveries (a node
-    server forwarding a fetch shows 2); exported as the [net.in_flight]
-    gauge. *)
-val in_flight : ('req, 'resp) t -> int

@@ -153,7 +153,6 @@ type slow_txn = {
 }
 
 type t = {
-  root_kinds : (string, unit) Hashtbl.t;
   top_k : int;
   stats : Bess_util.Stats.t;
   pending : (int, Span.span) Hashtbl.t; (* root id -> closed descendants (multi) *)
@@ -164,12 +163,8 @@ type t = {
   mutable slow : slow_txn list; (* sorted: duration desc, then root id asc *)
 }
 
-let default_root_kinds = [ "sched.txn"; "session.txn" ]
-
-let create ?(top_k = 32) ?(root_kinds = default_root_kinds) () =
+let create ?(top_k = 32) () =
   if top_k <= 0 then invalid_arg "Critpath.create: top_k must be positive";
-  let rk = Hashtbl.create 4 in
-  List.iter (fun k -> Hashtbl.replace rk k ()) root_kinds;
   let stats = Bess_util.Stats.create () in
   (* Make every phase histogram visible before the first sample. *)
   ignore (Bess_util.Stats.histogram stats "critpath.txn_ns");
@@ -179,7 +174,6 @@ let create ?(top_k = 32) ?(root_kinds = default_root_kinds) () =
     phases;
   Registry.register_stats "critpath" stats;
   {
-    root_kinds = rk;
     top_k;
     stats;
     pending = Hashtbl.create 1024;
@@ -190,17 +184,19 @@ let create ?(top_k = 32) ?(root_kinds = default_root_kinds) () =
     slow = [];
   }
 
-let is_root_kind t kind = Hashtbl.mem t.root_kinds kind
+(* The span kinds that open a transaction: the scheduler fleets' and
+   the client session's. *)
+let is_root_kind kind = String.equal kind "sched.txn" || String.equal kind "session.txn"
 
 (* The nearest *open* ancestor whose kind is a root kind — the
    transaction this closed span belongs to, or [None] for spans outside
    any transaction (bench scaffolding, background work). *)
-let owner t c (s : Span.span) =
+let owner c (s : Span.span) =
   let rec up id =
     match Span.find_span c id with
     | None -> None
     | Some (sp : Span.span) ->
-        if sp.Span.end_ns < 0 && is_root_kind t sp.Span.kind then Some sp.Span.id
+        if sp.Span.end_ns < 0 && is_root_kind sp.Span.kind then Some sp.Span.id
         else (match sp.Span.parent with None -> None | Some pid -> up pid)
   in
   match s.Span.parent with None -> None | Some pid -> up pid
@@ -313,7 +309,7 @@ let process_root t (root : Span.span) =
   offer_slow t { st_root = root; st_spans = descendants @ lock_waits; st_blame = blame; st_faults = faults }
 
 let on_close t c (s : Span.span) =
-  if is_root_kind t s.Span.kind then process_root t s
+  if is_root_kind s.Span.kind then process_root t s
   else if s.Span.kind = "lock.wait" && s.Span.parent = None then begin
     match List.assoc_opt "txn" s.Span.attrs with
     | None -> ()
@@ -322,7 +318,7 @@ let on_close t c (s : Span.span) =
         Hashtbl.replace t.parked txn (s :: existing)
   end
   else
-    match owner t c s with
+    match owner c s with
     | Some root_id -> Hashtbl.add t.pending root_id s
     | None ->
         (* Parentless spans never belonged to a transaction (bench

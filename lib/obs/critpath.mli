@@ -44,11 +44,10 @@ type slow_txn = {
 type t
 
 (** [create ()] makes a sink keeping the [top_k] (default 32) slowest
-    transactions, treating [root_kinds] (default ["sched.txn"] and
-    ["session.txn"]) as transaction roots, and registers its counters
-    and per-phase histograms in {!Registry.default} under
-    ["critpath"]. *)
-val create : ?top_k:int -> ?root_kinds:string list -> unit -> t
+    transactions, treating ["sched.txn"] and ["session.txn"] spans as
+    transaction roots, and registers its counters and per-phase
+    histograms in {!Registry.default} under ["critpath"]. *)
+val create : ?top_k:int -> unit -> t
 
 (** Install (or, with [None], remove) the sink: claims the span close
     hook and registers the ["slow_txns"] aux section with
@@ -80,14 +79,5 @@ val slow : t -> slow_txn list
     runs; the bench determinism gate compares these. *)
 val fingerprint : t -> string
 
-val json_of_slow_txn : slow_txn -> string
-
 (** The reservoir as one JSON array (the ["slow_txns"] aux section). *)
 val json_of_slow : t -> string
-
-(** Expose the attribution core for tests: decompose one root given
-    its closed descendants and parked lock waits. *)
-val process_root : t -> Span.span -> unit
-
-(** The close-hook entry point (exposed for direct-feed tests). *)
-val on_close : t -> Span.t -> Span.span -> unit

@@ -23,7 +23,6 @@
 type armed_state = {
   dir : string;
   max_spans : int;
-  max_events : int;
   mutable seq : int;
 }
 
@@ -42,8 +41,7 @@ let aux_sources : (string, unit -> string) Hashtbl.t = Hashtbl.create 4
 let set_aux_source name fn = Hashtbl.replace aux_sources name fn
 let clear_aux_source name = Hashtbl.remove aux_sources name
 
-let arm ?(max_spans = 2048) ?(max_events = 1024) ~dir () =
-  state := Some { dir; max_spans; max_events; seq = 0 }
+let arm ?(max_spans = 2048) ~dir () = state := Some { dir; max_spans; seq = 0 }
 
 let disarm () = state := None
 let armed () = !state <> None
@@ -112,7 +110,10 @@ let fault_events buf ~had_spans =
            ordinal))
     firings
 
-let render ?(max_spans = 2048) ?(max_events = 1024) ~reason () =
+(* A dump carries at most this many of the newest trace events. *)
+let max_events = 1024
+
+let render ?(max_spans = 2048) ~reason () =
   let buf = Buffer.create 16384 in
   Buffer.add_string buf "{\"bess_flightrec\":1,";
   Buffer.add_string buf (Printf.sprintf "\"reason\":%s," (Registry.json_string reason));
@@ -181,7 +182,7 @@ let dump ~reason () =
   match !state with
   | None -> None
   | Some st ->
-      let body = render ~max_spans:st.max_spans ~max_events:st.max_events ~reason () in
+      let body = render ~max_spans:st.max_spans ~reason () in
       mkdir_p st.dir;
       let path =
         Filename.concat st.dir (Printf.sprintf "flightrec-%03d-%s.json" st.seq (slug reason))

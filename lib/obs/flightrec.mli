@@ -13,8 +13,9 @@
     failure. *)
 
 (** [arm ~dir ()] enables dumping into [dir] (created on first dump).
-    Each dump writes [flightrec-<seq>-<reason>.json]. *)
-val arm : ?max_spans:int -> ?max_events:int -> dir:string -> unit -> unit
+    Each dump writes [flightrec-<seq>-<reason>.json] with at most
+    [max_spans] (default 2048) spans and the newest 1024 trace events. *)
+val arm : ?max_spans:int -> dir:string -> unit -> unit
 
 val disarm : unit -> unit
 val armed : unit -> bool
@@ -39,7 +40,7 @@ val set_aux_source : string -> (unit -> string) -> unit
 val clear_aux_source : string -> unit
 
 (** Render the artifact without writing it (works while disarmed). *)
-val render : ?max_spans:int -> ?max_events:int -> reason:string -> unit -> string
+val render : ?max_spans:int -> reason:string -> unit -> string
 
 (** [dump ~reason ()] writes the artifact and returns its path, or
     [None] while disarmed. *)

@@ -94,7 +94,6 @@ let create ?(rate_bits = 4) () =
 let rate_bits t = t.rate_bits
 let n_total t = t.n_total
 let n_sampled t = t.n_sampled
-let n_cold t = t.n_cold
 let tracked_keys t = t.live
 
 let fen_add t i v =

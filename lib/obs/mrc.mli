@@ -32,9 +32,6 @@ val n_total : t -> int
 (** Accesses that passed the spatial filter. *)
 val n_sampled : t -> int
 
-(** Sampled first touches (infinite stack distance). *)
-val n_cold : t -> int
-
 (** Distinct keys currently on the sampled stack. *)
 val tracked_keys : t -> int
 

@@ -92,7 +92,6 @@ val iter_histograms : ?registry:t -> (string -> Bess_util.Histogram.t -> unit) -
     carried through unchanged. *)
 val diff : ?keep_zeros:bool -> before:snapshot -> after:snapshot -> unit -> snapshot
 
-val pp_hist_summary : Format.formatter -> hist_summary -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
 (** Render a snapshot as one JSON object:

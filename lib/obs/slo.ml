@@ -32,9 +32,6 @@ let holds op v threshold =
 
 type rule = { r_name : string; r_metric : string; r_op : op; r_threshold : int }
 
-let pp_rule ppf r =
-  Fmt.pf ppf "%s: %s %s %d" r.r_name r.r_metric (op_name r.r_op) r.r_threshold
-
 (* "name: metric op threshold" (the name part optional; the metric
    doubles as the name without it). Whitespace separates the three
    trailing tokens. *)
@@ -67,7 +64,7 @@ let rule_of_string s =
   | _ -> Error (Printf.sprintf "SLO rule %S: expected \"[name:] metric op threshold\"" s)
 
 type t = {
-  mutable rules : rule list; (* evaluation order = addition order *)
+  rules : rule list; (* evaluated in order *)
   stats : Bess_util.Stats.t;
   trace : Trace.t;
 }
@@ -81,9 +78,8 @@ let create ?(rules = []) ?(trace = Trace.default) () =
   let stats = Bess_util.Stats.create () in
   ignore (Bess_util.Stats.histogram stats "slo.breach_margin");
   Registry.register_stats "slo" stats;
-  { rules = rules; stats; trace }
+  { rules; stats; trace }
 
-let add_rule t r = t.rules <- t.rules @ [ r ]
 let rules t = t.rules
 let stats t = t.stats
 

@@ -16,11 +16,7 @@
 
 type op = Lt | Le | Eq | Ge | Gt
 
-val op_name : op -> string
-
 type rule = { r_name : string; r_metric : string; r_op : op; r_threshold : int }
-
-val pp_rule : Format.formatter -> rule -> unit
 
 (** Parse ["[name:] metric op threshold"], op one of [<] [<=] [=] [==]
     [>=] [>]; without [name:] the metric+op+threshold string doubles as
@@ -34,7 +30,6 @@ type t
     Breach events go to [trace] (default {!Trace.default}). *)
 val create : ?rules:rule list -> ?trace:Trace.t -> unit -> t
 
-val add_rule : t -> rule -> unit
 val rules : t -> rule list
 val stats : t -> Bess_util.Stats.t
 

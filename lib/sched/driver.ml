@@ -35,6 +35,16 @@ module Lock_mgr = Bess_lock.Lock_mgr
 module Lock_mode = Bess_lock.Lock_mode
 module Page_id = Bess_cache.Page_id
 
+(* Modeled in-transaction work between the lock grant and the commit. *)
+let txn_work_ns = 5_000
+
+(* The recovery guard behind a parked lock request: its first delay is
+   drawn from [guard_base_ns] up, it escalates with decorrelated jitter
+   to an 8x cap, and after [max_lock_retries] fires a blocked attempt
+   gives up. *)
+let guard_base_ns = 800_000
+let max_lock_retries = 12
+
 type config = {
   n_clients : int;
   txns_per_client : int;
@@ -42,10 +52,7 @@ type config = {
   hot_fraction : float;
   hot_pages : int;
   think_ns : int;
-  txn_work_ns : int;
   ack_delay_ns : int;
-  lock_retry_ns : int;
-  max_lock_retries : int;
   churn : float;
   reconnect_ns : int;
   seed : int;
@@ -59,10 +66,7 @@ let default =
     hot_fraction = 0.0;
     hot_pages = 0;
     think_ns = 200_000;
-    txn_work_ns = 5_000;
     ack_delay_ns = 20_000;
-    lock_retry_ns = 50_000;
-    max_lock_retries = 12;
     churn = 0.0;
     reconnect_ns = 1_000_000;
     seed = 42;
@@ -209,11 +213,11 @@ let run ?sched server ~pages cfg =
      capped), drawn from the client's own jitter stream: equal-seed
      cohorts do not re-poll in lockstep, yet every delay is a pure
      function of the master seed. The timer is only [`Timeout]/[`Deadlock]
-     recovery behind a guaranteed wake, so it starts 16x later than
-     [lock_retry_ns] and escalates to a matching cap. *)
+     recovery behind a guaranteed wake, so it starts an order of
+     magnitude later than a poll interval would. *)
   let next_backoff c ~retries =
     if retries = 0 then c.c_backoff_ns <- 0;
-    let base = cfg.lock_retry_ns * 16 in
+    let base = guard_base_ns in
     let cap = base * 8 in
     let prev = Stdlib.max base c.c_backoff_ns in
     let d = Stdlib.min cap (base + Prng.int c.c_jitter (Stdlib.max 1 ((prev * 3) - base))) in
@@ -305,12 +309,12 @@ let run ?sched server ~pages cfg =
           close_attempt a ~outcome:"churn"
         end
         else
-          Sched.schedule sched ~after:cfg.txn_work_ns (fun () ->
+          Sched.schedule sched ~after:txn_work_ns (fun () ->
               touch ();
               accrue_lag a;
               Span.with_handle a.A.a_span (fun () -> commit_txn c ~a ~txn ~t_begin ~page))
     | `Blocked ->
-        if retries >= cfg.max_lock_retries then begin
+        if retries >= max_lock_retries then begin
           (* The abort also purges our queued waiter and drops the wake
              subscription just registered above. *)
           Bess.Server.abort_client server ~txn;

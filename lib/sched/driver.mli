@@ -2,14 +2,16 @@
 
     Each simulated client is a resumable state machine: think, begin a
     transaction, X-lock a page chosen by a Zipf-skewed (plus hot-set)
-    picker, do modeled work, commit through the group-commit barrier,
+    picker, do 5 µs of modeled work, commit through the group-commit barrier,
     await the durability acknowledgement, think again — the classic
     closed-loop methodology, so offered load self-regulates with
     latency. Blocked lock requests park on the lock manager's
     wake-on-release handoff ([Bess.Server.lock_async]) and resume the
     moment the lock is transferred to them in place; a
     decorrelated-jitter guard timer survives per park solely for
-    [`Timeout]/[`Deadlock] recovery. Proven deadlocks and timeout
+    [`Timeout]/[`Deadlock] recovery. It is a fixed constant, not a knob:
+    800 µs base, escalating to a 6.4 ms cap, and an attempt whose guard
+    has fired 12 times gives up. Proven deadlocks and timeout
     suspicions abort and consume the attempt; [sched.lock_parks],
     [sched.lock_wakeups] and [sched.lock_retries] count the park/wake
     traffic. Session churn disconnects clients (optionally while
@@ -29,10 +31,7 @@ type config = {
   hot_fraction : float;   (** fraction of picks redirected to the hot set *)
   hot_pages : int;        (** hot-set size (first pages of the working set) *)
   think_ns : int;         (** mean think time (exponential) *)
-  txn_work_ns : int;      (** modeled in-transaction work between lock and commit *)
   ack_delay_ns : int;     (** delay before a committer polls its durability ticket *)
-  lock_retry_ns : int;    (** guard-timer unit: a blocked request's base delay is 16 units *)
-  max_lock_retries : int; (** guard-fire budget before a blocked attempt gives up *)
   churn : float;          (** per-decision-point probability of disconnecting *)
   reconnect_ns : int;     (** delay before a churned client reconnects *)
   seed : int;

@@ -122,10 +122,9 @@ let schedule t ~after f =
   if after < 0 then invalid_arg "Sched.schedule: negative delay";
   schedule_at t ~at:(Span.now_ns () + after) f
 
-let run ?max_events t =
-  let budget = match max_events with Some n -> n | None -> max_int in
+let run t =
   let ran = ref 0 in
-  while t.size > 0 && !ran < budget do
+  while t.size > 0 do
     let e = pop t in
     let now = Span.now_ns () in
     if e.at > now then begin

@@ -44,7 +44,6 @@ val schedule_at : t -> at:int -> (unit -> unit) -> unit
     now (non-negative). *)
 val schedule : t -> after:int -> (unit -> unit) -> unit
 
-(** Run events in [(tick, seq)] order until the heap is empty (or
-    [max_events] have run — a runaway backstop, off by default).
-    Returns the number of events executed by this call. *)
-val run : ?max_events:int -> t -> int
+(** Run events in [(tick, seq)] order until the heap is empty. Returns
+    the number of events executed by this call. *)
+val run : t -> int

@@ -19,14 +19,16 @@ module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
 module Prng = Bess_util.Prng
 
+(* Base backoff after a blocked attempt: doubled per retry up to 32x,
+   plus up to as much again of jitter. *)
+let retry_ns = 100_000
+
 type config = {
   n_clients : int;
   txns_per_client : int;
   cross_fraction : float; (* probability an attempt spans two shards *)
-  writes_per_shard : int; (* pages written on each involved shard *)
   zipf_theta : float; (* page-rank skew within a shard *)
   think_ns : int;
-  retry_ns : int; (* base backoff after a blocked attempt *)
   max_retries : int;
   seed : int;
 }
@@ -36,10 +38,8 @@ let default =
     n_clients = 8;
     txns_per_client = 25;
     cross_fraction = 0.2;
-    writes_per_shard = 1;
     zipf_theta = 0.0;
     think_ns = 200_000;
-    retry_ns = 100_000;
     max_retries = 12;
     seed = 42;
   }
@@ -90,8 +90,8 @@ let run ?sched (sh : Shard.t) cfg =
         { c_id = 10_000 + i; c_prng = prng; c_jitter = Prng.split prng;
           c_left = cfg.txns_per_client })
   in
-  (* One drawn attempt: the involved shards and, per shard, the page
-     ranks and fresh 8-byte values. Kept across blocked retries. *)
+  (* One drawn attempt: the involved shards and, per shard, one page
+     rank and a fresh 8-byte value. Kept across blocked retries. *)
   let draw_writes c =
     let primary = Prng.int c.c_prng n_shards in
     let shards =
@@ -101,14 +101,10 @@ let run ?sched (sh : Shard.t) cfg =
       end
       else [ primary ]
     in
-    List.concat_map
-      (fun s ->
-        List.init cfg.writes_per_shard (fun _ ->
-            (s, pick_rank c.c_prng, 0, Prng.bytes c.c_prng 8)))
-      shards
+    List.map (fun s -> (s, pick_rank c.c_prng, 0, Prng.bytes c.c_prng 8)) shards
   in
   let backoff c ~retries =
-    let base = cfg.retry_ns * (1 lsl Stdlib.min retries 5) in
+    let base = retry_ns * (1 lsl Stdlib.min retries 5) in
     base + Prng.int c.c_jitter (Stdlib.max 1 base)
   in
   let think c = Driver.exp_think ~mean_ns:cfg.think_ns c.c_prng in

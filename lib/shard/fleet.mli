@@ -1,11 +1,12 @@
 (** Closed-loop client fleets against the shard ring — the multi-shard
     analogue of {!Bess_sched.Driver}, on the same event heap. Each
     client thinks, runs one global transaction over the wire
-    (cross-shard with probability [cross_fraction]), and thinks again;
-    blocked attempts retry the same drawn writes after jittered
-    backoff. An injected coordinator crash ({!Twopc.Crashed}) is
-    handled in-loop: recover, re-drive, resolve in-doubt by query,
-    count the attempt indeterminate.
+    (cross-shard with probability [cross_fraction]) writing one page on
+    each involved shard, and thinks again; blocked attempts retry the
+    same drawn writes after a jittered backoff from 100 µs. An injected
+    coordinator crash ({!Twopc.Crashed}) is handled in-loop: recover,
+    re-drive, resolve in-doubt by query, count the attempt
+    indeterminate.
 
     Determinism: per-client splitmix64 streams off [seed], the heap's
     total order, and deterministic rids; [f_fingerprint] folds outcome
@@ -16,11 +17,9 @@ type config = {
   n_clients : int;
   txns_per_client : int;
   cross_fraction : float;  (** probability an attempt spans two shards *)
-  writes_per_shard : int;  (** pages written on each involved shard *)
   zipf_theta : float;      (** page-rank skew within a shard *)
   think_ns : int;
-  retry_ns : int;          (** base backoff after a blocked attempt *)
-  max_retries : int;
+  max_retries : int;       (** blocked attempts retried before giving up *)
   seed : int;
 }
 

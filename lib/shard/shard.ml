@@ -50,8 +50,11 @@ let working_set db ~n_pages =
   Bess.Session.drop_all_cached s;
   Array.of_list (List.rev !pages)
 
-let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?(coord_id = 900)
-    ?coord_log_path ?policy ?per_message_ns ?per_byte_ns () =
+(* The coordinator's endpoint, clear of the shards' 1..n. *)
+let coord_id = 900
+
+let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?coord_log_path ?policy
+    ?per_message_ns ?per_byte_ns () =
   if n <= 0 then invalid_arg "Shard.create: need at least one shard";
   let net = Remote.network ?per_message_ns ?per_byte_ns () in
   let dbs =
@@ -117,13 +120,13 @@ let txn ?chaos t ~client ~(writes : (int * int * int * Bytes.t) list) () =
   let abort_all () =
     List.iter
       (fun (ep, tx) ->
-        try ignore (Rpc.call t.net ~src:client ~dst:ep
+        try ignore (Remote.call t.net ~src:client ~dst:ep
                       (Remote.Abort { rid = rid t ~client; txn = tx }))
-        with Rpc.Unreachable _ | Rpc.Exhausted _ -> ())
+        with Remote.Unreachable _ | Remote.Exhausted _ -> ())
       !begun
   in
   let fetch_x ~ep ~tx pid =
-    match Rpc.call t.net ~src:client ~dst:ep
+    match Remote.call t.net ~src:client ~dst:ep
             (Remote.Fetch_page { txn = tx; page = pid; mode = Lock_mode.X })
     with
     | Remote.R_page bytes -> `Page bytes
@@ -136,7 +139,7 @@ let txn ?chaos t ~client ~(writes : (int * int * int * Bytes.t) list) () =
       (fun (sidx, ws) ->
         let ep = endpoint t sidx in
         let tx =
-          match Rpc.call t.net ~src:client ~dst:ep (Remote.Begin { rid = rid t ~client }) with
+          match Remote.call t.net ~src:client ~dst:ep (Remote.Begin { rid = rid t ~client }) with
           | Remote.R_txn x -> x
           | _ -> raise (Protocol "begin")
         in
@@ -163,7 +166,7 @@ let txn ?chaos t ~client ~(writes : (int * int * int * Bytes.t) list) () =
   | exception Exit ->
       abort_all ();
       `Blocked
-  | exception (Rpc.Unreachable _ | Rpc.Exhausted _) ->
+  | exception (Remote.Unreachable _ | Remote.Exhausted _) ->
       abort_all ();
       `Blocked
 
@@ -184,7 +187,7 @@ let resolve_in_doubt t =
         (fun (tx, coord_ep) ->
           let dst = if coord_ep >= 0 then coord_ep else Twopc.id t.coord in
           match
-            Rpc.call t.net ~src:ep ~dst (Remote.Query_decision { rid = 0; shard = ep; txn = tx })
+            Remote.call t.net ~src:ep ~dst (Remote.Query_decision { rid = 0; shard = ep; txn = tx })
           with
           | Remote.R_decision true ->
               Bess.Server.commit_prepared srv ~txn:tx;
@@ -193,7 +196,7 @@ let resolve_in_doubt t =
               Bess.Server.abort_prepared srv ~txn:tx;
               incr resolved
           | _ -> incr unresolved
-          | exception (Rpc.Unreachable _ | Rpc.Exhausted _) -> incr unresolved)
+          | exception (Remote.Unreachable _ | Remote.Exhausted _) -> incr unresolved)
         (Bess.Server.prepared_txns srv))
     t.dbs;
   (!resolved, !unresolved)

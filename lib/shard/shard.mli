@@ -10,12 +10,11 @@ type t
 
 (** [create ~n ()] builds [n] in-memory shards, serves each on the
     network, allocates [pages_per_shard] data pages per shard, and
-    registers the coordinator (endpoint [coord_id], default 900). *)
+    registers the coordinator on endpoint 900. *)
 val create :
   ?n:int ->
   ?pages_per_shard:int ->
   ?page_size:int ->
-  ?coord_id:int ->
   ?coord_log_path:string ->
   ?policy:Bess_wal.Group_commit.policy ->
   ?per_message_ns:int ->
@@ -38,8 +37,6 @@ val pages : t -> int -> Bess_cache.Page_id.t array
 val pages_per_shard : t -> int
 
 (** Routing: host [h] lives on shard [(h-1) mod n]. *)
-val shard_of_host : t -> host:int -> int
-
 val shard_of_oid : t -> Bess.Oid.t -> int
 val server_of_oid : t -> Bess.Oid.t -> Bess.Server.t
 val endpoint_of_oid : t -> Bess.Oid.t -> int

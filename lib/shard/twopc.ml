@@ -183,13 +183,13 @@ let decide_round t gid =
             Span.advance_ns decide_work_ns;
             let rid = decide_rid ~gid ~idx in
             match
-              Rpc.call t.net ~src:t.id ~dst:shard (Remote.Decide { rid; txn; commit = true })
+              Remote.call t.net ~src:t.id ~dst:shard (Remote.Decide { rid; txn; commit = true })
             with
             | Remote.R_ok ->
                 Stats.bump t.c.acks;
                 false
             | _ -> true
-            | exception (Rpc.Unreachable _ | Rpc.Exhausted _) -> true)
+            | exception (Remote.Unreachable _ | Remote.Exhausted _) -> true)
           unacked
       in
       if still = [] then begin
@@ -262,7 +262,7 @@ let commit ?(chaos = fun () -> ()) t ~parts =
         Span.advance_ns vote_work_ns;
         let rid = prepare_rid ~gid ~idx in
         match
-          Rpc.call t.net ~src:t.id ~dst:shard
+          Remote.call t.net ~src:t.id ~dst:shard
             (Remote.Prepare { rid; txn; coordinator = t.id; updates })
         with
         | Remote.R_vote true ->
@@ -272,7 +272,7 @@ let commit ?(chaos = fun () -> ()) t ~parts =
             Stats.bump t.c.votes_no;
             `No
         | _ -> `No_answer
-        | exception (Rpc.Unreachable _ | Rpc.Exhausted _) ->
+        | exception (Remote.Unreachable _ | Remote.Exhausted _) ->
             Stats.incr t.stats "2pc.vote_lost";
             `No_answer)
       parts
@@ -309,9 +309,9 @@ let commit ?(chaos = fun () -> ()) t ~parts =
         | `Yes | `No_answer -> (
             Span.advance_ns decide_work_ns;
             let rid = decide_rid ~gid ~idx in
-            try ignore (Rpc.call t.net ~src:t.id ~dst:shard
+            try ignore (Remote.call t.net ~src:t.id ~dst:shard
                           (Remote.Decide { rid; txn; commit = false }))
-            with Rpc.Unreachable _ | Rpc.Exhausted _ -> ())
+            with Remote.Unreachable _ | Remote.Exhausted _ -> ())
         | `No -> ())
       (List.combine parts votes);
     Stats.bump t.c.aborts;

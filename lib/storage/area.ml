@@ -203,7 +203,7 @@ let max_extent_order page_size =
   let rec go k = if (4 + ((1 lsl (k + 1)) * 5)) > page_size then k else go (k + 1) in
   go 0
 
-let create ?(page_size = 4096) ?(extent_order = 8) ?(initial_extents = 1) ~id backend_kind =
+let create ?(page_size = 4096) ?(extent_order = 8) ~id backend_kind =
   if extent_order > max_extent_order page_size then
     invalid_arg "Area.create: extent_order too large for allocation table page";
   let backend =
@@ -214,9 +214,7 @@ let create ?(page_size = 4096) ?(extent_order = 8) ?(initial_extents = 1) ~id ba
         File { fd; path }
   in
   let t = make ~id ~page_size ~extent_order ~growable:true backend in
-  for _ = 1 to initial_extents do
-    add_extent t
-  done;
+  add_extent t;
   t
 
 let open_file ~id path =

@@ -4,13 +4,12 @@
 
 type t
 
-(** [create ~id backend] makes a fresh area. [extent_order] fixes the data
-    pages per extent at [2^extent_order]; it is capped so the per-extent
-    allocation table fits one metadata page. *)
+(** [create ~id backend] makes a fresh area with one extent. [extent_order]
+    fixes the data pages per extent at [2^extent_order]; it is capped so
+    the per-extent allocation table fits one metadata page. *)
 val create :
   ?page_size:int ->
   ?extent_order:int ->
-  ?initial_extents:int ->
   id:int ->
   [ `Memory | `File of string ] ->
   t

@@ -24,12 +24,6 @@ let set_u32 b off v =
 let get_i64 b off = Int64.to_int (Bytes.get_int64_le b off)
 let set_i64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
-let get_int64 b off = Bytes.get_int64_le b off
-let set_int64 b off v = Bytes.set_int64_le b off v
-
-let get_bytes b off len = Bytes.sub b off len
-let set_bytes b off src = Bytes.blit src 0 b off (Bytes.length src)
-
 (* Length-prefixed strings: u32 length then payload. Returns the value and
    the offset just past it, so decoders can be chained. *)
 let set_string b off s =

@@ -11,10 +11,6 @@ val set_u32 : Bytes.t -> int -> int -> unit
 val get_i64 : Bytes.t -> int -> int
 
 val set_i64 : Bytes.t -> int -> int -> unit
-val get_int64 : Bytes.t -> int -> int64
-val set_int64 : Bytes.t -> int -> int64 -> unit
-val get_bytes : Bytes.t -> int -> int -> Bytes.t
-val set_bytes : Bytes.t -> int -> Bytes.t -> unit
 
 (** [set_string b off s] writes a u32-length-prefixed string and returns the
     offset past it. *)

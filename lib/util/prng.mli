@@ -15,9 +15,6 @@ val copy : t -> t
 (** [split t] derives an independent child stream and advances [t]. *)
 val split : t -> t
 
-(** Next raw 64-bit output. *)
-val next_int64 : t -> int64
-
 (** Next non-negative int (62 bits). *)
 val next_int : t -> int
 

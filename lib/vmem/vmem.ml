@@ -70,10 +70,6 @@ let no_page = { prot = Prot_none; frame = None }
 
 let counts_protected = function Prot_none | Prot_read -> true | Prot_read_write -> false
 
-let pp_access ppf = function
-  | Read -> Fmt.string ppf "read"
-  | Write -> Fmt.string ppf "write"
-
 let pp_prot ppf = function
   | Prot_none -> Fmt.string ppf "none"
   | Prot_read -> Fmt.string ppf "read"
@@ -121,10 +117,8 @@ let page_size t = t.page_size
 let stats t = t.stats
 let reserved_bytes t = t.reserved_now * t.page_size
 let reserved_peak_bytes t = t.reserved_peak * t.page_size
-let mapped_bytes t = t.mapped_now * t.page_size
 
 let set_fault_handler t f = t.handler <- Some f
-let clear_fault_handler t = t.handler <- None
 
 let page_index t addr = addr / t.page_size
 let flush_tlb t = t.tlb_idx <- -1
@@ -355,23 +349,6 @@ let read_u8 t addr =
 let write_u8 t addr v =
   let frame = resolve t addr Write in
   Bytes.set frame (addr mod t.page_size) (Char.chr (v land 0xff))
-
-let read_u16 t addr =
-  if in_one_page t addr 2 then
-    let frame = resolve t addr Read in
-    Bess_util.Codec.get_u16 frame (addr mod t.page_size)
-  else Bess_util.Codec.get_u16 (read_bytes t addr 2) 0
-
-let write_u16 t addr v =
-  if in_one_page t addr 2 then begin
-    let frame = resolve t addr Write in
-    Bess_util.Codec.set_u16 frame (addr mod t.page_size) v
-  end
-  else begin
-    let b = Bytes.create 2 in
-    Bess_util.Codec.set_u16 b 0 v;
-    write_bytes t addr b
-  end
 
 let read_u32 t addr =
   if in_one_page t addr 4 then

@@ -24,7 +24,6 @@ exception Access_violation of { addr : int; access : access; reason : string }
 
 type t
 
-val pp_access : Format.formatter -> access -> unit
 val pp_prot : Format.formatter -> prot -> unit
 
 (** [create ?page_size ()] makes an empty address space. Address 0 is never
@@ -40,15 +39,10 @@ val reserved_bytes : t -> int
 (** High-water mark of reserved address space, in bytes. *)
 val reserved_peak_bytes : t -> int
 
-(** Currently frame-backed address space, in bytes. *)
-val mapped_bytes : t -> int
-
 (** Install the handler invoked on protection faults. The handler must make
     the page accessible (map + set_prot) or the access raises
     {!Access_violation}. *)
 val set_fault_handler : t -> (t -> addr:int -> access:access -> unit) -> unit
-
-val clear_fault_handler : t -> unit
 
 (** [reserve t npages] reserves a contiguous, access-protected, unbacked
     address range and returns its base address (mmap PROT_NONE). *)
@@ -78,8 +72,6 @@ val is_reserved : t -> int -> bool
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
-val read_u16 : t -> int -> int
-val write_u16 : t -> int -> int -> unit
 val read_u32 : t -> int -> int
 val write_u32 : t -> int -> int -> unit
 val read_i64 : t -> int -> int

@@ -8,8 +8,6 @@
 
 type page_id = { area : int; page : int }
 
-val pp_page_id : Format.formatter -> page_id -> unit
-
 type body =
   | Update of { txn : int; page : page_id; offset : int; before : Bytes.t; after : Bytes.t }
   | Clr of { txn : int; page : page_id; offset : int; image : Bytes.t; undo_next : int }

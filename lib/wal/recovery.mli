@@ -24,11 +24,6 @@ type outcome = {
   undone : int;
 }
 
-(** Undo a set of loser transactions from their last LSNs, appending CLRs
-    whose undo-next pointers make repeated rollback idempotent. Returns
-    the number of updates undone. *)
-val undo_losers : Log.t -> page_io -> (int * int) list -> int
-
 (** Normal-operation rollback of one transaction: logs ABORT, undoes its
     updates with CLRs, logs END. *)
 val rollback_txn : Log.t -> page_io -> txn:int -> last_lsn:int -> int

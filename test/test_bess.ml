@@ -34,4 +34,5 @@ let () =
       ("critpath", Test_critpath.suite);
       ("shard", Test_shard.suite);
       ("shard_chaos", Test_shard_chaos.suite);
+      ("oracle", Test_oracle.suite);
     ]

@@ -202,6 +202,57 @@ let test_dropped_commit_reply_exactly_once () =
   Alcotest.(check int) "the acked value is durable" 4242
     (Bess_util.Codec.get_i64 (Bess.Server.read_page server page) 0)
 
+(* ---- Retry exhaustion ---------------------------------------------------- *)
+
+(* With every reply dropped, one call makes 8 attempts and backs off 7
+   times: 200 µs doubling to the 12.8 ms cap, 25.4 ms in all, each
+   backoff a [client.backoff] span carrying its attempt number. The
+   remote fetcher then raises [Remote_error]; a shard-plane
+   [Remote.call] raises [Exhausted] with the destination. *)
+let test_retry_exhaustion () =
+  Bess_obs.Registry.with_fresh @@ fun () ->
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  let arm () =
+    Fault.seed 1;
+    match Fault.profile_of_string "net.drop_reply=every:1" with
+    | Ok sites -> Fault.apply_profile sites
+    | Error e -> Alcotest.fail e
+  in
+  let exhausts what net call ~raised =
+    let stat name = Bess_util.Stats.get (Net.stats net) name in
+    let retries0 = stat "net.client_retries" and backoff0 = stat "net.client_backoff_ns" in
+    let drops0 = List.length (Fault.schedule "net.drop_reply") in
+    let spans = Bess_obs.Span.create () in
+    (match Bess_sched.Planes.with_installed ~spans call with
+    | _ -> Alcotest.failf "%s: a call whose every reply is lost must fail" what
+    | exception e ->
+        Alcotest.(check bool) (what ^ ": raises " ^ Printexc.to_string e) true (raised e));
+    Alcotest.(check (list string)) (what ^ ": backoff spans by attempt")
+      [ "1"; "2"; "3"; "4"; "5"; "6"; "7" ]
+      (List.filter_map
+         (fun (sp : Bess_obs.Span.span) ->
+           if sp.kind = "client.backoff" then List.assoc_opt "attempt" sp.attrs else None)
+         (Bess_obs.Span.to_list spans));
+    Alcotest.(check int) (what ^ ": 8 attempts") 8
+      (List.length (Fault.schedule "net.drop_reply") - drops0);
+    Alcotest.(check int) (what ^ ": 7 retries") 7 (stat "net.client_retries" - retries0);
+    Alcotest.(check int) (what ^ ": 25.4 ms of backoff") 25_400_000
+      (stat "net.client_backoff_ns" - backoff0)
+  in
+  let db, _, net, _ = setup_remote ~db_id:905 in
+  let f = Bess.Remote.fetcher net ~client_id:2300 ~server_id:(Bess.Db.db_id db) in
+  arm ();
+  exhausts "remote fetcher" net f.F.f_begin ~raised:(function
+    | Bess.Remote.Remote_error _ -> true
+    | _ -> false);
+  Fault.reset ();
+  let sh = Bess_shard.Shard.create ~n:2 () in
+  arm ();
+  exhausts "shard plane" (Bess_shard.Shard.net sh)
+    (fun () ->
+      Bess.Remote.call (Bess_shard.Shard.net sh) ~src:2400 ~dst:1 (Bess.Remote.Begin { rid = 1 }))
+    ~raised:(function Bess.Remote.Exhausted 1 -> true | _ -> false)
+
 (* ---- Zero cost when off -------------------------------------------------- *)
 
 (* The same workload with (a) no site configured, (b) every chaos site
@@ -421,6 +472,7 @@ let suite =
     Alcotest.test_case "net_fault_sites" `Quick test_net_fault_sites;
     Alcotest.test_case "wal_force_faults" `Quick test_wal_force_faults;
     Alcotest.test_case "disarmed_is_free" `Quick test_disarmed_is_free;
+    Alcotest.test_case "retry_exhaustion" `Quick test_retry_exhaustion;
     Alcotest.test_case "dropped_commit_reply_exactly_once" `Quick
       test_dropped_commit_reply_exactly_once;
     Alcotest.test_case "recover_twice_noop" `Quick test_recover_twice_noop;

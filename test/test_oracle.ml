@@ -1,0 +1,113 @@
+(* Refactoring oracle: a small Driver.run and two small Fleet.runs
+   (clean, and under the chaos-2pc fault profile) whose full result
+   records, scheduler counters and fleet fingerprints are pinned to
+   literals. A change that is meant to leave the schedule alone
+   (turning a knob into a constant, merging two copies of a loop) must
+   keep every literal; a change that moves behaviour on purpose
+   re-records them and says so.
+
+   Both configs use [think_ns = 0] and [zipf_theta = 0.0], so no draw
+   goes through libm's [log] or [pow]: the literals hold on any OCaml
+   version and platform. *)
+
+module Sched = Bess_sched.Sched
+module Driver = Bess_sched.Driver
+module Fleet = Bess_shard.Fleet
+module Shard = Bess_shard.Shard
+module Stats = Bess_util.Stats
+
+let pp_driver (r : Driver.result) =
+  Printf.sprintf
+    "commits=%d aborts=%d give_ups=%d indeterminate=%d disconnects=%d reconnects=%d \
+     events=%d sim_ns=%d p50=%d p99=%d"
+    r.r_commits r.r_aborts r.r_give_ups r.r_indeterminate r.r_disconnects r.r_reconnects
+    r.r_events r.r_sim_ns r.r_commit_p50_ns r.r_commit_p99_ns
+
+let pp_fleet (r : Fleet.result) =
+  Printf.sprintf
+    "commits=%d cross=%d aborts=%d give_ups=%d indeterminate=%d events=%d sim_ns=%d fp=%s"
+    r.f_commits r.f_cross_commits r.f_aborts r.f_give_ups r.f_indeterminate r.f_events
+    r.f_sim_ns r.f_fingerprint
+
+let counters = Alcotest.(list (pair string int))
+
+let test_driver_pinned () =
+  Bess_obs.Registry.with_fresh @@ fun () ->
+  let db = Bess.Db.create_memory ~db_id:9400 () in
+  let server = Bess.Db.server db in
+  Bess.Server.set_detection server `Timeout;
+  let pages = Driver.seed_working_set db ~n_pages:32 in
+  let sched = Sched.create () in
+  let r =
+    Driver.run ~sched server ~pages
+      { Driver.default with
+        n_clients = 40;
+        txns_per_client = 15;
+        hot_fraction = 0.2;
+        hot_pages = 4;
+        think_ns = 0;
+        churn = 0.05;
+        reconnect_ns = 100_000;
+        seed = 99;
+      }
+  in
+  Alcotest.(check string) "driver result"
+    "commits=573 aborts=0 give_ups=0 indeterminate=0 disconnects=67 reconnects=67 \
+     events=2540 sim_ns=57555000 p50=715196 p99=2097151"
+    (pp_driver r);
+  Alcotest.check counters "driver sched counters"
+    [ ("sched.churn_holding_locks", 27); ("sched.commits", 573); ("sched.disconnects", 67);
+      ("sched.events", 2540); ("sched.heap_peak", 58); ("sched.late_events", 1842);
+      ("sched.lock_parks", 443); ("sched.lock_retries", 199); ("sched.lock_wakeups", 244);
+      ("sched.reconnects", 67); ("sched.scheduled", 2540) ]
+    (Stats.to_list (Sched.stats sched))
+
+(* One fleet run per fault profile: clean, and "chaos-2pc", whose drops,
+   duplicates and coordinator crashes drive the shard plane's retry loop
+   and the fleet's blocked-attempt backoff. *)
+let run_fleet profile =
+  Bess_obs.Registry.with_fresh @@ fun () ->
+  let sh = Shard.create ~n:3 () in
+  let sched = Sched.create () in
+  let cfg =
+    { Fleet.default with cross_fraction = 0.25; zipf_theta = 0.0; think_ns = 0; seed = 7 }
+  in
+  let r =
+    Bess_sched.Planes.with_installed
+      ~faults:(7, List.assoc profile Bess_fault.Fault.profiles)
+      (fun () -> Fleet.run ~sched sh cfg)
+  in
+  ( pp_fleet r,
+    Stats.get (Bess_net.Net.stats (Shard.net sh)) "net.client_retries",
+    Stats.to_list (Sched.stats sched) )
+
+let test_fleet_pinned () =
+  let r, retries, c = run_fleet "off" in
+  Alcotest.(check string) "fleet result"
+    "commits=200 cross=39 aborts=0 give_ups=0 indeterminate=0 events=200 sim_ns=363981360 \
+     fp=c200/x39/a0/g0/i0|img:336a64a4"
+    r;
+  Alcotest.(check int) "fleet client retries" 0 retries;
+  Alcotest.check counters "fleet sched counters"
+    [ ("sched.commits", 200); ("sched.events", 200); ("sched.heap_peak", 8);
+      ("sched.late_events", 199); ("sched.scheduled", 200) ]
+    c
+
+let test_fleet_chaos_pinned () =
+  let r, retries, c = run_fleet "chaos-2pc" in
+  Alcotest.(check string) "fleet result"
+    "commits=190 cross=37 aborts=0 give_ups=0 indeterminate=10 events=200 sim_ns=448277840 \
+     fp=c190/x37/a0/g0/i10|img:336a64a4"
+    r;
+  Alcotest.(check int) "fleet client retries" 77 retries;
+  Alcotest.check counters "fleet sched counters"
+    [ ("sched.commits", 190); ("sched.events", 200); ("sched.heap_peak", 8);
+      ("sched.indeterminate", 10); ("sched.late_events", 199); ("sched.scheduled", 200) ]
+    c
+
+let suite =
+  [
+    Alcotest.test_case "driver_schedule_pinned" `Quick test_driver_pinned;
+    Alcotest.test_case "fleet_schedule_pinned" `Quick test_fleet_pinned;
+    Alcotest.test_case "fleet_chaos_schedule_pinned" `Quick test_fleet_chaos_pinned;
+  ]
