@@ -582,28 +582,37 @@ let recover t =
      transaction may read or overwrite a prepared transaction's writes —
      releasing early would let a reader observe updates that presumed
      abort may yet roll back. The pages come from the transaction's own
-     Update/Clr records; the fresh post-crash lock table grants them
-     uncontended. *)
+     Update/Clr records, found by walking its prev_lsn chain back from
+     the Prepare record at its head (which names the coordinator); the
+     fresh post-crash lock table grants them uncontended. *)
+  let log = Store.log t.store in
   let in_doubt = Hashtbl.create 8 in
-  List.iter (fun tx -> Hashtbl.replace in_doubt tx (0, -1)) outcome.in_doubt;
-  let relock = Hashtbl.create 8 in
-  Bess_wal.Log.iter (Store.log t.store) (fun lsn r ->
-      match Bess_wal.Log_record.txn_of r with
-      | Some tx when Hashtbl.mem in_doubt tx ->
-          let _, coord = Hashtbl.find in_doubt tx in
-          let coord =
-            match r.body with
-            | Bess_wal.Log_record.Prepare p -> p.coordinator
-            | _ -> coord
-          in
-          Hashtbl.replace in_doubt tx (lsn, coord);
+  let pages = ref [] in
+  List.iter
+    (fun (tx, last_lsn) ->
+      let head, _ = Bess_wal.Log.read log last_lsn in
+      let coordinator =
+        match head.body with Bess_wal.Log_record.Prepare p -> p.coordinator | _ -> -1
+      in
+      Hashtbl.replace in_doubt tx (last_lsn, coordinator);
+      let rec walk lsn =
+        if lsn <> 0 then begin
+          let r, _ = Bess_wal.Log.read log lsn in
           (match r.body with
           | Bess_wal.Log_record.Update { page; _ } | Bess_wal.Log_record.Clr { page; _ } ->
-              Hashtbl.replace relock
-                (tx, Lock_mgr.page_resource ~area:page.area ~page:page.page)
-                ()
-          | _ -> ())
-      | _ -> ());
+              pages := (lsn, tx, page) :: !pages
+          | _ -> ());
+          walk r.prev_lsn
+        end
+      in
+      walk head.prev_lsn)
+    outcome.in_doubt;
+  (* Retaken in log order, the order the transactions first took them. *)
+  let relock = Hashtbl.create 8 in
+  List.iter
+    (fun (_, tx, (page : Bess_wal.Log_record.page_id)) ->
+      Hashtbl.replace relock (tx, Lock_mgr.page_resource ~area:page.area ~page:page.page) ())
+    (List.sort compare !pages);
   Hashtbl.iter
     (fun txn_id (last_lsn, coordinator) ->
       adopt_in_doubt t ~txn:txn_id ~last_lsn ~coordinator ())

@@ -246,7 +246,6 @@ let crash t =
      were never acknowledged, and recovery rolls them back. *)
   Bess_wal.Group_commit.reset t.gc;
   Bess_wal.Log.crash t.log ();
-  Bess_cache.Cache.iter_resident t.cache (fun page _ -> ignore page);
   (* Discard everything resident without writeback. *)
   let resident = ref [] in
   Bess_cache.Cache.iter_resident t.cache (fun page _ -> resident := page :: !resident);

@@ -19,6 +19,8 @@ type t = {
   mutable used : int; (* bytes 0..used-1 are valid; LSN l lives at buf offset l-1 *)
   mutable flushed : int; (* bytes durable; LSN <= flushed is safe *)
   mutable last_lsn : int;
+  mutable ckpt_open : int; (* LSN of the last Begin_checkpoint, complete or not; 0 = none *)
+  mutable master : (int * int) option; (* begin/end LSNs of the last complete checkpoint *)
   backing : Unix.file_descr option;
   stats : Stats.t;
   c_appends : Stats.counter;
@@ -37,7 +39,7 @@ let make ~buf ~used ~backing =
   ignore (Stats.histogram stats "log.append_bytes");
   Bess_obs.Registry.register_stats "wal" stats;
   let t =
-    { buf; used; flushed = used; last_lsn = 0; backing; stats;
+    { buf; used; flushed = used; last_lsn = 0; ckpt_open = 0; master = None; backing; stats;
       c_appends = Stats.counter stats "log.appends";
       c_bytes = Stats.counter stats "log.bytes";
       h_append_bytes = Stats.hist stats "log.append_bytes";
@@ -56,6 +58,7 @@ let create ?path () =
 
 let stats t = t.stats
 let last_lsn t = t.last_lsn
+let master t = t.master
 let flushed_lsn t = t.flushed + base - 1
 let size_bytes t = t.used
 
@@ -68,17 +71,28 @@ let ensure t extra =
     t.buf <- b
   end
 
+(* The master record, as ARIES keeps it: an [End_checkpoint] completes
+   the checkpoint opened by the latest [Begin_checkpoint] before it. Kept
+   current by [append] and rebuilt by the validating scan. *)
+let begin_checkpoint_tag = Log_record.tag_of_body Begin_checkpoint
+let end_checkpoint_tag = Log_record.tag_of_body (End_checkpoint { active = []; dirty = [] })
+
+let note_record t ~tag lsn =
+  if tag = begin_checkpoint_tag then t.ckpt_open <- lsn
+  else if tag = end_checkpoint_tag then t.master <- Some (t.ckpt_open, lsn)
+
 let append t (record : Log_record.t) =
   Span.with_span ~kind:"wal.append" (fun () ->
-      let image = Log_record.encode record in
-      ensure t (Bytes.length image);
+      let n = Log_record.size record in
+      ensure t n;
       let lsn = t.used + base in
-      Bytes.blit image 0 t.buf t.used (Bytes.length image);
-      t.used <- t.used + Bytes.length image;
+      Log_record.encode_into record t.buf t.used;
+      t.used <- t.used + n;
       t.last_lsn <- lsn;
+      note_record t ~tag:(Log_record.tag_of_body record.body) lsn;
       Stats.bump t.c_appends;
-      Stats.bump_by t.c_bytes (Bytes.length image);
-      Stats.record t.h_append_bytes (Bytes.length image);
+      Stats.bump_by t.c_bytes n;
+      Stats.record t.h_append_bytes n;
       lsn)
 
 let write_backing t ~from ~upto =
@@ -180,33 +194,42 @@ let fold ?from t f init =
   iter ?from t (fun lsn r -> acc := f !acc lsn r);
   !acc
 
+(* The one validating scan of a restart: the longest prefix of whole,
+   CRC-valid records within bytes [0, limit), checked with
+   [Log_record.validate] and never decoded. Sets [last_lsn] and the master
+   record from it and returns its length. *)
+let scan_valid t ~limit =
+  t.last_lsn <- 0;
+  t.ckpt_open <- 0;
+  t.master <- None;
+  let rec go off =
+    if off >= limit then off
+    else
+      match Log_record.validate t.buf off with
+      | tag, next when next <= limit ->
+          t.last_lsn <- off + base;
+          note_record t ~tag (off + base);
+          go next
+      | _ -> off (* whole only past [limit] *)
+      | exception Log_record.Torn_record -> off
+  in
+  go 0
+
 (* Simulate a crash for tests: truncate the volatile tail back to what was
    flushed, optionally tearing [tear] extra bytes off the end to model a
    partial sector write. *)
 let crash t ?(tear = 0) () =
-  let survive = Stdlib.max 0 (t.flushed - tear) in
   (* The durable prefix can end mid-record (a tear, or a torn force that
      advanced [flushed] partway into a record). What survives is the
      longest valid *record* prefix within it: a partial record both
      fails its CRC and must not sit in front of post-recovery appends,
      which would otherwise be unreachable behind the garbage. *)
-  let valid = ref 0 in
-  (try
-     let scanning = ref true in
-     while !scanning && !valid < survive do
-       let _, next = Log_record.decode t.buf !valid in
-       if next <= survive then valid := next else scanning := false
-     done
-   with Log_record.Torn_record -> ());
-  let survive = !valid in
+  let survive = scan_valid t ~limit:(Stdlib.max 0 (t.flushed - tear)) in
   (* Model the loss: bytes past the durable prefix are gone, not merely
      hidden -- a truncated record must fail its CRC. *)
   Bytes.fill t.buf survive (Bytes.length t.buf - survive) '\000';
   t.used <- survive;
-  t.flushed <- survive;
-  t.last_lsn <- 0;
-  (* Recompute last_lsn by scanning. *)
-  iter t (fun lsn _ -> t.last_lsn <- lsn)
+  t.flushed <- survive
 
 let close t = Option.iter Unix.close t.backing
 
@@ -225,26 +248,19 @@ let open_existing path =
   in
   read_all 0;
   let t = make ~buf ~used:len ~backing:(Some fd) in
-  (* Find the valid prefix: walk the records with [decode], whose [next]
-     offset already delimits each one — no re-encoding, and no dependency
-     on encode/decode round-trip stability. *)
-  let valid = ref 0 in
-  (try
-     while !valid < len do
-       let _, next = Log_record.decode t.buf !valid in
-       t.last_lsn <- !valid + base;
-       valid := next
-     done
-   with Log_record.Torn_record -> () (* torn tail: stop *));
-  t.used <- !valid;
-  t.flushed <- !valid;
+  (* Find the valid prefix: walk the records by their framing, whose
+     length field already delimits each one — no re-encoding, and no
+     dependency on encode/decode round-trip stability. *)
+  let valid = scan_valid t ~limit:len in
+  t.used <- valid;
+  t.flushed <- valid;
   (* Torn bytes past the valid prefix must not survive on disk: a later
      append that flushes fewer bytes than the tear would leave stale
      record fragments beyond the new tail, and a second crash could
      resurrect them as phantom records. Truncate file and buffer alike. *)
-  if !valid < len then begin
-    Unix.ftruncate fd !valid;
-    Bytes.fill buf !valid (Bytes.length buf - !valid) '\000';
+  if valid < len then begin
+    Unix.ftruncate fd valid;
+    Bytes.fill buf valid (Bytes.length buf - valid) '\000';
     Stats.incr t.stats "log.reopen_truncations"
   end;
   t

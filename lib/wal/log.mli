@@ -13,6 +13,11 @@ val stats : t -> Bess_util.Stats.t
 (** LSN of the last appended record (0 when empty). *)
 val last_lsn : t -> int
 
+(** The master record: begin and end LSNs of the last complete
+    checkpoint, kept current by {!append} and rebuilt by {!crash} and
+    {!open_existing}. *)
+val master : t -> (int * int) option
+
 (** Highest LSN guaranteed durable. *)
 val flushed_lsn : t -> int
 
@@ -36,7 +41,8 @@ val fold : ?from:int -> t -> ('a -> int -> Log_record.t -> 'a) -> 'a -> 'a
 
 (** Crash simulation: lose the unflushed tail, optionally tearing [tear]
     extra bytes off the durable end (a partial sector write); lost bytes
-    are zeroed so truncated records fail their CRC. *)
+    are zeroed so truncated records fail their CRC. One validating scan
+    (CRC only, no decoding) finds what survives. *)
 val crash : t -> ?tear:int -> unit -> unit
 
 val close : t -> unit

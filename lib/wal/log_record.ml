@@ -27,13 +27,6 @@ type body =
 
 type t = { prev_lsn : int (* previous record of the same transaction, 0 = none *); body : body }
 
-let txn_of t =
-  match t.body with
-  | Update { txn; _ } | Clr { txn; _ } | Commit { txn } | Abort { txn } | End { txn }
-  | Prepare { txn; _ } ->
-      Some txn
-  | Decision _ | Begin_checkpoint | End_checkpoint _ -> None
-
 let tag_of_body = function
   | Update _ -> 1
   | Clr _ -> 2
@@ -67,89 +60,101 @@ let pp ppf t =
 
 (* ---- Serialization ------------------------------------------------------ *)
 
-let encode_body buf body =
-  let put_u32 v =
-    let b = Bytes.create 4 in
-    Bess_util.Codec.set_u32 b 0 v;
-    Buffer.add_bytes buf b
-  in
-  let put_bytes b =
-    put_u32 (Bytes.length b);
-    Buffer.add_bytes buf b
-  in
-  let put_page (p : page_id) =
-    put_u32 p.area;
-    put_u32 p.page
-  in
-  match body with
-  | Update u ->
-      put_u32 u.txn;
-      put_page u.page;
-      put_u32 u.offset;
-      put_bytes u.before;
-      put_bytes u.after
-  | Clr c ->
-      put_u32 c.txn;
-      put_page c.page;
-      put_u32 c.offset;
-      put_bytes c.image;
-      put_u32 c.undo_next
-  | Commit { txn } | Abort { txn } | End { txn } -> put_u32 txn
-  | Prepare p ->
-      put_u32 p.txn;
-      put_u32 p.coordinator
-  | Decision d ->
-      put_u32 d.gid;
-      put_u32 (List.length d.participants);
-      List.iter
-        (fun (shard, txn) ->
-          put_u32 shard;
-          put_u32 txn)
-        d.participants
-  | Begin_checkpoint -> ()
-  | End_checkpoint e ->
-      put_u32 (List.length e.active);
-      List.iter
-        (fun (txn, lsn) ->
-          put_u32 txn;
-          put_u32 lsn)
-        e.active;
-      put_u32 (List.length e.dirty);
-      List.iter
-        (fun (p, lsn) ->
-          put_page p;
-          put_u32 lsn)
-        e.dirty
-
 (* Full record image: [total_len u32][crc u32][tag u8][prev_lsn u32][body].
    total_len covers tag..body; crc covers the same range. *)
+let header = 8
+
+let body_size = function
+  | Update u -> 16 + 4 + Bytes.length u.before + 4 + Bytes.length u.after
+  | Clr c -> 16 + 4 + Bytes.length c.image + 4
+  | Commit _ | Abort _ | End _ -> 4
+  | Prepare _ -> 8
+  | Decision d -> 8 + (8 * List.length d.participants)
+  | Begin_checkpoint -> 0
+  | End_checkpoint e -> 4 + (8 * List.length e.active) + 4 + (12 * List.length e.dirty)
+
+let size t = header + 5 + body_size t.body
+
+(* Writers thread the write position: each returns the offset past what
+   it wrote. *)
+let put_u32 buf pos v =
+  Bess_util.Codec.set_u32 buf pos v;
+  pos + 4
+
+let put_bytes buf pos b =
+  let pos = put_u32 buf pos (Bytes.length b) in
+  Bytes.blit b 0 buf pos (Bytes.length b);
+  pos + Bytes.length b
+
+let put_page buf pos (p : page_id) = put_u32 buf (put_u32 buf pos p.area) p.page
+
+let put_body buf pos = function
+  | Update u ->
+      let pos = put_page buf (put_u32 buf pos u.txn) u.page in
+      let pos = put_bytes buf (put_u32 buf pos u.offset) u.before in
+      put_bytes buf pos u.after
+  | Clr c ->
+      let pos = put_page buf (put_u32 buf pos c.txn) c.page in
+      let pos = put_bytes buf (put_u32 buf pos c.offset) c.image in
+      put_u32 buf pos c.undo_next
+  | Commit { txn } | Abort { txn } | End { txn } -> put_u32 buf pos txn
+  | Prepare p -> put_u32 buf (put_u32 buf pos p.txn) p.coordinator
+  | Decision d ->
+      let pos = put_u32 buf (put_u32 buf pos d.gid) (List.length d.participants) in
+      List.fold_left
+        (fun pos (shard, txn) -> put_u32 buf (put_u32 buf pos shard) txn)
+        pos d.participants
+  | Begin_checkpoint -> pos
+  | End_checkpoint e ->
+      let pos =
+        List.fold_left
+          (fun pos (txn, lsn) -> put_u32 buf (put_u32 buf pos txn) lsn)
+          (put_u32 buf pos (List.length e.active))
+          e.active
+      in
+      List.fold_left
+        (fun pos (p, lsn) -> put_u32 buf (put_page buf pos p) lsn)
+        (put_u32 buf pos (List.length e.dirty))
+        e.dirty
+
+(* [encode_into t buf off] writes the image of [t] at [off] in place; the
+   caller has made room for [size t] bytes. *)
+let encode_into t buf off =
+  let payload = off + header in
+  Bess_util.Codec.set_u8 buf payload (tag_of_body t.body);
+  let stop = put_body buf (put_u32 buf (payload + 1) t.prev_lsn) t.body in
+  let len = stop - payload in
+  Bess_util.Codec.set_u32 buf off len;
+  Bess_util.Codec.set_u32 buf (off + 4)
+    (Bess_util.Crc32.to_int (Bess_util.Crc32.bytes ~off:payload ~len buf))
+
 let encode t =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf (Char.chr (tag_of_body t.body));
-  let b4 = Bytes.create 4 in
-  Bess_util.Codec.set_u32 b4 0 t.prev_lsn;
-  Buffer.add_bytes buf b4;
-  encode_body buf t.body;
-  let payload = Buffer.to_bytes buf in
-  let out = Bytes.create (8 + Bytes.length payload) in
-  Bess_util.Codec.set_u32 out 0 (Bytes.length payload);
-  Bess_util.Codec.set_u32 out 4 (Bess_util.Crc32.to_int (Bess_util.Crc32.bytes payload));
-  Bytes.blit payload 0 out 8 (Bytes.length payload);
+  let out = Bytes.create (size t) in
+  encode_into t out 0;
   out
 
 exception Torn_record
 
-(* [decode b off] parses the record at [off]; returns it and the offset of
-   the next record. Raises [Torn_record] on truncation or CRC mismatch
-   (expected at the very tail after a crash). *)
-let decode b off =
-  if off + 8 > Bytes.length b then raise Torn_record;
+(* [validate b off] checks the framing of the record at [off] -- length,
+   CRC and tag -- without decoding it, and returns its tag and the offset
+   of the next record. Raises [Torn_record] on truncation, CRC mismatch
+   (expected at the very tail after a crash) or an unknown tag. *)
+let validate b off =
+  if off + header > Bytes.length b then raise Torn_record;
   let len = Bess_util.Codec.get_u32 b off in
   let crc = Bess_util.Codec.get_u32 b (off + 4) in
-  if len = 0 || off + 8 + len > Bytes.length b then raise Torn_record;
-  if Bess_util.Crc32.to_int (Bess_util.Crc32.bytes ~off:(off + 8) ~len b) <> crc then
+  if len = 0 || off + header + len > Bytes.length b then raise Torn_record;
+  if Bess_util.Crc32.to_int (Bess_util.Crc32.bytes ~off:(off + header) ~len b) <> crc then
     raise Torn_record;
-  let pos = ref (off + 8) in
+  let tag = Bess_util.Codec.get_u8 b (off + header) in
+  if tag < 1 || tag > 9 then raise Torn_record;
+  (tag, off + header + len)
+
+(* [decode b off] parses the record at [off]; returns it and the offset of
+   the next record. Raises [Torn_record] where [validate] would. *)
+let decode b off =
+  let _, next = validate b off in
+  let pos = ref (off + header) in
   let u8 () =
     let v = Bess_util.Codec.get_u8 b !pos in
     incr pos;
@@ -222,4 +227,4 @@ let decode b off =
         Decision { gid; participants }
     | _ -> raise Torn_record
   in
-  ({ prev_lsn; body }, off + 8 + len)
+  ({ prev_lsn; body }, next)

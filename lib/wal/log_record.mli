@@ -28,15 +28,29 @@ type body =
 
 type t = { prev_lsn : int;  (** previous record of the same transaction; 0 = none *) body : body }
 
-(** The transaction a record belongs to, if any. *)
-val txn_of : t -> int option
-
 val pp : Format.formatter -> t -> unit
 
-(** Full record image: length prefix, CRC, tag, prev_lsn, body. *)
+(** The record's tag byte, [1..9] in constructor order. *)
+val tag_of_body : body -> int
+
+(** Length of the full record image: length prefix, CRC, tag, prev_lsn,
+    body. *)
+val size : t -> int
+
+(** [encode_into t buf off] writes the full image of [t] at [off]; [buf]
+    must have [size t] bytes from [off]. *)
+val encode_into : t -> Bytes.t -> int -> unit
+
+(** The full image as fresh bytes. *)
 val encode : t -> Bytes.t
 
 exception Torn_record
+
+(** [validate b off] checks the length, CRC and tag of the record at
+    [off] without decoding it and returns the tag with the offset of the
+    next record; raises {!Torn_record} on truncation, CRC mismatch or an
+    unknown tag. *)
+val validate : Bytes.t -> int -> int * int
 
 (** [decode b off] parses the record at [off] and returns it with the
     offset of the next record; raises {!Torn_record} on truncation or CRC

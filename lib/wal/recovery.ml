@@ -20,45 +20,92 @@ type txn_status = Running | Committed | Prepared
 type outcome = {
   winners : int list; (* committed, made durable *)
   losers : int list; (* rolled back *)
-  in_doubt : int list; (* prepared, awaiting coordinator *)
+  in_doubt : (int * int) list; (* prepared, awaiting coordinator: txn, last_lsn *)
   redone : int;
   undone : int;
 }
 
 (* ---- Analysis ----------------------------------------------------------- *)
 
+module Page_tbl = Hashtbl.Make (struct
+  type t = Log_record.page_id
+
+  let equal (a : t) (b : t) = a.area = b.area && a.page = b.page
+  let hash (p : t) = (p.area * 1000003) lxor p.page
+end)
+
+(* A dirty-page-table entry, with the redo work analysis finds for it:
+   the LSNs, in log order, of the page's Update/CLR records at or after
+   its recovery LSN. LSNs, not records, so the tables stay small. *)
+type dirty = {
+  page : Log_record.page_id;
+  rec_lsn : int;
+  mutable lsns : int array;
+  mutable n : int;
+}
+
 type analysis = {
   att : (int, txn_status * int) Hashtbl.t; (* txn -> status, last_lsn *)
-  dpt : (Log_record.page_id, int) Hashtbl.t; (* page -> recovery lsn *)
-  redo_from : int;
+  pages : dirty list; (* pages with redo work, by first redo LSN *)
 }
 
 let analyse log =
   let att = Hashtbl.create 16 in
-  let dpt = Hashtbl.create 64 in
-  (* Find the last complete checkpoint to seed tables; scanning from the
-     log start is always correct, the checkpoint only shortens the scan. *)
-  let ckpt_start = ref 0 in
-  let ckpt_record = ref None in
-  Log.iter log (fun lsn (r : Log_record.t) ->
-      match r.body with
-      | Log_record.Begin_checkpoint -> ckpt_start := lsn
-      | Log_record.End_checkpoint e ->
-          ckpt_record := Some (!ckpt_start, e.active, e.dirty)
-      | _ -> ());
+  let dpt = Page_tbl.create 64 in
+  let pages = ref [] in
+  let add_dirty p rec_lsn =
+    let d = { page = p; rec_lsn; lsns = [||]; n = 0 } in
+    Page_tbl.add dpt p d;
+    d
+  in
+  (* Redo repeats history: every Update/CLR at or after its page's
+     recovery LSN. *)
+  let note (d : dirty) lsn =
+    if lsn >= d.rec_lsn then begin
+      if d.n = 0 then pages := d :: !pages;
+      if d.n = Array.length d.lsns then begin
+        let a = Array.make (Stdlib.max 4 (2 * d.n)) 0 in
+        Array.blit d.lsns 0 a 0 d.n;
+        d.lsns <- a
+      end;
+      d.lsns.(d.n) <- lsn;
+      d.n <- d.n + 1
+    end
+  in
+  (* Seed the tables from the master record's checkpoint; scanning from
+     the log start is always correct, the checkpoint only shortens the
+     scan. *)
   let scan_from =
-    match !ckpt_record with
-    | Some (start, active, dirty) ->
-        List.iter (fun (txn, last) -> Hashtbl.replace att txn (Running, last)) active;
-        List.iter
-          (fun (p, rec_lsn) -> if not (Hashtbl.mem dpt p) then Hashtbl.add dpt p rec_lsn)
-          dirty;
-        start
+    match Log.master log with
     | None -> 1
+    | Some (start, end_lsn) -> (
+        match (fst (Log.read log end_lsn)).body with
+        | End_checkpoint e ->
+            List.iter (fun (txn, last) -> Hashtbl.replace att txn (Running, last)) e.active;
+            List.iter
+              (fun (p, rec_lsn) -> if not (Page_tbl.mem dpt p) then ignore (add_dirty p rec_lsn))
+              e.dirty;
+            (* A dirty page whose recovery LSN lies behind the checkpoint
+               has redo work there: collect it first, so each page's LSNs
+               stay in log order. *)
+            let low = Page_tbl.fold (fun _ d acc -> Stdlib.min acc d.rec_lsn) dpt start in
+            let rec behind lsn =
+              if lsn < start then begin
+                let r, next = Log.read log lsn in
+                (match r.body with
+                | Update { page; _ } | Clr { page; _ } ->
+                    Option.iter (fun d -> note d lsn) (Page_tbl.find_opt dpt page)
+                | _ -> ());
+                behind next
+              end
+            in
+            behind low;
+            start
+        | _ -> invalid_arg "Recovery.analyse: master record is not an End_checkpoint")
   in
   Log.iter ~from:scan_from log (fun lsn (r : Log_record.t) ->
       let touch_page (p : Log_record.page_id) =
-        if not (Hashtbl.mem dpt p) then Hashtbl.add dpt p lsn
+        note (match Page_tbl.find_opt dpt p with Some d -> d | None -> add_dirty p lsn) lsn
       in
       match r.body with
       | Update u ->
@@ -78,49 +125,56 @@ let analyse log =
       | End e -> Hashtbl.remove att e.txn
       | Decision _ (* coordinator-log record; carries no page or txn state *)
       | Begin_checkpoint | End_checkpoint _ -> ());
-  let redo_from = Hashtbl.fold (fun _ rec_lsn acc -> Stdlib.min acc rec_lsn) dpt max_int in
-  { att; dpt; redo_from = (if redo_from = max_int then Log.last_lsn log + 1 else redo_from) }
+  { att; pages = List.rev !pages }
 
 (* ---- Redo ---------------------------------------------------------------- *)
 
+(* Page by page, in order of first appearance: each page's records are
+   physical images independent of every other page's, so only the order
+   within a page matters, and a page is loaded and written back about
+   once however small the cache. *)
 let redo log io (a : analysis) =
   let redone = ref 0 in
-  Log.iter ~from:a.redo_from log (fun lsn (r : Log_record.t) ->
-      let apply (p : Log_record.page_id) offset image =
-        match Hashtbl.find_opt a.dpt p with
-        | Some rec_lsn when lsn >= rec_lsn ->
-            if io.page_lsn p < lsn then begin
-              io.write p ~offset image;
-              io.set_page_lsn p lsn;
-              incr redone
-            end
-        | _ -> ()
-      in
-      match r.body with
-      | Update u -> apply u.page u.offset u.after
-      | Clr c -> apply c.page c.offset c.image
-      | _ -> ());
+  List.iter
+    (fun d ->
+      for i = 0 to d.n - 1 do
+        let lsn = d.lsns.(i) in
+        if io.page_lsn d.page < lsn then begin
+          (match (fst (Log.read log lsn)).body with
+          | Update u -> io.write d.page ~offset:u.offset u.after
+          | Clr c -> io.write d.page ~offset:c.offset c.image
+          | _ -> assert false);
+          io.set_page_lsn d.page lsn;
+          incr redone
+        end
+      done)
+    a.pages;
   !redone
 
 (* ---- Undo ---------------------------------------------------------------- *)
+
+(* Next undo LSN per loser, as [(lsn, txn)]. LSNs are unique, so the
+   largest element names the one record to undo next. *)
+module Next = Set.Make (struct
+  type t = int * int
+
+  let compare ((a : int), (_ : int)) (b, _) = Int.compare a b
+end)
 
 (* Undo a set of loser transactions from their last LSNs, writing CLRs.
    Shared by crash recovery and by normal transaction rollback. *)
 let undo_losers log io losers =
   let undone = ref 0 in
-  (* next undo LSN per txn *)
-  let next = Hashtbl.create 8 in
-  List.iter (fun (txn, lsn) -> if lsn > 0 then Hashtbl.replace next txn lsn) losers;
-  let pick_max () =
-    Hashtbl.fold
-      (fun txn lsn acc ->
-        match acc with Some (_, best) when best >= lsn -> acc | _ -> Some (txn, lsn))
-      next None
+  let next =
+    ref (List.fold_left (fun s (txn, lsn) -> if lsn > 0 then Next.add (lsn, txn) s else s)
+           Next.empty losers)
   in
+  let continue_at txn lsn = if lsn <> 0 then next := Next.add (lsn, txn) !next in
   let rec loop () =
-    match pick_max () with
+    match Next.max_elt_opt !next with
     | None -> ()
-    | Some (txn, lsn) ->
+    | Some ((lsn, txn) as top) ->
+        next := Next.remove top !next;
         let record, _ = Log.read log lsn in
         (match record.body with
         | Update u ->
@@ -139,16 +193,12 @@ let undo_losers log io losers =
             io.write u.page ~offset:u.offset u.before;
             io.set_page_lsn u.page clr_lsn;
             incr undone;
-            if record.prev_lsn = 0 then Hashtbl.remove next txn
-            else Hashtbl.replace next txn record.prev_lsn
+            continue_at txn record.prev_lsn
         | Clr c ->
             (* Skip over already-undone work. *)
-            if c.undo_next = 0 then Hashtbl.remove next txn
-            else Hashtbl.replace next txn c.undo_next
-        | Abort _ | Prepare _ | Commit _ ->
-            if record.prev_lsn = 0 then Hashtbl.remove next txn
-            else Hashtbl.replace next txn record.prev_lsn
-        | End _ | Decision _ | Begin_checkpoint | End_checkpoint _ -> Hashtbl.remove next txn);
+            continue_at txn c.undo_next
+        | Abort _ | Prepare _ | Commit _ -> continue_at txn record.prev_lsn
+        | End _ | Decision _ | Begin_checkpoint | End_checkpoint _ -> ());
         loop ()
   in
   loop ();
@@ -177,7 +227,7 @@ let recover log io =
       | Committed ->
           winners := txn :: !winners;
           ignore (Log.append log { prev_lsn = last; body = End { txn } })
-      | Prepared -> in_doubt := txn :: !in_doubt
+      | Prepared -> in_doubt := (txn, last) :: !in_doubt
       | Running -> losers := (txn, last) :: !losers)
     a.att;
   let undone = undo_losers log io !losers in

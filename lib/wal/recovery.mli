@@ -19,7 +19,8 @@ type txn_status = Running | Committed | Prepared
 type outcome = {
   winners : int list;  (** committed transactions made durable *)
   losers : int list;  (** active transactions rolled back *)
-  in_doubt : int list;  (** prepared, awaiting the 2PC coordinator *)
+  in_doubt : (int * int) list;
+      (** prepared, awaiting the 2PC coordinator: [(txn, last LSN)] by txn *)
   redone : int;
   undone : int;
 }
@@ -28,6 +29,7 @@ type outcome = {
     updates with CLRs, logs END. *)
 val rollback_txn : Log.t -> page_io -> txn:int -> last_lsn:int -> int
 
-(** Full restart: analysis from the last complete checkpoint, redo from
-    the dirty-page low-water mark, undo of losers. *)
+(** Full restart: analysis in one pass from the checkpoint named by the
+    log's master record, redo page by page of the LSNs analysis found
+    (one {!Log.read} per record redone), undo of losers. *)
 val recover : Log.t -> page_io -> outcome

@@ -200,7 +200,7 @@ let test_in_doubt_across_crash () =
        ~updates:[ { Bess.Server.page; offset = 400; before; after = Bytes.of_string "2PC!" } ]);
   Bess.Server.crash server;
   let outcome = Bess.Server.recover server in
-  Alcotest.(check (list int)) "in doubt" [ t ] outcome.in_doubt;
+  Alcotest.(check (list int)) "in doubt" [ t ] (List.map fst outcome.in_doubt);
   (* The coordinator's decision arrives: commit. *)
   Bess.Server.commit_prepared server ~txn:t;
   Alcotest.(check string) "decided commit applied" "2PC!"

@@ -32,6 +32,145 @@ let update log (s : fake_store) ~txn ~prev ~pg ~offset ~after =
   Hashtbl.replace s.lsns (page 0 pg) lsn;
   lsn
 
+(* The log-order restart recovery forms the reference for the three-pass
+   one: a pre-scan for the last checkpoint, a decoding analysis pass, redo
+   in log order over the whole range from the dirty-page low-water mark,
+   and undo picking the largest next LSN by a fold over every loser. *)
+module Ref = struct
+  type analysis = {
+    att : (int, Recovery.txn_status * int) Hashtbl.t;
+    dpt : (Log_record.page_id, int) Hashtbl.t;
+    redo_from : int;
+  }
+
+  let analyse log =
+    let att = Hashtbl.create 16 in
+    let dpt = Hashtbl.create 64 in
+    let ckpt_start = ref 0 in
+    let ckpt_record = ref None in
+    Log.iter log (fun lsn (r : Log_record.t) ->
+        match r.body with
+        | Log_record.Begin_checkpoint -> ckpt_start := lsn
+        | Log_record.End_checkpoint e -> ckpt_record := Some (!ckpt_start, e.active, e.dirty)
+        | _ -> ());
+    let scan_from =
+      match !ckpt_record with
+      | Some (start, active, dirty) ->
+          List.iter (fun (txn, last) -> Hashtbl.replace att txn (Recovery.Running, last)) active;
+          List.iter
+            (fun (p, rec_lsn) -> if not (Hashtbl.mem dpt p) then Hashtbl.add dpt p rec_lsn)
+            dirty;
+          start
+      | None -> 1
+    in
+    Log.iter ~from:scan_from log (fun lsn (r : Log_record.t) ->
+        let touch_page (p : Log_record.page_id) =
+          if not (Hashtbl.mem dpt p) then Hashtbl.add dpt p lsn
+        in
+        match r.body with
+        | Update u ->
+            Hashtbl.replace att u.txn (Recovery.Running, lsn);
+            touch_page u.page
+        | Clr c ->
+            Hashtbl.replace att c.txn (Recovery.Running, lsn);
+            touch_page c.page
+        | Prepare p -> Hashtbl.replace att p.txn (Recovery.Prepared, lsn)
+        | Commit c -> Hashtbl.replace att c.txn (Recovery.Committed, lsn)
+        | Abort a ->
+            let last = match Hashtbl.find_opt att a.txn with Some (_, l) -> l | None -> lsn in
+            Hashtbl.replace att a.txn (Recovery.Running, last)
+        | End e -> Hashtbl.remove att e.txn
+        | Decision _ | Begin_checkpoint | End_checkpoint _ -> ());
+    let redo_from = Hashtbl.fold (fun _ rec_lsn acc -> Stdlib.min acc rec_lsn) dpt max_int in
+    { att; dpt; redo_from = (if redo_from = max_int then Log.last_lsn log + 1 else redo_from) }
+
+  let redo log (io : Recovery.page_io) a =
+    let redone = ref 0 in
+    Log.iter ~from:a.redo_from log (fun lsn (r : Log_record.t) ->
+        let apply (p : Log_record.page_id) offset image =
+          match Hashtbl.find_opt a.dpt p with
+          | Some rec_lsn when lsn >= rec_lsn ->
+              if io.page_lsn p < lsn then begin
+                io.write p ~offset image;
+                io.set_page_lsn p lsn;
+                incr redone
+              end
+          | _ -> ()
+        in
+        match r.body with
+        | Update u -> apply u.page u.offset u.after
+        | Clr c -> apply c.page c.offset c.image
+        | _ -> ());
+    !redone
+
+  let undo_losers log (io : Recovery.page_io) losers =
+    let undone = ref 0 in
+    let next = Hashtbl.create 8 in
+    List.iter (fun (txn, lsn) -> if lsn > 0 then Hashtbl.replace next txn lsn) losers;
+    let pick_max () =
+      Hashtbl.fold
+        (fun txn lsn acc ->
+          match acc with Some (_, best) when best >= lsn -> acc | _ -> Some (txn, lsn))
+        next None
+    in
+    let rec loop () =
+      match pick_max () with
+      | None -> ()
+      | Some (txn, lsn) ->
+          let record, _ = Log.read log lsn in
+          (match record.body with
+          | Update u ->
+              let clr_lsn =
+                Log.append log
+                  { prev_lsn = lsn;
+                    body = Clr { txn; page = u.page; offset = u.offset; image = u.before;
+                                 undo_next = record.prev_lsn } }
+              in
+              io.write u.page ~offset:u.offset u.before;
+              io.set_page_lsn u.page clr_lsn;
+              incr undone;
+              if record.prev_lsn = 0 then Hashtbl.remove next txn
+              else Hashtbl.replace next txn record.prev_lsn
+          | Clr c ->
+              if c.undo_next = 0 then Hashtbl.remove next txn
+              else Hashtbl.replace next txn c.undo_next
+          | Abort _ | Prepare _ | Commit _ ->
+              if record.prev_lsn = 0 then Hashtbl.remove next txn
+              else Hashtbl.replace next txn record.prev_lsn
+          | End _ | Decision _ | Begin_checkpoint | End_checkpoint _ -> Hashtbl.remove next txn);
+          loop ()
+    in
+    loop ();
+    List.iter
+      (fun (txn, lsn) ->
+        if lsn > 0 then ignore (Log.append log { prev_lsn = 0; body = End { txn } }))
+      losers;
+    !undone
+
+  let recover log io : Recovery.outcome =
+    let a = analyse log in
+    let redone = redo log io a in
+    let winners = ref [] and losers = ref [] and in_doubt = ref [] in
+    Hashtbl.iter
+      (fun txn (status, last) ->
+        match (status : Recovery.txn_status) with
+        | Committed ->
+            winners := txn :: !winners;
+            ignore (Log.append log { prev_lsn = last; body = End { txn } })
+        | Prepared -> in_doubt := (txn, last) :: !in_doubt
+        | Running -> losers := (txn, last) :: !losers)
+      a.att;
+    let undone = undo_losers log io !losers in
+    Log.flush log ();
+    {
+      winners = List.sort compare !winners;
+      losers = List.sort compare (List.map fst !losers);
+      in_doubt = List.sort compare !in_doubt;
+      redone;
+      undone;
+    }
+end
+
 let test_record_codec_roundtrip () =
   let records : Log_record.t list =
     [
@@ -135,7 +274,7 @@ let test_recovery_in_doubt () =
   Log.flush log ~lsn:lp ();
   Hashtbl.reset s.lsns;
   let outcome = Recovery.recover log (io_of s) in
-  Alcotest.(check (list int)) "prepared txn in doubt" [ 5 ] outcome.in_doubt;
+  Alcotest.(check (list int)) "prepared txn in doubt" [ 5 ] (List.map fst outcome.in_doubt);
   Alcotest.(check (list int)) "not a loser" [] outcome.losers;
   (* Its update must survive (it may yet commit). *)
   Alcotest.(check string) "prepared data retained" "2PCDATA" (Bytes.sub_string s.pages.(4) 0 7)
@@ -149,12 +288,16 @@ let test_checkpoint_shortens_analysis () =
   done;
   let lc = Log.append log { prev_lsn = !prev; body = Commit { txn = 1 } } in
   ignore (Log.append log { prev_lsn = lc; body = End { txn = 1 } });
-  ignore (Log.append log { prev_lsn = 0; body = Begin_checkpoint });
-  ignore (Log.append log { prev_lsn = 0; body = End_checkpoint { active = []; dirty = [] } });
+  let lb = Log.append log { prev_lsn = 0; body = Begin_checkpoint } in
+  let le = Log.append log { prev_lsn = 0; body = End_checkpoint { active = []; dirty = [] } } in
   Log.flush log ();
+  Alcotest.(check (option (pair int int))) "master names the checkpoint" (Some (lb, le))
+    (Log.master log);
   Hashtbl.reset s.lsns;
   let outcome = Recovery.recover log (io_of s) in
-  (* Everything was clean at the checkpoint: nothing to redo or undo. *)
+  (* Everything was clean at the checkpoint: nothing to redo or undo. With
+     the page-LSN table lost, an analysis started at LSN 1 would have
+     found the 20 updates and redone them: it starts at the checkpoint. *)
   Alcotest.(check int) "no redo" 0 outcome.redone;
   Alcotest.(check int) "no undo" 0 outcome.undone
 
@@ -281,6 +424,222 @@ let test_reopen_multi_record () =
   Log.close log2;
   Sys.remove path
 
+(* ---- Master record ------------------------------------------------------- *)
+
+(* The last End_checkpoint is torn off by the crash: the master record
+   falls back to the previous complete checkpoint, whose tables still name
+   the loser. *)
+let test_master_falls_back_past_torn_checkpoint () =
+  let log = Log.create () in
+  let s = fake_store () in
+  let l1 = update log s ~txn:4 ~prev:0 ~pg:1 ~offset:0 ~after:"one" in
+  let b1 = Log.append log { prev_lsn = 0; body = Begin_checkpoint } in
+  let e1 =
+    Log.append log
+      { prev_lsn = 0; body = End_checkpoint { active = [ (4, l1) ]; dirty = [ (page 0 1, l1) ] } }
+  in
+  let l2 = update log s ~txn:4 ~prev:l1 ~pg:2 ~offset:0 ~after:"two" in
+  ignore (Log.append log { prev_lsn = 0; body = Begin_checkpoint });
+  ignore
+    (Log.append log
+       { prev_lsn = 0;
+         body = End_checkpoint { active = [ (4, l2) ]; dirty = [ (page 0 1, l1); (page 0 2, l2) ] } });
+  Log.flush log ();
+  Log.crash log ~tear:3 ();
+  Alcotest.(check (option (pair int int))) "previous checkpoint" (Some (b1, e1)) (Log.master log);
+  Hashtbl.reset s.lsns;
+  let outcome = Recovery.recover log (io_of s) in
+  Alcotest.(check (list int)) "loser from the checkpoint's table" [ 4 ] outcome.losers;
+  Alcotest.(check int) "both updates undone" 2 outcome.undone;
+  Alcotest.(check string) "page 1 restored" "\000\000\000" (Bytes.sub_string s.pages.(1) 0 3);
+  Alcotest.(check string) "page 2 restored" "\000\000\000" (Bytes.sub_string s.pages.(2) 0 3)
+
+let test_reopen_restores_master () =
+  let path = Filename.temp_file "bess_wal_master" ".log" in
+  let log = Log.create ~path () in
+  ignore (Log.append log { prev_lsn = 0; body = Commit { txn = 1 } });
+  let b = Log.append log { prev_lsn = 0; body = Begin_checkpoint } in
+  let e =
+    Log.append log { prev_lsn = 0; body = End_checkpoint { active = [ (2, 1) ]; dirty = [] } }
+  in
+  (* An incomplete checkpoint after it does not replace it. *)
+  ignore (Log.append log { prev_lsn = 0; body = Begin_checkpoint });
+  Log.flush log ();
+  Log.close log;
+  let log1 = Log.open_existing path in
+  Alcotest.(check (option (pair int int))) "master restored" (Some (b, e)) (Log.master log1);
+  Log.close log1;
+  Sys.remove path
+
+(* ---- Three-pass restart against the log-order reference ------------------- *)
+
+exception Mid_recovery_crash
+
+(* Page I/O for the restart under test: each write forces the log first
+   (the WAL rule of a page write-back, which makes undo's CLRs durable as
+   it goes) and the [countdown]-th write crashes instead. *)
+let crashing_io log (s : fake_store) countdown : Recovery.page_io =
+  let io = io_of s in
+  { io with
+    write =
+      (fun p ~offset image ->
+        if !countdown = 0 then raise Mid_recovery_crash;
+        decr countdown;
+        Log.flush log ();
+        io.write p ~offset image) }
+
+type model = {
+  log : Log.t;
+  store : fake_store;
+  mutable next_txn : int;
+  mutable active : (int * int) list; (* txn, last_lsn *)
+  mutable prepared : (int * int) list;
+  first_dirty : int array; (* per page: LSN that dirtied it since its last write-back *)
+}
+
+let nth_txn l k = List.nth l (k mod List.length l)
+
+(* Replay one generated history: interleaved updates, commits (some with
+   their END lost), rollbacks, bare aborts, prepares and 2PC decisions,
+   log forces, page write-backs, checkpoints (some never completed) whose
+   dirty tables reach behind their Begin_checkpoint, and crashes with a
+   torn tail followed by a restart. Deterministic in [ops]. *)
+let replay ops =
+  let m =
+    { log = Log.create (); store = fake_store (); next_txn = 1; active = []; prepared = [];
+      first_dirty = Array.make 8 0 }
+  in
+  let io = io_of m.store in
+  let set_last txn lsn = m.active <- (txn, lsn) :: List.remove_assoc txn m.active in
+  let finish txn = m.active <- List.remove_assoc txn m.active in
+  List.iter
+    (fun (op, a, b) ->
+      match op with
+      | 0 | 1 | 2 | 3 | 4 | 5 ->
+          let txn, prev =
+            if m.active = [] || a mod 4 = 0 then begin
+              m.next_txn <- m.next_txn + 1;
+              (m.next_txn - 1, 0)
+            end
+            else nth_txn m.active a
+          in
+          let pg = b mod 8 and len = 1 + (b / 8 mod 8) in
+          let offset = b / 64 mod (64 - len) in
+          let after = String.init len (fun i -> Char.chr (65 + ((a + b + i) mod 26))) in
+          let lsn = update m.log m.store ~txn ~prev ~pg ~offset ~after in
+          if m.first_dirty.(pg) = 0 then m.first_dirty.(pg) <- lsn;
+          set_last txn lsn
+      | 6 when m.active <> [] ->
+          let txn, last = nth_txn m.active a in
+          let lc = Log.append m.log { prev_lsn = last; body = Commit { txn } } in
+          if b mod 3 <> 0 then ignore (Log.append m.log { prev_lsn = lc; body = End { txn } });
+          finish txn
+      | 7 when m.active <> [] ->
+          let txn, last_lsn = nth_txn m.active a in
+          ignore (Recovery.rollback_txn m.log io ~txn ~last_lsn);
+          finish txn
+      | 8 when m.active <> [] ->
+          (* A rollback cut short: ABORT logged, nothing undone yet. *)
+          let txn, last = nth_txn m.active a in
+          set_last txn (Log.append m.log { prev_lsn = last; body = Abort { txn } })
+      | 9 when m.active <> [] ->
+          let txn, last = nth_txn m.active a in
+          let lp =
+            Log.append m.log { prev_lsn = last; body = Prepare { txn; coordinator = b mod 4 } }
+          in
+          finish txn;
+          m.prepared <- (txn, lp) :: m.prepared
+      | 10 when m.prepared <> [] ->
+          let txn, last = nth_txn m.prepared a in
+          m.prepared <- List.remove_assoc txn m.prepared;
+          if b mod 2 = 0 then begin
+            let lc = Log.append m.log { prev_lsn = last; body = Commit { txn } } in
+            ignore (Log.append m.log { prev_lsn = lc; body = End { txn } })
+          end
+          else ignore (Recovery.rollback_txn m.log io ~txn ~last_lsn:last)
+      | 11 -> Log.flush m.log ()
+      | 12 -> m.first_dirty.(b mod 8) <- 0
+      | 13 ->
+          ignore (Log.append m.log { prev_lsn = 0; body = Begin_checkpoint });
+          if a mod 5 <> 0 then begin
+            (* Recovery LSNs as ARIES keeps them (the LSN that first
+               dirtied the page) or as the store records them (its page
+               LSN); both lie behind the Begin_checkpoint. *)
+            let dirty =
+              List.filter_map
+                (fun pg ->
+                  let first = m.first_dirty.(pg) in
+                  if first = 0 then None
+                  else
+                    Some
+                      (page 0 pg, if b mod 2 = 0 then first else Hashtbl.find m.store.lsns (page 0 pg)))
+                [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+            in
+            ignore
+              (Log.append m.log
+                 { prev_lsn = 0; body = End_checkpoint { active = List.rev m.active; dirty } })
+          end
+      | 14 ->
+          Log.crash m.log ~tear:(b mod 24) ();
+          Hashtbl.reset m.store.lsns;
+          let o = Recovery.recover m.log io in
+          m.active <- [];
+          m.prepared <- o.in_doubt;
+          Array.fill m.first_dirty 0 8 0
+      | _ -> ())
+    ops;
+  m
+
+let pages_of (s : fake_store) = Array.to_list (Array.map Bytes.to_string s.pages)
+
+let lsns_of (s : fake_store) =
+  List.sort compare
+    (Hashtbl.fold (fun (p : Log_record.page_id) l acc -> ((p.area, p.page), l) :: acc) s.lsns [])
+
+let records_of log = List.rev (Log.fold log (fun acc lsn r -> (lsn, r) :: acc) [])
+
+(* Crash the replayed history with [tear], restart with [recover] and, if
+   [crash_after] >= 0, crash again at that page write of the restart and
+   restart once more. The second crash tears nothing: a page write made
+   its records durable first, and the two restarts write pages in
+   different orders, so a tear there could cut a record out from under
+   one restart's page and not the other's. *)
+let restart recover ops ~tear ~crash_after =
+  let m = replay ops in
+  Log.crash m.log ~tear ();
+  Hashtbl.reset m.store.lsns;
+  let outcome =
+    match recover m.log (crashing_io m.log m.store (ref crash_after)) with
+    | o -> o
+    | exception Mid_recovery_crash ->
+        Log.crash m.log ();
+        Hashtbl.reset m.store.lsns;
+        recover m.log (crashing_io m.log m.store (ref (-1)))
+  in
+  (outcome, pages_of m.store, lsns_of m.store, records_of m.log)
+
+let history_gen =
+  QCheck.Gen.(
+    triple (list_size (0 -- 80) (triple (0 -- 15) (0 -- 1000) (0 -- 100_000))) (0 -- 24) (-1 -- 40))
+
+let prop_restart_matches_log_order =
+  QCheck.Test.make ~name:"three-pass restart equals log-order reference" ~count:300
+    (QCheck.make history_gen
+       ~print:(fun (ops, tear, crash_after) ->
+         Printf.sprintf "tear=%d crash_after=%d ops=[%s]" tear crash_after
+           (String.concat "; "
+              (List.map (fun (op, a, b) -> Printf.sprintf "(%d,%d,%d)" op a b) ops)))
+       ~shrink:(fun (ops, tear, crash_after) ->
+         QCheck.Iter.map (fun ops -> (ops, tear, crash_after)) (QCheck.Shrink.list ops)))
+    (fun (ops, tear, crash_after) ->
+      let o, pages, lsns, records = restart Recovery.recover ops ~tear ~crash_after in
+      let o', pages', lsns', records' = restart Ref.recover ops ~tear ~crash_after in
+      if o <> o' then QCheck.Test.fail_report "outcome differs";
+      if pages <> pages' then QCheck.Test.fail_report "page images differ";
+      if lsns <> lsns' then QCheck.Test.fail_report "page-LSN tables differ";
+      if records <> records' then QCheck.Test.fail_report "log records differ";
+      true)
+
 (* ---- Group commit -------------------------------------------------------- *)
 
 let forces log = Bess_util.Stats.get (Log.stats log) "log.forces"
@@ -396,6 +755,10 @@ let suite =
     Alcotest.test_case "file_backed_reopen" `Quick test_file_backed_log_reopen;
     Alcotest.test_case "reopen_truncates_file" `Quick test_reopen_truncates_file;
     Alcotest.test_case "reopen_multi_record" `Quick test_reopen_multi_record;
+    Alcotest.test_case "master_falls_back_past_torn_checkpoint" `Quick
+      test_master_falls_back_past_torn_checkpoint;
+    Alcotest.test_case "reopen_restores_master" `Quick test_reopen_restores_master;
+    QCheck_alcotest.to_alcotest prop_restart_matches_log_order;
     Alcotest.test_case "group_commit_policy_parse" `Quick test_group_commit_policy_parse;
     Alcotest.test_case "group_commit_batches" `Quick test_group_commit_batches;
     Alcotest.test_case "group_commit_window" `Quick test_group_commit_window;
