@@ -19,6 +19,7 @@ type slot = {
   bytes : Bytes.t;
   mutable page : Page_id.t option;
   mutable dirty : bool;
+  mutable rec_lsn : int; (* LSN that took the page from clean to dirty; 0 while clean *)
   mutable pins : int;
   mutable refcount : int; (* shared-memory mode: processes mapping this slot *)
 }
@@ -48,8 +49,8 @@ let create ~nslots ~page_size =
   if nslots <= 0 then invalid_arg "Cache.create: nslots must be positive";
   let slots =
     Array.init nslots (fun index ->
-        { index; bytes = Bytes.create page_size; page = None; dirty = false; pins = 0;
-          refcount = 0 })
+        { index; bytes = Bytes.create page_size; page = None; dirty = false; rec_lsn = 0;
+          pins = 0; refcount = 0 })
   in
   let stats = Stats.create () in
   Bess_obs.Registry.register_stats "cache" stats;
@@ -101,6 +102,7 @@ let set_access_hook t h = t.access_hook <- h
 let clear_dirty t s =
   if s.dirty then begin
     s.dirty <- false;
+    s.rec_lsn <- 0;
     t.n_dirty <- t.n_dirty - 1
   end
 
@@ -204,6 +206,10 @@ let mark_dirty t s =
     s.dirty <- true;
     t.n_dirty <- t.n_dirty + 1
   end
+
+let mark_dirty_at t s ~lsn =
+  if not s.dirty then s.rec_lsn <- lsn;
+  mark_dirty t s
 
 (* Drop a clean or dirty page without writing it back (callback locking:
    the client discards its cached copy; aborts may also purge). *)

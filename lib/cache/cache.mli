@@ -8,6 +8,9 @@ type slot = {
   bytes : Bytes.t;  (** the frame itself; mapped directly by vmem *)
   mutable page : Page_id.t option;
   mutable dirty : bool;
+  mutable rec_lsn : int;
+      (** recovery LSN: the LSN that took the page from clean to dirty
+          (see {!mark_dirty_at}); 0 while clean *)
   mutable pins : int;
   mutable refcount : int;  (** shared mode: processes mapping this slot *)
 }
@@ -54,6 +57,10 @@ val load : t -> Page_id.t -> fill:(Bytes.t -> unit) -> slot
 
 val unpin : t -> slot -> unit
 val mark_dirty : t -> slot -> unit
+
+(** {!mark_dirty} for a change logged at [lsn]: a clean page takes
+    [lsn] as its recovery LSN, which write-back and discard reset. *)
+val mark_dirty_at : t -> slot -> lsn:int -> unit
 
 (** Drop a page without writeback (callback revocation, abort purge).
     Raises if pinned. *)

@@ -32,7 +32,8 @@ type t = {
   f_begin : unit -> int;
   f_lock : txn:int -> Lock_mgr.resource -> Lock_mode.t -> unit; (* raises *)
   f_fetch_segment : txn:int -> Bess_storage.Seg_addr.t -> mode:Lock_mode.t -> Bytes.t list;
-  f_fetch_page : txn:int -> Page_id.t -> mode:Lock_mode.t -> Bytes.t;
+  f_fetch_page : txn:int -> Page_id.t -> mode:Lock_mode.t -> into:Bytes.t -> unit;
+      (* fills [into], one page long *)
   f_commit : txn:int -> Server.update list -> unit; (* raises on rejection *)
   f_commit_begin : txn:int -> Server.update list -> unit -> unit;
       (* group-commit path: logs the commit and releases locks, deferring
@@ -72,11 +73,11 @@ let direct ~client_id (server : Server.t) : t =
         | `Deadlock -> raise Deadlock_abort
         | `Timeout -> raise Lock_timeout);
     f_fetch_page =
-      (fun ~txn page ~mode ->
+      (fun ~txn page ~mode ~into ->
         span "fetch_page" @@ fun () ->
         verdict_or_raise
           (Server.lock server ~txn (Lock_mgr.page_resource ~area:page.area ~page:page.page) mode);
-        Server.read_page server page);
+        Server.read_into server page ~off:0 into ~dst_off:0 ~len:(Bytes.length into));
     f_commit =
       (fun ~txn updates ->
         span "commit" @@ fun () ->

@@ -29,7 +29,8 @@ type t = {
   f_begin : unit -> int;  (** open a transaction at the server; returns its id *)
   f_lock : txn:int -> Lock_mgr.resource -> Lock_mode.t -> unit;
   f_fetch_segment : txn:int -> Bess_storage.Seg_addr.t -> mode:Lock_mode.t -> Bytes.t list;
-  f_fetch_page : txn:int -> Page_id.t -> mode:Lock_mode.t -> Bytes.t;
+  f_fetch_page : txn:int -> Page_id.t -> mode:Lock_mode.t -> into:Bytes.t -> unit;
+      (** lock the page in [mode] and copy it into [into], one page long *)
   f_commit : txn:int -> Server.update list -> unit;
   f_commit_begin : txn:int -> Server.update list -> unit -> unit;
       (** group-commit path: logs the commit and releases server state,

@@ -175,8 +175,7 @@ let shared_slot t page ~mode =
             match Hashtbl.find_opt t.pending_writes page with
             | Some parked -> Bytes.blit parked 0 buf 0 t.page_size
             | None ->
-                let bytes = Server.read_page t.upstream page in
-                Bytes.blit bytes 0 buf 0 t.page_size;
+                Server.read_into t.upstream page ~off:0 buf ~dst_off:0 ~len:t.page_size;
                 Bess_util.Stats.incr t.stats "node.upstream_fetches")
       in
       (* A refetched dirty page is still dirty. *)

@@ -270,9 +270,9 @@ let fetcher (net : network) ~client_id ~server_id : Fetcher.t =
         | R_verdict `Timeout -> raise Fetcher.Lock_timeout
         | _ -> raise (Remote_error "protocol mismatch"));
     f_fetch_page =
-      (fun ~txn page ~mode ->
+      (fun ~txn page ~mode ~into ->
         match call (Fetch_page { txn; page; mode }) with
-        | R_page p -> p
+        | R_page p -> Bytes.blit p 0 into 0 (Bytes.length into)
         | R_verdict `Blocked -> raise Fetcher.Would_block
         | R_verdict `Deadlock -> raise Fetcher.Deadlock_abort
         | R_verdict `Timeout -> raise Fetcher.Lock_timeout

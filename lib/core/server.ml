@@ -269,6 +269,7 @@ let lock_async t ~txn:txn_id r mode ~on_wake =
 
 (* ---- Page service ---- *)
 
+let read_into t page ~off dst ~dst_off ~len = Store.read_into t.store page ~off dst ~dst_off ~len
 let read_page t page = Store.read_page t.store page
 
 (* Fetch a whole disk segment, S-locking each page for the transaction.
@@ -404,8 +405,8 @@ let update_inplace t ~txn:txn_id page ~offset after =
   | `Granted -> ()
   | `Blocked -> failwith "Server.update_inplace: lock not available"
   | `Deadlock | `Timeout -> failwith "Server.update_inplace: deadlock");
-  let current = Store.read_page t.store page in
-  let before = Bytes.sub current offset (Bytes.length after) in
+  let before = Bytes.create (Bytes.length after) in
+  Store.read_into t.store page ~off:offset before ~dst_off:0 ~len:(Bytes.length after);
   ts.last_lsn <-
     Store.apply_update t.store ~txn:txn_id ~prev_lsn:ts.last_lsn page ~offset ~before ~after
 
@@ -416,8 +417,9 @@ let read_inplace t ~txn:txn_id page ~offset ~len =
   (match lock t ~txn:txn_id r Lock_mode.S with
   | `Granted -> ()
   | `Blocked | `Deadlock | `Timeout -> failwith "Server.read_inplace: lock not available");
-  let current = Store.read_page t.store page in
-  Bytes.sub current offset len
+  let out = Bytes.create len in
+  Store.read_into t.store page ~off:offset out ~dst_off:0 ~len;
+  out
 
 let commit_inplace t ~txn:txn_id =
   let ts = txn t txn_id in
@@ -554,12 +556,16 @@ let abort_client_txns t ~client =
 (* ---- Maintenance ---- *)
 
 let checkpoint t =
-  let active =
+  let txns =
     Hashtbl.fold
-      (fun _ ts acc -> if ts.status = Active then (ts.txn_id, ts.last_lsn) :: acc else acc)
+      (fun _ ts acc ->
+        match ts.status with
+        | Active -> (ts.txn_id, ts.last_lsn, Bess_wal.Log_record.Running) :: acc
+        | Prepared -> (ts.txn_id, ts.last_lsn, Bess_wal.Log_record.Prepared) :: acc
+        | Ended -> acc)
       t.txns []
   in
-  Store.checkpoint t.store ~active
+  Store.checkpoint t.store ~txns
 
 let crash t =
   Store.crash t.store;

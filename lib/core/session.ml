@@ -73,6 +73,7 @@ type write_entry = {
   we_vm : int; (* VM address of the page start *)
   we_region : region;
   we_before : Bytes.t; (* unswizzled (canonical) image at first write *)
+  we_owned : bool; (* [we_before] came from [free_images]; a caller's image is not ours *)
 }
 
 type swizzle_policy = Eager | On_deref
@@ -103,7 +104,7 @@ type t = {
   slot_vm : int array; (* pool slot index -> VM page address currently backed *)
   dbs : (int, db_binding) Hashtbl.t;
   main_db : int;
-  segs : (int * int, seg_rt) Hashtbl.t;
+  segs : seg_rt Bess_util.Int_pair.Tbl.t; (* (db, segment id) -> runtime *)
   mutable regions : region option array; (* vmem page index -> region *)
   mapped : int Page_id.Tbl.t; (* disk page -> VM page address *)
   write_set : write_entry Page_id.Tbl.t;
@@ -114,6 +115,8 @@ type t = {
   mutable in_txn : bool;
   mutable txn_span : Span.handle; (* session.txn: open from begin to commit/abort *)
   scratch : Bytes.t; (* one page: the commit-time after-image, diffed then reused *)
+  fetched : Bytes.t; (* one page: a fetched page, swizzled here, then copied into the pool *)
+  mutable free_images : Bytes.t list; (* page buffers for before-images, recycled at txn end *)
   stats : Bess_util.Stats.t;
   c : counters;
 }
@@ -287,7 +290,7 @@ let drop_cached_page t page_id =
 
 (* Wave 1: know a segment and reserve its slotted address range. *)
 let get_seg t ~db_id ~seg_id =
-  match Hashtbl.find_opt t.segs (db_id, seg_id) with
+  match Bess_util.Int_pair.Tbl.find_opt t.segs (db_id, seg_id) with
   | Some seg -> seg
   | None ->
       let b = binding t db_id in
@@ -311,7 +314,7 @@ let get_seg t ~db_id ~seg_id =
         }
       in
       add_region t ~base:slotted_base ~npages:slotted_disk.npages (Slotted seg);
-      Hashtbl.replace t.segs (db_id, seg_id) seg;
+      Bess_util.Int_pair.Tbl.replace t.segs (db_id, seg_id) seg;
       Bess_util.Stats.incr t.stats "session.wave1_reservations";
       seg
 
@@ -570,11 +573,12 @@ let data_fault t seg faulting_page_idx =
   let fetch_one idx =
     let page_id = { Page_id.area = seg.data_disk.area; page = seg.data_disk.first_page + idx } in
     if not (Page_id.Tbl.mem t.mapped page_id) then begin
-      let bytes = b.b_fetcher.f_fetch_page ~txn page_id ~mode:Lock_mode.S in
-      if t.policy = Eager then swizzle_page_raw t seg idx bytes;
+      b.b_fetcher.f_fetch_page ~txn page_id ~mode:Lock_mode.S ~into:t.fetched;
+      if t.policy = Eager then swizzle_page_raw t seg idx t.fetched;
       let pin = idx = faulting_page_idx in
       let slot =
-        map_frame t (Data seg) page_id (seg.data_base + (idx * ps)) bytes ~pin ~prot:Prot_read
+        map_frame t (Data seg) page_id (seg.data_base + (idx * ps)) t.fetched ~pin
+          ~prot:Prot_read
       in
       if pin then pinned := Some slot
     end
@@ -599,11 +603,11 @@ let large_fault t seg slot page_idx =
   let base = Hashtbl.find seg.large_bases slot in
   let page_id = { Page_id.area = disk.area; page = disk.first_page + page_idx } in
   if not (Page_id.Tbl.mem t.mapped page_id) then begin
-    let bytes = b.b_fetcher.f_fetch_page ~txn page_id ~mode:Lock_mode.S in
+    b.b_fetcher.f_fetch_page ~txn page_id ~mode:Lock_mode.S ~into:t.fetched;
     ignore
       (map_frame t (Large (seg, slot)) page_id
          (base + (page_idx * page_size t))
-         bytes ~pin:false ~prot:Prot_read)
+         t.fetched ~pin:false ~prot:Prot_read)
   end;
   Bess_util.Stats.incr t.stats "session.large_faults"
 
@@ -620,9 +624,17 @@ let note_write t region vm_page_addr =
     b.b_fetcher.f_lock ~txn
       (Lock_mgr.page_resource ~area:page_id.area ~page:page_id.page)
       Lock_mode.X;
-    let before = unswizzle_page_image t region vm_page_addr in
+    let before =
+      match t.free_images with
+      | img :: rest ->
+          t.free_images <- rest;
+          img
+      | [] -> Bytes.create (page_size t)
+    in
+    unswizzle_page_into t region vm_page_addr before;
     Page_id.Tbl.replace t.write_set page_id
-      { we_page = page_id; we_vm = vm_page_addr; we_region = region; we_before = before };
+      { we_page = page_id; we_vm = vm_page_addr; we_region = region; we_before = before;
+        we_owned = true };
     (* Dirty pages must not be evicted before commit. *)
     (match Cache.find_slot t.pool page_id with
     | Some slot -> slot.Cache.pins <- slot.Cache.pins + 1
@@ -709,7 +721,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
       slot_vm = Array.make pool_slots 0;
       dbs = Hashtbl.create 4;
       main_db = db_id;
-      segs = Hashtbl.create 64;
+      segs = Bess_util.Int_pair.Tbl.create 64;
       regions = Array.make 1024 None;
       mapped = Page_id.Tbl.create 1024;
       write_set = Page_id.Tbl.create 64;
@@ -720,6 +732,8 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
       in_txn = false;
       txn_span = Span.none;
       scratch = Bytes.create page_size;
+      fetched = Bytes.create page_size;
+      free_images = [];
       stats;
       c =
         { c_txns = Stats.counter stats "session.txns";
@@ -731,7 +745,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
     }
   in
   Bess_obs.Registry.register_gauge "session" "session.cached_segments" (fun () ->
-      Hashtbl.length t.segs);
+      Bess_util.Int_pair.Tbl.length t.segs);
   Bess_obs.Registry.register_gauge "session" "session.mapped_pages" (fun () ->
       Page_id.Tbl.length t.mapped);
   install_clock t;
@@ -859,9 +873,13 @@ let updates_by_db t =
     t.write_set;
   per_db
 
+(* Return a write entry's before-image to the free list, if it is ours. *)
+let recycle_image t we = if we.we_owned then t.free_images <- we.we_before :: t.free_images
+
 let finish_write_set t ~keep_frames =
   Page_id.Tbl.iter
     (fun page_id we ->
+      recycle_image t we;
       (match Cache.find_slot t.pool page_id with
       | Some slot -> if slot.Cache.pins > 0 then slot.Cache.pins <- slot.Cache.pins - 1
       | None -> ());
@@ -1385,24 +1403,28 @@ let rekey_page t ~old_page ~new_page ~vm =
   | None -> ()
 
 (* Force a page into the write set with an explicit before-image (used
-   when the authoritative content is known to be freshly zeroed). *)
+   when the authoritative content is known to be freshly zeroed). The
+   image stays the caller's (it may be a shared zero page): it is never
+   recycled. *)
 let force_full_write t region vm ~page_id ~before =
-  if not (Page_id.Tbl.mem t.write_set page_id) then begin
-    let db = match region with Slotted s | Data s | Large (s, _) -> s.db_id in
-    let b = binding t db in
-    let txn = txn_for t b in
-    b.b_fetcher.f_lock ~txn
-      (Lock_mgr.page_resource ~area:page_id.area ~page:page_id.page)
-      Lock_mode.X;
-    (match Cache.find_slot t.pool page_id with
-    | Some slot -> slot.Cache.pins <- slot.Cache.pins + 1
-    | None -> ());
-    Page_id.Tbl.replace t.write_set page_id
-      { we_page = page_id; we_vm = vm; we_region = region; we_before = before }
-  end
-  else
-    Page_id.Tbl.replace t.write_set page_id
-      { we_page = page_id; we_vm = vm; we_region = region; we_before = before }
+  let entry =
+    { we_page = page_id; we_vm = vm; we_region = region; we_before = before; we_owned = false }
+  in
+  match Page_id.Tbl.find_opt t.write_set page_id with
+  | Some old ->
+      recycle_image t old;
+      Page_id.Tbl.replace t.write_set page_id entry
+  | None ->
+      let db = match region with Slotted s | Data s | Large (s, _) -> s.db_id in
+      let b = binding t db in
+      let txn = txn_for t b in
+      b.b_fetcher.f_lock ~txn
+        (Lock_mgr.page_resource ~area:page_id.area ~page:page_id.page)
+        Lock_mode.X;
+      (match Cache.find_slot t.pool page_id with
+      | Some slot -> slot.Cache.pins <- slot.Cache.pins + 1
+      | None -> ());
+      Page_id.Tbl.replace t.write_set page_id entry
 
 (* Write a segment address field of the slotted header (runtime path). *)
 let write_header_seg_addr t seg ~field addr =

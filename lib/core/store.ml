@@ -115,8 +115,8 @@ let group_commit t = t.gc
 let set_group_policy t p = Bess_wal.Group_commit.set_policy t.gc p
 let await_commit t ticket = Bess_wal.Group_commit.await t.gc ticket
 
-(* Pinned access to a page through the cache. *)
-let with_page t (page : Page_id.t) f =
+(* Pin [page] in the cache, loading it on a miss; the caller unpins. *)
+let pin t (page : Page_id.t) =
   let slot =
     Bess_cache.Cache.load t.cache page ~fill:(fun buf ->
         Bess_storage.Area_set.read_page_into t.areas ~area_id:page.area page.page buf)
@@ -125,12 +125,34 @@ let with_page t (page : Page_id.t) f =
      degenerates to FIFO and the LRU-model miss-ratio curve has nothing
      to predict. *)
   Bess_cache.Clock.note_access t.clock slot.Bess_cache.Cache.index;
+  slot
+
+(* Pinned access to a page through the cache. *)
+let with_page t page f =
+  let slot = pin t page in
   Fun.protect
     ~finally:(fun () -> Bess_cache.Cache.unpin t.cache slot)
     (fun () -> f slot)
 
-(* Copy of a page's current contents (for shipping to clients). *)
-let read_page t page = with_page t page (fun slot -> Bytes.copy slot.Bess_cache.Cache.bytes)
+(* Copy [len] bytes of a page from [off] into [dst] at [dst_off]: the
+   one read primitive, which allocates nothing of its own. The range is
+   checked before the page is touched, so a bad call moves no counter,
+   and the checked blit cannot raise while the page is pinned. *)
+let read_into t page ~off dst ~dst_off ~len =
+  let ps = Bess_cache.Cache.page_size t.cache in
+  if off < 0 || len < 0 || off > ps - len || dst_off < 0 || dst_off > Bytes.length dst - len
+  then invalid_arg "Store.read_into: range out of bounds";
+  let slot = pin t page in
+  Bytes.blit slot.Bess_cache.Cache.bytes off dst dst_off len;
+  Bess_cache.Cache.unpin t.cache slot
+
+(* A fresh copy of a whole page, for callers that keep it: the wire
+   reply of a remote page fetch, tests and benchmarks. *)
+let read_page t page =
+  let ps = Bess_cache.Cache.page_size t.cache in
+  let b = Bytes.create ps in
+  read_into t page ~off:0 b ~dst_off:0 ~len:ps;
+  b
 
 (* Allocate a disk segment whose pages read as zeros: clients fabricate
    fresh segments locally assuming all-zero authoritative content, so
@@ -167,7 +189,7 @@ let apply_update t ~txn ~prev_lsn (page : Page_id.t) ~offset ~before ~after =
   in
   with_page t page (fun slot ->
       Bytes.blit after 0 slot.Bess_cache.Cache.bytes offset (Bytes.length after);
-      Bess_cache.Cache.mark_dirty t.cache slot);
+      Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn);
   set_page_lsn t page lsn;
   Bess_util.Stats.bump t.c_updates;
   (* The numerator's baseline: bytes the application asked to change,
@@ -205,12 +227,13 @@ let log_prepare t ~txn ~prev_lsn ~coordinator =
 let page_io t : Bess_wal.Recovery.page_io =
   {
     page_lsn = (fun p -> get_page_lsn t (of_wal_page p));
-    set_page_lsn = (fun p lsn -> set_page_lsn t (of_wal_page p) lsn);
     write =
-      (fun p ~offset image ->
-        with_page t (of_wal_page p) (fun slot ->
+      (fun p ~lsn ~offset image ->
+        let page = of_wal_page p in
+        with_page t page (fun slot ->
             Bytes.blit image 0 slot.Bess_cache.Cache.bytes offset (Bytes.length image);
-            Bess_cache.Cache.mark_dirty t.cache slot));
+            Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn);
+        set_page_lsn t page lsn);
   }
 
 (* Roll back one transaction in place (used by the open-server in-place
@@ -220,15 +243,17 @@ let rollback t ~txn ~last_lsn =
   Bess_util.Stats.add t.stats "store.undos" n;
   n
 
-(* Fuzzy checkpoint: record the active-transaction and dirty-page tables. *)
-let checkpoint t ~active =
+(* Fuzzy checkpoint: record the transaction table (with each entry's
+   status, so prepared transactions survive a restart in doubt) and the
+   dirty-page table with each page's recovery LSN. *)
+let checkpoint t ~txns =
   ignore (Bess_wal.Log.append t.log { prev_lsn = 0; body = Begin_checkpoint });
   let dirty = ref [] in
   Bess_cache.Cache.iter_resident t.cache (fun page slot ->
       if slot.Bess_cache.Cache.dirty then
-        dirty := (to_wal_page page, get_page_lsn t page) :: !dirty);
+        dirty := (to_wal_page page, slot.rec_lsn) :: !dirty);
   let lsn =
-    Bess_wal.Log.append t.log { prev_lsn = 0; body = End_checkpoint { active; dirty = !dirty } }
+    Bess_wal.Log.append t.log { prev_lsn = 0; body = End_checkpoint { txns; dirty = !dirty } }
   in
   Bess_wal.Log.flush t.log ~lsn ();
   (* The checkpoint force made any pending committers durable as well. *)

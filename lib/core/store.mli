@@ -35,7 +35,14 @@ val areas : t -> Bess_storage.Area_set.t
 val stats : t -> Bess_util.Stats.t
 val set_page_lsn : t -> Page_id.t -> int -> unit
 
-(** Copy of a page's current contents (for shipping to clients). *)
+(** [read_into t page ~off dst ~dst_off ~len] copies [len] bytes of the
+    cached [page] from [off] into [dst] at [dst_off], allocating nothing.
+    Raises [Invalid_argument] before touching the page if either range
+    is out of bounds. *)
+val read_into : t -> Page_id.t -> off:int -> Bytes.t -> dst_off:int -> len:int -> unit
+
+(** A fresh copy of a whole page: {!read_into} into a new buffer, for
+    callers that keep the copy (a remote fetch's wire reply, tests). *)
 val read_page : t -> Page_id.t -> Bytes.t
 
 (** Allocate a disk segment of [npages] in [area] whose pages read as
@@ -69,9 +76,10 @@ val page_io : t -> Bess_wal.Recovery.page_io
 (** Roll back one transaction in place with CLRs; returns updates undone. *)
 val rollback : t -> txn:int -> last_lsn:int -> int
 
-(** Fuzzy checkpoint recording the given active-transaction table and the
-    cache's dirty pages. *)
-val checkpoint : t -> active:(int * int) list -> unit
+(** Fuzzy checkpoint recording the given transaction table
+    [(txn, last LSN, status)] and the cache's dirty pages, each with its
+    recovery LSN (the LSN that took it from clean to dirty). *)
+val checkpoint : t -> txns:(int * int * Bess_wal.Log_record.txn_status) list -> unit
 
 (** Crash simulation: discard all volatile state (cache contents, page
     LSNs, unforced log tail). *)

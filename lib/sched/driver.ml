@@ -345,8 +345,8 @@ let run ?sched server ~pages cfg =
   and commit_txn c ~a ~txn ~t_begin ~page =
     let pid = pages.(page) in
     match
-      let bytes = Bess.Server.read_page server pid in
-      let before = Bytes.sub bytes 0 8 in
+      let before = Bytes.create 8 in
+      Bess.Server.read_into server pid ~off:0 before ~dst_off:0 ~len:8;
       let after = Prng.bytes c.c_prng 8 in
       let u = { Bess.Server.page = pid; offset = 0; before; after } in
       Bess.Server.commit_client_begin server ~txn ~updates:[ u ]

@@ -24,6 +24,9 @@ let commit_rounds t ~rounds ~value =
   let acked = Array.make n_clients 0 in
   let maybes = Array.make n_clients [] in
   let n_acked = ref 0 and n_maybe = ref 0 in
+  let page =
+    Bytes.create (Bess_cache.Cache.page_size (Bess.Store.cache (Bess.Server.store t.server)))
+  in
   for round = 1 to rounds do
     for i = 0 to n_clients - 1 do
       let f = t.fetchers.(i) in
@@ -32,11 +35,11 @@ let commit_rounds t ~rounds ~value =
       | exception _ -> ()
       | txn -> (
           match
-            let bytes = f.Bess.Fetcher.f_fetch_page ~txn t.page ~mode:Bess_lock.Lock_mode.X in
+            f.Bess.Fetcher.f_fetch_page ~txn t.page ~mode:Bess_lock.Lock_mode.X ~into:page;
             let after = Bytes.create 8 in
             Bess_util.Codec.set_i64 after 0 v;
             ({ Bess.Server.page = t.page; offset = i * 8;
-               before = Bytes.sub bytes (i * 8) 8; after }
+               before = Bytes.sub page (i * 8) 8; after }
               : Bess.Server.update)
           with
           | exception _ -> ( try f.Bess.Fetcher.f_abort ~txn with _ -> ())

@@ -231,13 +231,17 @@ let page_image t i rank = Bess.Server.read_page (server t i) t.pages.(i).(rank)
 (* CRC over every shard's working set in shard/rank order: the
    byte-for-byte replay witness. *)
 let images_crc t =
+  (* Every shard shares one page size, so one buffer serves them all. *)
+  let page_size = Bess_cache.Cache.page_size (Bess.Store.cache (Bess.Server.store (server t 0))) in
+  let buf = Bytes.create page_size in
   let crc = ref Int32.zero in
   Array.iteri
-    (fun i _ ->
-      Array.iteri
-        (fun rank _ ->
-          let b = page_image t i rank in
-          crc := Bess_util.Crc32.update !crc b 0 (Bytes.length b))
-        t.pages.(i))
-    t.dbs;
+    (fun i pages ->
+      let srv = server t i in
+      Array.iter
+        (fun page ->
+          Bess.Server.read_into srv page ~off:0 buf ~dst_off:0 ~len:page_size;
+          crc := Bess_util.Crc32.update !crc buf 0 page_size)
+        pages)
+    t.pages;
   Bess_util.Crc32.to_int !crc

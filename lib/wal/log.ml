@@ -75,7 +75,7 @@ let ensure t extra =
    the checkpoint opened by the latest [Begin_checkpoint] before it. Kept
    current by [append] and rebuilt by the validating scan. *)
 let begin_checkpoint_tag = Log_record.tag_of_body Begin_checkpoint
-let end_checkpoint_tag = Log_record.tag_of_body (End_checkpoint { active = []; dirty = [] })
+let end_checkpoint_tag = Log_record.tag_of_body (End_checkpoint { txns = []; dirty = [] })
 
 let note_record t ~tag lsn =
   if tag = begin_checkpoint_tag then t.ckpt_open <- lsn

@@ -9,6 +9,8 @@
 
 type page_id = { area : int; page : int }
 
+type txn_status = Running | Committed | Prepared
+
 let pp_page_id ppf p = Fmt.pf ppf "%d:%d" p.area p.page
 
 type body =
@@ -21,7 +23,7 @@ type body =
   | Decision of { gid : int; participants : (int * int) list }
   | Begin_checkpoint
   | End_checkpoint of {
-      active : (int * int) list; (* txn, last_lsn *)
+      txns : (int * int * txn_status) list; (* txn, last_lsn, status *)
       dirty : (page_id * int) list; (* page, recovery lsn *)
     }
 
@@ -56,7 +58,7 @@ let pp ppf t =
         d.participants
   | Begin_checkpoint -> Fmt.pf ppf "BEGIN_CKPT"
   | End_checkpoint e ->
-      Fmt.pf ppf "END_CKPT active=%d dirty=%d" (List.length e.active) (List.length e.dirty)
+      Fmt.pf ppf "END_CKPT txns=%d dirty=%d" (List.length e.txns) (List.length e.dirty)
 
 (* ---- Serialization ------------------------------------------------------ *)
 
@@ -71,7 +73,7 @@ let body_size = function
   | Prepare _ -> 8
   | Decision d -> 8 + (8 * List.length d.participants)
   | Begin_checkpoint -> 0
-  | End_checkpoint e -> 4 + (8 * List.length e.active) + 4 + (12 * List.length e.dirty)
+  | End_checkpoint e -> 4 + (9 * List.length e.txns) + 4 + (12 * List.length e.dirty)
 
 let size t = header + 5 + body_size t.body
 
@@ -87,6 +89,8 @@ let put_bytes buf pos b =
   pos + Bytes.length b
 
 let put_page buf pos (p : page_id) = put_u32 buf (put_u32 buf pos p.area) p.page
+
+let status_code = function Running -> 0 | Committed -> 1 | Prepared -> 2
 
 let put_body buf pos = function
   | Update u ->
@@ -108,9 +112,12 @@ let put_body buf pos = function
   | End_checkpoint e ->
       let pos =
         List.fold_left
-          (fun pos (txn, lsn) -> put_u32 buf (put_u32 buf pos txn) lsn)
-          (put_u32 buf pos (List.length e.active))
-          e.active
+          (fun pos (txn, lsn, status) ->
+            let pos = put_u32 buf (put_u32 buf pos txn) lsn in
+            Bess_util.Codec.set_u8 buf pos (status_code status);
+            pos + 1)
+          (put_u32 buf pos (List.length e.txns))
+          e.txns
       in
       List.fold_left
         (fun pos (p, lsn) -> put_u32 buf (put_page buf pos p) lsn)
@@ -203,11 +210,18 @@ let decode b off =
         Prepare { txn; coordinator }
     | 7 -> Begin_checkpoint
     | 8 ->
-        let n_active = u32 () in
-        let active = List.init n_active (fun _ ->
+        let n_txns = u32 () in
+        let txns = List.init n_txns (fun _ ->
             let txn = u32 () in
             let lsn = u32 () in
-            (txn, lsn))
+            let status =
+              match u8 () with
+              | 0 -> Running
+              | 1 -> Committed
+              | 2 -> Prepared
+              | _ -> raise Torn_record
+            in
+            (txn, lsn, status))
         in
         let n_dirty = u32 () in
         let dirty = List.init n_dirty (fun _ ->
@@ -215,7 +229,7 @@ let decode b off =
             let lsn = u32 () in
             (pg, lsn))
         in
-        End_checkpoint { active; dirty }
+        End_checkpoint { txns; dirty }
     | 9 ->
         let gid = u32 () in
         let n = u32 () in

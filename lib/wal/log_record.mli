@@ -8,6 +8,10 @@
 
 type page_id = { area : int; page : int }
 
+(** A transaction's status as restart analysis tracks it and a
+    checkpoint records it. *)
+type txn_status = Running | Committed | Prepared
+
 type body =
   | Update of { txn : int; page : page_id; offset : int; before : Bytes.t; after : Bytes.t }
   | Clr of { txn : int; page : page_id; offset : int; image : Bytes.t; undo_next : int }
@@ -24,7 +28,10 @@ type body =
           decision. Lives in coordinator decision logs, never in a data
           server's WAL. *)
   | Begin_checkpoint
-  | End_checkpoint of { active : (int * int) list; dirty : (page_id * int) list }
+  | End_checkpoint of {
+      txns : (int * int * txn_status) list;  (** txn, last LSN, status *)
+      dirty : (page_id * int) list;  (** page, recovery LSN: the LSN that dirtied it *)
+    }
 
 type t = { prev_lsn : int;  (** previous record of the same transaction; 0 = none *) body : body }
 

@@ -11,11 +11,11 @@
 
 type page_io = {
   page_lsn : Log_record.page_id -> int;
-  set_page_lsn : Log_record.page_id -> int -> unit;
-  write : Log_record.page_id -> offset:int -> Bytes.t -> unit;
+  write : Log_record.page_id -> lsn:int -> offset:int -> Bytes.t -> unit;
+      (* applies record [lsn]'s image; [lsn] becomes the page LSN *)
 }
 
-type txn_status = Running | Committed | Prepared
+type txn_status = Log_record.txn_status = Running | Committed | Prepared
 
 type outcome = {
   winners : int list; (* committed, made durable *)
@@ -81,7 +81,9 @@ let analyse log =
     | Some (start, end_lsn) -> (
         match (fst (Log.read log end_lsn)).body with
         | End_checkpoint e ->
-            List.iter (fun (txn, last) -> Hashtbl.replace att txn (Running, last)) e.active;
+            (* Prepared entries come back prepared: their Prepare record
+               may lie behind the checkpoint, where the scan never looks. *)
+            List.iter (fun (txn, last, status) -> Hashtbl.replace att txn (status, last)) e.txns;
             List.iter
               (fun (p, rec_lsn) -> if not (Page_tbl.mem dpt p) then ignore (add_dirty p rec_lsn))
               e.dirty;
@@ -141,10 +143,9 @@ let redo log io (a : analysis) =
         let lsn = d.lsns.(i) in
         if io.page_lsn d.page < lsn then begin
           (match (fst (Log.read log lsn)).body with
-          | Update u -> io.write d.page ~offset:u.offset u.after
-          | Clr c -> io.write d.page ~offset:c.offset c.image
+          | Update u -> io.write d.page ~lsn ~offset:u.offset u.after
+          | Clr c -> io.write d.page ~lsn ~offset:c.offset c.image
           | _ -> assert false);
-          io.set_page_lsn d.page lsn;
           incr redone
         end
       done)
@@ -190,8 +191,7 @@ let undo_losers log io losers =
               }
             in
             let clr_lsn = Log.append log clr in
-            io.write u.page ~offset:u.offset u.before;
-            io.set_page_lsn u.page clr_lsn;
+            io.write u.page ~lsn:clr_lsn ~offset:u.offset u.before;
             incr undone;
             continue_at txn record.prev_lsn
         | Clr c ->

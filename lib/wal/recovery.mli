@@ -6,15 +6,16 @@
     cache/storage stack and the fake stores in tests. Prepared (2PC)
     transactions survive restart as in-doubt. *)
 
-(** The page operations recovery needs. [page_lsn]/[set_page_lsn] may be
-    volatile (redo of physical images is idempotent from 0). *)
+(** The page operations recovery needs. Page LSNs may be volatile (redo
+    of physical images is idempotent from 0). *)
 type page_io = {
   page_lsn : Log_record.page_id -> int;
-  set_page_lsn : Log_record.page_id -> int -> unit;
-  write : Log_record.page_id -> offset:int -> Bytes.t -> unit;
+  write : Log_record.page_id -> lsn:int -> offset:int -> Bytes.t -> unit;
+      (** apply the image of record [lsn] at [offset]; [lsn] becomes the
+          page LSN *)
 }
 
-type txn_status = Running | Committed | Prepared
+type txn_status = Log_record.txn_status = Running | Committed | Prepared
 
 type outcome = {
   winners : int list;  (** committed transactions made durable *)

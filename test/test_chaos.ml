@@ -45,6 +45,12 @@ let i64 v =
   Bess_util.Codec.set_i64 b 0 v;
   b
 
+(* Fetch [page] X-locked into a fresh page buffer. *)
+let fetch_x (f : F.t) ~txn page =
+  let into = Bytes.create 4096 in
+  f.F.f_fetch_page ~txn page ~mode:Lock_mode.X ~into;
+  into
+
 (* ---- The torture scenario ------------------------------------------------ *)
 
 let nclients = 3
@@ -82,7 +88,7 @@ let run_torture ~seed ~profile =
           match
             (* X-lock the page and read the current slot as the before
                image, exactly like a caching client ships updates. *)
-            let bytes = f.F.f_fetch_page ~txn page ~mode:Lock_mode.X in
+            let bytes = fetch_x f ~txn page in
             ({ Bess.Server.page; offset = i * 8;
                before = Bytes.sub bytes (i * 8) 8; after = i64 v }
               : Bess.Server.update)
@@ -178,7 +184,7 @@ let test_dropped_commit_reply_exactly_once () =
      cannot know -- its retry must be deduplicated into a replay. *)
   Fault.configure "net.drop_reply" (Fault.Plan [ 3 ]);
   let txn = f.F.f_begin () in
-  let bytes = f.F.f_fetch_page ~txn page ~mode:Lock_mode.X in
+  let bytes = fetch_x f ~txn page in
   let u : Bess.Server.update =
     { page; offset = 0; before = Bytes.sub bytes 0 8; after = i64 4242 }
   in
@@ -267,7 +273,7 @@ let test_disarmed_is_free () =
     let f = Bess.Remote.fetcher net ~client_id:2200 ~server_id:(Bess.Db.db_id db) in
     arm ();
     let txn = f.F.f_begin () in
-    let bytes = f.F.f_fetch_page ~txn page ~mode:Lock_mode.X in
+    let bytes = fetch_x f ~txn page in
     f.F.f_commit ~txn
       [ { Bess.Server.page; offset = 0; before = Bytes.sub bytes 0 8; after = i64 31337 } ];
     let log = Bess.Store.log (Bess.Server.store server) in

@@ -172,8 +172,7 @@ let test_wal_file_backed_recovery () =
   let log2 = Bess_wal.Log.open_existing path in
   let io : Bess_wal.Recovery.page_io =
     { page_lsn = (fun _ -> 0);
-      set_page_lsn = (fun _ _ -> ());
-      write = (fun _ ~offset image -> Bytes.blit image 0 store offset (Bytes.length image)) }
+      write = (fun _ ~lsn:_ ~offset image -> Bytes.blit image 0 store offset (Bytes.length image)) }
   in
   let outcome = Bess_wal.Recovery.recover log2 io in
   Alcotest.(check (list int)) "winner found in reopened log" [ 1 ] outcome.winners;

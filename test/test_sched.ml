@@ -234,6 +234,37 @@ let test_handoff_kills_retry_convoy () =
     true
     (retries <= parks)
 
+(* Words allocated straight on the major heap (blocks too large for the
+   minor heap, such as a 4 KB page) since the program started. *)
+let direct_major_words () =
+  let s = Gc.quick_stat () in
+  s.major_words -. s.promoted_words
+
+(* A driver commit copies only its 8-byte before-image out of the cached
+   page: on a server whose cache holds a quarter of the working set,
+   direct major-heap words per commit stay far below one page (513
+   words). *)
+let test_commit_major_allocation () =
+  let max_words_per_commit = 128.0 in
+  incr next_db;
+  let db = Bess.Db.create_memory ~cache_slots:64 ~db_id:!next_db () in
+  let server = Bess.Db.server db in
+  let pages = seed_pages db ~n_pages:256 in
+  let run ~seed =
+    Driver.run ~sched:(Sched.create ()) server ~pages
+      { Driver.default with n_clients = 16; txns_per_client = 100; seed }
+  in
+  ignore (run ~seed:1);
+  let w0 = direct_major_words () in
+  let r = run ~seed:2 in
+  let per_commit = (direct_major_words () -. w0) /. float_of_int r.r_commits in
+  Alcotest.(check bool) "the cache spilled" true
+    (Stats.get (Bess_cache.Cache.stats (Bess.Store.cache (Bess.Server.store server)))
+       "cache.evict_dirty" > 0);
+  if per_commit > max_words_per_commit then
+    Alcotest.failf "%.0f direct major words per commit, bound %.0f" per_commit
+      max_words_per_commit
+
 let suite =
   [
     Alcotest.test_case "heap_order" `Quick test_heap_order;
@@ -244,4 +275,5 @@ let suite =
     Alcotest.test_case "zipf_skew" `Quick test_zipf_skew;
     Alcotest.test_case "churn_holding_locks_no_leak" `Quick test_churn_holding_locks_no_leak;
     Alcotest.test_case "handoff_kills_retry_convoy" `Quick test_handoff_kills_retry_convoy;
+    Alcotest.test_case "commit_major_allocation" `Quick test_commit_major_allocation;
   ]

@@ -146,6 +146,101 @@ let test_checkpoint_then_recover () =
     (Vmem.read_i64 (Bess.Session.mem s2) (Bess.Session.obj_data s2 obj2));
   Bess.Session.commit s2
 
+(* A committed transaction updates one clean page twice, then a
+   checkpoint and a crash. The checkpoint must name the LSN that first
+   dirtied the page as its recovery LSN: redo from the page's latest LSN
+   would restore only the second update. *)
+let test_checkpoint_recovery_lsn () =
+  let db = fresh_db () in
+  ignore (seed db);
+  let server = Bess.Db.server db in
+  (* Everything clean: the transaction below is what dirties the page. *)
+  Bess.Server.shutdown server;
+  let area = Bess.Db.default_area db in
+  let page = { Page_id.area; page = 1 } in
+  let txn = Bess.Server.begin_txn server ~client:1 in
+  (match Bess.Server.lock server ~txn (Lock_mgr.page_resource ~area ~page:1) Lock_mode.X with
+  | `Granted -> ()
+  | _ -> Alcotest.fail "lock");
+  let current = Bess.Server.read_page server page in
+  let update offset after =
+    { Bess.Server.page; offset; before = Bytes.sub current offset 4; after = Bytes.of_string after }
+  in
+  (match Bess.Server.commit_client server ~txn ~updates:[ update 0 "ONE!"; update 100 "TWO!" ] with
+  | `Committed -> ()
+  | `Lock_violation -> Alcotest.fail "commit rejected");
+  Bess.Server.checkpoint server;
+  Bess.Server.crash server;
+  let outcome = Bess.Server.recover server in
+  Alcotest.(check (list int)) "no losers" [] outcome.losers;
+  let after = Bess.Server.read_page server page in
+  Alcotest.(check string) "first update redone" "ONE!" (Bytes.sub_string after 0 4);
+  Alcotest.(check string) "second update redone" "TWO!" (Bytes.sub_string after 100 4)
+
+(* A transaction prepared before a checkpoint comes back in doubt, with
+   its X lock, after a crash: its Prepare record lies behind the
+   checkpoint, so only the checkpoint's transaction table names it. *)
+let test_checkpoint_keeps_prepared () =
+  let db = fresh_db () in
+  ignore (seed db);
+  let server = Bess.Db.server db in
+  let area = Bess.Db.default_area db in
+  let page = { Page_id.area; page = 1 } in
+  let r = Lock_mgr.page_resource ~area ~page:1 in
+  let t = Bess.Server.begin_txn server ~client:1 in
+  (match Bess.Server.lock server ~txn:t r Lock_mode.X with
+  | `Granted -> ()
+  | _ -> Alcotest.fail "lock");
+  let before = Bytes.sub (Bess.Server.read_page server page) 400 4 in
+  Alcotest.(check bool) "vote yes" true
+    (Bess.Server.prepare server ~txn:t ~coordinator:7
+       ~updates:[ { Bess.Server.page; offset = 400; before; after = Bytes.of_string "2PC!" } ]
+    = `Vote_yes);
+  Bess.Server.checkpoint server;
+  Bess.Server.crash server;
+  let outcome = Bess.Server.recover server in
+  Alcotest.(check (list int)) "in doubt" [ t ] (List.map fst outcome.in_doubt);
+  Alcotest.(check (list (pair int int))) "prepared, coordinator known" [ (t, 7) ]
+    (Bess.Server.prepared_txns server);
+  Alcotest.(check bool) "X lock retaken" true
+    (Lock_mgr.holds (Bess.Server.locks server) ~txn:t r Lock_mode.X);
+  let other = Bess.Server.begin_txn server ~client:2 in
+  Alcotest.(check bool) "another writer blocks" true
+    (Bess.Server.lock server ~txn:other r Lock_mode.X = `Blocked);
+  Bess.Server.abort_client server ~txn:other;
+  Bess.Server.commit_prepared server ~txn:t;
+  Alcotest.(check string) "decided commit applied" "2PC!"
+    (Bytes.sub_string (Bess.Server.read_page server page) 400 4)
+
+(* [read_into] copies exactly what [read_page] would, into any window of
+   the caller's buffer, and rejects out-of-range arguments. *)
+let prop_read_into =
+  let db = lazy (
+    let db = fresh_db () in
+    ignore (seed db);
+    let server = Bess.Db.server db in
+    let area = Bess.Db.default_area db in
+    let page = { Page_id.area; page = 1 } in
+    let txn = Bess.Server.begin_txn server ~client:1 in
+    Bess.Server.update_inplace server ~txn page ~offset:0
+      (Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff)));
+    Bess.Server.commit_inplace server ~txn;
+    (server, page)) in
+  QCheck.Test.make ~name:"read_into equals a slice of read_page" ~count:500
+    QCheck.(quad (int_range (-8) 4104) (int_range (-8) 4104) (int_range 0 64) (int_range (-8) 72))
+    (fun (off, len, extra, dst_off) ->
+      let server, page = Lazy.force db in
+      let dst_len = Stdlib.max 0 len + extra in
+      let dst = Bytes.make dst_len '.' in
+      let in_range = off >= 0 && len >= 0 && off + len <= 4096 && dst_off >= 0
+                     && dst_off + len <= dst_len in
+      match Bess.Server.read_into server page ~off dst ~dst_off ~len with
+      | exception Invalid_argument _ -> not in_range
+      | () ->
+          let expected = Bytes.make dst_len '.' in
+          Bytes.blit (Bess.Server.read_page server page) off expected dst_off len;
+          in_range && Bytes.equal dst expected)
+
 (* 2PC at the server interface: prepare / decide both ways. *)
 let test_two_phase_commit_paths () =
   let db = fresh_db () in
@@ -280,6 +375,9 @@ let suite =
     Alcotest.test_case "inplace_commit_rollback" `Quick test_inplace_txn_commit_and_rollback;
     Alcotest.test_case "crash_recovery_full_stack" `Quick test_crash_recovery_full_stack;
     Alcotest.test_case "checkpoint_then_recover" `Quick test_checkpoint_then_recover;
+    Alcotest.test_case "checkpoint_recovery_lsn" `Quick test_checkpoint_recovery_lsn;
+    Alcotest.test_case "checkpoint_keeps_prepared" `Quick test_checkpoint_keeps_prepared;
+    QCheck_alcotest.to_alcotest prop_read_into;
     Alcotest.test_case "two_phase_commit_paths" `Quick test_two_phase_commit_paths;
     Alcotest.test_case "in_doubt_across_crash" `Quick test_in_doubt_across_crash;
     Alcotest.test_case "deadlock_between_sessions" `Quick test_deadlock_detection_between_sessions;

@@ -354,6 +354,115 @@ let test_traversal_allocation () =
   if per_hop > float_of_int max_words_per_hop then
     Alcotest.failf "%.1f minor words per hop, bound %d" per_hop max_words_per_hop
 
+(* Before-images are page buffers the session recycles when a
+   transaction ends. Commit a write to page A; then write page B in a
+   transaction whose before-image reuses A's buffer, and abort: B comes
+   back byte for byte, and the diff shipped for A is unchanged. *)
+let recycled_before_image mode () =
+  let db = fresh_db () in
+  let server = Bess.Db.server db in
+  let base =
+    match mode with
+    | `Direct -> Bess.Fetcher.direct ~client_id:7001 server
+    | `Remote ->
+        let net = Bess.Remote.network () in
+        Bess.Remote.serve net server;
+        Bess.Remote.fetcher net ~client_id:7001 ~server_id:(Bess.Db.db_id db)
+  in
+  let shipped = ref [] in
+  let fetcher =
+    { base with
+      Bess.Fetcher.f_commit =
+        (fun ~txn updates ->
+          shipped := updates;
+          base.f_commit ~txn updates) }
+  in
+  let s =
+    Bess.Session.create ~db_id:(Bess.Db.db_id db) ~catalog:(Bess.Db.catalog db) ~fetcher
+      ~default_area:(Bess.Db.default_area db) ()
+  in
+  let mem = Bess.Session.mem s in
+  let ty =
+    Bess.Type_desc.register (Bess.Catalog.types (Bess.Db.catalog db)) ~name:"blk" ~size:1000
+      ~ref_offsets:[||]
+  in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:2 () in
+  let objs =
+    Array.init 6 (fun i ->
+        let o = Bess.Session.create_object s seg ty ~size:1000 in
+        Vmem.write_i64 mem (Bess.Session.obj_data s o) (100 + i);
+        o)
+  in
+  Bess.Session.commit s;
+  let vm_page o = Bess.Session.obj_data s o / 4096 * 4096 in
+  let a = objs.(0) in
+  let b = Option.get (Array.find_opt (fun o -> vm_page o <> vm_page a) objs) in
+  let only_before_image () =
+    match Bess_cache.Page_id.Tbl.fold (fun _ we acc -> we :: acc) (Bess.Session.write_set_table s) [] with
+    | [ we ] -> we.Bess.Session.we_before
+    | _ -> Alcotest.fail "expected one page in the write set"
+  in
+  let copy_updates () =
+    List.map
+      (fun (u : Bess.Server.update) -> (u.page, u.offset, Bytes.copy u.before, Bytes.copy u.after))
+      !shipped
+  in
+  Bess.Session.begin_txn s;
+  Vmem.write_i64 mem (Bess.Session.obj_data s a) 4242;
+  let buf_a = only_before_image () in
+  Bess.Session.commit s;
+  let diff_a = copy_updates () in
+  Bess.Session.begin_txn s;
+  let image_b = Bytes.copy (Option.get (Vmem.frame_at mem (vm_page b))) in
+  Vmem.write_i64 mem (Bess.Session.obj_data s b) 9999;
+  Alcotest.(check bool) "B's before-image reuses A's buffer" true (only_before_image () == buf_a);
+  Bess.Session.abort s;
+  Alcotest.(check bytes) "B restored byte for byte" image_b
+    (Option.get (Vmem.frame_at mem (vm_page b)));
+  Alcotest.(check bool) "A's shipped diff unchanged" true (copy_updates () = diff_a);
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  let value o = Vmem.read_i64 (Bess.Session.mem s2) (Bess.Session.obj_data s2 (Bess.Session.by_oid s2 (Bess.Session.oid_of s o))) in
+  Alcotest.(check int) "A committed" 4242 (value a);
+  Alcotest.(check bool) "B untouched at the server" true (value b <> 9999);
+  Bess.Session.commit s2
+
+(* Words allocated straight on the major heap (blocks too large for the
+   minor heap, such as a 4 KB page) since the program started. *)
+let direct_major_words () =
+  let s = Gc.quick_stat () in
+  s.major_words -. s.promoted_words
+
+(* Steady-state write transactions on a pool smaller than the working
+   set: data faults fetch into the session's staging page and write
+   faults take recycled before-image buffers, so direct major-heap words
+   per transaction stay far below one page (513 words). *)
+let test_write_fault_major_allocation () =
+  let max_words_per_txn = 128.0 in
+  let n = 5000 and updates = 8 and txns = 200 in
+  let db, oids = build_ring ~n ~per_seg:500 in
+  let s = Bess.Db.session ~pool_slots:96 db in
+  let mem = Bess.Session.mem s in
+  let prng = Bess_util.Prng.create 11 in
+  let txn () =
+    Bess.Session.begin_txn s;
+    for _ = 1 to updates do
+      let d = Bess.Session.obj_data s (Bess.Session.by_oid s oids.(Bess_util.Prng.int prng n)) + 16 in
+      Vmem.write_i64 mem d (Vmem.read_i64 mem d + 1)
+    done;
+    Bess.Session.commit s
+  in
+  for _ = 1 to txns do txn () done;
+  let faults () = Bess_util.Stats.get (Bess.Session.stats s) "session.data_faults" in
+  let f0 = faults () and w0 = direct_major_words () in
+  for _ = 1 to txns do txn () done;
+  let per_txn = (direct_major_words () -. w0) /. float_of_int txns in
+  Alcotest.(check bool) "pages were refetched" true (faults () > f0);
+  if per_txn > max_words_per_txn then
+    Alcotest.failf "%.0f direct major words per transaction, bound %.0f" per_txn
+      max_words_per_txn
+
 let suite =
   [
     Alcotest.test_case "create_read_write" `Quick test_create_read_write;
@@ -369,4 +478,7 @@ let suite =
     Alcotest.test_case "segment_full" `Quick test_segment_full;
     Alcotest.test_case "small_pool_ring" `Quick test_small_pool_ring;
     Alcotest.test_case "traversal_allocation" `Quick test_traversal_allocation;
+    Alcotest.test_case "recycled_before_image_direct" `Quick (recycled_before_image `Direct);
+    Alcotest.test_case "recycled_before_image_remote" `Quick (recycled_before_image `Remote);
+    Alcotest.test_case "write_fault_major_allocation" `Quick test_write_fault_major_allocation;
   ]

@@ -20,6 +20,12 @@ let i64 v =
   Bess_util.Codec.set_i64 b 0 v;
   b
 
+(* Fetch [page] X-locked into a fresh page buffer. *)
+let fetch_x (f : F.t) ~txn page =
+  let into = Bytes.create 4096 in
+  f.F.f_fetch_page ~txn page ~mode:Lock_mode.X ~into;
+  into
+
 let slot_value sh ~shard ~rank ~offset =
   Bess_util.Codec.get_i64 (Shard.page_image sh shard rank) offset
 
@@ -86,7 +92,7 @@ let test_vote_no_aborts_everywhere () =
   let fb = Remote.fetcher net ~client_id:601 ~server_id:(Shard.endpoint sh 1) in
   let pa = (Shard.pages sh 0).(0) and pb = (Shard.pages sh 1).(0) in
   let ta = fa.F.f_begin () in
-  let bytes = fa.F.f_fetch_page ~txn:ta pa ~mode:Lock_mode.X in
+  let bytes = fetch_x fa ~txn:ta pa in
   let ua : Bess.Server.update =
     { page = pa; offset = 0; before = Bytes.sub bytes 0 8; after = i64 91 }
   in
@@ -126,7 +132,7 @@ let test_coordinator_abort_on_no_vote () =
   let f1 = Remote.fetcher net ~client_id:602 ~server_id:(Shard.endpoint sh 1) in
   let p0 = (Shard.pages sh 0).(0) and p1 = (Shard.pages sh 1).(0) in
   let t0 = f0.F.f_begin () in
-  let b0 = f0.F.f_fetch_page ~txn:t0 p0 ~mode:Lock_mode.X in
+  let b0 = fetch_x f0 ~txn:t0 p0 in
   let u0 : Bess.Server.update =
     { page = p0; offset = 0; before = Bytes.sub b0 0 8; after = i64 81 }
   in
@@ -169,13 +175,13 @@ let test_in_doubt_keeps_locks_across_restart () =
   let t2 = f.F.f_begin () in
   let p1 = (Shard.pages sh 1).(0) in
   Alcotest.(check bool) "reader blocks on the in-doubt lock" true
-    (match f.F.f_fetch_page ~txn:t2 p1 ~mode:Lock_mode.X with
+    (match fetch_x f ~txn:t2 p1 with
     | exception F.Would_block -> true
     | _ -> false);
   (* Resolution: the decision is durable at the coordinator => commit. *)
   let resolved, unresolved = Shard.resolve_in_doubt sh in
   Alcotest.(check (pair int int)) "resolved by query" (1, 0) (resolved, unresolved);
-  let bytes = f.F.f_fetch_page ~txn:t2 p1 ~mode:Lock_mode.X in
+  let bytes = fetch_x f ~txn:t2 p1 in
   Alcotest.(check int) "committed write visible after resolution" 72
     (Bess_util.Codec.get_i64 bytes 0);
   f.F.f_abort ~txn:t2;

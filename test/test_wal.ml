@@ -16,8 +16,10 @@ let fake_store () = { pages = Array.init 8 (fun _ -> Bytes.make 64 '\000'); lsns
 let io_of (s : fake_store) : Recovery.page_io =
   {
     page_lsn = (fun p -> Option.value ~default:0 (Hashtbl.find_opt s.lsns p));
-    set_page_lsn = (fun p lsn -> Hashtbl.replace s.lsns p lsn);
-    write = (fun p ~offset image -> Bytes.blit image 0 s.pages.(p.page) offset (Bytes.length image));
+    write =
+      (fun p ~lsn ~offset image ->
+        Bytes.blit image 0 s.pages.(p.page) offset (Bytes.length image);
+        Hashtbl.replace s.lsns p lsn);
   }
 
 (* Log an update and apply it to the store (normal forward processing). *)
@@ -51,12 +53,12 @@ module Ref = struct
     Log.iter log (fun lsn (r : Log_record.t) ->
         match r.body with
         | Log_record.Begin_checkpoint -> ckpt_start := lsn
-        | Log_record.End_checkpoint e -> ckpt_record := Some (!ckpt_start, e.active, e.dirty)
+        | Log_record.End_checkpoint e -> ckpt_record := Some (!ckpt_start, e.txns, e.dirty)
         | _ -> ());
     let scan_from =
       match !ckpt_record with
-      | Some (start, active, dirty) ->
-          List.iter (fun (txn, last) -> Hashtbl.replace att txn (Recovery.Running, last)) active;
+      | Some (start, txns, dirty) ->
+          List.iter (fun (txn, last, status) -> Hashtbl.replace att txn (status, last)) txns;
           List.iter
             (fun (p, rec_lsn) -> if not (Hashtbl.mem dpt p) then Hashtbl.add dpt p rec_lsn)
             dirty;
@@ -91,8 +93,7 @@ module Ref = struct
           match Hashtbl.find_opt a.dpt p with
           | Some rec_lsn when lsn >= rec_lsn ->
               if io.page_lsn p < lsn then begin
-                io.write p ~offset image;
-                io.set_page_lsn p lsn;
+                io.write p ~lsn ~offset image;
                 incr redone
               end
           | _ -> ()
@@ -126,8 +127,7 @@ module Ref = struct
                     body = Clr { txn; page = u.page; offset = u.offset; image = u.before;
                                  undo_next = record.prev_lsn } }
               in
-              io.write u.page ~offset:u.offset u.before;
-              io.set_page_lsn u.page clr_lsn;
+              io.write u.page ~lsn:clr_lsn ~offset:u.offset u.before;
               incr undone;
               if record.prev_lsn = 0 then Hashtbl.remove next txn
               else Hashtbl.replace next txn record.prev_lsn
@@ -185,7 +185,10 @@ let test_record_codec_roundtrip () =
       { prev_lsn = 2; body = Prepare { txn = 4; coordinator = 1 } };
       { prev_lsn = 0; body = Begin_checkpoint };
       { prev_lsn = 0;
-        body = End_checkpoint { active = [ (1, 10); (2, 20) ]; dirty = [ (page 0 3, 5) ] } };
+        body =
+          End_checkpoint
+            { txns = [ (1, 10, Log_record.Running); (2, 20, Log_record.Prepared) ];
+              dirty = [ (page 0 3, 5) ] } };
     ]
   in
   List.iter
@@ -289,7 +292,7 @@ let test_checkpoint_shortens_analysis () =
   let lc = Log.append log { prev_lsn = !prev; body = Commit { txn = 1 } } in
   ignore (Log.append log { prev_lsn = lc; body = End { txn = 1 } });
   let lb = Log.append log { prev_lsn = 0; body = Begin_checkpoint } in
-  let le = Log.append log { prev_lsn = 0; body = End_checkpoint { active = []; dirty = [] } } in
+  let le = Log.append log { prev_lsn = 0; body = End_checkpoint { txns = []; dirty = [] } } in
   Log.flush log ();
   Alcotest.(check (option (pair int int))) "master names the checkpoint" (Some (lb, le))
     (Log.master log);
@@ -401,7 +404,7 @@ let test_reopen_multi_record () =
                after = Bytes.make 100 'x' };
       Prepare { txn = 2; coordinator = 7 };
       Begin_checkpoint;
-      End_checkpoint { active = [ (2, 9) ]; dirty = [ (page 1 3, 4) ] };
+      End_checkpoint { txns = [ (2, 9, Log_record.Prepared) ]; dirty = [ (page 1 3, 4) ] };
     ]
   in
   List.iter (fun body -> ignore (Log.append log { prev_lsn = 0; body })) bodies;
@@ -436,14 +439,18 @@ let test_master_falls_back_past_torn_checkpoint () =
   let b1 = Log.append log { prev_lsn = 0; body = Begin_checkpoint } in
   let e1 =
     Log.append log
-      { prev_lsn = 0; body = End_checkpoint { active = [ (4, l1) ]; dirty = [ (page 0 1, l1) ] } }
+      { prev_lsn = 0;
+        body = End_checkpoint { txns = [ (4, l1, Log_record.Running) ]; dirty = [ (page 0 1, l1) ] } }
   in
   let l2 = update log s ~txn:4 ~prev:l1 ~pg:2 ~offset:0 ~after:"two" in
   ignore (Log.append log { prev_lsn = 0; body = Begin_checkpoint });
   ignore
     (Log.append log
        { prev_lsn = 0;
-         body = End_checkpoint { active = [ (4, l2) ]; dirty = [ (page 0 1, l1); (page 0 2, l2) ] } });
+         body =
+           End_checkpoint
+             { txns = [ (4, l2, Log_record.Running) ];
+               dirty = [ (page 0 1, l1); (page 0 2, l2) ] } });
   Log.flush log ();
   Log.crash log ~tear:3 ();
   Alcotest.(check (option (pair int int))) "previous checkpoint" (Some (b1, e1)) (Log.master log);
@@ -460,7 +467,8 @@ let test_reopen_restores_master () =
   ignore (Log.append log { prev_lsn = 0; body = Commit { txn = 1 } });
   let b = Log.append log { prev_lsn = 0; body = Begin_checkpoint } in
   let e =
-    Log.append log { prev_lsn = 0; body = End_checkpoint { active = [ (2, 1) ]; dirty = [] } }
+    Log.append log
+      { prev_lsn = 0; body = End_checkpoint { txns = [ (2, 1, Log_record.Running) ]; dirty = [] } }
   in
   (* An incomplete checkpoint after it does not replace it. *)
   ignore (Log.append log { prev_lsn = 0; body = Begin_checkpoint });
@@ -482,11 +490,11 @@ let crashing_io log (s : fake_store) countdown : Recovery.page_io =
   let io = io_of s in
   { io with
     write =
-      (fun p ~offset image ->
+      (fun p ~lsn ~offset image ->
         if !countdown = 0 then raise Mid_recovery_crash;
         decr countdown;
         Log.flush log ();
-        io.write p ~offset image) }
+        io.write p ~lsn ~offset image) }
 
 type model = {
   log : Log.t;
@@ -495,21 +503,51 @@ type model = {
   mutable active : (int * int) list; (* txn, last_lsn *)
   mutable prepared : (int * int) list;
   first_dirty : int array; (* per page: LSN that dirtied it since its last write-back *)
+  mutable ckpt_open : int; (* recovery-LSN form of a begun checkpoint still to end; -1 = none *)
 }
 
 let nth_txn l k = List.nth l (k mod List.length l)
 
 (* Replay one generated history: interleaved updates, commits (some with
    their END lost), rollbacks, bare aborts, prepares and 2PC decisions,
-   log forces, page write-backs, checkpoints (some never completed) whose
-   dirty tables reach behind their Begin_checkpoint, and crashes with a
-   torn tail followed by a restart. Deterministic in [ops]. *)
+   log forces, page write-backs, checkpoints (some never completed, some
+   ended only after further records mid-stream) whose transaction tables
+   carry prepared entries and whose dirty tables reach behind their
+   Begin_checkpoint, and crashes with a torn tail followed by a restart.
+   Deterministic in [ops]. *)
 let replay ops =
   let m =
     { log = Log.create (); store = fake_store (); next_txn = 1; active = []; prepared = [];
-      first_dirty = Array.make 8 0 }
+      first_dirty = Array.make 8 0; ckpt_open = -1 }
   in
-  let io = io_of m.store in
+  (* Rollbacks and restarts dirty pages with CLRs and redo too. *)
+  let io =
+    let io = io_of m.store in
+    { io with
+      write =
+        (fun p ~lsn ~offset image ->
+          io.write p ~lsn ~offset image;
+          if m.first_dirty.(p.page) = 0 then m.first_dirty.(p.page) <- lsn) }
+  in
+  (* The tables as they stand now. Recovery LSNs as ARIES keeps them (the
+     LSN that first dirtied the page) or as the page LSN; both lie behind
+     the Begin_checkpoint. *)
+  let end_checkpoint first_form =
+    let dirty =
+      List.filter_map
+        (fun pg ->
+          let first = m.first_dirty.(pg) in
+          if first = 0 then None
+          else
+            Some (page 0 pg, if first_form then first else Hashtbl.find m.store.lsns (page 0 pg)))
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    in
+    let txns =
+      List.rev_map (fun (txn, last) -> (txn, last, Log_record.Running)) m.active
+      @ List.rev_map (fun (txn, last) -> (txn, last, Log_record.Prepared)) m.prepared
+    in
+    ignore (Log.append m.log { prev_lsn = 0; body = End_checkpoint { txns; dirty } })
+  in
   let set_last txn lsn = m.active <- (txn, lsn) :: List.remove_assoc txn m.active in
   let finish txn = m.active <- List.remove_assoc txn m.active in
   List.iter
@@ -559,33 +597,23 @@ let replay ops =
           else ignore (Recovery.rollback_txn m.log io ~txn ~last_lsn:last)
       | 11 -> Log.flush m.log ()
       | 12 -> m.first_dirty.(b mod 8) <- 0
-      | 13 ->
+      | 13 -> (
           ignore (Log.append m.log { prev_lsn = 0; body = Begin_checkpoint });
-          if a mod 5 <> 0 then begin
-            (* Recovery LSNs as ARIES keeps them (the LSN that first
-               dirtied the page) or as the store records them (its page
-               LSN); both lie behind the Begin_checkpoint. *)
-            let dirty =
-              List.filter_map
-                (fun pg ->
-                  let first = m.first_dirty.(pg) in
-                  if first = 0 then None
-                  else
-                    Some
-                      (page 0 pg, if b mod 2 = 0 then first else Hashtbl.find m.store.lsns (page 0 pg)))
-                [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-            in
-            ignore
-              (Log.append m.log
-                 { prev_lsn = 0; body = End_checkpoint { active = List.rev m.active; dirty } })
-          end
+          match a mod 5 with
+          | 0 -> () (* never completed *)
+          | 1 -> m.ckpt_open <- b mod 2 (* ended by a later op 15, records between *)
+          | _ -> end_checkpoint (b mod 2 = 0))
       | 14 ->
           Log.crash m.log ~tear:(b mod 24) ();
           Hashtbl.reset m.store.lsns;
+          Array.fill m.first_dirty 0 8 0;
+          m.ckpt_open <- -1;
           let o = Recovery.recover m.log io in
           m.active <- [];
-          m.prepared <- o.in_doubt;
-          Array.fill m.first_dirty 0 8 0
+          m.prepared <- o.in_doubt
+      | 15 when m.ckpt_open >= 0 ->
+          end_checkpoint (m.ckpt_open = 0);
+          m.ckpt_open <- -1
       | _ -> ())
     ops;
   m
@@ -620,7 +648,7 @@ let restart recover ops ~tear ~crash_after =
 
 let history_gen =
   QCheck.Gen.(
-    triple (list_size (0 -- 80) (triple (0 -- 15) (0 -- 1000) (0 -- 100_000))) (0 -- 24) (-1 -- 40))
+    triple (list_size (0 -- 80) (triple (0 -- 16) (0 -- 1000) (0 -- 100_000))) (0 -- 24) (-1 -- 40))
 
 let prop_restart_matches_log_order =
   QCheck.Test.make ~name:"three-pass restart equals log-order reference" ~count:300
