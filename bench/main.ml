@@ -453,18 +453,31 @@ let e5 () =
    ... is a tedious task" -- every reference must be found and fixed. *)
 let e6 () =
   let rows = ref [] in
+  let ring_ok = ref true in
   List.iter
     (fun n ->
       let per_seg = 64 in
       (* BeSS: relocate one data segment under live references. *)
       let db = Workloads.fresh_db ~n_areas:2 () in
       let s, nodes = Workloads.build_ring db ~n ~per_seg ~stride:1 in
+      let oid0 = Bess.Session.oid_of s nodes.(0) in
+      (* The sum of the payloads around the ring, traversed by [s]. *)
+      let checksum s =
+        Bess.Session.begin_txn s;
+        let sum = Workloads.traverse_ring s ~start:(Bess.Session.by_oid s oid0) ~hops:n in
+        Bess.Session.commit s;
+        sum
+      in
+      let before = checksum s in
       let seg0, _ = Bess.Session.seg_of_slot s nodes.(0) in
       let other_area = List.nth (Bess.Db.area_ids db) 1 in
       let t_bess =
         Report.time_ns ~runs:1 (fun () ->
             Bess.Reorg.relocate_data_segment s seg0 ~to_area:other_area)
       in
+      (* A fresh session reads every page from the server, the relocated
+         segment from its new area. *)
+      if checksum (Bess.Db.session db) <> before then ring_ok := false;
       let bess_refs_fixed = 0 (* by construction: references point at slots *) in
       (* Physical-OID baseline: relocating segment 0 rewrites every
          reference into it, found by scanning the whole database. *)
@@ -494,7 +507,9 @@ let e6 () =
        zero references; physical OIDs scan everything)"
     ~header:
       [ "objects"; "BeSS time"; "BeSS refs fixed"; "physOID time"; "refs scanned"; "refs fixed" ]
-    (List.rev !rows)
+    (List.rev !rows);
+  Report.gate !ring_ok
+    "e6: a fresh session's ring checksum after relocation equals the one before, at every size: "
 
 (* ---- E7: update detection / protection overhead -------------------------- *)
 

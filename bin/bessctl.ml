@@ -179,12 +179,9 @@ let verify_cmd =
             end;
             for idx = 0 to n - 1 do
               let flags = Bess.Session.read_slot_u32 s seg idx ~field:Bess.Layout.slot_flags in
-              if flags land Bess.Layout.flag_used <> 0 then begin
+              if Bess.Layout.has_data_dp flags then begin
                 let dp = Bess.Session.read_slot_i64 s seg idx ~field:Bess.Layout.slot_dp in
-                let transparent =
-                  flags land (Bess.Layout.flag_large lor Bess.Layout.flag_vlarge) <> 0
-                in
-                if (not transparent) && (dp < seg.Bess.Session.data_base || dp >= seg.Bess.Session.data_base + cap)
+                if dp < seg.Bess.Session.data_base || dp >= seg.Bess.Session.data_base + cap
                 then begin
                   incr problems;
                   Printf.printf "  segment %d slot %d: DP out of range\n" seg_id idx

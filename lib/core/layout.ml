@@ -63,6 +63,12 @@ let flag_large = 2 (* transparent multi-page object (<= 64KB) *)
 let flag_vlarge = 4 (* very large object via the Lob class interface *)
 let flag_forward = 8 (* forward object: data is the OID of an object in another db *)
 
+(* Does a slot with these flags hold a DP into the data segment? Every
+   used slot does, except a transparent large object's: its DP is the
+   object's own reserved range. A very large object's DP names its
+   descriptor, which lives in the data segment like any small object. *)
+let has_data_dp flags = flags land flag_used <> 0 && flags land flag_large = 0
+
 let slot_offset idx = header_size + (idx * slot_size)
 let slots_capacity ~pages ~page_size = ((pages * page_size) - header_size) / slot_size
 

@@ -254,27 +254,28 @@ let coa_write_back t page bytes =
 
 (* ---- Transaction boundaries ---- *)
 
+(* Every dirty shared page as a full-page update. *)
+let collect_updates t =
+  Hashtbl.fold
+    (fun page () acc ->
+      let image =
+        match Cache.find_slot t.cache page with
+        | Some slot when slot.Cache.dirty -> Some (Bytes.copy slot.Cache.bytes)
+        | _ -> Option.map Bytes.copy (Hashtbl.find_opt t.pending_writes page)
+      in
+      match image with
+      | Some after ->
+          { Server.page; offset = 0; before = Bytes.make t.page_size '\000'; after } :: acc
+      | None -> acc)
+    t.dirty []
+
 (* Commit the node-wide transaction upstream: ship every dirty shared
    page as a full-page update. *)
 let commit t =
   match t.txn with
   | None -> ()
   | Some txn ->
-      let updates =
-        Hashtbl.fold
-          (fun page () acc ->
-            let image =
-              match Cache.find_slot t.cache page with
-              | Some slot when slot.Cache.dirty -> Some (Bytes.copy slot.Cache.bytes)
-              | _ -> Option.map Bytes.copy (Hashtbl.find_opt t.pending_writes page)
-            in
-            match image with
-            | Some after ->
-                { Server.page; offset = 0; before = Bytes.make t.page_size '\000'; after }
-                :: acc
-            | None -> acc)
-          t.dirty []
-      in
+      let updates = collect_updates t in
       (match Server.commit_client t.upstream ~txn ~updates with
       | `Committed -> ()
       | `Lock_violation -> failwith "Node_server.commit: lock violation");
@@ -351,20 +352,6 @@ let client_log t =
   match Hashtbl.find_opt client_logs t.id with
   | Some cl -> cl
   | None -> invalid_arg "Node_server: client logging not enabled"
-
-let collect_updates t =
-  Hashtbl.fold
-    (fun page () acc ->
-      let image =
-        match Cache.find_slot t.cache page with
-        | Some slot when slot.Cache.dirty -> Some (Bytes.copy slot.Cache.bytes)
-        | _ -> Option.map Bytes.copy (Hashtbl.find_opt t.pending_writes page)
-      in
-      match image with
-      | Some after ->
-          { Server.page; offset = 0; before = Bytes.make t.page_size '\000'; after } :: acc
-      | None -> acc)
-    t.dirty []
 
 (* Commit against the local log only: log it, register a durability
    ticket with the local group-commit scheduler, queue the updates, keep

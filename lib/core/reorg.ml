@@ -65,41 +65,52 @@ let relocate_data_segment s (seg : Session.seg_rt) ~to_area =
   Bess_util.Stats.add (Session.stats s) "reorg.pages_moved" old_disk.npages
 
 (* Compact the data segment: slide live objects down over the holes left
-   by deletions. Only DPs change. Returns bytes reclaimed. *)
+   by deletions. Only DPs (and large-object descriptor offsets) change.
+   Returns bytes reclaimed. *)
 let compact_data_segment s (seg : Session.seg_rt) =
   Session.begin_txn s;
   ensure_data_resident s seg;
   let vm = Session.mem s in
   let n = Session.read_header_u32 s seg ~field:Layout.hdr_n_slots in
-  (* Live small objects in ascending DP order. *)
-  let objs = ref [] in
+  (* Every live extent of the data segment in ascending offset order,
+     with the slot field that locates it: a data DP, or the offset of a
+     transparent large object's descriptor in [slot_aux]. *)
+  let extents = ref [] in
   for idx = 0 to n - 1 do
     let flags = Session.read_slot_u32 s seg idx ~field:Layout.slot_flags in
-    let transparent = flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0 in
-    if flags land Layout.flag_used <> 0 && not transparent then begin
+    if Layout.has_data_dp flags then begin
       let dp = Session.read_slot_i64 s seg idx ~field:Layout.slot_dp in
       let size = Session.read_slot_u32 s seg idx ~field:Layout.slot_objsize in
-      objs := (dp, size, idx) :: !objs
+      extents := (dp - seg.data_base, size, idx, `Dp) :: !extents
     end
+    else if flags land Layout.flag_used <> 0 then
+      extents :=
+        (Session.read_slot_u32 s seg idx ~field:Layout.slot_aux, Seg_addr.encoded_size, idx, `Aux)
+        :: !extents
   done;
-  let objs = List.sort compare !objs in
   let align8 v = (v + 7) land lnot 7 in
   let cursor = ref 0 in
   List.iter
-    (fun (dp, size, idx) ->
+    (fun (old_off, size, idx, field) ->
       let new_off = align8 !cursor in
-      let old_off = dp - seg.data_base in
       if new_off < old_off then begin
         (* Moving downward is always safe in ascending order. The write
            faults engage locking and logging as usual. *)
-        let bytes = Vmem.read_bytes vm dp size in
+        let bytes = Vmem.read_bytes vm (seg.data_base + old_off) size in
         Vmem.write_bytes vm (seg.data_base + new_off) bytes;
-        Session.write_slot_i64 s seg idx ~field:Layout.slot_dp (seg.data_base + new_off)
+        match field with
+        | `Dp -> Session.write_slot_i64 s seg idx ~field:Layout.slot_dp (seg.data_base + new_off)
+        | `Aux -> Session.write_slot_u32 s seg idx ~field:Layout.slot_aux new_off
       end;
       cursor := new_off + size)
-    objs;
+    (List.sort compare !extents);
   let old_used = Session.read_header_u32 s seg ~field:Layout.hdr_data_used in
   let new_used = !cursor in
+  (* Zero the freed tail through the logged write path: a later object
+     allocated over it must not find stale bytes where its references
+     go. *)
+  if new_used < old_used then
+    Vmem.write_bytes vm (seg.data_base + new_used) (Bytes.make (old_used - new_used) '\000');
   Session.write_header_u32 s seg ~field:Layout.hdr_data_used new_used;
   Session.commit s;
   Bess_util.Stats.incr (Session.stats s) "reorg.compactions";
@@ -140,9 +151,7 @@ let resize_data_segment s (seg : Session.seg_rt) ~new_pages =
   let delta = new_base - old_base in
   let n = Session.read_header_u32 s seg ~field:Layout.hdr_n_slots in
   for idx = 0 to n - 1 do
-    let flags = Session.read_slot_u32 s seg idx ~field:Layout.slot_flags in
-    let transparent = flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0 in
-    if flags land Layout.flag_used <> 0 && not transparent then begin
+    if Layout.has_data_dp (Session.read_slot_u32 s seg idx ~field:Layout.slot_flags) then begin
       let dp = Session.read_slot_i64 s seg idx ~field:Layout.slot_dp in
       Session.write_slot_i64 s seg idx ~field:Layout.slot_dp (dp + delta)
     end

@@ -308,6 +308,46 @@ let release_locks_keep_cached t ts =
     (Lock_mgr.held_resources t.locks ~txn:ts.txn_id);
   ignore (Lock_mgr.release_all t.locks ~txn:ts.txn_id)
 
+(* End a transaction: mark it ended, release its locks keeping cached
+   copies, forget it, then fire its commit or abort event (a 2PC
+   decision passes [~fire:false]) and count it. *)
+let end_txn ?(fire = true) t ts ~commit =
+  if ts.status = Prepared then t.n_prepared <- t.n_prepared - 1;
+  ts.status <- Ended;
+  release_locks_keep_cached t ts;
+  Hashtbl.remove t.txns ts.txn_id;
+  if commit then begin
+    if fire then Event.fire t.hooks (Txn_commit { txn = ts.txn_id });
+    Bess_util.Stats.bump t.c.commits
+  end
+  else begin
+    if fire then Event.fire t.hooks (Txn_abort { txn = ts.txn_id });
+    Bess_util.Stats.bump t.c.aborts
+  end
+
+(* Apply a client's updates to the store, each one logged, if it holds X
+   locks covering all of them (the server is the trust boundary); false,
+   with nothing applied, if it does not. An injected storage fault while
+   applying leaves the transaction with [last_lsn] pointing at the logged
+   prefix: the client's abort rolls it back physically before the locks
+   drop. *)
+let apply_covered t ts (updates : update list) =
+  List.for_all
+    (fun u ->
+      Lock_mgr.holds t.locks ~txn:ts.txn_id
+        (Lock_mgr.page_resource ~area:u.page.area ~page:u.page.page)
+        Lock_mode.X)
+    updates
+  && begin
+       List.iter
+         (fun u ->
+           ts.last_lsn <-
+             Store.apply_update t.store ~txn:ts.txn_id ~prev_lsn:ts.last_lsn u.page
+               ~offset:u.offset ~before:u.before ~after:u.after)
+         updates;
+       true
+     end
+
 (* Log the commit and release server state, but defer the durability
    wait: the returned ticket is awaited before the client is
    acknowledged, letting concurrent committers share one coalesced
@@ -319,27 +359,8 @@ let commit_client_begin t ~txn:txn_id ~(updates : update list) =
   in_request "commit" @@ fun () ->
   let ts = txn t txn_id in
   if ts.status <> Active then invalid_arg "Server.commit_client: transaction not active";
-  (* Verify the client actually holds X locks covering its updates --
-     the server is the trust boundary. *)
-  let covered =
-    List.for_all
-      (fun u ->
-        Lock_mgr.holds t.locks ~txn:txn_id
-          (Lock_mgr.page_resource ~area:u.page.area ~page:u.page.page)
-          Lock_mode.X)
-      updates
-  in
-  if not covered then `Lock_violation
-  else begin
-    (* An injected storage fault while applying leaves the transaction
-       Active with [last_lsn] pointing at the logged prefix: the client's
-       abort rolls it back physically before the locks drop. *)
-    List.iter
-      (fun u ->
-        ts.last_lsn <-
-          Store.apply_update t.store ~txn:txn_id ~prev_lsn:ts.last_lsn u.page ~offset:u.offset
-            ~before:u.before ~after:u.after)
-      updates;
+  if not (apply_covered t ts updates) then `Lock_violation
+  else
     match Store.log_commit_begin t.store ~txn:txn_id ~prev_lsn:ts.last_lsn with
     | exception e ->
         (* The COMMIT record is appended before the force that failed, so
@@ -347,20 +368,11 @@ let commit_client_begin t ~txn:txn_id ~(updates : update list) =
            unconfirmed. Complete the server-side transition anyway (locks
            must never outlive the attempt) and let the caller hear the
            failure as an indeterminate outcome. *)
-        ts.status <- Ended;
-        release_locks_keep_cached t ts;
-        Hashtbl.remove t.txns txn_id;
-        Event.fire t.hooks (Txn_commit { txn = txn_id });
-        Bess_util.Stats.bump t.c.commits;
+        end_txn t ts ~commit:true;
         raise e
     | _lsn, ticket ->
-        ts.status <- Ended;
-        release_locks_keep_cached t ts;
-        Hashtbl.remove t.txns txn_id;
-        Event.fire t.hooks (Txn_commit { txn = txn_id });
-        Bess_util.Stats.bump t.c.commits;
+        end_txn t ts ~commit:true;
         `Committed ticket
-  end
 
 let await_commit t ticket = Store.await_commit t.store ticket
 
@@ -389,11 +401,7 @@ let abort_client t ~txn:txn_id =
          BEFORE the locks drop, or a later writer's committed value could
          be clobbered when recovery undoes this loser. *)
       if ts.last_lsn <> 0 then ignore (Store.rollback t.store ~txn:txn_id ~last_lsn:ts.last_lsn);
-      ts.status <- Ended;
-      release_locks_keep_cached t ts;
-      Hashtbl.remove t.txns txn_id;
-      Event.fire t.hooks (Txn_abort { txn = txn_id });
-      Bess_util.Stats.bump t.c.aborts
+      end_txn t ts ~commit:false
 
 (* ---- In-place (open server) path ---- *)
 
@@ -424,20 +432,12 @@ let read_inplace t ~txn:txn_id page ~offset ~len =
 let commit_inplace t ~txn:txn_id =
   let ts = txn t txn_id in
   ignore (Store.log_commit t.store ~txn:txn_id ~prev_lsn:ts.last_lsn);
-  ts.status <- Ended;
-  release_locks_keep_cached t ts;
-  Hashtbl.remove t.txns txn_id;
-  Event.fire t.hooks (Txn_commit { txn = txn_id });
-  Bess_util.Stats.bump t.c.commits
+  end_txn t ts ~commit:true
 
 let abort_inplace t ~txn:txn_id =
   let ts = txn t txn_id in
   ignore (Store.rollback t.store ~txn:txn_id ~last_lsn:ts.last_lsn);
-  ts.status <- Ended;
-  release_locks_keep_cached t ts;
-  Hashtbl.remove t.txns txn_id;
-  Event.fire t.hooks (Txn_abort { txn = txn_id });
-  Bess_util.Stats.bump t.c.aborts
+  end_txn t ts ~commit:false
 
 (* ---- Two-phase commit (participant side) ---- *)
 
@@ -463,32 +463,14 @@ let prepare t ~txn:txn_id ~coordinator ~(updates : update list) =
   | Some ts when ts.status = Prepared -> `Vote_yes
   | Some ts ->
       if ts.status <> Active then invalid_arg "Server.prepare: transaction not active";
-      let covered =
-        List.for_all
-          (fun u ->
-            Lock_mgr.holds t.locks ~txn:txn_id
-              (Lock_mgr.page_resource ~area:u.page.area ~page:u.page.page)
-              Lock_mode.X)
-          updates
-      in
-      if not covered then begin
+      if not (apply_covered t ts updates) then begin
         if ts.last_lsn <> 0 then
           ignore (Store.rollback t.store ~txn:txn_id ~last_lsn:ts.last_lsn);
-        ts.status <- Ended;
-        release_locks_keep_cached t ts;
-        Hashtbl.remove t.txns txn_id;
-        Event.fire t.hooks (Txn_abort { txn = txn_id });
-        Bess_util.Stats.bump t.c.aborts;
+        end_txn t ts ~commit:false;
         Bess_util.Stats.bump t.c.vote_no;
         `Vote_no
       end
       else begin
-        List.iter
-          (fun u ->
-            ts.last_lsn <-
-              Store.apply_update t.store ~txn:txn_id ~prev_lsn:ts.last_lsn u.page
-                ~offset:u.offset ~before:u.before ~after:u.after)
-          updates;
         ts.last_lsn <- Store.log_prepare t.store ~txn:txn_id ~prev_lsn:ts.last_lsn ~coordinator;
         ts.status <- Prepared;
         t.n_prepared <- t.n_prepared + 1;
@@ -506,11 +488,7 @@ let commit_prepared t ~txn:txn_id =
   match Hashtbl.find_opt t.txns txn_id with
   | Some ts when ts.status = Prepared ->
       ignore (Store.log_commit t.store ~txn:txn_id ~prev_lsn:ts.last_lsn);
-      ts.status <- Ended;
-      t.n_prepared <- t.n_prepared - 1;
-      release_locks_keep_cached t ts;
-      Hashtbl.remove t.txns txn_id;
-      Bess_util.Stats.bump t.c.commits
+      end_txn ~fire:false t ts ~commit:true
   | Some _ | None -> Bess_util.Stats.bump t.c.decide_noops
 
 let abort_prepared t ~txn:txn_id =
@@ -518,11 +496,7 @@ let abort_prepared t ~txn:txn_id =
   match Hashtbl.find_opt t.txns txn_id with
   | Some ts when ts.status = Prepared ->
       ignore (Store.rollback t.store ~txn:txn_id ~last_lsn:ts.last_lsn);
-      ts.status <- Ended;
-      t.n_prepared <- t.n_prepared - 1;
-      release_locks_keep_cached t ts;
-      Hashtbl.remove t.txns txn_id;
-      Bess_util.Stats.bump t.c.aborts
+      end_txn ~fire:false t ts ~commit:false
   | Some _ | None -> Bess_util.Stats.bump t.c.decide_noops
 
 (* Transactions re-created as in-doubt by recovery. *)

@@ -41,6 +41,7 @@ module Lock_mode = Bess_lock.Lock_mode
 module Seg_addr = Bess_storage.Seg_addr
 module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
+module Codec = Bess_util.Codec
 
 exception Corruption of { addr : int }
 exception Stale_oid of Oid.t
@@ -206,8 +207,10 @@ let map_frame t region page_id vm_page_addr bytes ~pin ~prot =
   if not pin then Cache.unpin t.pool slot;
   slot
 
-(* Drop the frame behind a VM page (replacement victim or callback). *)
-let unmap_vm_page t vm_page_addr =
+(* Detach the frame behind a VM page from the address space, firing
+   [Segment_replacement]; [discard] also gives up its pool slot, which a
+   clock-driven eviction leaves to the pool. *)
+let detach_frame t vm_page_addr ~discard =
   match Vmem.frame_at t.vmem vm_page_addr with
   | None -> ()
   | Some _ ->
@@ -215,11 +218,14 @@ let unmap_vm_page t vm_page_addr =
       | Some region ->
           let page_id = page_id_of t region vm_page_addr in
           Page_id.Tbl.remove t.mapped page_id;
-          Cache.discard t.pool page_id;
+          if discard then Cache.discard t.pool page_id;
           Event.fire t.hooks
             (Segment_replacement { area = page_id.area; page = page_id.page })
       | None -> ());
       Vmem.unmap t.vmem vm_page_addr
+
+(* Drop the frame behind a VM page (replacement victim or callback). *)
+let unmap_vm_page t vm_page_addr = detach_frame t vm_page_addr ~discard:true
 
 (* The replacement clock needs pool slots free when the pool fills. The
    clock's [invalidate] callback unmaps the VM page; its [protect]
@@ -232,18 +238,7 @@ let install_clock t =
   let invalidate vframe =
     let vm = t.slot_vm.(vframe) in
     if vm <> 0 then begin
-      (* Clock-driven invalidation: detach the vmem mapping but keep pool
-         bookkeeping to the cache discard below. *)
-      (match Vmem.frame_at t.vmem vm with
-      | Some _ ->
-          (match region_at t vm with
-          | Some region ->
-              let page_id = page_id_of t region vm in
-              Page_id.Tbl.remove t.mapped page_id;
-              Event.fire t.hooks (Segment_replacement { area = page_id.area; page = page_id.page })
-          | None -> ());
-          Vmem.unmap t.vmem vm
-      | None -> ());
+      detach_frame t vm ~discard:false;
       t.slot_vm.(vframe) <- 0
     end
   in
@@ -333,38 +328,48 @@ let unswizzle_addr t addr =
   let seg = slot_seg t addr in
   (seg, slot_index seg addr)
 
-(* ---- Raw slot access on fetched-but-unmapped frames ----
+(* Runtime reads of a slot or the header, through the protected mapping. *)
+let read_slot_u32 t seg idx ~field = Vmem.read_u32 t.vmem (slot_addr seg idx + field)
+let read_slot_i64 t seg idx ~field = Vmem.read_i64 t.vmem (slot_addr seg idx + field)
+let read_header_u32 t seg ~field = Vmem.read_u32 t.vmem (seg.slotted_base + field)
 
-   During segment fetch we manipulate raw page images before mapping. *)
+(* ---- Slot pages: disk form and mapped form ----
 
-let raw_read_u32 pages ~page_size ~off =
-  Bess_util.Codec.get_u32 (List.nth pages (off / page_size)) (off mod page_size)
+   A slot page has two forms. In its disk form (on disk, in before-images
+   and in commit after-images) every data DP is relative to the data
+   segment, the header's last_data_base is 0, and lock pointers and
+   transparent large objects' DPs are 0. In its mapped form every data DP
+   is a VM address in the range at [seg.data_base], which the header
+   records as last_data_base, and a resolved large object's DP is its
+   reserved range. *)
 
-let raw_read_i64 pages ~page_size ~off =
-  (* i64 fields never straddle pages: slot size is 40 and the header is
-     64, so 8-byte fields are 4-aligned... they can straddle. Handle it. *)
-  let p = off / page_size and o = off mod page_size in
-  if o + 8 <= page_size then Bess_util.Codec.get_i64 (List.nth pages p) o
-  else begin
-    let b = Bytes.create 8 in
-    for i = 0 to 7 do
-      let off = off + i in
-      Bytes.set b i (Bytes.get (List.nth pages (off / page_size)) (off mod page_size))
-    done;
-    Bess_util.Codec.get_i64 b 0
-  end
+type slot_form = Disk | Mapped
 
-let raw_write_i64 pages ~page_size ~off v =
-  let p = off / page_size and o = off mod page_size in
-  if o + 8 <= page_size then Bess_util.Codec.set_i64 (List.nth pages p) o v
-  else begin
-    let b = Bytes.create 8 in
-    Bess_util.Codec.set_i64 b 0 v;
-    for i = 0 to 7 do
-      let off = off + i in
-      Bytes.set (List.nth pages (off / page_size)) (off mod page_size) (Bytes.get b i)
-    done
-  end
+(* Convert [img], slot page [page_idx] of [seg] whose data DPs are
+   relative to [last_base], into [form]: two arithmetic operations per
+   DP, dp - last_base + new_base, as in the paper. [n_slots] is the
+   segment's slot count. Slots never straddle a page (Layout), so the
+   image holds every field it converts. *)
+let convert_slot_page t seg img ~page_idx ~n_slots ~last_base form =
+  let ps = page_size t in
+  let new_base = match form with Disk -> 0 | Mapped -> seg.data_base in
+  if page_idx = 0 then Codec.set_i64 img Layout.hdr_last_data_base new_base;
+  let lo = page_idx * ps in
+  let first = if page_idx = 0 then 0 else (lo - Layout.header_size) / Layout.slot_size in
+  let last = Stdlib.min n_slots ((lo + ps - Layout.header_size) / Layout.slot_size) - 1 in
+  for idx = first to last do
+    let off = Layout.slot_offset idx - lo in
+    let flags = Codec.get_u32 img (off + Layout.slot_flags) in
+    let dp = off + Layout.slot_dp in
+    if Layout.has_data_dp flags then
+      Codec.set_i64 img dp (Codec.get_i64 img dp - last_base + new_base)
+    else if flags land Layout.flag_used <> 0 then
+      Codec.set_i64 img dp
+        (match form with
+        | Disk -> 0
+        | Mapped -> Option.value ~default:0 (Hashtbl.find_opt seg.large_bases idx));
+    if form = Disk then Codec.set_i64 img (off + Layout.slot_lock) 0
+  done
 
 (* ---- Wave 2: slotted-segment fault ---- *)
 
@@ -397,32 +402,17 @@ let slotted_fault t seg =
   let txn = txn_for t b in
   let pages = b.b_fetcher.f_fetch_segment ~txn seg.slotted_disk ~mode:Lock_mode.S in
   let ps = page_size t in
-  (* Header fields we need. *)
-  let n_slots = raw_read_u32 pages ~page_size:ps ~off:Layout.hdr_n_slots in
-  let data_disk =
-    let hdr = List.hd pages in
-    Seg_addr.decode hdr Layout.hdr_data_disk
-  in
-  seg.data_disk <- data_disk;
+  let hdr = List.hd pages in
+  seg.data_disk <- Seg_addr.decode hdr Layout.hdr_data_disk;
   ensure_data_range t seg;
-  (* DP fix-up: two arithmetic operations per slot, exactly as in the
-     paper. last_base is 0 in the canonical on-disk form. *)
-  let last_base = raw_read_i64 pages ~page_size:ps ~off:Layout.hdr_last_data_base in
-  let delta = seg.data_base - last_base in
-  for idx = 0 to n_slots - 1 do
-    let off = Layout.slot_offset idx in
-    let flags = raw_read_u32 pages ~page_size:ps ~off:(off + Layout.slot_flags) in
-    let transparent = flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0 in
-    if flags land Layout.flag_used <> 0 && not transparent then begin
-      let dp = raw_read_i64 pages ~page_size:ps ~off:(off + Layout.slot_dp) in
-      raw_write_i64 pages ~page_size:ps ~off:(off + Layout.slot_dp) (dp + delta)
-    end
-  done;
-  raw_write_i64 pages ~page_size:ps ~off:Layout.hdr_last_data_base seg.data_base;
-  (* Map the slot pages write-protected and pinned: control structures
-     stay resident and unwritable by user code. *)
+  (* Convert each page to its mapped form, then map it write-protected
+     and pinned: control structures stay resident and unwritable by user
+     code. *)
+  let n_slots = Codec.get_u32 hdr Layout.hdr_n_slots in
+  let last_base = Codec.get_i64 hdr Layout.hdr_last_data_base in
   List.iteri
     (fun i bytes ->
+      convert_slot_page t seg bytes ~page_idx:i ~n_slots ~last_base Mapped;
       let page_id =
         { Page_id.area = seg.slotted_disk.area; page = seg.slotted_disk.first_page + i }
       in
@@ -456,16 +446,14 @@ let ref_map t seg =
           | None -> invalid_arg "Session: slot page not mapped")
     in
     (* Slots never straddle a page (Layout), so neither do their fields. *)
-    let u32 off = Bess_util.Codec.get_u32 frames.(off / ps) (off mod ps) in
-    let i64 off = Bess_util.Codec.get_i64 frames.(off / ps) (off mod ps) in
+    let u32 off = Codec.get_u32 frames.(off / ps) (off mod ps) in
+    let i64 off = Codec.get_i64 frames.(off / ps) (off mod ps) in
     let types = Catalog.types (binding t seg.db_id).b_catalog in
     let npages = seg.data_disk.npages in
     let on_page = Array.make npages [] in
     for idx = 0 to u32 Layout.hdr_n_slots - 1 do
       let off = Layout.slot_offset idx in
-      let flags = u32 (off + Layout.slot_flags) in
-      let transparent = flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0 in
-      if flags land Layout.flag_used <> 0 && not transparent then begin
+      if Layout.has_data_dp (u32 (off + Layout.slot_flags)) then begin
         let obj_off = i64 (off + Layout.slot_dp) - seg.data_base in
         let size = u32 (off + Layout.slot_objsize) in
         let ty = Type_desc.find types (u32 (off + Layout.slot_type)) in
@@ -492,10 +480,10 @@ let ref_map t seg =
 let swizzle_page_raw t seg page_idx (bytes : Bytes.t) =
   Array.iter
     (fun off ->
-      let v = Bess_util.Codec.get_i64 bytes off in
+      let v = Codec.get_i64 bytes off in
       if Layout.is_unswizzled v then begin
         let target = get_seg t ~db_id:seg.db_id ~seg_id:(Layout.unswizzled_seg v) in
-        Bess_util.Codec.set_i64 bytes off
+        Codec.set_i64 bytes off
           (Layout.encode_swizzled (slot_addr target (Layout.unswizzled_slot v)));
         Stats.bump t.c.c_swizzles
       end)
@@ -517,41 +505,21 @@ let unswizzle_page_into t region vm_page_addr img =
       let page_idx = (vm_page_addr - seg.data_base) / ps in
       Array.iter
         (fun off ->
-          let v = Bess_util.Codec.get_i64 img off in
+          let v = Codec.get_i64 img off in
           if v <> 0 && not (Layout.is_unswizzled v) then begin
             let tseg = slot_seg t v in
             if tseg.db_id <> seg.db_id then
               failwith "Session: direct cross-database reference (must be forward)";
-            Bess_util.Codec.set_i64 img off
+            Codec.set_i64 img off
               (Layout.encode_unswizzled ~seg:tseg.seg_id ~slot:(slot_index tseg v))
           end)
         (ref_map t seg).(page_idx)
   | Slotted seg ->
-      let page_idx = (vm_page_addr - seg.slotted_base) / ps in
-      let lo = page_idx * ps in
-      (* Canonicalise header (page 0): last_data_base = 0. *)
-      if page_idx = 0 then Bess_util.Codec.set_i64 img Layout.hdr_last_data_base 0;
-      (* Canonicalise slots overlapping this page: DP relative to the data
-         base, lock pointer zero. *)
-      let n_slots = Vmem.read_u32 t.vmem (seg.slotted_base + Layout.hdr_n_slots) in
-      for idx = 0 to n_slots - 1 do
-        let off = Layout.slot_offset idx in
-        let fix field width value =
-          let abs = off + field in
-          if abs >= lo && abs + width <= lo + ps then
-            if width = 8 then Bess_util.Codec.set_i64 img (abs - lo) value
-            else Bess_util.Codec.set_u32 img (abs - lo) value
-        in
-        let flags_addr = slot_addr seg idx + Layout.slot_flags in
-        let flags = Vmem.read_u32 t.vmem flags_addr in
-        let transparent = flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0 in
-        if flags land Layout.flag_used <> 0 && not transparent then begin
-          let dp = Vmem.read_i64 t.vmem (slot_addr seg idx + Layout.slot_dp) in
-          fix Layout.slot_dp 8 (dp - seg.data_base)
-        end
-        else if flags land Layout.flag_used <> 0 then fix Layout.slot_dp 8 0;
-        fix Layout.slot_lock 8 0
-      done
+      (* The slot count is read through the mapping, like every runtime
+         read of the header outside a fault wave: a slot page the clock
+         swept to protected is regranted when a write uses it. *)
+      convert_slot_page t seg img ~page_idx:((vm_page_addr - seg.slotted_base) / ps)
+        ~n_slots:(read_header_u32 t seg ~field:Layout.hdr_n_slots) ~last_base:seg.data_base Disk
 
 let unswizzle_page_image t region vm_page_addr =
   let img = Bytes.create (page_size t) in
@@ -706,9 +674,33 @@ let handle_fault t _vm ~addr ~access =
 
 (* ---- Construction ---- *)
 
+(* Attach a database: the main one at creation, further ones for
+   inter-database references (section 2.1). *)
+let attach_db t ?area_ids ~db_id ~catalog ~fetcher ~default_area () =
+  if Hashtbl.mem t.dbs db_id then invalid_arg "Session.attach_db: already attached";
+  let area_ids = Option.value ~default:[ default_area ] area_ids in
+  Hashtbl.replace t.dbs db_id
+    { b_catalog = catalog; b_fetcher = fetcher; b_default_area = default_area;
+      b_area_ids = area_ids; b_txn = None; b_forward_seg = None };
+  fetcher.f_register_sink (fun r _mode ->
+      match r with
+      | { space = 0; a = area; b = page } ->
+          let page_id = { Page_id.area; page } in
+          (* Conservative: while a transaction is open, assume the page
+             may be in use and refuse; the requester blocks and retries
+             (section 3's callback protocol). Otherwise drop the cached
+             page. *)
+          if t.in_txn then `Refused
+          else begin
+            drop_cached_page t page_id;
+            Stats.bump t.c.c_callbacks_dropped;
+            `Dropped
+          end
+      | _ -> `Dropped);
+  Event.fire t.hooks (Db_open { db = db_id })
+
 let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fetcher
     ~default_area () =
-  let area_ids = Option.value ~default:[ default_area ] area_ids in
   let vmem = Vmem.create ~page_size () in
   let pool = Cache.create ~nslots:pool_slots ~page_size in
   let stats = Stats.create () in
@@ -749,48 +741,9 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
   Bess_obs.Registry.register_gauge "session" "session.mapped_pages" (fun () ->
       Page_id.Tbl.length t.mapped);
   install_clock t;
-  Hashtbl.replace t.dbs db_id
-    { b_catalog = catalog; b_fetcher = fetcher; b_default_area = default_area;
-      b_area_ids = area_ids; b_txn = None; b_forward_seg = None };
   Vmem.set_fault_handler vmem (fun vm ~addr ~access -> handle_fault t vm ~addr ~access);
-  (* Callbacks from the server: drop the cached page unless an active
-     transaction is using it. *)
-  fetcher.f_register_sink (fun r _mode ->
-      match r with
-      | { space = 0; a = area; b = page } ->
-          let page_id = { Page_id.area; page } in
-          (* Conservative: while a transaction is open, assume the page
-             may be in use and refuse; the requester blocks and retries
-             (section 3's callback protocol). *)
-          if t.in_txn then `Refused
-          else begin
-            drop_cached_page t page_id;
-            Stats.bump t.c.c_callbacks_dropped;
-            `Dropped
-          end
-      | _ -> `Dropped);
-  Event.fire t.hooks (Db_open { db = db_id });
+  attach_db t ?area_ids ~db_id ~catalog ~fetcher ~default_area ();
   t
-
-(* Attach a further database (inter-database references, section 2.1). *)
-let attach_db t ?area_ids ~db_id ~catalog ~fetcher ~default_area () =
-  if Hashtbl.mem t.dbs db_id then invalid_arg "Session.attach_db: already attached";
-  let area_ids = Option.value ~default:[ default_area ] area_ids in
-  Hashtbl.replace t.dbs db_id
-    { b_catalog = catalog; b_fetcher = fetcher; b_default_area = default_area;
-      b_area_ids = area_ids; b_txn = None; b_forward_seg = None };
-  fetcher.f_register_sink (fun r _mode ->
-      match r with
-      | { space = 0; a = area; b = page } ->
-          let page_id = { Page_id.area; page } in
-          if t.in_txn then `Refused
-          else begin
-            drop_cached_page t page_id;
-            Stats.bump t.c.c_callbacks_dropped;
-            `Dropped
-          end
-      | _ -> `Dropped);
-  Event.fire t.hooks (Db_open { db = db_id })
 
 (* ---- Runtime (trusted) writes to control structures ---- *)
 
@@ -835,9 +788,20 @@ let write_header_u32 t seg ~field v =
   let addr = seg.slotted_base + field in
   runtime_write t seg ~addr ~width:4 (fun () -> Vmem.write_u32 t.vmem addr v)
 
-let read_slot_u32 t seg idx ~field = Vmem.read_u32 t.vmem (slot_addr seg idx + field)
-let read_slot_i64 t seg idx ~field = Vmem.read_i64 t.vmem (slot_addr seg idx + field)
-let read_header_u32 t seg ~field = Vmem.read_u32 t.vmem (seg.slotted_base + field)
+
+(* Give up the reserved range, and the frames mapped in it, of the
+   large object in slot [idx]. *)
+let drop_large_range t seg idx =
+  match (Hashtbl.find_opt seg.large_bases idx, Hashtbl.find_opt seg.large_disks idx) with
+  | Some base, Some (disk : Seg_addr.t) ->
+      for i = 0 to disk.npages - 1 do
+        unmap_vm_page t (base + (i * page_size t))
+      done;
+      remove_region t ~base ~npages:disk.npages;
+      Vmem.release t.vmem base disk.npages;
+      Hashtbl.remove seg.large_bases idx;
+      Hashtbl.remove seg.large_disks idx
+  | _ -> ()
 
 (* ---- Transaction lifecycle ---- *)
 
@@ -982,36 +946,17 @@ let restore_frame t we =
           swizzle_page_raw t seg page_idx frame
       | Slotted seg ->
           invalidate_refs seg;
-          let ps = page_size t in
-          let page_idx = (we.we_vm - seg.slotted_base) / ps in
-          if page_idx = 0 then
-            Bess_util.Codec.set_i64 frame Layout.hdr_last_data_base seg.data_base;
-          let n_slots = read_header_u32 t seg ~field:Layout.hdr_n_slots in
-          let lo = page_idx * ps in
-          for idx = 0 to n_slots - 1 do
-            let off = Layout.slot_offset idx + Layout.slot_dp in
-            if off >= lo && off + 8 <= lo + ps then begin
-              let flags_off = Layout.slot_offset idx + Layout.slot_flags in
-              (* flags may live on a different page; read via vmem only if
-                 same page, else read from the (now restored) frame. *)
-              let flags =
-                if flags_off >= lo && flags_off + 4 <= lo + ps then
-                  Bess_util.Codec.get_u32 frame (flags_off - lo)
-                else Vmem.read_u32 t.vmem (seg.slotted_base + flags_off)
-              in
-              let transparent =
-                flags land (Layout.flag_large lor Layout.flag_vlarge) <> 0
-              in
-              if flags land Layout.flag_used <> 0 && not transparent then begin
-                let dp = Bess_util.Codec.get_i64 frame (off - lo) in
-                Bess_util.Codec.set_i64 frame (off - lo) (dp + seg.data_base)
-              end
-            end
-          done)
+          convert_slot_page t seg frame ~page_idx:((we.we_vm - seg.slotted_base) / page_size t)
+            ~n_slots:(read_header_u32 t seg ~field:Layout.hdr_n_slots) ~last_base:0 Mapped)
 
 let abort t =
   if not t.in_txn then invalid_arg "Session.abort: no transaction open";
   Page_id.Tbl.iter (fun _ we -> restore_frame t we) t.write_set;
+  let restored =
+    Page_id.Tbl.fold
+      (fun _ we acc -> match we.we_region with Slotted seg -> seg :: acc | _ -> acc)
+      t.write_set []
+  in
   Hashtbl.iter
     (fun _ b ->
       match b.b_txn with
@@ -1022,6 +967,18 @@ let abort t =
     t.dbs;
   t.in_txn <- false;
   finish_write_set t ~keep_frames:true;
+  (* Large objects whose creation the abort undid give up their ranges,
+     now that their pages are no longer pinned by the write set. *)
+  List.iter
+    (fun seg ->
+      Hashtbl.fold
+        (fun idx _ acc ->
+          if read_slot_u32 t seg idx ~field:Layout.slot_flags land Layout.flag_large = 0
+          then idx :: acc
+          else acc)
+        seg.large_bases []
+      |> List.iter (drop_large_range t seg))
+    restored;
   Span.finish ~attrs:[ ("outcome", "abort") ] t.txn_span;
   t.txn_span <- Span.none;
   Event.fire t.hooks (Txn_abort { txn = 0 });
@@ -1294,20 +1251,10 @@ let delete_object t addr =
   let b = binding t seg.db_id in
   Catalog.remove_root_by_oid b.b_catalog (oid_of t addr);
   (match Hashtbl.find_opt seg.large_disks idx with
-  | Some disk ->
+  | Some disk when read_slot_u32 t seg idx ~field:Layout.slot_flags land Layout.flag_large <> 0 ->
       b.b_fetcher.f_free_segment disk;
-      Hashtbl.remove seg.large_disks idx;
-      (match Hashtbl.find_opt seg.large_bases idx with
-      | Some base ->
-          let ps = page_size t in
-          for i = 0 to disk.npages - 1 do
-            unmap_vm_page t (base + (i * ps))
-          done;
-          remove_region t ~base ~npages:disk.npages;
-          Vmem.release t.vmem base disk.npages;
-          Hashtbl.remove seg.large_bases idx
-      | None -> ())
-  | None -> ());
+      drop_large_range t seg idx
+  | Some _ | None -> ());
   let uniq = read_slot_u32 t seg idx ~field:Layout.slot_uniq in
   let free_head = read_header_u32 t seg ~field:Layout.hdr_free_slot_head in
   write_slot_u32 t seg idx ~field:Layout.slot_flags 0;

@@ -3,6 +3,7 @@
    file movement). *)
 
 module Vmem = Bess_vmem.Vmem
+module Lob = Bess_largeobj.Lob
 
 let fresh_db =
   let counter = ref 100 in
@@ -183,6 +184,131 @@ let test_resize () =
   Alcotest.(check int) "fresh session after resize" 4321 (payload s2 (Bess.Session.by_oid s2 oid));
   Bess.Session.commit s2
 
+(* A type of [size] bytes without references. *)
+let plain_type db ~name ~size =
+  Bess.Type_desc.register (Bess.Catalog.types (Bess.Db.catalog db)) ~name ~size ~ref_offsets:[||]
+
+let check_vlarge db s addr data label =
+  let lob = Bess.Vlarge.open_ db s addr in
+  Alcotest.(check int) (label ^ ": size") (Bytes.length data) (Lob.size lob);
+  Alcotest.(check bytes) (label ^ ": bytes") data (Lob.read lob ~pos:0 ~len:(Bytes.length data))
+
+let vlarge_data = Bytes.init 5_000 (fun i -> Char.chr (i * 7 land 0xff))
+
+(* A very large object's descriptor lives in the data segment; a resize
+   rebases its DP with every other one. It used to keep pointing into
+   the released range, and [open_] raised [Corruption]. *)
+let test_resize_keeps_vlarge () =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  let addr, lob = Bess.Vlarge.create db s seg in
+  Lob.append lob vlarge_data;
+  Bess.Vlarge.save db s addr lob;
+  Bess.Session.commit s;
+  Bess.Reorg.resize_data_segment s seg ~new_pages:3;
+  Bess.Session.begin_txn s;
+  check_vlarge db s addr vlarge_data "after resize";
+  Bess.Session.commit s;
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  check_vlarge db s2 (Bess.Session.by_oid s2 (Bess.Session.oid_of s addr)) vlarge_data
+    "fresh session after resize";
+  Bess.Session.commit s2
+
+(* Compaction keeps a very large object's descriptor live. It used to
+   count the descriptor as reclaimed, the next allocations overwrote it,
+   and [open_] raised [Invalid_argument]. *)
+let test_compaction_keeps_vlarge () =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  let ty = rec_type db and small = plain_type db ~name:"small16" ~size:16 in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  let addr, lob = Bess.Vlarge.create db s seg in
+  Lob.append lob vlarge_data;
+  Bess.Vlarge.save db s addr lob;
+  let hole = Bess.Session.create_object s seg ty ~size:24 in
+  Bess.Session.delete_object s hole;
+  Bess.Session.commit s;
+  Alcotest.(check int) "only the deleted object is reclaimed" 24
+    (Bess.Reorg.compact_data_segment s seg);
+  Bess.Session.begin_txn s;
+  for i = 1 to 2 do
+    let o = Bess.Session.create_object s seg small ~size:16 in
+    Vmem.write_bytes (Bess.Session.mem s) (Bess.Session.obj_data s o) (Bytes.make 16 (Char.chr i))
+  done;
+  check_vlarge db s addr vlarge_data "after compaction and two allocations";
+  Bess.Session.commit s;
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  check_vlarge db s2 (Bess.Session.by_oid s2 (Bess.Session.oid_of s addr)) vlarge_data
+    "fresh session after compaction";
+  Bess.Session.commit s2
+
+(* Compaction keeps a transparent large object's descriptor, which
+   lives in the data segment at the offset its slot records. *)
+let test_compaction_keeps_large_descriptor () =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  let ty = rec_type db and small = plain_type db ~name:"small16" ~size:16 in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  let hole = Bess.Session.create_object s seg ty ~size:24 in
+  let big = Bess.Session.create_large_object s seg ~size:5_000 in
+  Vmem.write_i64 (Bess.Session.mem s) (Bess.Session.obj_data s big + 4_096) 77;
+  let o = Bess.Session.create_object s seg ty ~size:24 in
+  set_payload s o 5;
+  Bess.Session.delete_object s hole;
+  Bess.Session.commit s;
+  Alcotest.(check int) "only the deleted object is reclaimed" 24
+    (Bess.Reorg.compact_data_segment s seg);
+  Bess.Session.begin_txn s;
+  for i = 1 to 2 do
+    let o = Bess.Session.create_object s seg small ~size:16 in
+    Vmem.write_bytes (Bess.Session.mem s) (Bess.Session.obj_data s o) (Bytes.make 16 (Char.chr i))
+  done;
+  Bess.Session.commit s;
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  let big2 = Bess.Session.by_oid s2 (Bess.Session.oid_of s big) in
+  Alcotest.(check int) "fresh session reads the large object" 77
+    (Vmem.read_i64 (Bess.Session.mem s2) (Bess.Session.obj_data s2 big2 + 4_096));
+  Alcotest.(check int) "and the moved object" 5
+    (payload s2 (Bess.Session.by_oid s2 (Bess.Session.oid_of s o)));
+  Bess.Session.commit s2
+
+(* Compaction leaves the space above the new high-water mark zeroed. It
+   used to leave the moved objects' old bytes there, and a new object
+   with a reference field over them made the before-image read a stale
+   payload as a pointer ("0x1e240 is not a slot address"). *)
+let test_compaction_zeroes_free_space () =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  let ty = rec_type db and blob = plain_type db ~name:"blob24" ~size:24 in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  let hole = Bess.Session.create_object s seg ty ~size:24 in
+  let b = Bess.Session.create_object s seg blob ~size:24 in
+  Vmem.write_i64 (Bess.Session.mem s) (Bess.Session.obj_data s b) 123456;
+  Bess.Session.delete_object s hole;
+  Bess.Session.commit s;
+  Alcotest.(check int) "reclaimed" 24 (Bess.Reorg.compact_data_segment s seg);
+  Bess.Session.begin_txn s;
+  let o = Bess.Session.create_object s seg ty ~size:24 in
+  Alcotest.(check bool) "new object's reference is null" true
+    (Bess.Session.read_ref s ~data_addr:(Bess.Session.obj_data s o) = None);
+  Bess.Session.write_ref s ~data_addr:(Bess.Session.obj_data s o) (Some b);
+  Bess.Session.commit s;
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  let o2 = Bess.Session.by_oid s2 (Bess.Session.oid_of s o) in
+  let b2 = Option.get (Bess.Session.read_ref s2 ~data_addr:(Bess.Session.obj_data s2 o2)) in
+  Alcotest.(check int) "moved payload" 123456
+    (Vmem.read_i64 (Bess.Session.mem s2) (Bess.Session.obj_data s2 b2));
+  Bess.Session.commit s2
+
 let test_move_file () =
   let db = fresh_db ~n_areas:2 () in
   let s = Bess.Db.session db in
@@ -215,5 +341,10 @@ let suite =
     Alcotest.test_case "relocate_data_segment" `Quick test_relocate_data_segment;
     Alcotest.test_case "compaction" `Quick test_compaction;
     Alcotest.test_case "resize" `Quick test_resize;
+    Alcotest.test_case "resize_keeps_vlarge" `Quick test_resize_keeps_vlarge;
+    Alcotest.test_case "compaction_keeps_vlarge" `Quick test_compaction_keeps_vlarge;
+    Alcotest.test_case "compaction_keeps_large_descriptor" `Quick
+      test_compaction_keeps_large_descriptor;
+    Alcotest.test_case "compaction_zeroes_free_space" `Quick test_compaction_zeroes_free_space;
     Alcotest.test_case "move_file" `Quick test_move_file;
   ]

@@ -463,6 +463,83 @@ let test_write_fault_major_allocation () =
     Alcotest.failf "%.0f direct major words per transaction, bound %.0f" per_txn
       max_words_per_txn
 
+(* A committed transparent large object with payload [v] at its start,
+   in a segment with room for more objects. *)
+let large_object_db v =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  let big = Bess.Session.create_large_object s seg ~size:10_000 in
+  Vmem.write_i64 (Bess.Session.mem s) (Bess.Session.obj_data s big) v;
+  Bess.Session.commit s;
+  (db, s, seg, big)
+
+(* The large object is readable and writable in [s], and a fresh
+   session sees the write. *)
+let check_large_object db s big ~was ~now =
+  Bess.Session.begin_txn s;
+  let d = Bess.Session.obj_data s big in
+  Alcotest.(check int) "large object reads back" was (Vmem.read_i64 (Bess.Session.mem s) d);
+  Vmem.write_i64 (Bess.Session.mem s) d now;
+  Bess.Session.commit s;
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  let big2 = Bess.Session.by_oid s2 (Bess.Session.oid_of s big) in
+  Alcotest.(check int) "fresh session sees the write" now
+    (Vmem.read_i64 (Bess.Session.mem s2) (Bess.Session.obj_data s2 big2));
+  Bess.Session.commit s2
+
+(* Abort restores a slot page from its disk-form before-image; a
+   resolved large object's DP must come back with it. It used to come
+   back as 0: the next read raised [Access_violation] and a write
+   "page not mapped". *)
+let test_abort_keeps_large_object () =
+  let db, s, seg, big = large_object_db 11 in
+  let ty = node_type db in
+  Bess.Session.begin_txn s;
+  ignore (Bess.Session.create_object s seg ty ~size:16);
+  Bess.Session.abort s;
+  check_large_object db s big ~was:11 ~now:12
+
+(* The same after a slot page is called back by another session's
+   commit and refetched. *)
+let test_callback_keeps_large_object () =
+  let db, s, seg, big = large_object_db 21 in
+  let ty = node_type db in
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  let seg2 = Bess.Session.get_seg s2 ~db_id:seg.Bess.Session.db_id ~seg_id:seg.seg_id in
+  ignore (Bess.Session.create_object s2 seg2 ty ~size:16);
+  Bess.Session.commit s2;
+  Alcotest.(check bool) "the slot page was called back" true
+    (Bess_util.Stats.get (Bess.Session.stats s) "session.callbacks_dropped" > 0);
+  check_large_object db s big ~was:21 ~now:22
+
+(* Deleting a mapped large object gives up its range. It used to forget
+   the object's disk segment before unmapping its pages, and raised
+   [Not_found]. *)
+let test_delete_large_object () =
+  let db, s, seg, big = large_object_db 31 in
+  let ty = node_type db in
+  let oid = Bess.Session.oid_of s big in
+  Bess.Session.begin_txn s;
+  ignore (Bess.Session.obj_data s big);
+  Bess.Session.delete_object s big;
+  let o = Bess.Session.create_object s seg ty ~size:16 in
+  Vmem.write_i64 (Bess.Session.mem s) (Bess.Session.obj_data s o + 8) 32;
+  Bess.Session.commit s;
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  Alcotest.(check bool) "the large object is gone" true
+    (match Bess.Session.by_oid s2 oid with
+    | _ -> false
+    | exception Bess.Session.Stale_oid _ -> true);
+  Alcotest.(check int) "its slot holds the new object" 32
+    (Vmem.read_i64 (Bess.Session.mem s2)
+       (Bess.Session.obj_data s2 (Bess.Session.by_oid s2 (Bess.Session.oid_of s o)) + 8));
+  Bess.Session.commit s2
+
 let suite =
   [
     Alcotest.test_case "create_read_write" `Quick test_create_read_write;
@@ -481,4 +558,7 @@ let suite =
     Alcotest.test_case "recycled_before_image_direct" `Quick (recycled_before_image `Direct);
     Alcotest.test_case "recycled_before_image_remote" `Quick (recycled_before_image `Remote);
     Alcotest.test_case "write_fault_major_allocation" `Quick test_write_fault_major_allocation;
+    Alcotest.test_case "abort_keeps_large_object" `Quick test_abort_keeps_large_object;
+    Alcotest.test_case "callback_keeps_large_object" `Quick test_callback_keeps_large_object;
+    Alcotest.test_case "delete_large_object" `Quick test_delete_large_object;
   ]

@@ -1,5 +1,7 @@
 (* Model-based testing of the session engine: random sequences of object
-   operations run both against BeSS and against a plain in-memory model;
+   operations (small objects and references, transparent and very large
+   objects, compaction and resize) run both against BeSS and against a
+   plain in-memory model;
    after every commit the two worlds must agree, and a fresh session
    reading from the server must agree too. Aborts must roll the BeSS
    world back to the model's last committed state. After every operation
@@ -12,6 +14,7 @@ module Prng = Bess_util.Prng
 module Session = Bess.Session
 module Layout = Bess.Layout
 module Codec = Bess_util.Codec
+module Lob = Bess_largeobj.Lob
 
 (* The canonical image of data page [page_idx] of [seg] by scanning every
    slot: each used small object overlapping the page, each reference
@@ -65,6 +68,14 @@ type op =
   | Commit
   | Abort
   | Resize (* commit, grow the data segment by a page (Reorg), begin *)
+  | Compact (* commit, compact the data segment (Reorg), begin *)
+  | Large of int * int
+      (* victim index, payload: write it into a transparent large object
+         (a new one when the victim is 0 mod 4 or none is live), read back *)
+  | Vlarge of int * int
+      (* victim index, byte: commit, append to a very large object (a new
+         one when the victim is 0 mod 3 or none exists), save, commit,
+         begin; bulk bytes bypass the log, so it never rides an abort *)
 
 let gen_ops =
   QCheck.Gen.(
@@ -79,7 +90,14 @@ let gen_ops =
            (2, return Commit);
            (1, return Abort);
            (1, return Resize);
+           (1, return Compact);
+           (2, map2 (fun v p -> Large (v, p)) small_nat small_nat);
+           (1, map2 (fun v c -> Vlarge (v, c)) small_nat small_nat);
          ]))
+
+(* Where a large object's payload goes: on its second page. *)
+let large_size = 6000
+let large_off = 4104
 
 (* The model: an array of live objects with payload and link. *)
 type mobj = { mutable payload : int; mutable link : int option (* model index *) }
@@ -97,6 +115,17 @@ let run_scenario ops =
   let addrs : (int, int) Hashtbl.t = Hashtbl.create 32 (* model id -> slot addr *) in
   let addrs_committed : (int, int) Hashtbl.t = Hashtbl.create 32 in
   let next_id = ref 0 in
+  (* transparent large objects: model id -> payload, and -> slot addr *)
+  let larges : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let larges_committed : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let large_addrs : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let large_addrs_committed : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* very large objects, always committed: model id -> (slot addr, bytes) *)
+  let vlarges : (int, int * Buffer.t) Hashtbl.t = Hashtbl.create 8 in
+  let restore dst src =
+    Hashtbl.reset dst;
+    Hashtbl.iter (Hashtbl.replace dst) src
+  in
   let snapshot src =
     let dst = Hashtbl.create 32 in
     Hashtbl.iter (fun k (v : mobj) -> Hashtbl.replace dst k { payload = v.payload; link = v.link }) src;
@@ -125,6 +154,16 @@ let run_scenario ops =
   ignore (ensure_seg ());
   Bess.Session.commit s;
   Bess.Session.begin_txn s;
+  let commit () =
+    Bess.Session.commit s;
+    copy_into committed working;
+    restore addrs_committed addrs;
+    restore larges_committed larges;
+    restore large_addrs_committed large_addrs
+  in
+  let read_large session addr =
+    Vmem.read_i64 (Bess.Session.mem session) (Bess.Session.obj_data session addr + large_off)
+  in
   let apply op =
     match op with
     | Create p -> (
@@ -177,41 +216,86 @@ let run_scenario ops =
             Hashtbl.remove addrs ia
         | None -> ())
     | Commit ->
-        Bess.Session.commit s;
-        copy_into committed working;
-        Hashtbl.reset addrs_committed;
-        Hashtbl.iter (Hashtbl.replace addrs_committed) addrs;
+        commit ();
         Bess.Session.begin_txn s
     | Resize ->
-        Bess.Session.commit s;
-        copy_into committed working;
-        Hashtbl.reset addrs_committed;
-        Hashtbl.iter (Hashtbl.replace addrs_committed) addrs;
+        commit ();
         let sg = ensure_seg () in
         Bess.Reorg.resize_data_segment s sg ~new_pages:(sg.data_disk.npages + 1);
+        Bess.Session.begin_txn s
+    | Compact ->
+        commit ();
+        ignore (Bess.Reorg.compact_data_segment s (ensure_seg ()));
+        Bess.Session.begin_txn s
+    | Large (v, p) -> (
+        let target =
+          match pick larges v with
+          | Some id when v mod 4 <> 0 -> Some id
+          | _ -> (
+              match Bess.Session.create_large_object s (ensure_seg ()) ~size:large_size with
+              | addr ->
+                  let id = !next_id in
+                  incr next_id;
+                  Hashtbl.replace large_addrs id addr;
+                  Some id
+              | exception Bess.Session.Segment_full _ -> None)
+        in
+        match target with
+        | Some id ->
+            let addr = Hashtbl.find large_addrs id in
+            Hashtbl.replace larges id p;
+            Vmem.write_i64 (Bess.Session.mem s)
+              (Bess.Session.obj_data s addr + large_off) p;
+            if read_large s addr <> p then
+              QCheck.Test.fail_reportf "large object %d does not read back its payload" id
+        | None -> ())
+    | Vlarge (v, c) ->
+        commit ();
+        Bess.Session.begin_txn s;
+        let target =
+          match pick vlarges v with
+          | Some id when v mod 3 <> 0 ->
+              let addr, _ = Hashtbl.find vlarges id in
+              Some (id, addr, Bess.Vlarge.open_ db s addr)
+          | _ -> (
+              match Bess.Vlarge.create db s (ensure_seg ()) with
+              | addr, lob ->
+                  let id = !next_id in
+                  incr next_id;
+                  Hashtbl.replace vlarges id (addr, Buffer.create 64);
+                  Some (id, addr, lob)
+              | exception Bess.Session.Segment_full _ -> None)
+        in
+        Option.iter
+          (fun (id, addr, lob) ->
+            let chunk = Bytes.make (1 + (c * 37 mod 3000)) (Char.chr (c land 0xff)) in
+            Lob.append lob chunk;
+            Bess.Vlarge.save db s addr lob;
+            Buffer.add_bytes (snd (Hashtbl.find vlarges id)) chunk)
+          target;
+        Bess.Session.commit s;
         Bess.Session.begin_txn s
     | Abort ->
         Bess.Session.abort s;
         copy_into working committed;
-        (* roll the address table back with the model: aborted creations
+        (* roll the address tables back with the model: aborted creations
            vanish, aborted deletions resurrect *)
-        Hashtbl.reset addrs;
-        Hashtbl.iter (Hashtbl.replace addrs) addrs_committed;
+        restore addrs addrs_committed;
+        restore larges larges_committed;
+        restore large_addrs large_addrs_committed;
         Bess.Session.begin_txn s
   in
   let label = function
     | Create _ -> "create" | Write _ -> "write" | Link _ -> "link" | Unlink _ -> "unlink"
     | Delete _ -> "delete" | Commit -> "commit" | Abort -> "abort" | Resize -> "resize"
+    | Compact -> "compact" | Large _ -> "large" | Vlarge _ -> "vlarge"
   in
   List.iter
     (fun op ->
       apply op;
       check_ref_map s (ensure_seg ()) (label op))
     ops;
-  Bess.Session.commit s;
-  copy_into committed working;
-  Hashtbl.reset addrs_committed;
-  Hashtbl.iter (Hashtbl.replace addrs_committed) addrs;
+  commit ();
   (* Check 1: the owning session agrees with the model. *)
   Bess.Session.begin_txn s;
   let check_against session label =
@@ -240,7 +324,22 @@ let run_scenario ops =
         in
         if link <> model_link then
           QCheck.Test.fail_reportf "%s: object %d link mismatch" label id)
-      committed
+      committed;
+    let resolve addr =
+      if session == s then addr else Bess.Session.by_oid session (Bess.Session.oid_of s addr)
+    in
+    Hashtbl.iter
+      (fun id p ->
+        let got = read_large session (resolve (Hashtbl.find large_addrs id)) in
+        if got <> p then
+          QCheck.Test.fail_reportf "%s: large object %d payload %d, model %d" label id got p)
+      larges_committed;
+    Hashtbl.iter
+      (fun id (addr, contents) ->
+        let lob = Bess.Vlarge.open_ db session (resolve addr) in
+        if Lob.read lob ~pos:0 ~len:(Lob.size lob) <> Buffer.to_bytes contents then
+          QCheck.Test.fail_reportf "%s: very large object %d differs from the model" label id)
+      vlarges
   in
   check_against s "owner";
   Bess.Session.commit s;
@@ -263,13 +362,19 @@ let prop_session_model =
    invalidate the reference map built while its slot was free), a
    resize between links, and resizes that recycle a freed data segment
    whose pages the server still caches (a write of zeros into it must
-   reach a fresh session, not the previous tenant's cached bytes). *)
+   reach a fresh session, not the previous tenant's cached bytes); a
+   large object whose creation is aborted and whose slot a small object
+   then takes (deleting it must not touch the old range); and large and
+   very large objects across abort, compaction and resize. *)
 let test_pinned_sequences () =
   List.iter
     (fun ops -> ignore (run_scenario ops))
     [ [ Create 1; Create 2; Commit; Delete 0; Abort; Link (0, 1) ];
       [ Create 1; Create 2; Link (0, 1); Resize; Link (1, 0); Abort; Link (0, 0) ];
-      [ Resize; Create 87; Resize; Resize; Write (8, 0); Resize ] ]
+      [ Resize; Create 87; Resize; Resize; Write (8, 0); Resize ];
+      [ Large (0, 1); Abort; Create 1; Delete 0; Large (0, 2) ];
+      [ Large (0, 5); Vlarge (0, 3); Create 1; Delete 0; Create 2; Abort; Large (1, 6);
+        Compact; Vlarge (1, 4); Resize; Large (1, 7); Abort; Vlarge (2, 9) ] ]
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_session_model;

@@ -80,6 +80,29 @@ let test_vlarge_lifecycle () =
   Alcotest.(check string) "spliced bytes" "SPLICE" (Bytes.to_string (Lob.read lob3 ~pos:100 ~len:6));
   Bess.Session.commit s
 
+(* A very large object written by one session opens in another. Its DP
+   names the descriptor in the data segment, so it must reach disk
+   relative to the data base like any small object's. It used to reach
+   disk as 0, and every other session's [open_] raised [Corruption 0]. *)
+let test_vlarge_other_session () =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  let addr, lob = Bess.Vlarge.create db s seg in
+  let data = Prng.bytes (Prng.create 21) 70_000 in
+  Lob.append lob data;
+  Bess.Vlarge.save db s addr lob;
+  Bess.Session.set_root s ~name:"v" addr;
+  Bess.Session.commit s;
+  let s2 = Bess.Db.session db in
+  Bess.Session.begin_txn s2;
+  let lob2 = Bess.Vlarge.open_ db s2 (Option.get (Bess.Session.root s2 "v")) in
+  Alcotest.(check int) "size seen by another session" 70_000 (Lob.size lob2);
+  Alcotest.(check bytes) "bytes seen by another session" (Bytes.sub data 65_000 300)
+    (Lob.read lob2 ~pos:65_000 ~len:300);
+  Bess.Session.commit s2
+
 let test_vlarge_destroy_frees_space () =
   let db = fresh_db () in
   let s = Bess.Db.session db in
@@ -154,6 +177,7 @@ let suite =
     Alcotest.test_case "transparent_large" `Quick test_transparent_large_object;
     Alcotest.test_case "large_limit" `Quick test_large_object_limit;
     Alcotest.test_case "vlarge_lifecycle" `Quick test_vlarge_lifecycle;
+    Alcotest.test_case "vlarge_other_session" `Quick test_vlarge_other_session;
     Alcotest.test_case "vlarge_destroy" `Quick test_vlarge_destroy_frees_space;
     Alcotest.test_case "hooks_fire" `Quick test_hooks_fire;
     Alcotest.test_case "hooks_order" `Quick test_hooks_multiple_and_order;
