@@ -1253,7 +1253,8 @@ let e14 () =
    work, scheduler lag, other) whose sum equals the measured latency
    exactly; the sweep reports the blame breakdown per population,
    checks conservation, re-runs the 10^3 point to prove the
-   decomposition and breach counts are same-seed deterministic, and
+   decomposition and breach counts are same-seed deterministic and once
+   more with no plane installed to prove observing moved nothing, and
    gates the smallest population on a commit-p99 latency budget.
    Artifacts: bench_report.json#e15 and a timestamped BENCH_e15.json
    with per-client-count phase fractions. *)
@@ -1290,14 +1291,15 @@ let e15 () =
   let phase_names = List.map Bess_obs.Critpath.phase_name Bess_obs.Critpath.phases in
   let rows = ref [] in
   let point_sections = ref [] in
-  let fp_1000 = ref "" and breaches_1000 = ref (-1) in
+  let fp_1000 = ref "" and breaches_1000 = ref (-1) and point_1000 = ref None in
   let budget_ok = ref true and conserved = ref true in
   List.iter
     (fun n_clients ->
       let p, cp, slo = run_point n_clients in
       if n_clients = 1_000 then begin
         fp_1000 := Bess_obs.Critpath.fingerprint cp;
-        breaches_1000 := Bess_obs.Slo.breaches slo
+        breaches_1000 := Bess_obs.Slo.breaches slo;
+        point_1000 := Some p
       end;
       let total = Bess_obs.Critpath.total_ns cp in
       let totals = Bess_obs.Critpath.blame_totals cp in
@@ -1365,12 +1367,23 @@ let e15 () =
       (Printf.sprintf "FAILED (%s vs %s; breaches %d vs %d)" !fp_1000 fp2 !breaches_1000
          (Bess_obs.Slo.breaches slo2))
     "e15: same-seed determinism at 1000 clients: ";
+  (* Observer effect: the same point with no plane installed must run
+     the same schedule, so the same substrate counters and sim time. *)
+  let bare = drive (fleet_db ()) (fleet_cfg ~seed 1_000) in
+  let zero_cost =
+    match !point_1000 with
+    | Some p -> String.equal p.fp bare.fp && p.r.Driver.r_sim_ns = bare.r.Driver.r_sim_ns
+    | None -> false
+  in
+  Report.gate zero_cost
+    "e15: zero observer effect (fingerprint and sim time bit-identical without the planes): ";
   Report.artifact ~id:"e15" ~what:"blame breakdown" ~section:"e15"
     ~fields:
       [ ("seed", string_of_int seed); ("clients", fleet_sweep_json);
         ("budget_ns", string_of_int budget_ns);
         ("deterministic", string_of_bool deterministic);
-        ("conserved", string_of_bool !conserved) ]
+        ("conserved", string_of_bool !conserved);
+        ("zero_cost", string_of_bool zero_cost) ]
     ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)))
 
 (* ---- E17: sharded presumed-abort 2PC fleets ------------------------------ *)

@@ -7,7 +7,7 @@
      bessctl verify  DIR                               structural checks
      bessctl compact DIR                               compact every segment
      bessctl stats   DIR [--json|--prom]               live metrics registry
-     bessctl trace   DIR [--spans] [--chrome FILE]     causal span timeline
+     bessctl trace   DIR [--spans] [--chrome FILE]     causal span timeline + event tail
      bessctl top     DIR [--passes N] [--json]         busiest metrics per window
      bessctl load    DIR [--workload W] [--clients N]  closed-loop load generator
      bessctl slow    DIR [--workload W] [--clients N]  slowest txns with blame breakdown
@@ -218,30 +218,13 @@ let stats_cmd =
     with_db dir (fun db ->
         (* The snapshot reflects a full pass over the database, not an
            idle process. *)
-        let s = Bess.Db.session db in
-        full_pass db s;
+        full_pass db (Bess.Db.session db);
         let snap = Bess_obs.Registry.snapshot () in
         if prom then print_string (Bess_obs.Registry.prom_of_snapshot snap)
         else if json then print_string (Bess_obs.Registry.json_of_snapshot snap ^ "\n")
-        else begin
-          Fmt.pr "%a@." Bess_obs.Registry.pp_snapshot snap;
-          match Bess.Event.trace (Bess.Session.hooks s) with
-          | None -> ()
-          | Some tr ->
-              let entries = Bess_obs.Trace.to_list tr in
-              let n = List.length entries in
-              let tail k l =
-                let rec drop i = function
-                  | _ :: rest when i > 0 -> drop (i - 1) rest
-                  | l -> l
-                in
-                drop (Stdlib.max 0 (List.length l - k)) l
-              in
-              Fmt.pr "@.trace (%d events recorded, last %d):@." n (Stdlib.min n 10);
-              List.iter (fun e -> Fmt.pr "  %a@." Bess_obs.Trace.pp_entry e) (tail 10 entries)
-        end)
+        else Fmt.pr "%a@." Bess_obs.Registry.pp_snapshot snap)
   in
-  Cmd.v (Cmd.info "stats" ~doc:"Print the live metrics registry (counters, histograms, trace tail)")
+  Cmd.v (Cmd.info "stats" ~doc:"Print the live metrics registry (counters, histograms, gauges)")
     Term.(const run $ dir_arg $ json $ prom)
 
 (* ---- trace ---- *)
@@ -253,7 +236,7 @@ let trace_cmd =
   let chrome =
     Arg.(value & opt (some string) None
          & info [ "chrome" ] ~docv:"FILE"
-             ~doc:"Write the collected spans as Chrome trace_event JSON to $(docv)")
+             ~doc:"Write the collected spans and instants as Chrome trace_event JSON to $(docv)")
   in
   let run dir spans chrome =
     let c = Bess_obs.Span.create () in
@@ -268,16 +251,32 @@ let trace_cmd =
             let oc = open_out path in
             output_string oc (Bess_obs.Span.to_chrome_json c);
             close_out oc;
-            Printf.printf "wrote %d spans to %s\n" (List.length (Bess_obs.Span.to_list c)) path
+            Printf.printf "wrote %d spans and %d instants to %s\n"
+              (List.length (Bess_obs.Span.to_list c))
+              (List.length (Bess_obs.Span.instants c))
+              path
         | None -> ());
-        if spans || chrome = None then
-          match Bess_obs.Span.slowest c with
+        if spans || chrome = None then begin
+          (match Bess_obs.Span.slowest c with
           | Some root -> Fmt.pr "%a@." (Bess_obs.Span.pp_tree c) root
-          | None -> Printf.printf "no spans collected\n")
+          | None -> Printf.printf "no spans collected\n");
+          (* The primitive events of the pass, newest last. *)
+          let events = Bess_obs.Span.instants c in
+          let n = List.length events in
+          Printf.printf "events (%d recorded, last %d):\n" n (Stdlib.min n 10);
+          List.iteri
+            (fun i (e : Bess_obs.Span.instant) ->
+              if i >= n - 10 then
+                Printf.printf "  [%dns #%d] %s%s\n" e.i_ns e.i_seq e.i_name
+                  (String.concat "" (List.map (fun (k, v) -> " " ^ k ^ "=" ^ v) e.i_attrs)))
+            events
+        end)
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Trace one full pass over the database as a causal span timeline")
+       ~doc:
+         "Trace one full pass over the database as a causal span timeline, with the tail of \
+          its primitive events")
     Term.(const run $ dir_arg $ spans $ chrome)
 
 (* ---- windowed-rate reporting (shared by top and load) ---- *)
@@ -668,14 +667,14 @@ let flightrec_cmd =
         Printf.printf "  wall time: %s\n" (J.get_string ~default:"?" j "wall_time");
         Printf.printf "  sim clock: %dns\n" (J.get_int j "sim_now_ns");
         let items = Bess_obs.Flightrec.replay j in
-        let spans, faults =
+        let spans, instants =
           List.fold_left
-            (fun (s, f) -> function
-              | Bess_obs.Flightrec.Span_item _ -> (s + 1, f)
-              | Bess_obs.Flightrec.Fault_item _ -> (s, f + 1))
+            (fun (s, i) -> function
+              | Bess_obs.Flightrec.Span_item _ -> (s + 1, i)
+              | Bess_obs.Flightrec.Instant_item _ -> (s, i + 1))
             (0, 0) items
         in
-        Printf.printf "  timeline:  %d spans, %d fault firings\n" spans faults;
+        Printf.printf "  timeline:  %d spans, %d instants\n" spans instants;
         let n = List.length items in
         let tail =
           let rec drop i = function _ :: rest when i > 0 -> drop (i - 1) rest | l -> l in
@@ -694,7 +693,9 @@ let flightrec_cmd =
   in
   Cmd.v
     (Cmd.info "flightrec"
-       ~doc:"Replay a black-box flight-recorder dump: spans and fault firings interleaved")
+       ~doc:
+         "Replay a black-box flight-recorder dump: spans interleaved with events, fault \
+          firings and SLO breaches")
     Term.(const run $ file_arg $ last)
 
 (* ---- compact ---- *)
@@ -790,13 +791,13 @@ let chaos_cmd =
                     Printf.printf "  schedule %-23s %s\n" site
                       (String.concat "+" (List.map string_of_int ords)))
               (Fault.configured ());
-            (* Black-box the faulted phase now: disarming clears the
-               firing ring. *)
+            (acks, leaked)
+            in
+            (* Black-box the faulted phase: its firings are instants in
+               the span collector, so they outlive the disarming. *)
             (match Bess_obs.Flightrec.dump ~reason:"chaos-workload" () with
             | Some path -> Printf.printf "flight recorder: %s\n" path
             | None -> ());
-            (acks, leaked)
-            in
             (* The recovery drill: every acked value must survive the
                crash. *)
             let violations = Torture.lost_after_recovery t acks in

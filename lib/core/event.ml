@@ -50,20 +50,22 @@ let index = function
 
 let kind e = kinds.(index e)
 
-(* Payload rendering for the trace ring: key=value pairs, no lookup
-   needed to replay a fault wave or deadlock sequence from the entries.
-   The ring calls it when it is read, not when the event fires. *)
-let detail = function
-  | Db_open { db } | Db_close { db } -> Printf.sprintf "db=%d" db
-  | Slotted_fault { seg } | Data_fault { seg } -> Printf.sprintf "seg=%d" seg
-  | Write_fault { seg; addr } -> Printf.sprintf "seg=%d addr=%d" seg addr
-  | Segment_replacement { area; page } -> Printf.sprintf "area=%d page=%d" area page
+(* The payload as key/value pairs, enough to replay a fault wave or
+   deadlock sequence from the instants alone. Rendered only while a span
+   collector is installed. *)
+let attrs = function
+  | Db_open { db } | Db_close { db } -> [ ("db", string_of_int db) ]
+  | Slotted_fault { seg } | Data_fault { seg } -> [ ("seg", string_of_int seg) ]
+  | Write_fault { seg; addr } -> [ ("seg", string_of_int seg); ("addr", string_of_int addr) ]
+  | Segment_replacement { area; page } ->
+      [ ("area", string_of_int area); ("page", string_of_int page) ]
   | Lock_acquired { txn; resource } ->
-      Fmt.str "txn=%d resource=%a" txn Bess_lock.Lock_mgr.pp_resource resource
+      [ ("txn", string_of_int txn);
+        ("resource", Fmt.str "%a" Bess_lock.Lock_mgr.pp_resource resource) ]
   | Txn_begin { txn } | Txn_commit { txn } | Txn_abort { txn } | Deadlock { txn } ->
-      Printf.sprintf "txn=%d" txn
+      [ ("txn", string_of_int txn) ]
   | Protection_violation { addr; write } ->
-      Printf.sprintf "addr=%d access=%s" addr (if write then "write" else "read")
+      [ ("addr", string_of_int addr); ("access", if write then "write" else "read") ]
 
 let pp ppf e = Fmt.string ppf (kind e)
 
@@ -71,17 +73,12 @@ type hooks = {
   table : (t -> unit) Queue.t array; (* hooks by kind [index] *)
   stats : Bess_util.Stats.t;
   counts : Bess_util.Stats.counter array; (* "event.<kind>", by [index] *)
-  mutable trace : Bess_obs.Trace.t option;
 }
 
 let hooks_create () =
   let stats = Bess_util.Stats.create () in
   { table = Array.map (fun _ -> Queue.create ()) kinds; stats;
-    counts = Array.map (fun k -> Bess_util.Stats.counter stats ("event." ^ k)) kinds;
-    trace = Some Bess_obs.Trace.default }
-
-let set_trace h tr = h.trace <- tr
-let trace h = h.trace
+    counts = Array.map (fun k -> Bess_util.Stats.counter stats ("event." ^ k)) kinds }
 
 (* The [index] of a kind name; a name no event has never fires. *)
 let index_of_kind event =
@@ -103,14 +100,13 @@ let register h ~event f =
 let clear h ~event =
   match index_of_kind event with Some i -> h.table.(i) <- Queue.create () | None -> ()
 
-(* Fire an event: run every hook registered for its kind, in order. The
-   trace entry's detail is rendered only if the ring is read. *)
+(* Fire an event: record it as an instant if a span collector is
+   installed, then run every hook registered for its kind, in order.
+   Without a collector nothing is allocated. *)
 let fire h e =
   let i = index e in
   Bess_util.Stats.bump h.counts.(i);
-  (match h.trace with
-  | Some tr -> Bess_obs.Trace.record_lazy tr ~kind:kinds.(i) (fun () -> detail e)
-  | None -> ());
+  if Bess_obs.Span.enabled () then Bess_obs.Span.instant ~attrs:(attrs e) kinds.(i);
   let q = h.table.(i) in
   if not (Queue.is_empty q) then Queue.iter (fun f -> f e) q
 

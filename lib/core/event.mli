@@ -26,22 +26,11 @@ type t =
     ["slotted_fault"], ["txn_commit"], ... *)
 val kind : t -> string
 
-(** The event's payload as [key=value] pairs, used for trace entries. *)
-val detail : t -> string
-
 val pp : Format.formatter -> t -> unit
 
 type hooks
 
-(** A fresh hook table feeds fired events into {!Bess_obs.Trace.default};
-    redirect or silence it with {!set_trace}. *)
 val hooks_create : unit -> hooks
-
-(** [set_trace h (Some tr)] routes fired events to ring [tr];
-    [set_trace h None] disables tracing for [h]. *)
-val set_trace : hooks -> Bess_obs.Trace.t option -> unit
-
-val trace : hooks -> Bess_obs.Trace.t option
 
 (** [register h ~event f] runs [f] on every fired event whose {!kind} is
     [event]; multiple hooks on one event run in registration order. *)
@@ -50,7 +39,11 @@ val register : hooks -> event:string -> (t -> unit) -> unit
 (** Remove every hook for [event]. *)
 val clear : hooks -> event:string -> unit
 
-(** Fire an event: dispatch to its registered hooks. *)
+(** Fire an event: record it as a {!kind}-named instant in the installed
+    {!Bess_obs.Span} collector, if any, with the payload as attributes
+    ([txn=7], [resource=page(3,7)]), then dispatch to its registered
+    hooks. Allocates nothing when no collector is installed and no hook
+    is registered for the event. *)
 val fire : hooks -> t -> unit
 
 val stats : hooks -> Bess_util.Stats.t

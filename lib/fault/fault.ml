@@ -36,35 +36,6 @@ let stats () = global_stats
    counters up when a workload arms a site inside the scope. *)
 let register_stats () = Bess_obs.Registry.register_stats "fault" global_stats
 
-(* Recent firings with their simulated-clock stamps, for the flight
-   recorder's "instant" events: a bounded ring of (site, ordinal, ts_ns),
-   process-wide across sites so the black box shows the true interleaving. *)
-let firing_ring_cap = 4096
-let firing_ring : (string * int * int) option array = Array.make firing_ring_cap None
-let firing_head = ref 0
-let firing_len = ref 0
-
-let record_firing ~name ~ordinal =
-  firing_ring.(!firing_head) <- Some (name, ordinal, Bess_obs.Span.now_ns ());
-  firing_head := (!firing_head + 1) mod firing_ring_cap;
-  if !firing_len < firing_ring_cap then incr firing_len
-
-let clear_firings () =
-  Array.fill firing_ring 0 firing_ring_cap None;
-  firing_head := 0;
-  firing_len := 0
-
-let recent_firings () =
-  let first = (!firing_head - !firing_len + firing_ring_cap) mod firing_ring_cap in
-  List.init !firing_len (fun i ->
-      match firing_ring.((first + i) mod firing_ring_cap) with
-      | Some f -> f
-      | None -> assert false)
-
-(* The flight recorder lives below us in the dependency order, so it
-   learns how to read the firing ring here, at module initialisation. *)
-let () = Bess_obs.Flightrec.set_fault_source recent_firings
-
 (* Per-site stream seed: fold the name into the master seed with an
    FNV-1a-style walk so distinct sites get distinct, order-independent
    streams (splitmix64's finalizer scrambles the rest). *)
@@ -87,7 +58,6 @@ let seed s =
   master_seed := s;
   Hashtbl.iter (fun _ site -> reseed_site site) sites;
   Stats.reset global_stats;
-  clear_firings ();
   register_stats ()
 
 let configure name policy =
@@ -105,8 +75,7 @@ let apply_profile profile = List.iter (fun (s, p) -> configure s p) profile
 let reset () =
   Hashtbl.reset sites;
   armed_count := 0;
-  Stats.reset global_stats;
-  clear_firings ()
+  Stats.reset global_stats
 
 (* Bounded so a long bench run cannot grow the witness without limit;
    fires past the cap still count, they just stop being recorded. *)
@@ -125,7 +94,10 @@ let eval site =
   if hit then begin
     Stats.incr global_stats "fault.fires";
     Stats.incr_labeled global_stats "fault.fires" ~label:site.name;
-    record_firing ~name:site.name ~ordinal:site.checks;
+    (* On the span collector's timeline, for the flight recorder and
+       the slow-transaction capture. *)
+    Bess_obs.Span.instant ("fault:" ^ site.name)
+      ~attrs:[ ("ordinal", string_of_int site.checks) ];
     if List.length site.fired_rev < max_schedule then
       site.fired_rev <- site.checks :: site.fired_rev
   end;

@@ -57,7 +57,9 @@ val armed : unit -> bool
 
 (** [fire site] is the injection decision for one check at [site].
     Counts the check and, when the policy says so, the fire (visible as
-    [fault.checks{site}] / [fault.fires{site}] in the obs registry).
+    [fault.checks{site}] / [fault.fires{site}] in the obs registry); a
+    fire is also a ["fault:<site>"] instant, with its [ordinal], in the
+    installed {!Bess_obs.Span} collector.
     Always [false] when nothing is armed or [site] is unconfigured. *)
 val fire : string -> bool
 

@@ -149,7 +149,7 @@ type slow_txn = {
   st_root : Span.span;
   st_spans : Span.span list; (* descendants + matched parked lock waits, close order *)
   st_blame : blame;
-  st_faults : (string * int * int) list; (* firings inside the root window *)
+  st_faults : Span.instant list; (* fault firings inside the root window *)
 }
 
 type t = {
@@ -207,8 +207,8 @@ let owner c (s : Span.span) =
    must be *strictly* slower than the current minimum (ties keep the
    incumbent — first observed wins). Order inside: duration descending,
    root id ascending, so same-seed runs capture identical sets in
-   identical order. *)
-let offer_slow t entry =
+   identical order. [entry] is built only for an admitted root. *)
+let offer_slow t (root : Span.span) entry =
   let dur s = Span.duration s.st_root in
   let before a b =
     let da = dur a and db = dur b in
@@ -219,12 +219,12 @@ let offer_slow t entry =
     | x :: rest -> if before e x then e :: x :: rest else x :: insert e rest
   in
   let n = List.length t.slow in
-  if n < t.top_k then t.slow <- insert entry t.slow
+  if n < t.top_k then t.slow <- insert (entry ()) t.slow
   else
     let min_dur = dur (List.nth t.slow (n - 1)) in
-    if dur entry > min_dur then begin
+    if Span.duration root > min_dur then begin
       Bess_util.Stats.incr t.stats "critpath.slow_evicted";
-      t.slow <- insert entry (List.filteri (fun i _ -> i < n - 1) t.slow)
+      t.slow <- insert (entry ()) (List.filteri (fun i _ -> i < n - 1) t.slow)
     end
     else Bess_util.Stats.incr t.stats "critpath.slow_rejected"
 
@@ -235,7 +235,10 @@ let int_attr (s : Span.span) name =
   | None -> None
   | Some v -> int_of_string_opt v
 
-let process_root t (root : Span.span) =
+(* Fault firings are the instants the fault plane names "fault:<site>". *)
+let is_fault (i : Span.instant) = String.starts_with ~prefix:"fault:" i.Span.i_name
+
+let process_root t c (root : Span.span) =
   let descendants = List.rev (Hashtbl.find_all t.pending root.Span.id) in
   while Hashtbl.mem t.pending root.Span.id do
     Hashtbl.remove t.pending root.Span.id
@@ -303,13 +306,12 @@ let process_root t (root : Span.span) =
         phase_ns.(phase_index p))
     phases;
   let blame = { b_total_ns = total; b_phase_ns = phase_ns } in
-  let faults =
-    List.filter (fun (_, _, ts) -> ts >= lo && ts <= hi) (Flightrec.fault_firings ())
-  in
-  offer_slow t { st_root = root; st_spans = descendants @ lock_waits; st_blame = blame; st_faults = faults }
+  offer_slow t root (fun () ->
+      { st_root = root; st_spans = descendants @ lock_waits; st_blame = blame;
+        st_faults = List.filter is_fault (Span.instants ~within:root c) })
 
 let on_close t c (s : Span.span) =
-  if is_root_kind s.Span.kind then process_root t s
+  if is_root_kind s.Span.kind then process_root t c s
   else if s.Span.kind = "lock.wait" && s.Span.parent = None then begin
     match List.assoc_opt "txn" s.Span.attrs with
     | None -> ()
@@ -347,6 +349,16 @@ let fingerprint t =
 
 (* ---- JSON ------------------------------------------------------------------- *)
 
+let add_attrs buf attrs =
+  Buffer.add_string buf ",\"attrs\":{";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf "%s:%s" (Registry.json_string k) (Registry.json_string v)))
+    attrs;
+  Buffer.add_string buf "}}"
+
 let json_of_span (s : Span.span) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
@@ -356,14 +368,7 @@ let json_of_span (s : Span.span) =
   (match s.Span.parent with
   | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":%d" p)
   | None -> ());
-  Buffer.add_string buf ",\"attrs\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%s" (Registry.json_string k) (Registry.json_string v)))
-    s.Span.attrs;
-  Buffer.add_string buf "}}";
+  add_attrs buf s.Span.attrs;
   Buffer.contents buf
 
 let json_of_slow_txn e =
@@ -385,11 +390,12 @@ let json_of_slow_txn e =
     e.st_spans;
   Buffer.add_string buf "],\"faults\":[";
   List.iteri
-    (fun i (site, ordinal, ts) ->
+    (fun i (f : Span.instant) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"site\":%s,\"ordinal\":%d,\"ts_ns\":%d}" (Registry.json_string site)
-           ordinal ts))
+        (Printf.sprintf "{\"name\":%s,\"ts_ns\":%d" (Registry.json_string f.Span.i_name)
+           f.Span.i_ns);
+      add_attrs buf f.Span.i_attrs)
     e.st_faults;
   Buffer.add_string buf "]}";
   Buffer.contents buf
@@ -418,7 +424,7 @@ let install s =
   | Some t ->
       Span.set_close_hook (Some (fun c sp -> on_close t c sp));
       (* Every flight-recorder dump now carries the slow-transaction
-         reservoir alongside the span/fault timeline. *)
+         reservoir alongside the span and instant timeline. *)
       Flightrec.set_aux_source "slow_txns" (fun () -> json_of_slow t)
 
 let installed () = !the_sink

@@ -33,12 +33,13 @@ type blame = { b_total_ns : int; b_phase_ns : int array }
 
 (** One captured slow transaction: the root, its closed descendants
     plus matched parked lock waits (close order), the blame
-    decomposition and the fault firings inside the root window. *)
+    decomposition and the fault firings (the collector's ["fault:<site>"]
+    instants) taken while the root was open. *)
 type slow_txn = {
   st_root : Span.span;
   st_spans : Span.span list;
   st_blame : blame;
-  st_faults : (string * int * int) list;
+  st_faults : Span.instant list;
 }
 
 type t

@@ -1,24 +1,18 @@
 (* The black-box flight recorder.
 
    When armed, [dump ~reason] bundles the system's recent behaviour into
-   one JSON artifact: the last N completed spans and trace events, every
-   recorded fault firing (as Chrome "instant" events on the same
-   timeline), the current registry snapshot (counters + gauges) and the
-   installed {!Series} ring. The top-level object doubles as a Chrome
-   trace_event file — [traceEvents] holds the spans as "X" events with
-   the fault firings interleaved as "i" instants, so the artifact loads
-   directly in Perfetto — while the extra sections make it replayable by
-   [bessctl flightrec] and by tests through {!Json}.
+   one JSON artifact: the newest entries of the installed span collector
+   — spans, and the instants recorded beside them (primitive events,
+   fault firings, SLO breaches) — the current registry snapshot
+   (counters + gauges) and the installed {!Series} ring. The artifact is
+   a Chrome trace_event file rendered by {!Span.to_chrome_json}, so it
+   loads directly in Perfetto, while the extra sections make it
+   replayable by [bessctl flightrec] and by tests through {!Json}.
 
    Dumps happen automatically at the interesting moments: chaos-assertion
    failure, crash, and recovery (the store calls [dump] at each; a no-op
    while disarmed, which is the default — tests and production paths pay
-   one ref read).
-
-   Fault data crosses a dependency boundary: bess_fault sits *above*
-   bess_obs, so the fault registry hands its recent-firings reader to
-   [set_fault_source] at module-initialisation time instead of being
-   called directly. *)
+   one ref read). *)
 
 type armed_state = {
   dir : string;
@@ -27,11 +21,6 @@ type armed_state = {
 }
 
 let state : armed_state option ref = ref None
-
-(* (site, ordinal, ts_ns) of recent fault firings, oldest first. *)
-let fault_source : (unit -> (string * int * int) list) ref = ref (fun () -> [])
-let set_fault_source f = fault_source := f
-let fault_firings () = !fault_source ()
 
 (* Auxiliary sections: other planes (the slow-transaction reservoir)
    register a named JSON producer here and it rides along in every
@@ -53,115 +42,33 @@ let iso8601 t =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-let take_last n l =
-  let len = List.length l in
-  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
-
-(* The span's track (tid) is its root ancestor, matching
-   Span.to_chrome_json: each transaction renders as its own row. Only
-   the retained tail is dumped, so the root link is resolved against a
-   local index of that tail. *)
-let span_events buf ~max_spans col =
-  let spans = take_last max_spans (Span.to_list col) in
-  let by_id = Hashtbl.create 256 in
-  List.iter (fun (s : Span.span) -> Hashtbl.replace by_id s.Span.id s) spans;
-  let rec root_of (s : Span.span) =
-    match s.Span.parent with
-    | None -> s.Span.id
-    | Some pid -> (
-        match Hashtbl.find_opt by_id pid with None -> s.Span.id | Some p -> root_of p)
-  in
-  let first = ref true in
-  List.iter
-    (fun (s : Span.span) ->
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"id\":\"%d\""
-           (Registry.json_string s.Span.kind)
-           (float_of_int s.Span.start_ns /. 1000.0)
-           (float_of_int (Span.duration s) /. 1000.0)
-           (root_of s) s.Span.id);
-      (match s.Span.parent with
-      | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":\"%d\"" p)
-      | None -> ());
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf ",%s:%s" (Registry.json_string k) (Registry.json_string v)))
-        s.Span.attrs;
-      Buffer.add_string buf "}}")
-    spans;
-  not !first
-
-let fault_events buf ~had_spans =
-  let firings = !fault_source () in
-  let first = ref (not had_spans) in
-  List.iter
-    (fun (site, ordinal, ts_ns) ->
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"fault\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"g\",\"pid\":1,\"tid\":0,\"args\":{\"ordinal\":%d}}"
-           (Registry.json_string ("fault:" ^ site))
-           (float_of_int ts_ns /. 1000.0)
-           ordinal))
-    firings
-
-(* A dump carries at most this many of the newest trace events. *)
-let max_events = 1024
-
 let render ?(max_spans = 2048) ~reason () =
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "{\"bess_flightrec\":1,";
-  Buffer.add_string buf (Printf.sprintf "\"reason\":%s," (Registry.json_string reason));
-  Buffer.add_string buf
-    (Printf.sprintf "\"wall_time\":%s," (Registry.json_string (iso8601 (Unix.gettimeofday ()))));
-  Buffer.add_string buf (Printf.sprintf "\"sim_now_ns\":%d," (Span.now_ns ()));
-  (* Spans + fault instants on one Chrome timeline. *)
-  Buffer.add_string buf "\"traceEvents\":[";
-  let had_spans =
-    match Span.installed () with
-    | None -> false
-    | Some col -> span_events buf ~max_spans col
+  let members =
+    [ ("bess_flightrec", "1");
+      ("reason", Registry.json_string reason);
+      ("wall_time", Registry.json_string (iso8601 (Unix.gettimeofday ())));
+      ("sim_now_ns", string_of_int (Span.now_ns ()));
+      (* Point-in-time registry state and the windowed series, if sampling. *)
+      ("snapshot", Registry.json_of_snapshot (Registry.snapshot ())) ]
+    @ (match Series.installed () with
+      | None -> []
+      | Some series ->
+          Series.flush series;
+          [ ("series", Series.json_of series) ])
+    (* Registered aux sections, sorted for a stable artifact layout. A
+       producer that raises is dropped, the same policy as gauges. *)
+    @ (Hashtbl.fold (fun name fn acc -> (name, fn) :: acc) aux_sources []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      |> List.filter_map (fun (name, fn) ->
+             match fn () with body -> Some ("aux_" ^ name, body) | exception _ -> None))
   in
-  fault_events buf ~had_spans;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\",";
-  (* Primitive event ring (Core.Event feed). *)
-  Buffer.add_string buf "\"events\":[";
-  List.iteri
-    (fun i (e : Trace.entry) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"seq\":%d,\"clock\":%d,\"kind\":%s,\"detail\":%s}" e.Trace.seq
-           e.Trace.clock
-           (Registry.json_string e.Trace.kind)
-           (Registry.json_string e.Trace.detail)))
-    (take_last max_events (Trace.to_list Trace.default));
-  Buffer.add_string buf "],";
-  (* Point-in-time registry state and the windowed series, if sampling. *)
-  Buffer.add_string buf "\"snapshot\":";
-  Buffer.add_string buf (Registry.json_of_snapshot (Registry.snapshot ()));
-  (match Series.installed () with
-  | None -> ()
-  | Some series ->
-      Series.flush series;
-      Buffer.add_string buf ",\"series\":";
-      Buffer.add_string buf (Series.json_of series));
-  (* Registered aux sections, sorted for a stable artifact layout. A
-     producer that raises is dropped, the same policy as gauges. *)
-  Hashtbl.fold (fun name fn acc -> (name, fn) :: acc) aux_sources []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, fn) ->
-         match fn () with
-         | body ->
-             Buffer.add_string buf (Printf.sprintf ",\"aux_%s\":" name);
-             Buffer.add_string buf body
-         | exception _ -> ());
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  match Span.installed () with
+  | Some c -> Span.to_chrome_json ~limit:max_spans ~members c
+  | None ->
+      String.concat ""
+        ("{\"traceEvents\":[],\"displayTimeUnit\":\"ns\""
+        :: List.map (fun (k, v) -> Printf.sprintf ",%s:%s" (Registry.json_string k) v) members)
+      ^ "}\n"
 
 (* ---- Dumping ---------------------------------------------------------------- *)
 
@@ -202,11 +109,11 @@ type item =
       track : int;
       attrs : (string * string) list;
     }
-  | Fault_item of { site : string; ordinal : int; ts_ns : int }
+  | Instant_item of { name : string; ts_ns : int; attrs : (string * string) list }
 
 let item_ts = function
   | Span_item { start_ns; _ } -> start_ns
-  | Fault_item { ts_ns; _ } -> ts_ns
+  | Instant_item { ts_ns; _ } -> ts_ns
 
 let load path =
   match
@@ -220,66 +127,48 @@ let load path =
 
 let us_to_ns f = int_of_float (Float.round (f *. 1000.0))
 
-(* The Chrome timeline back as typed items, sorted by start time — fault
-   instants interleave with the spans they fired inside. *)
+(* The Chrome timeline back as typed items. The array is in (ns, seq)
+   order of start, so a stable sort by start time keeps
+   same-nanosecond ties in record order. *)
 let replay j =
   let items =
     List.filter_map
       (fun ev ->
         let name = Json.get_string ev "name" in
-        let ts =
-          match Option.bind (Json.member "ts" ev) Json.to_float with
+        let us key =
+          match Option.bind (Json.member key ev) Json.to_float with
           | Some f -> us_to_ns f
           | None -> 0
         in
+        let ts = us "ts" in
+        let attrs =
+          match Option.bind (Json.member "args" ev) Json.to_obj with
+          | None -> []
+          | Some fields ->
+              List.filter_map
+                (fun (k, v) -> match Json.to_string v with Some s -> Some (k, s) | None -> None)
+                fields
+        in
         match Json.get_string ev "ph" with
         | "X" ->
-            let dur =
-              match Option.bind (Json.member "dur" ev) Json.to_float with
-              | Some f -> us_to_ns f
-              | None -> 0
-            in
-            let attrs =
-              match Option.bind (Json.member "args" ev) Json.to_obj with
-              | None -> []
-              | Some fields ->
-                  List.filter_map
-                    (fun (k, v) ->
-                      match Json.to_string v with Some s -> Some (k, s) | None -> None)
-                    fields
-            in
             Some
               (Span_item
-                 {
-                   kind = name;
-                   start_ns = ts;
-                   end_ns = ts + dur;
-                   track = Json.get_int ev "tid";
-                   attrs;
-                 })
-        | "i" ->
-            let site =
-              if String.length name > 6 && String.sub name 0 6 = "fault:" then
-                String.sub name 6 (String.length name - 6)
-              else name
-            in
-            let ordinal =
-              match Json.member "args" ev with
-              | Some args -> Json.get_int args "ordinal"
-              | None -> 0
-            in
-            Some (Fault_item { site; ordinal; ts_ns = ts })
+                 { kind = name; start_ns = ts; end_ns = ts + us "dur"; track = Json.get_int ev "tid";
+                   attrs })
+        | "i" -> Some (Instant_item { name; ts_ns = ts; attrs })
         | _ -> None)
       (Json.get_list j "traceEvents")
   in
   List.stable_sort (fun a b -> compare (item_ts a) (item_ts b)) items
 
+let pp_attrs ppf attrs =
+  List.iter
+    (fun (k, v) -> if k <> "id" && k <> "parent" && k <> "seq" then Fmt.pf ppf " %s=%s" k v)
+    attrs
+
 let pp_item ppf = function
   | Span_item { kind; start_ns; end_ns; track; attrs } ->
-      Fmt.pf ppf "[%10dns] span  %-18s dur=%dns tid=%d" start_ns kind (end_ns - start_ns)
-        track;
-      List.iter
-        (fun (k, v) -> if k <> "id" && k <> "parent" then Fmt.pf ppf " %s=%s" k v)
-        attrs
-  | Fault_item { site; ordinal; ts_ns } ->
-      Fmt.pf ppf "[%10dns] FAULT %-18s ordinal=%d" ts_ns site ordinal
+      Fmt.pf ppf "[%10dns] span    %-18s dur=%dns tid=%d%a" start_ns kind (end_ns - start_ns)
+        track pp_attrs attrs
+  | Instant_item { name; ts_ns; attrs } ->
+      Fmt.pf ppf "[%10dns] instant %-18s%a" ts_ns name pp_attrs attrs

@@ -13,7 +13,7 @@
 
    Every evaluation moves slo.checks; a violated rule moves
    slo.breaches plus a per-rule labeled counter and records a
-   "slo.breach" event in the default trace ring, which the flight
+   "slo.breach" instant in the span collector, which the flight
    recorder already dumps — so a chaos artifact shows *when* the SLO
    went red relative to the spans and fault firings around it. The
    bench uses the per-rule counts as a latency-budget gate. *)
@@ -66,19 +66,13 @@ let rule_of_string s =
 type t = {
   rules : rule list; (* evaluated in order *)
   stats : Bess_util.Stats.t;
-  trace : Trace.t;
 }
 
-(* Trace-event kind for breach records. Trace kinds are free-form (unlike
-   Span kinds) and by convention never appear as literals at ~kind call
-   sites — see test_span_kinds_complete. *)
-let breach_event_kind = "slo.breach"
-
-let create ?(rules = []) ?(trace = Trace.default) () =
+let create ?(rules = []) () =
   let stats = Bess_util.Stats.create () in
   ignore (Bess_util.Stats.histogram stats "slo.breach_margin");
   Registry.register_stats "slo" stats;
-  { rules; stats; trace }
+  { rules; stats }
 
 let rules t = t.rules
 let stats t = t.stats
@@ -121,11 +115,15 @@ let evaluate t (sample : Series.sample) =
             Bess_util.Stats.incr_labeled t.stats "slo.breach" ~label:r.r_name;
             let margin = abs (v - r.r_threshold) in
             Bess_util.Stats.observe t.stats "slo.breach_margin" margin;
-            Trace.record t.trace ~kind:breach_event_kind
-              ~detail:
-                (Printf.sprintf "%s: %s=%d violates %s %d (window %d [%d..%d])" r.r_name
-                   r.r_metric v (op_name r.r_op) r.r_threshold sample.Series.w_index
-                   sample.Series.w_start_ns sample.Series.w_end_ns)
+            Span.instant "slo.breach"
+              ~attrs:
+                [ ("rule", r.r_name);
+                  ("violation",
+                    Printf.sprintf "%s=%d violates %s %d" r.r_metric v (op_name r.r_op)
+                      r.r_threshold);
+                  ("window",
+                    Printf.sprintf "%d [%d..%d]" sample.Series.w_index sample.Series.w_start_ns
+                      sample.Series.w_end_ns) ]
           end)
     t.rules
 

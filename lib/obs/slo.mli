@@ -10,9 +10,9 @@
 
     Evaluations move [slo.checks]; violations move [slo.breaches], a
     per-rule [slo.breach{name}] counter, observe the violation margin
-    into [slo.breach_margin], and record an ["slo.breach"] event in the
-    trace ring — which the flight recorder dumps, placing breaches on
-    the same timeline as spans and fault firings. *)
+    into [slo.breach_margin], and record an ["slo.breach"] instant in
+    the installed {!Span} collector — which the flight recorder dumps,
+    placing breaches on the same timeline as spans and fault firings. *)
 
 type op = Lt | Le | Eq | Ge | Gt
 
@@ -26,9 +26,8 @@ val rule_of_string : string -> (rule, string) result
 type t
 
 (** [create ()] makes a watcher with the given initial rules and
-    registers its counters in {!Registry.default} under ["slo"].
-    Breach events go to [trace] (default {!Trace.default}). *)
-val create : ?rules:rule list -> ?trace:Trace.t -> unit -> t
+    registers its counters in {!Registry.default} under ["slo"]. *)
+val create : ?rules:rule list -> unit -> t
 
 val rules : t -> rule list
 val stats : t -> Bess_util.Stats.t

@@ -8,12 +8,17 @@
    handler and the lock table attach children without any explicit
    context argument threading through the request path.
 
+   The collector is the system's one event record: besides spans, its
+   ring holds zero-width instants — primitive events, fault firings,
+   SLO breaches — on the same timeline.
+
    Time is a process-wide simulated-nanosecond counter. Substrates with
    a cost model advance it ([Net.account] adds wire time, the fault path
-   adds a trap cost, the log adds a force cost); every span open/close
-   adds one more, which makes all stamps distinct and children nest
-   strictly inside their parents — the property the Chrome trace view
-   and the nesting tests rely on.
+   adds a trap cost, the log adds a force cost); tracing never does, so
+   installing a collector cannot move the schedule. Many stamps share a
+   nanosecond, so every open, close and instant also takes the
+   collector's next sequence number, and stamps order by (ns, seq):
+   a child opens after and closes before its parent in that order.
 
    Everything is a no-op until a collector is installed, so the
    instrumented hot paths pay one branch when tracing is off. *)
@@ -23,15 +28,25 @@ type span = {
   mutable parent : int option;
   kind : string;
   start_ns : int;
+  start_seq : int;
   mutable end_ns : int; (* -1 while open *)
+  mutable end_seq : int;
   mutable attrs : (string * string) list;
 }
 
+type instant = { i_name : string; i_ns : int; i_seq : int; i_attrs : (string * string) list }
+
+(* One ring, in record order: a span enters it when it closes, an
+   instant when it is taken. Stamps never run backwards, so the ring is
+   ordered by each entry's last stamp. *)
+type entry = Closed of span | Instant of instant
+
 type t = {
-  ring : span option array; (* completed spans, bounded, oldest evicted *)
+  ring : entry array; (* bounded, oldest evicted *)
   mutable head : int;
   mutable length : int;
   mutable next_id : int;
+  mutable next_seq : int;
   open_spans : (int, span) Hashtbl.t; (* id -> still-open span *)
   mutable dropped : int;
   by_id : (int, span) Hashtbl.t; (* open + retained completed spans *)
@@ -101,7 +116,20 @@ let install c =
   current := None
 
 let installed () = !the_collector
-let enabled () = !the_collector <> None
+let enabled () = match !the_collector with None -> false | Some _ -> true
+
+(* What a scoped install puts back: the collector and the ambient span
+   that was current under it. *)
+type saved = t option * span option
+
+let save () : saved = (!the_collector, !current)
+
+let restore ((c, cur) : saved) =
+  the_collector := c;
+  current := cur
+
+(* Fills the slots of a fresh ring; [length] says which hold entries. *)
+let no_entry = Instant { i_name = ""; i_ns = 0; i_seq = 0; i_attrs = [] }
 
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Span.create: capacity must be positive";
@@ -110,10 +138,11 @@ let create ?(capacity = 65536) () =
      keeps the prefix, so bench_report.json gains the breakdown. *)
   Registry.register_stats "span" stats;
   {
-    ring = Array.make capacity None;
+    ring = Array.make capacity no_entry;
     head = 0;
     length = 0;
     next_id = 1;
+    next_seq = 0;
     open_spans = Hashtbl.create 256;
     dropped = 0;
     by_id = Hashtbl.create 256;
@@ -122,17 +151,25 @@ let create ?(capacity = 65536) () =
 
 (* ---- Open / close --------------------------------------------------------- *)
 
+let take_seq c =
+  let n = c.next_seq in
+  c.next_seq <- n + 1;
+  n
+
 let open_in c ~parent ~kind ~attrs =
   check_kind kind;
-  advance_ns 1;
   let s =
     { id = c.next_id; parent = Option.map (fun p -> p.id) parent; kind;
-      start_ns = !clock; end_ns = -1; attrs }
+      start_ns = !clock; start_seq = take_seq c; end_ns = -1; end_seq = -1; attrs }
   in
   c.next_id <- c.next_id + 1;
   Hashtbl.replace c.open_spans s.id s;
   Hashtbl.replace c.by_id s.id s;
   s
+
+(* Stamps compare as (ns, seq) pairs: the clock first, the sequence
+   number for ties. *)
+let closed_before p s = p.end_ns >= 0 && compare (p.end_ns, p.end_seq) (s.end_ns, s.end_seq) < 0
 
 (* Reparent [s] to its nearest still-open ancestor when its recorded
    parent closed first: the nesting invariant (child within the parent's
@@ -145,20 +182,19 @@ let rec fix_parent c s =
       match Hashtbl.find_opt c.by_id pid with
       | None -> s.parent <- None (* ancestor evicted: treat as root *)
       | Some p ->
-          if p.end_ns >= 0 && p.end_ns < s.end_ns then begin
+          if closed_before p s then begin
             s.parent <- p.parent;
             fix_parent c s
           end)
 
-let push_completed c s =
-  (match c.ring.(c.head) with
-  | Some old ->
-      Hashtbl.remove c.by_id old.id;
-      c.dropped <- c.dropped + 1
-  | None -> ());
-  c.ring.(c.head) <- Some s;
-  c.head <- (c.head + 1) mod Array.length c.ring;
-  if c.length < Array.length c.ring then c.length <- c.length + 1
+let push c e =
+  if c.length = Array.length c.ring then begin
+    (match c.ring.(c.head) with Closed old -> Hashtbl.remove c.by_id old.id | Instant _ -> ());
+    c.dropped <- c.dropped + 1
+  end
+  else c.length <- c.length + 1;
+  c.ring.(c.head) <- e;
+  c.head <- (c.head + 1) mod Array.length c.ring
 
 (* An online consumer of completed spans (the critical-path sink).
    Called after the span is fully closed, reparented and pushed; parents
@@ -170,8 +206,8 @@ let set_close_hook h = close_hook := h
 let close_in c s ~attrs =
   if s.end_ns >= 0 then Bess_util.Stats.incr c.stats "span.double_close"
   else begin
-    advance_ns 1;
     s.end_ns <- !clock;
+    s.end_seq <- take_seq c;
     s.attrs <- s.attrs @ attrs;
     Hashtbl.remove c.open_spans s.id;
     let out_of_order =
@@ -179,7 +215,7 @@ let close_in c s ~attrs =
       | None -> false
       | Some pid -> (
           match Hashtbl.find_opt c.by_id pid with
-          | Some p -> p.end_ns >= 0 && p.end_ns < s.end_ns
+          | Some p -> closed_before p s
           | None -> false)
     in
     if out_of_order then begin
@@ -188,7 +224,7 @@ let close_in c s ~attrs =
       fix_parent c s
     end;
     Bess_util.Stats.observe c.stats ("span." ^ s.kind) (s.end_ns - s.start_ns);
-    push_completed c s;
+    push c (Closed s);
     match !close_hook with None -> () | Some f -> f c s
   end
 
@@ -257,6 +293,11 @@ let with_handle (h : handle) f =
       current := Some h_span;
       Fun.protect ~finally:(fun () -> current := saved) f
 
+let instant ?(attrs = []) name =
+  match !the_collector with
+  | None -> ()
+  | Some c -> push c (Instant { i_name = name; i_ns = !clock; i_seq = take_seq c; i_attrs = attrs })
+
 let annotate key value =
   match !current with
   | None -> ()
@@ -267,14 +308,13 @@ let annotate_handle (h : handle) key value =
   | None -> ()
   | Some { h_span; _ } -> h_span.attrs <- h_span.attrs @ [ (key, value) ]
 
+let by_start a b = compare (a.start_ns, a.start_seq) (b.start_ns, b.start_seq)
+
 let finish_all c =
-  (* Close innermost first so each leftover nests inside its parent:
-     ids are monotonic, so descending id order is most-recently-opened
-     first. *)
+  (* Close the most recently opened first, so each leftover nests
+     inside its parent. *)
   let leftovers =
-    List.sort
-      (fun a b -> compare b.id a.id)
-      (Hashtbl.fold (fun _ s acc -> s :: acc) c.open_spans [])
+    List.sort (fun a b -> by_start b a) (Hashtbl.fold (fun _ s acc -> s :: acc) c.open_spans [])
   in
   List.iter
     (fun s ->
@@ -287,11 +327,31 @@ let finish_all c =
 
 (* ---- Inspection ----------------------------------------------------------- *)
 
-let to_list c =
+(* The newest [n] entries, oldest first. *)
+let entries ?(n = max_int) c =
   let cap = Array.length c.ring in
-  let first = (c.head - c.length + cap) mod cap in
-  List.init c.length (fun i ->
-      match c.ring.((first + i) mod cap) with Some s -> s | None -> assert false)
+  let n = min n c.length in
+  List.init n (fun i -> c.ring.((c.head - n + i + cap) mod cap))
+
+let to_list c = List.filter_map (function Closed s -> Some s | Instant _ -> None) (entries c)
+
+(* Instants taken while [within] was open: walk back from the newest
+   entry and stop at the first one recorded before the span opened. *)
+let instants ?within c =
+  match within with
+  | None -> List.filter_map (function Instant i -> Some i | Closed _ -> None) (entries c)
+  | Some w ->
+      let cap = Array.length c.ring in
+      let rec back k acc =
+        if k = c.length then acc
+        else
+          match c.ring.((c.head - 1 - k + cap) mod cap) with
+          | Closed s when s.end_seq < w.start_seq -> acc
+          | Instant i when i.i_seq < w.start_seq -> acc
+          | Instant i when w.end_seq < 0 || i.i_seq < w.end_seq -> back (k + 1) (i :: acc)
+          | _ -> back (k + 1) acc
+      in
+      back 0 []
 
 let dropped c = c.dropped
 let stats c = c.stats
@@ -335,7 +395,7 @@ let pp_tree c ppf root =
   let rec go depth s =
     Fmt.pf ppf "%s%-14s %8dns  [%d..%d]%a@," (String.make (2 * depth) ' ') s.kind
       (duration s) s.start_ns s.end_ns pp_attrs s.attrs;
-    let kids = List.sort (fun a b -> compare a.start_ns b.start_ns) (Hashtbl.find_all idx s.id) in
+    let kids = List.sort by_start (Hashtbl.find_all idx s.id) in
     List.iter (go (depth + 1)) kids
   in
   Fmt.pf ppf "@[<v>";
@@ -344,10 +404,13 @@ let pp_tree c ppf root =
 
 (* ---- Chrome trace_event export -------------------------------------------- *)
 
-(* Complete ("X") events with microsecond stamps: 1 simulated ns renders
-   as 0.001us exactly under %.3f, so nesting survives the unit change.
-   The track (tid) is the span's root ancestor: each transaction gets
-   its own timeline row in chrome://tracing / Perfetto. *)
+(* Spans are complete ("X") events and instants global "i" events, with
+   microsecond stamps: 1 simulated ns renders as 0.001us exactly under
+   %.3f, so nesting survives the unit change. Events appear in (ns, seq)
+   order of their start, so a viewer or {!Flightrec.replay} that sorts
+   stably by [ts] keeps same-nanosecond ties in record order. The track
+   (tid) of a span is its root ancestor: each transaction gets its own
+   timeline row in chrome://tracing / Perfetto. *)
 let root_of c s =
   let rec up s =
     match s.parent with
@@ -357,28 +420,53 @@ let root_of c s =
   in
   up s
 
-let to_chrome_json c =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
+let add_args buf attrs =
+  List.iter
+    (fun (k, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
+        (Printf.sprintf ",%s:%s" (Registry.json_string k) (Registry.json_string v)))
+    attrs
+
+let add_event buf c = function
+  | Closed s ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"id\":\"%d\""
            (Registry.json_string s.kind)
            (float_of_int s.start_ns /. 1000.0)
            (float_of_int (duration s) /. 1000.0)
-           (root_of c s));
-      Buffer.add_string buf (Printf.sprintf "\"id\":\"%d\"" s.id);
+           (root_of c s) s.id);
       (match s.parent with
       | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":\"%d\"" p)
       | None -> ());
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf ",%s:%s" (Registry.json_string k) (Registry.json_string v)))
-        s.attrs;
-      Buffer.add_string buf "}}")
-    (to_list c);
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}\n";
+      add_args buf s.attrs;
+      Buffer.add_string buf "}}"
+  | Instant i ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"g\",\"pid\":1,\"tid\":0,\"args\":{\"seq\":\"%d\""
+           (Registry.json_string i.i_name)
+           (float_of_int i.i_ns /. 1000.0)
+           i.i_seq);
+      add_args buf i.i_attrs;
+      Buffer.add_string buf "}}"
+
+let start_key = function Closed s -> (s.start_ns, s.start_seq) | Instant i -> (i.i_ns, i.i_seq)
+
+let to_chrome_json ?limit ?(members = []) c =
+  let events =
+    List.sort (fun a b -> compare (start_key a) (start_key b)) (entries ?n:limit c)
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\"traceEvents\":[";
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_event buf c e)
+    events;
+  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"";
+  List.iter
+    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf ",%s:%s" (Registry.json_string k) v))
+    members;
+  Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -1,13 +1,15 @@
-(** Causal span tracing on the simulated clock.
+(** Causal span tracing on the simulated clock, and the system's one
+    event record.
 
     A span is one timed step of a request's causal chain — an RPC, a
     fault wave, a log force, a lock wait — with an id, a parent id, a
     kind from the central {!kinds} table, start/end stamps on the
-    process-wide simulated clock, and key/value attributes. Completed
-    spans live in a bounded per-trace buffer (a {!t} collector)
-    alongside the {!Trace} ring; per-kind durations feed a histogram
-    registered in the {!Registry} under ["span"], so reports get a
-    latency breakdown for free.
+    process-wide simulated clock, and key/value attributes. An instant
+    is a zero-width named event with attributes: a primitive event
+    ({!Core.Event.fire}), a fault firing, an SLO breach. Completed spans
+    and instants share one bounded ring (a {!t} collector); per-kind
+    span durations feed a histogram registered in the {!Registry} under
+    ["span"], so reports get a latency breakdown for free.
 
     Context propagation is dynamic scoping: {!with_span} (and {!enter})
     make the new span the ambient current span, and children opened
@@ -16,21 +18,29 @@
     collector is {!install}ed; every entry point is a no-op while
     disabled.
 
-    The clock is a process-wide simulated-nanosecond counter: substrates
-    that model costs (wire time, fault traps, log forces) call
-    {!advance_ns}, and every span open/close advances it by one, so a
-    child's [start, end] always nests strictly inside its parent's. *)
+    The clock is a process-wide simulated-nanosecond counter that only
+    substrates modelling a cost (wire time, fault traps, log forces)
+    move, through {!advance_ns}; tracing never moves it. Every open,
+    close and instant also takes the collector's next sequence number,
+    and stamps order by [(ns, seq)]: a child's start and end fall
+    strictly inside its parent's in that order, even when they share a
+    nanosecond. *)
 
 type span = {
   id : int;
   mutable parent : int option;
   kind : string;
   start_ns : int;
+  start_seq : int;
   mutable end_ns : int;  (** [-1] while the span is open *)
+  mutable end_seq : int;  (** [-1] while the span is open *)
   mutable attrs : (string * string) list;
 }
 
-(** A bounded collector of completed spans. *)
+(** A zero-width event, stamped [(i_ns, i_seq)]. *)
+type instant = { i_name : string; i_ns : int; i_seq : int; i_attrs : (string * string) list }
+
+(** A bounded collector of completed spans and instants. *)
 type t
 
 (** An open span; closing is explicit. [none] when tracing is disabled. *)
@@ -42,15 +52,25 @@ type handle
 val kinds : string list
 
 (** [create ()] makes a collector keeping the last [capacity] completed
-    spans (default 65536) and registers its per-kind duration histograms
+    spans and instants (default 65536) and registers its per-kind duration histograms
     in {!Registry.default} under ["span"]. *)
 val create : ?capacity:int -> unit -> t
 
-(** Install (or, with [None], remove) the ambient collector. *)
+(** Install (or, with [None], remove) the ambient collector; no span
+    is current afterwards. *)
 val install : t option -> unit
 
 val installed : unit -> t option
 val enabled : unit -> bool
+
+(** The installed collector and the ambient span current under it. *)
+type saved
+
+val save : unit -> saved
+
+(** Put back a {!save}d collector and its ambient span, so spans
+    opened after a scoped install still parent to the outer context. *)
+val restore : saved -> unit
 
 (** Current simulated time in nanoseconds. *)
 val now_ns : unit -> int
@@ -97,6 +117,12 @@ val finish : ?attrs:(string * string) list -> handle -> unit
     {!none}. *)
 val with_handle : handle -> (unit -> 'a) -> 'a
 
+(** [instant name] records a zero-width event at the current stamp in
+    the installed collector. Nothing happens, and nothing is allocated,
+    without one; a caller that builds [attrs] on a hot path checks
+    {!enabled} first. *)
+val instant : ?attrs:(string * string) list -> string -> unit
+
 (** Attach an attribute to the ambient current span, if any. *)
 val annotate : string -> string -> unit
 
@@ -104,7 +130,7 @@ val annotate : string -> string -> unit
     a no-op with {!none}. *)
 val annotate_handle : handle -> string -> string -> unit
 
-(** Close every span still open (oldest last), marking each with an
+(** Close every span still open (most recently opened first), marking each with an
     [unclosed] attribute and counting [span.unclosed] — call at trace
     end so leftovers are reported, not silently dropped. *)
 val finish_all : t -> unit
@@ -112,7 +138,11 @@ val finish_all : t -> unit
 (** Completed spans, oldest close first. *)
 val to_list : t -> span list
 
-(** Completed spans evicted from the bounded buffer so far. *)
+(** Retained instants, oldest first; with [~within], only those taken
+    while that span was open (after its start, before its end). *)
+val instants : ?within:span -> t -> instant list
+
+(** Completed spans and instants evicted from the bounded buffer so far. *)
 val dropped : t -> int
 
 (** The per-kind duration histograms and anomaly counters. *)
@@ -139,8 +169,11 @@ val slowest : ?kind:string -> t -> span option
 (** Indented text timeline of [root] and its retained descendants. *)
 val pp_tree : t -> Format.formatter -> span -> unit
 
-(** The whole buffer in Chrome [trace_event] JSON (complete "X" events,
-    microsecond timestamps) — loads in chrome://tracing and Perfetto.
-    Each span's track (tid) is its root ancestor, so every transaction
-    renders as its own timeline row. *)
-val to_chrome_json : t -> string
+(** The buffer in Chrome [trace_event] JSON — loads in chrome://tracing
+    and Perfetto. Spans are complete "X" events, instants global "i"
+    events, microsecond timestamps, all in [(ns, seq)] order of their
+    start. Each span's track (tid) is its root ancestor, so every
+    transaction renders as its own timeline row. [limit] keeps only the
+    newest entries; [members] are extra top-level [(name, JSON value)]
+    pairs (the flight recorder's sections). *)
+val to_chrome_json : ?limit:int -> ?members:(string * string) list -> t -> string

@@ -16,7 +16,7 @@ let with_installed ?spans ?critpath ?series ?slo ?faults f =
       Fault.seed seed;
       Fault.apply_profile sites)
     faults;
-  let saved_spans = Span.installed () in
+  let saved_spans = Span.save () in
   let saved_critpath = Critpath.installed () in
   let saved_series = Series.installed () in
   Option.iter (fun c -> Span.install (Some c)) spans;
@@ -34,5 +34,5 @@ let with_installed ?spans ?critpath ?series ?slo ?faults f =
           Series.install saved_series)
         series;
       if critpath <> None then Critpath.install saved_critpath;
-      if spans <> None then Span.install saved_spans;
+      if spans <> None then Span.restore saved_spans;
       Option.iter Fault.restore saved_faults)

@@ -7,8 +7,9 @@
     faults, spans, critpath, series, so the series' baseline snapshot
     sees everything set up before it. On return or exception the series
     is flushed and unwatched, and every given plane is put back to
-    whatever was installed before — the fault plane through
-    {!Bess_fault.Fault.restore}. Planes not given are left alone. *)
+    whatever was installed before — the span collector along with its
+    ambient span, through {!Bess_obs.Span.restore}, and the fault plane
+    through {!Bess_fault.Fault.restore}. Planes not given are left alone. *)
 val with_installed :
   ?spans:Bess_obs.Span.t ->
   ?critpath:Bess_obs.Critpath.t ->

@@ -1,10 +1,26 @@
 (* bess_obs: the metrics registry (snapshot/diff, key flattening, JSON)
-   and the bounded trace ring, plus the Stats extensions they rely on and
+   and the span collector's bounded ring of instants, plus the Stats
+   extensions they rely on, primitive events recorded as instants and
    the event-hook ordering regression. *)
 
 module Registry = Bess_obs.Registry
-module Trace = Bess_obs.Trace
+module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
+
+(* Run [f] against a private collector of [capacity] entries, putting
+   back the collector (and ambient span) found. *)
+let with_collector ?capacity f =
+  Registry.with_fresh (fun () ->
+      let saved = Span.save () in
+      let c = Span.create ?capacity () in
+      Span.install (Some c);
+      Fun.protect ~finally:(fun () -> Span.restore saved) (fun () -> f c))
+
+let details c = List.map (fun (i : Span.instant) -> snd (List.hd i.i_attrs)) (Span.instants c)
+
+(* An instant's attributes as [k=v] text. *)
+let payload (i : Span.instant) =
+  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) i.i_attrs)
 
 let test_registry_snapshot_diff () =
   let reg = Registry.create () in
@@ -74,60 +90,29 @@ let test_stats_observe () =
     (Bess_util.Histogram.count (Option.get (Stats.find_histogram st "bytes")))
 
 let test_trace_bounded_eviction () =
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.record tr ~kind:"k" ~detail:(string_of_int i)
-  done;
-  Alcotest.(check int) "length capped" 4 (Trace.length tr);
-  Alcotest.(check int) "clock counts everything" 10 (Trace.clock tr);
-  Alcotest.(check (list string)) "oldest evicted, order kept" [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.to_list tr))
-
-let test_trace_filter () =
-  let tr = Trace.create ~capacity:16 () in
-  Trace.set_filter tr (Some [ "txn_commit" ]);
-  Trace.record tr ~kind:"data_fault" ~detail:"seg=1";
-  Trace.record tr ~kind:"txn_commit" ~detail:"txn=1";
-  Trace.record tr ~kind:"data_fault" ~detail:"seg=2";
-  Alcotest.(check int) "only allowed kinds stored" 1 (Trace.length tr);
-  Alcotest.(check int) "clock advances even when filtered" 3 (Trace.clock tr);
-  (match Trace.to_list tr with
-  | [ e ] -> Alcotest.(check int) "clock stamp is record time" 2 e.Trace.clock
-  | _ -> Alcotest.fail "one entry expected");
-  Trace.set_filter tr None;
-  Trace.record tr ~kind:"data_fault" ~detail:"seg=3";
-  Alcotest.(check int) "filter cleared" 2 (Trace.length tr)
+  with_collector ~capacity:4 (fun c ->
+      for i = 1 to 10 do
+        Span.instant "k" ~attrs:[ ("n", string_of_int i) ]
+      done;
+      Alcotest.(check int) "evictions counted" 6 (Span.dropped c);
+      Alcotest.(check (list string)) "oldest evicted, order kept" [ "7"; "8"; "9"; "10" ]
+        (details c);
+      Alcotest.(check (list int)) "one sequence number each" [ 6; 7; 8; 9 ]
+        (List.map (fun (i : Span.instant) -> i.i_seq) (Span.instants c)))
 
 let test_trace_wrap_exact_capacity () =
-  (* Exactly [capacity] records: full ring, nothing evicted yet; one
-     more record evicts exactly the oldest. *)
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 4 do
-    Trace.record tr ~kind:"k" ~detail:(string_of_int i)
-  done;
-  Alcotest.(check int) "full at exact capacity" 4 (Trace.length tr);
-  Alcotest.(check (list string)) "all four retained" [ "1"; "2"; "3"; "4" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.to_list tr));
-  Trace.record tr ~kind:"k" ~detail:"5";
-  Alcotest.(check (list string)) "wrap evicts only the oldest" [ "2"; "3"; "4"; "5" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.to_list tr));
-  Alcotest.(check int) "length still capped" 4 (Trace.length tr)
-
-let test_trace_filter_roundtrip () =
-  (* set_filter round-trip: Some -> None restores record-everything, and
-     entries dropped while filtered still advanced the logical clock
-     (the mli contract), so post-filter stamps stay strictly ordered. *)
-  let tr = Trace.create ~capacity:16 () in
-  Trace.record tr ~kind:"a" ~detail:"";
-  Trace.set_filter tr (Some [ "b" ]);
-  Trace.record tr ~kind:"a" ~detail:"";
-  Trace.record tr ~kind:"b" ~detail:"";
-  Trace.set_filter tr None;
-  Trace.record tr ~kind:"a" ~detail:"";
-  Alcotest.(check int) "filtered entry dropped" 3 (Trace.length tr);
-  Alcotest.(check int) "clock counted the dropped record" 4 (Trace.clock tr);
-  Alcotest.(check (list int)) "stamps reflect true record times" [ 1; 3; 4 ]
-    (List.map (fun e -> e.Trace.clock) (Trace.to_list tr))
+  (* Exactly [capacity] entries: full ring, nothing evicted yet; one
+     more entry evicts exactly the oldest. *)
+  with_collector ~capacity:4 (fun c ->
+      for i = 1 to 4 do
+        Span.instant "k" ~attrs:[ ("n", string_of_int i) ]
+      done;
+      Alcotest.(check int) "full at exact capacity" 0 (Span.dropped c);
+      Alcotest.(check (list string)) "all four retained" [ "1"; "2"; "3"; "4" ] (details c);
+      Span.instant "k" ~attrs:[ ("n", "5") ];
+      Alcotest.(check (list string)) "wrap evicts only the oldest" [ "2"; "3"; "4"; "5" ]
+        (details c);
+      Alcotest.(check int) "one eviction" 1 (Span.dropped c))
 
 let test_registry_with_fresh () =
   let reg = Registry.create () in
@@ -170,69 +155,56 @@ let test_counter_handles_with_fresh () =
     (Registry.counters (Registry.snapshot ~registry:reg ()));
   Alcotest.(check int) "idle handle" 0 (Stats.value idle)
 
-let test_trace_with_fresh () =
-  let tr = Trace.create ~capacity:8 () in
-  Trace.record tr ~kind:"outer" ~detail:"1";
-  Trace.set_filter tr (Some [ "outer" ]);
-  Trace.with_fresh ~trace:tr (fun () ->
-      Alcotest.(check int) "ring empty inside" 0 (Trace.length tr);
-      Alcotest.(check int) "clock zeroed inside" 0 (Trace.clock tr);
-      Trace.record tr ~kind:"inner" ~detail:"x";
-      Alcotest.(check int) "filter cleared inside" 1 (Trace.length tr));
-  Alcotest.(check (list string)) "outer entries restored" [ "1" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.to_list tr));
-  Alcotest.(check int) "outer clock restored" 1 (Trace.clock tr);
-  Trace.record tr ~kind:"inner" ~detail:"2";
-  Alcotest.(check int) "outer filter restored" 1 (Trace.length tr)
-
 let test_event_feeds_trace () =
-  let h = Bess.Event.hooks_create () in
-  let tr = Trace.create ~capacity:8 () in
-  Bess.Event.set_trace h (Some tr);
-  Bess.Event.fire h (Bess.Event.Txn_commit { txn = 7 });
-  Bess.Event.fire h (Bess.Event.Data_fault { seg = 3 });
-  (match Trace.find tr ~kind:"txn_commit" with
-  | [ e ] -> Alcotest.(check string) "payload rendered" "txn=7" e.Trace.detail
-  | _ -> Alcotest.fail "commit not traced");
-  Alcotest.(check int) "both events recorded" 2 (Trace.length tr)
+  with_collector (fun c ->
+      let h = Bess.Event.hooks_create () in
+      Bess.Event.fire h (Bess.Event.Txn_commit { txn = 7 });
+      Bess.Event.fire h (Bess.Event.Data_fault { seg = 3 });
+      (match List.filter (fun (i : Span.instant) -> i.i_name = "txn_commit") (Span.instants c) with
+      | [ e ] -> Alcotest.(check string) "payload rendered" "txn=7" (payload e)
+      | _ -> Alcotest.fail "commit not traced");
+      Alcotest.(check int) "both events recorded" 2 (List.length (Span.instants c)))
 
-(* The lock grant event carries the resource itself; the ring renders
-   it on read, and the text is what the pre-formatted payload was. *)
+(* The lock grant event carries the resource itself; its instant's
+   attributes read as the pre-formatted payload did. *)
 let test_lock_grant_trace_detail () =
-  let server = Bess.Db.server (Bess.Db.create_memory ~db_id:310 ()) in
-  let tr = Trace.create ~capacity:8 () in
-  Bess.Event.set_trace (Bess.Server.hooks server) (Some tr);
-  let txn = Bess.Server.begin_txn server ~client:1 in
-  let r = Bess_lock.Lock_mgr.page_resource ~area:3 ~page:7 in
-  Alcotest.(check bool) "granted" true
-    (Bess.Server.lock server ~txn r Bess_lock.Lock_mode.X = `Granted);
-  match Trace.find tr ~kind:"lock_acquired" with
-  | [ e ] ->
-      Alcotest.(check string) "rendered detail" (Printf.sprintf "txn=%d resource=page(3,7)" txn)
-        e.Trace.detail
-  | l -> Alcotest.failf "expected one lock_acquired entry, got %d" (List.length l)
+  with_collector (fun c ->
+      let server = Bess.Db.server (Bess.Db.create_memory ~db_id:310 ()) in
+      let txn = Bess.Server.begin_txn server ~client:1 in
+      let r = Bess_lock.Lock_mgr.page_resource ~area:3 ~page:7 in
+      Alcotest.(check bool) "granted" true
+        (Bess.Server.lock server ~txn r Bess_lock.Lock_mode.X = `Granted);
+      match
+        List.filter (fun (i : Span.instant) -> i.i_name = "lock_acquired") (Span.instants c)
+      with
+      | [ e ] ->
+          Alcotest.(check string) "rendered detail"
+            (Printf.sprintf "txn=%d resource=page(3,7)" txn)
+            (payload e)
+      | l -> Alcotest.failf "expected one lock_acquired instant, got %d" (List.length l))
 
-(* Details are rendered when the ring is read, never for an entry the
-   filter dropped. *)
-let test_trace_renders_on_read () =
-  let tr = Trace.create ~capacity:4 () in
-  let dropped = ref 0 and kept = ref 0 in
-  Trace.set_filter tr (Some [ "kept" ]);
-  Trace.record_lazy tr ~kind:"dropped" (fun () -> incr dropped; "d");
-  Trace.record_lazy tr ~kind:"kept" (fun () -> incr kept; "k");
-  Alcotest.(check int) "nothing rendered at record time" 0 (!dropped + !kept);
-  Alcotest.(check (list string)) "kept entry" [ "k" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.to_list tr));
-  Alcotest.(check int) "kept entry rendered on read" 1 !kept;
-  Alcotest.(check int) "dropped entry never rendered" 0 !dropped;
-  Alcotest.(check int) "clock still counts the dropped record" 2 (Trace.clock tr)
+(* Observing is free when nobody observes: with no collector installed
+   and no hook registered, firing an event allocates nothing. *)
+let test_event_fire_allocates_nothing () =
+  let saved = Span.save () in
+  Span.install None;
+  Fun.protect ~finally:(fun () -> Span.restore saved) (fun () ->
+      let h = Bess.Event.hooks_create () in
+      let e = Bess.Event.Txn_commit { txn = 7 } in
+      Bess.Event.fire h e;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Bess.Event.fire h e
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+      Alcotest.(check int) "minor words per fire" 0 (int_of_float per_call))
 
 (* Regression: hooks must run in registration order even when many are
    attached to one event (the old list-append registration was quadratic
    and a natural "fix" -- prepending -- would reverse execution order). *)
 let test_hook_order_preserved () =
   let h = Bess.Event.hooks_create () in
-  Bess.Event.set_trace h None;
   let n = 500 in
   let ran = ref [] in
   for i = 1 to n do
@@ -475,15 +447,12 @@ let suite =
     Alcotest.test_case "labeled_counters" `Quick test_labeled_counters;
     Alcotest.test_case "stats_observe" `Quick test_stats_observe;
     Alcotest.test_case "trace_bounded_eviction" `Quick test_trace_bounded_eviction;
-    Alcotest.test_case "trace_filter" `Quick test_trace_filter;
     Alcotest.test_case "trace_wrap_exact_capacity" `Quick test_trace_wrap_exact_capacity;
-    Alcotest.test_case "trace_filter_roundtrip" `Quick test_trace_filter_roundtrip;
     Alcotest.test_case "registry_with_fresh" `Quick test_registry_with_fresh;
     Alcotest.test_case "counter_handles_with_fresh" `Quick test_counter_handles_with_fresh;
-    Alcotest.test_case "trace_with_fresh" `Quick test_trace_with_fresh;
     Alcotest.test_case "event_feeds_trace" `Quick test_event_feeds_trace;
     Alcotest.test_case "lock_grant_trace_detail" `Quick test_lock_grant_trace_detail;
-    Alcotest.test_case "trace_renders_on_read" `Quick test_trace_renders_on_read;
+    Alcotest.test_case "event_fire_allocates_nothing" `Quick test_event_fire_allocates_nothing;
     Alcotest.test_case "hook_order_preserved" `Quick test_hook_order_preserved;
     Alcotest.test_case "no_build_artifacts_tracked" `Quick test_no_build_artifacts_tracked;
     Alcotest.test_case "registry_gauges" `Quick test_registry_gauges;

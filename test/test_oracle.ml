@@ -8,7 +8,11 @@
 
    Both configs use [think_ns = 0] and [zipf_theta = 0.0], so no draw
    goes through libm's [log] or [pow]: the literals hold on any OCaml
-   version and platform. *)
+   version and platform.
+
+   Each run is pinned twice: bare, and with every observability plane
+   installed around it. Observing must not move the schedule, so both
+   check the same literals. *)
 
 module Sched = Bess_sched.Sched
 module Driver = Bess_sched.Driver
@@ -31,7 +35,46 @@ let pp_fleet (r : Fleet.result) =
 
 let counters = Alcotest.(list (pair string int))
 
-let test_driver_pinned () =
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* Run [f] with, when [planes], every observability plane installed: a
+   span collector, the critical-path sink, a 1 ms series watched by an
+   SLO, and the flight recorder armed (dumping into a scratch directory
+   on crash and recovery). *)
+let observed planes f =
+  if not planes then f ()
+  else begin
+    let dir = Filename.concat (Filename.get_temp_dir_name ()) "bess_oracle_flightrec" in
+    rm_rf dir;
+    Bess_obs.Flightrec.arm ~dir ();
+    Fun.protect
+      ~finally:(fun () ->
+        Bess_obs.Flightrec.disarm ();
+        rm_rf dir)
+      (fun () ->
+        let slo =
+          match Bess_obs.Slo.rule_of_string "commit_p99: critpath.commit_ns.p99 < 1000000" with
+          | Ok rule -> Bess_obs.Slo.create ~rules:[ rule ] ()
+          | Error e -> Alcotest.fail e
+        in
+        let r =
+          Bess_sched.Planes.with_installed ~spans:(Bess_obs.Span.create ())
+            ~critpath:(Bess_obs.Critpath.create ())
+            ~series:(Bess_obs.Series.create ~window_ns:1_000_000 ())
+            ~slo f
+        in
+        Alcotest.(check bool) "the SLO watched commit windows" true
+          (Bess_obs.Slo.checks slo > 0);
+        r)
+  end
+
+let test_driver_pinned planes () =
   Bess_obs.Registry.with_fresh @@ fun () ->
   let db = Bess.Db.create_memory ~db_id:9400 () in
   let server = Bess.Db.server db in
@@ -39,6 +82,7 @@ let test_driver_pinned () =
   let pages = Driver.seed_working_set db ~n_pages:32 in
   let sched = Sched.create () in
   let r =
+    observed planes @@ fun () ->
     Driver.run ~sched server ~pages
       { Driver.default with
         n_clients = 40;
@@ -65,7 +109,7 @@ let test_driver_pinned () =
 (* One fleet run per fault profile: clean, and "chaos-2pc", whose drops,
    duplicates and coordinator crashes drive the shard plane's retry loop
    and the fleet's blocked-attempt backoff. *)
-let run_fleet profile =
+let run_fleet ~planes profile =
   Bess_obs.Registry.with_fresh @@ fun () ->
   let sh = Shard.create ~n:3 () in
   let sched = Sched.create () in
@@ -73,6 +117,7 @@ let run_fleet profile =
     { Fleet.default with cross_fraction = 0.25; zipf_theta = 0.0; think_ns = 0; seed = 7 }
   in
   let r =
+    observed planes @@ fun () ->
     Bess_sched.Planes.with_installed
       ~faults:(7, List.assoc profile Bess_fault.Fault.profiles)
       (fun () -> Fleet.run ~sched sh cfg)
@@ -81,8 +126,8 @@ let run_fleet profile =
     Stats.get (Bess_net.Net.stats (Shard.net sh)) "net.client_retries",
     Stats.to_list (Sched.stats sched) )
 
-let test_fleet_pinned () =
-  let r, retries, c = run_fleet "off" in
+let test_fleet_pinned planes () =
+  let r, retries, c = run_fleet ~planes "off" in
   Alcotest.(check string) "fleet result"
     "commits=200 cross=39 aborts=0 give_ups=0 indeterminate=0 events=200 sim_ns=363981360 \
      fp=c200/x39/a0/g0/i0|img:336a64a4"
@@ -93,8 +138,8 @@ let test_fleet_pinned () =
       ("sched.late_events", 199); ("sched.scheduled", 200) ]
     c
 
-let test_fleet_chaos_pinned () =
-  let r, retries, c = run_fleet "chaos-2pc" in
+let test_fleet_chaos_pinned planes () =
+  let r, retries, c = run_fleet ~planes "chaos-2pc" in
   Alcotest.(check string) "fleet result"
     "commits=190 cross=37 aborts=0 give_ups=0 indeterminate=10 events=200 sim_ns=448277840 \
      fp=c190/x37/a0/g0/i10|img:336a64a4"
@@ -107,7 +152,11 @@ let test_fleet_chaos_pinned () =
 
 let suite =
   [
-    Alcotest.test_case "driver_schedule_pinned" `Quick test_driver_pinned;
-    Alcotest.test_case "fleet_schedule_pinned" `Quick test_fleet_pinned;
-    Alcotest.test_case "fleet_chaos_schedule_pinned" `Quick test_fleet_chaos_pinned;
+    Alcotest.test_case "driver_schedule_pinned" `Quick (test_driver_pinned false);
+    Alcotest.test_case "fleet_schedule_pinned" `Quick (test_fleet_pinned false);
+    Alcotest.test_case "fleet_chaos_schedule_pinned" `Quick (test_fleet_chaos_pinned false);
+    Alcotest.test_case "driver_schedule_pinned_observed" `Quick (test_driver_pinned true);
+    Alcotest.test_case "fleet_schedule_pinned_observed" `Quick (test_fleet_pinned true);
+    Alcotest.test_case "fleet_chaos_schedule_pinned_observed" `Quick
+      (test_fleet_chaos_pinned true);
   ]

@@ -219,25 +219,44 @@ let rm_rf dir =
 let test_flightrec_roundtrip () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "bess_flightrec_test" in
   rm_rf dir;
+  let saved = Span.save () in
   let coll = Span.create () in
   Span.install (Some coll);
   Flightrec.arm ~dir ();
   Fun.protect
     ~finally:(fun () ->
       Flightrec.disarm ();
-      Span.install None;
+      Span.restore saved;
       Fault.reset ();
       rm_rf dir)
     (fun () ->
-      Fault.seed 11;
-      Fault.configure "wal.force.eio" (Fault.Plan [ 2 ]);
-      Span.with_span ~kind:"wal.force" (fun () ->
-          ignore (Fault.fire "wal.force.eio");
-          Span.advance_ns 100;
-          ignore (Fault.fire "wal.force.eio") (* ordinal 2: fires mid-span *);
-          Span.advance_ns 50);
-      Span.advance_ns 10;
-      Span.with_span ~kind:"wal.force" (fun () -> Span.advance_ns 25);
+      (* The fault plane is armed for the two spans only; its firings
+         are instants in the collector, so they outlive the disarming. *)
+      Bess_sched.Planes.with_installed
+        ~faults:(11, [ ("wal.force.eio", Fault.Plan [ 2; 3 ]) ])
+        (fun () ->
+          Span.with_span ~kind:"wal.force" (fun () ->
+              ignore (Fault.fire "wal.force.eio");
+              Span.advance_ns 100;
+              ignore (Fault.fire "wal.force.eio") (* ordinal 2: fires mid-span *);
+              Span.advance_ns 50);
+          Span.advance_ns 10;
+          Span.with_span ~kind:"wal.force" (fun () ->
+              (* ordinal 3: the same nanosecond the span opened at *)
+              ignore (Fault.fire "wal.force.eio");
+              Span.advance_ns 25));
+      Alcotest.(check bool) "fault plane disarmed" false (Fault.armed ());
+      Bess.Event.fire (Bess.Event.hooks_create ()) (Bess.Event.Txn_commit { txn = 7 });
+      Registry.with_fresh (fun () ->
+          let rule =
+            match Bess_obs.Slo.rule_of_string "budget: wal.forces < 1" with
+            | Ok r -> r
+            | Error e -> Alcotest.fail e
+          in
+          Bess_obs.Slo.evaluate
+            (Bess_obs.Slo.create ~rules:[ rule ] ())
+            { Series.w_index = 4; w_start_ns = 0; w_end_ns = 1000;
+              w_counters = [ ("wal.forces", 2) ]; w_gauges = []; w_tails = [] });
       Alcotest.(check bool) "armed" true (Flightrec.armed ());
       let path =
         match Flightrec.dump ~reason:"chaos failure" () with
@@ -252,31 +271,59 @@ let test_flightrec_roundtrip () =
           Alcotest.(check string) "reason round-trips" "chaos failure"
             (Json.get_string j "reason");
           let items = Flightrec.replay j in
-          let faults =
+          let instants =
             List.filter_map
               (function
-                | Flightrec.Fault_item { site; ordinal; ts_ns } -> Some (site, ordinal, ts_ns)
+                | Flightrec.Instant_item { name; ts_ns; attrs } -> Some (name, ts_ns, attrs)
                 | Flightrec.Span_item _ -> None)
               items
           in
-          Alcotest.(check (list (pair string int)))
-            "the planned firing replays"
-            [ ("wal.force.eio", 2) ]
-            (List.map (fun (s, o, _) -> (s, o)) faults);
-          (* The firing interleaves INSIDE the first span: after that
-             span's start, before the second span's. *)
+          let faults =
+            List.filter_map
+              (fun (name, ts, attrs) ->
+                if name = "fault:wal.force.eio" then
+                  Some (int_of_string (List.assoc "ordinal" attrs), ts)
+                else None)
+              instants
+          in
+          Alcotest.(check (list int)) "the planned firings replay" [ 2; 3 ]
+            (List.map fst faults);
+          Alcotest.(check (option string)) "the event replays with its payload" (Some "7")
+            (List.find_map
+               (fun (name, _, attrs) ->
+                 if name = "txn_commit" then List.assoc_opt "txn" attrs else None)
+               instants);
+          Alcotest.(check (option string)) "the SLO breach replays" (Some "budget")
+            (List.find_map
+               (fun (name, _, attrs) ->
+                 if name = "slo.breach" then List.assoc_opt "rule" attrs else None)
+               instants);
+          (* Firing 2 interleaves INSIDE the first span: after that span's
+             start, before the second span's. Firing 3 shares the second
+             span's start nanosecond and sorts after it. *)
           let span_starts =
             List.filter_map
               (function
                 | Flightrec.Span_item { kind; start_ns; _ } -> Some (kind, start_ns)
-                | Flightrec.Fault_item _ -> None)
+                | Flightrec.Instant_item _ -> None)
               items
           in
           (match (span_starts, faults) with
-          | [ (_, s0); (_, s1) ], [ (_, _, ft) ] ->
-              Alcotest.(check int) "stamped 100ns into the first span" 100 (ft - s0);
-              Alcotest.(check bool) "fault before second span start" true (ft < s1)
-          | _ -> Alcotest.failf "expected 2 spans + 1 fault, got %d items" (List.length items));
+          | [ (_, s0); (_, s1) ], [ (_, f2); (_, f3) ] ->
+              Alcotest.(check int) "stamped 100ns into the first span" 100 (f2 - s0);
+              Alcotest.(check bool) "fault before second span start" true (f2 < s1);
+              Alcotest.(check int) "same nanosecond as the second span" s1 f3
+          | _ -> Alcotest.failf "expected 2 spans + 2 faults, got %d items" (List.length items));
+          let order =
+            List.filter_map
+              (function
+                | Flightrec.Span_item { start_ns; _ } -> Some ("span", start_ns)
+                | Flightrec.Instant_item { name; ts_ns; _ } ->
+                    if name = "fault:wal.force.eio" then Some ("fault", ts_ns) else None)
+              items
+          in
+          Alcotest.(check (list string)) "a tie sorts in record order"
+            [ "span"; "fault"; "span"; "fault" ] (List.map fst order);
           (* Ordering: replay is sorted by timestamp. *)
           let ts = List.map Flightrec.item_ts items in
           Alcotest.(check (list int)) "timeline sorted" (List.sort compare ts) ts)

@@ -463,6 +463,40 @@ let test_write_fault_major_allocation () =
     Alcotest.failf "%.0f direct major words per transaction, bound %.0f" per_txn
       max_words_per_txn
 
+(* Minor words the commit of one transaction creating an [n]-object
+   ring (every page new, so every page ships) allocates. *)
+let ring_commit_words n =
+  let db = fresh_db () in
+  let s = Bess.Db.session db in
+  let ty =
+    Bess.Type_desc.register (Bess.Catalog.types (Bess.Db.catalog db)) ~name:"ring" ~size:32
+      ~ref_offsets:[| 0 |]
+  in
+  let per_seg = 500 in
+  let slotted_pages = Bess.Layout.slotted_pages ~n_slots:per_seg ~page_size:4096 in
+  Bess.Session.begin_txn s;
+  let seg = ref None in
+  let nodes =
+    Array.init n (fun i ->
+        if i mod per_seg = 0 then
+          seg := Some (Bess.Session.create_segment s ~slotted_pages ~data_pages:4 ());
+        Bess.Session.create_object s (Option.get !seg) ty ~size:32)
+  in
+  Array.iteri
+    (fun i a ->
+      Bess.Session.write_ref s ~data_addr:(Bess.Session.obj_data s a) (Some nodes.((i + 1) mod n)))
+    nodes;
+  let w0 = Gc.minor_words () in
+  Bess.Session.commit s;
+  Gc.minor_words () -. w0
+
+(* Shipping a commit's updates costs time and memory linear in the
+   write set: four times the pages, at most five times the words. *)
+let test_commit_allocation_linear () =
+  let small = ring_commit_words 2_000 and large = ring_commit_words 8_000 in
+  if large > 5.0 *. small then
+    Alcotest.failf "commit of 4x the objects allocated %.1fx the minor words" (large /. small)
+
 (* A committed transparent large object with payload [v] at its start,
    in a segment with room for more objects. *)
 let large_object_db v =
@@ -558,6 +592,7 @@ let suite =
     Alcotest.test_case "recycled_before_image_direct" `Quick (recycled_before_image `Direct);
     Alcotest.test_case "recycled_before_image_remote" `Quick (recycled_before_image `Remote);
     Alcotest.test_case "write_fault_major_allocation" `Quick test_write_fault_major_allocation;
+    Alcotest.test_case "commit_allocation_linear" `Quick test_commit_allocation_linear;
     Alcotest.test_case "abort_keeps_large_object" `Quick test_abort_keeps_large_object;
     Alcotest.test_case "callback_keeps_large_object" `Quick test_callback_keeps_large_object;
     Alcotest.test_case "delete_large_object" `Quick test_delete_large_object;

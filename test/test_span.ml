@@ -12,10 +12,10 @@ module Vmem = Bess_vmem.Vmem
    exactly as it was. *)
 let with_collector ?capacity f =
   Registry.with_fresh (fun () ->
-      let saved = Span.installed () in
+      let saved = Span.save () in
       let c = Span.create ?capacity () in
       Span.install (Some c);
-      Fun.protect ~finally:(fun () -> Span.install saved) (fun () -> f c))
+      Fun.protect ~finally:(fun () -> Span.restore saved) (fun () -> f c))
 
 let find_kind c kind = List.filter (fun s -> s.Span.kind = kind) (Span.to_list c)
 
@@ -90,12 +90,13 @@ let test_unclosed_reported () =
           Alcotest.(check bool) (s.Span.kind ^ " got an end stamp") true
             (s.Span.end_ns >= s.Span.start_ns))
         (Span.to_list c);
-      (* Inner closed first: stamps still nest. *)
+      (* Inner closed first: stamps still nest, strictly in (ns, seq)
+         order even though both spans share their nanoseconds. *)
       match Span.to_list c with
       | [ inner; outer ] ->
           Alcotest.(check bool) "forced closes nest" true
-            (inner.Span.start_ns > outer.Span.start_ns
-            && inner.Span.end_ns < outer.Span.end_ns)
+            ((inner.Span.start_ns, inner.Span.start_seq) > (outer.Span.start_ns, outer.Span.start_seq)
+            && (inner.Span.end_ns, inner.Span.end_seq) < (outer.Span.end_ns, outer.Span.end_seq))
       | _ -> Alcotest.fail "expected 2 spans")
 
 let test_unknown_kind_rejected () =
@@ -386,9 +387,6 @@ let test_span_kinds_complete () =
         | None -> None)
       (Lib_sources.matches {|~kind:"[a-z._]*"|})
   in
-  (* Trace.record call sites also say ~kind, but always punned or
-     computed, never a string literal — so everything the scan finds is
-     a Span kind. *)
   Alcotest.(check bool) "grep found the instrumentation" true (kinds <> []);
   List.iter
     (fun k ->
@@ -398,8 +396,8 @@ let test_span_kinds_complete () =
     kinds
 
 (* A scoped install whose body raises puts back every plane it found:
-   the outer collector, critpath sink and series, and the fault arming,
-   disarmed or armed. *)
+   the outer collector with its ambient span, critpath sink and series,
+   and the fault arming, disarmed or armed. *)
 let test_scoped_install_restores () =
   let module Planes = Bess_sched.Planes in
   let module Critpath = Bess_obs.Critpath in
@@ -426,7 +424,19 @@ let test_scoped_install_restores () =
           Critpath.install None;
           Fault.reset ())
         (fun () ->
-          raising ~faults:(7, List.assoc "chaos" Fault.profiles);
+          (* Inside an outer span, a scoped install (returning or raising)
+             leaves later spans parented to it. *)
+          Span.with_span ~kind:"bench.workload" (fun () ->
+              Planes.with_installed ~spans:(Span.create ()) ignore;
+              Span.with_span ~kind:"wal.force" ignore;
+              raising ~faults:(7, List.assoc "chaos" Fault.profiles);
+              Span.with_span ~kind:"wal.append" ignore);
+          let parent kind = (List.hd (find_kind outer kind)).Span.parent in
+          let workload = Some (List.hd (find_kind outer "bench.workload")).Span.id in
+          Alcotest.(check (option int)) "ambient span back after a return" workload
+            (parent "wal.force");
+          Alcotest.(check (option int)) "ambient span back after a raise" workload
+            (parent "wal.append");
           Alcotest.(check bool) "outer collector back" true (is outer (Span.installed ()));
           Alcotest.(check bool) "outer critpath back" true (is cp (Critpath.installed ()));
           Alcotest.(check bool) "outer series back" true (is series (Series.installed ()));
