@@ -5,11 +5,9 @@
    Replacement policy is pluggable: the cache asks a victim chooser for a
    slot index when full; the chooser must return an unpinned slot. The
    classic clock ({!Clock}), the BeSS frame-state clock ({!State_clock})
-   and the two-level clock ({!Two_level}) all drive this interface.
-
-   A per-slot [refcount] supports the shared-memory mode, where it counts
-   the processes that currently have the slot mapped accessible/protected
-   (section 4.2: "BeSS associates a counter with each cache slot"). *)
+   and the two-level clock ({!Two_level}) all drive this interface. The
+   shared-memory mode's per-slot process counters (section 4.2: "BeSS
+   associates a counter with each cache slot") live in {!Two_level}. *)
 
 module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
@@ -21,7 +19,6 @@ type slot = {
   mutable dirty : bool;
   mutable rec_lsn : int; (* LSN that took the page from clean to dirty; 0 while clean *)
   mutable pins : int;
-  mutable refcount : int; (* shared-memory mode: processes mapping this slot *)
 }
 
 type t = {
@@ -50,7 +47,7 @@ let create ~nslots ~page_size =
   let slots =
     Array.init nslots (fun index ->
         { index; bytes = Bytes.create page_size; page = None; dirty = false; rec_lsn = 0;
-          pins = 0; refcount = 0 })
+          pins = 0 })
   in
   let stats = Stats.create () in
   Bess_obs.Registry.register_stats "cache" stats;
@@ -74,14 +71,14 @@ let create ~nslots ~page_size =
       c_discards = Stats.counter stats "cache.discards";
     }
   in
-  (* Default policy: first unpinned, unmapped-elsewhere slot (FIFO-ish);
-     real policies are installed with [set_victim_chooser]. *)
+  (* Default policy: first unpinned slot (FIFO-ish); real policies are
+     installed with [set_victim_chooser]. *)
   t.choose_victim <-
     (fun () ->
       let found = ref None in
       (try
          Array.iter
-           (fun s -> if s.pins = 0 && s.refcount = 0 then begin found := Some s.index; raise Exit end)
+           (fun s -> if s.pins = 0 then begin found := Some s.index; raise Exit end)
            t.slots
        with Exit -> ());
       !found);
@@ -130,8 +127,7 @@ let n_unmapped t = Array.length t.slots - n_resident t
 let unmap t s page =
   Page_id.Tbl.remove t.map page;
   s.page <- None;
-  clear_dirty t s;
-  s.refcount <- 0
+  clear_dirty t s
 
 exception Cache_full
 
@@ -158,9 +154,7 @@ let evict_one t =
               else Stats.bump t.c_evict_clean;
               unmap t s page;
               Stats.bump t.c_evictions
-          | None ->
-              clear_dirty t s;
-              s.refcount <- 0);
+          | None -> clear_dirty t s);
           s)
 
 (* Find a free slot, evicting if necessary: the lowest-index unmapped,

@@ -1,7 +1,7 @@
 (** The page cache: a fixed pool of page-sized slots (Figure 3), with a
-    pluggable replacement policy ({!Clock}, {!State_clock}, {!Two_level})
-    and a per-slot refcount for the shared-memory mode's two-level clock
-    (section 4.2). *)
+    pluggable replacement policy ({!Clock}, {!State_clock}, {!Two_level}).
+    The shared-memory mode's per-slot process counters (section 4.2) are
+    {!Two_level}'s. *)
 
 type slot = {
   index : int;
@@ -12,7 +12,6 @@ type slot = {
       (** recovery LSN: the LSN that took the page from clean to dirty
           (see {!mark_dirty_at}); 0 while clean *)
   mutable pins : int;
-  mutable refcount : int;  (** shared mode: processes mapping this slot *)
 }
 
 type t

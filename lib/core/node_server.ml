@@ -42,10 +42,10 @@ type t = {
   mutable procs : proc array;
   n_vframes : int;
   page_size : int;
-  (* IPC cost model for copy-on-access requests (local socket, not LAN). *)
+  (* IPC cost model for copy-on-access requests (local socket, not LAN),
+     charged to the simulated clock. *)
   local_msg_ns : int;
   local_byte_ns : int;
-  mutable local_clock_ns : int;
   mutable txn : int option; (* node-server-wide transaction at the upstream *)
   dirty : (Page_id.t, unit) Hashtbl.t;
   (* Dirty pages evicted before commit park here (their X locks are held,
@@ -72,7 +72,6 @@ let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
       page_size;
       local_msg_ns;
       local_byte_ns;
-      local_clock_ns = 0;
       txn = None;
       dirty = Hashtbl.create 32;
       pending_writes = Hashtbl.create 32;
@@ -90,10 +89,9 @@ let stats t = t.stats
 let cache t = t.cache
 let smt t = t.smt
 let clock t = t.clock
-let local_clock_ns t = t.local_clock_ns
 
 let account_ipc t ~bytes =
-  t.local_clock_ns <- t.local_clock_ns + t.local_msg_ns + (bytes * t.local_byte_ns);
+  Bess_obs.Span.advance_ns (t.local_msg_ns + (bytes * t.local_byte_ns));
   Bess_util.Stats.incr t.stats "node.ipc_messages";
   Bess_util.Stats.add t.stats "node.ipc_bytes" bytes
 
@@ -254,7 +252,9 @@ let coa_write_back t page bytes =
 
 (* ---- Transaction boundaries ---- *)
 
-(* Every dirty shared page as a full-page update. *)
+(* Every dirty shared page as a full-page update. The before-image is
+   the upstream's copy: the node holds the page's X lock, so that copy is
+   the committed state an abort or a restart undo must put back. *)
 let collect_updates t =
   Hashtbl.fold
     (fun page () acc ->
@@ -265,7 +265,7 @@ let collect_updates t =
       in
       match image with
       | Some after ->
-          { Server.page; offset = 0; before = Bytes.make t.page_size '\000'; after } :: acc
+          { Server.page; offset = 0; before = Server.read_page t.upstream page; after } :: acc
       | None -> acc)
     t.dirty []
 

@@ -145,7 +145,7 @@ let resize_data_segment s (seg : Session.seg_rt) ~new_pages =
   (* Fresh tail pages of a grown segment: zero frames, writable later. *)
   for idx = copy_pages to new_pages - 1 do
     let new_page = { Page_id.area = new_disk.area; page = new_disk.first_page + idx } in
-    Session.map_zero_page s (Session.Data seg) new_page (new_base + (idx * ps))
+    Session.map_zero_page s new_page (new_base + (idx * ps))
   done;
   (* Two arithmetic operations per DP, exactly the slotted-fault fix-up. *)
   let delta = new_base - old_base in

@@ -154,7 +154,7 @@ let install_lock_hooks t =
              Bess_util.Stats.bump t.c.lock_wakes;
              f ()))
 
-let create ?log_path ?log ?group_commit ?(cache_slots = 1024) ?(detect = `Graph) ~id areas =
+let create ?log_path ?log ?group_commit ?(cache_slots = 1024) ~id areas =
   let stats = Bess_util.Stats.create () in
   Bess_obs.Registry.register_stats "server" stats;
   let t =
@@ -168,7 +168,7 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 1024) ?(detect = `Graph)
       wake_subs = Hashtbl.create 16;
       hooks = Event.hooks_create ();
       next_txn = 1;
-      detect;
+      detect = `Graph;
       n_prepared = 0;
       stats;
       c = counters stats;
@@ -252,12 +252,12 @@ let lock t ~txn:txn_id r mode =
    subscribed (one-shot, keyed by transaction — a transaction waits on
    at most one request at a time) and [on_wake] fires when a release
    hands the lock over in place, instead of the caller having to
-   re-poll. Any other verdict clears a stale subscription: a guard
+   re-poll. Any other verdict clears a stale subscription: a deadline
    re-poll that succeeds must not leave its park's wake armed. The
    subscription also dies with the transaction (commit/abort) and with
    the lock table on crash. No wake ever fires for a [`Blocked] caused
    by cached-copy callbacks alone (nothing is queued in the lock table)
-   — parked callers keep a timer as a fallback. *)
+   — parked callers keep a deadline as a fallback. *)
 let lock_async t ~txn:txn_id r mode ~on_wake =
   match lock t ~txn:txn_id r mode with
   | `Blocked ->

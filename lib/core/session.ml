@@ -194,7 +194,7 @@ let txn_for t (b : db_binding) =
 (* Install [bytes] as the backing of [vm_page_addr]. The pool slot is the
    virtual frame of the replacement clock. [pin] keeps it unevictable
    (slot pages; write-set pages pin at fault time). *)
-let map_frame t region page_id vm_page_addr bytes ~pin ~prot =
+let map_frame t page_id vm_page_addr bytes ~pin ~prot =
   let slot =
     Cache.load t.pool page_id ~fill:(fun buf -> Bytes.blit bytes 0 buf 0 (Bytes.length bytes))
   in
@@ -203,7 +203,6 @@ let map_frame t region page_id vm_page_addr bytes ~pin ~prot =
   t.slot_vm.(slot.Cache.index) <- vm_page_addr;
   State_clock.map t.clock ~vframe:slot.Cache.index ~slot:slot.Cache.index;
   Page_id.Tbl.replace t.mapped page_id vm_page_addr;
-  ignore region;
   if not pin then Cache.unpin t.pool slot;
   slot
 
@@ -417,7 +416,7 @@ let slotted_fault t seg =
         { Page_id.area = seg.slotted_disk.area; page = seg.slotted_disk.first_page + i }
       in
       ignore
-        (map_frame t (Slotted seg) page_id (seg.slotted_base + (i * ps)) bytes ~pin:true
+        (map_frame t page_id (seg.slotted_base + (i * ps)) bytes ~pin:true
            ~prot:Prot_read))
     pages;
   seg.slotted_present <- true;
@@ -545,7 +544,7 @@ let data_fault t seg faulting_page_idx =
       if t.policy = Eager then swizzle_page_raw t seg idx t.fetched;
       let pin = idx = faulting_page_idx in
       let slot =
-        map_frame t (Data seg) page_id (seg.data_base + (idx * ps)) t.fetched ~pin
+        map_frame t page_id (seg.data_base + (idx * ps)) t.fetched ~pin
           ~prot:Prot_read
       in
       if pin then pinned := Some slot
@@ -573,7 +572,7 @@ let large_fault t seg slot page_idx =
   if not (Page_id.Tbl.mem t.mapped page_id) then begin
     b.b_fetcher.f_fetch_page ~txn page_id ~mode:Lock_mode.S ~into:t.fetched;
     ignore
-      (map_frame t (Large (seg, slot)) page_id
+      (map_frame t page_id
          (base + (page_idx * page_size t))
          t.fetched ~pin:false ~prot:Prot_read)
   end;
@@ -859,15 +858,10 @@ let finish_write_set t ~keep_frames =
 
 exception Distributed_abort
 
-(* Commit, returning the durability barrier. With [deferred:false] the
-   fetcher's synchronous commit runs (durable before return, barrier is a
-   no-op); with [deferred:true] the single-database path registers with
-   the server's group-commit scheduler and the *barrier* is the
-   acknowledgement point — locks are already released, which prefix
-   durability makes safe (any dependent commit sits at a higher LSN).
-   Multi-database 2PC always commits synchronously: the coordinator's
-   decision must be durable before phase 2. *)
-let commit_with t ~deferred =
+(* Commit through the fetcher's synchronous commit: durable before
+   return. Multi-database commits run 2PC, and the coordinator's
+   decision is durable before phase 2. *)
+let commit t =
   if not t.in_txn then invalid_arg "Session.commit: no transaction open";
   let per_db = updates_by_db t in
   (* Single-database fast path; multi-database commits run 2PC with the
@@ -877,15 +871,9 @@ let commit_with t ~deferred =
       t.dbs []
   in
   let updates_for db = try Hashtbl.find per_db db with Not_found -> [] in
-  let barrier =
-  match active with
-  | [] -> (fun () -> ())
-  | [ (db, b, tx) ] ->
-      if deferred then b.b_fetcher.f_commit_begin ~txn:tx (updates_for db)
-      else begin
-        b.b_fetcher.f_commit ~txn:tx (updates_for db);
-        fun () -> ()
-      end
+  (match active with
+  | [] -> ()
+  | [ (db, b, tx) ] -> b.b_fetcher.f_commit ~txn:tx (updates_for db)
   | _ ->
       let coordinator, participants =
         match List.partition (fun (db, _, _) -> db = t.main_db) active with
@@ -904,8 +892,7 @@ let commit_with t ~deferred =
            the decision record), then phase 2. *)
         let _, cb, ctx = coordinator in
         cb.b_fetcher.f_commit ~txn:ctx (updates_for t.main_db);
-        List.iter (fun (_, b, tx) -> b.b_fetcher.f_decide ~txn:tx `Commit) participants;
-        fun () -> ()
+        List.iter (fun (_, b, tx) -> b.b_fetcher.f_decide ~txn:tx `Commit) participants
       end
       else begin
         let _, cb, ctx = coordinator in
@@ -920,19 +907,14 @@ let commit_with t ~deferred =
         Span.finish ~attrs:[ ("outcome", "abort") ] t.txn_span;
         t.txn_span <- Span.none;
         raise Distributed_abort
-      end
-  in
+      end);
   Hashtbl.iter (fun _ b -> b.b_txn <- None) t.dbs;
   t.in_txn <- false;
   finish_write_set t ~keep_frames:true;
   Span.finish ~attrs:[ ("outcome", "commit") ] t.txn_span;
   t.txn_span <- Span.none;
   Event.fire t.hooks (Txn_commit { txn = 0 });
-  Stats.bump t.c.c_commits;
-  barrier
-
-let commit t = (commit_with t ~deferred:false) ()
-let commit_deferred t = commit_with t ~deferred:true
+  Stats.bump t.c.c_commits
 
 (* Abort: restore every dirtied frame from its before-image (re-applying
    swizzling / DP rebasing so the in-memory form stays consistent), then
@@ -1020,12 +1002,12 @@ let create_segment t ?db_id ?area ~slotted_pages ~data_pages () =
     b.b_fetcher.f_lock ~txn
       (Lock_mgr.page_resource ~area:page_id.area ~page:page_id.page)
       Lock_mode.X;
-    ignore (map_frame t (Slotted seg) page_id (seg.slotted_base + (i * ps)) zeros ~pin:true
+    ignore (map_frame t page_id (seg.slotted_base + (i * ps)) zeros ~pin:true
               ~prot:Prot_read)
   done;
   for i = 0 to data_pages - 1 do
     let page_id = { Page_id.area = data_disk.area; page = data_disk.first_page + i } in
-    ignore (map_frame t (Data seg) page_id (seg.data_base + (i * ps)) zeros ~pin:false
+    ignore (map_frame t page_id (seg.data_base + (i * ps)) zeros ~pin:false
               ~prot:Prot_read)
   done;
   seg.slotted_present <- true;
@@ -1296,7 +1278,7 @@ let create_large_object t seg ~size =
   let zeros = Bytes.make ps '\000' in
   for i = 0 to npages - 1 do
     let page_id = { Page_id.area = disk.area; page = disk.first_page + i } in
-    ignore (map_frame t (Large (seg, idx)) page_id (base + (i * ps)) zeros ~pin:false
+    ignore (map_frame t page_id (base + (i * ps)) zeros ~pin:false
               ~prot:Prot_read)
   done;
   write_slot_i64 t seg idx ~field:Layout.slot_dp base;
@@ -1408,9 +1390,9 @@ let move_mapping t ~old_page ~new_page ~old_vm ~new_vm =
       | None -> ())
 
 (* Map a zeroed frame at [vm] for a brand-new page. *)
-let map_zero_page t region page_id vm =
+let map_zero_page t page_id vm =
   let zeros = Bytes.make (page_size t) '\000' in
-  ignore (map_frame t region page_id vm zeros ~pin:false ~prot:Prot_read)
+  ignore (map_frame t page_id vm zeros ~pin:false ~prot:Prot_read)
 
 (* Return an abandoned data range to the address-space pool. *)
 let release_data_range t _seg ~base ~npages =

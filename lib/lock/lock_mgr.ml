@@ -4,9 +4,9 @@
    it returns [`Granted] or [`Blocked], and a blocked client waits until
    a [release_all] hands it the lock (grant handoff, below). Deadlocks
    are detected two ways, both from the paper's world: timeouts (what
-   BeSS uses for the distributed case) via a logical clock, and an exact
-   waits-for-graph cycle check (what a local lock manager can afford).
-   Experiments can choose either.
+   BeSS uses for the distributed case) on the simulated clock, and an
+   exact waits-for-graph cycle check (what a local lock manager can
+   afford). Experiments can choose either.
 
    Resources are small integer triples so page, file and object locks all
    fit one table: [space] names the namespace (see {!resource}).
@@ -31,21 +31,18 @@
    hook once per granted transaction. Blocked callers park on that wake
    instead of poll-retrying, so a hot resource pays zero dead time
    between a release and the successor's grant ([lock.handoffs] counts
-   the transfers, [lock.wake_to_grant_ticks] the dead time — identically
+   the transfers, [lock.wake_to_grant_ns] the dead time — identically
    zero for handoff grants). The optional grant filter lets the server
    veto an in-place grant that still conflicts with other clients'
    *cached* copies (callback locking): a vetoed waiter keeps its queue
    position and is woken so its own re-poll resolves the conflict, so
    FIFO order survives the veto.
 
-   Timeout discovery is event-driven too: waiters join a global expiry
-   FIFO at enqueue (the logical clock is monotonic and the timeout a
-   table constant, so enqueue order *is* deadline order), and each
-   clock advance drains the expired front, waking those transactions so
-   their re-poll observes [`Timeout] immediately. Without this, a
-   waiter doomed to time out would sleep until its guard timer fired —
-   under deep hot-key convoys that dead time, multiplied by thousands
-   of waiters, was most of the measured lock blame. *)
+   Timeouts are read, not driven: each waiter is stamped with the
+   simulated clock at enqueue, and a re-poll [timeout_ns] or more later
+   returns [`Timeout]. Nothing here advances time or wakes a waiter on
+   expiry — a parked caller keeps one deadline of its own (the driver
+   schedules it on the event heap) and re-polls when it fires. *)
 
 module Span = Bess_obs.Span
 
@@ -58,12 +55,18 @@ let pp_resource ppf r =
   let name = match r.space with 0 -> "page" | 1 -> "obj" | _ -> "res" in
   Fmt.pf ppf "%s(%d,%d)" name r.a r.b
 
+(* A request may wait this long, in simulated ns, before [`Timeout]
+   detection declares it deadlocked. See DESIGN.md §4h for the measured
+   waits it is sized against. *)
+let timeout_ns = 200_000_000
+
 type waiter = {
   w_txn : int;
   w_mode : Lock_mode.t;
-  w_enqueued : int; (* logical tick at enqueue *)
+  w_seq : int; (* per-table enqueue order *)
+  w_enqueued_ns : int; (* simulated clock at enqueue *)
   mutable w_cancelled : bool; (* granted, purged or aborted; skipped on iteration *)
-  mutable w_woken : int; (* tick of the most recent release that woke it; -1 if never *)
+  mutable w_woken_ns : int; (* clock at the most recent wake; -1 if never *)
 }
 
 type entry = {
@@ -74,7 +77,6 @@ type entry = {
 }
 
 type counters = {
-  expiry_wakes : Bess_util.Stats.counter;
   regrants : Bess_util.Stats.counter;
   grants : Bess_util.Stats.counter;
   blocks : Bess_util.Stats.counter;
@@ -84,13 +86,12 @@ type counters = {
   veto_wakes : Bess_util.Stats.counter;
   release_alls : Bess_util.Stats.counter;
   release_scan_entries : Bess_util.Stats.counter;
-  wait_ticks : Bess_util.Stats.hist;
-  wake_to_grant_ticks : Bess_util.Stats.hist;
+  wait_ns : Bess_util.Stats.hist;
+  wake_to_grant_ns : Bess_util.Stats.hist;
 }
 
 let counters stats =
   {
-    expiry_wakes = Bess_util.Stats.counter stats "lock.expiry_wakes";
     regrants = Bess_util.Stats.counter stats "lock.regrants";
     grants = Bess_util.Stats.counter stats "lock.grants";
     blocks = Bess_util.Stats.counter stats "lock.blocks";
@@ -100,42 +101,37 @@ let counters stats =
     veto_wakes = Bess_util.Stats.counter stats "lock.veto_wakes";
     release_alls = Bess_util.Stats.counter stats "lock.release_alls";
     release_scan_entries = Bess_util.Stats.counter stats "lock.release_scan_entries";
-    wait_ticks = Bess_util.Stats.hist stats "lock.wait_ticks";
-    wake_to_grant_ticks = Bess_util.Stats.hist stats "lock.wake_to_grant_ticks";
+    wait_ns = Bess_util.Stats.hist stats "lock.wait_ns";
+    wake_to_grant_ns = Bess_util.Stats.hist stats "lock.wake_to_grant_ns";
   }
 
 type t = {
   table : (resource, entry) Hashtbl.t;
   held : (int, (resource, unit) Hashtbl.t) Hashtbl.t; (* txn -> granted resources *)
   waits : (int, (resource, unit) Hashtbl.t) Hashtbl.t; (* txn -> resources it queues on *)
-  mutable tick : int;
-  timeout : int; (* ticks a request may wait before being declared deadlocked *)
+  mutable next_seq : int; (* stamps [w_seq] *)
   stats : Bess_util.Stats.t;
   c : counters;
   mutable n_waiters : int; (* live waiters across all entries, kept incrementally *)
   mutable wake_hook : (txn:int -> unit) option;
   mutable grant_filter : (txn:int -> resource -> Lock_mode.t -> bool) option;
-  (* Every waiter, in enqueue (= deadline) order; cancelled nodes are
-     discarded as the front drains. Backs the event-driven timeout
-     wake-up: see [check_expiry]. *)
-  expiry : waiter Queue.t;
   (* A wait crosses acquire calls (enqueue in one, grant or purge in
      another), so its span cannot live on the stack: it is opened as a
      root span at enqueue and parked here until the wait resolves. *)
   wait_spans : (int * resource, Span.handle) Hashtbl.t;
 }
 
-let create ?(timeout = 1000) () =
+let create () =
   let stats = Bess_util.Stats.create () in
   (* Eager: the wait and wake-to-grant distributions are part of every
      report even when no request ever blocked. *)
-  ignore (Bess_util.Stats.histogram stats "lock.wait_ticks");
-  ignore (Bess_util.Stats.histogram stats "lock.wake_to_grant_ticks");
+  ignore (Bess_util.Stats.histogram stats "lock.wait_ns");
+  ignore (Bess_util.Stats.histogram stats "lock.wake_to_grant_ns");
   Bess_obs.Registry.register_stats "lock" stats;
   let t =
     { table = Hashtbl.create 256; held = Hashtbl.create 32; waits = Hashtbl.create 32;
-      tick = 0; timeout; stats; c = counters stats; n_waiters = 0; wake_hook = None;
-      grant_filter = None; expiry = Queue.create (); wait_spans = Hashtbl.create 16 }
+      next_seq = 0; stats; c = counters stats; n_waiters = 0; wake_hook = None;
+      grant_filter = None; wait_spans = Hashtbl.create 16 }
   in
   Bess_obs.Registry.register_gauge "lock" "lock.table_size" (fun () ->
       Hashtbl.length t.table);
@@ -146,30 +142,6 @@ let create ?(timeout = 1000) () =
 
 let stats t = t.stats
 
-(* Wake waiters whose deadline has passed. The expiry queue is in
-   deadline order, so this pops an expired or cancelled front and stops
-   at the first live waiter still inside its budget: O(1) amortised per
-   enqueue. The wake hook only schedules the parked client's re-poll
-   (which then observes [`Timeout]); under [`Graph] detection the wake
-   is spurious but harmless. *)
-let check_expiry t =
-  let continue_ = ref true in
-  while !continue_ do
-    match Queue.peek_opt t.expiry with
-    | Some w when w.w_cancelled -> ignore (Queue.pop t.expiry)
-    | Some w when t.tick - w.w_enqueued > t.timeout ->
-        ignore (Queue.pop t.expiry);
-        w.w_woken <- t.tick;
-        Bess_util.Stats.bump t.c.expiry_wakes;
-        (match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn)
-    | _ -> continue_ := false
-  done
-
-let tick t =
-  t.tick <- t.tick + 1;
-  check_expiry t
-
-let now t = t.tick
 let n_waiters t = t.n_waiters
 let set_wake_hook t f = t.wake_hook <- f
 let set_grant_filter t f = t.grant_filter <- f
@@ -255,7 +227,7 @@ let creates_cycle t ~txn =
     let w = Hashtbl.find e.by_txn v in
     let conflicts_with m = not (Lock_mode.compatible w.w_mode m) in
     match Hashtbl.find_opt covered (r, w.w_mode) with
-    | Some (newest, setter) when newest.w_enqueued > w.w_enqueued ->
+    | Some (newest, setter) when newest.w_seq > w.w_seq ->
         setter = txn
         && (match List.assoc_opt txn e.granted with
            | Some m -> conflicts_with m
@@ -308,10 +280,11 @@ let remove_waiter t e ~txn r =
 
 let enqueue_waiter t e ~txn r mode =
   let w =
-    { w_txn = txn; w_mode = mode; w_enqueued = t.tick; w_cancelled = false; w_woken = -1 }
+    { w_txn = txn; w_mode = mode; w_seq = t.next_seq; w_enqueued_ns = Span.now_ns ();
+      w_cancelled = false; w_woken_ns = -1 }
   in
+  t.next_seq <- t.next_seq + 1;
   Queue.push w e.waiting;
-  Queue.push w t.expiry;
   Hashtbl.replace e.by_txn txn w;
   e.n_live <- e.n_live + 1;
   t.n_waiters <- t.n_waiters + 1;
@@ -319,15 +292,16 @@ let enqueue_waiter t e ~txn r mode =
 
 (* A request that waited is about to be granted: record how long it sat
    in the queue, and — if a release woke it — the dead time between that
-   wake and the grant, in logical ticks. Handoff grants set [w_woken] to
-   the current tick first, so their dead time is identically zero; a
-   waiter woken by a veto or an expiry pays the gap until its re-poll. *)
+   wake and the grant, in simulated ns. Handoff grants stamp [w_woken_ns]
+   first, so their dead time is identically zero; a waiter woken by a
+   veto pays the gap until its re-poll. *)
 let observe_wait t e ~txn =
   match Hashtbl.find_opt e.by_txn txn with
   | Some w ->
-      Bess_util.Stats.record t.c.wait_ticks (t.tick - w.w_enqueued);
-      if w.w_woken >= 0 then
-        Bess_util.Stats.record t.c.wake_to_grant_ticks (t.tick - w.w_woken)
+      let now = Span.now_ns () in
+      Bess_util.Stats.record t.c.wait_ns (now - w.w_enqueued_ns);
+      if w.w_woken_ns >= 0 then
+        Bess_util.Stats.record t.c.wake_to_grant_ns (now - w.w_woken_ns)
   | None -> ()
 
 (* Open the parked wait span for a newly enqueued request. Root span:
@@ -352,8 +326,6 @@ let end_wait t ~txn r ~outcome =
         Span.finish ~attrs:[ ("outcome", outcome) ] h
 
 let acquire ?(detect = `Graph) t ~txn r mode : verdict =
-  t.tick <- t.tick + 1;
-  check_expiry t;
   let e = entry t r in
   let current = List.assoc_opt txn e.granted in
   let want = match current with Some m -> Lock_mode.sup m mode | None -> mode in
@@ -400,12 +372,8 @@ let acquire ?(detect = `Graph) t ~txn r mode : verdict =
                 end
                 else `Blocked
             | `Timeout ->
-                let enqueue_tick =
-                  match Hashtbl.find_opt e.by_txn txn with
-                  | Some w -> w.w_enqueued
-                  | None -> t.tick
-                in
-                if t.tick - enqueue_tick > t.timeout then begin
+                let w = Hashtbl.find e.by_txn txn in
+                if Span.now_ns () - w.w_enqueued_ns >= timeout_ns then begin
                   remove_waiter t e ~txn r;
                   end_wait t ~txn r ~outcome:"timeout";
                   Bess_util.Stats.bump t.c.timeouts;
@@ -424,7 +392,7 @@ let acquire ?(detect = `Graph) t ~txn r mode : verdict =
    grant the filter vetoes (a cached-copy conflict the server must first
    call back; the waiter keeps its position and is woken so its own
    re-poll — which runs the full callback path — resolves the conflict
-   without waiting for a guard timer).
+   without waiting for its deadline).
 
    Cost is O(granted prefix), not O(queue): the scan peeks and pops from
    the head, discarding cancelled nodes as it goes, and stops at the
@@ -454,7 +422,7 @@ let grant_scan t e r =
           | Some m -> Lock_mode.sup m w.w_mode
           | None -> w.w_mode
         in
-        w.w_woken <- t.tick;
+        w.w_woken_ns <- Span.now_ns ();
         observe_wait t e ~txn:w.w_txn;
         e.granted <- (w.w_txn, want) :: List.remove_assoc w.w_txn e.granted;
         record_held t ~txn:w.w_txn r;
@@ -470,9 +438,9 @@ let grant_scan t e r =
       else begin
         (* Vetoed (or raced): the waiter keeps its queue position, but
            wake it now — its re-poll runs the full callback path at
-           once instead of sleeping until a guard timer fires. *)
+           once instead of sleeping until its deadline. *)
         if not w.w_cancelled then begin
-          w.w_woken <- t.tick;
+          w.w_woken_ns <- Span.now_ns ();
           Bess_util.Stats.bump t.c.veto_wakes;
           match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn
         end;

@@ -6,11 +6,12 @@
     of each affected queue *in place* — the lock transfers before any
     new acquirer can barge — and fires the registered wake hook per
     granted transaction, so blocked callers park on the wake instead of
-    poll-retrying; waiters whose timeout budget expires are woken the
-    same way, so a doomed request discovers [`Timeout] on its immediate
-    re-poll instead of sleeping until a guard timer fires. Deadlocks are
-    detected either by an exact waits-for-graph cycle check or by
-    timeouts on a logical clock (the paper's distributed mechanism). *)
+    poll-retrying. Deadlocks are detected either by an exact
+    waits-for-graph cycle check or by timeouts on the simulated clock
+    (the paper's distributed mechanism): a request re-polled
+    {!timeout_ns} or more after it queued gets [`Timeout]. The table
+    never advances time or wakes an expired waiter; a parked caller
+    keeps its own deadline and re-polls when it fires. *)
 
 (** A lockable resource: [space] separates the page / object
     namespaces; [a]/[b] are namespace-specific coordinates. *)
@@ -22,27 +23,23 @@ val pp_resource : Format.formatter -> resource -> unit
 
 type t
 
-(** [create ~timeout ()]: [timeout] is in logical ticks for the
-    [`Timeout] detector. *)
-val create : ?timeout:int -> unit -> t
+val create : unit -> t
+
+(** Simulated ns a request may wait before the [`Timeout] detector
+    declares it deadlocked. *)
+val timeout_ns : int
 
 val stats : t -> Bess_util.Stats.t
-
-(** Advance the logical clock (timeout detection). *)
-val tick : t -> unit
-
-val now : t -> int
 
 (** Live waiters across all entries, maintained incrementally (also
     backs the [lock.waiters] gauge). *)
 val n_waiters : t -> int
 
 (** Fired once per transaction granted in place by a release (in grant
-    order), and once per waiter whose timeout budget expires (so its
-    re-poll can observe [`Timeout] without waiting for a guard timer).
-    The hook runs inside the releasing (or clock-advancing) call —
-    receivers should only note the event (e.g. schedule the parked
-    client's resumption), not reenter the lock table. *)
+    order), and once per waiter whose in-place grant the filter vetoed.
+    The hook runs inside the releasing call — receivers should only
+    note the event (e.g. schedule the parked client's resumption), not
+    reenter the lock table. *)
 val set_wake_hook : t -> (txn:int -> unit) option -> unit
 
 (** Veto for in-place grants: called before a handoff transfers the
@@ -59,7 +56,8 @@ type verdict = [ `Granted | `Blocked | `Deadlock | `Timeout ]
 (** Request [mode] on a resource for [txn]. Regrants and upgrades of held
     locks are recognised; fresh requests respect FIFO order so writers
     are not starved. [`Deadlock] is a proven waits-for cycle: this
-    transaction should abort. [`Timeout] (timeout detection only) is
+    transaction should abort. [`Timeout] (timeout detection only, on a
+    re-poll at least {!timeout_ns} after the request queued) is
     mere suspicion — the caller may abort-and-retry the transaction,
     where retrying a proven deadlock verbatim would just cycle again. *)
 val acquire : ?detect:[ `Graph | `Timeout ] -> t -> txn:int -> resource -> Lock_mode.t -> verdict

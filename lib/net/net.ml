@@ -4,7 +4,7 @@
    experiments that compare operation modes and callback locking are
    dominated by *message counts* and *bytes shipped*, so the transport
    models exactly that: synchronous RPC between registered endpoints, with
-   per-message and per-byte costs accumulated on a simulated clock, plus
+   per-message and per-byte costs charged to the simulated clock, plus
    full message/byte accounting per endpoint pair.
 
    Endpoints are in-process: a call executes the destination handler
@@ -25,17 +25,14 @@ type ('req, 'resp) t = {
   resp_cost : 'resp -> int;
   per_message_ns : int;
   per_byte_ns : int;
-  mutable clock_ns : int;
   mutable in_flight : int; (* messages currently being delivered (nested RPCs stack) *)
   stats : Stats.t;
   c_messages : Stats.counter;
   c_bytes : Stats.counter;
-  routes : route Route.t;
+  (* One route's labeled [net.calls{src->dst}] handle, made on its first
+     message, so a delivery formats no label. *)
+  routes : Stats.counter Route.t;
 }
-
-(* One route's labeled [net.calls{src->dst}] / [net.sends{src->dst}]
-   handles, made on its first message, so a delivery formats no label. *)
-and route = { calls : Stats.counter; sends : Stats.counter }
 
 let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost () =
   let stats = Stats.create () in
@@ -47,7 +44,6 @@ let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost 
       resp_cost;
       per_message_ns;
       per_byte_ns;
-      clock_ns = 0;
       in_flight = 0;
       stats;
       c_messages = Stats.counter stats "net.messages";
@@ -74,7 +70,6 @@ let register t ~id handler = Hashtbl.replace t.handlers id handler
 let unregister t ~id = Hashtbl.remove t.handlers id
 
 let stats t = t.stats
-let clock_ns t = t.clock_ns
 
 exception No_such_endpoint of int
 
@@ -85,24 +80,20 @@ exception Timeout of int (* dst *)
 
 let account t ~bytes =
   let cost = t.per_message_ns + (bytes * t.per_byte_ns) in
-  t.clock_ns <- t.clock_ns + cost;
-  (* Wire time is the dominant cost model, so it also drives the
-     process-wide span clock: net.wire spans get their true width. *)
+  (* Wire time is the dominant cost model: it advances the one simulated
+     clock, so net.wire spans get their true width. *)
   Span.advance_ns cost;
   Stats.bump t.c_messages;
   Stats.bump_by t.c_bytes bytes
 
-let route t ~src ~dst =
+let route_calls t ~src ~dst =
   match Route.find_opt t.routes (src, dst) with
-  | Some r -> r
+  | Some c -> c
   | None ->
       let label = Printf.sprintf "%d->%d" src dst in
-      let r =
-        { calls = Stats.labeled_counter t.stats "net.calls" ~label;
-          sends = Stats.labeled_counter t.stats "net.sends" ~label }
-      in
-      Route.add t.routes (src, dst) r;
-      r
+      let c = Stats.labeled_counter t.stats "net.calls" ~label in
+      Route.add t.routes (src, dst) c;
+      c
 
 let route_attrs src dst =
   if Span.enabled () then [ ("src", string_of_int src); ("dst", string_of_int dst) ] else []
@@ -128,7 +119,6 @@ let dead_letter t ~bytes dst =
 let inject_delay t =
   if Bess_fault.Fault.fire "net.delay" then begin
     let spike = (1 + Bess_fault.Fault.draw "net.delay" ~bound:20) * t.per_message_ns in
-    t.clock_ns <- t.clock_ns + spike;
     Span.advance_ns spike;
     Stats.incr t.stats "net.delays";
     Stats.add t.stats "net.delay_ns" spike
@@ -149,7 +139,7 @@ let call t ~src ~dst req =
             Stats.incr t.stats "net.dropped_requests";
             raise (Timeout dst)
           end;
-          Stats.bump (route t ~src ~dst).calls;
+          Stats.bump (route_calls t ~src ~dst);
           let resp = Span.with_span ~kind:"net.handler" (fun () -> handler ~src req) in
           let resp =
             if Bess_fault.Fault.fire "net.dup" then begin
@@ -165,23 +155,6 @@ let call t ~src ~dst req =
             raise (Timeout dst)
           end;
           resp)
-
-(* One-way message (server-initiated callbacks): still executes the
-   handler synchronously, but only one message is accounted. *)
-let send t ~src ~dst req =
-  match Hashtbl.find_opt t.handlers dst with
-  | None -> dead_letter t ~bytes:(t.req_cost req) dst
-  | Some handler ->
-      Span.with_span ~attrs:(route_attrs src dst) ~kind:"net.send" (fun () ->
-          delivering t @@ fun () ->
-          inject_delay t;
-          Span.with_span ~kind:"net.wire" (fun () -> account t ~bytes:(t.req_cost req));
-          if Bess_fault.Fault.fire "net.drop_request" then begin
-            Stats.incr t.stats "net.dropped_requests";
-            raise (Timeout dst)
-          end;
-          Stats.bump (route t ~src ~dst).sends;
-          ignore (Span.with_span ~kind:"net.handler" (fun () -> handler ~src req)))
 
 let messages t = Stats.value t.c_messages
 let bytes t = Stats.value t.c_bytes

@@ -1,7 +1,8 @@
 (** Simulated client/server transport (Figure 2's network).
 
     Synchronous RPC between registered in-process endpoints, with
-    per-message and per-byte costs accumulated on a simulated clock and
+    per-message and per-byte costs charged to the simulated clock
+    ({!Bess_obs.Span.advance_ns}) and
     full message/byte accounting — the quantities that dominate the
     paper's client/server comparisons. Handlers may issue nested calls
     (a node server forwarding a fetch; a 2PC coordinator contacting
@@ -28,9 +29,6 @@ val register : ('req, 'resp) t -> id:int -> ('req, 'resp) handler -> unit
 val unregister : ('req, 'resp) t -> id:int -> unit
 val stats : ('req, 'resp) t -> Bess_util.Stats.t
 
-(** Accumulated simulated wire time. *)
-val clock_ns : ('req, 'resp) t -> int
-
 (** Raised on delivery to an unregistered endpoint — after the request
     bytes are accounted (they crossed the wire before bouncing). *)
 exception No_such_endpoint of int
@@ -44,9 +42,6 @@ exception Timeout of int
 
 (** Synchronous RPC: one request message + one reply message accounted. *)
 val call : ('req, 'resp) t -> src:int -> dst:int -> 'req -> 'resp
-
-(** One-way message (server-initiated callbacks): one message accounted. *)
-val send : ('req, 'resp) t -> src:int -> dst:int -> 'req -> unit
 
 val messages : ('req, 'resp) t -> int
 val bytes : ('req, 'resp) t -> int

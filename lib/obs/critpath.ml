@@ -63,7 +63,7 @@ let n_phases = 8
 let phase_of_kind = function
   | "lock.wait" | "lock.acquire" -> Lock
   | "wal.append" | "wal.force" | "wal.group_force" | "wal.ticket_wait" -> Wal
-  | "net.rpc" | "net.wire" | "net.send" -> Net
+  | "net.rpc" | "net.wire" -> Net
   | "client.backoff" -> Backoff
   (* Coordinator self time: vote collection bookkeeping and the decide
      fan-out — the child net/wal spans underneath still claim their own

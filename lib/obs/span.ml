@@ -66,7 +66,6 @@ let kinds =
     "net.rpc"; (* full RPC round trip *)
     "net.wire"; (* simulated wire time of one message *)
     "net.handler"; (* destination handler execution *)
-    "net.send"; (* one-way message (callbacks) *)
     "vmem.fault"; (* protection-fault resolution *)
     "cache.miss"; (* miss fill *)
     "cache.evict"; (* eviction, including dirty writeback *)

@@ -17,16 +17,14 @@
    to the lock manager's wake-on-release handoff via
    [Server.lock_async] and hops back onto the heap only when the lock
    has already been transferred to it in place ([sched.lock_parks] /
-   [sched.lock_wakeups]). A decorrelated-jitter timer is kept per park
-   purely as a [`Timeout]/[`Deadlock] recovery guard — it starts an
-   order of magnitude later than a poll interval and almost never fires
-   ([sched.lock_retries]); the jitter keeps equal-seed cohorts from
-   re-polling in lockstep.
+   [sched.lock_wakeups]). Each park also schedules one deadline event
+   [Lock_mgr.timeout_ns] later; if the park is still live when it fires,
+   the client re-polls, and under [`Timeout] detection that re-poll
+   gives the attempt up.
 
    Determinism: per-client splitmix64 streams split off the config seed
-   in client order (a separate per-client jitter stream keeps guard
-   timing from perturbing the workload draws), plus the heap's
-   (tick, seq) total order. Nothing reads wall time. *)
+   in client order, plus the heap's (tick, seq) total order. Nothing
+   reads wall time. *)
 
 module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
@@ -37,13 +35,6 @@ module Page_id = Bess_cache.Page_id
 
 (* Modeled in-transaction work between the lock grant and the commit. *)
 let txn_work_ns = 5_000
-
-(* The recovery guard behind a parked lock request: its first delay is
-   drawn from [guard_base_ns] up, it escalates with decorrelated jitter
-   to an 8x cap, and after [max_lock_retries] fires a blocked attempt
-   gives up. *)
-let guard_base_ns = 800_000
-let max_lock_retries = 12
 
 type config = {
   n_clients : int;
@@ -95,39 +86,19 @@ let throughput r =
    of the supplied stream, so equal seeds draw equal workloads whether a
    run is single-server or sharded. *)
 
-(* The Zipf CDF is O(n) to build, so it is built once and shared:
+(* The Zipf table is O(n) to build, so it is built once and shared:
    clients draw through it with their own streams. Rank i maps to
    working-set index i — popularity order is working-set order. *)
-let zipf_cdf ~theta n =
-  if theta <= 0.0 || n <= 0 then None
-  else begin
-    let cdf = Array.make n 0.0 in
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) theta);
-      cdf.(i) <- !acc
-    done;
-    Some cdf
-  end
-
 let make_picker ~zipf_theta ~hot_fraction ~hot_pages ~n =
   if n <= 0 then invalid_arg "Driver.make_picker: empty working set";
-  let cdf = zipf_cdf ~theta:zipf_theta n in
+  let zipf = if zipf_theta <= 0.0 then None else Some (Prng.zipf_table ~n ~theta:zipf_theta) in
   fun prng ->
     if hot_pages > 0 && hot_fraction > 0.0 && Prng.float prng < hot_fraction then
       Prng.int prng (Stdlib.min hot_pages n)
     else
-      match cdf with
+      match zipf with
       | None -> Prng.int prng n
-      | Some cdf ->
-          let u = Prng.float prng *. cdf.(n - 1) in
-          let rec search lo hi =
-            if lo >= hi then lo
-            else
-              let mid = (lo + hi) / 2 in
-              if cdf.(mid) < u then search (mid + 1) hi else search lo mid
-          in
-          search 0 (n - 1)
+      | Some table -> Prng.zipf_draw prng table
 
 let exp_think ~mean_ns prng =
   if mean_ns <= 0 then 0
@@ -136,11 +107,9 @@ let exp_think ~mean_ns prng =
 type client = {
   c_id : int;
   c_prng : Prng.t;
-  c_jitter : Prng.t; (* guard-timer jitter only: keeps workload draws stable *)
   mutable c_connected : bool;
   mutable c_left : int; (* transaction attempts remaining *)
-  mutable c_park : int; (* generation token: stale wakes/guards no-op *)
-  mutable c_backoff_ns : int; (* previous guard delay (decorrelated jitter state) *)
+  mutable c_park : int; (* generation token: stale wakes/deadlines no-op *)
 }
 
 (* Segments cap at one extent of contiguous pages, so the working set is
@@ -176,17 +145,15 @@ let run ?sched server ~pages cfg =
   let c_indeterminate = Stats.counter st "sched.indeterminate" in
   let c_lock_wakeups = Stats.counter st "sched.lock_wakeups" in
   let c_lock_parks = Stats.counter st "sched.lock_parks" in
-  let c_lock_retries = Stats.counter st "sched.lock_retries" in
   let h_commit_latency = Stats.hist st "sched.commit_latency_ns" in
   let h_txn_latency = Stats.hist st "sched.txn_latency_ns" in
   let commits = ref 0 and aborts = ref 0 and give_ups = ref 0 in
   let indeterminate = ref 0 and disconnects = ref 0 and reconnects = ref 0 in
   let t0 = Span.now_ns () in
   (* The run's simulated span ends at its last *state-changing* event:
-     a guard timer whose park token went stale is a tombstone, and the
-     heap draining those after the final commit must not stretch
-     [r_sim_ns] (it would understate throughput for whichever variant
-     schedules the longer guards). Every real handler touches this. *)
+     a deadline whose park token went stale is a tombstone, and the heap
+     draining those after the final commit must not stretch [r_sim_ns].
+     Every real handler touches this. *)
   let last_ns = ref t0 in
   let touch () = last_ns := Span.now_ns () in
   let events0 = Sched.events_run sched in
@@ -200,40 +167,26 @@ let run ?sched server ~pages cfg =
   let clients =
     Array.init cfg.n_clients (fun i ->
         let prng = Prng.split master in
+        (* Each client stream starts one draw in: the seeds pinned by
+           the tests and benchmarks were recorded with that offset. *)
+        ignore (Prng.split prng);
         { c_id = 10_000 + i;
           c_prng = prng;
-          c_jitter = Prng.split prng;
           c_connected = true;
           c_left = cfg.txns_per_client;
-          c_park = 0;
-          c_backoff_ns = 0 })
+          c_park = 0 })
   in
   let churn_roll c = cfg.churn > 0.0 && Prng.float c.c_prng < cfg.churn in
-  (* Guard-timer delay with decorrelated jitter (base..3x previous,
-     capped), drawn from the client's own jitter stream: equal-seed
-     cohorts do not re-poll in lockstep, yet every delay is a pure
-     function of the master seed. The timer is only [`Timeout]/[`Deadlock]
-     recovery behind a guaranteed wake, so it starts an order of
-     magnitude later than a poll interval would. *)
-  let next_backoff c ~retries =
-    if retries = 0 then c.c_backoff_ns <- 0;
-    let base = guard_base_ns in
-    let cap = base * 8 in
-    let prev = Stdlib.max base c.c_backoff_ns in
-    let d = Stdlib.min cap (base + Prng.int c.c_jitter (Stdlib.max 1 ((prev * 3) - base))) in
-    c.c_backoff_ns <- d;
-    d
-  in
   (* Per-attempt tracing state: the sched.txn root span spanning the
      whole attempt (opened across events via [Span.with_handle]), the
-     currently open backoff child, the durability-ticket wait child,
-     and the scheduler lag accrued by this attempt's events. The root
-     carries the accumulated lag and the outcome as attributes, which
-     is what {!Bess_obs.Critpath} decomposes. *)
+     durability-ticket wait child, and the scheduler lag accrued by this
+     attempt's events. The root carries the accumulated lag and the
+     outcome as attributes, which is what {!Bess_obs.Critpath}
+     decomposes; a parked lock wait shows up as root self time that the
+     lock manager's [lock.wait] root relabels. *)
   let module A = struct
     type t = {
       mutable a_span : Span.handle;
-      mutable a_backoff : Span.handle;
       mutable a_ticket : Span.handle;
       mutable a_lag : int;
     }
@@ -246,12 +199,10 @@ let run ?sched server ~pages cfg =
           ~kind:"sched.txn" ()
       else Span.none
     in
-    { A.a_span; a_backoff = Span.none; a_ticket = Span.none; a_lag = Sched.current_lag_ns sched }
+    { A.a_span; a_ticket = Span.none; a_lag = Sched.current_lag_ns sched }
   in
   let accrue_lag (a : A.t) = a.A.a_lag <- a.A.a_lag + Sched.current_lag_ns sched in
   let close_attempt (a : A.t) ~outcome =
-    Span.finish a.A.a_backoff;
-    a.A.a_backoff <- Span.none;
     Span.finish a.A.a_ticket;
     a.A.a_ticket <- Span.none;
     Span.finish
@@ -268,32 +219,31 @@ let run ?sched server ~pages cfg =
         Span.with_handle a.A.a_span (fun () ->
             let txn = Bess.Server.begin_txn server ~client:c.c_id in
             Span.annotate_handle a.A.a_span "txn" (string_of_int txn);
-            attempt c ~a ~txn ~t_begin:(Span.now_ns ()) ~page:(pick_page c.c_prng)
-              ~retries:0)
+            attempt c ~a ~txn ~t_begin:(Span.now_ns ()) ~page:(pick_page c.c_prng))
       end
     end
-  and attempt c ~a ~txn ~t_begin ~page ~retries =
+  and attempt c ~a ~txn ~t_begin ~page =
     let pid = pages.(page) in
     let r = Lock_mgr.page_resource ~area:pid.Page_id.area ~page:pid.Page_id.page in
     c.c_park <- c.c_park + 1;
     let park = c.c_park in
-    let resume ~retries () =
+    (* Re-poll as an event of its own. The wake and the deadline race
+       for one park; whichever runs first moves the token on, so the
+       other no-ops. *)
+    let resume () =
       touch ();
       accrue_lag a;
-      Span.finish a.A.a_backoff;
-      a.A.a_backoff <- Span.none;
-      Span.with_handle a.A.a_span (fun () -> attempt c ~a ~txn ~t_begin ~page ~retries)
+      Span.with_handle a.A.a_span (fun () -> attempt c ~a ~txn ~t_begin ~page)
     in
     let on_wake () =
       (* Fires synchronously inside the releasing transaction's event,
-         with the lock already transferred to us in place. Invalidate
-         the pending guard timer and hop back onto the heap so the
-         resumed attempt runs as its own event (zero simulated dead
-         time: the hop lands at the current tick). *)
+         with the lock already transferred to us in place. Hop back onto
+         the heap so the resumed attempt runs as its own event (zero
+         simulated dead time: the hop lands at the current tick). *)
       if c.c_park = park then begin
         c.c_park <- c.c_park + 1;
         Stats.bump c_lock_wakeups;
-        Sched.schedule sched ~after:0 (resume ~retries)
+        Sched.schedule sched ~after:0 resume
       end
     in
     match Bess.Server.lock_async server ~txn r Lock_mode.X ~on_wake with
@@ -314,30 +264,18 @@ let run ?sched server ~pages cfg =
               accrue_lag a;
               Span.with_handle a.A.a_span (fun () -> commit_txn c ~a ~txn ~t_begin ~page))
     | `Blocked ->
-        if retries >= max_lock_retries then begin
-          (* The abort also purges our queued waiter and drops the wake
-             subscription just registered above. *)
-          Bess.Server.abort_client server ~txn;
-          incr give_ups;
-          Stats.bump c_give_ups;
-          finish_attempt c ~a ~outcome:"give_up"
-        end
-        else begin
-          (* Park on the wake; the timer below is only the recovery
-             guard. It re-polls so the lock manager's logical clock can
-             return the [`Timeout] verdict, and it is the sole path
-             forward for waits no wake can resolve (a block caused by
-             cached-copy callbacks alone). *)
-          Stats.bump c_lock_parks;
-          a.A.a_backoff <-
-            Span.start ~attrs:[ ("retries", string_of_int retries) ] ~kind:"client.backoff" ();
-          Sched.schedule sched ~after:(next_backoff c ~retries) (fun () ->
-              if c.c_park = park then begin
-                Stats.bump c_lock_retries;
-                resume ~retries:(retries + 1) ()
-              end)
-        end
-    | `Deadlock | `Timeout ->
+        (* Park on the wake, with one deadline behind it: a live park
+           re-polls [timeout_ns] later, which under [`Timeout] detection
+           gives the attempt up and under [`Graph] parks it again. *)
+        Stats.bump c_lock_parks;
+        Sched.schedule sched ~after:Lock_mgr.timeout_ns (fun () ->
+            if c.c_park = park then resume ())
+    | `Timeout ->
+        Bess.Server.abort_client server ~txn;
+        incr give_ups;
+        Stats.bump c_give_ups;
+        finish_attempt c ~a ~outcome:"give_up"
+    | `Deadlock ->
         Bess.Server.abort_client server ~txn;
         incr aborts;
         Stats.bump c_aborts;

@@ -7,22 +7,19 @@
     closed-loop methodology, so offered load self-regulates with
     latency. Blocked lock requests park on the lock manager's
     wake-on-release handoff ([Bess.Server.lock_async]) and resume the
-    moment the lock is transferred to them in place; a
-    decorrelated-jitter guard timer survives per park solely for
-    [`Timeout]/[`Deadlock] recovery. It is a fixed constant, not a knob:
-    800 µs base, escalating to a 6.4 ms cap, and an attempt whose guard
-    has fired 12 times gives up. Proven deadlocks and timeout
-    suspicions abort and consume the attempt; [sched.lock_parks],
-    [sched.lock_wakeups] and [sched.lock_retries] count the park/wake
+    moment the lock is transferred to them in place. Each park also
+    schedules one deadline event {!Bess_lock.Lock_mgr.timeout_ns} later;
+    if the park is still live when it fires, the client re-polls. Under
+    [`Timeout] detection that re-poll gives the attempt up; under
+    [`Graph] it parks again. Proven deadlocks abort the attempt;
+    [sched.lock_parks] and [sched.lock_wakeups] count the park/wake
     traffic. Session churn disconnects clients (optionally while
     holding locks — the server must abort their transactions and free
     the lock table) and reconnects them after a delay.
 
     All randomness comes from per-client splitmix64 streams split off
-    [seed] (guard jitter has its own per-client stream so timer noise
-    never perturbs the workload draws), and all interleaving from the
-    deterministic event heap, so the same config produces identical
-    event orders and counters. *)
+    [seed], and all interleaving from the deterministic event heap, so
+    the same config produces identical event orders and counters. *)
 
 type config = {
   n_clients : int;
@@ -43,14 +40,14 @@ val default : config
 
 type result = {
   r_commits : int;
-  r_aborts : int;          (** deadlock / timeout-suspicion aborts *)
-  r_give_ups : int;        (** lock-retry budgets exhausted *)
+  r_aborts : int;          (** proven deadlocks and lock violations *)
+  r_give_ups : int;        (** lock waits that reached their deadline *)
   r_indeterminate : int;   (** commit outcomes lost to injected faults *)
   r_disconnects : int;
   r_reconnects : int;
   r_events : int;          (** scheduler events executed *)
   r_sim_ns : int;          (** simulated time through the last state-changing event
-                               (stale guard-timer tombstones past the end don't stretch it) *)
+                               (stale deadlines past the end don't stretch it) *)
   r_commit_p50_ns : int;   (** commit-begin to durability-ack latency *)
   r_commit_p99_ns : int;
 }

@@ -26,30 +26,6 @@ type t = {
   mutable last_parts : (int * int) list;
 }
 
-(* A committed working set of [n_pages] data pages on [db], allocated
-   through a throwaway direct session (same shape as the bench
-   workloads). *)
-let working_set db ~n_pages =
-  let s = Bess.Db.session db in
-  Bess.Session.begin_txn s;
-  let pages = ref [] in
-  let remaining = ref n_pages in
-  while !remaining > 0 do
-    let n = Stdlib.min 128 !remaining in
-    let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:n () in
-    let d = seg.Bess.Session.data_disk in
-    for i = 0 to n - 1 do
-      pages :=
-        { Page_id.area = d.Bess_storage.Seg_addr.area;
-          page = d.Bess_storage.Seg_addr.first_page + i }
-        :: !pages
-    done;
-    remaining := !remaining - n
-  done;
-  Bess.Session.commit s;
-  Bess.Session.drop_all_cached s;
-  Array.of_list (List.rev !pages)
-
 (* The coordinator's endpoint, clear of the shards' 1..n. *)
 let coord_id = 900
 
@@ -62,7 +38,9 @@ let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?coord_log_path ?
         Bess.Db.create_memory ~page_size ~host:(i + 1) ~db_id:(i + 1) ())
   in
   Array.iter (fun db -> Remote.serve net (Bess.Db.server db)) dbs;
-  let pages = Array.map (fun db -> working_set db ~n_pages:pages_per_shard) dbs in
+  let pages =
+    Array.map (fun db -> Bess_sched.Driver.seed_working_set db ~n_pages:pages_per_shard) dbs
+  in
   let coord = Twopc.create ~id:coord_id ?log_path:coord_log_path ?policy ~net () in
   { net; dbs; pages; coord; rids = Hashtbl.create 64; last_parts = [] }
 

@@ -58,9 +58,11 @@ let shuffle t a =
   done
 
 (* Zipf-distributed ranks in [0, n), computed by inverting the generalised
-   harmonic CDF. The CDF table costs O(n) to build, so it is cached in the
-   sampler closure; workloads build one sampler and draw many times. *)
-let zipf t ~n ~theta =
+   harmonic CDF. The CDF table costs O(n) to build, so it is built once
+   and shared; any number of streams draw through it. *)
+type zipf_table = float array
+
+let zipf_table ~n ~theta =
   if n <= 0 then invalid_arg "Prng.zipf: n must be positive";
   let cdf = Array.make n 0.0 in
   let acc = ref 0.0 in
@@ -68,14 +70,20 @@ let zipf t ~n ~theta =
     acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) theta);
     cdf.(i) <- !acc
   done;
-  let total = !acc in
-  fun () ->
-    let u = float t *. total in
-    (* Binary search for the first index whose cumulative weight covers u. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if cdf.(mid) < u then search (mid + 1) hi else search lo mid
-    in
-    search 0 (n - 1)
+  cdf
+
+let zipf_draw t cdf =
+  let n = Array.length cdf in
+  let u = float t *. cdf.(n - 1) in
+  (* Binary search for the first index whose cumulative weight covers u. *)
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if cdf.(mid) < u then search (mid + 1) hi else search lo mid
+  in
+  search 0 (n - 1)
+
+let zipf t ~n ~theta =
+  let cdf = zipf_table ~n ~theta in
+  fun () -> zipf_draw t cdf

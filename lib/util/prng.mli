@@ -36,6 +36,16 @@ val bytes : t -> int -> Bytes.t
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
 
+(** The inverted CDF of Zipf([theta]) over ranks [0, n): O(n) to build,
+    shared by every stream that draws through it. *)
+type zipf_table
+
+val zipf_table : n:int -> theta:float -> zipf_table
+
+(** [zipf_draw t table]: one Zipf-distributed rank; rank 0 is the
+    hottest. *)
+val zipf_draw : t -> zipf_table -> int
+
 (** [zipf t ~n ~theta] builds a sampler of Zipf-distributed ranks in
-    [0, n); rank 0 is the hottest. [theta = 0.] degenerates to uniform. *)
+    [0, n) drawing from [t]. [theta = 0.] degenerates to uniform. *)
 val zipf : t -> n:int -> theta:float -> unit -> int

@@ -10,8 +10,8 @@
      one-force-per-commit behaviour, and the default.
    - [Group_n n]: force once [n] tickets are pending, so up to [n]
      committers share a single modeled-100µs fsync.
-   - [Window w]: force when the simulated span clock has advanced [w]
-     ticks past the oldest pending registration.
+   - [Window w]: force when the simulated clock has advanced [w] ns
+     past the oldest pending registration.
 
    Because the log is forced as a *prefix* ([Log.flush ~lsn] makes
    everything up to [lsn] durable), one coalesced force releases every
@@ -90,7 +90,7 @@ let create ?(policy = Immediate) log =
     { log; policy; pending = []; n_pending = 0; window_start = -1;
       c_forces = Stats.counter st "wal.group.forces";
       h_commits_per_force = Stats.hist st "wal.group.commits_per_force";
-      h_force_wait = Stats.hist st "wal.force_wait_ticks" }
+      h_force_wait = Stats.hist st "wal.force_wait_ns" }
   in
   Bess_obs.Registry.register_gauge "wal" "wal.pending_tickets" (fun () -> t.n_pending);
   t

@@ -6,13 +6,15 @@
     according to {!policy}, releasing every waiting ticket the durable
     prefix covers. Forces are surfaced in the log's stats under
     [wal.group.forces], [wal.group.commits_per_force] (histogram) and
-    [wal.force_wait_ticks] (histogram, simulated ns from registration to
+    [wal.force_wait_ns] (histogram, simulated ns from registration to
     release), and traced as [wal.group_force] spans. *)
 
 type policy =
   | Immediate  (** force on registration — one fsync per commit (default) *)
   | Group_n of int  (** force once per [n] pending committers *)
-  | Window of int  (** force when the span clock advances past a ticks window *)
+  | Window of int
+      (** force once the simulated clock is this many ns past the oldest
+          pending registration *)
 
 type ticket
 type t

@@ -247,7 +247,7 @@ let prop_free_slot_matches_scan =
       let slots () = List.init nslots (Cache.slot c) in
       let first p = List.find_opt p (slots ()) in
       let old_scan () = first (fun s -> s.Cache.page = None && s.Cache.pins = 0) in
-      let victim () = first (fun s -> s.Cache.pins = 0 && s.Cache.refcount = 0) in
+      let victim () = first (fun s -> s.Cache.pins = 0) in
       let pinned = ref [] in
       let step = function
         | Load (p, keep) -> (

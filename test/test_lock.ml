@@ -4,6 +4,7 @@
 module Lock_mode = Bess_lock.Lock_mode
 module Lock_mgr = Bess_lock.Lock_mgr
 module Callback = Bess_lock.Callback
+module Span = Bess_obs.Span
 
 let r1 = Lock_mgr.page_resource ~area:1 ~page:1
 let r2 = Lock_mgr.page_resource ~area:1 ~page:2
@@ -66,14 +67,12 @@ let test_deadlock_graph () =
   Alcotest.(check bool) "cycle detected" true (Lock_mgr.acquire m ~txn:2 r1 Lock_mode.X = `Deadlock)
 
 let test_deadlock_timeout () =
-  let m = Lock_mgr.create ~timeout:5 () in
+  let m = Lock_mgr.create () in
   ignore (Lock_mgr.acquire ~detect:`Timeout m ~txn:1 r1 Lock_mode.X);
   Alcotest.(check bool) "blocks initially" true
     (Lock_mgr.acquire ~detect:`Timeout m ~txn:2 r1 Lock_mode.X = `Blocked);
-  (* Let the logical clock run past the timeout. *)
-  for _ = 1 to 10 do
-    Lock_mgr.tick m
-  done;
+  (* Let the simulated clock run to the deadline. *)
+  Span.advance_ns Lock_mgr.timeout_ns;
   (* A timeout is reported as `Timeout (suspicion), distinct from the
      proven-cycle `Deadlock verdict, and counted separately. *)
   Alcotest.(check bool) "times out" true
@@ -160,7 +159,7 @@ let test_handoff_shared_prefix () =
 (* The grant filter vetoes a handoff (a cached-copy conflict the server
    must resolve first): the waiter keeps its FIFO position but is woken
    at once — its re-poll, after the veto lifts, still gets the lock
-   without waiting for a guard timer. *)
+   without waiting for its deadline. *)
 let test_grant_filter_veto () =
   let m = Lock_mgr.create () in
   let veto = ref true in
@@ -200,36 +199,35 @@ let test_wake_to_grant_bounded () =
   ignore (Lock_mgr.release_all m ~txn:n);
   Alcotest.(check int) "all handoffs" (n - 1)
     (Bess_util.Stats.get (Lock_mgr.stats m) "lock.handoffs");
-  (match Bess_util.Stats.find_histogram (Lock_mgr.stats m) "lock.wake_to_grant_ticks" with
-  | None -> Alcotest.fail "wake_to_grant_ticks histogram missing"
+  (match Bess_util.Stats.find_histogram (Lock_mgr.stats m) "lock.wake_to_grant_ns" with
+  | None -> Alcotest.fail "wake_to_grant_ns histogram missing"
   | Some h ->
       Alcotest.(check int) "every transfer observed" (n - 1) (Bess_util.Histogram.count h);
       Alcotest.(check int) "zero dead ticks end to end" 0 (Bess_util.Histogram.sum h));
   Alcotest.(check int) "no leaked entries" 0 (Lock_mgr.n_locks m)
 
-(* Event-driven timeout discovery: a waiter whose budget expires is
-   woken by the clock advance itself — its immediate re-poll observes
-   [`Timeout] — instead of sleeping until some guard timer re-polls. *)
-let test_expiry_wake_on_timeout () =
-  let m = Lock_mgr.create ~timeout:5 () in
-  let wakes = ref [] in
-  Lock_mgr.set_wake_hook m (Some (fun ~txn -> wakes := txn :: !wakes));
-  ignore (Lock_mgr.acquire m ~txn:1 r1 Lock_mode.X);
+(* A timeout is simulated time spent queued, not lock-table traffic:
+   any number of unrelated acquires leave the waiter's verdict alone,
+   and it turns into [`Timeout] at exactly [timeout_ns] after enqueue. *)
+let test_timeout_on_the_simulated_clock () =
+  let m = Lock_mgr.create () in
+  ignore (Lock_mgr.acquire ~detect:`Timeout m ~txn:1 r1 Lock_mode.X);
   Alcotest.(check bool) "queues" true
     (Lock_mgr.acquire ~detect:`Timeout m ~txn:2 r1 Lock_mode.X = `Blocked);
-  for _ = 1 to 10 do
-    Lock_mgr.tick m
+  for i = 0 to 1_000 do
+    let r = Lock_mgr.page_resource ~area:2 ~page:i in
+    ignore (Lock_mgr.acquire ~detect:`Timeout m ~txn:(100 + i) r Lock_mode.X)
   done;
-  Alcotest.(check (list int)) "expiry wake for the doomed waiter" [ 2 ] !wakes;
-  Alcotest.(check int) "counted" 1
-    (Bess_util.Stats.get (Lock_mgr.stats m) "lock.expiry_wakes");
-  Alcotest.(check bool) "re-poll observes the timeout" true
+  Alcotest.(check bool) "unrelated traffic does not time the waiter out" true
+    (Lock_mgr.acquire ~detect:`Timeout m ~txn:2 r1 Lock_mode.X = `Blocked);
+  Span.advance_ns (Lock_mgr.timeout_ns - 1);
+  Alcotest.(check bool) "still inside the budget one ns before" true
+    (Lock_mgr.acquire ~detect:`Timeout m ~txn:2 r1 Lock_mode.X = `Blocked);
+  Span.advance_ns 1;
+  Alcotest.(check bool) "times out at the deadline" true
     (Lock_mgr.acquire ~detect:`Timeout m ~txn:2 r1 Lock_mode.X = `Timeout);
-  (* Woken once: further clock advances stay quiet. *)
-  for _ = 1 to 10 do
-    Lock_mgr.tick m
-  done;
-  Alcotest.(check (list int)) "no repeat wakes" [ 2 ] !wakes
+  Alcotest.(check (list (pair int string))) "the timed-out waiter left the queue" []
+    (List.map (fun (t, md) -> (t, Lock_mode.to_string md)) (Lock_mgr.waiters m r1))
 
 (* The lock.waiters gauge is maintained incrementally, not by folding
    the table: the count must track enqueues, handoffs and purges. *)
@@ -523,7 +521,8 @@ let suite =
     Alcotest.test_case "handoff_shared_prefix" `Quick test_handoff_shared_prefix;
     Alcotest.test_case "grant_filter_veto" `Quick test_grant_filter_veto;
     Alcotest.test_case "wake_to_grant_bounded" `Quick test_wake_to_grant_bounded;
-    Alcotest.test_case "expiry_wake_on_timeout" `Quick test_expiry_wake_on_timeout;
+    Alcotest.test_case "timeout_on_the_simulated_clock" `Quick
+      test_timeout_on_the_simulated_clock;
     Alcotest.test_case "waiters_count_incremental" `Quick test_waiters_count_incremental;
     Alcotest.test_case "callback_registry" `Quick test_callback_registry;
     Alcotest.test_case "callback_downgrade_forget" `Quick test_callback_downgrade_and_forget;

@@ -149,6 +149,46 @@ let test_node_abort_discards () =
     (Vmem.read_i64 procs.(0).Bess.Node_server.pvma addr2);
   Bess.Node_server.commit node
 
+(* A node-server commit interrupted mid-apply leaves logged updates at
+   the upstream; aborting rolls them back with the logged before-images,
+   which must be the committed bytes, not zeros. A one-slot upstream
+   cache whose every page flush fails interrupts the apply at the second
+   page. *)
+let test_interrupted_commit_abort_restores () =
+  let db = Bess.Db.create_memory ~cache_slots:1 ~db_id:51 () in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:2 () in
+  Bess.Session.commit s;
+  Bess.Session.drop_all_cached s;
+  let node = Bess.Node_server.create ~cache_slots:4 ~id:998 (Bess.Db.server db) in
+  let procs = Bess.Node_server.register_processes node 1 in
+  let write v =
+    for i = 0 to 1 do
+      let addr, _ = Bess.Node_server.shm_access node ~proc:0 (data_page seg i) ~write:true in
+      Vmem.write_i64 procs.(0).Bess.Node_server.pvma (addr + 8) (v + i)
+    done
+  in
+  write 1000;
+  Bess.Node_server.commit node;
+  let upstream i = Bess.Server.read_page (Bess.Db.server db) (data_page seg i) in
+  let committed = List.map upstream [ 0; 1 ] in
+  write 2000;
+  Fun.protect ~finally:Bess_fault.Fault.reset (fun () ->
+      Bess_fault.Fault.configure "page.flush.eio" (Bess_fault.Fault.Every_n 1);
+      match Bess.Node_server.commit node with
+      | () -> Alcotest.fail "the commit should have been interrupted"
+      | exception Bess_fault.Fault.Injected _ -> Bess.Node_server.abort node);
+  List.iteri
+    (fun i before ->
+      Alcotest.(check int)
+        (Printf.sprintf "page %d keeps its committed value" i)
+        (1000 + i)
+        (Bess_util.Codec.get_i64 (upstream i) 8);
+      Alcotest.(check bool) (Printf.sprintf "page %d is byte-identical" i) true
+        (Bytes.equal before (upstream i)))
+    committed
+
 let test_latch_accounting () =
   let _db, seg, node = fresh_setup () in
   let _ = Bess.Node_server.register_processes node 1 in
@@ -169,5 +209,7 @@ let suite =
     Alcotest.test_case "coa_write_back" `Quick test_coa_write_back_visible_in_shm;
     Alcotest.test_case "node_commit" `Quick test_node_commit_reaches_server;
     Alcotest.test_case "node_abort" `Quick test_node_abort_discards;
+    Alcotest.test_case "node_interrupted_commit_abort_restores" `Quick
+      test_interrupted_commit_abort_restores;
     Alcotest.test_case "latch_accounting" `Quick test_latch_accounting;
   ]

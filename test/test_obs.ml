@@ -48,20 +48,20 @@ let test_registry_replace_and_histograms () =
   Registry.register_stats ~registry:reg "lock" st1;
   (* A re-created substrate re-registers: latest instance wins. *)
   let st2 = Stats.create () in
-  Stats.observe st2 "lock.wait_ticks" 4;
-  Stats.observe st2 "lock.wait_ticks" 8;
+  Stats.observe st2 "lock.wait_ns" 4;
+  Stats.observe st2 "lock.wait_ns" 8;
   Registry.register_stats ~registry:reg "lock" st2;
   let snap = Registry.snapshot ~registry:reg () in
   Alcotest.(check (list (pair string int))) "old instance gone" [] (Registry.counters snap);
   (match Registry.histograms snap with
   | [ (name, h) ] ->
-      Alcotest.(check string) "histogram key" "lock.wait_ticks" name;
+      Alcotest.(check string) "histogram key" "lock.wait_ns" name;
       Alcotest.(check int) "count" 2 h.Registry.h_count;
       Alcotest.(check int) "sum" 12 h.Registry.h_sum
   | l -> Alcotest.fail (Printf.sprintf "expected one histogram, got %d" (List.length l)));
   let json = Registry.json_of_snapshot snap in
   Alcotest.(check bool) "json has histogram" true
-    (let needle = "\"lock.wait_ticks\"" in
+    (let needle = "\"lock.wait_ns\"" in
      let rec search i =
        i + String.length needle <= String.length json
        && (String.sub json i (String.length needle) = needle || search (i + 1))

@@ -97,13 +97,13 @@ let test_driver_pinned planes () =
   in
   Alcotest.(check string) "driver result"
     "commits=573 aborts=0 give_ups=0 indeterminate=0 disconnects=67 reconnects=67 \
-     events=2540 sim_ns=57555000 p50=715196 p99=2097151"
+     events=2341 sim_ns=57555000 p50=715196 p99=2097151"
     (pp_driver r);
   Alcotest.check counters "driver sched counters"
     [ ("sched.churn_holding_locks", 27); ("sched.commits", 573); ("sched.disconnects", 67);
-      ("sched.events", 2540); ("sched.heap_peak", 58); ("sched.late_events", 1842);
-      ("sched.lock_parks", 443); ("sched.lock_retries", 199); ("sched.lock_wakeups", 244);
-      ("sched.reconnects", 67); ("sched.scheduled", 2540) ]
+      ("sched.events", 2341); ("sched.heap_peak", 255); ("sched.late_events", 1401);
+      ("sched.lock_parks", 244); ("sched.lock_wakeups", 244); ("sched.reconnects", 67);
+      ("sched.scheduled", 2341) ]
     (Stats.to_list (Sched.stats sched))
 
 (* One fleet run per fault profile: clean, and "chaos-2pc", whose drops,

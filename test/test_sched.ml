@@ -202,8 +202,8 @@ let test_churn_holding_locks_no_leak () =
 (* ---- Convoy regression: park/wake ------------------------------------------ *)
 
 (* Each contended acquisition parks once and is resumed by its wake:
-   guard timers almost never fire, so scheduled retry events stay
-   O(contended acquisitions), not O(retries x waiters). *)
+   no deadline fires, so scheduled events stay O(contended
+   acquisitions), not O(retries x waiters). *)
 let test_handoff_kills_retry_convoy () =
   let db = fresh_db () in
   let server = Bess.Db.server db in
@@ -224,15 +224,38 @@ let test_handoff_kills_retry_convoy () =
   Alcotest.(check int) "no lock leak" 0 (Lock_mgr.n_locks (Bess.Server.locks server));
   let st = Sched.stats sched in
   let parks = Stats.get st "sched.lock_parks" in
-  let retries = Stats.get st "sched.lock_retries" in
   Alcotest.(check bool) "workload is contended" true (parks > 0);
-  Alcotest.(check bool) "parked clients resume via wakes" true
-    (Stats.get st "sched.lock_wakeups" > 0);
-  (* O(contended acquisitions): at most one guard fire per park. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "retries (%d) bounded by parks (%d)" retries parks)
-    true
-    (retries <= parks)
+  Alcotest.(check int) "every park ends in its wake" parks (Stats.get st "sched.lock_wakeups")
+
+(* A client parked behind a lock that is held past the budget gives up
+   at its one deadline: exactly [timeout_ns] of simulated time after it
+   parked, with a single re-poll. *)
+let test_parked_client_gives_up_at_deadline () =
+  let db = fresh_db () in
+  let server = Bess.Db.server db in
+  Bess.Server.set_detection server `Timeout;
+  let pages = seed_pages db ~n_pages:1 in
+  let holder = Bess.Server.begin_txn server ~client:1 in
+  let r0 = Lock_mgr.page_resource ~area:pages.(0).area ~page:pages.(0).page in
+  Alcotest.(check bool) "holder takes the page" true
+    (Bess.Server.lock server ~txn:holder r0 Bess_lock.Lock_mode.X = `Granted);
+  let sched = Sched.create () in
+  let r =
+    Driver.run ~sched server ~pages
+      { Driver.default with n_clients = 1; txns_per_client = 1; think_ns = 0 }
+  in
+  let st = Sched.stats sched in
+  Alcotest.(check int) "parked once" 1 (Stats.get st "sched.lock_parks");
+  Alcotest.(check int) "gave up" 1 r.Driver.r_give_ups;
+  Alcotest.(check int) "no abort counted" 0 r.Driver.r_aborts;
+  Alcotest.(check int) "park, deadline, and nothing else" 2 r.Driver.r_events;
+  Alcotest.(check int) "at exactly the deadline" Lock_mgr.timeout_ns r.Driver.r_sim_ns;
+  Alcotest.(check int) "the lock manager timed it out" 1
+    (Stats.get (Lock_mgr.stats (Bess.Server.locks server)) "lock.timeouts");
+  Alcotest.(check (list int)) "the holder keeps its lock, nobody queues" []
+    (List.map fst (Lock_mgr.waiters (Bess.Server.locks server) r0));
+  Bess.Server.abort_client server ~txn:holder;
+  Alcotest.(check int) "no lock leak" 0 (Lock_mgr.n_locks (Bess.Server.locks server))
 
 (* Words allocated straight on the major heap (blocks too large for the
    minor heap, such as a 4 KB page) since the program started. *)
@@ -275,5 +298,7 @@ let suite =
     Alcotest.test_case "zipf_skew" `Quick test_zipf_skew;
     Alcotest.test_case "churn_holding_locks_no_leak" `Quick test_churn_holding_locks_no_leak;
     Alcotest.test_case "handoff_kills_retry_convoy" `Quick test_handoff_kills_retry_convoy;
+    Alcotest.test_case "parked_client_gives_up_at_deadline" `Quick
+      test_parked_client_gives_up_at_deadline;
     Alcotest.test_case "commit_major_allocation" `Quick test_commit_major_allocation;
   ]
