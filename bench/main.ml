@@ -8,8 +8,7 @@
    EXPERIMENTS.md.
 
    Run everything:            dune exec bench/main.exe
-   Run a subset:              dune exec bench/main.exe -- e1 e4 f4
-   Bechamel micro-benches:    dune exec bench/main.exe -- micro *)
+   Run a subset:              dune exec bench/main.exe -- e1 e4 f4 *)
 
 module Vmem = Bess_vmem.Vmem
 module Prng = Bess_util.Prng
@@ -24,11 +23,10 @@ let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
 let scale n = if quick then Stdlib.max 1 (n / 10) else n
 
-(* --fault-seed / --fault-profile: E12 sweeps seeds derived from the
-   base; a profile set here additionally arms the whole harness, so any
-   experiment can be run under chaos. *)
+(* --fault-seed: the base seed of every fault profile an experiment
+   arms (E12 sweeps seeds derived from it; E13, E14 and E17 use it as
+   is). *)
 let fault_seed = ref 1
-let fault_profile : (string * Fault.policy) list option ref = ref None
 
 (* ---- E1: pointer dereference cost --------------------------------------- *)
 
@@ -93,7 +91,11 @@ let e1 () =
         "2.0 + registry hash" ];
     ];
   Report.note "both sides pay identical per-access simulation costs; the deterministic \
-access count is the substrate-independent comparison"
+access count is the substrate-independent comparison";
+  Report.gate (oid_accesses > 2.0)
+    "e1: the OID baseline measures %.2f simulated reads per dereference (want > 2; BeSS's \
+     2.0 is the ref<T> path's constant, not measured, so this checks the baseline only): "
+    oid_accesses
 
 (* ---- E2: operation modes ------------------------------------------------- *)
 
@@ -226,7 +228,7 @@ let e3 () =
   let n_segs = scale 400 in
   let per_seg = 64 in
   let n = n_segs * per_seg in
-  let rows = ref [] in
+  let rows = ref [] and lazy_ok = ref true in
   List.iter
     (fun pct ->
       let db = Workloads.fresh_db () in
@@ -259,6 +261,8 @@ let e3 () =
       let greedy_reserved = Bess_baseline.Greedy_reserve.reserved_peak_bytes greedy in
       let greedy_calls = Bess_baseline.Greedy_reserve.reserve_calls greedy in
       ignore nodes;
+      if (if pct < 100 then bess_reserved >= greedy_reserved else bess_reserved <> greedy_reserved)
+      then lazy_ok := false;
       rows :=
         [
           Printf.sprintf "%d%%" pct;
@@ -276,7 +280,9 @@ let e3 () =
        reserves lazily; greedy schemes reserve everything)"
     ~header:
       [ "touched"; "BeSS reserved"; "greedy reserved"; "greedy/BeSS"; "BeSS mmaps"; "greedy mmaps" ]
-    (List.rev !rows)
+    (List.rev !rows);
+  Report.gate !lazy_ok
+    "e3: BeSS reserves less than greedy below 100%% touched and the same at 100%%: "
 
 (* ---- E4: cache replacement ----------------------------------------------- *)
 
@@ -288,7 +294,7 @@ let e4 () =
   let cache_slots = 128 in
   let length = scale 200_000 in
   let page_size = 256 in
-  let rows = ref [] in
+  let rows = ref [] and differ = ref [] in
   List.iter
     (fun kind ->
       let stream = Workloads.reference_stream (Prng.create 7) ~kind ~n_pages ~length in
@@ -302,7 +308,7 @@ let e4 () =
             Bess_cache.Clock.note_access clock slot.Bess_cache.Cache.index;
             Bess_cache.Cache.unpin c slot)
           stream;
-        (Bess_cache.Cache.hit_ratio c, 0)
+        Bess_cache.Cache.hit_ratio c
       in
       (* (b) frame-state clock: no reference bits; a page revoked by the
          sweep pays one protection fault + mprotect on re-touch. *)
@@ -321,26 +327,26 @@ let e4 () =
             with
             | Some (_, slot) -> Some slot
             | None -> None);
+        (* Residency is peeked; the one [load] counts the access. *)
         Array.iter
           (fun p ->
             let page = Page_id.make ~area:0 ~page:p in
-            match Bess_cache.Cache.lookup c page with
-            | Some slot -> (
-                match Bess_cache.State_clock.state sc slot.Bess_cache.Cache.index with
-                | Bess_cache.State_clock.Protected ->
-                    incr protects;
-                    Bess_cache.State_clock.access sc ~vframe:slot.Bess_cache.Cache.index
-                | _ -> ())
-            | None ->
-                let slot = Bess_cache.Cache.load c page ~fill:ignore in
-                Bess_cache.State_clock.map sc ~vframe:slot.Bess_cache.Cache.index
-                  ~slot:slot.Bess_cache.Cache.index;
-                Bess_cache.Cache.unpin c slot)
+            let resident = Bess_cache.Cache.find_slot c page <> None in
+            let slot = Bess_cache.Cache.load c page ~fill:ignore in
+            let vframe = slot.Bess_cache.Cache.index in
+            (if not resident then Bess_cache.State_clock.map sc ~vframe ~slot:vframe
+             else if Bess_cache.State_clock.state sc vframe = Bess_cache.State_clock.Protected
+             then begin
+               incr protects;
+               Bess_cache.State_clock.access sc ~vframe
+             end);
+            Bess_cache.Cache.unpin c slot)
           stream;
         (Bess_cache.Cache.hit_ratio c, !protects)
       in
-      let classic_hr, _ = classic () in
+      let classic_hr = classic () in
       let state_hr, protects = state_clock () in
+      if classic_hr <> state_hr then differ := Workloads.stream_name kind :: !differ;
       rows :=
         [
           Workloads.stream_name kind;
@@ -356,7 +362,10 @@ let e4 () =
       "replacement policies, 512 pages / 128 slots (claim: the frame-state \
        clock matches clock hit ratios without per-access bookkeeping)"
     ~header:[ "workload"; "clock hit%"; "state-clock hit%"; "mprotects"; "mprotect/access" ]
-    (List.rev !rows)
+    (List.rev !rows);
+  Report.gate (!differ = [])
+    ~fail:("FAILED (" ^ String.concat ", " (List.rev !differ) ^ ")")
+    "e4: the frame-state clock's hit ratio equals the clock's on every stream: "
 
 (* ---- E5: large-object byte-range operations ------------------------------ *)
 
@@ -365,7 +374,7 @@ let e4 () =
    tail on every structural edit. *)
 let e5 () =
   let ops = scale 50 in
-  let rows = ref [] in
+  let rows = ref [] and pages = ref [] in
   List.iter
     (fun size_kb ->
       let size = size_kb * 1024 in
@@ -433,6 +442,7 @@ let e5 () =
         (fun (opname, op) ->
           let t_tree, io_tree = run_tree op in
           let t_flat, io_flat = run_flat op in
+          pages := ((size_kb, opname), (io_tree, io_flat)) :: !pages;
           rows :=
             [
               Printf.sprintf "%dKB" size_kb;
@@ -454,7 +464,18 @@ let e5 () =
     ~header:[ "size"; "op"; "tree/op"; "flat/op"; "tree pages/op"; "flat pages/op"; "flat/tree" ]
     (List.rev !rows);
   Report.note
-    "the flat layout also hits the contiguous-allocation ceiling (one 2MB extent) that the tree never needs"
+    "the flat layout also hits the contiguous-allocation ceiling (one 2MB extent) that the tree never needs";
+  let at size_kb opname = List.assoc (size_kb, opname) !pages in
+  Report.gate
+    (List.for_all
+       (fun opname -> fst (at 1024 opname) <= 2 * fst (at 64 opname))
+       [ "append 4K"; "insert 4K"; "delete 4K"; "read 4K" ])
+    "e5: tree pages/op at 1MB stay within 2x of those at 64KB, for every op: ";
+  let tree_1024, flat_1024 = at 1024 "append 4K" and flat_64 = snd (at 64 "append 4K") in
+  Report.gate (flat_1024 >= 10 * tree_1024 && flat_1024 > flat_64)
+    "e5: flat append rewrites the object: %d pages/op at 1MB, >= 10x the tree's %d and above \
+     its own %d at 64KB: "
+    flat_1024 tree_1024 flat_64
 
 (* ---- E6: on-the-fly reorganisation --------------------------------------- *)
 
@@ -529,7 +550,7 @@ let e6 () =
    is forgotten. *)
 let e7 () =
   let txns = scale 500 in
-  let rows = ref [] in
+  let rows = ref [] and read_only = ref (0, 0) in
   List.iter
     (fun (reads, writes) ->
       (* BeSS: count protection syscalls and faults over real sessions. *)
@@ -597,6 +618,7 @@ let e7 () =
         Bess_baseline.Soft_dirty.clean sloppy
       done;
       let missed = Stats.get (Bess_baseline.Soft_dirty.stats sloppy) "soft.missed_updates" in
+      if writes = 0 then read_only := (protects, faults);
       rows :=
         [
           Printf.sprintf "%dr/%dw" reads writes;
@@ -617,7 +639,11 @@ let e7 () =
         "missed (1% sloppy)" ]
     (List.rev !rows);
   Report.note "hardware detection costs are per *page per txn*; software costs per *update*";
-  Report.note "missed updates are silent corruption the hardware scheme makes impossible"
+  Report.note "missed updates are silent corruption the hardware scheme makes impossible";
+  let protects, faults = !read_only in
+  Report.gate (protects = 0 && faults = 0)
+    "e7: %d read-only transactions (20r/0w) cost %d protection syscalls and %d faults (want 0): "
+    txns protects faults
 
 (* ---- E8: callback locking ------------------------------------------------ *)
 
@@ -628,7 +654,7 @@ let e8 () =
   let n_clients = 4 in
   let txns_per_client = scale 200 in
   let n = 2_000 in
-  let rows = ref [] in
+  let rows = ref [] and fetches_ok = ref true and read_only_cbs = ref (0.0, 0.0) in
   List.iter
     (fun (label, write_pct, shared) ->
       let run ~cached =
@@ -690,6 +716,8 @@ let e8 () =
       in
       let cached_fetches, cached_cbs = run ~cached:true in
       let fresh_fetches, fresh_cbs = run ~cached:false in
+      if cached_fetches >= fresh_fetches then fetches_ok := false;
+      if write_pct = 0 then read_only_cbs := (cached_cbs, fresh_cbs);
       rows :=
         [
           label;
@@ -714,7 +742,12 @@ let e8 () =
     ~header:
       [ "workload"; "fetch/txn cached"; "fetch/txn no-cache"; "saving"; "cb/txn cached";
         "cb/txn no-cache" ]
-    (List.rev !rows)
+    (List.rev !rows);
+  Report.gate !fetches_ok "e8: cached fetches/txn below uncached on every workload: ";
+  let cached_cbs, fresh_cbs = !read_only_cbs in
+  Report.gate (cached_cbs = 0.0 && fresh_cbs = 0.0)
+    "e8: all shared, read-only: %.3f callbacks/txn cached, %.3f uncached (want 0): " cached_cbs
+    fresh_cbs
 
 (* ---- E9: buddy allocation ------------------------------------------------ *)
 
@@ -835,7 +868,7 @@ let e10 () =
     "e10: every restart redoes all logged updates and restores the pre-crash page images: ";
   (* 2PC vs local commit, measured in wire messages over the simulated
      network. *)
-  let rows = ref [] in
+  let rows = ref [] and twopc_ok = ref true in
   List.iter
     (fun n_dbs ->
       let net = Bess.Remote.network () in
@@ -865,12 +898,14 @@ let e10 () =
       let before = Bess_net.Net.messages net in
       Bess.Session.commit s;
       let commit_msgs = Bess_net.Net.messages net - before in
+      if commit_msgs <> 2 + (4 * (n_dbs - 1)) then twopc_ok := false;
       rows := [ string_of_int n_dbs; string_of_int commit_msgs ] :: !rows)
     [ 1; 2; 3; 4 ];
   Report.table ~id:"E10b"
     ~caption:"distributed commit: wire messages at commit vs participating servers (2PC)"
     ~header:[ "servers"; "commit messages" ]
-    (List.rev !rows)
+    (List.rev !rows);
+  Report.gate !twopc_ok "e10b: 2 + 4(n-1) commit messages for n servers, n = 1..4: "
 
 (* ---- E11: group commit ---------------------------------------------------- *)
 
@@ -886,7 +921,7 @@ let e10 () =
 let e11 () =
   let n_clients = 16 in
   let txns = scale 100 in
-  let rows = ref [] in
+  let rows = ref [] and per_txn = ref [] in
   List.iter
     (fun policy ->
       (* Policy is an explicit argument: nothing leaks to the next run. *)
@@ -921,6 +956,7 @@ let e11 () =
       let per_force = mean (pf_c0, pf_s0) (hist "wal.group.commits_per_force") in
       let wait = mean (wt_c0, wt_s0) (hist "wal.force_wait_ns") in
       let committed = Stdlib.max 1 r.Driver.r_commits in
+      per_txn := float_of_int forces /. float_of_int committed :: !per_txn;
       rows :=
         [
           Bess_wal.Group_commit.policy_to_string policy;
@@ -939,7 +975,18 @@ let e11 () =
        scheduler (modeled 100us force)"
     ~header:
       [ "policy"; "txns"; "forces"; "forces/txn"; "commits/force"; "commit wait"; "sim ns/txn" ]
-    (List.rev !rows)
+    (List.rev !rows);
+  let per_txn = List.rev !per_txn in
+  let rec non_increasing = function
+    | a :: (b :: _ as rest) -> b <= a && non_increasing rest
+    | _ -> true
+  in
+  Report.gate
+    (List.hd per_txn = 1.0
+    && List.for_all (fun f -> f < 1.0) (List.tl per_txn)
+    && non_increasing per_txn)
+    "e11: forces/txn %s: 1.000 under immediate, below 1 and non-increasing through group:64: "
+    (String.concat " -> " (List.map Report.fixed per_txn))
 
 (* ---- E12: chaos sweep ------------------------------------------------------ *)
 
@@ -1767,8 +1814,8 @@ let f1 () =
     then ok := false
   done;
   Bess.Session.commit s2;
-  Report.note "DP fix-up verified for %d slots in a fresh address space: %s" n_slots
-    (if !ok then "all DPs inside the reserved data range" else "FIX-UP BROKEN")
+  Report.gate !ok ~pass:"all DPs inside the reserved data range" ~fail:"FIX-UP BROKEN"
+    "DP fix-up verified for %d slots in a fresh address space: " n_slots
 
 (* ---- F2: network topology (Figure 2) ------------------------------------- *)
 
@@ -1885,6 +1932,12 @@ let f4 () =
   let _, vf_c = Bess.Node_server.shm_access node ~proc:1 c ~write:false in
   let _, vf_c' = Bess.Node_server.shm_access node ~proc:0 c ~write:false in
   let smt = Bess.Node_server.smt node in
+  let released =
+    match (Bess_cache.Smt.vframe_of smt a, Bess_cache.Smt.vframe_of smt b) with
+    | None, _ -> Some "A's frame released"
+    | _, None -> Some "B's frame released"
+    | _ -> None
+  in
   Report.table ~id:"F4" ~caption:"shared virtual memory address space (Figure 4) replayed"
     ~header:[ "step"; "outcome" ]
     (state_a
@@ -1892,14 +1945,13 @@ let f4 () =
         [ "P2 accesses C (cache full, 2 slots)";
           Printf.sprintf "replacement ran; C at virtual frame %d" vf_c ];
         [ "P1 accesses C via SVMA";
-          Printf.sprintf "same virtual frame %d (%s)" vf_c'
-            (if vf_c = vf_c' then "shared pointers stay valid" else "MISMATCH") ];
-        [ "replaced page's SVMA frame";
-          (match (Bess_cache.Smt.vframe_of smt a, Bess_cache.Smt.vframe_of smt b) with
-          | None, _ -> "A's frame released"
-          | _, None -> "B's frame released"
-          | _ -> "ERROR: nothing released") ];
-      ])
+          (if vf_c = vf_c' then
+             Printf.sprintf "same virtual frame %d (shared pointers stay valid)" vf_c'
+           else Printf.sprintf "virtual frame %d" vf_c') ];
+        [ "replaced page's SVMA frame"; Option.value released ~default:"none released" ];
+      ]);
+  Report.gate (vf_c = vf_c') "f4: P1 sees C at P2's virtual frame (%d vs %d): " vf_c' vf_c;
+  Report.gate (released <> None) "f4: the replaced page's SVMA frame is released: "
 
 (* ---- A1: eager vs on-deref swizzling -------------------------------------- *)
 
@@ -2140,60 +2192,6 @@ let r1 () =
         Printf.sprintf "measured on %d rows" sample ];
     ]
 
-(* ---- Bechamel micro-benchmarks -------------------------------------------- *)
-
-let micro () =
-  let open Bechamel in
-  let db = Workloads.fresh_db () in
-  let s, nodes = Workloads.build_ring db ~n:4_096 ~per_seg:512 ~stride:7 in
-  Bess.Session.begin_txn s;
-  ignore (Workloads.traverse_ring s ~start:nodes.(0) ~hops:4_096);
-  let store, onodes = Workloads.build_oid_ring ~n:4_096 in
-  let buddy = Bess_buddy.Buddy.create ~order:12 in
-  let lob_area = Bess_storage.Area.create ~page_size:4096 ~extent_order:9 ~id:1 `Memory in
-  let lob = Bess_largeobj.Lob.create lob_area in
-  Bess_largeobj.Lob.append lob (Bytes.make 100_000 'x');
-  let cur = ref nodes.(0) in
-  let ocur = ref onodes.(0) in
-  let tests =
-    [
-      Test.make ~name:"deref/bess_swizzled" (Staged.stage (fun () ->
-          match Bess.Session.read_ref s ~data_addr:(Bess.Session.obj_data s !cur) with
-          | Some next -> cur := next
-          | None -> ()));
-      Test.make ~name:"deref/oid_lookup" (Staged.stage (fun () ->
-          ocur := Option.get (Bess_baseline.Oid_store.deref store !ocur ~slot:0)));
-      Test.make ~name:"buddy/alloc_free" (Staged.stage (fun () ->
-          match Bess_buddy.Buddy.alloc buddy 4 with
-          | Some off -> Bess_buddy.Buddy.free buddy off
-          | None -> ()));
-      Test.make ~name:"lob/read_4k" (Staged.stage (fun () ->
-          ignore (Bess_largeobj.Lob.read lob ~pos:50_000 ~len:4_096)));
-      Test.make ~name:"vmem/read_i64" (Staged.stage (fun () ->
-          ignore (Vmem.read_i64 (Bess.Session.mem s) (Bess.Session.obj_data s nodes.(0)))));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"bess" tests) in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  Printf.printf "\n=== micro: Bechamel estimates (monotonic clock)\n";
-  Hashtbl.iter
-    (fun label per_test ->
-      if label = Measure.label Toolkit.Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some (est :: _) -> Printf.printf "  %-32s %s/op\n" name (Report.ns est)
-            | _ -> Printf.printf "  %-32s (no estimate)\n" name)
-          per_test)
-    results;
-  Bess.Session.commit s
-
 (* ---- T1: causal tracing demo ---------------------------------------------- *)
 
 (* A single workload that exercises every traced substrate: remote
@@ -2271,16 +2269,12 @@ let () =
   let out = ref "bench_report.json" in
   let chrome = ref None in
   let trace = ref false in
-  let series = ref false in
   let names = ref [] in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest -> parse rest
     | "--trace" :: rest ->
         trace := true;
-        parse rest
-    | "--series" :: rest ->
-        series := true;
         parse rest
     | "--out" :: path :: rest ->
         out := path;
@@ -2289,20 +2283,10 @@ let () =
         trace := true;
         chrome := Some path;
         parse rest
-    | "--group-commit" :: p :: rest ->
-        (match Bess_wal.Group_commit.policy_of_string p with
-        | Ok policy -> Workloads.default_group_commit := policy
-        | Error e -> Printf.printf "bad --group-commit %S: %s (ignored)\n" p e);
-        parse rest
     | "--fault-seed" :: v :: rest ->
         (match int_of_string_opt v with
         | Some n -> fault_seed := n
         | None -> Printf.printf "bad --fault-seed %S (ignored)\n" v);
-        parse rest
-    | "--fault-profile" :: p :: rest ->
-        (match Fault.profile_of_string p with
-        | Ok sites -> fault_profile := Some sites
-        | Error e -> Printf.printf "bad --fault-profile %S: %s (ignored)\n" p e);
         parse rest
     | a :: rest when String.length a > 1 && a.[0] = '-' ->
         Printf.printf "unknown flag %S (ignored)\n" a;
@@ -2325,40 +2309,14 @@ let () =
     end
     else None
   in
-  (* --series: a harness-wide windowed sampler. E13 swaps in its own
-     sampler for its run and restores this one, so both artifacts stay
-     self-contained. *)
-  let sampler =
-    if !series then begin
-      let s = Bess_obs.Series.create ~capacity:4096 ~window_ns:1_000_000 () in
-      Bess_obs.Series.install (Some s);
-      Some s
-    end
-    else None
-  in
-  let faults = Option.map (fun sites -> (!fault_seed, sites)) !fault_profile in
-  Option.iter
-    (fun (seed, sites) ->
-      Printf.printf "fault plane armed: seed %d, %d sites\n" seed (List.length sites))
-    faults;
   Printf.printf "BeSS experiment harness (%s scale)\n" (if quick then "quick" else "full");
-  Planes.with_installed ?faults (fun () ->
-      List.iter
-        (fun name ->
-          if name = "micro" then micro ()
-          else
-            match List.assoc_opt name experiments with
-            | Some f -> Report.with_observed name f
-            | None -> Printf.printf "unknown experiment %S\n" name)
-        selected);
+  List.iter
+    (fun name ->
+      match List.assoc_opt name experiments with
+      | Some f -> Report.with_observed name f
+      | None -> Printf.printf "unknown experiment %S\n" name)
+    selected;
   Option.iter Bess_obs.Span.finish_all collector;
-  Option.iter
-    (fun s ->
-      Bess_obs.Series.flush s;
-      Report.add_section "series" (Bess_obs.Series.json_of s);
-      Printf.printf "\nwindowed series: %d windows of >=%dns recorded (see %s#series)\n"
-        (Bess_obs.Series.windows s) (Bess_obs.Series.window_ns s) !out)
-    sampler;
   Report.write_json !out;
   Printf.printf "\nper-substrate observability report: %s\n" !out;
   Option.iter

@@ -15,13 +15,6 @@ let node_type db =
   | Some ty -> ty
   | None -> Bess.Type_desc.register types ~name:"bench_node" ~size:node_size ~ref_offsets:[| 0 |]
 
-(* Harness-wide default force-scheduling policy (the --group-commit
-   knob). Only [fresh_db] reads it, and only when the caller passes no
-   explicit [?group_commit]: an experiment that needs a specific policy
-   states it per database, so one experiment's choice can never leak
-   into the next through shared mutable state. *)
-let default_group_commit = ref Bess_wal.Group_commit.Immediate
-
 (* Distinct db ids keep areas from colliding when several live at once;
    the counter is bookkeeping, not workload state. *)
 let next_db_id = ref 1000
@@ -39,12 +32,9 @@ let fresh_db ?(n_areas = 1) ?cache_slots ?group_commit ?db_id () =
         !next_db_id
   in
   let db = Bess.Db.create_memory ~n_areas ?cache_slots ~db_id () in
-  let policy =
-    match group_commit with Some p -> p | None -> !default_group_commit
-  in
-  (match policy with
-  | Bess_wal.Group_commit.Immediate -> ()
-  | p -> Bess.Server.set_group_policy (Bess.Db.server db) p);
+  (match group_commit with
+  | None | Some Bess_wal.Group_commit.Immediate -> ()
+  | Some p -> Bess.Server.set_group_policy (Bess.Db.server db) p);
   db
 
 (* Build [n] nodes spread over segments of [per_seg] objects each, linked
@@ -97,17 +87,6 @@ let traverse_ring s ~start ~hops =
   done;
   !acc
 
-(* The same ring in the EOS-like OID store. *)
-let build_oid_ring ~n =
-  let store = Bess_baseline.Oid_store.create ~ref_offsets:[| 0 |] () in
-  let nodes = Array.init n (fun _ -> Bess_baseline.Oid_store.create_object store ~size:node_size) in
-  Array.iteri
-    (fun i o ->
-      Bess_baseline.Oid_store.set_ref store o ~slot:0 nodes.((i + 1) mod n);
-      Bess_baseline.Oid_store.write_i64 o ~off:8 i)
-    nodes;
-  (store, nodes)
-
 (* The same ring with physical OIDs, [per_seg] objects per segment. *)
 let build_physical_ring ~n ~per_seg =
   let store = Bess_baseline.Physical_oid.create () in
@@ -120,12 +99,6 @@ let build_physical_ring ~n ~per_seg =
     (fun i o -> Bess_baseline.Physical_oid.set_ref store o ~slot:0 nodes.((i + 1) mod n))
     nodes;
   (store, nodes)
-
-(* A random graph over the ring's nodes: each node also points (via its
-   payload area, software-read) to [fanout] random nodes. For E3 we keep
-   a side adjacency array instead so partial traversals are easy. *)
-let random_adjacency prng ~n ~fanout =
-  Array.init n (fun _ -> Array.init fanout (fun _ -> Prng.int prng n))
 
 (* ---- Page reference streams (E4) ---- *)
 

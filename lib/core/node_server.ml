@@ -83,6 +83,20 @@ let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
          until commit ships it upstream. *)
       Hashtbl.replace t.pending_writes page (Bytes.copy bytes);
       Bess_util.Stats.incr t.stats "node.dirty_parked");
+  (* The two-level clock chooses victims; a victim has counter zero, so
+     no process still maps it, and its SMT frame is released as part of
+     eviction. [t.clock] is read at each choice: registering processes
+     replaces it. *)
+  Cache.set_victim_chooser t.cache (fun () ->
+      match
+        Two_level.choose_victim t.clock ~can_evict:(fun i -> (Cache.slot t.cache i).Cache.pins = 0)
+      with
+      | Some i ->
+          (match (Cache.slot t.cache i).Cache.page with
+          | Some victim_page -> Smt.release t.smt victim_page
+          | None -> ());
+          Some i
+      | None -> None);
   t
 
 let stats t = t.stats
@@ -146,43 +160,27 @@ let lock_page t page mode =
   | `Timeout -> raise Fetcher.Lock_timeout
 
 (* Bring a page into the shared cache (fetching from the owning server on
-   a miss), returning its slot. The two-level clock chooses victims. *)
+   a miss), returning its slot. Residency is peeked so that the one
+   [Cache.load] counts the access: a hit or a miss, never both. *)
 let shared_slot t page ~mode =
-  match Cache.lookup t.cache page with
-  | Some slot -> slot
-  | None ->
-      lock_page t page mode;
-      (* The two-level clock chooses victims; a victim has counter zero,
-         so no process still maps it, and its SMT frame is released as
-         part of eviction. *)
-      Cache.set_victim_chooser t.cache (fun () ->
-          match
-            Two_level.choose_victim t.clock ~can_evict:(fun i ->
-                (Cache.slot t.cache i).Cache.pins = 0)
-          with
-          | Some i ->
-              (match (Cache.slot t.cache i).Cache.page with
-              | Some victim_page -> Smt.release t.smt victim_page
-              | None -> ());
-              Some i
-          | None -> None);
-      let slot =
-        Cache.load t.cache page ~fill:(fun buf ->
-            (* Our own uncommitted writes take precedence over the
-               upstream (committed) copy. *)
-            match Hashtbl.find_opt t.pending_writes page with
-            | Some parked -> Bytes.blit parked 0 buf 0 t.page_size
-            | None ->
-                Server.read_into t.upstream page ~off:0 buf ~dst_off:0 ~len:t.page_size;
-                Bess_util.Stats.incr t.stats "node.upstream_fetches")
-      in
-      (* A refetched dirty page is still dirty. *)
-      if Hashtbl.mem t.pending_writes page then begin
-        Cache.mark_dirty t.cache slot;
-        Hashtbl.remove t.pending_writes page
-      end;
-      Cache.unpin t.cache slot;
-      slot
+  if Cache.find_slot t.cache page = None then lock_page t page mode;
+  let slot =
+    Cache.load t.cache page ~fill:(fun buf ->
+        (* Our own uncommitted writes take precedence over the upstream
+           (committed) copy. *)
+        match Hashtbl.find_opt t.pending_writes page with
+        | Some parked -> Bytes.blit parked 0 buf 0 t.page_size
+        | None ->
+            Server.read_into t.upstream page ~off:0 buf ~dst_off:0 ~len:t.page_size;
+            Bess_util.Stats.incr t.stats "node.upstream_fetches")
+  in
+  (* A refetched dirty page is still dirty. *)
+  if Hashtbl.mem t.pending_writes page then begin
+    Cache.mark_dirty t.cache slot;
+    Hashtbl.remove t.pending_writes page
+  end;
+  Cache.unpin t.cache slot;
+  slot
 
 (* ---- Shared-memory mode access ---- *)
 

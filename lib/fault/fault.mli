@@ -85,7 +85,8 @@ val policy_to_string : policy -> string
 (** Parse ["never"], ["every:N"], ["prob:P"] or ["plan:3+17+40"]. *)
 val policy_of_string : string -> (policy, string) result
 
-(** Named profiles for [--fault-profile] and [bessctl chaos]. *)
+(** Named profiles, chosen by name in [bessctl chaos] and [bessctl shard]
+    and by the bench experiments that arm one. *)
 val profiles : (string * (string * policy) list) list
 
 (** [profile_of_string spec] resolves a named profile ([off],

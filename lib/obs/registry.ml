@@ -57,7 +57,6 @@ let metric_namespaces =
     "mrc";
     "net";
     "node";
-    "oid_store";
     "phys";
     "reorg";
     "sched";

@@ -178,7 +178,6 @@ let to_list t =
 
 let windows t = t.length
 let dropped t = t.dropped
-let window_ns t = t.window_ns
 
 let last t =
   if t.length = 0 then None

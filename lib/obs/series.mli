@@ -59,8 +59,6 @@ val windows : t -> int
 (** Windows evicted from the bounded ring so far. *)
 val dropped : t -> int
 
-val window_ns : t -> int
-
 (** The most recently completed window. *)
 val last : t -> sample option
 

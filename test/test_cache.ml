@@ -287,6 +287,53 @@ let prop_free_slot_matches_scan =
         ops;
       true)
 
+(* Section 4.2's claim, exactly: driven as a mapped cache drives it, the
+   frame-state clock is the second-chance clock — an accessible frame is
+   a set reference bit, a protected one a cleared bit, and a touch on a
+   protected frame re-grants it. Over any page stream, with one [load]
+   counting each access, both take the same hits and evict the same
+   slots in the same order. *)
+let prop_state_clock_is_clock =
+  QCheck.Test.make ~name:"frame-state clock hits and evicts as the clock" ~count:300
+    QCheck.(pair (int_range 1 8) (small_list (int_bound 15)))
+    (fun (nslots, stream) ->
+      (* Runs [stream] under [policy c], which gives the victim chooser
+         and the hook told of each access's slot and whether it was
+         resident; returns the hits and the victims in order. *)
+      let run policy =
+        let c = Cache.create ~nslots ~page_size:16 in
+        let choose, note = policy c in
+        let victims = ref [] in
+        Cache.set_victim_chooser c (fun () ->
+            let v = choose () in
+            Option.iter (fun i -> victims := i :: !victims) v;
+            v);
+        List.iter
+          (fun p ->
+            let resident = Cache.find_slot c (pid p) <> None in
+            let s = Cache.load c (pid p) ~fill:ignore in
+            note s.Cache.index ~resident;
+            Cache.unpin c s)
+          stream;
+        (Bess_util.Stats.get (Cache.stats c) "cache.hits", List.rev !victims)
+      in
+      let classic =
+        run (fun c ->
+            let k = Clock.create c in
+            ((fun () -> Clock.choose k), fun i ~resident:_ -> Clock.note_access k i))
+      in
+      let state =
+        run (fun c ->
+            let sc = State_clock.create ~n_vframes:nslots ~protect:ignore ~invalidate:ignore in
+            ( (fun () ->
+                Option.map snd
+                  (State_clock.sweep_victim sc ~can_evict:(fun i -> (Cache.slot c i).Cache.pins = 0))),
+              fun i ~resident ->
+                if resident then State_clock.access sc ~vframe:i
+                else State_clock.map sc ~vframe:i ~slot:i ))
+      in
+      classic = state)
+
 let suite =
   [
     Alcotest.test_case "load_hit_miss" `Quick test_load_hit_miss;
@@ -303,4 +350,5 @@ let suite =
     Alcotest.test_case "smt_svma" `Quick test_smt_svma_arithmetic;
     QCheck_alcotest.to_alcotest prop_two_level_invariants;
     QCheck_alcotest.to_alcotest prop_free_slot_matches_scan;
+    QCheck_alcotest.to_alcotest prop_state_clock_is_clock;
   ]

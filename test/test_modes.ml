@@ -199,6 +199,25 @@ let test_latch_accounting () =
     (Bess_util.Stats.get (Bess.Node_server.stats node) "node.latch_acquires");
   Bess.Node_server.commit node
 
+(* The shared cache counts each access once: a hit, or a miss that
+   loads the page. A 4-slot cache over 8 pages, visited in both modes,
+   takes hits, misses and evictions. *)
+let test_shared_cache_counts_each_access_once () =
+  let _db, seg, node = fresh_setup ~cache_slots:4 () in
+  let _ = Bess.Node_server.register_processes node 1 in
+  let pages = [ 0; 1; 0; 2; 3; 4; 0; 5; 5; 6; 7; 1; 2; 2 ] in
+  List.iteri
+    (fun i p ->
+      if i mod 3 = 0 then ignore (Bess.Node_server.coa_fetch node (data_page seg p) ~write:false)
+      else ignore (Bess.Node_server.shm_access node ~proc:0 (data_page seg p) ~write:false))
+    pages;
+  let get = Bess_util.Stats.get (Bess_cache.Cache.stats (Bess.Node_server.cache node)) in
+  Alcotest.(check int) "misses = loads" (get "cache.loads") (get "cache.misses");
+  Alcotest.(check int) "hits + misses = accesses" (List.length pages)
+    (get "cache.hits" + get "cache.misses");
+  Alcotest.(check bool) "the stream evicted" true (get "cache.evictions" > 0);
+  Bess.Node_server.commit node
+
 let suite =
   [
     Alcotest.test_case "shm_same_vframe" `Quick test_shm_same_vframe_all_processes;
@@ -212,4 +231,6 @@ let suite =
     Alcotest.test_case "node_interrupted_commit_abort_restores" `Quick
       test_interrupted_commit_abort_restores;
     Alcotest.test_case "latch_accounting" `Quick test_latch_accounting;
+    Alcotest.test_case "shared_cache_counts_each_access_once" `Quick
+      test_shared_cache_counts_each_access_once;
   ]
