@@ -1201,10 +1201,10 @@ let timed f =
    printed sched/server/lock/cache stats of the run's own fresh
    substrate instances — bit-identical across same-seed runs if and only
    if the simulation is deterministic. *)
-let drive ?faults ?spans ?critpath ?series ?slo (server, pages) cfg =
+let drive ?faults ?spans ?critpath ?series (server, pages) cfg =
   let sched = Bess_sched.Sched.create () in
   let (r, wall), fires =
-    Planes.with_installed ?faults ?spans ?critpath ?series ?slo (fun () ->
+    Planes.with_installed ?faults ?spans ?critpath ?series (fun () ->
         let run = timed (fun () -> Driver.run ~sched server ~pages cfg) in
         (run, Stats.get (Fault.stats ()) "fault.fires"))
   in
@@ -1304,47 +1304,54 @@ let e14 () =
     ("series", "{" ^ String.concat "," (List.rev !series_sections) ^ "}")
 
 (* Tail-latency attribution: the e14 client sweep re-run with span
-   tracing, the critical-path sink and the SLO watch plane installed.
-   Every committed transaction's latency is decomposed into exhaustive
-   phases (lock wait, WAL force, net transit, retry backoff, server
-   work, scheduler lag, other) whose sum equals the measured latency
-   exactly; the sweep reports the blame breakdown per population,
-   checks conservation, re-runs the 10^3 point to prove the
-   decomposition and breach counts are same-seed deterministic and once
-   more with no plane installed to prove observing moved nothing, and
-   gates the smallest population on a commit-p99 latency budget.
+   tracing and the critical-path sink installed. Every committed
+   transaction's latency is decomposed into exhaustive phases (lock
+   wait, WAL force, net transit, retry backoff, server work, scheduler
+   lag, other) whose sum equals the measured latency exactly; the sweep
+   reports the blame breakdown per population, checks conservation,
+   re-runs the 10^3 point to prove the decomposition and breach counts
+   are same-seed deterministic and once more with no plane installed to
+   prove observing moved nothing, and gates the smallest population on a
+   commit-p99 latency budget checked in every series window.
    Artifacts: bench_report.json#e15 and a timestamped BENCH_e15.json
    with per-client-count phase fractions. *)
 let e15 () =
   let seed = 1505 in
   let budget_ns = 20_000_000 in
-  let rule s =
-    match Bess_obs.Slo.rule_of_string s with
-    | Ok r -> r
-    | Error e -> failwith ("e15 rule: " ^ e)
+  (* The per-window checks, in report order: [Some ok] for a window that
+     carries the metric, [None] (skipped) for one that does not — no
+     commits means no commit-latency verdict. *)
+  let window_checks =
+    let zero name s = Option.map (( = ) 0) (Bess_obs.Series.sample_delta s name) in
+    [
+      ( "commit_p99",
+        fun s ->
+          Option.map
+            (fun tl -> tl.Bess_obs.Series.t_p99 < budget_ns)
+            (Bess_obs.Series.sample_tail s "critpath.commit_ns") );
+      ("no_unclosed", zero "critpath.unclosed_roots");
+      ("no_orphans", zero "critpath.orphan_spans");
+    ]
   in
   (* One sweep point, instrumented: a private span collector feeding the
-     critical-path sink, a windowed series carrying per-window tails,
-     and the SLO watcher on the series window hook. *)
+     critical-path sink and a windowed series carrying per-window tails,
+     whose every window goes through [window_checks]. *)
   let run_point n_clients =
     let cp = Bess_obs.Critpath.create ~top_k:8 () in
-    let slo =
-      Bess_obs.Slo.create
-        ~rules:
-          [
-            rule (Printf.sprintf "commit_p99: critpath.commit_ns.p99 < %d" budget_ns);
-            rule "no_unclosed: critpath.unclosed_roots = 0";
-            rule "no_orphans: critpath.orphan_spans = 0";
-          ]
-        ()
-    in
     let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
     let p =
-      drive ~spans:(Bess_obs.Span.create ()) ~critpath:cp ~series ~slo (fleet_db ())
+      drive ~spans:(Bess_obs.Span.create ()) ~critpath:cp ~series (fleet_db ())
         (fleet_cfg ~seed n_clients)
     in
-    (p, cp, slo)
+    (* A window evicted from the ring would be one the budget never saw. *)
+    assert (Bess_obs.Series.dropped series = 0);
+    let windows = Bess_obs.Series.to_list series in
+    let verdicts = List.map (fun (name, ok) -> (name, List.filter_map ok windows)) window_checks in
+    let checks = List.fold_left (fun n (_, oks) -> n + List.length oks) 0 verdicts in
+    let report = List.map (fun (name, oks) -> (name, List.length (List.filter not oks))) verdicts in
+    (p, cp, checks, report)
   in
+  let breaches report = List.fold_left (fun n (_, b) -> n + b) 0 report in
   let phase_names = List.map Bess_obs.Critpath.phase_name Bess_obs.Critpath.phases in
   let rows = ref [] in
   let point_sections = ref [] in
@@ -1352,10 +1359,10 @@ let e15 () =
   let budget_ok = ref true and conserved = ref true in
   List.iter
     (fun n_clients ->
-      let p, cp, slo = run_point n_clients in
+      let p, cp, checks, report = run_point n_clients in
       if n_clients = 1_000 then begin
         fp_1000 := Bess_obs.Critpath.fingerprint cp;
-        breaches_1000 := Bess_obs.Slo.breaches slo;
+        breaches_1000 := breaches report;
         point_1000 := Some p
       end;
       let total = Bess_obs.Critpath.total_ns cp in
@@ -1366,7 +1373,7 @@ let e15 () =
       let phase_sum = List.fold_left (fun acc (_, ns) -> acc + ns) 0 totals in
       let gap = Stdlib.abs (phase_sum - total) in
       if total > 0 && gap * 100 > total then conserved := false;
-      if n_clients = List.hd fleet_sweep && Bess_obs.Slo.breaches_of slo "commit_p99" > 0 then
+      if n_clients = List.hd fleet_sweep && List.assoc "commit_p99" report > 0 then
         budget_ok := false;
       let frac ns =
         if total = 0 then 0.0 else 100.0 *. float_of_int ns /. float_of_int total
@@ -1383,18 +1390,18 @@ let e15 () =
                     (if total = 0 then 0.0
                      else float_of_int ns /. float_of_int total))
                 totals))
-          (Bess_obs.Slo.checks slo) (Bess_obs.Slo.breaches slo)
+          checks (breaches report)
           (String.concat ","
              (List.map
                 (fun (name, n) ->
                   Printf.sprintf "%s:%d" (Bess_obs.Registry.json_string name) n)
-                (Bess_obs.Slo.report slo)))
+                report))
         :: !point_sections;
       rows :=
         ([ Report.count n_clients; Report.count p.r.Driver.r_commits;
            Report.count (Bess_obs.Critpath.txns cp) ]
         @ List.map (fun name -> Printf.sprintf "%.1f%%" (share name)) phase_names
-        @ [ Report.count (Bess_obs.Slo.breaches slo);
+        @ [ Report.count (breaches report);
             Printf.sprintf "%.0f ms" (p.wall *. 1e3) ])
         :: !rows)
     fleet_sweep;
@@ -1412,17 +1419,15 @@ let e15 () =
   Report.gate !budget_ok ~fail:"BREACHED"
     "e15: latency budget gate at %d clients (commit p99 < %dms): " (List.hd fleet_sweep)
     (budget_ns / 1_000_000);
-  (* Same seed, fresh substrates: the blame decomposition and the SLO
+  (* Same seed, fresh substrates: the blame decomposition and the
      breach counts must reproduce bit for bit. *)
-  let _, cp2, slo2 = run_point 1_000 in
+  let _, cp2, _, report2 = run_point 1_000 in
   let fp2 = Bess_obs.Critpath.fingerprint cp2 in
-  let deterministic =
-    String.equal !fp_1000 fp2 && !breaches_1000 = Bess_obs.Slo.breaches slo2
-  in
+  let deterministic = String.equal !fp_1000 fp2 && !breaches_1000 = breaches report2 in
   Report.gate deterministic ~pass:"OK (blame fingerprints and breach counts identical)"
     ~fail:
       (Printf.sprintf "FAILED (%s vs %s; breaches %d vs %d)" !fp_1000 fp2 !breaches_1000
-         (Bess_obs.Slo.breaches slo2))
+         (breaches report2))
     "e15: same-seed determinism at 1000 clients: ";
   (* Observer effect: the same point with no plane installed must run
      the same schedule, so the same substrate counters and sim time. *)

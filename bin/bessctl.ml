@@ -694,8 +694,8 @@ let flightrec_cmd =
   Cmd.v
     (Cmd.info "flightrec"
        ~doc:
-         "Replay a black-box flight-recorder dump: spans interleaved with events, fault \
-          firings and SLO breaches")
+         "Replay a black-box flight-recorder dump: spans interleaved with events and fault \
+          firings")
     Term.(const run $ file_arg $ last)
 
 (* ---- compact ---- *)

@@ -50,7 +50,7 @@ type t = {
   dirty : (Page_id.t, unit) Hashtbl.t;
   (* Dirty pages evicted before commit park here (their X locks are held,
      so this is just deferred shipping); consulted on refetch so the
-     transaction keeps seeing its own writes. *)
+     transaction keeps seeing its own writes. Commit and abort empty it. *)
   pending_writes : (Page_id.t, Bytes.t) Hashtbl.t;
   stats : Bess_util.Stats.t;
 }
@@ -278,6 +278,8 @@ let commit t =
       | `Committed -> ()
       | `Lock_violation -> failwith "Node_server.commit: lock violation");
       Hashtbl.reset t.dirty;
+      (* The parked images were shipped with the updates. *)
+      Hashtbl.reset t.pending_writes;
       t.txn <- None;
       Bess_util.Stats.incr t.stats "node.commits"
 
@@ -300,6 +302,8 @@ let abort t =
           (try Cache.discard t.cache page with Invalid_argument _ -> ()))
         t.dirty;
       Hashtbl.reset t.dirty;
+      (* Parked images of the aborted transaction are void. *)
+      Hashtbl.reset t.pending_writes;
       t.txn <- None;
       Bess_util.Stats.incr t.stats "node.aborts"
 

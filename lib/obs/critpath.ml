@@ -326,8 +326,8 @@ let on_close t c (s : Span.span) =
         (* Parentless spans never belonged to a transaction (bench
            scaffolding, background maintenance) — benign. A span whose
            parent chain exists but reaches no open root closed after
-           its transaction did: that is the anomaly the no-orphans SLO
-           rule watches. *)
+           its transaction did: that is the anomaly the bench's
+           per-window no-orphans check watches. *)
         if s.Span.parent = None then
           Bess_util.Stats.incr t.stats "critpath.background_spans"
         else Bess_util.Stats.incr t.stats "critpath.orphan_spans"

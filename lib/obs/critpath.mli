@@ -14,7 +14,8 @@
     covers is the parent's self time. Per-phase totals feed histograms
     under the ["critpath"] registry namespace (["critpath.lock_ns"],
     ["critpath.commit_ns"], ...), so {!Series} windows carry per-phase
-    tail percentiles; the slowest transactions are retained whole in a
+    tail percentiles (the bench's per-window latency budget reads
+    ["critpath.commit_ns"] there); the slowest transactions are retained whole in a
     bounded top-K reservoir that rides along in every {!Flightrec}
     dump (aux section ["slow_txns"]) and behind [bessctl slow].
 
@@ -47,7 +48,7 @@ type t
 (** [create ()] makes a sink keeping the [top_k] (default 32) slowest
     transactions, treating ["sched.txn"] and ["session.txn"] spans as
     transaction roots, and registers its counters and per-phase
-    histograms in {!Registry.default} under ["critpath"]. *)
+    histograms in the {!Registry} under ["critpath"]. *)
 val create : ?top_k:int -> unit -> t
 
 (** Install (or, with [None], remove) the sink: claims the span close

@@ -3,7 +3,7 @@
    When armed, [dump ~reason] bundles the system's recent behaviour into
    one JSON artifact: the newest entries of the installed span collector
    — spans, and the instants recorded beside them (primitive events,
-   fault firings, SLO breaches) — the current registry snapshot
+   fault firings) — the current registry snapshot
    (counters + gauges) and the installed {!Series} ring. The artifact is
    a Chrome trace_event file rendered by {!Span.to_chrome_json}, so it
    loads directly in Perfetto, while the extra sections make it

@@ -1,8 +1,8 @@
 (** The black-box flight recorder.
 
     When armed, {!dump} bundles the newest spans and instants of the
-    installed {!Span} collector (primitive events, fault firings and SLO
-    breaches are instants there), the current registry snapshot
+    installed {!Span} collector (primitive events and fault firings are
+    instants there), the current registry snapshot
     (counters + gauges) and the installed {!Series} ring into one JSON
     artifact. The top-level object is a valid Chrome trace_event file —
     {!Span.to_chrome_json} renders it — and the extra sections make it

@@ -12,9 +12,8 @@
    decay is not fast enough, so a genuinely hot page survives any
    amount of cold-key churn.
 
-   Decay is self-clocked from {!Span.now_ns}: the {!Series} window hook
-   is a single slot already owned by the SLO watcher, and heat must not
-   depend on a Series being installed at all. Time is measured relative
+   Decay is self-clocked from {!Span.now_ns}: heat must not depend on a
+   Series being installed at all. Time is measured relative
    to the sketch's creation instant, so two same-seed runs started at
    different absolute clock offsets render byte-identical artifacts —
    the e18 determinism gate.
@@ -48,7 +47,6 @@ let create ?(window_ns = 1_000_000) ?(max_keys = 4096) () =
     n_decays = 0;
   }
 
-let window_ns t = t.window_ns
 let n_total t = t.n_total
 let n_decays t = t.n_decays
 let tracked_keys t = Hashtbl.length t.tbl
@@ -130,6 +128,3 @@ let json_of ?(k = 20) ?key_label t =
     (top_k t k);
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-let fingerprint ?k ?key_label t =
-  Bess_util.Crc32.to_int (Bess_util.Crc32.string (json_of ?k ?key_label t))

@@ -23,8 +23,6 @@ val create : ?window_ns:int -> ?max_keys:int -> unit -> t
 (** [access t key] records one access at the current simulated time. *)
 val access : t -> int -> unit
 
-val window_ns : t -> int
-
 (** All accesses observed. *)
 val n_total : t -> int
 
@@ -41,6 +39,3 @@ val top_k : t -> int -> (int * int * int) list
 (** One deterministic JSON object with the top-[k] (default 20) entries;
     [key_label] renders each key as an extra ["page"] member. *)
 val json_of : ?k:int -> ?key_label:(int -> string) -> t -> string
-
-(** CRC-32 of {!json_of} — the determinism gate's digest. *)
-val fingerprint : ?k:int -> ?key_label:(int -> string) -> t -> int

@@ -1,12 +1,12 @@
 (* The process-wide metrics registry.
 
-   Every substrate registers its {!Bess_util.Stats.t} (and any standalone
-   {!Bess_util.Histogram.t}) under a namespaced key -- "vmem", "cache",
-   "wal", "lock", "net", "session", ... -- so a snapshot of the whole
-   system's counters can be taken at any point and diffed against another:
-   the experiments argue from *counts* (faults taken, protection changes,
-   log forces, messages sent), and a before/after delta is what ties a
-   workload to the counters it moved.
+   Every substrate registers its {!Bess_util.Stats.t} under a namespaced
+   key -- "vmem", "cache", "wal", "lock", "net", "session", ... -- so a
+   snapshot of the whole system's counters and histograms can be taken at
+   any point and diffed against another: the experiments argue from
+   *counts* (faults taken, protection changes, log forces, messages
+   sent), and a before/after delta is what ties a workload to the
+   counters it moved.
 
    Besides counters and histograms the registry holds *gauges*: named
    callbacks sampled on demand at snapshot time, reporting state rather
@@ -19,21 +19,11 @@
    recently created instance of each namespace. Keys in a snapshot are
    flattened as [<reg key>.<counter name>], except that a counter already
    carrying its namespace prefix (most do: "vmem.reserve_calls" under
-   "vmem") is kept as-is rather than doubled. Standalone histograms and
-   gauges are flattened by the same rule, so a histogram registered under
-   ("wal", name) can never clobber the "wal" stats namespace. *)
+   "vmem") is kept as-is rather than doubled. Gauges are flattened by the
+   same rule. *)
 
-type t = {
-  sources : (string, Bess_util.Stats.t) Hashtbl.t;
-  hists : (string, Bess_util.Histogram.t) Hashtbl.t; (* key = flattened name *)
-  gauges : (string, unit -> int) Hashtbl.t; (* key = flattened name *)
-}
-
-let create () =
-  { sources = Hashtbl.create 16; hists = Hashtbl.create 8; gauges = Hashtbl.create 16 }
-
-(* The default, process-wide registry that substrates register into. *)
-let default = create ()
+let sources : (string, Bess_util.Stats.t) Hashtbl.t = Hashtbl.create 16
+let gauge_fns : (string, unit -> int) Hashtbl.t = Hashtbl.create 16 (* key = flattened name *)
 
 (* Every metric name is [<namespace>.<rest>] with this table as the set of
    legal first components; the hygiene test greps the source tree for
@@ -62,7 +52,6 @@ let metric_namespaces =
     "sched";
     "server";
     "session";
-    "slo";
     "smt";
     "soft";
     "span";
@@ -80,66 +69,42 @@ let flatten_key key name =
   then name
   else prefix ^ name
 
-let register_stats ?(registry = default) key stats =
-  Hashtbl.replace registry.sources key stats
+let register_stats key stats = Hashtbl.replace sources key stats
 
-(* Standalone histograms live in their own table keyed by the flattened
-   name, so [register_histogram "wal" h] can never shadow the Stats
-   binding registered under "wal" (it used to: both kinds shared one
-   table and the histogram key bypassed [flatten_key]). *)
-let register_histogram ?(registry = default) key name hist =
-  Hashtbl.replace registry.hists (flatten_key key name) hist
-
-(* Gauges are registered under a (key, name) pair like histograms; the
-   callback must be a pure read of substrate state -- it runs at every
-   snapshot, including from the windowed sampler. *)
-let register_gauge ?(registry = default) key name fn =
-  Hashtbl.replace registry.gauges (flatten_key key name) fn
+(* The callback must be a pure read of substrate state -- it runs at
+   every snapshot, including from the windowed sampler. *)
+let register_gauge key name fn = Hashtbl.replace gauge_fns (flatten_key key name) fn
 
 (* [unregister key] drops the whole namespace: the stats binding plus
-   every standalone histogram and gauge whose flattened name lives under
-   [key ^ "."]. *)
-let unregister ?(registry = default) key =
-  Hashtbl.remove registry.sources key;
+   every gauge whose flattened name lives under [key ^ "."]. *)
+let unregister key =
+  Hashtbl.remove sources key;
   let prefix = key ^ "." in
-  let in_ns k =
-    k = key
-    || String.length k >= String.length prefix
-       && String.sub k 0 (String.length prefix) = prefix
-  in
-  let drop tbl =
-    let doomed = Hashtbl.fold (fun k _ acc -> if in_ns k then k :: acc else acc) tbl [] in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  drop registry.hists;
-  drop registry.gauges
+  Hashtbl.filter_map_inplace
+    (fun k fn -> if String.starts_with ~prefix k then None else Some fn)
+    gauge_fns
 
-let keys ?(registry = default) () =
+let keys () =
   let add tbl acc = Hashtbl.fold (fun k _ acc -> k :: acc) tbl acc in
-  add registry.sources (add registry.hists (add registry.gauges []))
-  |> List.sort_uniq String.compare
+  add sources (add gauge_fns []) |> List.sort_uniq String.compare
 
 (* Scoped reset: the registry is process-global mutable state, so tests
    and bench workloads that build substrates would otherwise leak
    registrations into each other. [f] runs against an emptied registry;
    the previous bindings are restored afterwards, exceptions included. *)
-let with_fresh ?(registry = default) f =
+let with_fresh f =
   let save tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   let restore tbl saved =
     Hashtbl.reset tbl;
     List.iter (fun (k, v) -> Hashtbl.replace tbl k v) saved
   in
-  let saved_sources = save registry.sources
-  and saved_hists = save registry.hists
-  and saved_gauges = save registry.gauges in
-  Hashtbl.reset registry.sources;
-  Hashtbl.reset registry.hists;
-  Hashtbl.reset registry.gauges;
+  let saved_sources = save sources and saved_gauges = save gauge_fns in
+  Hashtbl.reset sources;
+  Hashtbl.reset gauge_fns;
   Fun.protect
     ~finally:(fun () ->
-      restore registry.sources saved_sources;
-      restore registry.hists saved_hists;
-      restore registry.gauges saved_gauges)
+      restore sources saved_sources;
+      restore gauge_fns saved_gauges)
     f
 
 (* ---- Snapshots ----------------------------------------------------------- *)
@@ -183,20 +148,19 @@ let summarize h =
 
 let by_name (a, _) (b, _) = String.compare a b
 
-(* Iterate every live histogram — those inside registered Stats sources
-   plus the standalone table — with flattened names. The windowed
-   sampler uses the raw buckets to compute per-window tail percentiles
-   from bucket deltas, which a summarized snapshot cannot provide. *)
-let iter_histograms ?(registry = default) f =
+(* Iterate every live histogram of the registered Stats sources with
+   flattened names. The windowed sampler uses the raw buckets to compute
+   per-window tail percentiles from bucket deltas, which a summarized
+   snapshot cannot provide. *)
+let iter_histograms f =
   Hashtbl.iter
     (fun key st ->
       List.iter
         (fun (name, h) -> f (flatten_key key name) h)
         (Bess_util.Stats.histograms st))
-    registry.sources;
-  Hashtbl.iter (fun key h -> f key h) registry.hists
+    sources
 
-let snapshot ?(registry = default) () =
+let snapshot () =
   let counters = ref [] and hists = ref [] in
   Hashtbl.iter
     (fun key st ->
@@ -206,15 +170,14 @@ let snapshot ?(registry = default) () =
       List.iter
         (fun (name, h) -> hists := (flatten_key key name, summarize h) :: !hists)
         (Bess_util.Stats.histograms st))
-    registry.sources;
-  Hashtbl.iter (fun key h -> hists := (key, summarize h) :: !hists) registry.hists;
+    sources;
   let gauges =
     Hashtbl.fold
       (fun key fn acc ->
         (* A gauge whose substrate died under it (closure raising) is
            dropped from the snapshot rather than fabricated as 0. *)
         match fn () with v -> (key, v) :: acc | exception _ -> acc)
-      registry.gauges []
+      gauge_fns []
   in
   {
     counters = List.sort by_name !counters;

@@ -33,7 +33,6 @@ type sample = {
 
 type t = {
   window_ns : int;
-  registry : Registry.t;
   ring : sample option array;
   mutable head : int;
   mutable length : int;
@@ -43,37 +42,32 @@ type t = {
   mutable base : Registry.snapshot;
   hist_base : (string, int array) Hashtbl.t; (* raw buckets at window start *)
   mutable sampling : bool; (* reentrancy guard: gauges must not resample *)
-  mutable on_window : (sample -> unit) option; (* SLO watcher, per closed window *)
 }
 
 let rebase_hists t =
   Hashtbl.reset t.hist_base;
-  Registry.iter_histograms ~registry:t.registry (fun name h ->
+  Registry.iter_histograms (fun name h ->
       Hashtbl.replace t.hist_base name (Bess_util.Histogram.raw_buckets h))
 
-let create ?(capacity = 512) ?(window_ns = 1_000_000) ?(registry = Registry.default) () =
+let create ?(capacity = 512) ?(window_ns = 1_000_000) () =
   if capacity <= 0 then invalid_arg "Series.create: capacity must be positive";
   if window_ns <= 0 then invalid_arg "Series.create: window_ns must be positive";
   let t =
     {
       window_ns;
-      registry;
       ring = Array.make capacity None;
       head = 0;
       length = 0;
       next_index = 0;
       dropped = 0;
       window_start = Span.now_ns ();
-      base = Registry.snapshot ~registry ();
+      base = Registry.snapshot ();
       hist_base = Hashtbl.create 32;
       sampling = false;
-      on_window = None;
     }
   in
   rebase_hists t;
   t
-
-let set_window_hook t h = t.on_window <- h
 
 let push t s =
   (match t.ring.(t.head) with
@@ -91,7 +85,7 @@ let push t s =
    new instance whole, mirroring {!Registry.diff}. *)
 let window_tails t =
   let out = ref [] in
-  Registry.iter_histograms ~registry:t.registry (fun name h ->
+  Registry.iter_histograms (fun name h ->
       let cur = Bess_util.Histogram.raw_buckets h in
       let delta =
         match Hashtbl.find_opt t.hist_base name with
@@ -110,7 +104,7 @@ let window_tails t =
   List.sort (fun (a, _) (b, _) -> String.compare a b) !out
 
 let close_window t ~now =
-  let snap = Registry.snapshot ~registry:t.registry () in
+  let snap = Registry.snapshot () in
   let d = Registry.diff ~keep_zeros:true ~before:t.base ~after:snap () in
   let s =
     {
@@ -125,11 +119,7 @@ let close_window t ~now =
   push t s;
   t.next_index <- t.next_index + 1;
   t.base <- snap;
-  t.window_start <- now;
-  (* The SLO watcher runs after rebasing, inside the sampling guard, so
-     the counters it moves (slo.checks, slo.breaches) land in the *next*
-     window and cannot recurse into another close. *)
-  match t.on_window with None -> () | Some f -> f s
+  t.window_start <- now
 
 let tick t =
   if not t.sampling then begin
@@ -162,7 +152,7 @@ let install s =
   | None -> Span.set_tick_hook None
   | Some t ->
       t.window_start <- Span.now_ns ();
-      t.base <- Registry.snapshot ~registry:t.registry ();
+      t.base <- Registry.snapshot ();
       rebase_hists t;
       Span.set_tick_hook (Some (fun () -> tick t))
 
@@ -196,9 +186,6 @@ let sample_rate s name =
   | Some d ->
       let width = s.w_end_ns - s.w_start_ns in
       if width <= 0 then None else Some (float_of_int d *. 1e9 /. float_of_int width)
-
-(* Rate over the most recently completed window. *)
-let rate t name = Option.bind (last t) (fun s -> sample_rate s name)
 
 (* ---- JSON export ----------------------------------------------------------- *)
 

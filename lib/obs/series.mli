@@ -4,8 +4,10 @@
     simulated clock crosses a window boundary (observed through the
     {!Span.set_tick_hook} hook; zero-cost when no series is installed),
     it diffs the registry against the previous window and pushes the
-    per-window counter deltas plus sampled gauge values into a bounded
-    ring.
+    per-window counter deltas, sampled gauge values and window-local
+    histogram tails into a bounded ring. Consumers read the ring after
+    the run through {!to_list} (the bench's per-window latency budget
+    does) — nothing runs inside a window close.
 
     Windows are at least [window_ns] of simulated time: one large clock
     jump closes one window spanning the jump (each sample carries its
@@ -35,10 +37,10 @@ type sample = {
 
 type t
 
-(** [create ()] makes a sampler keeping the last [capacity] windows
-    (default 512) of at least [window_ns] (default 1ms simulated) each,
-    reading [registry] (default the process-wide one). *)
-val create : ?capacity:int -> ?window_ns:int -> ?registry:Registry.t -> unit -> t
+(** [create ()] makes a sampler of the process-wide {!Registry} keeping
+    the last [capacity] windows (default 512) of at least [window_ns]
+    (default 1ms simulated) each. *)
+val create : ?capacity:int -> ?window_ns:int -> unit -> t
 
 (** Install (or, with [None], remove) the ambient series: hooks the
     simulated clock and rebases the first window at the current time. *)
@@ -66,18 +68,9 @@ val sample_delta : sample -> string -> int option
 val sample_gauge : sample -> string -> int option
 val sample_tail : sample -> string -> tail option
 
-(** [set_window_hook t h] installs (or, with [None], removes) a callback
-    run once per closed window with the new sample, after the ring push
-    and rebase, inside the reentrancy guard. The SLO watcher evaluates
-    its rules here; counters the hook moves land in the next window. *)
-val set_window_hook : t -> (sample -> unit) option -> unit
-
 (** Per-second rate of a counter over one sample: delta divided by the
     sample's true width. [None] if the counter is absent. *)
 val sample_rate : sample -> string -> float option
-
-(** Rate over the most recently completed window. *)
-val rate : t -> string -> float option
 
 val json_of_sample : sample -> string
 

@@ -9,8 +9,8 @@
    context argument threading through the request path.
 
    The collector is the system's one event record: besides spans, its
-   ring holds zero-width instants — primitive events, fault firings,
-   SLO breaches — on the same timeline.
+   ring holds zero-width instants — primitive events, fault firings —
+   on the same timeline.
 
    Time is a process-wide simulated-nanosecond counter. Substrates with
    a cost model advance it ([Net.account] adds wire time, the fault path

@@ -6,7 +6,7 @@
     kind from the central {!kinds} table, start/end stamps on the
     process-wide simulated clock, and key/value attributes. An instant
     is a zero-width named event with attributes: a primitive event
-    ({!Core.Event.fire}), a fault firing, an SLO breach. Completed spans
+    ({!Core.Event.fire}) or a fault firing. Completed spans
     and instants share one bounded ring (a {!t} collector); per-kind
     span durations feed a histogram registered in the {!Registry} under
     ["span"], so reports get a latency breakdown for free.
@@ -52,8 +52,8 @@ type handle
 val kinds : string list
 
 (** [create ()] makes a collector keeping the last [capacity] completed
-    spans and instants (default 65536) and registers its per-kind duration histograms
-    in {!Registry.default} under ["span"]. *)
+    spans and instants (default 65536) and registers its per-kind
+    duration histograms in the {!Registry} under ["span"]. *)
 val create : ?capacity:int -> unit -> t
 
 (** Install (or, with [None], remove) the ambient collector; no span
@@ -161,9 +161,9 @@ val set_close_hook : (t -> span -> unit) option -> unit
 
 val duration : span -> int
 
-(** Retained spans whose parent is absent (never set, or evicted). *)
-val roots : t -> span list
-
+(** The longest retained span of [kind] (default ["session.txn"]); with
+    none, the longest retained root (a span whose parent is absent:
+    never set, or evicted). *)
 val slowest : ?kind:string -> t -> span option
 
 (** Indented text timeline of [root] and its retained descendants. *)

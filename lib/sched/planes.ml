@@ -6,10 +6,9 @@
 module Span = Bess_obs.Span
 module Critpath = Bess_obs.Critpath
 module Series = Bess_obs.Series
-module Slo = Bess_obs.Slo
 module Fault = Bess_fault.Fault
 
-let with_installed ?spans ?critpath ?series ?slo ?faults f =
+let with_installed ?spans ?critpath ?series ?faults f =
   let saved_faults = Option.map (fun _ -> Fault.save ()) faults in
   Option.iter
     (fun (seed, sites) ->
@@ -21,16 +20,11 @@ let with_installed ?spans ?critpath ?series ?slo ?faults f =
   let saved_series = Series.installed () in
   Option.iter (fun c -> Span.install (Some c)) spans;
   Option.iter (fun c -> Critpath.install (Some c)) critpath;
-  Option.iter
-    (fun s ->
-      Series.install (Some s);
-      Option.iter (fun slo -> Slo.watch slo s) slo)
-    series;
+  Option.iter (fun s -> Series.install (Some s)) series;
   Fun.protect f ~finally:(fun () ->
       Option.iter
         (fun s ->
           Series.flush s;
-          if slo <> None then Slo.unwatch s;
           Series.install saved_series)
         series;
       if critpath <> None then Critpath.install saved_critpath;

@@ -1,20 +1,18 @@
-(* A set of storage areas addressed by id, with round-robin placement.
+(* A set of storage areas addressed by id.
 
    Databases own an area set: ordinary BeSS files live in one area, while
    multifiles stripe their object segments round-robin across every area in
-   the set, which is what gives the parallel-scan capability of section 2
-   ("when a multifile expands over different physical devices ... it
-   provides a convenient mechanism for parallel I/O processing"). *)
+   the set (Bess_file.next_area walks [ids] in order), which is what gives
+   the parallel-scan capability of section 2 ("when a multifile expands
+   over different physical devices ... it provides a convenient mechanism
+   for parallel I/O processing"). *)
 
 type t = {
   areas : (int, Area.t) Hashtbl.t;
   mutable order : int list; (* area ids in registration order, for striping *)
-  mutable rr_cursor : int;
-  stats : Bess_util.Stats.t;
 }
 
-let create () =
-  { areas = Hashtbl.create 8; order = []; rr_cursor = 0; stats = Bess_util.Stats.create () }
+let create () = { areas = Hashtbl.create 8; order = [] }
 
 let add t area =
   let id = Area.id area in
@@ -28,8 +26,6 @@ let find t id =
   | None -> invalid_arg (Printf.sprintf "Area_set.find: unknown area %d" id)
 
 let ids t = t.order
-let n_areas t = List.length t.order
-let stats t = t.stats
 let iter t f = List.iter (fun id -> f (find t id)) t.order
 
 (* Allocate a segment in a specific area. *)
@@ -38,28 +34,6 @@ let alloc_in t ~area_id ~npages =
   match Area.alloc area ~npages with
   | Some first_page -> Some { Seg_addr.area = area_id; first_page; npages }
   | None -> None
-
-(* Allocate striping round-robin across areas; used by multifiles. Falls
-   through to the next area when one is full. *)
-let alloc_striped t ~npages =
-  let n = n_areas t in
-  if n = 0 then None
-  else begin
-    let arr = Array.of_list t.order in
-    let rec go tries =
-      if tries >= n then None
-      else begin
-        let id = arr.((t.rr_cursor + tries) mod n) in
-        match alloc_in t ~area_id:id ~npages with
-        | Some addr ->
-            t.rr_cursor <- (t.rr_cursor + tries + 1) mod n;
-            Bess_util.Stats.incr t.stats (Printf.sprintf "area_set.striped_to.%d" id);
-            Some addr
-        | None -> go (tries + 1)
-      end
-    in
-    go 0
-  end
 
 let free t (addr : Seg_addr.t) = Area.free (find t addr.area) ~first_page:addr.first_page
 

@@ -1,4 +1,5 @@
-(** A set of storage areas with round-robin striping for multifiles. *)
+(** A set of storage areas addressed by id. A multifile stripes its
+    segments round-robin over {!ids}, in registration order. *)
 
 type t
 
@@ -9,16 +10,11 @@ val add : t -> Area.t -> unit
 
 val find : t -> int -> Area.t
 val ids : t -> int list
-val n_areas : t -> int
-val stats : t -> Bess_util.Stats.t
 val iter : t -> (Area.t -> unit) -> unit
 
 (** Allocate a segment in one named area (ordinary BeSS files: all segments
     of a file live in a single area). *)
 val alloc_in : t -> area_id:int -> npages:int -> Seg_addr.t option
-
-(** Allocate round-robin across areas (multifiles, section 2). *)
-val alloc_striped : t -> npages:int -> Seg_addr.t option
 
 val free : t -> Seg_addr.t -> unit
 val read_page : t -> area_id:int -> int -> Bytes.t

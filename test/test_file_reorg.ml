@@ -71,16 +71,19 @@ let test_multifile_striping () =
   done;
   Bess.Session.commit s;
   Alcotest.(check bool) "multifile" true (Bess.Bess_file.is_multifile f);
-  (* Segments must be spread over all three areas. *)
-  let areas =
+  (* Segments must be spread evenly over all three areas. *)
+  let seg_areas =
     List.map
       (fun seg_id ->
         (Bess.Session.get_seg s ~db_id:(Bess.Db.db_id db) ~seg_id).Bess.Session.slotted_disk
           .Bess_storage.Seg_addr.area)
       (Bess.Bess_file.seg_ids f)
-    |> List.sort_uniq compare
   in
+  let areas = List.sort_uniq compare seg_areas in
   Alcotest.(check int) "segments in 3 areas" 3 (List.length areas);
+  let counts = List.map (fun a -> List.length (List.filter (( = ) a) seg_areas)) areas in
+  Alcotest.(check bool) "evenly: per-area counts differ by at most one" true
+    (List.fold_left max 0 counts - List.fold_left min max_int counts <= 1);
   Bess.Session.begin_txn s;
   let visited, streams = Bess.Bess_file.striped_scan f (fun _ -> ()) in
   Alcotest.(check int) "striped scan visits all" 400 visited;

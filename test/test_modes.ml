@@ -218,6 +218,59 @@ let test_shared_cache_counts_each_access_once () =
   Alcotest.(check bool) "the stream evicted" true (get "cache.evictions" > 0);
   Bess.Node_server.commit node
 
+(* A dirty shared page evicted mid-transaction is parked until commit
+   ships it. The parked image belongs to that transaction alone: a
+   2-slot shared cache parks page 0 after three pages are touched. *)
+let park_page0 node procs seg v =
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 (data_page seg 0) ~write:true in
+  Vmem.write_i64 procs.(0).Bess.Node_server.pvma addr v;
+  ignore (Bess.Node_server.shm_access node ~proc:0 (data_page seg 1) ~write:false);
+  ignore (Bess.Node_server.shm_access node ~proc:0 (data_page seg 2) ~write:false);
+  Alcotest.(check bool) "page 0 parked" true
+    (Bess_util.Stats.get (Bess.Node_server.stats node) "node.dirty_parked" > 0)
+
+let node_read node procs seg ~off =
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 (data_page seg 0) ~write:false in
+  Vmem.read_i64 procs.(0).Bess.Node_server.pvma (addr + off)
+
+let upstream_read db seg ~off =
+  Bess_util.Codec.get_i64 (Bess.Server.read_page (Bess.Db.server db) (data_page seg 0)) off
+
+(* An abort voids the parked image: the next transaction reads the
+   upstream copy, and committing another field of the page does not
+   carry the aborted write upstream. *)
+let test_abort_voids_parked_writes () =
+  let db, seg, node = fresh_setup ~cache_slots:2 () in
+  let procs = Bess.Node_server.register_processes node 1 in
+  let original = upstream_read db seg ~off:0 in
+  park_page0 node procs seg 999;
+  Bess.Node_server.abort node;
+  Alcotest.(check int) "next txn reads the upstream copy" original
+    (node_read node procs seg ~off:0);
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 (data_page seg 0) ~write:true in
+  Vmem.write_i64 procs.(0).Bess.Node_server.pvma (addr + 8) 42;
+  Bess.Node_server.commit node;
+  Alcotest.(check int) "the other field committed" 42 (upstream_read db seg ~off:8);
+  Alcotest.(check int) "the aborted write stayed out" original (upstream_read db seg ~off:0)
+
+(* A commit ships the parked image, after which it is spent: a newer
+   upstream value, committed through another node, is what the next
+   transaction reads. *)
+let test_commit_spends_parked_writes () =
+  let db, seg, node = fresh_setup ~cache_slots:2 () in
+  let procs = Bess.Node_server.register_processes node 1 in
+  park_page0 node procs seg 999;
+  Bess.Node_server.commit node;
+  Alcotest.(check int) "the parked image was shipped" 999 (upstream_read db seg ~off:0);
+  let other = Bess.Node_server.create ~cache_slots:2 ~id:997 (Bess.Db.server db) in
+  let other_procs = Bess.Node_server.register_processes other 1 in
+  let addr, _ = Bess.Node_server.shm_access other ~proc:0 (data_page seg 0) ~write:true in
+  Vmem.write_i64 other_procs.(0).Bess.Node_server.pvma addr 7;
+  Bess.Node_server.commit other;
+  Alcotest.(check int) "upstream holds the newer value" 7 (upstream_read db seg ~off:0);
+  Alcotest.(check int) "the node reads it" 7 (node_read node procs seg ~off:0);
+  Bess.Node_server.commit node
+
 let suite =
   [
     Alcotest.test_case "shm_same_vframe" `Quick test_shm_same_vframe_all_processes;
@@ -233,4 +286,6 @@ let suite =
     Alcotest.test_case "latch_accounting" `Quick test_latch_accounting;
     Alcotest.test_case "shared_cache_counts_each_access_once" `Quick
       test_shared_cache_counts_each_access_once;
+    Alcotest.test_case "abort_voids_parked_writes" `Quick test_abort_voids_parked_writes;
+    Alcotest.test_case "commit_spends_parked_writes" `Quick test_commit_spends_parked_writes;
   ]

@@ -23,35 +23,35 @@ let payload (i : Span.instant) =
   String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) i.i_attrs)
 
 let test_registry_snapshot_diff () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
+  Registry.register_stats "wal" st;
   Stats.incr st "log.appends";
   Stats.add st "forces" 3;
-  let before = Registry.snapshot ~registry:reg () in
+  let before = Registry.snapshot () in
   Alcotest.(check (list (pair string int)))
     "flattened keys: namespaced kept, bare prefixed"
     [ ("wal.forces", 3); ("wal.log.appends", 1) ]
     (Registry.counters before);
   Stats.incr st "log.appends";
   Stats.incr st "log.appends";
-  let after = Registry.snapshot ~registry:reg () in
+  let after = Registry.snapshot () in
   let d = Registry.diff ~before ~after () in
   Alcotest.(check (list (pair string int)))
     "diff keeps moved counters only" [ ("wal.log.appends", 2) ]
     (Registry.counters d)
 
 let test_registry_replace_and_histograms () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st1 = Stats.create () in
   Stats.incr st1 "c";
-  Registry.register_stats ~registry:reg "lock" st1;
+  Registry.register_stats "lock" st1;
   (* A re-created substrate re-registers: latest instance wins. *)
   let st2 = Stats.create () in
   Stats.observe st2 "lock.wait_ns" 4;
   Stats.observe st2 "lock.wait_ns" 8;
-  Registry.register_stats ~registry:reg "lock" st2;
-  let snap = Registry.snapshot ~registry:reg () in
+  Registry.register_stats "lock" st2;
+  let snap = Registry.snapshot () in
   Alcotest.(check (list (pair string int))) "old instance gone" [] (Registry.counters snap);
   (match Registry.histograms snap with
   | [ (name, h) ] ->
@@ -115,44 +115,44 @@ let test_trace_wrap_exact_capacity () =
       Alcotest.(check int) "one eviction" 1 (Span.dropped c))
 
 let test_registry_with_fresh () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
   Stats.incr st "c";
-  Registry.register_stats ~registry:reg "outer" st;
+  Registry.register_stats "outer" st;
   (try
-     Registry.with_fresh ~registry:reg (fun () ->
+     Registry.with_fresh (fun () ->
          Alcotest.(check (list (pair string int)))
            "registry empty inside" []
-           (Registry.counters (Registry.snapshot ~registry:reg ()));
+           (Registry.counters (Registry.snapshot ()));
          let st' = Stats.create () in
          Stats.add st' "x" 9;
-         Registry.register_stats ~registry:reg "inner" st';
+         Registry.register_stats "inner" st';
          failwith "boom")
    with Failure _ -> ());
   Alcotest.(check (list (pair string int)))
     "outer bindings restored, inner gone (even on exception)"
     [ ("outer.c", 1) ]
-    (Registry.counters (Registry.snapshot ~registry:reg ()))
+    (Registry.counters (Registry.snapshot ()))
 
 (* Counter handles across registry scopes: a handle taken before
    [with_fresh] still counts inside it and after, and a handle never
    bumped shows no key in any snapshot. *)
 let test_counter_handles_with_fresh () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
   let hot = Stats.counter st "vmem.tlb_hits" and idle = Stats.counter st "vmem.faults.read" in
-  Registry.register_stats ~registry:reg "vmem" st;
+  Registry.register_stats "vmem" st;
   Stats.bump hot;
-  Registry.with_fresh ~registry:reg (fun () ->
-      Registry.register_stats ~registry:reg "vmem" st;
+  Registry.with_fresh (fun () ->
+      Registry.register_stats "vmem" st;
       Stats.bump hot;
       Alcotest.(check (list (pair string int)))
         "inside with_fresh" [ ("vmem.tlb_hits", 2) ]
-        (Registry.counters (Registry.snapshot ~registry:reg ())));
+        (Registry.counters (Registry.snapshot ())));
   Stats.bump hot;
   Alcotest.(check (list (pair string int)))
     "after with_fresh: one key, idle handle absent" [ ("vmem.tlb_hits", 3) ]
-    (Registry.counters (Registry.snapshot ~registry:reg ()));
+    (Registry.counters (Registry.snapshot ()));
   Alcotest.(check int) "idle handle" 0 (Stats.value idle)
 
 let test_event_feeds_trace () =
@@ -224,11 +224,11 @@ let contains hay needle =
   search 0
 
 let test_registry_gauges () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let v = ref 3 in
-  Registry.register_gauge ~registry:reg "cache" "resident_pages" (fun () -> !v);
-  Registry.register_gauge ~registry:reg "wal" "wal.unflushed_bytes" (fun () -> 7);
-  let snap = Registry.snapshot ~registry:reg () in
+  Registry.register_gauge "cache" "resident_pages" (fun () -> !v);
+  Registry.register_gauge "wal" "wal.unflushed_bytes" (fun () -> 7);
+  let snap = Registry.snapshot () in
   Alcotest.(check (list (pair string int)))
     "gauges sampled and flattened (bare prefixed, namespaced kept)"
     [ ("cache.resident_pages", 3); ("wal.unflushed_bytes", 7) ]
@@ -240,29 +240,40 @@ let test_registry_gauges () =
     (Registry.gauges snap);
   (* Latest registration wins, like stats; a raising callback is dropped
      from the snapshot, not fabricated as 0. *)
-  Registry.register_gauge ~registry:reg "cache" "resident_pages" (fun () -> 99);
-  Registry.register_gauge ~registry:reg "wal" "wal.unflushed_bytes" (fun () ->
+  Registry.register_gauge "cache" "resident_pages" (fun () -> 99);
+  Registry.register_gauge "wal" "wal.unflushed_bytes" (fun () ->
       failwith "substrate gone");
   Alcotest.(check (list (pair string int)))
     "replacement visible, raising gauge dropped"
     [ ("cache.resident_pages", 99) ]
-    (Registry.gauges (Registry.snapshot ~registry:reg ()));
-  let json = Registry.json_of_snapshot (Registry.snapshot ~registry:reg ()) in
+    (Registry.gauges (Registry.snapshot ()));
+  let json = Registry.json_of_snapshot (Registry.snapshot ()) in
   Alcotest.(check bool) "json carries gauges" true
-    (contains json "\"gauges\":{\"cache.resident_pages\":99}")
+    (contains json "\"gauges\":{\"cache.resident_pages\":99}");
+  (* A namespace unregisters as one unit: stats binding and gauges. *)
+  let st = Stats.create () in
+  Stats.incr st "log.forces";
+  Registry.register_stats "wal" st;
+  Registry.register_gauge "wal" "pending" (fun () -> 1);
+  Registry.unregister "wal";
+  let snap = Registry.snapshot () in
+  Alcotest.(check int) "counters gone" 0 (List.length (Registry.counters snap));
+  Alcotest.(check (list (pair string int)))
+    "only the other namespace's gauge left" [ ("cache.resident_pages", 99) ]
+    (Registry.gauges snap)
 
 let test_diff_keep_zeros_and_gauges () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
+  Registry.register_stats "wal" st;
   let g = ref 5 in
-  Registry.register_gauge ~registry:reg "wal" "pending" (fun () -> !g);
+  Registry.register_gauge "wal" "pending" (fun () -> !g);
   Stats.add st "a" 4;
   Stats.add st "b" 2;
-  let before = Registry.snapshot ~registry:reg () in
+  let before = Registry.snapshot () in
   Stats.incr st "a";
   g := 9;
-  let after = Registry.snapshot ~registry:reg () in
+  let after = Registry.snapshot () in
   let d = Registry.diff ~before ~after () in
   Alcotest.(check (list (pair string int)))
     "zero deltas dropped by default" [ ("wal.a", 1) ] (Registry.counters d);
@@ -277,21 +288,21 @@ let test_diff_keep_zeros_and_gauges () =
     (Registry.gauges d)
 
 let test_diff_negative_and_recreated () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
   Stats.add st "c" 10;
   Stats.observe st "wal.bytes" 100;
   Stats.observe st "wal.bytes" 50;
-  Registry.register_stats ~registry:reg "wal" st;
-  let before = Registry.snapshot ~registry:reg () in
+  Registry.register_stats "wal" st;
+  let before = Registry.snapshot () in
   (* The substrate is torn down and re-created mid-window: its counters
      restart from zero, so the delta goes negative and the histogram is
      reported whole rather than as a nonsense negative-count diff. *)
   let st2 = Stats.create () in
   Stats.add st2 "c" 4;
   Stats.observe st2 "wal.bytes" 30;
-  Registry.register_stats ~registry:reg "wal" st2;
-  let after = Registry.snapshot ~registry:reg () in
+  Registry.register_stats "wal" st2;
+  let after = Registry.snapshot () in
   let d = Registry.diff ~before ~after () in
   Alcotest.(check (list (pair string int)))
     "shrunken counter yields a negative delta" [ ("wal.c", -6) ] (Registry.counters d);
@@ -302,61 +313,33 @@ let test_diff_negative_and_recreated () =
       Alcotest.(check int) "sum from the new instance" 30 h.Registry.h_sum
   | l -> Alcotest.fail (Printf.sprintf "expected one histogram, got %d" (List.length l))
 
-let test_histogram_stats_namespace_collision () =
-  (* A standalone histogram registered under a key that also binds a
-     stats namespace must not clobber it: both flatten into the shared
-     dotted namespace and coexist. *)
-  let reg = Registry.create () in
-  let st = Stats.create () in
-  Stats.incr st "log.forces";
-  Registry.register_stats ~registry:reg "wal" st;
-  let h = Bess_util.Histogram.create () in
-  Bess_util.Histogram.observe h 5;
-  Registry.register_histogram ~registry:reg "wal" "force_wait" h;
-  let snap = Registry.snapshot ~registry:reg () in
-  Alcotest.(check (list (pair string int)))
-    "stats namespace survives the histogram registration"
-    [ ("wal.log.forces", 1) ]
-    (Registry.counters snap);
-  (match Registry.histograms snap with
-  | [ (name, hs) ] ->
-      Alcotest.(check string) "histogram flattened uniformly" "wal.force_wait" name;
-      Alcotest.(check int) "count" 1 hs.Registry.h_count
-  | l -> Alcotest.fail (Printf.sprintf "expected one histogram, got %d" (List.length l)));
-  (* And the whole namespace unregisters as one unit. *)
-  Registry.register_gauge ~registry:reg "wal" "pending" (fun () -> 1);
-  Registry.unregister ~registry:reg "wal";
-  let snap = Registry.snapshot ~registry:reg () in
-  Alcotest.(check int) "counters gone" 0 (List.length (Registry.counters snap));
-  Alcotest.(check int) "histograms gone" 0 (List.length (Registry.histograms snap));
-  Alcotest.(check int) "gauges gone" 0 (List.length (Registry.gauges snap))
-
 let test_with_fresh_restores_all_tables () =
-  let reg = Registry.create () in
-  Registry.register_gauge ~registry:reg "cache" "g" (fun () -> 1);
-  let h = Bess_util.Histogram.create () in
-  Bess_util.Histogram.observe h 2;
-  Registry.register_histogram ~registry:reg "wal" "h" h;
+  Registry.with_fresh @@ fun () ->
+  Registry.register_gauge "cache" "g" (fun () -> 1);
+  let st = Stats.create () in
+  Stats.incr st "wal.forces";
+  Registry.register_stats "wal" st;
   (try
-     Registry.with_fresh ~registry:reg (fun () ->
-         Alcotest.(check (list string)) "all tables empty inside" [] (Registry.keys ~registry:reg ());
-         Registry.register_gauge ~registry:reg "net" "n" (fun () -> 2);
+     Registry.with_fresh (fun () ->
+         Alcotest.(check (list string)) "all tables empty inside" [] (Registry.keys ());
+         Registry.register_gauge "net" "n" (fun () -> 2);
          failwith "boom")
    with Failure _ -> ());
-  let snap = Registry.snapshot ~registry:reg () in
+  let snap = Registry.snapshot () in
   Alcotest.(check (list (pair string int)))
     "gauges restored on exception, inner gone" [ ("cache.g", 1) ] (Registry.gauges snap);
-  Alcotest.(check int) "histograms restored" 1 (List.length (Registry.histograms snap))
+  Alcotest.(check (list (pair string int)))
+    "stats restored" [ ("wal.forces", 1) ] (Registry.counters snap)
 
 let test_prom_exposition () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
   Stats.incr st "log.forces";
   Stats.incr_labeled st "net.calls" ~label:"1->2";
   Stats.observe st "wal.waits" 8;
-  Registry.register_stats ~registry:reg "wal" st;
-  Registry.register_gauge ~registry:reg "cache" "resident_pages" (fun () -> 4);
-  let s = Registry.prom_of_snapshot (Registry.snapshot ~registry:reg ()) in
+  Registry.register_stats "wal" st;
+  Registry.register_gauge "cache" "resident_pages" (fun () -> 4);
+  let s = Registry.prom_of_snapshot (Registry.snapshot ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "exposition has %S" needle) true (contains s needle))
@@ -458,7 +441,6 @@ let suite =
     Alcotest.test_case "registry_gauges" `Quick test_registry_gauges;
     Alcotest.test_case "diff_keep_zeros_and_gauges" `Quick test_diff_keep_zeros_and_gauges;
     Alcotest.test_case "diff_negative_and_recreated" `Quick test_diff_negative_and_recreated;
-    Alcotest.test_case "histogram_stats_collision" `Quick test_histogram_stats_namespace_collision;
     Alcotest.test_case "with_fresh_restores_all_tables" `Quick test_with_fresh_restores_all_tables;
     Alcotest.test_case "prom_exposition" `Quick test_prom_exposition;
     Alcotest.test_case "metric_names_hygienic" `Quick test_metric_names_hygienic;

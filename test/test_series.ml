@@ -15,13 +15,13 @@ let with_series series f =
   Fun.protect ~finally:(fun () -> Series.install None) f
 
 let test_windowed_sampling () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
+  Registry.register_stats "wal" st;
   let g = ref 2 in
-  Registry.register_gauge ~registry:reg "wal" "pending" (fun () -> !g);
+  Registry.register_gauge "wal" "pending" (fun () -> !g);
   Stats.add st "forces" 10;
-  let series = Series.create ~window_ns:1000 ~registry:reg () in
+  let series = Series.create ~window_ns:1000 () in
   with_series series (fun () ->
       Stats.incr st "forces";
       Span.advance_ns 1000;
@@ -53,10 +53,10 @@ let test_windowed_sampling () =
 let test_large_jump_one_window () =
   (* One big clock jump closes ONE window spanning the jump — no run of
      fabricated empty windows — and the rate divides by the real width. *)
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
-  let series = Series.create ~window_ns:1000 ~registry:reg () in
+  Registry.register_stats "wal" st;
+  let series = Series.create ~window_ns:1000 () in
   with_series series (fun () ->
       Stats.add st "forces" 4;
       Span.advance_ns 8000);
@@ -71,10 +71,10 @@ let test_large_jump_one_window () =
 let test_quiet_window_between_active () =
   (* A quiet window BETWEEN active ones must still appear, zeros kept —
      the gap in a burst pattern is data, not absence of it. *)
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
-  let series = Series.create ~window_ns:1000 ~registry:reg () in
+  Registry.register_stats "wal" st;
+  let series = Series.create ~window_ns:1000 () in
   with_series series (fun () ->
       Stats.incr st "forces";
       Span.advance_ns 1000;
@@ -97,10 +97,10 @@ let test_uninstall_reinstall_midrun () =
   (* Uninstalling mid-run stops sampling; reinstalling rebases both the
      window clock and the counter baseline, so activity from the dark
      period neither fabricates windows nor leaks into the next delta. *)
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
-  let series = Series.create ~window_ns:1000 ~registry:reg () in
+  Registry.register_stats "wal" st;
+  let series = Series.create ~window_ns:1000 () in
   Series.install (Some series);
   Fun.protect ~finally:(fun () -> Series.install None) (fun () ->
       Stats.incr st "forces";
@@ -126,13 +126,13 @@ let test_gauge_starts_raising () =
   (* A gauge whose substrate dies after registration (closure starts
      raising) silently drops out of later windows instead of killing the
      sampler. *)
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
+  Registry.register_stats "wal" st;
   let alive = ref true in
-  Registry.register_gauge ~registry:reg "wal" "pending" (fun () ->
+  Registry.register_gauge "wal" "pending" (fun () ->
       if !alive then 9 else failwith "substrate gone");
-  let series = Series.create ~window_ns:1000 ~registry:reg () in
+  let series = Series.create ~window_ns:1000 () in
   with_series series (fun () ->
       Stats.incr st "forces";
       Span.advance_ns 1000;
@@ -150,10 +150,10 @@ let test_gauge_starts_raising () =
   | l -> Alcotest.fail (Printf.sprintf "expected 2 windows, got %d" (List.length l))
 
 let test_ring_bound_and_flush () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
-  let series = Series.create ~capacity:2 ~window_ns:1000 ~registry:reg () in
+  Registry.register_stats "wal" st;
+  let series = Series.create ~capacity:2 ~window_ns:1000 () in
   with_series series (fun () ->
       for i = 1 to 5 do
         Stats.add st "forces" i;
@@ -177,8 +177,8 @@ let test_ring_bound_and_flush () =
 
 let test_uninstalled_is_inert () =
   Alcotest.(check bool) "nothing installed" true (Series.installed () = None);
-  let reg = Registry.create () in
-  let series = Series.create ~window_ns:1000 ~registry:reg () in
+  Registry.with_fresh @@ fun () ->
+  let series = Series.create ~window_ns:1000 () in
   (* Clock ticks without an installed series must not sample. *)
   Span.advance_ns 5000;
   Alcotest.(check int) "no windows recorded" 0 (Series.windows series);
@@ -188,11 +188,11 @@ let test_uninstalled_is_inert () =
   | Error e -> Alcotest.failf "bad series json: %s" e
 
 let test_series_json_roundtrip () =
-  let reg = Registry.create () in
+  Registry.with_fresh @@ fun () ->
   let st = Stats.create () in
-  Registry.register_stats ~registry:reg "wal" st;
-  Registry.register_gauge ~registry:reg "wal" "pending" (fun () -> 3);
-  let series = Series.create ~window_ns:1000 ~registry:reg () in
+  Registry.register_stats "wal" st;
+  Registry.register_gauge "wal" "pending" (fun () -> 3);
+  let series = Series.create ~window_ns:1000 () in
   with_series series (fun () ->
       Stats.add st "forces" 2;
       Span.advance_ns 1500);
@@ -247,16 +247,6 @@ let test_flightrec_roundtrip () =
               Span.advance_ns 25));
       Alcotest.(check bool) "fault plane disarmed" false (Fault.armed ());
       Bess.Event.fire (Bess.Event.hooks_create ()) (Bess.Event.Txn_commit { txn = 7 });
-      Registry.with_fresh (fun () ->
-          let rule =
-            match Bess_obs.Slo.rule_of_string "budget: wal.forces < 1" with
-            | Ok r -> r
-            | Error e -> Alcotest.fail e
-          in
-          Bess_obs.Slo.evaluate
-            (Bess_obs.Slo.create ~rules:[ rule ] ())
-            { Series.w_index = 4; w_start_ns = 0; w_end_ns = 1000;
-              w_counters = [ ("wal.forces", 2) ]; w_gauges = []; w_tails = [] });
       Alcotest.(check bool) "armed" true (Flightrec.armed ());
       let path =
         match Flightrec.dump ~reason:"chaos failure" () with
@@ -292,11 +282,6 @@ let test_flightrec_roundtrip () =
             (List.find_map
                (fun (name, _, attrs) ->
                  if name = "txn_commit" then List.assoc_opt "txn" attrs else None)
-               instants);
-          Alcotest.(check (option string)) "the SLO breach replays" (Some "budget")
-            (List.find_map
-               (fun (name, _, attrs) ->
-                 if name = "slo.breach" then List.assoc_opt "rule" attrs else None)
                instants);
           (* Firing 2 interleaves INSIDE the first span: after that span's
              start, before the second span's. Firing 3 shares the second

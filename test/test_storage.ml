@@ -47,20 +47,6 @@ let test_file_persistence () =
   Area.close a2;
   Sys.remove path
 
-let test_area_set_striping () =
-  let set = Area_set.create () in
-  for id = 0 to 2 do
-    Area_set.add set (Area.create ~page_size:512 ~extent_order:4 ~id `Memory)
-  done;
-  let addrs = List.init 9 (fun _ -> Option.get (Area_set.alloc_striped set ~npages:1)) in
-  let by_area = List.map (fun (a : Seg_addr.t) -> a.area) addrs |> List.sort_uniq compare in
-  Alcotest.(check int) "striped across all areas" 3 (List.length by_area);
-  let counts =
-    List.map (fun id -> List.length (List.filter (fun (a : Seg_addr.t) -> a.area = id) addrs))
-      [ 0; 1; 2 ]
-  in
-  Alcotest.(check (list int)) "evenly" [ 3; 3; 3 ] counts
-
 let test_area_set_single_area_binding () =
   let set = Area_set.create () in
   Area_set.add set (Area.create ~page_size:512 ~extent_order:4 ~id:5 `Memory);
@@ -96,7 +82,6 @@ let suite =
     Alcotest.test_case "alloc_free_segments" `Quick test_alloc_free_segments;
     Alcotest.test_case "growth_by_extent" `Quick test_growth_by_extent;
     Alcotest.test_case "file_persistence" `Quick test_file_persistence;
-    Alcotest.test_case "area_set_striping" `Quick test_area_set_striping;
     Alcotest.test_case "area_set_binding" `Quick test_area_set_single_area_binding;
     Alcotest.test_case "seg_addr_codec" `Quick test_seg_addr_codec;
     QCheck_alcotest.to_alcotest prop_alloc_segments_disjoint;
