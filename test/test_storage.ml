@@ -47,6 +47,29 @@ let test_file_persistence () =
   Area.close a2;
   Sys.remove path
 
+let test_area_set_striping () =
+  (* Multifiles stripe by walking [ids] round-robin (Bess_file.next_area),
+     so [ids] must keep registration order and every area must take its
+     turn. Register out of id order to tell the two apart. *)
+  let set = Area_set.create () in
+  List.iter
+    (fun id -> Area_set.add set (Area.create ~page_size:512 ~extent_order:4 ~id `Memory))
+    [ 2; 0; 1 ];
+  let ids = Area_set.ids set in
+  Alcotest.(check (list int)) "registration order" [ 2; 0; 1 ] ids;
+  let addrs =
+    List.init 9 (fun i ->
+        let area_id = List.nth ids (i mod List.length ids) in
+        Option.get (Area_set.alloc_in set ~area_id ~npages:1))
+  in
+  let by_area = List.map (fun (a : Seg_addr.t) -> a.area) addrs |> List.sort_uniq compare in
+  Alcotest.(check int) "striped across all areas" 3 (List.length by_area);
+  let counts =
+    List.map (fun id -> List.length (List.filter (fun (a : Seg_addr.t) -> a.area = id) addrs))
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check (list int)) "evenly" [ 3; 3; 3 ] counts
+
 let test_area_set_single_area_binding () =
   let set = Area_set.create () in
   Area_set.add set (Area.create ~page_size:512 ~extent_order:4 ~id:5 `Memory);
@@ -82,6 +105,7 @@ let suite =
     Alcotest.test_case "alloc_free_segments" `Quick test_alloc_free_segments;
     Alcotest.test_case "growth_by_extent" `Quick test_growth_by_extent;
     Alcotest.test_case "file_persistence" `Quick test_file_persistence;
+    Alcotest.test_case "area_set_striping" `Quick test_area_set_striping;
     Alcotest.test_case "area_set_binding" `Quick test_area_set_single_area_binding;
     Alcotest.test_case "seg_addr_codec" `Quick test_seg_addr_codec;
     QCheck_alcotest.to_alcotest prop_alloc_segments_disjoint;
