@@ -28,6 +28,10 @@ type t = {
   mutable writeback : Page_id.t -> Bytes.t -> unit;
   mutable choose_victim : unit -> int option;
   mutable n_dirty : int; (* slots with [dirty] set, kept incrementally *)
+  (* Every slot below [free_hint] is mapped, so the lowest free slot is
+     at or above it. [unmap] lowers it; [free_slot] raises it past the
+     mapped slots it finds there. *)
+  mutable free_hint : int;
   (* Observer of every counted lookup (the memory X-ray feeds off this);
      one match on [None] when absent, so the hot path stays free. *)
   mutable access_hook : (Page_id.t -> hit:bool -> unit) option;
@@ -59,6 +63,7 @@ let create ~nslots ~page_size =
       writeback = (fun _ _ -> ());
       choose_victim = (fun () -> None);
       n_dirty = 0;
+      free_hint = 0;
       access_hook = None;
       stats;
       c_hits = Stats.counter stats "cache.hits";
@@ -127,6 +132,7 @@ let n_unmapped t = Array.length t.slots - n_resident t
 let unmap t s page =
   Page_id.Tbl.remove t.map page;
   s.page <- None;
+  if s.index < t.free_hint then t.free_hint <- s.index;
   clear_dirty t s
 
 exception Cache_full
@@ -157,17 +163,29 @@ let evict_one t =
           | None -> clear_dirty t s);
           s)
 
+(* Top-level, not local, so that a call allocates no closure. *)
+let rec skip_mapped slots i =
+  if i >= Array.length slots then i
+  else match slots.(i).page with Some _ -> skip_mapped slots (i + 1) | None -> i
+
+let rec scan_free t i =
+  if i >= Array.length t.slots then evict_one t
+  else
+    let s = t.slots.(i) in
+    match s.page with None when s.pins = 0 -> s | _ -> scan_free t (i + 1)
+
 (* Find a free slot, evicting if necessary: the lowest-index unmapped,
    unpinned slot, else the policy's victim. A full cache (the steady
-   state of a spilling working set) goes straight to the policy. *)
+   state of a spilling working set) goes straight to the policy. The
+   scan starts at [free_hint], which it first moves past mapped slots
+   only: the slot it returns stays unmapped until its fill succeeds, so
+   a fill that raises leaves it choosable. *)
 let free_slot t =
-  let rec scan i =
-    if i >= Array.length t.slots then evict_one t
-    else
-      let s = t.slots.(i) in
-      match s.page with None when s.pins = 0 -> s | _ -> scan (i + 1)
-  in
-  if n_unmapped t = 0 then evict_one t else scan 0
+  if n_unmapped t = 0 then evict_one t
+  else begin
+    t.free_hint <- skip_mapped t.slots t.free_hint;
+    scan_free t t.free_hint
+  end
 
 (* [load t page ~fill] returns the slot holding [page], reading it with
    [fill] on a miss. The returned slot is pinned; callers unpin. *)

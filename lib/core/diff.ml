@@ -9,6 +9,10 @@
 
 type range = { offset : int; before : Bytes.t; after : Bytes.t }
 
+(* Unchecked 64-bit load: [ranges] checks both images' lengths once and
+   reads only words that lie wholly inside them. *)
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
 (* Merge runs separated by fewer than [gap] unchanged bytes. *)
 let ranges ?(gap = 32) ~before ~after () =
   if Bytes.length before <> Bytes.length after then
@@ -27,8 +31,7 @@ let ranges ?(gap = 32) ~before ~after () =
   while !i < n do
     (* An equal 8-byte word holds no changed byte, so skipping it leaves
        the bytewise scan's decisions, and its ranges, unchanged. *)
-    if !i + 8 <= n && (Bytes.get_int64_ne before !i : int64) = Bytes.get_int64_ne after !i
-    then i := !i + 8
+    if !i + 8 <= n && (unsafe_get64 before !i : int64) = unsafe_get64 after !i then i := !i + 8
     else begin
       for j = !i to Stdlib.min n (!i + 8) - 1 do
         if Bytes.get before j <> Bytes.get after j then begin

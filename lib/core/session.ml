@@ -100,6 +100,7 @@ type counters = {
 
 type t = {
   vmem : Vmem.t;
+  page_shift : int; (* log2 of the page size: page arithmetic is shifts *)
   pool : Cache.t;
   mutable clock : State_clock.t;
   slot_vm : int array; (* pool slot index -> VM page address currently backed *)
@@ -123,6 +124,11 @@ type t = {
 }
 
 let page_size t = Vmem.page_size t.vmem
+
+(* The page a VM address falls in, as a page number or, from a page's
+   own base, as a page index; and the address of that page. *)
+let page_no t addr = addr asr t.page_shift
+let page_base t addr = page_no t addr lsl t.page_shift
 let mem t = t.vmem
 let hooks t = t.hooks
 let stats t = t.stats
@@ -145,11 +151,11 @@ let db_area_ids t db_id = (binding t db_id).b_area_ids
 (* [regions] holds one shared [Some region] per reserved range, so a
    lookup is an array read and allocates nothing. *)
 let region_at t addr =
-  let i = addr / page_size t in
+  let i = page_no t addr in
   if i >= 0 && i < Array.length t.regions then t.regions.(i) else None
 
 let add_region t ~base ~npages region =
-  let first = base / page_size t in
+  let first = page_no t base in
   let n = Array.length t.regions in
   if first + npages > n then begin
     let grown = Array.make (Stdlib.max (first + npages) (2 * n)) None in
@@ -158,14 +164,14 @@ let add_region t ~base ~npages region =
   end;
   Array.fill t.regions first npages (Some region)
 
-let remove_region t ~base ~npages = Array.fill t.regions (base / page_size t) npages None
+let remove_region t ~base ~npages = Array.fill t.regions (page_no t base) npages None
 
 (* The reference map of a segment is stale from here on. *)
 let invalidate_refs seg = seg.gen <- seg.gen + 1
 
 (* Disk page behind a VM address, given its region. *)
 let page_id_of t region vm_page_addr =
-  let idx_from base = (vm_page_addr - base) / page_size t in
+  let idx_from base = page_no t (vm_page_addr - base) in
   match region with
   | Slotted seg ->
       { Page_id.area = seg.slotted_disk.area;
@@ -445,8 +451,8 @@ let ref_map t seg =
           | None -> invalid_arg "Session: slot page not mapped")
     in
     (* Slots never straddle a page (Layout), so neither do their fields. *)
-    let u32 off = Codec.get_u32 frames.(off / ps) (off mod ps) in
-    let i64 off = Codec.get_i64 frames.(off / ps) (off mod ps) in
+    let u32 off = Codec.get_u32 frames.(page_no t off) (off land (ps - 1)) in
+    let i64 off = Codec.get_i64 frames.(page_no t off) (off land (ps - 1)) in
     let types = Catalog.types (binding t seg.db_id).b_catalog in
     let npages = seg.data_disk.npages in
     let on_page = Array.make npages [] in
@@ -459,7 +465,7 @@ let ref_map t seg =
         Array.iter
           (fun roff ->
             let abs = obj_off + roff in
-            let page = abs / ps in
+            let page = page_no t abs in
             let lo = page * ps in
             (* The field lies wholly on [page], which the object overlaps. *)
             if abs >= 0 && page < npages && abs + 8 <= lo + ps && obj_off < lo + ps
@@ -475,18 +481,23 @@ let ref_map t seg =
 
 (* Swizzle the references contained in one raw data page image (wave 3
    proper): unswizzled values become VM slot addresses, reserving target
-   slotted ranges as needed (wave 1 for the referenced segments). *)
+   slotted ranges as needed (wave 1 for the referenced segments). The
+   references on a page mostly name one or two segments, so the last
+   target is tried before the segment table. *)
 let swizzle_page_raw t seg page_idx (bytes : Bytes.t) =
-  Array.iter
-    (fun off ->
-      let v = Codec.get_i64 bytes off in
-      if Layout.is_unswizzled v then begin
-        let target = get_seg t ~db_id:seg.db_id ~seg_id:(Layout.unswizzled_seg v) in
-        Codec.set_i64 bytes off
-          (Layout.encode_swizzled (slot_addr target (Layout.unswizzled_slot v)));
-        Stats.bump t.c.c_swizzles
-      end)
-    (ref_map t seg).(page_idx)
+  let refs = (ref_map t seg).(page_idx) in
+  let last = ref seg in
+  for k = 0 to Array.length refs - 1 do
+    let off = refs.(k) in
+    let v = Codec.get_i64 bytes off in
+    if Layout.is_unswizzled v then begin
+      let seg_id = Layout.unswizzled_seg v in
+      if !last.seg_id <> seg_id then last := get_seg t ~db_id:seg.db_id ~seg_id;
+      Codec.set_i64 bytes off
+        (Layout.encode_swizzled (slot_addr !last (Layout.unswizzled_slot v)));
+      Stats.bump t.c.c_swizzles
+    end
+  done
 
 (* The inverse, for commit and before-images: write the canonical
    (unswizzled) image of a mapped page into [img], one page long. *)
@@ -501,23 +512,29 @@ let unswizzle_page_into t region vm_page_addr img =
   match region with
   | Large _ -> () (* raw bytes: nothing to canonicalise *)
   | Data seg ->
-      let page_idx = (vm_page_addr - seg.data_base) / ps in
-      Array.iter
-        (fun off ->
-          let v = Codec.get_i64 img off in
-          if v <> 0 && not (Layout.is_unswizzled v) then begin
-            let tseg = slot_seg t v in
-            if tseg.db_id <> seg.db_id then
-              failwith "Session: direct cross-database reference (must be forward)";
-            Codec.set_i64 img off
-              (Layout.encode_unswizzled ~seg:tseg.seg_id ~slot:(slot_index tseg v))
-          end)
-        (ref_map t seg).(page_idx)
+      let page_idx = page_no t (vm_page_addr - seg.data_base) in
+      (* As in [swizzle_page_raw]: the last target's slotted range first. *)
+      let refs = (ref_map t seg).(page_idx) in
+      let last = ref seg in
+      for k = 0 to Array.length refs - 1 do
+        let off = refs.(k) in
+        let v = Codec.get_i64 img off in
+        if v <> 0 && not (Layout.is_unswizzled v) then begin
+          let l = !last in
+          if v < l.slotted_base || page_no t (v - l.slotted_base) >= l.slotted_disk.npages then
+            last := slot_seg t v;
+          let tseg = !last in
+          if tseg.db_id <> seg.db_id then
+            failwith "Session: direct cross-database reference (must be forward)";
+          Codec.set_i64 img off
+            (Layout.encode_unswizzled ~seg:tseg.seg_id ~slot:(slot_index tseg v))
+        end
+      done
   | Slotted seg ->
       (* The slot count is read through the mapping, like every runtime
          read of the header outside a fault wave: a slot page the clock
          swept to protected is regranted when a write uses it. *)
-      convert_slot_page t seg img ~page_idx:((vm_page_addr - seg.slotted_base) / ps)
+      convert_slot_page t seg img ~page_idx:(page_no t (vm_page_addr - seg.slotted_base))
         ~n_slots:(read_header_u32 t seg ~field:Layout.hdr_n_slots) ~last_base:seg.data_base Disk
 
 let unswizzle_page_image t region vm_page_addr =
@@ -639,8 +656,7 @@ let regrant t region vm_page =
   level
 
 let handle_fault t _vm ~addr ~access =
-  let ps = page_size t in
-  let vm_page = addr / ps * ps in
+  let vm_page = page_base t addr in
   match region_at t addr with
   | None ->
       Event.fire t.hooks (Protection_violation { addr; write = access = Vmem.Write });
@@ -661,9 +677,9 @@ let handle_fault t _vm ~addr ~access =
           (* Not fetched yet. *)
           (match region with
           | Slotted seg -> slotted_fault t seg
-          | Data seg -> data_fault t seg ((vm_page - seg.data_base) / ps)
+          | Data seg -> data_fault t seg (page_no t (vm_page - seg.data_base))
           | Large (seg, slot) ->
-              large_fault t seg slot ((vm_page - Hashtbl.find seg.large_bases slot) / ps));
+              large_fault t seg slot (page_no t (vm_page - Hashtbl.find seg.large_bases slot)));
           (* The wave's own loads may have swept the faulting page to
              protected; the retried access must find it granted. *)
           if Vmem.frame_at t.vmem vm_page <> None && Vmem.prot_at t.vmem vm_page = Vmem.Prot_none
@@ -707,6 +723,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
   let t =
     {
       vmem;
+      page_shift = Vmem.page_shift vmem;
       pool;
       clock = State_clock.create ~n_vframes:1 ~protect:ignore ~invalidate:ignore;
       slot_vm = Array.make pool_slots 0;
@@ -752,14 +769,14 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
 let runtime_write t seg ~addr ~width f =
   let ps = page_size t in
   ensure_slotted t seg;
-  let first = addr / ps * ps in
-  let last = (addr + width - 1) / ps * ps in
+  let first = page_base t addr in
+  let last = page_base t (addr + width - 1) in
   let vm = ref first in
   while !vm <= last do
     note_write t (Slotted seg) !vm;
     vm := !vm + ps
   done;
-  let npages = ((last - first) / ps) + 1 in
+  let npages = page_no t (last - first) + 1 in
   Fun.protect ~finally:(fun () -> invalidate_refs seg) (fun () ->
       Vmem.with_unprotected t.vmem first npages f)
 
@@ -769,9 +786,8 @@ let runtime_write t seg ~addr ~width f =
 let local_slot_write_i64 t seg idx ~field v =
   ensure_slotted t seg;
   let addr = slot_addr seg idx + field in
-  let ps = page_size t in
-  let first = addr / ps * ps in
-  let npages = (((addr + 8 - 1) / ps * ps) - first) / ps + 1 in
+  let first = page_base t addr in
+  let npages = page_no t (page_base t (addr + 8 - 1) - first) + 1 in
   Vmem.with_unprotected t.vmem first npages (fun () -> Vmem.write_i64 t.vmem addr v);
   invalidate_refs seg
 
@@ -927,11 +943,11 @@ let restore_frame t we =
       (match we.we_region with
       | Large _ -> ()
       | Data seg ->
-          let page_idx = (we.we_vm - seg.data_base) / page_size t in
+          let page_idx = page_no t (we.we_vm - seg.data_base) in
           swizzle_page_raw t seg page_idx frame
       | Slotted seg ->
           invalidate_refs seg;
-          convert_slot_page t seg frame ~page_idx:((we.we_vm - seg.slotted_base) / page_size t)
+          convert_slot_page t seg frame ~page_idx:(page_no t (we.we_vm - seg.slotted_base))
             ~n_slots:(read_header_u32 t seg ~field:Layout.hdr_n_slots) ~last_base:0 Mapped)
 
 let abort t =

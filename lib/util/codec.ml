@@ -13,11 +13,9 @@ let set_u16 b off v =
   Bytes.set b off (Char.chr (v land 0xff));
   Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff))
 
-let get_u32 b off = get_u16 b off lor (get_u16 b (off + 2) lsl 16)
-
-let set_u32 b off v =
-  set_u16 b off (v land 0xffff);
-  set_u16 b (off + 2) ((v lsr 16) land 0xffff)
+(* One bounds-checked 32-bit load or store, not four byte accesses. *)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 (* 63-bit OCaml ints stored in 8 bytes; the sign bit is preserved through
    Int64 conversion so negative sentinels round-trip. *)

@@ -41,6 +41,10 @@ exception
 
 type t = {
   page_size : int;
+  (* [page_size = 1 lsl page_shift]: page numbers and in-page offsets
+     are a shift and a mask, not a division, on every access. *)
+  page_shift : int;
+  page_mask : int;
   mutable pages : page option array; (* index = page number; None = unreserved *)
   mutable next_page : int; (* bump pointer for fresh reservations *)
   mutable free_ranges : (int * int) list; (* (first_page, npages) returned ranges *)
@@ -75,14 +79,20 @@ let pp_prot ppf = function
   | Prot_read -> Fmt.string ppf "read"
   | Prot_read_write -> Fmt.string ppf "read_write"
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
 let create ?(page_size = 4096) () =
   if page_size < 64 then invalid_arg "Vmem.create: page_size too small";
+  if page_size land (page_size - 1) <> 0 then
+    invalid_arg "Vmem.create: page_size must be a power of two";
   let stats = Bess_util.Stats.create () in
   ignore (Bess_util.Stats.histogram stats "vmem.fault_work");
   Bess_obs.Registry.register_stats "vmem" stats;
   let t =
     {
       page_size;
+      page_shift = log2 page_size;
+      page_mask = page_size - 1;
       pages = Array.make 1024 None;
       next_page = 1 (* page 0 stays unreserved so address 0 is a trap null *);
       free_ranges = [];
@@ -114,14 +124,23 @@ let create ?(page_size = 4096) () =
   t
 
 let page_size t = t.page_size
+let page_shift t = t.page_shift
 let stats t = t.stats
 let reserved_bytes t = t.reserved_now * t.page_size
 let reserved_peak_bytes t = t.reserved_peak * t.page_size
 
 let set_fault_handler t f = t.handler <- Some f
 
-let page_index t addr = addr / t.page_size
-let flush_tlb t = t.tlb_idx <- -1
+(* Arithmetic, so an address below 0 has a negative page index, which
+   no page table holds: every wild address takes the fault path. *)
+let page_index t addr = addr asr t.page_shift
+let page_offset t addr = addr land t.page_mask
+
+(* Emptying the entry also drops its page, so no index, not even the
+   [-1] of an address just below 0, can hit a stale frame. *)
+let flush_tlb t =
+  t.tlb_idx <- -1;
+  t.tlb_page <- no_page
 
 let ensure_capacity t upto =
   let n = Array.length t.pages in
@@ -192,19 +211,23 @@ let release t addr npages =
 
 let get_page t addr =
   let idx = page_index t addr in
-  if idx >= Array.length t.pages then None else t.pages.(idx)
+  if idx < 0 || idx >= Array.length t.pages then None else t.pages.(idx)
+
+(* Every protection change of a reserved page goes through here, so the
+   protected-pages gauge follows each transition. *)
+let change_prot t p prot =
+  (match (counts_protected p.prot, counts_protected prot) with
+  | true, false -> t.protected_now <- t.protected_now - 1
+  | false, true -> t.protected_now <- t.protected_now + 1
+  | _ -> ());
+  p.prot <- prot
 
 (* mprotect: one "system call" per invocation regardless of length. *)
 let set_prot t addr npages prot =
   let first = page_index t addr in
   for i = first to first + npages - 1 do
     match t.pages.(i) with
-    | Some p ->
-        (match (counts_protected p.prot, counts_protected prot) with
-        | true, false -> t.protected_now <- t.protected_now - 1
-        | false, true -> t.protected_now <- t.protected_now + 1
-        | _ -> ());
-        p.prot <- prot
+    | Some p -> change_prot t p prot
     | None -> invalid_arg "Vmem.set_prot: page not reserved"
   done;
   flush_tlb t;
@@ -234,8 +257,7 @@ let unmap t addr =
   | Some p ->
       if p.frame <> None then t.mapped_now <- t.mapped_now - 1;
       p.frame <- None;
-      if not (counts_protected p.prot) then t.protected_now <- t.protected_now + 1;
-      p.prot <- Prot_none;
+      change_prot t p Prot_none;
       flush_tlb t;
       Bess_util.Stats.incr t.stats "vmem.unmap_calls"
 
@@ -252,7 +274,7 @@ let allows prot access =
 (* The frame behind page [idx] if [access] is allowed there, refilling
    the TLB on success. *)
 let walk t idx access =
-  if idx >= Array.length t.pages then None
+  if idx < 0 || idx >= Array.length t.pages then None
   else
     match t.pages.(idx) with
     | Some p when allows p.prot access && p.frame <> None ->
@@ -320,7 +342,7 @@ let iter_range t addr len access f =
   while !pos < len do
     let a = addr + !pos in
     let frame = resolve t a access in
-    let in_page = a mod t.page_size in
+    let in_page = page_offset t a in
     let chunk = Stdlib.min (len - !pos) (t.page_size - in_page) in
     f frame in_page !pos chunk;
     pos := !pos + chunk
@@ -340,26 +362,26 @@ let write_string t addr s = write_bytes t addr (Bytes.unsafe_of_string s)
 
 (* Small fixed-width accessors. The fast path (whole value within one page)
    avoids allocation. *)
-let in_one_page t addr width = (addr mod t.page_size) + width <= t.page_size
+let in_one_page t addr width = page_offset t addr + width <= t.page_size
 
 let read_u8 t addr =
   let frame = resolve t addr Read in
-  Char.code (Bytes.get frame (addr mod t.page_size))
+  Char.code (Bytes.get frame (page_offset t addr))
 
 let write_u8 t addr v =
   let frame = resolve t addr Write in
-  Bytes.set frame (addr mod t.page_size) (Char.chr (v land 0xff))
+  Bytes.set frame (page_offset t addr) (Char.chr (v land 0xff))
 
 let read_u32 t addr =
   if in_one_page t addr 4 then
     let frame = resolve t addr Read in
-    Bess_util.Codec.get_u32 frame (addr mod t.page_size)
+    Bess_util.Codec.get_u32 frame (page_offset t addr)
   else Bess_util.Codec.get_u32 (read_bytes t addr 4) 0
 
 let write_u32 t addr v =
   if in_one_page t addr 4 then begin
     let frame = resolve t addr Write in
-    Bess_util.Codec.set_u32 frame (addr mod t.page_size) v
+    Bess_util.Codec.set_u32 frame (page_offset t addr) v
   end
   else begin
     let b = Bytes.create 4 in
@@ -370,13 +392,13 @@ let write_u32 t addr v =
 let read_i64 t addr =
   if in_one_page t addr 8 then
     let frame = resolve t addr Read in
-    Bess_util.Codec.get_i64 frame (addr mod t.page_size)
+    Bess_util.Codec.get_i64 frame (page_offset t addr)
   else Bess_util.Codec.get_i64 (read_bytes t addr 8) 0
 
 let write_i64 t addr v =
   if in_one_page t addr 8 then begin
     let frame = resolve t addr Write in
-    Bess_util.Codec.set_i64 frame (addr mod t.page_size) v
+    Bess_util.Codec.set_i64 frame (page_offset t addr) v
   end
   else begin
     let b = Bytes.create 8 in
@@ -398,10 +420,9 @@ let with_unprotected t addr npages f =
   set_prot t addr npages Prot_read_write;
   Fun.protect
     ~finally:(fun () ->
-      let first = page_index t addr in
       Array.iteri
         (fun i prot ->
-          match t.pages.(first + i) with Some p -> p.prot <- prot | None -> ())
+          match t.pages.(first + i) with Some p -> change_prot t p prot | None -> ())
         saved;
       Stats.bump t.c_protect_calls)
     (fun () -> f ())

@@ -27,10 +27,15 @@ type t
 val pp_prot : Format.formatter -> prot -> unit
 
 (** [create ?page_size ()] makes an empty address space. Address 0 is never
-    reserved, so 0 serves as a trapping null pointer. *)
+    reserved, so 0 serves as a trapping null pointer, and no address below
+    0 is ever reserved either. [page_size] must be a power of two, at
+    least 64; otherwise [Invalid_argument]. *)
 val create : ?page_size:int -> unit -> t
 
 val page_size : t -> int
+
+(** [log2 (page_size t)]. *)
+val page_shift : t -> int
 val stats : t -> Bess_util.Stats.t
 
 (** Currently reserved address space, in bytes. *)
@@ -84,5 +89,6 @@ val write_string : t -> int -> string -> unit
 (** [with_unprotected t addr npages f] lifts protection to read-write, runs
     [f], restores the previous protection; two counted system calls. Used
     by trusted code to update write-protected control structures
-    (section 2.2). *)
+    (section 2.2). Both changes move the [vmem.protected_pages] gauge as
+    {!set_prot} does. *)
 val with_unprotected : t -> int -> int -> (unit -> 'a) -> 'a

@@ -214,24 +214,34 @@ let prop_two_level_invariants =
       true)
 
 (* The free-slot choice against the full scan it replaced. Random
-   load/discard/rekey sequences over a small cache, with some loads left
-   pinned and the default victim chooser evicting when no slot is free.
-   Before each miss the model predicts the slot: the lowest-index
-   unmapped, unpinned one (the old scan), else the chooser's victim;
-   after each step [n_unmapped] must equal the unmapped slots counted
-   one by one. *)
-type cache_op = Load of int * bool (* page, keep pinned *) | Unpin | Discard of int | Rekey of int * int
+   load/discard/rekey sequences over caches of up to 64 slots, with some
+   loads left pinned, some whose fill raises, and the default victim
+   chooser evicting when no slot is free; discards free slots below the
+   lowest free one the cache last handed out. Before each miss the model
+   predicts the slot: the lowest-index unmapped, unpinned one (the old
+   scan), else the chooser's victim; after each step [n_unmapped] must
+   equal the unmapped slots counted one by one. *)
+type cache_op =
+  | Load of int * bool (* page, keep pinned *)
+  | Load_fail of int (* page; its fill raises *)
+  | Unpin
+  | Discard of int
+  | Rekey of int * int
 
 let cache_op_gen =
   let open QCheck.Gen in
-  let page = int_bound 11 in
+  let page = int_bound 80 in
   frequency
     [ (6, map2 (fun p pin -> Load (p, pin)) page (map (fun n -> n = 0) (int_bound 3)));
-      (2, return Unpin); (2, map (fun p -> Discard p) page);
+      (1, map (fun p -> Load_fail p) page);
+      (2, return Unpin); (3, map (fun p -> Discard p) page);
       (1, map2 (fun a b -> Rekey (a, b)) page page) ]
+
+exception Fill_failed
 
 let show_cache_op = function
   | Load (p, pin) -> Printf.sprintf "Load(%d,%b)" p pin
+  | Load_fail p -> Printf.sprintf "Load_fail %d" p
   | Unpin -> "Unpin"
   | Discard p -> Printf.sprintf "Discard %d" p
   | Rekey (a, b) -> Printf.sprintf "Rekey(%d,%d)" a b
@@ -241,7 +251,7 @@ let prop_free_slot_matches_scan =
     (QCheck.make
        ~print:(fun (n, ops) ->
          Printf.sprintf "nslots=%d [%s]" n (String.concat "; " (List.map show_cache_op ops)))
-       QCheck.Gen.(pair (1 -- 6) (list_size (0 -- 60) cache_op_gen)))
+       QCheck.Gen.(pair (1 -- 64) (list_size (0 -- 200) cache_op_gen)))
     (fun (nslots, ops) ->
       let c = Cache.create ~nslots ~page_size:16 in
       let slots () = List.init nslots (Cache.slot c) in
@@ -249,13 +259,14 @@ let prop_free_slot_matches_scan =
       let old_scan () = first (fun s -> s.Cache.page = None && s.Cache.pins = 0) in
       let victim () = first (fun s -> s.Cache.pins = 0) in
       let pinned = ref [] in
+      let expected p =
+        match Cache.find_slot c (pid p) with
+        | Some s -> Some s
+        | None -> ( match old_scan () with Some s -> Some s | None -> victim ())
+      in
       let step = function
         | Load (p, keep) -> (
-            let expected =
-              match Cache.find_slot c (pid p) with
-              | Some s -> Some s
-              | None -> ( match old_scan () with Some s -> Some s | None -> victim ())
-            in
+            let expected = expected p in
             match Cache.load c (pid p) ~fill:ignore with
             | s ->
                 if Option.map (fun e -> e.Cache.index) expected <> Some s.Cache.index then
@@ -263,6 +274,28 @@ let prop_free_slot_matches_scan =
                 if keep then pinned := s :: !pinned else Cache.unpin c s
             | exception Cache.Cache_full ->
                 if expected <> None then QCheck.Test.fail_reportf "load %d: spurious Cache_full" p)
+        | Load_fail p -> (
+            (* A hit never fills; a miss takes the predicted slot, which
+               must stay free, and so choosable, after the fill raises. *)
+            let expected = expected p in
+            let filled = ref None in
+            let fill buf =
+              filled := List.find_opt (fun s -> s.Cache.bytes == buf) (slots ());
+              raise Fill_failed
+            in
+            match Cache.load c (pid p) ~fill with
+            | s -> Cache.unpin c s
+            | exception Cache.Cache_full ->
+                if expected <> None then QCheck.Test.fail_reportf "load %d: spurious Cache_full" p
+            | exception Fill_failed -> (
+                match !filled with
+                | Some s ->
+                    if Option.map (fun e -> e.Cache.index) expected <> Some s.Cache.index then
+                      QCheck.Test.fail_reportf "failed load %d filled slot %d" p s.Cache.index;
+                    if Option.map (fun e -> e.Cache.index) (old_scan ()) <> Some s.Cache.index then
+                      QCheck.Test.fail_reportf "failed load %d left slot %d unchoosable" p
+                        s.Cache.index
+                | None -> QCheck.Test.fail_reportf "load %d: fill raised outside a slot" p))
         | Unpin -> (
             match !pinned with
             | s :: rest ->

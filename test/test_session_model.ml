@@ -61,6 +61,9 @@ let check_ref_map s (seg : Session.seg_rt) label =
 
 type op =
   | Create of int (* payload *)
+  | Create_far of int * int
+      (* segment choice, payload: create in segment 1 or 2, so links give
+         one data page references into three segments *)
   | Write of int * int (* victim index, payload *)
   | Link of int * int (* from, to *)
   | Unlink of int
@@ -83,6 +86,7 @@ let gen_ops =
       (frequency
          [
            (4, map (fun p -> Create p) small_nat);
+           (2, map2 (fun g p -> Create_far (g, p)) small_nat small_nat);
            (4, map2 (fun v p -> Write (v, p)) small_nat small_nat);
            (3, map2 (fun a b -> Link (a, b)) small_nat small_nat);
            (1, map (fun a -> Unlink a) small_nat);
@@ -141,18 +145,14 @@ let run_scenario ops =
     | [] -> None
     | ids -> Some (List.nth ids (idx mod List.length ids))
   in
-  let seg = ref None in
-  let ensure_seg () =
-    match !seg with
-    | Some sg -> sg
-    | None ->
-        let sg = Bess.Session.create_segment s ~slotted_pages:2 ~data_pages:2 () in
-        seg := Some sg;
-        sg
-  in
+  (* Segment 0 takes [Create] and is the one resized and compacted;
+     [Create_far] fills segments 1 and 2. *)
   Bess.Session.begin_txn s;
-  ignore (ensure_seg ());
+  let segs =
+    Array.init 3 (fun _ -> Bess.Session.create_segment s ~slotted_pages:2 ~data_pages:2 ())
+  in
   Bess.Session.commit s;
+  let ensure_seg () = segs.(0) in
   Bess.Session.begin_txn s;
   let commit () =
     Bess.Session.commit s;
@@ -165,16 +165,19 @@ let run_scenario ops =
     Vmem.read_i64 (Bess.Session.mem session) (Bess.Session.obj_data session addr + large_off)
   in
   let apply op =
+    let create seg p =
+      match Bess.Session.create_object s seg ty ~size:16 with
+      | addr ->
+          let id = !next_id in
+          incr next_id;
+          Hashtbl.replace working id { payload = p; link = None };
+          Hashtbl.replace addrs id addr;
+          Vmem.write_i64 (Bess.Session.mem s) (Bess.Session.obj_data s addr + 8) p
+      | exception Bess.Session.Segment_full _ -> () (* model unchanged *)
+    in
     match op with
-    | Create p -> (
-        match Bess.Session.create_object s (ensure_seg ()) ty ~size:16 with
-        | addr ->
-            let id = !next_id in
-            incr next_id;
-            Hashtbl.replace working id { payload = p; link = None };
-            Hashtbl.replace addrs id addr;
-            Vmem.write_i64 (Bess.Session.mem s) (Bess.Session.obj_data s addr + 8) p
-        | exception Bess.Session.Segment_full _ -> () (* model unchanged *))
+    | Create p -> create (ensure_seg ()) p
+    | Create_far (g, p) -> create segs.(1 + (g land 1)) p
     | Write (v, p) -> (
         match pick working v with
         | Some id ->
@@ -286,14 +289,14 @@ let run_scenario ops =
         Bess.Session.begin_txn s
   in
   let label = function
-    | Create _ -> "create" | Write _ -> "write" | Link _ -> "link" | Unlink _ -> "unlink"
+    | Create _ -> "create" | Create_far _ -> "create_far" | Write _ -> "write" | Link _ -> "link" | Unlink _ -> "unlink"
     | Delete _ -> "delete" | Commit -> "commit" | Abort -> "abort" | Resize -> "resize"
     | Compact -> "compact" | Large _ -> "large" | Vlarge _ -> "vlarge"
   in
   List.iter
     (fun op ->
       apply op;
-      check_ref_map s (ensure_seg ()) (label op))
+      Array.iter (fun seg -> check_ref_map s seg (label op)) segs)
     ops;
   commit ();
   (* Check 1: the owning session agrees with the model. *)
@@ -348,6 +351,13 @@ let run_scenario ops =
   let s2 = Bess.Db.session db in
   Bess.Session.begin_txn s2;
   check_against s2 "fresh";
+  (* Its pages were swizzled at fetch: each canonical image must still
+     equal the slot scan. *)
+  Hashtbl.iter
+    (fun id _ ->
+      let addr = Bess.Session.by_oid s2 (Bess.Session.oid_of s (Hashtbl.find addrs id)) in
+      check_ref_map s2 (fst (Bess.Session.unswizzle_addr s2 addr)) "fresh fetch")
+    committed;
   Bess.Session.commit s2;
   (* snapshot silences unused warnings in reduced scenarios *)
   ignore (snapshot committed);
@@ -365,7 +375,10 @@ let prop_session_model =
    reach a fresh session, not the previous tenant's cached bytes); a
    large object whose creation is aborted and whose slot a small object
    then takes (deleting it must not touch the old range); and large and
-   very large objects across abort, compaction and resize. *)
+   very large objects across abort, compaction and resize; and one data
+   page of segment 0 holding references into segments 1, 2 and 0, in
+   that slot order, so that both the swizzle at fetch and the unswizzle
+   miss the last target segment on each of them. *)
 let test_pinned_sequences () =
   List.iter
     (fun ops -> ignore (run_scenario ops))
@@ -374,7 +387,9 @@ let test_pinned_sequences () =
       [ Resize; Create 87; Resize; Resize; Write (8, 0); Resize ];
       [ Large (0, 1); Abort; Create 1; Delete 0; Large (0, 2) ];
       [ Large (0, 5); Vlarge (0, 3); Create 1; Delete 0; Create 2; Abort; Large (1, 6);
-        Compact; Vlarge (1, 4); Resize; Large (1, 7); Abort; Vlarge (2, 9) ] ]
+        Compact; Vlarge (1, 4); Resize; Large (1, 7); Abort; Vlarge (2, 9) ];
+      [ Create 1; Create_far (0, 2); Create_far (1, 3); Create 4; Link (0, 1); Link (3, 2);
+        Create 5; Link (4, 3); Commit; Link (1, 0); Abort; Link (2, 4); Compact ] ]
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_session_model;

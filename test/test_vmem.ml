@@ -145,6 +145,84 @@ let test_tlb_hits_and_invalidation () =
   let trapped = try ignore (Vmem.read_u8 vm e); false with Vmem.Access_violation _ -> true in
   Alcotest.(check bool) "access after release faults" true trapped
 
+(* The protected-pages gauge is the count of reserved pages short of
+   read-write, after any mix of protection changes: [with_unprotected]
+   restores each page's protection through the same accounting. *)
+let test_protected_pages_gauge () =
+  Bess_obs.Registry.with_fresh @@ fun () ->
+  let vm = Vmem.create ~page_size:256 () in
+  let gauge () =
+    List.assoc "vmem.protected_pages" (Bess_obs.Registry.gauges (Bess_obs.Registry.snapshot ()))
+  in
+  let addr = Vmem.reserve vm 2 in
+  let recount () =
+    List.length
+      (List.filter (fun i -> Vmem.prot_at vm (addr + (i * 256)) <> Vmem.Prot_read_write) [ 0; 1 ])
+  in
+  let check label =
+    Alcotest.(check int) (label ^ ": gauge matches the page table") (recount ()) (gauge ())
+  in
+  check "reserved";
+  Alcotest.(check int) "both reserved pages count" 2 (gauge ());
+  Vmem.map vm addr (Bytes.make 256 '\000');
+  Vmem.map vm (addr + 256) (Bytes.make 256 '\000');
+  Vmem.set_prot vm addr 1 Prot_read;
+  Vmem.with_unprotected vm addr 1 ignore;
+  check "one window on a read-only page";
+  Alcotest.(check int) "read-only page still counts" 2 (gauge ());
+  Vmem.set_prot vm (addr + 256) 1 Prot_read_write;
+  for _ = 1 to 3 do
+    Vmem.with_unprotected vm addr 2 ignore
+  done;
+  check "windows over a read-only and a read-write page";
+  (try Vmem.with_unprotected vm addr 2 (fun () -> failwith "inside") with Failure _ -> ());
+  check "a window whose body raises";
+  Alcotest.(check int) "one page short of read-write" 1 (gauge ())
+
+(* No address below 0 is reserved, so each one takes the fault path:
+   [Access_violation] without a handler, the handler with one. *)
+let test_negative_addresses_trap () =
+  let vm = Vmem.create ~page_size:256 () in
+  let traps f = try f (); false with Vmem.Access_violation _ -> true in
+  List.iter
+    (fun a ->
+      let name = string_of_int a in
+      Alcotest.(check bool) ("read_i64 " ^ name) true (traps (fun () -> ignore (Vmem.read_i64 vm a)));
+      Alcotest.(check bool) ("read_u8 " ^ name) true (traps (fun () -> ignore (Vmem.read_u8 vm a)));
+      Alcotest.(check bool) ("write_u32 " ^ name) true (traps (fun () -> Vmem.write_u32 vm a 1));
+      Alcotest.(check bool) ("frame_at " ^ name) true (Vmem.frame_at vm a = None);
+      Alcotest.(check bool) ("is_reserved " ^ name) false (Vmem.is_reserved vm a))
+    [ -5000; -257; -256; -1; min_int ];
+  (* The handler sees the wild address once; an entry flushed from the
+     translation cache does not answer for page -1. *)
+  let addr = Vmem.reserve vm 1 in
+  Vmem.map vm addr (Bytes.make 256 '\000');
+  Vmem.set_prot vm addr 1 Prot_read_write;
+  let seen = ref [] in
+  Vmem.set_fault_handler vm (fun _ ~addr ~access:_ -> seen := addr :: !seen);
+  Vmem.write_u8 vm addr 1 (* cached *);
+  Vmem.set_prot vm addr 1 Prot_read (* flushed *);
+  Alcotest.(check bool) "read of -1 after a flush traps" true
+    (traps (fun () -> ignore (Vmem.read_u8 vm (-1))));
+  Alcotest.(check bool) "read of -5000 traps" true
+    (traps (fun () -> ignore (Vmem.read_i64 vm (-5000))));
+  Alcotest.(check (list int)) "handler called per wild access" [ -5000; -1 ] !seen
+
+let test_page_size_power_of_two () =
+  let rejects ps =
+    match Vmem.create ~page_size:ps () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun ps -> Alcotest.(check bool) (Printf.sprintf "page_size %d rejected" ps) true (rejects ps))
+    [ 100; 96; 4095; 4097; 6144; 32; 0; -4096 ];
+  List.iter
+    (fun ps ->
+      let vm = Vmem.create ~page_size:ps () in
+      Alcotest.(check int) (Printf.sprintf "page_size %d accepted" ps) ps (Vmem.page_size vm);
+      let a = Vmem.reserve vm 2 in
+      Alcotest.(check int) "second range starts a page later" (a + (2 * ps)) (Vmem.reserve vm 1))
+    [ 64; 256; 512; 4096; 65536 ]
+
 let suite =
   [
     Alcotest.test_case "reserve_release_reuse" `Quick test_reserve_release_reuse;
@@ -157,4 +235,7 @@ let suite =
     Alcotest.test_case "with_unprotected" `Quick test_with_unprotected;
     Alcotest.test_case "syscall_accounting" `Quick test_syscall_accounting;
     QCheck_alcotest.to_alcotest prop_rw_roundtrip;
+    Alcotest.test_case "protected_pages_gauge" `Quick test_protected_pages_gauge;
+    Alcotest.test_case "negative_addresses_trap" `Quick test_negative_addresses_trap;
+    Alcotest.test_case "page_size_power_of_two" `Quick test_page_size_power_of_two;
   ]
