@@ -1239,7 +1239,24 @@ let e14 () =
   (* One sweep point with its own windowed series. *)
   let run_point ?faults n_clients =
     let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
-    (drive ?faults ~series (fleet_db ()) (fleet_cfg ~seed n_clients), series)
+    let ((server, _) as db) = fleet_db () in
+    let loads () =
+      Stats.get (Bess_cache.Cache.stats (Bess.Store.cache (Bess.Server.store server))) "cache.loads"
+    in
+    let loads0 = loads () in
+    let p = drive ?faults ~series db (fleet_cfg ~seed n_clients) in
+    (* The series' [cache] is the server's: its windows add up to what
+       the server cache loaded over the run. *)
+    let windowed =
+      List.fold_left
+        (fun acc w -> acc + Option.value ~default:0 (Bess_obs.Series.sample_delta w "cache.loads"))
+        0 (Bess_obs.Series.to_list series)
+    in
+    let loaded = loads () - loads0 in
+    Report.gate (windowed = loaded)
+      "e14: %d clients: cache.loads over the windows %d, server cache loads %d: " n_clients
+      windowed loaded;
+    (p, series)
   in
   let rows = ref [] in
   let series_sections = ref [] in
@@ -1865,15 +1882,21 @@ let f2 () =
   ignore (Bess.Node_server.shm_access node ~proc:0 page ~write:false);
   ignore (Bess.Node_server.shm_access node ~proc:0 page ~write:false);
   Bess.Node_server.commit node;
+  let upstream = Stats.get (Bess.Node_server.stats node) "node.upstream_fetches" in
   Report.table ~id:"F2" ~caption:"a network of BeSS servers and clients (Figure 2)"
     ~header:[ "application placement"; "wire messages for one small txn" ]
     [
       [ "node 2: co-located with server (direct)"; string_of_int local_msgs ];
       [ "node 1: bare client, RPC per operation"; string_of_int remote_msgs ];
       [ "node 3: behind node server (local IPC only)";
-        string_of_int (Stats.get (Bess.Node_server.stats node) "node.upstream_fetches")
-        ^ " upstream fetches, rest served from shared cache" ];
-    ]
+        string_of_int upstream ^ " upstream fetches, rest served from shared cache" ];
+    ];
+  Report.gate (local_msgs = 0) "f2: wire messages of the co-located application: %d (0): "
+    local_msgs;
+  (* Two accesses to one page: the second is served from the shared
+     cache. *)
+  Report.gate (upstream = 1) "f2: upstream fetches behind the node server, one page read twice: %d (1): "
+    upstream
 
 (* ---- F3: the node-server cache (Figure 3) --------------------------------- *)
 
@@ -1900,18 +1923,26 @@ let f3 () =
   let _copy = Bess.Node_server.coa_fetch node (page 6) ~write:false in
   Bess.Node_server.commit node;
   let st = Bess.Node_server.stats node in
+  let upstream = Stats.get st "node.upstream_fetches"
+  and smt_entries = Bess_cache.Smt.n_assigned (Bess.Node_server.smt node) in
   Report.table ~id:"F3" ~caption:"shared memory established by the node server (Figure 3)"
     ~header:[ "cache element"; "state" ]
     [
       [ "cache slots (frames)"; string_of_int (Bess_cache.Cache.nslots (Bess.Node_server.cache node)) ];
       [ "resident pages"; string_of_int (Bess_cache.Cache.n_resident (Bess.Node_server.cache node)) ];
-      [ "SMT entries (SVMA frames assigned)";
-        string_of_int (Bess_cache.Smt.n_assigned (Bess.Node_server.smt node)) ];
+      [ "SMT entries (SVMA frames assigned)"; string_of_int smt_entries ];
       [ "processes attached (A: shm, B: coa)"; string_of_int (Array.length procs) ];
       [ "A's accesses (in-place, latched)"; string_of_int (Stats.get st "node.shm_accesses") ];
       [ "B's fetches (IPC, copied)"; string_of_int (Stats.get st "node.coa_fetches") ];
-      [ "upstream fetches from owning server"; string_of_int (Stats.get st "node.upstream_fetches") ];
-    ]
+      [ "upstream fetches from owning server"; string_of_int upstream ];
+    ];
+  (* Seven distinct pages fit the eight-slot cache: each is fetched from
+     the owning server once. Only A's six shared-memory pages get an
+     SVMA frame; B's copy does not. *)
+  Report.gate (upstream = 7) "f3: upstream fetches for the distinct pages touched: %d (7): "
+    upstream;
+  Report.gate (smt_entries = 6) "f3: SMT entries for A's shared-memory pages: %d (6): "
+    smt_entries
 
 (* ---- F4: SVMA mapping scenario (Figure 4) --------------------------------- *)
 
@@ -1962,44 +1993,55 @@ let f4 () =
 
 let a1 () =
   let n = scale 20_000 in
-  let rows = ref [] in
-  List.iter
-    (fun (label, policy, revisits) ->
-      let db = Workloads.fresh_db () in
-      let _s, _nodes = Workloads.build_ring db ~n ~per_seg:500 ~stride:1 in
-      let s2 = Bess.Db.session ~pool_slots:8192 db in
-      Bess.Session.set_swizzle_policy s2 policy;
-      Bess.Session.begin_txn s2;
-      let head = Option.get (Bess.Session.root s2 "ring_head") in
-      let t =
-        Report.time_ns ~runs:1 (fun () ->
-            for _ = 1 to revisits do
-              ignore (Workloads.traverse_ring s2 ~start:head ~hops:n)
-            done)
-      in
-      let st = Bess.Session.stats s2 in
-      Bess.Session.commit s2;
-      rows :=
-        [
-          label;
-          string_of_int revisits;
-          Report.ns (t /. float_of_int (revisits * n));
-          Report.count (Stats.get st "session.swizzles");
-          Report.count (Stats.get st "session.deref_swizzles");
-        ]
-        :: !rows)
-    [
-      ("eager (wave-2, BeSS)", Bess.Session.Eager, 1);
-      ("eager (wave-2, BeSS)", Bess.Session.Eager, 8);
-      ("on-deref (software)", Bess.Session.On_deref, 1);
-      ("on-deref (software)", Bess.Session.On_deref, 8);
-    ];
+  let results =
+    List.map
+      (fun (label, policy, revisits) ->
+        let db = Workloads.fresh_db () in
+        let _s, _nodes = Workloads.build_ring db ~n ~per_seg:500 ~stride:1 in
+        let s2 = Bess.Db.session ~pool_slots:8192 db in
+        Bess.Session.set_swizzle_policy s2 policy;
+        Bess.Session.begin_txn s2;
+        let head = Option.get (Bess.Session.root s2 "ring_head") in
+        let t =
+          Report.time_ns ~runs:1 (fun () ->
+              for _ = 1 to revisits do
+                ignore (Workloads.traverse_ring s2 ~start:head ~hops:n)
+              done)
+        in
+        let st = Bess.Session.stats s2 in
+        Bess.Session.commit s2;
+        (label, policy, revisits, t, Stats.get st "session.swizzles",
+         Stats.get st "session.deref_swizzles"))
+      [
+        ("eager (wave-2, BeSS)", Bess.Session.Eager, 1);
+        ("eager (wave-2, BeSS)", Bess.Session.Eager, 8);
+        ("on-deref (software)", Bess.Session.On_deref, 1);
+        ("on-deref (software)", Bess.Session.On_deref, 8);
+      ]
+  in
   Report.table ~id:"A1"
     ~caption:
       "ablation: eager swizzling at fetch vs translate-on-every-deref (hot \
        traversals amortise the eager pass)"
     ~header:[ "policy"; "traversals"; "ns/hop"; "fetch swizzles"; "deref translations" ]
-    (List.rev !rows)
+    (List.map
+       (fun (label, _, revisits, t, swizzles, translations) ->
+         [ label; string_of_int revisits; Report.ns (t /. float_of_int (revisits * n));
+           Report.count swizzles; Report.count translations ])
+       results);
+  (* Eager swizzling translates each of the ring's n references once, at
+     fetch, and no dereference translates; on-deref never swizzles at
+     fetch and translates once per hop of every traversal. *)
+  List.iter
+    (fun (label, policy, revisits, _, swizzles, translations) ->
+      let want_swizzles, want_translations =
+        match policy with Bess.Session.Eager -> (n, 0) | Bess.Session.On_deref -> (0, n * revisits)
+      in
+      Report.gate
+        (swizzles = want_swizzles && translations = want_translations)
+        "a1: %s, %d traversals: %d fetch swizzles (%d), %d deref translations (%d): " label
+        revisits swizzles want_swizzles translations want_translations)
+    results
 
 (* ---- A2: slot indirection cost -------------------------------------------- *)
 
@@ -2322,6 +2364,7 @@ let () =
       | None -> Printf.printf "unknown experiment %S\n" name)
     selected;
   Option.iter Bess_obs.Span.finish_all collector;
+  Report.gate_counters_nonnegative ();
   Report.write_json !out;
   Printf.printf "\nper-substrate observability report: %s\n" !out;
   Option.iter

@@ -64,32 +64,43 @@ let gate ?(pass = "OK") ?(fail = "FAILED") ok fmt =
 
 (* ---- Observability report --------------------------------------------- *)
 
-(* Each experiment runs under [with_observed], which brackets it with
-   registry snapshots; the per-substrate counter deltas and histogram
-   summaries accumulate here and [write_json] dumps them at exit. *)
+(* Each experiment runs under [with_observed], in a registry scope of
+   its own: the substrates it builds register there, and the scope's end
+   snapshot (counters, gauges, histogram summaries) is what they
+   counted. The snapshots accumulate here and [write_json] dumps them at
+   exit. *)
 
 type observed = {
   obs_name : string;
   obs_elapsed_ns : float;
-  obs_diff : Bess_obs.Registry.snapshot;
+  obs_snapshot : Bess_obs.Registry.snapshot;
 }
 
 let observations : observed list ref = ref []
 
 let with_observed name f =
-  let before = Bess_obs.Registry.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Bess_obs.Span.with_span ~kind:"bench.workload" ~attrs:[ ("name", name) ] f
+  Bess_obs.Registry.with_fresh (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let r =
+        Bess_obs.Span.with_span ~kind:"bench.workload" ~attrs:[ ("name", name) ] f
+      in
+      let elapsed = (Unix.gettimeofday () -. t0) *. 1e9 in
+      observations :=
+        { obs_name = name; obs_elapsed_ns = elapsed; obs_snapshot = Bess_obs.Registry.snapshot () }
+        :: !observations;
+      r)
+
+(* A counter counts up from 0, so a negative one in any workload's
+   snapshot means a substrate subtracted from a count. *)
+let gate_counters_nonnegative () =
+  let negative o =
+    List.filter_map
+      (fun (k, v) -> if v < 0 then Some (o.obs_name ^ ":" ^ k) else None)
+      (Bess_obs.Registry.counters o.obs_snapshot)
   in
-  let elapsed = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let after = Bess_obs.Registry.snapshot () in
-  observations :=
-    { obs_name = name;
-      obs_elapsed_ns = elapsed;
-      obs_diff = Bess_obs.Registry.diff ~before ~after () }
-    :: !observations;
-  r
+  let bad = List.concat_map negative (List.rev !observations) in
+  gate (bad = []) "no workload snapshot has a negative counter%s: "
+    (if bad = [] then "" else " (" ^ String.concat ", " bad ^ ")")
 
 (* Per-span-kind latency summary from the installed collector's
    histograms ("span.<kind>" under the registry's "span" prefix), in
@@ -137,7 +148,7 @@ let write_json path =
       Printf.fprintf oc "{\"name\":%s,\"elapsed_ns\":%.0f,\"observed\":%s}"
         (Bess_obs.Registry.json_string o.obs_name)
         o.obs_elapsed_ns
-        (Bess_obs.Registry.json_of_snapshot o.obs_diff))
+        (Bess_obs.Registry.json_of_snapshot o.obs_snapshot))
     (List.rev !observations);
   output_string oc "]";
   (match span_breakdown_json () with

@@ -40,9 +40,12 @@ let create_cmd =
   let areas = Arg.(value & opt int 1 & info [ "areas" ] ~doc:"Number of storage areas") in
   let page_size = Arg.(value & opt int 4096 & info [ "page-size" ] ~doc:"Page size in bytes") in
   let run dir areas page_size =
-    (* Sessions map pages into a vmem, whose page arithmetic is shifts. *)
-    if page_size < 64 || page_size land (page_size - 1) <> 0 then begin
-      Printf.eprintf "bad --page-size %d (a power of two, at least 64)\n" page_size;
+    (* Sessions map pages into a vmem, whose page arithmetic is shifts,
+       and an area keeps the allocation table of each 2^8-page extent
+       in one page. *)
+    if page_size land (page_size - 1) <> 0 || Bess_storage.Area.max_extent_order page_size < 8
+    then begin
+      Printf.eprintf "bad --page-size %d (a power of two, at least 2048)\n" page_size;
       exit 2
     end;
     let db = Bess.Db.create_dir ~page_size ~n_areas:areas ~db_id:1 dir in

@@ -54,7 +54,6 @@ let create ~nslots ~page_size =
           pins = 0 })
   in
   let stats = Stats.create () in
-  Bess_obs.Registry.register_stats "cache" stats;
   let t =
     {
       slots;
@@ -87,10 +86,16 @@ let create ~nslots ~page_size =
            t.slots
        with Exit -> ());
       !found);
+  t
+
+(* Not done by [create]: a session's pool and a node server's shared
+   cache are caches too, and the registry's [cache] namespace names the
+   one that registers, the server's ({!Bess.Store.create}). *)
+let register t =
+  Bess_obs.Registry.register_stats "cache" t.stats;
   Bess_obs.Registry.register_gauge "cache" "cache.resident_pages" (fun () ->
       Page_id.Tbl.length t.map);
-  Bess_obs.Registry.register_gauge "cache" "cache.dirty_pages" (fun () -> t.n_dirty);
-  t
+  Bess_obs.Registry.register_gauge "cache" "cache.dirty_pages" (fun () -> t.n_dirty)
 
 let nslots t = Array.length t.slots
 let page_size t = t.page_size

@@ -16,7 +16,14 @@ type slot = {
 
 type t
 
+(** A cache registers nothing: see {!register}. *)
 val create : nslots:int -> page_size:int -> t
+
+(** Bind the cache's stats and its [cache.resident_pages] /
+    [cache.dirty_pages] gauges under the registry's [cache] namespace.
+    The server's page store is the one cache that does. *)
+val register : t -> unit
+
 val nslots : t -> int
 val page_size : t -> int
 val stats : t -> Bess_util.Stats.t
@@ -34,9 +41,6 @@ val set_victim_chooser : t -> (unit -> int option) -> unit
     with no hook installed the cache behaves bit-identically to a build
     without the hook. *)
 val set_access_hook : t -> (Page_id.t -> hit:bool -> unit) option -> unit
-
-(** Lookup counting hits/misses. *)
-val lookup : t -> Page_id.t -> slot option
 
 (** Lookup without touching the counters. *)
 val find_slot : t -> Page_id.t -> slot option

@@ -12,7 +12,6 @@ type t = {
   pages : Page_id.t option array; (* vframe -> page *)
   index : int Page_id.Tbl.t; (* page -> vframe *)
   mutable next : int; (* rotating scan start for free frame search *)
-  stats : Bess_util.Stats.t;
 }
 
 let create ~n_vframes =
@@ -20,7 +19,6 @@ let create ~n_vframes =
     pages = Array.make n_vframes None;
     index = Page_id.Tbl.create (2 * n_vframes);
     next = 0;
-    stats = Bess_util.Stats.create ();
   }
 
 let n_vframes t = Array.length t.pages
@@ -33,9 +31,7 @@ let n_assigned t = Page_id.Tbl.length t.index
    condition. *)
 let assign t page =
   match vframe_of t page with
-  | Some v ->
-      Bess_util.Stats.incr t.stats "smt.rehits";
-      Some v
+  | Some v -> Some v
   | None ->
       let n = Array.length t.pages in
       let rec find k =
@@ -45,14 +41,11 @@ let assign t page =
           if t.pages.(v) = None then Some v else find (k + 1)
       in
       (match find 0 with
-      | None ->
-          Bess_util.Stats.incr t.stats "smt.exhausted";
-          None
+      | None -> None
       | Some v ->
           t.pages.(v) <- Some page;
           Page_id.Tbl.replace t.index page v;
           t.next <- (v + 1) mod n;
-          Bess_util.Stats.incr t.stats "smt.assigns";
           Some v)
 
 (* The page left the shared cache for good: free its virtual frame. *)
@@ -61,10 +54,7 @@ let release t page =
   | None -> ()
   | Some v ->
       t.pages.(v) <- None;
-      Page_id.Tbl.remove t.index page;
-      Bess_util.Stats.incr t.stats "smt.releases"
-
-let stats t = t.stats
+      Page_id.Tbl.remove t.index page
 
 (* SVMA pointer arithmetic. *)
 let svma_of t ~page_size ~vframe ~offset =

@@ -21,8 +21,6 @@ val assign : t -> Page_id.t -> int option
 (** The page left the shared cache: free its frame. *)
 val release : t -> Page_id.t -> unit
 
-val stats : t -> Bess_util.Stats.t
-
 (** SVMA pointer arithmetic. *)
 val svma_of : t -> page_size:int -> vframe:int -> offset:int -> int
 

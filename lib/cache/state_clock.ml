@@ -31,7 +31,7 @@ type t = {
 
 let create ~n_vframes ~protect ~invalidate =
   let stats = Bess_util.Stats.create () in
-  Bess_obs.Registry.register_stats "cache.state_clock" stats;
+  Bess_obs.Registry.register_stats "state_clock" stats;
   {
     states = Array.make n_vframes Invalid;
     slots = Array.make n_vframes (-1);
@@ -41,9 +41,7 @@ let create ~n_vframes ~protect ~invalidate =
     stats;
   }
 
-let n_vframes t = Array.length t.states
 let state t vframe = t.states.(vframe)
-let slot_of t vframe = if t.slots.(vframe) < 0 then None else Some t.slots.(vframe)
 
 (* A page was mapped into [vframe] backed by [slot]; the process can now
    touch it. *)
@@ -61,12 +59,6 @@ let access t ~vframe =
       Bess_util.Stats.incr t.stats "state_clock.regrants"
   | Accessible -> ()
   | Invalid -> invalid_arg "State_clock.access: frame is invalid"
-
-(* Explicit unmap (page discarded): frame becomes invalid. *)
-let unmap t ~vframe =
-  if t.states.(vframe) <> Invalid then t.invalidate vframe;
-  t.states.(vframe) <- Invalid;
-  t.slots.(vframe) <- -1
 
 (* Sweep for a victim. Two full revolutions guarantee a decision: the
    first converts accessible frames to protected, the second finds one
@@ -99,5 +91,3 @@ let sweep_victim t ~can_evict =
     end
   in
   go 0
-
-let stats t = t.stats

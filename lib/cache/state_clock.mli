@@ -18,9 +18,7 @@ type t
     {!Bess_vmem.Vmem.set_prot}); this module is pure bookkeeping. *)
 val create : n_vframes:int -> protect:(int -> unit) -> invalidate:(int -> unit) -> t
 
-val n_vframes : t -> int
 val state : t -> int -> state
-val slot_of : t -> int -> int option
 
 (** A page was mapped into [vframe] backed by [slot]: accessible. *)
 val map : t -> vframe:int -> slot:int -> unit
@@ -28,11 +26,6 @@ val map : t -> vframe:int -> slot:int -> unit
 (** Fault on a protected frame: re-grant (the caller does the mprotect). *)
 val access : t -> vframe:int -> unit
 
-(** Explicit unmap: the frame becomes invalid. *)
-val unmap : t -> vframe:int -> unit
-
 (** Sweep for a victim; [can_evict] vetoes pinned slots. Two full
     revolutions guarantee a decision when anything is evictable. *)
 val sweep_victim : t -> can_evict:(int -> bool) -> (int * int) option
-
-val stats : t -> Bess_util.Stats.t

@@ -32,7 +32,7 @@ type t = {
 
 let create ~n_procs ~n_vframes ~n_slots ~protect ~invalidate =
   let stats = Bess_util.Stats.create () in
-  Bess_obs.Registry.register_stats "cache.two_level" stats;
+  Bess_obs.Registry.register_stats "two_level" stats;
   {
     procs =
       Array.init n_procs (fun _ ->
@@ -46,12 +46,8 @@ let create ~n_procs ~n_vframes ~n_slots ~protect ~invalidate =
     stats;
   }
 
-let n_procs t = Array.length t.procs
 let counter t ~slot = t.counters.(slot)
 let state t ~proc ~vframe = t.procs.(proc).states.(vframe)
-let slot_of t ~proc ~vframe =
-  let s = t.procs.(proc).vslots.(vframe) in
-  if s < 0 then None else Some s
 
 (* Process [proc] maps [vframe] onto [slot]: the counter gains a reader. *)
 let map t ~proc ~vframe ~slot =
@@ -146,8 +142,6 @@ let choose_victim t ~can_evict =
           rounds (k + 1)
   in
   rounds 0
-
-let stats t = t.stats
 
 (* Invariant for property tests: each counter equals the number of
    processes with a non-invalid frame backed by that slot. *)

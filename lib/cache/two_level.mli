@@ -17,13 +17,10 @@ val create :
   invalidate:(proc:int -> vframe:int -> unit) ->
   t
 
-val n_procs : t -> int
-
 (** Processes currently able to access [slot]. *)
 val counter : t -> slot:int -> int
 
 val state : t -> proc:int -> vframe:int -> State_clock.state
-val slot_of : t -> proc:int -> vframe:int -> int option
 
 (** Process [proc] maps [vframe] onto [slot]: counter gains a reader. *)
 val map : t -> proc:int -> vframe:int -> slot:int -> unit
@@ -40,8 +37,6 @@ val level1_sweep : t -> proc:int -> unit
 (** Level 2: find a zero-counter slot, driving level-1 sweeps as needed;
     [None] only when nothing is evictable. *)
 val choose_victim : t -> can_evict:(int -> bool) -> int option
-
-val stats : t -> Bess_util.Stats.t
 
 (** Raise [Failure] unless every counter equals the number of processes
     with a live frame on that slot. For tests. *)

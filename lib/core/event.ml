@@ -69,16 +69,10 @@ let attrs = function
 
 let pp ppf e = Fmt.string ppf (kind e)
 
-type hooks = {
-  table : (t -> unit) Queue.t array; (* hooks by kind [index] *)
-  stats : Bess_util.Stats.t;
-  counts : Bess_util.Stats.counter array; (* "event.<kind>", by [index] *)
-}
+(* Hooks by kind [index]. *)
+type hooks = (t -> unit) Queue.t array
 
-let hooks_create () =
-  let stats = Bess_util.Stats.create () in
-  { table = Array.map (fun _ -> Queue.create ()) kinds; stats;
-    counts = Array.map (fun k -> Bess_util.Stats.counter stats ("event." ^ k)) kinds }
+let hooks_create () = Array.map (fun _ -> Queue.create ()) kinds
 
 (* The [index] of a kind name; a name no event has never fires. *)
 let index_of_kind event =
@@ -93,21 +87,18 @@ let index_of_kind event =
    registration order with constant-time insertion (the old [!l @ [f]]
    was quadratic in the number of hooks on one event). *)
 let register h ~event f =
-  match index_of_kind event with Some i -> Queue.add f h.table.(i) | None -> ()
+  match index_of_kind event with Some i -> Queue.add f h.(i) | None -> ()
 
 (* A fresh queue rather than [Queue.clear], so a [fire] already walking
    the old one finishes it. *)
 let clear h ~event =
-  match index_of_kind event with Some i -> h.table.(i) <- Queue.create () | None -> ()
+  match index_of_kind event with Some i -> h.(i) <- Queue.create () | None -> ()
 
 (* Fire an event: record it as an instant if a span collector is
    installed, then run every hook registered for its kind, in order.
    Without a collector nothing is allocated. *)
 let fire h e =
   let i = index e in
-  Bess_util.Stats.bump h.counts.(i);
   if Bess_obs.Span.enabled () then Bess_obs.Span.instant ~attrs:(attrs e) kinds.(i);
-  let q = h.table.(i) in
+  let q = h.(i) in
   if not (Queue.is_empty q) then Queue.iter (fun f -> f e) q
-
-let stats h = h.stats

@@ -45,5 +45,3 @@ val clear : hooks -> event:string -> unit
     hooks. Allocates nothing when no collector is installed and no hook
     is registered for the event. *)
 val fire : hooks -> t -> unit
-
-val stats : hooks -> Bess_util.Stats.t

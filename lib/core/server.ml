@@ -83,7 +83,7 @@ let counters stats =
 type t = {
   id : int;
   store : Store.t;
-  mutable locks : Lock_mgr.t;
+  locks : Lock_mgr.t;
   mutable cb : Callback.t;
   txns : (int, txn_state) Hashtbl.t;
   sinks : (int, Lock_mgr.resource -> Lock_mode.t -> callback_reply) Hashtbl.t;
@@ -131,12 +131,12 @@ let run_callbacks t ~requester r mode =
         | `Callback_needed _ -> `Blocked)
       else `Blocked
 
-(* Wire this server into a (possibly fresh, post-crash) lock manager:
-   the grant filter makes in-place handoff respect callback locking —
-   e.g. a releasing client keeps its copy cached in S, so handing X to
-   the next waiter must call that copy back first, exactly as the
-   waiter's own re-poll would — and the wake hook pops the one-shot
-   subscription of a granted transaction. *)
+(* Wire this server into its lock manager, once: the grant filter
+   makes in-place handoff respect callback locking — e.g. a releasing
+   client keeps its copy cached in S, so handing X to the next waiter
+   must call that copy back first, exactly as the waiter's own re-poll
+   would — and the wake hook pops the one-shot subscription of a
+   granted transaction. A crash empties the table but keeps both. *)
 let install_lock_hooks t =
   Lock_mgr.set_grant_filter t.locks
     (Some
@@ -550,8 +550,7 @@ let crash t =
   Hashtbl.reset t.sinks;
   Hashtbl.reset t.wake_subs;
   t.cb <- Callback.create ();
-  t.locks <- Lock_mgr.create ();
-  install_lock_hooks t
+  Lock_mgr.reset t.locks
 
 let recover t =
   let outcome = Store.recover t.store in
@@ -564,7 +563,7 @@ let recover t =
      abort may yet roll back. The pages come from the transaction's own
      Update/Clr records, found by walking its prev_lsn chain back from
      the Prepare record at its head (which names the coordinator); the
-     fresh post-crash lock table grants them uncontended. *)
+     emptied post-crash lock table grants them uncontended. *)
   let log = Store.log t.store in
   let in_doubt = Hashtbl.create 8 in
   let pages = ref [] in

@@ -102,7 +102,7 @@ type t = {
   vmem : Vmem.t;
   page_shift : int; (* log2 of the page size: page arithmetic is shifts *)
   pool : Cache.t;
-  mutable clock : State_clock.t;
+  clock : State_clock.t;
   slot_vm : int array; (* pool slot index -> VM page address currently backed *)
   dbs : (int, db_binding) Hashtbl.t;
   main_db : int;
@@ -232,30 +232,27 @@ let detach_frame t vm_page_addr ~discard =
 (* Drop the frame behind a VM page (replacement victim or callback). *)
 let unmap_vm_page t vm_page_addr = detach_frame t vm_page_addr ~discard:true
 
-(* The replacement clock needs pool slots free when the pool fills. The
-   clock's [invalidate] callback unmaps the VM page; its [protect]
-   callback revokes access so a later touch signals recency. *)
-let install_clock t =
-  let protect vframe =
-    let vm = t.slot_vm.(vframe) in
-    if vm <> 0 && Vmem.is_reserved t.vmem vm then Vmem.set_prot t.vmem vm 1 Prot_none
-  in
-  let invalidate vframe =
-    let vm = t.slot_vm.(vframe) in
-    if vm <> 0 then begin
-      detach_frame t vm ~discard:false;
-      t.slot_vm.(vframe) <- 0
-    end
-  in
-  t.clock <-
-    State_clock.create ~n_vframes:(Cache.nslots t.pool) ~protect ~invalidate;
-  Cache.set_victim_chooser t.pool (fun () ->
-      match
-        State_clock.sweep_victim t.clock ~can_evict:(fun slot ->
-            (Cache.slot t.pool slot).Cache.pins = 0)
-      with
-      | Some (_vframe, slot) -> Some slot
-      | None -> None)
+(* The replacement clock needs pool slots free when the pool fills. Its
+   [protect] callback revokes access to the VM page behind a frame so a
+   later touch signals recency; its [invalidate] callback unmaps it. *)
+let clock_protect t vframe =
+  let vm = t.slot_vm.(vframe) in
+  if vm <> 0 && Vmem.is_reserved t.vmem vm then Vmem.set_prot t.vmem vm 1 Prot_none
+
+let clock_invalidate t vframe =
+  let vm = t.slot_vm.(vframe) in
+  if vm <> 0 then begin
+    detach_frame t vm ~discard:false;
+    t.slot_vm.(vframe) <- 0
+  end
+
+let choose_victim t () =
+  match
+    State_clock.sweep_victim t.clock ~can_evict:(fun slot ->
+        (Cache.slot t.pool slot).Cache.pins = 0)
+  with
+  | Some (_vframe, slot) -> Some slot
+  | None -> None
 
 (* Honour a server callback: give up the cached copy of [page_id].
    Dropping a slot page invalidates the whole slotted-segment view (the
@@ -720,12 +717,17 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
   let pool = Cache.create ~nslots:pool_slots ~page_size in
   let stats = Stats.create () in
   Bess_obs.Registry.register_stats "session" stats;
+  (* The clock's callbacks act on the session built around it. *)
+  let self = ref None in
+  let on_self f vframe = match !self with Some t -> f t vframe | None -> () in
   let t =
     {
       vmem;
       page_shift = Vmem.page_shift vmem;
       pool;
-      clock = State_clock.create ~n_vframes:1 ~protect:ignore ~invalidate:ignore;
+      clock =
+        State_clock.create ~n_vframes:pool_slots ~protect:(on_self clock_protect)
+          ~invalidate:(on_self clock_invalidate);
       slot_vm = Array.make pool_slots 0;
       dbs = Hashtbl.create 4;
       main_db = db_id;
@@ -756,7 +758,8 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
       Bess_util.Int_pair.Tbl.length t.segs);
   Bess_obs.Registry.register_gauge "session" "session.mapped_pages" (fun () ->
       Page_id.Tbl.length t.mapped);
-  install_clock t;
+  self := Some t;
+  Cache.set_victim_chooser pool (choose_victim t);
   Vmem.set_fault_handler vmem (fun vm ~addr ~access -> handle_fault t vm ~addr ~access);
   attach_db t ?area_ids ~db_id ~catalog ~fetcher ~default_area ();
   t

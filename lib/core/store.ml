@@ -43,6 +43,7 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
     | [] -> 4096
   in
   let cache = Bess_cache.Cache.create ~nslots:cache_slots ~page_size in
+  Bess_cache.Cache.register cache;
   let the_log = match log with Some l -> l | None -> Bess_wal.Log.create ?path:log_path () in
   let stats = Bess_util.Stats.create () in
   Bess_obs.Registry.register_stats "store" stats;

@@ -13,7 +13,8 @@ type t
 
 (** [log] supplies a pre-opened (possibly recovered-from) log; [log_path]
     otherwise names a fresh backing file. [group_commit] sets the force
-    scheduling policy for every commit site (default {!Bess_wal.Group_commit.Immediate}). *)
+    scheduling policy for every commit site (default {!Bess_wal.Group_commit.Immediate}).
+    The page cache is the registry's [cache] ({!Bess_cache.Cache.register}). *)
 val create :
   ?log_path:string ->
   ?log:Bess_wal.Log.t ->

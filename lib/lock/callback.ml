@@ -12,22 +12,9 @@ type client = int
 
 type entry = { mutable cached : (client * Lock_mode.t) list }
 
-type t = {
-  table : (Lock_mgr.resource, entry) Hashtbl.t;
-  stats : Bess_util.Stats.t;
-  c_grants : Bess_util.Stats.counter;
-  c_callbacks_needed : Bess_util.Stats.counter;
-  c_drops : Bess_util.Stats.counter;
-}
+type t = { table : (Lock_mgr.resource, entry) Hashtbl.t }
 
-let create () =
-  let stats = Bess_util.Stats.create () in
-  { table = Hashtbl.create 256; stats;
-    c_grants = Bess_util.Stats.counter stats "callback.grants";
-    c_callbacks_needed = Bess_util.Stats.counter stats "callback.callbacks_needed";
-    c_drops = Bess_util.Stats.counter stats "callback.drops" }
-
-let stats t = t.stats
+let create () = { table = Hashtbl.create 256 }
 
 let entry t r =
   match Hashtbl.find_opt t.table r with
@@ -56,13 +43,9 @@ let request t ~client r mode =
     let prior = List.assoc_opt client e.cached in
     let mode' = match prior with Some m -> Lock_mode.sup m mode | None -> mode in
     e.cached <- (client, mode') :: List.remove_assoc client e.cached;
-    Bess_util.Stats.bump t.c_grants;
     `Granted
   end
-  else begin
-    Bess_util.Stats.bump t.c_callbacks_needed;
-    `Callback_needed (List.map fst conflicting)
-  end
+  else `Callback_needed (List.map fst conflicting)
 
 (* The server completed a callback: the client dropped its cached copy. *)
 let dropped t ~client r =
@@ -70,8 +53,7 @@ let dropped t ~client r =
   | None -> ()
   | Some e ->
       e.cached <- List.remove_assoc client e.cached;
-      if e.cached = [] then Hashtbl.remove t.table r;
-      Bess_util.Stats.bump t.c_drops
+      if e.cached = [] then Hashtbl.remove t.table r
 
 (* The client downgraded (e.g. X -> S after a writing txn ended). *)
 let downgraded t ~client r mode =

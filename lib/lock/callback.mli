@@ -10,7 +10,6 @@ type client = int
 type t
 
 val create : unit -> t
-val stats : t -> Bess_util.Stats.t
 
 (** Current cached mode of [client] on a resource, if any. *)
 val cached_mode : t -> client:client -> Lock_mgr.resource -> Lock_mode.t option

@@ -140,6 +140,18 @@ let create () =
   Bess_obs.Registry.register_gauge "lock" "lock.waiters" (fun () -> t.n_waiters);
   t
 
+(* A crash loses the table: every field goes back to what [create]
+   gives, in place, while the stats (so counts continue across the
+   restart) and the wake hook and grant filter stay. A parked wait span
+   is dropped unclosed, as its transaction is. *)
+let reset t =
+  Hashtbl.reset t.table;
+  Hashtbl.reset t.held;
+  Hashtbl.reset t.waits;
+  t.next_seq <- 0;
+  t.n_waiters <- 0;
+  Hashtbl.reset t.wait_spans
+
 let stats t = t.stats
 
 let n_waiters t = t.n_waiters

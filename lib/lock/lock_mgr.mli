@@ -25,6 +25,11 @@ type t
 
 val create : unit -> t
 
+(** Empty the table in place, as after a crash: no lock granted or
+    awaited, enqueue order restarted. The stats keep counting and the
+    wake hook and grant filter stay installed. *)
+val reset : t -> unit
+
 (** Simulated ns a request may wait before the [`Timeout] detector
     declares it deadlocked. *)
 val timeout_ns : int

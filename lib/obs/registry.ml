@@ -3,10 +3,8 @@
    Every substrate registers its {!Bess_util.Stats.t} under a namespaced
    key -- "vmem", "cache", "wal", "lock", "net", "session", ... -- so a
    snapshot of the whole system's counters and histograms can be taken at
-   any point and diffed against another: the experiments argue from
-   *counts* (faults taken, protection changes, log forces, messages
-   sent), and a before/after delta is what ties a workload to the
-   counters it moved.
+   any point: the experiments argue from *counts* (faults taken,
+   protection changes, log forces, messages sent).
 
    Besides counters and histograms the registry holds *gauges*: named
    callbacks sampled on demand at snapshot time, reporting state rather
@@ -14,13 +12,16 @@
    what the windowed sampler ({!Series}) and the flight recorder read to
    see the system's shape, not just its throughput.
 
-   Registration replaces an existing binding for the same key: substrates
-   register at construction time, so the registry always reflects the most
-   recently created instance of each namespace. Keys in a snapshot are
-   flattened as [<reg key>.<counter name>], except that a counter already
-   carrying its namespace prefix (most do: "vmem.reserve_calls" under
-   "vmem") is kept as-is rather than doubled. Gauges are flattened by the
-   same rule. *)
+   Inside a scope ({!with_fresh}) a key names the instance that
+   registered it last. Each bench experiment and each test runs in a
+   scope of its own, and a substrate that restarts (a server crash)
+   resets its state in place rather than registering a second instance,
+   so a scope's end snapshot is what that scope's instances counted and
+   a key does not change instance under a running {!Series}. Keys in a
+   snapshot are flattened as [<reg key>.<counter name>], except that a
+   counter already carrying its namespace prefix (most do:
+   "vmem.reserve_calls" under "vmem") is kept as-is rather than doubled.
+   Gauges are flattened by the same rule. *)
 
 let sources : (string, Bess_util.Stats.t) Hashtbl.t = Hashtbl.create 16
 let gauge_fns : (string, unit -> int) Hashtbl.t = Hashtbl.create 16 (* key = flattened name *)
@@ -35,9 +36,7 @@ let metric_namespaces =
     "area";
     "buddy";
     "cache";
-    "callback";
     "critpath";
-    "event";
     "fault";
     "flat";
     "heat";
@@ -52,7 +51,6 @@ let metric_namespaces =
     "sched";
     "server";
     "session";
-    "smt";
     "soft";
     "span";
     "state_clock";
@@ -83,10 +81,6 @@ let unregister key =
   Hashtbl.filter_map_inplace
     (fun k fn -> if String.starts_with ~prefix k then None else Some fn)
     gauge_fns
-
-let keys () =
-  let add tbl acc = Hashtbl.fold (fun k _ acc -> k :: acc) tbl acc in
-  add sources (add gauge_fns []) |> List.sort_uniq String.compare
 
 (* Scoped reset: the registry is process-global mutable state, so tests
    and bench workloads that build substrates would otherwise leak
@@ -184,43 +178,6 @@ let snapshot () =
     hists = List.sort by_name !hists;
     gauges = List.sort by_name gauges;
   }
-
-(* [diff ~before ~after] is the per-counter delta (counters absent from
-   [before] count from 0; zero deltas are dropped unless [keep_zeros],
-   which the windowed sampler sets so a quiet window still distinguishes
-   "untouched counter" from "unregistered counter"). Histogram count/sum
-   are diffed the same way; min/max/mean/percentiles are reported from
-   [after] -- the power-of-two buckets cannot be "subtracted" into exact
-   interval percentiles, and the shape of the whole run is what the
-   reports compare. A counter that shrank (its substrate was re-created
-   mid-window) yields a negative delta rather than being hidden. Gauges
-   are state, not flow: the [after] values are carried through as-is. *)
-let diff ?(keep_zeros = false) ~before ~after () =
-  let base = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace base k v) before.counters;
-  let counters =
-    List.filter_map
-      (fun (k, v) ->
-        let d = v - Option.value ~default:0 (Hashtbl.find_opt base k) in
-        if d = 0 && not keep_zeros then None else Some (k, d))
-      after.counters
-  in
-  let hbase = Hashtbl.create 16 in
-  List.iter (fun (k, h) -> Hashtbl.replace hbase k h) before.hists;
-  let hists =
-    List.map
-      (fun (k, h) ->
-        match Hashtbl.find_opt hbase k with
-        | None -> (k, h)
-        | Some h0 when h.h_count >= h0.h_count ->
-            (k, { h with h_count = h.h_count - h0.h_count; h_sum = h.h_sum - h0.h_sum })
-        (* count shrank: the substrate was re-created mid-window, so a
-           delta against the dead instance is meaningless -- report the
-           new instance whole. *)
-        | Some _ -> (k, h))
-      after.hists
-  in
-  { counters; hists; gauges = after.gauges }
 
 (* ---- Rendering ------------------------------------------------------------ *)
 

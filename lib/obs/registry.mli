@@ -1,13 +1,12 @@
 (** The process-wide metrics registry.
 
     Substrates register their {!Bess_util.Stats.t} (or a gauge callback)
-    under a namespaced key at construction time; [snapshot]/[diff] then
-    turn the whole system's
-    counters into before/after deltas for a workload, with gauges sampled
-    at snapshot time reporting state (cache occupancy, WAL backlog, ...)
-    rather than flow. Registering an existing key replaces the binding, so
-    the registry reflects the most recently created instance of each
-    namespace. *)
+    under a namespaced key at construction time; [snapshot] reads the
+    whole system's counters and histograms, with gauges sampled at
+    snapshot time reporting state (cache occupancy, WAL backlog, ...)
+    rather than flow. Inside a {!with_fresh} scope a key names the
+    instance that registered it last; a scope's end snapshot is what its
+    instances counted. *)
 
 (** Legal first components of metric names ("cache", "wal", "lock", ...).
     The metric-name hygiene test greps source literals against this table,
@@ -29,8 +28,6 @@ val register_gauge : string -> string -> (unit -> int) -> unit
 (** Remove the whole namespace [key]: its stats binding plus every
     gauge flattened under [key ^ "."]. *)
 val unregister : string -> unit
-
-val keys : unit -> string list
 
 (** [with_fresh f] empties the registry for the duration of [f] and
     restores the previous bindings on the way out, exceptions included —
@@ -70,15 +67,6 @@ val snapshot : unit -> snapshot
     histogram inside a registered stats source. The {!Series} sampler reads raw buckets through this to
     compute per-window tail percentiles from bucket deltas. *)
 val iter_histograms : (string -> Bess_util.Histogram.t -> unit) -> unit
-
-(** Per-counter deltas, [after - before] (zero deltas dropped unless
-    [keep_zeros]; missing counters count from 0; shrunken counters yield
-    negative deltas). Histogram count/sum are deltas (or the [after]
-    instance whole when its count shrank, i.e. the substrate was
-    re-created mid-window); the remaining summary fields are reported
-    from [after]. Gauges are state, not flow: [after]'s values are
-    carried through unchanged. *)
-val diff : ?keep_zeros:bool -> before:snapshot -> after:snapshot -> unit -> snapshot
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 

@@ -3,16 +3,18 @@
    A Series turns the registry's point-in-time snapshots into behaviour
    over time: whenever the simulated clock crosses a window boundary
    (observed via the {!Span.set_tick_hook} hook, one branch when no
-   series is installed), the sampler diffs the registry against the
-   previous window's snapshot and records the per-window counter deltas
-   plus the sampled gauge values into a bounded ring.
+   series is installed), the sampler subtracts the previous window's
+   counter values from a fresh registry snapshot and records the
+   per-window counter deltas plus the sampled gauge values into a
+   bounded ring. A substrate that restarts resets in place rather than
+   registering a new instance, so every delta is at least 0.
 
    Windows are *at least* [window_ns] long: a single large clock jump (a
    100us log force against a 10us window) closes one window spanning the
    whole jump rather than fabricating a run of empty windows, and each
    sample carries its true [start, end] so rates divide by real window
-   width. Deltas keep zero-valued counters ([diff ~keep_zeros:true]) so
-   a quiet window still distinguishes "untouched" from "unregistered". *)
+   width. Deltas keep zero-valued counters so a quiet window still
+   distinguishes "untouched" from "unregistered". *)
 
 type tail = {
   t_count : int; (* samples observed inside the window *)
@@ -80,9 +82,7 @@ let push t s =
 (* Window-local tail percentiles: the bucket-delta of each histogram
    against its window-start copy, interpolated the same way as the
    whole-run percentiles. Quiet histograms (no samples this window) are
-   omitted — a tail over zero observations is noise, not signal. A
-   shrunken bucket (substrate re-created mid-window) falls back to the
-   new instance whole, mirroring {!Registry.diff}. *)
+   omitted — a tail over zero observations is noise, not signal. *)
 let window_tails t =
   let out = ref [] in
   Registry.iter_histograms (fun name h ->
@@ -90,9 +90,7 @@ let window_tails t =
       let delta =
         match Hashtbl.find_opt t.hist_base name with
         | None -> cur
-        | Some base ->
-            let d = Array.mapi (fun i v -> v - base.(i)) cur in
-            if Array.exists (fun v -> v < 0) d then cur else d
+        | Some base -> Array.mapi (fun i v -> v - base.(i)) cur
       in
       Hashtbl.replace t.hist_base name cur;
       let n = Array.fold_left ( + ) 0 delta in
@@ -105,13 +103,17 @@ let window_tails t =
 
 let close_window t ~now =
   let snap = Registry.snapshot () in
-  let d = Registry.diff ~keep_zeros:true ~before:t.base ~after:snap () in
+  (* A counter first seen this window (its substrate registered inside
+     it) counts from 0. *)
+  let base = Hashtbl.create 64 in
+  List.iter (fun (k, v) -> Hashtbl.replace base k v) (Registry.counters t.base);
+  let delta (k, v) = (k, v - Option.value ~default:0 (Hashtbl.find_opt base k)) in
   let s =
     {
       w_index = t.next_index;
       w_start_ns = t.window_start;
       w_end_ns = now;
-      w_counters = Registry.counters d;
+      w_counters = List.map delta (Registry.counters snap);
       w_gauges = Registry.gauges snap;
       w_tails = window_tails t;
     }

@@ -3,18 +3,20 @@
     A Series records the registry's behaviour over time: whenever the
     simulated clock crosses a window boundary (observed through the
     {!Span.set_tick_hook} hook; zero-cost when no series is installed),
-    it diffs the registry against the previous window and pushes the
-    per-window counter deltas, sampled gauge values and window-local
-    histogram tails into a bounded ring. Consumers read the ring after
+    it subtracts the previous window's counter values from a registry
+    snapshot and pushes the per-window counter deltas, sampled gauge
+    values and window-local histogram tails into a bounded ring. Consumers read the ring after
     the run through {!to_list} (the bench's per-window latency budget
     does) — nothing runs inside a window close.
 
     Windows are at least [window_ns] of simulated time: one large clock
     jump closes one window spanning the jump (each sample carries its
     true [start, end], and rates divide by real width) rather than a run
-    of fabricated empty windows. Counter deltas keep zeros
-    ([Registry.diff ~keep_zeros:true]), so a quiet window still
-    distinguishes "untouched" from "unregistered". *)
+    of fabricated empty windows. Counter deltas keep zeros, so a quiet
+    window still distinguishes "untouched" from "unregistered". A
+    substrate that restarts resets in place rather than registering a
+    new instance, so its counters keep growing and no delta is
+    negative. *)
 
 type tail = {
   t_count : int;  (** samples observed inside the window *)

@@ -113,8 +113,12 @@ type client = {
 }
 
 (* Segments cap at one extent of contiguous pages, so the working set is
-   built from 128-page segments. *)
+   built from 128-page segments. The seeding session registers its vmem,
+   session and clock stats in a registry scope of its own, which ends
+   with it: a run's registry shows the server it drives, not the session
+   that filled it. *)
 let seed_working_set db ~n_pages =
+  Bess_obs.Registry.with_fresh @@ fun () ->
   let s = Bess.Db.session db in
   Bess.Session.begin_txn s;
   let pages = ref [] in

@@ -14,6 +14,10 @@ val create :
   [ `Memory | `File of string ] ->
   t
 
+(** The largest [extent_order] whose allocation table fits one page of
+    [page_size] bytes. *)
+val max_extent_order : int -> int
+
 (** Re-open a file-backed area created by {!create}; buddy allocation state
     is restored from the persisted extent tables. *)
 val open_file : id:int -> string -> t

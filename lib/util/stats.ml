@@ -33,8 +33,6 @@ let add t name n =
   r := !r + n
 
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-let set t name v = find t name := v
-
 (* Counter handles for hot paths: the name is looked up once, on the
    first bump, and the handle keeps the counter's cell from then on.
    Cells are never removed from the table ([reset] zeroes them in place),
@@ -63,7 +61,6 @@ let assign c v = cell c := v
 let labeled_key name label = name ^ "{" ^ label ^ "}"
 let labeled_counter t name ~label = counter t (labeled_key name label)
 let incr_labeled t name ~label = incr t (labeled_key name label)
-let add_labeled t name ~label n = add t (labeled_key name label) n
 let get_labeled t name ~label = get t (labeled_key name label)
 
 (* Histograms: created on first touch, so [histogram t name] both creates

@@ -9,8 +9,6 @@ val add : t -> string -> int -> unit
 (** [get t name] is 0 for counters never touched. *)
 val get : t -> string -> int
 
-val set : t -> string -> int -> unit
-
 (** A handle on one named counter of a [t], for hot paths: the name is
     resolved on the first {!bump}, after which a bump is one increment.
     The handle survives {!reset}; until its first bump it adds no key, so
@@ -26,7 +24,8 @@ val bump_by : counter -> int -> unit
 (** [value c] is [get t name] for the handle's counter. *)
 val value : counter -> int
 
-(** [assign c v] is [set t name v] for the handle's counter. *)
+(** [assign c v] sets the handle's counter to [v], for a high-water
+    mark. *)
 val assign : counter -> int -> unit
 
 (** Labeled counters: one counter per (name, label) pair, stored under
@@ -36,7 +35,6 @@ val incr_labeled : t -> string -> label:string -> unit
 (** A {!counter} handle on the labeled counter [name{label}]. *)
 val labeled_counter : t -> string -> label:string -> counter
 
-val add_labeled : t -> string -> label:string -> int -> unit
 val get_labeled : t -> string -> label:string -> int
 
 (** [histogram t name] is the named distribution, created empty on first

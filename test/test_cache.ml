@@ -39,6 +39,7 @@ let test_eviction_and_writeback () =
 let test_evict_split_and_dirty_gauge () =
   Bess_obs.Registry.with_fresh (fun () ->
       let c = Cache.create ~nslots:2 ~page_size:64 in
+      Cache.register c;
       Cache.set_writeback c (fun _ _ -> ());
       let get k = Bess_util.Stats.get (Cache.stats c) k in
       let gauge name =

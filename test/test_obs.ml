@@ -1,4 +1,4 @@
-(* bess_obs: the metrics registry (snapshot/diff, key flattening, JSON)
+(* bess_obs: the metrics registry (snapshots, key flattening, JSON)
    and the span collector's bounded ring of instants, plus the Stats
    extensions they rely on, primitive events recorded as instants and
    the event-hook ordering regression. *)
@@ -35,18 +35,20 @@ let test_registry_snapshot_diff () =
     (Registry.counters before);
   Stats.incr st "log.appends";
   Stats.incr st "log.appends";
-  let after = Registry.snapshot () in
-  let d = Registry.diff ~before ~after () in
   Alcotest.(check (list (pair string int)))
-    "diff keeps moved counters only" [ ("wal.log.appends", 2) ]
-    (Registry.counters d)
+    "a snapshot is a point in time" [ ("wal.forces", 3); ("wal.log.appends", 1) ]
+    (Registry.counters before);
+  Alcotest.(check (list (pair string int)))
+    "a later snapshot reads the grown counters whole"
+    [ ("wal.forces", 3); ("wal.log.appends", 3) ]
+    (Registry.counters (Registry.snapshot ()))
 
 let test_registry_replace_and_histograms () =
   Registry.with_fresh @@ fun () ->
   let st1 = Stats.create () in
   Stats.incr st1 "c";
   Registry.register_stats "lock" st1;
-  (* A re-created substrate re-registers: latest instance wins. *)
+  (* Registering a key again rebinds it. *)
   let st2 = Stats.create () in
   Stats.observe st2 "lock.wait_ns" 4;
   Stats.observe st2 "lock.wait_ns" 8;
@@ -214,7 +216,7 @@ let test_hook_order_preserved () =
   Alcotest.(check (list int)) "registration order" (List.init n (fun i -> i + 1))
     (List.rev !ran)
 
-(* ---- gauges, diff flags, Prometheus exposition ---- *)
+(* ---- gauges, Prometheus exposition ---- *)
 
 let contains hay needle =
   let nl = String.length needle in
@@ -238,7 +240,7 @@ let test_registry_gauges () =
     "a snapshot is a point in time"
     [ ("cache.resident_pages", 3); ("wal.unflushed_bytes", 7) ]
     (Registry.gauges snap);
-  (* Latest registration wins, like stats; a raising callback is dropped
+  (* Registering again rebinds, like stats; a raising callback is dropped
      from the snapshot, not fabricated as 0. *)
   Registry.register_gauge "cache" "resident_pages" (fun () -> 99);
   Registry.register_gauge "wal" "wal.unflushed_bytes" (fun () ->
@@ -262,57 +264,6 @@ let test_registry_gauges () =
     "only the other namespace's gauge left" [ ("cache.resident_pages", 99) ]
     (Registry.gauges snap)
 
-let test_diff_keep_zeros_and_gauges () =
-  Registry.with_fresh @@ fun () ->
-  let st = Stats.create () in
-  Registry.register_stats "wal" st;
-  let g = ref 5 in
-  Registry.register_gauge "wal" "pending" (fun () -> !g);
-  Stats.add st "a" 4;
-  Stats.add st "b" 2;
-  let before = Registry.snapshot () in
-  Stats.incr st "a";
-  g := 9;
-  let after = Registry.snapshot () in
-  let d = Registry.diff ~before ~after () in
-  Alcotest.(check (list (pair string int)))
-    "zero deltas dropped by default" [ ("wal.a", 1) ] (Registry.counters d);
-  let dz = Registry.diff ~keep_zeros:true ~before ~after () in
-  Alcotest.(check (list (pair string int)))
-    "keep_zeros keeps untouched counters"
-    [ ("wal.a", 1); ("wal.b", 0) ]
-    (Registry.counters dz);
-  Alcotest.(check (list (pair string int)))
-    "gauges are state, not flow: after's values carried through"
-    [ ("wal.pending", 9) ]
-    (Registry.gauges d)
-
-let test_diff_negative_and_recreated () =
-  Registry.with_fresh @@ fun () ->
-  let st = Stats.create () in
-  Stats.add st "c" 10;
-  Stats.observe st "wal.bytes" 100;
-  Stats.observe st "wal.bytes" 50;
-  Registry.register_stats "wal" st;
-  let before = Registry.snapshot () in
-  (* The substrate is torn down and re-created mid-window: its counters
-     restart from zero, so the delta goes negative and the histogram is
-     reported whole rather than as a nonsense negative-count diff. *)
-  let st2 = Stats.create () in
-  Stats.add st2 "c" 4;
-  Stats.observe st2 "wal.bytes" 30;
-  Registry.register_stats "wal" st2;
-  let after = Registry.snapshot () in
-  let d = Registry.diff ~before ~after () in
-  Alcotest.(check (list (pair string int)))
-    "shrunken counter yields a negative delta" [ ("wal.c", -6) ] (Registry.counters d);
-  match Registry.histograms d with
-  | [ (name, h) ] ->
-      Alcotest.(check string) "histogram key" "wal.bytes" name;
-      Alcotest.(check int) "re-created instance reported whole" 1 h.Registry.h_count;
-      Alcotest.(check int) "sum from the new instance" 30 h.Registry.h_sum
-  | l -> Alcotest.fail (Printf.sprintf "expected one histogram, got %d" (List.length l))
-
 let test_with_fresh_restores_all_tables () =
   Registry.with_fresh @@ fun () ->
   Registry.register_gauge "cache" "g" (fun () -> 1);
@@ -321,7 +272,9 @@ let test_with_fresh_restores_all_tables () =
   Registry.register_stats "wal" st;
   (try
      Registry.with_fresh (fun () ->
-         Alcotest.(check (list string)) "all tables empty inside" [] (Registry.keys ());
+         let inside = Registry.snapshot () in
+         Alcotest.(check int) "all tables empty inside" 0
+           (List.length (Registry.counters inside) + List.length (Registry.gauges inside));
          Registry.register_gauge "net" "n" (fun () -> 2);
          failwith "boom")
    with Failure _ -> ());
@@ -388,7 +341,7 @@ let test_metric_names_hygienic () =
   in
   List.iter
     (fun name ->
-      (* Literals like "span." / "event." are prefixes completed at
+      (* Literals like "span." are prefixes completed at
          runtime: validate the leading component only. *)
       let parts = String.split_on_char '.' name in
       let parts =
@@ -408,6 +361,71 @@ let test_metric_names_hygienic () =
             true (is_component c))
         parts)
     names
+
+(* Hygiene at run time: every key a live system's snapshot carries
+   starts with a registered namespace and names no component twice, as
+   a clock registered under "cache.state_clock" did
+   ("cache.state_clock.state_clock.protects"). The system: a server, a
+   session whose seven-slot pool must replace pages to read two
+   five-page segments, and F4's node server, whose two-slot cache
+   replaces a page too. *)
+let test_snapshot_keys_hygienic () =
+  Registry.with_fresh @@ fun () ->
+  let db = Bess.Db.create_memory ~db_id:312 () in
+  let ty =
+    Bess.Type_desc.register (Bess.Catalog.types (Bess.Db.catalog db)) ~name:"obj" ~size:32
+      ~ref_offsets:[||]
+  in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let segs = List.init 2 (fun _ -> Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:4 ()) in
+  let oids =
+    List.map (fun seg -> Bess.Session.oid_of s (Bess.Session.create_object s seg ty ~size:32)) segs
+  in
+  Bess.Session.commit s;
+  let small = Bess.Db.session ~pool_slots:7 db in
+  Bess.Session.begin_txn small;
+  List.iter
+    (fun oid ->
+      let o = Bess.Session.by_oid small oid in
+      ignore (Bess_vmem.Vmem.read_i64 (Bess.Session.mem small) (Bess.Session.obj_data small o)))
+    oids;
+  Bess.Session.commit small;
+  let data = (List.hd segs).Bess.Session.data_disk in
+  let page i =
+    { Bess_cache.Page_id.area = data.Bess_storage.Seg_addr.area;
+      page = data.Bess_storage.Seg_addr.first_page + i }
+  in
+  let node = Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~id:7301 (Bess.Db.server db) in
+  ignore (Bess.Node_server.register_processes node 2);
+  List.iter
+    (fun (proc, i) -> ignore (Bess.Node_server.shm_access node ~proc (page i) ~write:false))
+    [ (0, 0); (1, 1); (1, 2); (0, 2) ];
+  let snap = Registry.snapshot () in
+  let keys =
+    List.map fst (Registry.counters snap)
+    @ List.map fst (Registry.gauges snap)
+    @ List.map fst (Registry.histograms snap)
+  in
+  List.iter
+    (fun ns ->
+      Alcotest.(check bool) (Printf.sprintf "a %s key is in the snapshot" ns) true
+        (List.exists (String.starts_with ~prefix:(ns ^ ".")) keys))
+    [ "cache"; "state_clock"; "two_level"; "session"; "vmem"; "lock"; "server" ];
+  List.iter
+    (fun key ->
+      (* A label ("fault.checks{wal.force.eio}") is not part of the name. *)
+      let name = match String.index_opt key '{' with Some i -> String.sub key 0 i | None -> key in
+      let parts = String.split_on_char '.' name in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S starts with a registered namespace" key)
+        true
+        (List.mem (List.hd parts) Registry.metric_namespaces);
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names no component twice" key)
+        true
+        (List.length (List.sort_uniq String.compare parts) = List.length parts))
+    keys
 
 (* Hygiene: build artifacts must not be tracked. Skips when git (or the
    .git directory) is unavailable in the test environment. *)
@@ -439,9 +457,8 @@ let suite =
     Alcotest.test_case "hook_order_preserved" `Quick test_hook_order_preserved;
     Alcotest.test_case "no_build_artifacts_tracked" `Quick test_no_build_artifacts_tracked;
     Alcotest.test_case "registry_gauges" `Quick test_registry_gauges;
-    Alcotest.test_case "diff_keep_zeros_and_gauges" `Quick test_diff_keep_zeros_and_gauges;
-    Alcotest.test_case "diff_negative_and_recreated" `Quick test_diff_negative_and_recreated;
     Alcotest.test_case "with_fresh_restores_all_tables" `Quick test_with_fresh_restores_all_tables;
     Alcotest.test_case "prom_exposition" `Quick test_prom_exposition;
     Alcotest.test_case "metric_names_hygienic" `Quick test_metric_names_hygienic;
+    Alcotest.test_case "snapshot_keys_hygienic" `Quick test_snapshot_keys_hygienic;
   ]

@@ -345,6 +345,91 @@ let test_substrate_gauges_end_to_end () =
       Alcotest.(check int) "no transaction in flight" 0
         (List.assoc "server.active_txns" gauges))
 
+(* A server crash under an installed series: the restart empties the
+   lock table in place, so the lock counters keep counting across it and
+   no window delta goes negative. Each transaction X-locks one page and
+   commits an 8-byte update to it, which forces the log and moves the
+   clock past a window. *)
+let test_crash_under_series () =
+  Registry.with_fresh @@ fun () ->
+  let db = Bess.Db.create_memory ~db_id:79 () in
+  let server = Bess.Db.server db in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let data = (Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:4 ()).data_disk in
+  Bess.Session.commit s;
+  Bess.Session.drop_all_cached s;
+  let page i =
+    { Bess_cache.Page_id.area = data.Bess_storage.Seg_addr.area;
+      page = data.Bess_storage.Seg_addr.first_page + i }
+  in
+  let lock_stats = Bess_lock.Lock_mgr.stats (Bess.Server.locks server) in
+  let grants () = Stats.get lock_stats "lock.grants" in
+  let txn_on i =
+    let txn = Bess.Server.begin_txn server ~client:1 in
+    let p = page i in
+    Alcotest.(check bool) "granted" true
+      (Bess.Server.lock server ~txn
+         (Bess_lock.Lock_mgr.page_resource ~area:p.area ~page:p.page)
+         Bess_lock.Lock_mode.X
+      = `Granted);
+    let update =
+      { Bess.Server.page = p; offset = 0; before = Bytes.make 8 '\000'; after = Bytes.make 8 'x' }
+    in
+    Alcotest.(check bool) "committed" true
+      (Bess.Server.commit_client server ~txn ~updates:[ update ] = `Committed)
+  in
+  let series = Series.create ~window_ns:10_000 () in
+  let g0 = grants () in
+  with_series series (fun () ->
+      for i = 0 to 3 do
+        txn_on i
+      done;
+      let before_crash = grants () in
+      Bess.Server.crash server;
+      ignore (Bess.Server.recover server);
+      for i = 0 to 3 do
+        txn_on i
+      done;
+      Alcotest.(check int) "lock.grants continue across the crash" (before_crash + 4) (grants ());
+      Series.flush series);
+  let windows = Series.to_list series in
+  Alcotest.(check bool) "several windows" true (List.length windows > 2);
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (k, v) ->
+          if v < 0 then Alcotest.failf "window %d: %s delta %d" w.Series.w_index k v)
+        w.Series.w_counters)
+    windows;
+  let sum =
+    List.fold_left
+      (fun acc w -> acc + Option.value ~default:0 (Series.sample_delta w "lock.grants"))
+      0 windows
+  in
+  Alcotest.(check int) "the windows sum to the lock table's grants" (grants () - g0) sum
+
+(* With a server and a session in one scope, the registry's [cache] is
+   the server's page cache, registered by the store: the session, built
+   after it, has a page pool of its own that counts differently. *)
+let test_cache_is_the_server_cache () =
+  Registry.with_fresh @@ fun () ->
+  let db = Bess.Db.create_memory ~db_id:80 () in
+  let cache = Bess.Store.cache (Bess.Server.store (Bess.Db.server db)) in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  ignore (Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:4 ());
+  Bess.Session.commit s;
+  let snap = Registry.snapshot () in
+  let loads = Stats.get (Bess_cache.Cache.stats cache) "cache.loads" in
+  Alcotest.(check bool) "the pool counts differently" true
+    (loads <> Stats.get (Bess_cache.Cache.stats (Bess.Session.pool s)) "cache.loads");
+  Alcotest.(check (option int)) "cache.loads is the server cache's" (Some loads)
+    (List.assoc_opt "cache.loads" (Registry.counters snap));
+  Alcotest.(check (option int)) "cache.resident_pages is the server cache's"
+    (Some (Bess_cache.Cache.n_resident cache))
+    (List.assoc_opt "cache.resident_pages" (Registry.gauges snap))
+
 let suite =
   [
     Alcotest.test_case "windowed_sampling" `Quick test_windowed_sampling;
@@ -358,4 +443,6 @@ let suite =
     Alcotest.test_case "flightrec_roundtrip" `Quick test_flightrec_roundtrip;
     Alcotest.test_case "flightrec_disarmed_noop" `Quick test_flightrec_disarmed_noop;
     Alcotest.test_case "substrate_gauges_end_to_end" `Quick test_substrate_gauges_end_to_end;
+    Alcotest.test_case "crash_under_series" `Quick test_crash_under_series;
+    Alcotest.test_case "cache_is_the_server_cache" `Quick test_cache_is_the_server_cache;
   ]
