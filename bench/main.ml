@@ -18,6 +18,7 @@ module Fault = Bess_fault.Fault
 module Driver = Bess_sched.Driver
 module Planes = Bess_sched.Planes
 module Torture = Bess_sched.Torture
+module Json = Bess_obs.Json
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
@@ -119,7 +120,9 @@ let e2 () =
         let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:n_pages () in
         Bess.Session.commit s;
         let node =
-          Bess.Node_server.create ~cache_slots:(n_pages * 2) ~id:9999 (Bess.Db.server db)
+          Bess.Node_server.create ~cache_slots:(n_pages * 2)
+            ~n_procs:(match mode with `Shm -> 1 | `Coa -> 0)
+            ~id:9999 (Bess.Db.server db)
         in
         let data_page i =
           { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
@@ -140,8 +143,7 @@ let e2 () =
         in
         (match mode with
         | `Shm ->
-            let procs = Bess.Node_server.register_processes node 1 in
-            let p = procs.(0) in
+            let p = (Bess.Node_server.procs node).(0) in
             for _ = 1 to txns do
               timed (fun () ->
                   for _ = 1 to pages_per_txn do
@@ -384,7 +386,9 @@ let e5 () =
         let a = area () in
         let lob = Bess_largeobj.Lob.create a in
         Bess_largeobj.Lob.append lob (Prng.bytes (Prng.create 1) size);
-        Stats.reset (Bess_largeobj.Lob.stats lob);
+        let st = Bess_largeobj.Lob.stats lob in
+        let pages () = Stats.get st "lob.pages_read" + Stats.get st "lob.pages_written" in
+        let pages0 = pages () in
         let prng = Prng.create 2 in
         let t =
           Report.time_per_op ~iters:ops (fun () ->
@@ -407,14 +411,15 @@ let e5 () =
                        ~pos:(Prng.int prng (Bess_largeobj.Lob.size lob - 4096))
                        ~len:4096))
         in
-        let st = Bess_largeobj.Lob.stats lob in
-        (t, (Stats.get st "lob.pages_read" + Stats.get st "lob.pages_written") / ops)
+        (t, (pages () - pages0) / ops)
       in
       let run_flat op =
         let a = area () in
         let blob = Bess_baseline.Flat_blob.create a in
         Bess_baseline.Flat_blob.write_all blob (Prng.bytes (Prng.create 1) size);
-        Stats.reset (Bess_baseline.Flat_blob.stats blob);
+        let st = Bess_baseline.Flat_blob.stats blob in
+        let pages () = Stats.get st "flat.pages_read" + Stats.get st "flat.pages_written" in
+        let pages0 = pages () in
         let prng = Prng.create 2 in
         let t =
           Report.time_per_op ~iters:ops (fun () ->
@@ -435,8 +440,7 @@ let e5 () =
                        ~pos:(Prng.int prng (Bess_baseline.Flat_blob.size blob - 4096))
                        ~len:4096))
         in
-        let st = Bess_baseline.Flat_blob.stats blob in
-        (t, (Stats.get st "flat.pages_read" + Stats.get st "flat.pages_written") / ops)
+        (t, (pages () - pages0) / ops)
       in
       List.iter
         (fun (opname, op) ->
@@ -557,12 +561,15 @@ let e7 () =
       let db = Workloads.fresh_db () in
       let s, nodes = Workloads.build_ring db ~n:2_000 ~per_seg:250 ~stride:1 in
       let vm_stats = Vmem.stats (Bess.Session.mem s) in
+      let protects () = Stats.get vm_stats "vmem.protect_calls" in
+      let faults () =
+        Stats.get vm_stats "vmem.faults.read" + Stats.get vm_stats "vmem.faults.write"
+      in
       (* Warm up. *)
       Bess.Session.begin_txn s;
       ignore (Workloads.traverse_ring s ~start:nodes.(0) ~hops:2_000);
       Bess.Session.commit s;
-      Stats.reset vm_stats;
-      Stats.reset (Bess.Session.stats s);
+      let protects0 = protects () and faults0 = faults () in
       let prng = Prng.create 3 in
       for _ = 1 to txns do
         Bess.Session.begin_txn s;
@@ -576,10 +583,7 @@ let e7 () =
         done;
         Bess.Session.commit s
       done;
-      let protects = Stats.get vm_stats "vmem.protect_calls" in
-      let faults =
-        Stats.get vm_stats "vmem.faults.read" + Stats.get vm_stats "vmem.faults.write"
-      in
+      let protects = protects () - protects0 and faults = faults () - faults0 in
       (* Software approach: one announcement per write; conservative mode
          announces on reads too (the compiler can't tell). *)
       let soft = Bess_baseline.Soft_dirty.create ~n_pages:64 () in
@@ -664,7 +668,9 @@ let e8 () =
            of every page; measure steady state instead. *)
         Bess.Session.drop_all_cached s0;
         let server = Bess.Db.server db in
-        Stats.reset (Bess.Server.stats server);
+        let st = Bess.Server.stats server in
+        let fetches0 = Stats.get st "server.segment_fetches"
+        and callbacks0 = Stats.get st "server.callbacks_sent" in
         let sessions = Array.init n_clients (fun _ -> Bess.Db.session db) in
         let prngs = Array.init n_clients (fun i -> Prng.create (100 + i)) in
         (* HOTCOLD-style: each client has a private hot region; [shared]
@@ -709,10 +715,9 @@ let e8 () =
               attempt 0)
             sessions
         done;
-        let st = Bess.Server.stats server in
         let total_txns = float_of_int (n_clients * txns_per_client) in
-        ( float_of_int (Stats.get st "server.segment_fetches") /. total_txns,
-          float_of_int (Stats.get st "server.callbacks_sent") /. total_txns )
+        ( float_of_int (Stats.get st "server.segment_fetches" - fetches0) /. total_txns,
+          float_of_int (Stats.get st "server.callbacks_sent" - callbacks0) /. total_txns )
       in
       let cached_fetches, cached_cbs = run ~cached:true in
       let fresh_fetches, fresh_cbs = run ~cached:false in
@@ -1140,10 +1145,9 @@ let e13 () =
     (String.concat ", " gauge_names);
   Report.artifact ~id:"e13" ~what:"series" ~section:"e13_series"
     ~fields:
-      [ ("fault_seed", string_of_int !fault_seed);
-        ("profile", Bess_obs.Registry.json_string profile);
-        ("clients", string_of_int n_clients); ("rounds", string_of_int rounds);
-        ("acked", string_of_int acked_n); ("violations", string_of_int violations) ]
+      [ ("fault_seed", Json.int !fault_seed); ("profile", Json.Str profile);
+        ("clients", Json.int n_clients); ("rounds", Json.int rounds);
+        ("acked", Json.int acked_n); ("violations", Json.int violations) ]
     ("series", Bess_obs.Series.json_of series)
 
 (* ---- The closed-loop fleet point (E14, E15, E18) ----------------------------- *)
@@ -1151,7 +1155,6 @@ let e13 () =
 (* E14 and E15 sweep the same populations over the same working set, each
    spreading ~[fleet_attempts] transaction attempts over its clients. *)
 let fleet_sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ]
-let fleet_sweep_json = "[" ^ String.concat "," (List.map string_of_int fleet_sweep) ^ "]"
 let fleet_pages = 2048
 let fleet_attempts = scale 40_000
 
@@ -1271,7 +1274,7 @@ let e14 () =
       let open Driver in
       let r = p.r in
       series_sections :=
-        (Printf.sprintf "\"clients_%d\":%s" n_clients (Bess_obs.Series.json_of series))
+        (Printf.sprintf "clients_%d" n_clients, Bess_obs.Series.json_of series)
         :: !series_sections;
       rows :=
         [
@@ -1315,10 +1318,10 @@ let e14 () =
     (leaked_locks chaos);
   Report.artifact ~id:"e14" ~what:"series" ~section:"e14_series"
     ~fields:
-      [ ("seed", string_of_int seed); ("clients", fleet_sweep_json);
-        ("deterministic", string_of_bool deterministic);
-        ("chaos_leaked_locks", string_of_int (leaked_locks chaos)) ]
-    ("series", "{" ^ String.concat "," (List.rev !series_sections) ^ "}")
+      [ ("seed", Json.int seed); ("clients", Json.Arr (List.map Json.int fleet_sweep));
+        ("deterministic", Json.Bool deterministic);
+        ("chaos_leaked_locks", Json.int (leaked_locks chaos)) ]
+    ("series", Json.Obj (List.rev !series_sections))
 
 (* Tail-latency attribution: the e14 client sweep re-run with span
    tracing and the critical-path sink installed. Every committed
@@ -1396,23 +1399,23 @@ let e15 () =
         if total = 0 then 0.0 else 100.0 *. float_of_int ns /. float_of_int total
       in
       let share name = frac (Option.value ~default:0 (List.assoc_opt name totals)) in
+      let phase (name, ns) =
+        ( name,
+          Json.Obj
+            [ ("ns", Json.int ns);
+              ("frac", Json.fixed 4 (if total = 0 then 0.0 else float_of_int ns /. float_of_int total))
+            ] )
+      in
       point_sections :=
-        Printf.sprintf "\"clients_%d\":{\"txns\":%d,\"total_ns\":%d,\"gap_ns\":%d,%s,\"slo\":{\"checks\":%d,\"breaches\":%d,%s}}"
-          n_clients (Bess_obs.Critpath.txns cp) total gap
-          (String.concat ","
-             (List.map
-                (fun (name, ns) ->
-                  Printf.sprintf "%s:{\"ns\":%d,\"frac\":%.4f}"
-                    (Bess_obs.Registry.json_string name) ns
-                    (if total = 0 then 0.0
-                     else float_of_int ns /. float_of_int total))
-                totals))
-          checks (breaches report)
-          (String.concat ","
-             (List.map
-                (fun (name, n) ->
-                  Printf.sprintf "%s:%d" (Bess_obs.Registry.json_string name) n)
-                report))
+        ( Printf.sprintf "clients_%d" n_clients,
+          Json.Obj
+            ([ ("txns", Json.int (Bess_obs.Critpath.txns cp)); ("total_ns", Json.int total);
+               ("gap_ns", Json.int gap) ]
+            @ List.map phase totals
+            @ [ ( "slo",
+                  Json.Obj
+                    ([ ("checks", Json.int checks); ("breaches", Json.int (breaches report)) ]
+                    @ List.map (fun (name, n) -> (name, Json.int n)) report) ) ]) )
         :: !point_sections;
       rows :=
         ([ Report.count n_clients; Report.count p.r.Driver.r_commits;
@@ -1458,12 +1461,10 @@ let e15 () =
     "e15: zero observer effect (fingerprint and sim time bit-identical without the planes): ";
   Report.artifact ~id:"e15" ~what:"blame breakdown" ~section:"e15"
     ~fields:
-      [ ("seed", string_of_int seed); ("clients", fleet_sweep_json);
-        ("budget_ns", string_of_int budget_ns);
-        ("deterministic", string_of_bool deterministic);
-        ("conserved", string_of_bool !conserved);
-        ("zero_cost", string_of_bool zero_cost) ]
-    ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)))
+      [ ("seed", Json.int seed); ("clients", Json.Arr (List.map Json.int fleet_sweep));
+        ("budget_ns", Json.int budget_ns); ("deterministic", Json.Bool deterministic);
+        ("conserved", Json.Bool !conserved); ("zero_cost", Json.Bool zero_cost) ]
+    ("points", Json.Obj (List.rev !point_sections))
 
 (* ---- E17: sharded presumed-abort 2PC fleets ------------------------------ *)
 
@@ -1555,15 +1556,15 @@ let e17 () =
     }
   in
   let point_json p =
-    Printf.sprintf
-      "{\"commits\":%d,\"cross_commits\":%d,\"aborts\":%d,\"give_ups\":%d,\"indeterminate\":%d,\"throughput\":%.1f,\"msgs_per_commit\":%.2f,\"twopc_blame_frac\":%.4f,\"leaked_locks\":%d,\"in_doubt\":%d,%s,\"fingerprint\":%s}"
-      p.s_commits p.s_cross p.s_aborts p.s_give_ups p.s_indet p.s_tp p.s_msgs_per_commit
-      p.s_twopc_frac p.s_leaked p.s_in_doubt
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s:%d" (Bess_obs.Registry.json_string k) v)
-            p.s_counters))
-      (Bess_obs.Registry.json_string p.s_fp)
+    Json.Obj
+      ([ ("commits", Json.int p.s_commits); ("cross_commits", Json.int p.s_cross);
+         ("aborts", Json.int p.s_aborts); ("give_ups", Json.int p.s_give_ups);
+         ("indeterminate", Json.int p.s_indet); ("throughput", Json.fixed 1 p.s_tp);
+         ("msgs_per_commit", Json.fixed 2 p.s_msgs_per_commit);
+         ("twopc_blame_frac", Json.fixed 4 p.s_twopc_frac);
+         ("leaked_locks", Json.int p.s_leaked); ("in_doubt", Json.int p.s_in_doubt) ]
+      @ List.map (fun (k, v) -> (k, Json.int v)) p.s_counters
+      @ [ ("fingerprint", Json.Str p.s_fp) ])
   in
   let rows = ref [] in
   let point_sections = ref [] in
@@ -1577,7 +1578,7 @@ let e17 () =
       if p.s_cross = 0 then cross_ok := false;
       if p.s_leaked <> 0 || p.s_in_doubt <> 0 then clean_ok := false;
       point_sections :=
-        Printf.sprintf "\"shards_%d_clients_%d\":%s" n_shards n_clients (point_json p)
+        (Printf.sprintf "shards_%d_clients_%d" n_shards n_clients, point_json p)
         :: !point_sections;
       rows :=
         [
@@ -1632,12 +1633,12 @@ let e17 () =
     chaos.s_leaked chaos.s_in_doubt;
   Report.artifact ~id:"e17" ~what:"sharded 2PC sweep" ~section:"e17"
     ~fields:
-      [ ("seed", string_of_int seed); ("deterministic", string_of_bool deterministic);
-        ("cross_shard_everywhere", string_of_bool !cross_ok);
-        ("quiesced_clean", string_of_bool !clean_ok);
-        ("chaos_leaked_locks", string_of_int chaos.s_leaked);
-        ("chaos_in_doubt", string_of_int chaos.s_in_doubt) ]
-    ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)))
+      [ ("seed", Json.int seed); ("deterministic", Json.Bool deterministic);
+        ("cross_shard_everywhere", Json.Bool !cross_ok);
+        ("quiesced_clean", Json.Bool !clean_ok);
+        ("chaos_leaked_locks", Json.int chaos.s_leaked);
+        ("chaos_in_doubt", Json.int chaos.s_in_doubt) ]
+    ("points", Json.Obj (List.rev !point_sections))
 
 (* ---- E18: the memory X-ray ------------------------------------------------ *)
 
@@ -1699,8 +1700,11 @@ let e18 () =
       Option.map
         (fun m ->
           let predicted = Bess_cache.Memx.predicted_hit_rate m in
-          let mrc_json = Bess_cache.Memx.json_of_mrc m in
-          let heat_json = Bess_cache.Memx.json_of_heat ~k:10 m in
+          let mrc_json = Bess_obs.Mrc.json_of (Bess_cache.Memx.mrc m) in
+          let heat_json =
+            Bess_obs.Heat.json_of ~k:10 ~key_label:Bess_cache.Memx.key_label
+              (Bess_cache.Memx.heat m)
+          in
           Bess_cache.Memx.uninstall m;
           (predicted, mrc_json, heat_json))
         memx
@@ -1715,7 +1719,7 @@ let e18 () =
   let rows = ref [] in
   let sections = ref [] in
   let accuracy_ok = ref true in
-  let gate_fp = ref "" and gate_mrc = ref "" and gate_heat = ref "" in
+  let gate_fp = ref "" and gate_mrc = ref Json.Null and gate_heat = ref Json.Null in
   let gate_size = List.hd sizes in
   List.iter
     (fun skew ->
@@ -1739,8 +1743,8 @@ let e18 () =
             gate_heat := heat_json
           end;
           sections :=
-            Printf.sprintf "\"skew%.2f_slots%d\":{\"mrc\":%s,\"heat\":%s}" skew cache_slots
-              mrc_json heat_json
+            ( Printf.sprintf "skew%.2f_slots%d" skew cache_slots,
+              Json.Obj [ ("mrc", mrc_json); ("heat", heat_json) ] )
             :: !sections;
           rows :=
             [
@@ -1777,7 +1781,8 @@ let e18 () =
      this holds at any absolute clock offset). *)
   let p2, _, _, _, _, x2 = run_point ~xray:true ~skew:gate_skew ~cache_slots:gate_size in
   let mrc2, heat2 = match x2 with Some (_, m, h) -> (m, h) | None -> assert false in
-  let deterministic = String.equal !gate_mrc mrc2 && String.equal !gate_heat heat2 in
+  let same a b = String.equal (Json.to_string a) (Json.to_string b) in
+  let deterministic = same !gate_mrc mrc2 && same !gate_heat heat2 in
   Report.gate deterministic "e18: same-seed byte-identical MRC/heat JSON: ";
   (* Observer effect: the same point with the X-ray never installed must
      produce bit-identical substrate counter snapshots. *)
@@ -1787,10 +1792,9 @@ let e18 () =
     "e18: zero observer effect (counter fingerprints bit-identical without the X-ray): ";
   Report.artifact ~id:"e18" ~what:"memory X-ray sweep" ~section:"e18"
     ~fields:
-      [ ("seed", string_of_int seed); ("accuracy_ok", string_of_bool !accuracy_ok);
-        ("deterministic", string_of_bool deterministic);
-        ("zero_cost", string_of_bool zero_cost) ]
-    ("points", Printf.sprintf "{%s}" (String.concat "," (List.rev !sections)))
+      [ ("seed", Json.int seed); ("accuracy_ok", Json.Bool !accuracy_ok);
+        ("deterministic", Json.Bool deterministic); ("zero_cost", Json.Bool zero_cost) ]
+    ("points", Json.Obj (List.rev !sections))
 
 (* ---- F1: segment and object structure (Figure 1) ------------------------- *)
 
@@ -1872,9 +1876,7 @@ let f2 () =
   Bess.Session.commit s_remote;
   let remote_msgs = msgs () - before in
   (* Application behind a node server on node 3. *)
-  let node = Bess.Node_server.create ~id:7100 (Bess.Db.server db_a) in
-  let procs = Bess.Node_server.register_processes node 1 in
-  ignore procs;
+  let node = Bess.Node_server.create ~id:7100 ~n_procs:1 (Bess.Db.server db_a) in
   let page =
     { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
       page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page }
@@ -1910,8 +1912,9 @@ let f3 () =
     ignore (Bess.Session.create_object s seg ty ~size:Workloads.node_size)
   done;
   Bess.Session.commit s;
-  let node = Bess.Node_server.create ~cache_slots:8 ~n_vframes:32 ~id:7200 (Bess.Db.server db) in
-  let procs = Bess.Node_server.register_processes node 2 in
+  let node =
+    Bess.Node_server.create ~cache_slots:8 ~n_vframes:32 ~id:7200 ~n_procs:2 (Bess.Db.server db)
+  in
   (* Application A: shared-memory mode; application B: copy-on-access. *)
   let page i =
     { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
@@ -1931,7 +1934,7 @@ let f3 () =
       [ "cache slots (frames)"; string_of_int (Bess_cache.Cache.nslots (Bess.Node_server.cache node)) ];
       [ "resident pages"; string_of_int (Bess_cache.Cache.n_resident (Bess.Node_server.cache node)) ];
       [ "SMT entries (SVMA frames assigned)"; string_of_int smt_entries ];
-      [ "processes attached (A: shm, B: coa)"; string_of_int (Array.length procs) ];
+      [ "processes attached (A: shm, B: coa)"; string_of_int (Array.length (Bess.Node_server.procs node)) ];
       [ "A's accesses (in-place, latched)"; string_of_int (Stats.get st "node.shm_accesses") ];
       [ "B's fetches (IPC, copied)"; string_of_int (Stats.get st "node.coa_fetches") ];
       [ "upstream fetches from owning server"; string_of_int upstream ];
@@ -1952,8 +1955,9 @@ let f4 () =
   Bess.Session.begin_txn s;
   let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:4 () in
   Bess.Session.commit s;
-  let node = Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~id:7300 (Bess.Db.server db) in
-  ignore (Bess.Node_server.register_processes node 2);
+  let node =
+    Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~id:7300 ~n_procs:2 (Bess.Db.server db)
+  in
   let page i =
     { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
       page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page + i }
@@ -2376,7 +2380,7 @@ let () =
       | None -> Printf.printf "\nno spans collected.\n");
       let path = Option.value ~default:"bench_trace.json" !chrome in
       let oc = open_out path in
-      output_string oc (Bess_obs.Span.to_chrome_json c);
+      output_string oc (Bess_obs.Span.to_chrome_json (Some c));
       close_out oc;
       Printf.printf "chrome trace (chrome://tracing, about:tracing or ui.perfetto.dev): %s\n" path)
     collector;

@@ -5,6 +5,8 @@
    header row, and aligned data rows. Cells are strings; helpers format
    counts, nanoseconds, bytes and ratios consistently. *)
 
+module Json = Bess_obs.Json
+
 let ns v =
   if v >= 1_000_000_000.0 then Printf.sprintf "%.2fs" (v /. 1e9)
   else if v >= 1_000_000.0 then Printf.sprintf "%.2fms" (v /. 1e6)
@@ -105,9 +107,9 @@ let gate_counters_nonnegative () =
 (* Per-span-kind latency summary from the installed collector's
    histograms ("span.<kind>" under the registry's "span" prefix), in
    simulated nanoseconds. Empty when tracing is off. *)
-let span_breakdown_json () =
+let span_breakdown () =
   match Bess_obs.Span.installed () with
-  | None -> None
+  | None -> []
   | Some c ->
       let h = Bess_util.Stats.histograms (Bess_obs.Span.stats c) in
       let entries =
@@ -120,52 +122,46 @@ let span_breakdown_json () =
                   String.sub name 5 (String.length name - 5)
                 else name
               in
-              let p q = Bess_util.Histogram.percentile hist q in
+              let p q = Json.int (Bess_util.Histogram.percentile hist q) in
               Some
-                (Printf.sprintf
-                   "%s:{\"count\":%d,\"sum_ns\":%d,\"mean_ns\":%.1f,\"p50_ns\":%d,\"p90_ns\":%d,\"p99_ns\":%d,\"max_ns\":%d}"
-                   (Bess_obs.Registry.json_string kind)
-                   (Bess_util.Histogram.count hist)
-                   (Bess_util.Histogram.sum hist)
-                   (Bess_util.Histogram.mean hist)
-                   (p 50.0) (p 90.0) (p 99.0)
-                   (Bess_util.Histogram.max hist)))
+                ( kind,
+                  Json.Obj
+                    [ ("count", Json.int (Bess_util.Histogram.count hist));
+                      ("sum_ns", Json.int (Bess_util.Histogram.sum hist));
+                      ("mean_ns", Json.fixed 1 (Bess_util.Histogram.mean hist));
+                      ("p50_ns", p 50.0); ("p90_ns", p 90.0); ("p99_ns", p 99.0);
+                      ("max_ns", Json.int (Bess_util.Histogram.max hist)) ] ))
           (List.sort compare h)
       in
-      Some (Printf.sprintf "{%s}" (String.concat "," entries))
+      [ ("span_breakdown", Json.Obj entries) ]
 
 (* Extra top-level JSON sections ("e13_series": {...}) contributed by
-   experiments; each value must already be rendered JSON. *)
-let extra_sections : (string * string) list ref = ref []
+   experiments. *)
+let extra_sections : (string * Json.t) list ref = ref []
 let add_section name json = extra_sections := (name, json) :: !extra_sections
 
-let write_json path =
+let write_file path json =
   let oc = open_out path in
-  output_string oc "{\"workloads\":[";
-  List.iteri
-    (fun i o ->
-      if i > 0 then output_string oc ",";
-      Printf.fprintf oc "{\"name\":%s,\"elapsed_ns\":%.0f,\"observed\":%s}"
-        (Bess_obs.Registry.json_string o.obs_name)
-        o.obs_elapsed_ns
-        (Bess_obs.Registry.json_of_snapshot o.obs_snapshot))
-    (List.rev !observations);
-  output_string oc "]";
-  (match span_breakdown_json () with
-  | Some b -> Printf.fprintf oc ",\"span_breakdown\":%s" b
-  | None -> ());
-  List.iter
-    (fun (name, json) ->
-      Printf.fprintf oc ",%s:%s" (Bess_obs.Registry.json_string name) json)
-    (List.rev !extra_sections);
-  output_string oc "}\n";
+  output_string oc (Json.to_string json);
+  output_string oc "\n";
   close_out oc
+
+let write_json path =
+  let workload o =
+    Json.Obj
+      [ ("name", Json.Str o.obs_name); ("elapsed_ns", Json.fixed 0 o.obs_elapsed_ns);
+        ("observed", Bess_obs.Registry.json_of_snapshot o.obs_snapshot) ]
+  in
+  write_file path
+    (Json.Obj
+       ((("workloads", Json.Arr (List.rev_map workload !observations)) :: span_breakdown ())
+       @ List.rev !extra_sections))
 
 (* One experiment's artifacts: [json] becomes the bench_report.json
    section [section] and, after the experiment name, a wall-clock stamp
-   and [fields] (name, rendered JSON), the last field [key] of a
-   timestamped BENCH_<id>.json, so successive runs accumulate comparable
-   files (the report section is overwritten each time). *)
+   and [fields], the last field [key] of a timestamped BENCH_<id>.json,
+   so successive runs accumulate comparable files (the report section
+   is overwritten each time). *)
 let artifact ~id ~what ~section ~fields (key, json) =
   add_section section json;
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -174,16 +170,10 @@ let artifact ~id ~what ~section ~fields (key, json) =
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
   in
   let path = "BENCH_" ^ id ^ ".json" in
-  let oc = open_out path in
-  output_string oc "{";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "%s%s:%s" (if i = 0 then "" else ",") (Bess_obs.Registry.json_string k) v)
-    ([ ("experiment", Bess_obs.Registry.json_string id);
-       ("wall_time", Bess_obs.Registry.json_string stamp) ]
-    @ fields @ [ (key, json) ]);
-  output_string oc "}\n";
-  close_out oc;
+  write_file path
+    (Json.Obj
+       ((("experiment", Json.Str id) :: ("wall_time", Json.Str stamp) :: fields)
+       @ [ (key, json) ]));
   note "%s written to %s (%s) and bench_report.json#%s" what path stamp section
 
 (* Wall-clock timing of a thunk, median of [runs]. *)

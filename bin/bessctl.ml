@@ -22,6 +22,9 @@ open Cmdliner
 module Driver = Bess_sched.Driver
 module Planes = Bess_sched.Planes
 module Torture = Bess_sched.Torture
+module Json = Bess_obs.Json
+
+let print_json j = print_endline (Json.to_string j)
 
 let dir_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Database directory")
@@ -229,7 +232,7 @@ let stats_cmd =
         full_pass db (Bess.Db.session db);
         let snap = Bess_obs.Registry.snapshot () in
         if prom then print_string (Bess_obs.Registry.prom_of_snapshot snap)
-        else if json then print_string (Bess_obs.Registry.json_of_snapshot snap ^ "\n")
+        else if json then print_json (Bess_obs.Registry.json_of_snapshot snap)
         else Fmt.pr "%a@." Bess_obs.Registry.pp_snapshot snap)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print the live metrics registry (counters, histograms, gauges)")
@@ -257,7 +260,7 @@ let trace_cmd =
         (match chrome with
         | Some path ->
             let oc = open_out path in
-            output_string oc (Bess_obs.Span.to_chrome_json c);
+            output_string oc (Bess_obs.Span.to_chrome_json (Some c));
             close_out oc;
             Printf.printf "wrote %d spans and %d instants to %s\n"
               (List.length (Bess_obs.Span.to_list c))
@@ -292,8 +295,8 @@ let trace_cmd =
 let print_window_report ?(json = false) samples ~limit =
   match samples with
   | _ when json ->
-      Printf.printf "{\"windows\":[%s]}\n"
-        (String.concat "," (List.map Bess_obs.Series.json_of_sample samples))
+      print_json
+        (Json.Obj [ ("windows", Json.Arr (List.map Bess_obs.Series.json_of_sample samples)) ])
   | [] -> Printf.printf "no windows sampled (no simulated time elapsed)\n"
   | _ ->
       let total_width =
@@ -503,7 +506,7 @@ let slow_cmd =
     drive_workload ~spans:(Bess_obs.Span.create ()) ~critpath:cp dir w
       (fun ~server:_ ~n_pages drive ->
         let r = drive () in
-        if json then print_string (Bess_obs.Critpath.json_of_slow cp ^ "\n")
+        if json then print_json (Bess_obs.Critpath.json_of_slow cp)
         else begin
           Printf.printf "slow: %s\n" (describe w ~n_pages);
           Printf.printf "  commits %d  aborts %d  give-ups %d  indeterminate %d\n"
@@ -585,7 +588,7 @@ let mrc_cmd =
     run_xray dir w ~rate_bits ~heat_window_us:1000
       (fun ~cache ~memx ~result:r ~measured ~n_pages ->
         let mrc = Bess_cache.Memx.mrc memx in
-        if json then print_string (Bess_cache.Memx.json_of_mrc memx ^ "\n")
+        if json then print_json (Bess_obs.Mrc.json_of mrc)
         else begin
           Printf.printf "mrc: %s, rate 1/%d\n" (describe w ~n_pages) (1 lsl rate_bits);
           Printf.printf "  commits %d  aborts %d  accesses %d  sampled %d  tracked keys %d\n"
@@ -629,7 +632,9 @@ let heat_cmd =
     run_xray dir w ~rate_bits:4 ~heat_window_us:window_us
       (fun ~cache:_ ~memx ~result:r ~measured ~n_pages ->
         let heat = Bess_cache.Memx.heat memx in
-        if json then print_string (Bess_cache.Memx.json_of_heat ~k:top memx ^ "\n")
+        if json then
+          print_json
+            (Bess_obs.Heat.json_of ~k:top ~key_label:Bess_cache.Memx.key_label heat)
         else begin
           Printf.printf "heat: %s\n" (describe w ~n_pages);
           Printf.printf
@@ -669,11 +674,10 @@ let flightrec_cmd =
         Printf.eprintf "cannot load %s: %s\n" file e;
         exit 2
     | Ok j ->
-        let module J = Bess_obs.Json in
         Printf.printf "flight recorder dump %s\n" file;
-        Printf.printf "  reason:    %s\n" (J.get_string ~default:"?" j "reason");
-        Printf.printf "  wall time: %s\n" (J.get_string ~default:"?" j "wall_time");
-        Printf.printf "  sim clock: %dns\n" (J.get_int j "sim_now_ns");
+        Printf.printf "  reason:    %s\n" (Json.get_string ~default:"?" j "reason");
+        Printf.printf "  wall time: %s\n" (Json.get_string ~default:"?" j "wall_time");
+        Printf.printf "  sim clock: %dns\n" (Json.get_int j "sim_now_ns");
         let items = Bess_obs.Flightrec.replay j in
         let spans, instants =
           List.fold_left
@@ -691,12 +695,12 @@ let flightrec_cmd =
         if n > List.length tail then
           Printf.printf "  ... %d earlier items elided (raise --last)\n" (n - List.length tail);
         List.iter (fun item -> Fmt.pr "  %a@." Bess_obs.Flightrec.pp_item item) tail;
-        (match J.member "series" j with
+        (match Json.member "series" j with
         | Some series ->
-            let samples = J.get_list series "samples" in
+            let samples = Json.get_list series "samples" in
             if samples <> [] then
               Printf.printf "  series: %d windows of %dns recorded\n" (List.length samples)
-                (J.get_int series "window_ns")
+                (Json.get_int series "window_ns")
         | None -> ())
   in
   Cmd.v

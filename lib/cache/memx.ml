@@ -24,18 +24,14 @@ type t = {
   mrc : Mrc.t;
   heat : Heat.t;
   cache : Cache.t;
-  top_k : int;
 }
 
 let key_label k = Fmt.str "%a" Page_id.pp (Page_id.of_key k)
 
-let json_of_mrc ?max_size t = Mrc.json_of ?max_size t.mrc
-let json_of_heat ?k t = Heat.json_of ?k:(match k with Some k -> Some k | None -> Some t.top_k) ~key_label t.heat
-
-let install ?(rate_bits = 4) ?(heat_window_ns = 1_000_000) ?(top_k = 20) cache =
+let install ?(rate_bits = 4) ?(heat_window_ns = 1_000_000) cache =
   let mrc = Mrc.create ~rate_bits () in
   let heat = Heat.create ~window_ns:heat_window_ns () in
-  let t = { mrc; heat; cache; top_k } in
+  let t = { mrc; heat; cache } in
   Cache.set_access_hook cache
     (Some
        (fun page ~hit:_ ->
@@ -51,8 +47,8 @@ let install ?(rate_bits = 4) ?(heat_window_ns = 1_000_000) ?(top_k = 20) cache =
       int_of_float (10_000.0 *. Mrc.predicted_hit_rate mrc ~size:(Cache.nslots cache)));
   Registry.register_gauge "heat" "heat.tracked_keys" (fun () -> Heat.tracked_keys heat);
   Registry.register_gauge "heat" "heat.accesses" (fun () -> Heat.n_total heat);
-  Flightrec.set_aux_source "mrc" (fun () -> json_of_mrc t);
-  Flightrec.set_aux_source "heat" (fun () -> json_of_heat t);
+  Flightrec.set_aux_source "mrc" (fun () -> Mrc.json_of mrc);
+  Flightrec.set_aux_source "heat" (fun () -> Heat.json_of ~key_label heat);
   t
 
 let uninstall t =

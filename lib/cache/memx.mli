@@ -12,14 +12,9 @@ type t
 
 (** Attach the sketches to [cache]. [rate_bits] is the MRC spatial
     sampling rate (2^-bits, default 4); [heat_window_ns] is the heat
-    sketch's decay window (it tracks at most 4096 pages); [top_k] bounds
-    the heat entries rendered into JSON artifacts (default 20). *)
-val install :
-  ?rate_bits:int ->
-  ?heat_window_ns:int ->
-  ?top_k:int ->
-  Cache.t ->
-  t
+    sketch's decay window (it tracks at most 4096 pages). The aux_heat
+    dump section carries the 20 hottest pages. *)
+val install : ?rate_bits:int -> ?heat_window_ns:int -> Cache.t -> t
 
 val uninstall : t -> unit
 val mrc : t -> Bess_obs.Mrc.t
@@ -32,8 +27,6 @@ val predicted_hit_rate : t -> float
 (** The [k] hottest pages as [(page, freq, last_ns)]. *)
 val top_pages : t -> int -> (Page_id.t * int * int) list
 
-(** MRC curve JSON (deterministic; see {!Bess_obs.Mrc.json_of}). *)
-val json_of_mrc : ?max_size:int -> t -> string
-
-(** Heat top-[k] JSON with ["area:page"] labels (deterministic). *)
-val json_of_heat : ?k:int -> t -> string
+(** A packed page key ({!Page_id.to_key}) as ["area:page"]: the
+    [key_label] of the heat JSON. *)
+val key_label : int -> string

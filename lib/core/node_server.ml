@@ -38,9 +38,8 @@ type t = {
   upstream : Server.t; (* the owning server for all data this node touches *)
   cache : Cache.t; (* the shared cache (Figure 3) *)
   smt : Smt.t;
-  mutable clock : Two_level.t;
-  mutable procs : proc array;
-  n_vframes : int;
+  clock : Two_level.t;
+  procs : proc array;
   page_size : int;
   (* IPC cost model for copy-on-access requests (local socket, not LAN),
      charged to the simulated clock. *)
@@ -55,20 +54,36 @@ type t = {
   stats : Bess_util.Stats.t;
 }
 
+(* [n_procs] shared-memory processes attach at creation. All of them
+   reserve the same number of PVMA frames (section 4.1.2). *)
 let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
-    ?(local_msg_ns = 15_000) ?(local_byte_ns = 1) ~id upstream =
+    ?(local_msg_ns = 15_000) ?(local_byte_ns = 1) ?(n_procs = 0) ~id upstream =
+  let cache = Cache.create ~nslots:cache_slots ~page_size in
+  let smt = Smt.create ~n_vframes in
+  let procs =
+    Array.init n_procs (fun proc_id ->
+        let pvma = Vmem.create ~page_size () in
+        let pvma_base = Vmem.reserve pvma n_vframes in
+        { proc_id; pvma; pvma_base })
+  in
+  let clock =
+    Two_level.create ~n_procs ~n_vframes ~n_slots:cache_slots
+      ~protect:(fun ~proc ~vframe ->
+        let p = procs.(proc) in
+        Vmem.set_prot p.pvma (p.pvma_base + (vframe * page_size)) 1 Prot_none)
+      ~invalidate:(fun ~proc ~vframe ->
+        let p = procs.(proc) in
+        let addr = p.pvma_base + (vframe * page_size) in
+        if Vmem.frame_at p.pvma addr <> None then Vmem.unmap p.pvma addr)
+  in
   let t =
     {
       id;
       upstream;
-      cache = Cache.create ~nslots:cache_slots ~page_size;
-      smt = Smt.create ~n_vframes;
-      clock =
-        Two_level.create ~n_procs:0 ~n_vframes ~n_slots:cache_slots
-          ~protect:(fun ~proc:_ ~vframe:_ -> ())
-          ~invalidate:(fun ~proc:_ ~vframe:_ -> ());
-      procs = [||];
-      n_vframes;
+      cache;
+      smt;
+      clock;
+      procs;
       page_size;
       local_msg_ns;
       local_byte_ns;
@@ -85,15 +100,14 @@ let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
       Bess_util.Stats.incr t.stats "node.dirty_parked");
   (* The two-level clock chooses victims; a victim has counter zero, so
      no process still maps it, and its SMT frame is released as part of
-     eviction. [t.clock] is read at each choice: registering processes
-     replaces it. *)
-  Cache.set_victim_chooser t.cache (fun () ->
+     eviction. *)
+  Cache.set_victim_chooser cache (fun () ->
       match
-        Two_level.choose_victim t.clock ~can_evict:(fun i -> (Cache.slot t.cache i).Cache.pins = 0)
+        Two_level.choose_victim clock ~can_evict:(fun i -> (Cache.slot cache i).Cache.pins = 0)
       with
       | Some i ->
-          (match (Cache.slot t.cache i).Cache.page with
-          | Some victim_page -> Smt.release t.smt victim_page
+          (match (Cache.slot cache i).Cache.page with
+          | Some victim_page -> Smt.release smt victim_page
           | None -> ());
           Some i
       | None -> None);
@@ -109,31 +123,7 @@ let account_ipc t ~bytes =
   Bess_util.Stats.incr t.stats "node.ipc_messages";
   Bess_util.Stats.add t.stats "node.ipc_bytes" bytes
 
-(* ---- Processes (shared-memory mode) ---- *)
-
-(* All processes must reserve the same number of PVMA frames
-   (section 4.1.2). *)
-let register_processes t n =
-  if Array.length t.procs > 0 then invalid_arg "Node_server: processes already registered";
-  let procs =
-    Array.init n (fun proc_id ->
-        let pvma = Vmem.create ~page_size:t.page_size () in
-        let pvma_base = Vmem.reserve pvma t.n_vframes in
-        { proc_id; pvma; pvma_base })
-  in
-  t.procs <- procs;
-  t.clock <-
-    Two_level.create ~n_procs:n ~n_vframes:t.n_vframes ~n_slots:(Cache.nslots t.cache)
-      ~protect:(fun ~proc ~vframe ->
-        let p = procs.(proc) in
-        Vmem.set_prot p.pvma (p.pvma_base + (vframe * t.page_size)) 1 Prot_none)
-      ~invalidate:(fun ~proc ~vframe ->
-        let p = procs.(proc) in
-        let addr = p.pvma_base + (vframe * t.page_size) in
-        if Vmem.frame_at p.pvma addr <> None then Vmem.unmap p.pvma addr);
-  procs
-
-let proc t i = t.procs.(i)
+let procs t = t.procs
 
 (* ---- Upstream transaction management ----
 

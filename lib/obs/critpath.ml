@@ -349,67 +349,36 @@ let fingerprint t =
 
 (* ---- JSON ------------------------------------------------------------------- *)
 
-let add_attrs buf attrs =
-  Buffer.add_string buf ",\"attrs\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%s" (Registry.json_string k) (Registry.json_string v)))
-    attrs;
-  Buffer.add_string buf "}}"
+let attrs_json attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs)
 
 let json_of_span (s : Span.span) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"id\":%d,\"kind\":%s,\"start_ns\":%d,\"end_ns\":%d" s.Span.id
-       (Registry.json_string s.Span.kind)
-       s.Span.start_ns s.Span.end_ns);
-  (match s.Span.parent with
-  | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":%d" p)
-  | None -> ());
-  add_attrs buf s.Span.attrs;
-  Buffer.contents buf
-
-let json_of_slow_txn e =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"root\":";
-  Buffer.add_string buf (json_of_span e.st_root);
-  Buffer.add_string buf (Printf.sprintf ",\"total_ns\":%d,\"blame\":{" e.st_blame.b_total_ns);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (phase_name p) e.st_blame.b_phase_ns.(phase_index p)))
-    phases;
-  Buffer.add_string buf "},\"spans\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_of_span s))
-    e.st_spans;
-  Buffer.add_string buf "],\"faults\":[";
-  List.iteri
-    (fun i (f : Span.instant) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":%s,\"ts_ns\":%d" (Registry.json_string f.Span.i_name)
-           f.Span.i_ns);
-      add_attrs buf f.Span.i_attrs)
-    e.st_faults;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    ([ ("id", Json.int s.Span.id); ("kind", Json.Str s.Span.kind);
+       ("start_ns", Json.int s.Span.start_ns); ("end_ns", Json.int s.Span.end_ns) ]
+    @ (match s.Span.parent with Some p -> [ ("parent", Json.int p) ] | None -> [])
+    @ [ ("attrs", attrs_json s.Span.attrs) ])
 
 let json_of_slow t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_of_slow_txn e))
-    t.slow;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+  Json.Arr
+    (List.map
+       (fun e ->
+         Json.Obj
+           [ ("root", json_of_span e.st_root); ("total_ns", Json.int e.st_blame.b_total_ns);
+             ( "blame",
+               Json.Obj
+                 (List.map
+                    (fun p -> (phase_name p, Json.int e.st_blame.b_phase_ns.(phase_index p)))
+                    phases) );
+             ("spans", Json.Arr (List.map json_of_span e.st_spans));
+             ( "faults",
+               Json.Arr
+                 (List.map
+                    (fun (f : Span.instant) ->
+                      Json.Obj
+                        [ ("name", Json.Str f.Span.i_name); ("ts_ns", Json.int f.Span.i_ns);
+                          ("attrs", attrs_json f.Span.i_attrs) ])
+                    e.st_faults) ) ])
+       t.slow)
 
 (* ---- Installation ----------------------------------------------------------- *)
 

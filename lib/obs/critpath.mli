@@ -82,4 +82,4 @@ val slow : t -> slow_txn list
 val fingerprint : t -> string
 
 (** The reservoir as one JSON array (the ["slow_txns"] aux section). *)
-val json_of_slow : t -> string
+val json_of_slow : t -> Json.t

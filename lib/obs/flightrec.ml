@@ -24,9 +24,8 @@ let state : armed_state option ref = ref None
 
 (* Auxiliary sections: other planes (the slow-transaction reservoir)
    register a named JSON producer here and it rides along in every
-   dump as a top-level ["aux_<name>"] member. The producer must return
-   one complete JSON value. *)
-let aux_sources : (string, unit -> string) Hashtbl.t = Hashtbl.create 4
+   dump as a top-level ["aux_<name>"] member. *)
+let aux_sources : (string, unit -> Json.t) Hashtbl.t = Hashtbl.create 4
 let set_aux_source name fn = Hashtbl.replace aux_sources name fn
 let clear_aux_source name = Hashtbl.remove aux_sources name
 
@@ -44,10 +43,10 @@ let iso8601 t =
 
 let render ?(max_spans = 2048) ~reason () =
   let members =
-    [ ("bess_flightrec", "1");
-      ("reason", Registry.json_string reason);
-      ("wall_time", Registry.json_string (iso8601 (Unix.gettimeofday ())));
-      ("sim_now_ns", string_of_int (Span.now_ns ()));
+    [ ("bess_flightrec", Json.int 1);
+      ("reason", Json.Str reason);
+      ("wall_time", Json.Str (iso8601 (Unix.gettimeofday ())));
+      ("sim_now_ns", Json.int (Span.now_ns ()));
       (* Point-in-time registry state and the windowed series, if sampling. *)
       ("snapshot", Registry.json_of_snapshot (Registry.snapshot ())) ]
     @ (match Series.installed () with
@@ -62,13 +61,7 @@ let render ?(max_spans = 2048) ~reason () =
       |> List.filter_map (fun (name, fn) ->
              match fn () with body -> Some ("aux_" ^ name, body) | exception _ -> None))
   in
-  match Span.installed () with
-  | Some c -> Span.to_chrome_json ~limit:max_spans ~members c
-  | None ->
-      String.concat ""
-        ("{\"traceEvents\":[],\"displayTimeUnit\":\"ns\""
-        :: List.map (fun (k, v) -> Printf.sprintf ",%s:%s" (Registry.json_string k) v) members)
-      ^ "}\n"
+  Span.to_chrome_json ~limit:max_spans ~members (Span.installed ())
 
 (* ---- Dumping ---------------------------------------------------------------- *)
 
@@ -146,7 +139,7 @@ let replay j =
           | None -> []
           | Some fields ->
               List.filter_map
-                (fun (k, v) -> match Json.to_string v with Some s -> Some (k, s) | None -> None)
+                (fun (k, v) -> match v with Json.Str s -> Some (k, s) | _ -> None)
                 fields
         in
         match Json.get_string ev "ph" with

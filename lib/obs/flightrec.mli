@@ -22,9 +22,9 @@ val armed : unit -> bool
 
 (** [set_aux_source name fn] registers (or replaces) a named auxiliary
     JSON section included in every rendered artifact as a top-level
-    ["aux_<name>"] member. [fn] must return one complete JSON value; a
-    producer that raises is dropped from the dump. *)
-val set_aux_source : string -> (unit -> string) -> unit
+    ["aux_<name>"] member; a producer that raises is dropped from the
+    dump. *)
+val set_aux_source : string -> (unit -> Json.t) -> unit
 
 val clear_aux_source : string -> unit
 

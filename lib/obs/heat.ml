@@ -110,21 +110,16 @@ let top_k t k =
 
 let json_of ?(k = 20) ?key_label t =
   let label key =
-    match key_label with
-    | Some f -> Printf.sprintf ",\"page\":%s" (Registry.json_string (f key))
-    | None -> ""
+    match key_label with Some f -> [ ("page", Json.Str (f key)) ] | None -> []
   in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"window_ns\":%d,\"accesses\":%d,\"tracked_keys\":%d,\"decays\":%d,\"top\":["
-       t.window_ns t.n_total (Hashtbl.length t.tbl) t.n_decays);
-  List.iteri
-    (fun i (key, freq, last_ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"key\":%d%s,\"freq\":%d,\"last_ns\":%d}" key (label key) freq
-           last_ns))
-    (top_k t k);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("window_ns", Json.int t.window_ns); ("accesses", Json.int t.n_total);
+      ("tracked_keys", Json.int (Hashtbl.length t.tbl)); ("decays", Json.int t.n_decays);
+      ( "top",
+        Json.Arr
+          (List.map
+             (fun (key, freq, last_ns) ->
+               Json.Obj
+                 ((("key", Json.int key) :: label key)
+                 @ [ ("freq", Json.int freq); ("last_ns", Json.int last_ns) ]))
+             (top_k t k)) ) ]

@@ -38,4 +38,4 @@ val top_k : t -> int -> (int * int * int) list
 
 (** One deterministic JSON object with the top-[k] (default 20) entries;
     [key_label] renders each key as an extra ["page"] member. *)
-val json_of : ?k:int -> ?key_label:(int -> string) -> t -> string
+val json_of : ?k:int -> ?key_label:(int -> string) -> t -> Json.t

@@ -1,19 +1,74 @@
-(* A minimal JSON reader for the observability plane's own artifacts
-   (flight-recorder dumps, series exports). Hand-rolled recursive descent
-   -- the repo deliberately takes no JSON dependency; the writers are the
-   hand-built buffer emitters in Registry/Span/Series, and this is their
-   inverse, sufficient for well-formed output of those emitters plus
-   ordinary interchange JSON. Numbers are parsed as floats (ints
-   round-trip exactly up to 2^53, far beyond any simulated-clock value we
-   emit). *)
+(* The one JSON codec of the program: every artifact (registry snapshots,
+   Chrome traces, series exports, flight-recorder dumps, the bench
+   reports) is built as a [t] and printed by [to_string], and dumps come
+   back through [parse]. Hand-rolled -- the repo deliberately takes no
+   JSON dependency.
+
+   A number keeps its literal text: the writer prints it as given (the
+   artifacts' integers and fixed-decimal figures), the reader keeps the
+   lexeme it parsed, and [to_int]/[to_float] convert on read. So
+   [parse (to_string v) = Ok v] for every [v] whose numbers are JSON
+   number literals. *)
 
 type t =
   | Null
   | Bool of bool
-  | Num of float
+  | Num of string
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+let int n = Num (string_of_int n)
+let fixed decimals f = Num (Printf.sprintf "%.*f" decimals f)
+
+(* ---- Writer ---------------------------------------------------------------- *)
+
+(* Quote, backslash, newline and tab get their short escapes, every other
+   control byte a \u escape; bytes from 0x7f up pass through. *)
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec add buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Num s -> Buffer.add_string buf s
+  | Str s -> add_string buf s
+  | Arr items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          add buf v)
+        items;
+      Buffer.add_char buf ']'
+  | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_string buf k;
+          Buffer.add_char buf ':';
+          add buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let to_string v =
+  let buf = Buffer.create 1024 in
+  add buf v;
+  Buffer.contents buf
+
+(* ---- Reader ---------------------------------------------------------------- *)
 
 exception Parse_error of string
 
@@ -45,6 +100,12 @@ let literal c word value =
   end
   else error "invalid literal at offset %d" c.pos
 
+let hex_digit = function
+  | '0' .. '9' as h -> Char.code h - Char.code '0'
+  | 'a' .. 'f' as h -> Char.code h - Char.code 'a' + 10
+  | 'A' .. 'F' as h -> Char.code h - Char.code 'A' + 10
+  | h -> error "bad hex digit '%c' in \\u escape" h
+
 let parse_string_body c =
   let buf = Buffer.create 16 in
   let rec go () =
@@ -68,44 +129,46 @@ let parse_string_body c =
         | 'f' -> Buffer.add_char buf '\012'; go ()
         | 'u' ->
             if c.pos + 4 > String.length c.src then error "truncated \\u escape";
-            let hex = String.sub c.src c.pos 4 in
+            let code = ref 0 in
+            for i = 0 to 3 do
+              code := (!code lsl 4) lor hex_digit c.src.[c.pos + i]
+            done;
             c.pos <- c.pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> error "bad \\u escape %S" hex
-            in
-            (* Encode the code point as UTF-8; surrogate pairs are not
-               recombined -- our own emitters only escape control chars. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end;
+            (* The code point as UTF-8. Surrogate pairs are not recombined
+               (each half takes its own 3-byte form): the writer only
+               escapes control bytes. *)
+            Buffer.add_utf_8_uchar buf (Uchar.unsafe_of_int !code);
             go ()
         | e -> error "bad escape '\\%c'" e)
     | ch -> Buffer.add_char buf ch; go ()
   in
   go ()
 
+(* RFC 8259: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
 let parse_number c =
   let start = c.pos in
-  let is_num_char ch =
-    match ch with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let is_digit () = match peek c with Some '0' .. '9' -> true | _ -> false in
+  let digits () =
+    if not (is_digit ()) then error "bad number at offset %d" start;
+    while is_digit () do
+      c.pos <- c.pos + 1
+    done
   in
-  while c.pos < String.length c.src && is_num_char c.src.[c.pos] do
-    c.pos <- c.pos + 1
-  done;
-  let s = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> error "bad number %S at offset %d" s start
+  if peek c = Some '-' then c.pos <- c.pos + 1;
+  (match peek c with
+  | Some '0' -> c.pos <- c.pos + 1
+  | _ -> digits ());
+  if peek c = Some '.' then begin
+    c.pos <- c.pos + 1;
+    digits ()
+  end;
+  (match peek c with
+  | Some ('e' | 'E') ->
+      c.pos <- c.pos + 1;
+      (match peek c with Some ('+' | '-') -> c.pos <- c.pos + 1 | _ -> ());
+      digits ()
+  | _ -> ());
+  Num (String.sub c.src start (c.pos - start))
 
 let rec parse_value c =
   skip_ws c;
@@ -188,17 +251,22 @@ let member name = function
   | _ -> None
 
 let to_list = function Arr l -> Some l | _ -> None
-let to_string = function Str s -> Some s | _ -> None
-let to_float = function Num f -> Some f | _ -> None
+let to_float = function Num s -> float_of_string_opt s | _ -> None
 
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num s -> (
+      match int_of_string_opt s with
+      | Some n -> Some n
+      | None -> (
+          match float_of_string_opt s with
+          | Some f when Float.is_integer f -> Some (int_of_float f)
+          | _ -> None))
   | _ -> None
 
 let to_obj = function Obj fields -> Some fields | _ -> None
 
 let get_string ?(default = "") j name =
-  Option.value ~default (Option.bind (member name j) to_string)
+  match member name j with Some (Str s) -> s | _ -> default
 
 let get_int ?(default = 0) j name =
   Option.value ~default (Option.bind (member name j) to_int)

@@ -204,19 +204,16 @@ let curve t ~max_size =
   go 1 []
 
 let json_of ?(max_size = 1 lsl 20) t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"rate_bits\":%d,\"accesses\":%d,\"sampled\":%d,\"cold\":%d,\"tracked_keys\":%d,\"curve\":["
-       t.rate_bits t.n_total t.n_sampled t.n_cold t.live);
-  List.iteri
-    (fun i (size, rate) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"size\":%d,\"hit_pct\":%.2f}" size (100.0 *. rate)))
-    (curve t ~max_size);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("rate_bits", Json.int t.rate_bits); ("accesses", Json.int t.n_total);
+      ("sampled", Json.int t.n_sampled); ("cold", Json.int t.n_cold);
+      ("tracked_keys", Json.int t.live);
+      ( "curve",
+        Json.Arr
+          (List.map
+             (fun (size, rate) ->
+               Json.Obj [ ("size", Json.int size); ("hit_pct", Json.fixed 2 (100.0 *. rate)) ])
+             (curve t ~max_size)) ) ]
 
 let fingerprint t =
-  Bess_util.Crc32.to_int (Bess_util.Crc32.string (json_of t))
+  Bess_util.Crc32.to_int (Bess_util.Crc32.string (Json.to_string (json_of t)))

@@ -44,7 +44,7 @@ val curve : t -> max_size:int -> (int * float) list
 
 (** One deterministic JSON object: counters plus the curve at power-of-
     two sizes up to [max_size] (default 2^20). *)
-val json_of : ?max_size:int -> t -> string
+val json_of : ?max_size:int -> t -> Json.t
 
-(** CRC-32 of {!json_of} — the determinism gate's digest. *)
+(** CRC-32 of {!json_of}'s text — the determinism gate's digest. *)
 val fingerprint : t -> int

@@ -192,48 +192,25 @@ let pp_snapshot ppf s =
   List.iter (fun (k, v) -> Fmt.pf ppf "@,%-40s %d (gauge)" k v) s.gauges;
   List.iter (fun (k, h) -> Fmt.pf ppf "@,%-40s %a" k pp_hist_summary h) s.hists
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s = Json.to_string (Json.Str s)
 
 let json_of_snapshot s =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    s.counters;
-  Buffer.add_string buf "},\"gauges\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    s.gauges;
-  Buffer.add_string buf "},\"histograms\":{";
-  List.iteri
-    (fun i (k, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"mean\":%.3f,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"p999\":%d}"
-           (json_escape k) h.h_count h.h_sum h.h_min h.h_max h.h_mean h.h_p50 h.h_p90 h.h_p99
-           h.h_p999))
-    s.hists;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) kvs) in
+  Json.Obj
+    [ ("counters", ints s.counters);
+      ("gauges", ints s.gauges);
+      ( "histograms",
+        Json.Obj
+          (List.map
+             (fun (k, h) ->
+               ( k,
+                 Json.Obj
+                   [ ("count", Json.int h.h_count); ("sum", Json.int h.h_sum);
+                     ("min", Json.int h.h_min); ("max", Json.int h.h_max);
+                     ("mean", Json.fixed 3 h.h_mean); ("p50", Json.int h.h_p50);
+                     ("p90", Json.int h.h_p90); ("p99", Json.int h.h_p99);
+                     ("p999", Json.int h.h_p999) ] ))
+             s.hists) ) ]
 
 (* ---- Prometheus text exposition ------------------------------------------ *)
 

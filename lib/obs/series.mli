@@ -74,8 +74,8 @@ val sample_tail : sample -> string -> tail option
     sample's true width. [None] if the counter is absent. *)
 val sample_rate : sample -> string -> float option
 
-val json_of_sample : sample -> string
+val json_of_sample : sample -> Json.t
 
 (** The whole ring as one JSON object:
     [{"window_ns":..,"dropped":..,"samples":[...]}]. *)
-val json_of : t -> string
+val json_of : t -> Json.t

@@ -419,53 +419,40 @@ let root_of c s =
   in
   up s
 
-let add_args buf attrs =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",%s:%s" (Registry.json_string k) (Registry.json_string v)))
-    attrs
+let args fixed attrs =
+  Json.Obj (fixed @ List.map (fun (k, v) -> (k, Json.Str v)) attrs)
 
-let add_event buf c = function
+let us ns = Json.fixed 3 (float_of_int ns /. 1000.0)
+
+let event_json c = function
   | Closed s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"id\":\"%d\""
-           (Registry.json_string s.kind)
-           (float_of_int s.start_ns /. 1000.0)
-           (float_of_int (duration s) /. 1000.0)
-           (root_of c s) s.id);
-      (match s.parent with
-      | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":\"%d\"" p)
-      | None -> ());
-      add_args buf s.attrs;
-      Buffer.add_string buf "}}"
+      let id n = Json.Str (string_of_int n) in
+      let ids =
+        match s.parent with
+        | Some p -> [ ("id", id s.id); ("parent", id p) ]
+        | None -> [ ("id", id s.id) ]
+      in
+      Json.Obj
+        [ ("name", Json.Str s.kind); ("cat", Json.Str "bess"); ("ph", Json.Str "X");
+          ("ts", us s.start_ns); ("dur", us (duration s)); ("pid", Json.int 1);
+          ("tid", Json.int (root_of c s)); ("args", args ids s.attrs) ]
   | Instant i ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"g\",\"pid\":1,\"tid\":0,\"args\":{\"seq\":\"%d\""
-           (Registry.json_string i.i_name)
-           (float_of_int i.i_ns /. 1000.0)
-           i.i_seq);
-      add_args buf i.i_attrs;
-      Buffer.add_string buf "}}"
+      Json.Obj
+        [ ("name", Json.Str i.i_name); ("cat", Json.Str "bess"); ("ph", Json.Str "i");
+          ("ts", us i.i_ns); ("s", Json.Str "g"); ("pid", Json.int 1); ("tid", Json.int 0);
+          ("args", args [ ("seq", Json.Str (string_of_int i.i_seq)) ] i.i_attrs) ]
 
 let start_key = function Closed s -> (s.start_ns, s.start_seq) | Instant i -> (i.i_ns, i.i_seq)
 
 let to_chrome_json ?limit ?(members = []) c =
   let events =
-    List.sort (fun a b -> compare (start_key a) (start_key b)) (entries ?n:limit c)
+    match c with
+    | None -> []
+    | Some c ->
+        List.sort (fun a b -> compare (start_key a) (start_key b)) (entries ?n:limit c)
+        |> List.map (event_json c)
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_event buf c e)
-    events;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf ",%s:%s" (Registry.json_string k) v))
-    members;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       (("traceEvents", Json.Arr events) :: ("displayTimeUnit", Json.Str "ns") :: members))
+  ^ "\n"

@@ -169,11 +169,12 @@ val slowest : ?kind:string -> t -> span option
 (** Indented text timeline of [root] and its retained descendants. *)
 val pp_tree : t -> Format.formatter -> span -> unit
 
-(** The buffer in Chrome [trace_event] JSON — loads in chrome://tracing
-    and Perfetto. Spans are complete "X" events, instants global "i"
-    events, microsecond timestamps, all in [(ns, seq)] order of their
-    start. Each span's track (tid) is its root ancestor, so every
-    transaction renders as its own timeline row. [limit] keeps only the
-    newest entries; [members] are extra top-level [(name, JSON value)]
-    pairs (the flight recorder's sections). *)
-val to_chrome_json : ?limit:int -> ?members:(string * string) list -> t -> string
+(** The collector's buffer in Chrome [trace_event] JSON — loads in
+    chrome://tracing and Perfetto. Spans are complete "X" events,
+    instants global "i" events, microsecond timestamps, all in
+    [(ns, seq)] order of their start. Each span's track (tid) is its root
+    ancestor, so every transaction renders as its own timeline row.
+    [limit] keeps only the newest entries; with no collector the event
+    array is empty. [members] are extra top-level [(name, value)] pairs
+    (the flight recorder's sections). *)
+val to_chrome_json : ?limit:int -> ?members:(string * Json.t) list -> t option -> string

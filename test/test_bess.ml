@@ -4,6 +4,7 @@ let () =
     [
       ("util", Test_util.suite);
       ("obs", Test_obs.suite);
+      ("json", Test_json.suite);
       ("span", Test_span.suite);
       ("series", Test_series.suite);
       ("mrc", Test_mrc.suite);

@@ -12,7 +12,7 @@ let setup () =
   let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:4 () in
   Bess.Session.commit s;
   Bess.Session.drop_all_cached s;
-  let node = Bess.Node_server.create ~id:600 (Bess.Db.server db) in
+  let node = Bess.Node_server.create ~n_procs:1 ~id:600 (Bess.Db.server db) in
   Bess.Node_server.enable_client_logging node;
   let page i =
     { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
@@ -26,7 +26,7 @@ let write_via_node node procs page v =
 
 let test_local_commit_no_upstream_traffic () =
   let db, node, page = setup () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let procs = Bess.Node_server.procs node in
   let server_commits () =
     Bess_util.Stats.get (Bess.Server.stats (Bess.Db.server db)) "server.commits"
   in
@@ -49,7 +49,7 @@ let test_local_commit_no_upstream_traffic () =
 
 let test_unpropagated_state_invisible_and_locked () =
   let db, node, page = setup () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let procs = Bess.Node_server.procs node in
   write_via_node node procs (page 1) 222;
   Bess.Node_server.commit_local node;
   (* Another client cannot slip in and read the page: the node's upstream
@@ -76,7 +76,7 @@ let test_unpropagated_state_invisible_and_locked () =
 
 let test_node_crash_recovery () =
   let db, node, page = setup () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let procs = Bess.Node_server.procs node in
   (* Two locally committed transactions, then the node dies before
      propagating. *)
   write_via_node node procs (page 0) 31;
@@ -106,7 +106,7 @@ let test_node_crash_recovery () =
 
 let test_uncommitted_local_work_lost_in_crash () =
   let db, node, page = setup () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let procs = Bess.Node_server.procs node in
   write_via_node node procs (page 3) 999;
   (* no commit_local: the write is volatile *)
   Bess.Node_server.crash_node node;

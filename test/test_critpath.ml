@@ -201,7 +201,7 @@ let test_reservoir_order_and_eviction () =
       Alcotest.(check int) "too-fast txn rejected" 1
         (Stats.get (Critpath.stats cp) "critpath.slow_rejected");
       (* JSON of the reservoir parses structurally. *)
-      let j = Critpath.json_of_slow cp in
+      let j = Bess_obs.Json.to_string (Critpath.json_of_slow cp) in
       Alcotest.(check bool) "reservoir json is an array" true
         (String.length j >= 2 && j.[0] = '[' && j.[String.length j - 1] = ']'))
 

@@ -7,7 +7,7 @@ module Vmem = Bess_vmem.Vmem
 module Smt = Bess_cache.Smt
 module Two_level = Bess_cache.Two_level
 
-let fresh_setup ?(cache_slots = 8) ?(n_vframes = 16) () =
+let fresh_setup ?(cache_slots = 8) ?(n_vframes = 16) ?n_procs () =
   let db = Bess.Db.create_memory ~db_id:50 () in
   (* Put some committed pages in the database so fetches return data. *)
   let s = Bess.Db.session db in
@@ -23,7 +23,7 @@ let fresh_setup ?(cache_slots = 8) ?(n_vframes = 16) () =
   done;
   Bess.Session.commit s;
   let node =
-    Bess.Node_server.create ~cache_slots ~n_vframes ~id:999 (Bess.Db.server db)
+    Bess.Node_server.create ~cache_slots ~n_vframes ?n_procs ~id:999 (Bess.Db.server db)
   in
   (db, seg, node)
 
@@ -32,8 +32,7 @@ let data_page (seg : Bess.Session.seg_rt) i =
     page = seg.data_disk.Bess_storage.Seg_addr.first_page + i }
 
 let test_shm_same_vframe_all_processes () =
-  let _db, seg, node = fresh_setup () in
-  let _procs = Bess.Node_server.register_processes node 2 in
+  let _db, seg, node = fresh_setup ~n_procs:2 () in
   let page = data_page seg 0 in
   let addr0, vf0 = Bess.Node_server.shm_access node ~proc:0 page ~write:false in
   let addr1, vf1 = Bess.Node_server.shm_access node ~proc:1 page ~write:false in
@@ -46,8 +45,8 @@ let test_shm_same_vframe_all_processes () =
     (Bess.Node_server.svma_of_addr node ~proc:1 addr1)
 
 let test_shm_shared_frame_is_really_shared () =
-  let _db, seg, node = fresh_setup () in
-  let procs = Bess.Node_server.register_processes node 2 in
+  let _db, seg, node = fresh_setup ~n_procs:2 () in
+  let procs = Bess.Node_server.procs node in
   let page = data_page seg 0 in
   let addr0, _ = Bess.Node_server.shm_access node ~proc:0 page ~write:true in
   let addr1, _ = Bess.Node_server.shm_access node ~proc:1 page ~write:false in
@@ -58,8 +57,7 @@ let test_shm_shared_frame_is_really_shared () =
   Bess.Node_server.commit node
 
 let test_shm_pointer_translation () =
-  let _db, seg, node = fresh_setup () in
-  let _ = Bess.Node_server.register_processes node 2 in
+  let _db, seg, node = fresh_setup ~n_procs:2 () in
   let page = data_page seg 3 in
   let addr0, _ = Bess.Node_server.shm_access node ~proc:0 page ~write:false in
   let svma = Bess.Node_server.svma_of_addr node ~proc:0 (addr0 + 24) in
@@ -74,8 +72,7 @@ let test_shm_pointer_translation () =
    (b) P2 maps C (B replaced), then P1 accesses C through the SVMA
        mapping and sees it at the same virtual frame as P2. *)
 let test_figure4_scenario () =
-  let _db, seg, node = fresh_setup ~cache_slots:2 ~n_vframes:6 () in
-  let _ = Bess.Node_server.register_processes node 2 in
+  let _db, seg, node = fresh_setup ~cache_slots:2 ~n_vframes:6 ~n_procs:2 () in
   let page_a = data_page seg 0 in
   let page_b = data_page seg 1 in
   let page_c = data_page seg 2 in
@@ -110,8 +107,8 @@ let test_coa_ipc_accounting () =
   Bess.Node_server.commit node
 
 let test_coa_write_back_visible_in_shm () =
-  let _db, seg, node = fresh_setup () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let _db, seg, node = fresh_setup ~n_procs:1 () in
+  let procs = Bess.Node_server.procs node in
   let page = data_page seg 0 in
   let copy = Bess.Node_server.coa_fetch node page ~write:true in
   Bess_util.Codec.set_i64 copy 16 31415;
@@ -122,8 +119,8 @@ let test_coa_write_back_visible_in_shm () =
   Bess.Node_server.commit node
 
 let test_node_commit_reaches_server () =
-  let db, seg, node = fresh_setup () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let db, seg, node = fresh_setup ~n_procs:1 () in
+  let procs = Bess.Node_server.procs node in
   let page = data_page seg 5 in
   let addr, _ = Bess.Node_server.shm_access node ~proc:0 page ~write:true in
   Vmem.write_i64 procs.(0).Bess.Node_server.pvma (addr + 8) 5150;
@@ -136,8 +133,8 @@ let test_node_commit_reaches_server () =
   Bess.Session.commit s
 
 let test_node_abort_discards () =
-  let _db, seg, node = fresh_setup () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let _db, seg, node = fresh_setup ~n_procs:1 () in
+  let procs = Bess.Node_server.procs node in
   let page = data_page seg 6 in
   let addr, _ = Bess.Node_server.shm_access node ~proc:0 page ~write:true in
   let original = Vmem.read_i64 procs.(0).Bess.Node_server.pvma addr in
@@ -161,8 +158,8 @@ let test_interrupted_commit_abort_restores () =
   let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:2 () in
   Bess.Session.commit s;
   Bess.Session.drop_all_cached s;
-  let node = Bess.Node_server.create ~cache_slots:4 ~id:998 (Bess.Db.server db) in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let node = Bess.Node_server.create ~cache_slots:4 ~id:998 ~n_procs:1 (Bess.Db.server db) in
+  let procs = Bess.Node_server.procs node in
   let write v =
     for i = 0 to 1 do
       let addr, _ = Bess.Node_server.shm_access node ~proc:0 (data_page seg i) ~write:true in
@@ -190,8 +187,7 @@ let test_interrupted_commit_abort_restores () =
     committed
 
 let test_latch_accounting () =
-  let _db, seg, node = fresh_setup () in
-  let _ = Bess.Node_server.register_processes node 1 in
+  let _db, seg, node = fresh_setup ~n_procs:1 () in
   for i = 0 to 3 do
     ignore (Bess.Node_server.shm_access node ~proc:0 (data_page seg i) ~write:false)
   done;
@@ -203,8 +199,7 @@ let test_latch_accounting () =
    loads the page. A 4-slot cache over 8 pages, visited in both modes,
    takes hits, misses and evictions. *)
 let test_shared_cache_counts_each_access_once () =
-  let _db, seg, node = fresh_setup ~cache_slots:4 () in
-  let _ = Bess.Node_server.register_processes node 1 in
+  let _db, seg, node = fresh_setup ~cache_slots:4 ~n_procs:1 () in
   let pages = [ 0; 1; 0; 2; 3; 4; 0; 5; 5; 6; 7; 1; 2; 2 ] in
   List.iteri
     (fun i p ->
@@ -240,8 +235,8 @@ let upstream_read db seg ~off =
    upstream copy, and committing another field of the page does not
    carry the aborted write upstream. *)
 let test_abort_voids_parked_writes () =
-  let db, seg, node = fresh_setup ~cache_slots:2 () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let db, seg, node = fresh_setup ~cache_slots:2 ~n_procs:1 () in
+  let procs = Bess.Node_server.procs node in
   let original = upstream_read db seg ~off:0 in
   park_page0 node procs seg 999;
   Bess.Node_server.abort node;
@@ -257,13 +252,13 @@ let test_abort_voids_parked_writes () =
    upstream value, committed through another node, is what the next
    transaction reads. *)
 let test_commit_spends_parked_writes () =
-  let db, seg, node = fresh_setup ~cache_slots:2 () in
-  let procs = Bess.Node_server.register_processes node 1 in
+  let db, seg, node = fresh_setup ~cache_slots:2 ~n_procs:1 () in
+  let procs = Bess.Node_server.procs node in
   park_page0 node procs seg 999;
   Bess.Node_server.commit node;
   Alcotest.(check int) "the parked image was shipped" 999 (upstream_read db seg ~off:0);
-  let other = Bess.Node_server.create ~cache_slots:2 ~id:997 (Bess.Db.server db) in
-  let other_procs = Bess.Node_server.register_processes other 1 in
+  let other = Bess.Node_server.create ~cache_slots:2 ~id:997 ~n_procs:1 (Bess.Db.server db) in
+  let other_procs = Bess.Node_server.procs other in
   let addr, _ = Bess.Node_server.shm_access other ~proc:0 (data_page seg 0) ~write:true in
   Vmem.write_i64 other_procs.(0).Bess.Node_server.pvma addr 7;
   Bess.Node_server.commit other;

@@ -61,7 +61,7 @@ let test_registry_replace_and_histograms () =
       Alcotest.(check int) "count" 2 h.Registry.h_count;
       Alcotest.(check int) "sum" 12 h.Registry.h_sum
   | l -> Alcotest.fail (Printf.sprintf "expected one histogram, got %d" (List.length l)));
-  let json = Registry.json_of_snapshot snap in
+  let json = Bess_obs.Json.to_string (Registry.json_of_snapshot snap) in
   Alcotest.(check bool) "json has histogram" true
     (let needle = "\"lock.wait_ns\"" in
      let rec search i =
@@ -249,7 +249,7 @@ let test_registry_gauges () =
     "replacement visible, raising gauge dropped"
     [ ("cache.resident_pages", 99) ]
     (Registry.gauges (Registry.snapshot ()));
-  let json = Registry.json_of_snapshot (Registry.snapshot ()) in
+  let json = Bess_obs.Json.to_string (Registry.json_of_snapshot (Registry.snapshot ())) in
   Alcotest.(check bool) "json carries gauges" true
     (contains json "\"gauges\":{\"cache.resident_pages\":99}");
   (* A namespace unregisters as one unit: stats binding and gauges. *)
@@ -396,8 +396,9 @@ let test_snapshot_keys_hygienic () =
     { Bess_cache.Page_id.area = data.Bess_storage.Seg_addr.area;
       page = data.Bess_storage.Seg_addr.first_page + i }
   in
-  let node = Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~id:7301 (Bess.Db.server db) in
-  ignore (Bess.Node_server.register_processes node 2);
+  let node =
+    Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~id:7301 ~n_procs:2 (Bess.Db.server db)
+  in
   List.iter
     (fun (proc, i) -> ignore (Bess.Node_server.shm_access node ~proc (page i) ~write:false))
     [ (0, 0); (1, 1); (1, 2); (0, 2) ];

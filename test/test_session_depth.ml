@@ -165,8 +165,10 @@ let test_node_server_eviction_integration () =
   Bess.Session.begin_txn s;
   let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:8 () in
   Bess.Session.commit s;
-  let node = Bess.Node_server.create ~cache_slots:3 ~n_vframes:16 ~id:888 (Bess.Db.server db) in
-  let procs = Bess.Node_server.register_processes node 2 in
+  let node =
+    Bess.Node_server.create ~cache_slots:3 ~n_vframes:16 ~id:888 ~n_procs:2 (Bess.Db.server db)
+  in
+  let procs = Bess.Node_server.procs node in
   let page i =
     { Bess_cache.Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
       page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page + i }

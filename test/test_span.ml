@@ -260,7 +260,7 @@ let test_chrome_json_roundtrip () =
           Span.with_span ~attrs:[ ("op", "commit \"quoted\"\n") ] ~kind:"net.rpc" (fun () ->
               Span.advance_ns 1_000);
           Span.with_span ~kind:"wal.force" (fun () -> Span.advance_ns 100_000));
-      let json = Span.to_chrome_json c in
+      let json = Span.to_chrome_json (Some c) in
       let root = Json.parse json in
       let events =
         match Json.member "traceEvents" root with
