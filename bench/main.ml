@@ -479,7 +479,12 @@ let e5 () =
   Report.gate (flat_1024 >= 10 * tree_1024 && flat_1024 > flat_64)
     "e5: flat append rewrites the object: %d pages/op at 1MB, >= 10x the tree's %d and above \
      its own %d at 64KB: "
-    flat_1024 tree_1024 flat_64
+    flat_1024 tree_1024 flat_64;
+  let counters = Bess_obs.Registry.counters (Bess_obs.Registry.snapshot ()) in
+  let written name = Option.value ~default:0 (List.assoc_opt name counters) > 0 in
+  Report.gate
+    (written "lob.pages_written" && written "flat.pages_written")
+    "e5: the registry snapshot counts both layouts' page writes: "
 
 (* ---- E6: on-the-fly reorganisation --------------------------------------- *)
 
@@ -810,8 +815,7 @@ let logged_updates log =
     Bess_wal.Log.fold log
       (fun (n, acc) _ (r : Bess_wal.Log_record.t) ->
         match r.body with
-        | Update { page; _ } ->
-            (n + 1, Bess_cache.Page_id.make ~area:page.area ~page:page.page :: acc)
+        | Update { page; _ } -> (n + 1, page :: acc)
         | _ -> (n, acc))
       (0, [])
   in

@@ -16,7 +16,10 @@ type t = {
   stats : Bess_util.Stats.t;
 }
 
-let create area = { area; first_page = 0; npages = 0; len = 0; stats = Bess_util.Stats.create () }
+let create area =
+  let stats = Bess_util.Stats.create () in
+  Bess_obs.Registry.register_stats "flat" stats;
+  { area; first_page = 0; npages = 0; len = 0; stats }
 
 let stats t = t.stats
 let size t = t.len

@@ -41,10 +41,6 @@ type t = {
   clock : Two_level.t;
   procs : proc array;
   page_size : int;
-  (* IPC cost model for copy-on-access requests (local socket, not LAN),
-     charged to the simulated clock. *)
-  local_msg_ns : int;
-  local_byte_ns : int;
   mutable txn : int option; (* node-server-wide transaction at the upstream *)
   dirty : (Page_id.t, unit) Hashtbl.t;
   (* Dirty pages evicted before commit park here (their X locks are held,
@@ -54,10 +50,15 @@ type t = {
   stats : Bess_util.Stats.t;
 }
 
+(* IPC cost model for copy-on-access requests (local socket, not LAN),
+   charged to the simulated clock: per message and per byte copied. *)
+let local_msg_ns = 15_000
+let local_byte_ns = 1
+
 (* [n_procs] shared-memory processes attach at creation. All of them
    reserve the same number of PVMA frames (section 4.1.2). *)
 let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
-    ?(local_msg_ns = 15_000) ?(local_byte_ns = 1) ?(n_procs = 0) ~id upstream =
+    ?(n_procs = 0) ~id upstream =
   let cache = Cache.create ~nslots:cache_slots ~page_size in
   let smt = Smt.create ~n_vframes in
   let procs =
@@ -85,8 +86,6 @@ let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
       clock;
       procs;
       page_size;
-      local_msg_ns;
-      local_byte_ns;
       txn = None;
       dirty = Hashtbl.create 32;
       pending_writes = Hashtbl.create 32;
@@ -119,7 +118,7 @@ let smt t = t.smt
 let clock t = t.clock
 
 let account_ipc t ~bytes =
-  Bess_obs.Span.advance_ns (t.local_msg_ns + (bytes * t.local_byte_ns));
+  Bess_obs.Span.advance_ns (local_msg_ns + (bytes * local_byte_ns));
   Bess_util.Stats.incr t.stats "node.ipc_messages";
   Bess_util.Stats.add t.stats "node.ipc_bytes" bytes
 
@@ -362,7 +361,7 @@ let commit_local_begin t =
           { prev_lsn = !prev;
             body =
               Update
-                { txn = ltxn; page = { area = u.page.area; page = u.page.page };
+                { txn = ltxn; page = u.page;
                   offset = u.offset; before = u.before; after = u.after } })
     updates;
   let lsn = Bess_wal.Log.append cl.log { prev_lsn = !prev; body = Commit { txn = ltxn } } in
@@ -434,8 +433,7 @@ let recover_node t =
           let prev = Option.value ~default:[] (Hashtbl.find_opt by_txn u.txn) in
           Hashtbl.replace by_txn u.txn
             (prev
-            @ [ { Server.page = { Page_id.area = u.page.area; page = u.page.page };
-                  offset = u.offset; before = u.before; after = u.after } ])
+            @ [ { Server.page = u.page; offset = u.offset; before = u.before; after = u.after } ])
       | _ -> ());
   cl.queue <-
     Hashtbl.fold (fun txn updates acc -> (txn, updates) :: acc) by_txn []

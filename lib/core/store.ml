@@ -30,9 +30,6 @@ type t = {
   c_page_flush_bytes : Bess_util.Stats.counter;
 }
 
-let to_wal_page (p : Page_id.t) : Bess_wal.Log_record.page_id = { area = p.area; page = p.page }
-let of_wal_page (p : Bess_wal.Log_record.page_id) : Page_id.t = { area = p.area; page = p.page }
-
 let get_page_lsn t page = Option.value ~default:0 (Page_id.Tbl.find_opt t.page_lsn page)
 let set_page_lsn t page lsn = Page_id.Tbl.replace t.page_lsn page lsn
 
@@ -186,7 +183,7 @@ let apply_update t ~txn ~prev_lsn (page : Page_id.t) ~offset ~before ~after =
     invalid_arg "Store.apply_update: image length mismatch";
   let lsn =
     Bess_wal.Log.append t.log
-      { prev_lsn; body = Update { txn; page = to_wal_page page; offset; before; after } }
+      { prev_lsn; body = Update { txn; page; offset; before; after } }
   in
   with_page t page (fun slot ->
       Bytes.blit after 0 slot.Bess_cache.Cache.bytes offset (Bytes.length after);
@@ -227,10 +224,9 @@ let log_prepare t ~txn ~prev_lsn ~coordinator =
    recovery the cache is cold, so this reads/writes through it normally. *)
 let page_io t : Bess_wal.Recovery.page_io =
   {
-    page_lsn = (fun p -> get_page_lsn t (of_wal_page p));
+    page_lsn = get_page_lsn t;
     write =
-      (fun p ~lsn ~offset image ->
-        let page = of_wal_page p in
+      (fun page ~lsn ~offset image ->
         with_page t page (fun slot ->
             Bytes.blit image 0 slot.Bess_cache.Cache.bytes offset (Bytes.length image);
             Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn);
@@ -252,7 +248,7 @@ let checkpoint t ~txns =
   let dirty = ref [] in
   Bess_cache.Cache.iter_resident t.cache (fun page slot ->
       if slot.Bess_cache.Cache.dirty then
-        dirty := (to_wal_page page, slot.rec_lsn) :: !dirty);
+        dirty := (page, slot.rec_lsn) :: !dirty);
   let lsn =
     Bess_wal.Log.append t.log { prev_lsn = 0; body = End_checkpoint { txns; dirty = !dirty } }
   in

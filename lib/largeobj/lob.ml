@@ -46,6 +46,8 @@ let create ?max_leaf ?(order = 16) area =
   let max_leaf = match max_leaf with Some m -> m | None -> default_max_leaf area in
   if max_leaf < Bess_storage.Area.page_size area then
     invalid_arg "Lob.create: max_leaf smaller than a page";
+  let stats = Bess_util.Stats.create () in
+  Bess_obs.Registry.register_stats "lob" stats;
   {
     area;
     root = Leaf { seg = None; len = 0; plen = 0 };
@@ -53,7 +55,7 @@ let create ?max_leaf ?(order = 16) area =
     max_leaf;
     min_leaf = max_leaf / 4;
     order;
-    stats = Bess_util.Stats.create ();
+    stats;
   }
 
 let size t = node_size t.root

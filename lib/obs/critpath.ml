@@ -155,7 +155,7 @@ type slow_txn = {
 type t = {
   top_k : int;
   stats : Bess_util.Stats.t;
-  pending : (int, Span.span) Hashtbl.t; (* root id -> closed descendants (multi) *)
+  pending : (int, Span.span list ref) Hashtbl.t; (* root id -> closed descendants, newest first *)
   parked : (string, Span.span list) Hashtbl.t; (* txn attr -> closed lock.wait roots *)
   totals : int array; (* cumulative per-phase ns, for blame fractions *)
   mutable total_ns : int;
@@ -191,15 +191,10 @@ let is_root_kind kind = String.equal kind "sched.txn" || String.equal kind "sess
 (* The nearest *open* ancestor whose kind is a root kind — the
    transaction this closed span belongs to, or [None] for spans outside
    any transaction (bench scaffolding, background work). *)
-let owner c (s : Span.span) =
-  let rec up id =
-    match Span.find_span c id with
-    | None -> None
-    | Some (sp : Span.span) ->
-        if sp.Span.end_ns < 0 && is_root_kind sp.Span.kind then Some sp.Span.id
-        else (match sp.Span.parent with None -> None | Some pid -> up pid)
-  in
-  match s.Span.parent with None -> None | Some pid -> up pid
+let rec owner s =
+  match Span.live_parent s with
+  | Some p -> if p.Span.end_ns < 0 && is_root_kind p.Span.kind then Some p.Span.id else owner p
+  | None -> None
 
 (* ---- Top-K reservoir ------------------------------------------------------- *)
 
@@ -239,10 +234,10 @@ let int_attr (s : Span.span) name =
 let is_fault (i : Span.instant) = String.starts_with ~prefix:"fault:" i.Span.i_name
 
 let process_root t c (root : Span.span) =
-  let descendants = List.rev (Hashtbl.find_all t.pending root.Span.id) in
-  while Hashtbl.mem t.pending root.Span.id do
-    Hashtbl.remove t.pending root.Span.id
-  done;
+  let descendants =
+    match Hashtbl.find_opt t.pending root.Span.id with Some l -> List.rev !l | None -> []
+  in
+  Hashtbl.remove t.pending root.Span.id;
   let lock_waits =
     match List.assoc_opt "txn" root.Span.attrs with
     | None -> []
@@ -255,7 +250,7 @@ let process_root t c (root : Span.span) =
   let children = Hashtbl.create (List.length descendants + 1) in
   List.iter
     (fun (s : Span.span) ->
-      match s.Span.parent with Some pid -> Hashtbl.add children pid s | None -> ())
+      match s.Span.parent with Some p -> Hashtbl.add children p.Span.id s | None -> ())
     descendants;
   let segs = ref [] in
   segment_node segs children root lo hi;
@@ -320,8 +315,11 @@ let on_close t c (s : Span.span) =
         Hashtbl.replace t.parked txn (s :: existing)
   end
   else
-    match owner c s with
-    | Some root_id -> Hashtbl.add t.pending root_id s
+    match owner s with
+    | Some root_id -> (
+        match Hashtbl.find_opt t.pending root_id with
+        | Some l -> l := s :: !l
+        | None -> Hashtbl.add t.pending root_id (ref [ s ]))
     | None ->
         (* Parentless spans never belonged to a transaction (bench
            scaffolding, background maintenance) — benign. A span whose
@@ -355,7 +353,7 @@ let json_of_span (s : Span.span) =
   Json.Obj
     ([ ("id", Json.int s.Span.id); ("kind", Json.Str s.Span.kind);
        ("start_ns", Json.int s.Span.start_ns); ("end_ns", Json.int s.Span.end_ns) ]
-    @ (match s.Span.parent with Some p -> [ ("parent", Json.int p) ] | None -> [])
+    @ (match s.Span.parent with Some p -> [ ("parent", Json.int p.Span.id) ] | None -> [])
     @ [ ("attrs", attrs_json s.Span.attrs) ])
 
 let json_of_slow t =

@@ -14,11 +14,10 @@
    while disarmed, which is the default — tests and production paths pay
    one ref read). *)
 
-type armed_state = {
-  dir : string;
-  max_spans : int;
-  mutable seq : int;
-}
+type armed_state = { dir : string; mutable seq : int }
+
+(* The newest spans and instants a dump keeps. *)
+let max_spans = 2048
 
 let state : armed_state option ref = ref None
 
@@ -29,7 +28,7 @@ let aux_sources : (string, unit -> Json.t) Hashtbl.t = Hashtbl.create 4
 let set_aux_source name fn = Hashtbl.replace aux_sources name fn
 let clear_aux_source name = Hashtbl.remove aux_sources name
 
-let arm ?(max_spans = 2048) ~dir () = state := Some { dir; max_spans; seq = 0 }
+let arm ~dir () = state := Some { dir; seq = 0 }
 
 let disarm () = state := None
 let armed () = !state <> None
@@ -41,7 +40,7 @@ let iso8601 t =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-let render ?(max_spans = 2048) ~reason () =
+let render ~reason () =
   let members =
     [ ("bess_flightrec", Json.int 1);
       ("reason", Json.Str reason);
@@ -82,7 +81,7 @@ let dump ~reason () =
   match !state with
   | None -> None
   | Some st ->
-      let body = render ~max_spans:st.max_spans ~reason () in
+      let body = render ~reason () in
       mkdir_p st.dir;
       let path =
         Filename.concat st.dir (Printf.sprintf "flightrec-%03d-%s.json" st.seq (slug reason))

@@ -14,8 +14,8 @@
 
 (** [arm ~dir ()] enables dumping into [dir] (created on first dump).
     Each dump writes [flightrec-<seq>-<reason>.json] with the newest
-    [max_spans] (default 2048) spans and instants. *)
-val arm : ?max_spans:int -> dir:string -> unit -> unit
+    2048 spans and instants. *)
+val arm : dir:string -> unit -> unit
 
 val disarm : unit -> unit
 val armed : unit -> bool
@@ -29,7 +29,7 @@ val set_aux_source : string -> (unit -> Json.t) -> unit
 val clear_aux_source : string -> unit
 
 (** Render the artifact without writing it (works while disarmed). *)
-val render : ?max_spans:int -> reason:string -> unit -> string
+val render : reason:string -> unit -> string
 
 (** [dump ~reason ()] writes the artifact and returns its path, or
     [None] while disarmed. *)

@@ -25,13 +25,15 @@
 
 type span = {
   id : int;
-  mutable parent : int option;
+  mutable parent : span option;
   kind : string;
+  hist : Bess_util.Stats.hist; (* the kind's duration histogram *)
   start_ns : int;
   start_seq : int;
   mutable end_ns : int; (* -1 while open *)
   mutable end_seq : int;
   mutable attrs : (string * string) list;
+  mutable retained : bool; (* open, or closed and still in the ring *)
 }
 
 type instant = { i_name : string; i_ns : int; i_seq : int; i_attrs : (string * string) list }
@@ -49,8 +51,8 @@ type t = {
   mutable next_seq : int;
   open_spans : (int, span) Hashtbl.t; (* id -> still-open span *)
   mutable dropped : int;
-  by_id : (int, span) Hashtbl.t; (* open + retained completed spans *)
   stats : Bess_util.Stats.t;
+  hists : (string, Bess_util.Stats.hist) Hashtbl.t; (* kind -> its histogram *)
 }
 
 (* The central table. Opening any other kind raises: a typo'd kind would
@@ -79,15 +81,6 @@ let kinds =
     "2pc.prepare"; (* coordinator vote collection across all participants *)
     "2pc.decide"; (* coordinator decision fan-out until every ack *)
   ]
-
-let known_kinds =
-  let h = Hashtbl.create 32 in
-  List.iter (fun k -> Hashtbl.replace h k ()) kinds;
-  h
-
-let check_kind kind =
-  if not (Hashtbl.mem known_kinds kind) then
-    invalid_arg (Printf.sprintf "Span: kind %S is not in Span.kinds" kind)
 
 (* ---- The simulated clock and the ambient context ------------------------- *)
 
@@ -136,6 +129,8 @@ let create ?(capacity = 65536) () =
   (* Durations land under "span.<kind>": the registry's flattening rule
      keeps the prefix, so bench_report.json gains the breakdown. *)
   Registry.register_stats "span" stats;
+  let hists = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace hists k (Bess_util.Stats.hist stats ("span." ^ k))) kinds;
   {
     ring = Array.make capacity no_entry;
     head = 0;
@@ -144,8 +139,8 @@ let create ?(capacity = 65536) () =
     next_seq = 0;
     open_spans = Hashtbl.create 256;
     dropped = 0;
-    by_id = Hashtbl.create 256;
     stats;
+    hists;
   }
 
 (* ---- Open / close --------------------------------------------------------- *)
@@ -155,40 +150,46 @@ let take_seq c =
   c.next_seq <- n + 1;
   n
 
+(* The kind table is also the histogram lookup: one find both rejects
+   an unknown kind and yields the histogram its duration feeds. *)
 let open_in c ~parent ~kind ~attrs =
-  check_kind kind;
+  let hist =
+    match Hashtbl.find_opt c.hists kind with
+    | Some h -> h
+    | None -> invalid_arg (Printf.sprintf "Span: kind %S is not in Span.kinds" kind)
+  in
   let s =
-    { id = c.next_id; parent = Option.map (fun p -> p.id) parent; kind;
-      start_ns = !clock; start_seq = take_seq c; end_ns = -1; end_seq = -1; attrs }
+    { id = c.next_id; parent; kind; hist; start_ns = !clock; start_seq = take_seq c;
+      end_ns = -1; end_seq = -1; attrs; retained = true }
   in
   c.next_id <- c.next_id + 1;
   Hashtbl.replace c.open_spans s.id s;
-  Hashtbl.replace c.by_id s.id s;
   s
 
 (* Stamps compare as (ns, seq) pairs: the clock first, the sequence
    number for ties. *)
 let closed_before p s = p.end_ns >= 0 && compare (p.end_ns, p.end_seq) (s.end_ns, s.end_seq) < 0
 
+(* The parent, unless the ring has evicted it: an evicted ancestor ends
+   every walk up the tree, and its child counts as a root. *)
+let live_parent s = match s.parent with Some p when p.retained -> s.parent | _ -> None
+
 (* Reparent [s] to its nearest still-open ancestor when its recorded
    parent closed first: the nesting invariant (child within the parent's
    [start,end]) must hold in every rendering, and an honest counter plus
    an attribute report the anomaly instead of hiding it. *)
-let rec fix_parent c s =
-  match s.parent with
-  | None -> ()
-  | Some pid -> (
-      match Hashtbl.find_opt c.by_id pid with
-      | None -> s.parent <- None (* ancestor evicted: treat as root *)
-      | Some p ->
-          if closed_before p s then begin
-            s.parent <- p.parent;
-            fix_parent c s
-          end)
+let rec fix_parent s =
+  match live_parent s with
+  | None -> s.parent <- None (* no ancestor left, or it was evicted: a root *)
+  | Some p ->
+      if closed_before p s then begin
+        s.parent <- p.parent;
+        fix_parent s
+      end
 
 let push c e =
   if c.length = Array.length c.ring then begin
-    (match c.ring.(c.head) with Closed old -> Hashtbl.remove c.by_id old.id | Instant _ -> ());
+    (match c.ring.(c.head) with Closed old -> old.retained <- false | Instant _ -> ());
     c.dropped <- c.dropped + 1
   end
   else c.length <- c.length + 1;
@@ -197,7 +198,7 @@ let push c e =
 
 (* An online consumer of completed spans (the critical-path sink).
    Called after the span is fully closed, reparented and pushed; parents
-   may still be open, so consumers can walk up via [find_span]. One
+   may still be open, so consumers can walk up the [parent] records. One
    match on a ref when absent — the usual zero-cost bar. *)
 let close_hook : (t -> span -> unit) option ref = ref None
 let set_close_hook h = close_hook := h
@@ -209,20 +210,13 @@ let close_in c s ~attrs =
     s.end_seq <- take_seq c;
     s.attrs <- s.attrs @ attrs;
     Hashtbl.remove c.open_spans s.id;
-    let out_of_order =
-      match s.parent with
-      | None -> false
-      | Some pid -> (
-          match Hashtbl.find_opt c.by_id pid with
-          | Some p -> closed_before p s
-          | None -> false)
-    in
+    let out_of_order = match live_parent s with Some p -> closed_before p s | None -> false in
     if out_of_order then begin
       Bess_util.Stats.incr c.stats "span.out_of_order";
       s.attrs <- s.attrs @ [ ("out_of_order", "true") ];
-      fix_parent c s
+      fix_parent s
     end;
-    Bess_util.Stats.observe c.stats ("span." ^ s.kind) (s.end_ns - s.start_ns);
+    Bess_util.Stats.record s.hist (s.end_ns - s.start_ns);
     push c (Closed s);
     match !close_hook with None -> () | Some f -> f c s
   end
@@ -354,14 +348,9 @@ let instants ?within c =
 
 let dropped c = c.dropped
 let stats c = c.stats
-let find_span c id = Hashtbl.find_opt c.by_id id
 let duration s = if s.end_ns >= 0 then s.end_ns - s.start_ns else !clock - s.start_ns
 
-let roots c =
-  List.filter
-    (fun s ->
-      match s.parent with None -> true | Some pid -> not (Hashtbl.mem c.by_id pid))
-    (to_list c)
+let roots c = List.filter (fun s -> Option.is_none (live_parent s)) (to_list c)
 
 let slowest ?(kind = "session.txn") c =
   let best pool =
@@ -379,10 +368,7 @@ let slowest ?(kind = "session.txn") c =
 let children_index c =
   let idx = Hashtbl.create 256 in
   List.iter
-    (fun s ->
-      match s.parent with
-      | Some pid when Hashtbl.mem c.by_id pid -> Hashtbl.add idx pid s
-      | _ -> ())
+    (fun s -> match live_parent s with Some p -> Hashtbl.add idx p.id s | None -> ())
     (to_list c);
   idx
 
@@ -410,32 +396,25 @@ let pp_tree c ppf root =
    stably by [ts] keeps same-nanosecond ties in record order. The track
    (tid) of a span is its root ancestor: each transaction gets its own
    timeline row in chrome://tracing / Perfetto. *)
-let root_of c s =
-  let rec up s =
-    match s.parent with
-    | None -> s.id
-    | Some pid -> (
-        match Hashtbl.find_opt c.by_id pid with None -> s.id | Some p -> up p)
-  in
-  up s
+let rec root_of s = match live_parent s with None -> s.id | Some p -> root_of p
 
 let args fixed attrs =
   Json.Obj (fixed @ List.map (fun (k, v) -> (k, Json.Str v)) attrs)
 
 let us ns = Json.fixed 3 (float_of_int ns /. 1000.0)
 
-let event_json c = function
+let event_json = function
   | Closed s ->
       let id n = Json.Str (string_of_int n) in
       let ids =
         match s.parent with
-        | Some p -> [ ("id", id s.id); ("parent", id p) ]
+        | Some p -> [ ("id", id s.id); ("parent", id p.id) ]
         | None -> [ ("id", id s.id) ]
       in
       Json.Obj
         [ ("name", Json.Str s.kind); ("cat", Json.Str "bess"); ("ph", Json.Str "X");
           ("ts", us s.start_ns); ("dur", us (duration s)); ("pid", Json.int 1);
-          ("tid", Json.int (root_of c s)); ("args", args ids s.attrs) ]
+          ("tid", Json.int (root_of s)); ("args", args ids s.attrs) ]
   | Instant i ->
       Json.Obj
         [ ("name", Json.Str i.i_name); ("cat", Json.Str "bess"); ("ph", Json.Str "i");
@@ -450,7 +429,7 @@ let to_chrome_json ?limit ?(members = []) c =
     | None -> []
     | Some c ->
         List.sort (fun a b -> compare (start_key a) (start_key b)) (entries ?n:limit c)
-        |> List.map (event_json c)
+        |> List.map event_json
   in
   Json.to_string
     (Json.Obj

@@ -2,8 +2,8 @@
     event record.
 
     A span is one timed step of a request's causal chain — an RPC, a
-    fault wave, a log force, a lock wait — with an id, a parent id, a
-    kind from the central {!kinds} table, start/end stamps on the
+    fault wave, a log force, a lock wait — with an id, its parent span,
+    a kind from the central {!kinds} table, start/end stamps on the
     process-wide simulated clock, and key/value attributes. An instant
     is a zero-width named event with attributes: a primitive event
     ({!Core.Event.fire}) or a fault firing. Completed spans
@@ -28,13 +28,22 @@
 
 type span = {
   id : int;
-  mutable parent : int option;
+  mutable parent : span option;
+      (** The span that was ambient when this one opened (after an
+          out-of-order close, its nearest still-open ancestor). The
+          record outlives its eviction from the ring: read it through
+          {!live_parent}, for which an evicted parent is absent and the
+          span a root. *)
   kind : string;
+  hist : Bess_util.Stats.hist;  (** the kind's duration histogram *)
   start_ns : int;
   start_seq : int;
   mutable end_ns : int;  (** [-1] while the span is open *)
   mutable end_seq : int;  (** [-1] while the span is open *)
   mutable attrs : (string * string) list;
+  mutable retained : bool;
+      (** Open, or closed and still in the ring; the ring clears it when
+          it evicts the span. *)
 }
 
 (** A zero-width event, stamped [(i_ns, i_seq)]. *)
@@ -148,18 +157,19 @@ val dropped : t -> int
 (** The per-kind duration histograms and anomaly counters. *)
 val stats : t -> Bess_util.Stats.t
 
-(** Look up a span (open, or completed and still retained) by id. *)
-val find_span : t -> int -> span option
-
 (** Install (or, with [None], remove) the span-close hook: called once
     per span as it completes, after reparenting and buffering, with the
     collector and the closed span. Parents of the closed span may still
-    be open. One match on a ref when absent. The {!Critpath} sink uses
-    it to consume transaction trees online, independent of ring
-    retention. *)
+    be open; a consumer walks up through {!live_parent}. One match on a
+    ref when absent. The {!Critpath} sink uses it to consume transaction
+    trees online, independent of ring retention. *)
 val set_close_hook : (t -> span -> unit) option -> unit
 
 val duration : span -> int
+
+(** The span's parent, or [None] for a root and for a span whose parent
+    the ring has evicted. *)
+val live_parent : span -> span option
 
 (** The longest retained span of [kind] (default ["session.txn"]); with
     none, the longest retained root (a span whose parent is absent:

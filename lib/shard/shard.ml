@@ -29,7 +29,7 @@ type t = {
 (* The coordinator's endpoint, clear of the shards' 1..n. *)
 let coord_id = 900
 
-let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?coord_log_path ?policy
+let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?policy
     ?per_message_ns ?per_byte_ns () =
   if n <= 0 then invalid_arg "Shard.create: need at least one shard";
   let net = Remote.network ?per_message_ns ?per_byte_ns () in
@@ -41,7 +41,7 @@ let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?coord_log_path ?
   let pages =
     Array.map (fun db -> Bess_sched.Driver.seed_working_set db ~n_pages:pages_per_shard) dbs
   in
-  let coord = Twopc.create ~id:coord_id ?log_path:coord_log_path ?policy ~net () in
+  let coord = Twopc.create ~id:coord_id ?policy ~net () in
   { net; dbs; pages; coord; rids = Hashtbl.create 64; last_parts = [] }
 
 let n_shards t = Array.length t.dbs

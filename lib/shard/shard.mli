@@ -15,7 +15,6 @@ val create :
   ?n:int ->
   ?pages_per_shard:int ->
   ?page_size:int ->
-  ?coord_log_path:string ->
   ?policy:Bess_wal.Group_commit.policy ->
   ?per_message_ns:int ->
   ?per_byte_ns:int ->

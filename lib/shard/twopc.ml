@@ -115,8 +115,8 @@ let register_endpoint t =
           Remote.R_decision known
       | _ -> Remote.R_error "coordinator only answers decision queries")
 
-let create ?(id = 900) ?log_path ?(policy = Group_commit.Immediate) ~net () =
-  let log = Log.create ?path:log_path () in
+let create ?(id = 900) ?(policy = Group_commit.Immediate) ~net () =
+  let log = Log.create () in
   let gc = Group_commit.create ~policy log in
   let stats = Stats.create () in
   Bess_obs.Registry.register_stats "2pc" stats;

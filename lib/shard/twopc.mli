@@ -29,11 +29,10 @@ exception Crashed
 
 (** [create ~net ()] registers the coordinator on endpoint [id]
     (default 900) answering [Query_decision]. The decision log is
-    in-memory unless [log_path] is given; [policy] is the decision
-    force policy (default [Immediate]). *)
+    in memory; [policy] is the decision force policy (default
+    [Immediate]). *)
 val create :
   ?id:int ->
-  ?log_path:string ->
   ?policy:Bess_wal.Group_commit.policy ->
   net:Bess.Remote.network ->
   unit ->

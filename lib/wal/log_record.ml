@@ -7,11 +7,9 @@
    with a length prefix and CRC so the log tail can be scanned and a torn
    final record detected and discarded. *)
 
-type page_id = { area : int; page : int }
+type page_id = Bess_cache.Page_id.t = { area : int; page : int }
 
 type txn_status = Running | Committed | Prepared
-
-let pp_page_id ppf p = Fmt.pf ppf "%d:%d" p.area p.page
 
 type body =
   | Update of { txn : int; page : page_id; offset : int; before : Bytes.t; after : Bytes.t }
@@ -43,10 +41,10 @@ let tag_of_body = function
 let pp ppf t =
   match t.body with
   | Update u ->
-      Fmt.pf ppf "UPDATE txn=%d page=%a off=%d len=%d" u.txn pp_page_id u.page u.offset
+      Fmt.pf ppf "UPDATE txn=%d page=%a off=%d len=%d" u.txn Bess_cache.Page_id.pp u.page u.offset
         (Bytes.length u.after)
   | Clr c ->
-      Fmt.pf ppf "CLR txn=%d page=%a off=%d undo_next=%d" c.txn pp_page_id c.page c.offset
+      Fmt.pf ppf "CLR txn=%d page=%a off=%d undo_next=%d" c.txn Bess_cache.Page_id.pp c.page c.offset
         c.undo_next
   | Commit c -> Fmt.pf ppf "COMMIT txn=%d" c.txn
   | Abort a -> Fmt.pf ppf "ABORT txn=%d" a.txn

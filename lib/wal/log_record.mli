@@ -6,7 +6,9 @@
     serialize with a length prefix and CRC so a torn tail is detected
     and discarded on scan. *)
 
-type page_id = { area : int; page : int }
+(** The cache's page identity: a record names the page it changes the
+    way every other layer does. *)
+type page_id = Bess_cache.Page_id.t = { area : int; page : int }
 
 (** A transaction's status as restart analysis tracks it and a
     checkpoint records it. *)

@@ -27,12 +27,7 @@ type outcome = {
 
 (* ---- Analysis ----------------------------------------------------------- *)
 
-module Page_tbl = Hashtbl.Make (struct
-  type t = Log_record.page_id
-
-  let equal (a : t) (b : t) = a.area = b.area && a.page = b.page
-  let hash (p : t) = (p.area * 1000003) lxor p.page
-end)
+module Page_tbl = Bess_cache.Page_id.Tbl
 
 (* A dirty-page-table entry, with the redo work analysis finds for it:
    the LSNs, in log order, of the page's Update/CLR records at or after

@@ -12,7 +12,8 @@
 
    Each run is pinned twice: bare, and with every observability plane
    installed around it. Observing must not move the schedule, so both
-   check the same literals. *)
+   check the same literals; the observed run also pins what the planes
+   recorded, its Chrome trace and critical-path blame. *)
 
 module Sched = Bess_sched.Sched
 module Driver = Bess_sched.Driver
@@ -43,12 +44,24 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+(* A Chrome trace with every ["ts"] made relative to its first (and
+   earliest) stamp, in nanoseconds: the simulated clock is process-wide,
+   so the absolute stamps depend on which tests ran before. *)
+let relative_ts json =
+  let stamp = Str.regexp {|"ts":\([0-9]+\)\.\([0-9][0-9][0-9]\)|} in
+  let ns () = int_of_string (Str.matched_group 1 json ^ Str.matched_group 2 json) in
+  let origin = ignore (Str.search_forward stamp json 0); ns () in
+  Str.global_substitute stamp (fun _ -> Printf.sprintf "\"ts\":%d" (ns () - origin)) json
+
 (* Run [f] with, when [planes], every observability plane installed: a
    span collector, the critical-path sink, a 1 ms series, and the
    flight recorder armed (dumping into a scratch directory
-   on crash and recovery). *)
+   on crash and recovery). Returns [f]'s result and, when observed, the
+   MD5 of the collector's Chrome trace (stamps relative) and the
+   critical-path fingerprint, so the recorded trace is pinned along
+   with the schedule. *)
 let observed planes f =
-  if not planes then f ()
+  if not planes then (f (), None)
   else begin
     let dir = Filename.concat (Filename.get_temp_dir_name ()) "bess_oracle_flightrec" in
     rm_rf dir;
@@ -59,16 +72,24 @@ let observed planes f =
         rm_rf dir)
       (fun () ->
         let series = Bess_obs.Series.create ~window_ns:1_000_000 () in
-        let r =
-          Bess_sched.Planes.with_installed ~spans:(Bess_obs.Span.create ())
-            ~critpath:(Bess_obs.Critpath.create ()) ~series f
-        in
+        let spans = Bess_obs.Span.create () and critpath = Bess_obs.Critpath.create () in
+        let r = Bess_sched.Planes.with_installed ~spans ~critpath ~series f in
         Alcotest.(check bool) "the series recorded commit windows" true
           (List.exists
              (fun w -> Bess_obs.Series.sample_tail w "critpath.commit_ns" <> None)
              (Bess_obs.Series.to_list series));
-        r)
+        let chrome = relative_ts (Bess_obs.Span.to_chrome_json (Some spans)) in
+        let chrome = Digest.to_hex (Digest.string chrome) in
+        (r, Some (chrome, Bess_obs.Critpath.fingerprint critpath)))
   end
+
+(* The observed run's trace pins; a bare run has none to check. *)
+let check_trace observed ~chrome ~critpath =
+  Option.iter
+    (fun (c, f) ->
+      Alcotest.(check string) "chrome trace digest" chrome c;
+      Alcotest.(check string) "critpath fingerprint" critpath f)
+    observed
 
 let test_driver_pinned planes () =
   Bess_obs.Registry.with_fresh @@ fun () ->
@@ -77,7 +98,7 @@ let test_driver_pinned planes () =
   Bess.Server.set_detection server `Timeout;
   let pages = Driver.seed_working_set db ~n_pages:32 in
   let sched = Sched.create () in
-  let r =
+  let r, trace =
     observed planes @@ fun () ->
     Driver.run ~sched server ~pages
       { Driver.default with
@@ -95,6 +116,10 @@ let test_driver_pinned planes () =
     "commits=573 aborts=0 give_ups=0 indeterminate=0 disconnects=67 reconnects=67 \
      events=2341 sim_ns=57555000 p50=715196 p99=2097151"
     (pp_driver r);
+  check_trace trace ~chrome:"b39910f1fd7f6d2a2341ed5df597a462"
+    ~critpath:
+      "txns=600 total=1952855000 lock=830840000 wal=503050000 net=0 backoff=0 server=0 \
+       sched=618960000 2pc=0 other=5000";
   Alcotest.check counters "driver sched counters"
     [ ("sched.churn_holding_locks", 27); ("sched.commits", 573); ("sched.disconnects", 67);
       ("sched.events", 2341); ("sched.heap_peak", 255); ("sched.late_events", 1401);
@@ -112,22 +137,27 @@ let run_fleet ~planes profile =
   let cfg =
     { Fleet.default with cross_fraction = 0.25; zipf_theta = 0.0; think_ns = 0; seed = 7 }
   in
-  let r =
+  let r, trace =
     observed planes @@ fun () ->
     Bess_sched.Planes.with_installed
       ~faults:(7, List.assoc profile Bess_fault.Fault.profiles)
       (fun () -> Fleet.run ~sched sh cfg)
   in
   ( pp_fleet r,
+    trace,
     Stats.get (Bess_net.Net.stats (Shard.net sh)) "net.client_retries",
     Stats.to_list (Sched.stats sched) )
 
 let test_fleet_pinned planes () =
-  let r, retries, c = run_fleet ~planes "off" in
+  let r, trace, retries, c = run_fleet ~planes "off" in
   Alcotest.(check string) "fleet result"
     "commits=200 cross=39 aborts=0 give_ups=0 indeterminate=0 events=200 sim_ns=363981360 \
      fp=c200/x39/a0/g0/i0|img:336a64a4"
     r;
+  check_trace trace ~chrome:"95d1850ea0ca1b5f48d780f8dcab8df3"
+    ~critpath:
+      "txns=200 total=365527080 lock=0 wal=67800000 net=297010080 backoff=0 server=0 sched=0 \
+       2pc=717000 other=0";
   Alcotest.(check int) "fleet client retries" 0 retries;
   Alcotest.check counters "fleet sched counters"
     [ ("sched.commits", 200); ("sched.events", 200); ("sched.heap_peak", 8);
@@ -135,11 +165,15 @@ let test_fleet_pinned planes () =
     c
 
 let test_fleet_chaos_pinned planes () =
-  let r, retries, c = run_fleet ~planes "chaos-2pc" in
+  let r, trace, retries, c = run_fleet ~planes "chaos-2pc" in
   Alcotest.(check string) "fleet result"
     "commits=190 cross=37 aborts=0 give_ups=0 indeterminate=10 events=200 sim_ns=448277840 \
      fp=c190/x37/a0/g0/i10|img:336a64a4"
     r;
+  check_trace trace ~chrome:"d210dc3a638f9db33a24b6ccc385e85b"
+    ~critpath:
+      "txns=200 total=449823560 lock=0 wal=66400000 net=358351600 backoff=16000000 server=0 \
+       sched=0 2pc=705000 other=8366960";
   Alcotest.(check int) "fleet client retries" 77 retries;
   Alcotest.check counters "fleet sched counters"
     [ ("sched.commits", 190); ("sched.events", 200); ("sched.heap_peak", 8);

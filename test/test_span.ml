@@ -18,6 +18,7 @@ let with_collector ?capacity f =
       Fun.protect ~finally:(fun () -> Span.restore saved) (fun () -> f c))
 
 let find_kind c kind = List.filter (fun s -> s.Span.kind = kind) (Span.to_list c)
+let parent_id s = Option.map (fun p -> p.Span.id) s.Span.parent
 
 let test_nesting_and_attrs () =
   with_collector (fun c ->
@@ -30,8 +31,8 @@ let test_nesting_and_attrs () =
       match Span.to_list c with
       | [ rpc; txn ] ->
           Alcotest.(check string) "child closes first" "net.rpc" rpc.Span.kind;
-          Alcotest.(check (option int)) "child parented" (Some txn.Span.id) rpc.Span.parent;
-          Alcotest.(check (option int)) "root unparented" None txn.Span.parent;
+          Alcotest.(check (option int)) "child parented" (Some txn.Span.id) (parent_id rpc);
+          Alcotest.(check (option int)) "root unparented" None (parent_id txn);
           Alcotest.(check bool) "child within parent" true
             (rpc.Span.start_ns > txn.Span.start_ns && rpc.Span.end_ns < txn.Span.end_ns);
           Alcotest.(check bool) "child wide enough" true (Span.duration rpc >= 100);
@@ -51,7 +52,7 @@ let test_enter_finish () =
       let txn = List.hd (find_kind c "session.txn") in
       let force = List.hd (find_kind c "wal.force") in
       Alcotest.(check (option int)) "child of entered span" (Some txn.Span.id)
-        force.Span.parent;
+        (parent_id force);
       Alcotest.(check (option string)) "finish attrs appended" (Some "commit")
         (List.assoc_opt "outcome" txn.Span.attrs);
       (* Double close: a no-op that is still counted. *)
@@ -73,7 +74,7 @@ let test_out_of_order_close_reported () =
         (List.assoc_opt "out_of_order" child.Span.attrs);
       (* Reparented past the closed parent: no open ancestor remains, so
          it becomes a root — and the nesting invariant holds vacuously. *)
-      Alcotest.(check (option int)) "reparented to open ancestor" None child.Span.parent)
+      Alcotest.(check (option int)) "reparented to open ancestor" None (parent_id child))
 
 let test_unclosed_reported () =
   with_collector (fun c ->
@@ -130,6 +131,34 @@ let test_ring_bounded () =
       Alcotest.(check int) "histogram complete" 10
         (Bess_util.Histogram.count
            (Option.get (Bess_util.Stats.find_histogram (Span.stats c) "span.wal.append"))))
+
+(* A span whose parent closed and was then evicted before it closed
+   itself: the parent is gone, not out of order, so the span is not
+   counted [span.out_of_order] and renders as a root, on a track of its
+   own. *)
+let test_evicted_parent () =
+  with_collector ~capacity:2 (fun c ->
+      let parent = Span.enter ~kind:"session.txn" () in
+      let child = Span.start ~kind:"lock.acquire" () in
+      Span.finish parent;
+      for _ = 1 to 2 do
+        Span.with_span ~kind:"wal.append" ignore
+      done;
+      Span.finish child;
+      Alcotest.(check int) "not out of order" 0
+        (Bess_util.Stats.get (Span.stats c) "span.out_of_order");
+      let s = List.hd (find_kind c "lock.acquire") in
+      Alcotest.(check bool) "no out_of_order attribute" false
+        (List.mem_assoc "out_of_order" s.Span.attrs);
+      let module J = Bess_obs.Json in
+      let ev =
+        List.find
+          (fun ev -> J.get_string ev "name" = "lock.acquire")
+          (J.get_list (J.parse_exn (Span.to_chrome_json (Some c))) "traceEvents")
+      in
+      Alcotest.(check int) "own track" s.Span.id (J.get_int ev "tid");
+      Alcotest.(check string) "parent id kept" "1"
+        (J.get_string (Option.get (J.member "args" ev)) "parent"))
 
 (* ---- Chrome trace JSON -------------------------------------------------- *)
 
@@ -337,22 +366,17 @@ let test_end_to_end_spans () =
         [ "session.txn"; "net.rpc"; "net.wire"; "server.request"; "lock.acquire";
           "wal.append"; "wal.force"; "vmem.fault"; "cache.miss" ];
       (* Global nesting invariant over everything collected. *)
-      let by_id = Hashtbl.create 64 in
-      List.iter (fun s -> Hashtbl.replace by_id s.Span.id s) spans;
       List.iter
         (fun s ->
           Alcotest.(check bool) "closed" true (s.Span.end_ns >= s.Span.start_ns);
-          match s.Span.parent with
-          | None -> ()
-          | Some pid -> (
-              match Hashtbl.find_opt by_id pid with
-              | None -> () (* parent evicted or still open at finish_all *)
-              | Some p ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s(%d) within %s(%d)" s.Span.kind s.Span.id
-                       p.Span.kind p.Span.id)
-                    true
-                    (s.Span.start_ns >= p.Span.start_ns && s.Span.end_ns <= p.Span.end_ns)))
+          match Span.live_parent s with
+          | Some p ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s(%d) within %s(%d)" s.Span.kind s.Span.id p.Span.kind
+                   p.Span.id)
+                true
+                (s.Span.start_ns >= p.Span.start_ns && s.Span.end_ns <= p.Span.end_ns)
+          | None -> () (* a root, or its parent was evicted *))
         spans;
       (* The session.txn root and a transitive net.rpc descendant agree. *)
       Alcotest.(check bool) "some txn has rpc descendants" true
@@ -361,12 +385,7 @@ let test_end_to_end_spans () =
              rpc.Span.kind = "net.rpc"
              &&
              let rec root_of s =
-               match s.Span.parent with
-               | None -> s
-               | Some pid -> (
-                   match Hashtbl.find_opt by_id pid with
-                   | Some p -> root_of p
-                   | None -> s)
+               match Span.live_parent s with Some p -> root_of p | None -> s
              in
              (root_of rpc).Span.kind = "session.txn")
            spans))
@@ -431,7 +450,7 @@ let test_scoped_install_restores () =
               Span.with_span ~kind:"wal.force" ignore;
               raising ~faults:(7, List.assoc "chaos" Fault.profiles);
               Span.with_span ~kind:"wal.append" ignore);
-          let parent kind = (List.hd (find_kind outer kind)).Span.parent in
+          let parent kind = parent_id (List.hd (find_kind outer kind)) in
           let workload = Some (List.hd (find_kind outer "bench.workload")).Span.id in
           Alcotest.(check (option int)) "ambient span back after a return" workload
             (parent "wal.force");
@@ -457,6 +476,7 @@ let suite =
     Alcotest.test_case "unknown_kind_rejected" `Quick test_unknown_kind_rejected;
     Alcotest.test_case "disabled_noop" `Quick test_disabled_noop;
     Alcotest.test_case "ring_bounded" `Quick test_ring_bounded;
+    Alcotest.test_case "evicted_parent" `Quick test_evicted_parent;
     Alcotest.test_case "chrome_json_roundtrip" `Quick test_chrome_json_roundtrip;
     Alcotest.test_case "end_to_end_spans" `Quick test_end_to_end_spans;
     Alcotest.test_case "span_kinds_complete" `Quick test_span_kinds_complete;
