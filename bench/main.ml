@@ -122,7 +122,7 @@ let e2 () =
         let node =
           Bess.Node_server.create ~cache_slots:(n_pages * 2)
             ~n_procs:(match mode with `Shm -> 1 | `Coa -> 0)
-            ~id:9999 (Bess.Db.server db)
+            (Bess.Fetcher.direct ~client_id:9999 (Bess.Db.server db))
         in
         let data_page i =
           { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
@@ -1871,8 +1871,7 @@ let f2 () =
   (* Bare application on node 1: messages to both servers. *)
   let before = msgs () in
   let s_remote = Bess.Remote.session net ~client_id:7001 db_a in
-  Bess.Db.attach db_b s_remote;
-  (* note: attach uses direct fetcher; rebuild with remote fetcher *)
+  Bess.Remote.attach net ~client_id:7001 s_remote db_b;
   Bess.Session.begin_txn s_remote;
   let ty_a = Workloads.node_type db_a in
   let seg_a = Bess.Session.create_segment s_remote ~slotted_pages:1 ~data_pages:1 () in
@@ -1880,7 +1879,10 @@ let f2 () =
   Bess.Session.commit s_remote;
   let remote_msgs = msgs () - before in
   (* Application behind a node server on node 3. *)
-  let node = Bess.Node_server.create ~id:7100 ~n_procs:1 (Bess.Db.server db_a) in
+  let node =
+    Bess.Node_server.create ~n_procs:1
+      (Bess.Fetcher.direct ~client_id:7100 (Bess.Db.server db_a))
+  in
   let page =
     { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;
       page = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.first_page }
@@ -1917,7 +1919,8 @@ let f3 () =
   done;
   Bess.Session.commit s;
   let node =
-    Bess.Node_server.create ~cache_slots:8 ~n_vframes:32 ~id:7200 ~n_procs:2 (Bess.Db.server db)
+    Bess.Node_server.create ~cache_slots:8 ~n_vframes:32 ~n_procs:2
+      (Bess.Fetcher.direct ~client_id:7200 (Bess.Db.server db))
   in
   (* Application A: shared-memory mode; application B: copy-on-access. *)
   let page i =
@@ -1960,7 +1963,8 @@ let f4 () =
   let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:4 () in
   Bess.Session.commit s;
   let node =
-    Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~id:7300 ~n_procs:2 (Bess.Db.server db)
+    Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~n_procs:2
+      (Bess.Fetcher.direct ~client_id:7300 (Bess.Db.server db))
   in
   let page i =
     { Page_id.area = seg.Bess.Session.data_disk.Bess_storage.Seg_addr.area;

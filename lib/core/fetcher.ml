@@ -1,10 +1,11 @@
-(* The session's view of "the rest of the system".
+(* The one client protocol of a server.
 
-   A session (client application context) obtains segments, locks, commits
-   and allocations through this record. The paper's point that "the
-   interface provided by the node server is the same in both modes, it is
-   just the process boundaries that differ" is realised here: the same
-   session engine runs over
+   A session (client application context), a node server and the shard
+   router obtain segments, pages, locks, commits and allocations through
+   this record, and answer callbacks through its sink. The paper's point
+   that "the interface provided by the node server is the same in both
+   modes, it is just the process boundaries that differ" is realised
+   here: the same clients run over
 
    - {!direct}: plain function calls into a co-located {!Server} (an
      application running on the same machine as a BeSS server, node 2 of
@@ -12,8 +13,9 @@
    - a transport-backed implementation ({!Remote.fetcher}) where every
      operation crosses the simulated network (node 1/3 of Figure 2).
 
-   Operations that cannot be granted raise {!Would_block} or {!Deadlock};
-   the caller (benchmark harness or application) aborts/retries. *)
+   Operations that cannot be granted raise {!Would_block},
+   {!Deadlock_abort} or {!Lock_timeout}; the caller (benchmark harness or
+   application) aborts/retries. *)
 
 module Page_id = Bess_cache.Page_id
 module Lock_mgr = Bess_lock.Lock_mgr
@@ -46,11 +48,29 @@ type t = {
   f_register_sink : (Lock_mgr.resource -> Lock_mode.t -> Server.callback_reply) -> unit;
 }
 
-let verdict_or_raise = function
-  | `Granted -> ()
+(* The one verdict -> exception mapping: every implementation of [t]
+   turns a refused lock this way. *)
+type refusal = [ `Blocked | `Deadlock | `Timeout ]
+
+let refuse : [< refusal ] -> 'a = function
   | `Blocked -> raise Would_block
   | `Deadlock -> raise Deadlock_abort
   | `Timeout -> raise Lock_timeout
+
+let check = function `Granted -> () | #refusal as v -> refuse v
+
+(* The callback rule of every caching client (section 3's callback
+   locking). While [busy ()] -- a transaction is open, so the page may be
+   in use -- refuse: the requester blocks and retries. Otherwise [drop]
+   the cached page and give it up. A lock on anything but a page names
+   nothing cached. *)
+let page_sink ~busy ~drop (r : Lock_mgr.resource) (_ : Lock_mode.t) : Server.callback_reply =
+  match r with
+  | { space = 0; _ } when busy () -> `Refused
+  | { space = 0; a = area; b = page } ->
+      drop { Page_id.area; page };
+      `Dropped
+  | _ -> `Dropped
 
 (* Direct, same-machine embedding. Each operation still opens a
    client.request span — the co-located analogue of the net.rpc span a
@@ -63,19 +83,17 @@ let direct ~client_id (server : Server.t) : t =
     f_begin = (fun () -> span "begin" @@ fun () -> Server.begin_txn server ~client:client_id);
     f_lock =
       (fun ~txn r mode ->
-        span "lock" @@ fun () -> verdict_or_raise (Server.lock server ~txn r mode));
+        span "lock" @@ fun () -> check (Server.lock server ~txn r mode));
     f_fetch_segment =
       (fun ~txn seg ~mode ->
         span "fetch_segment" @@ fun () ->
         match Server.fetch_segment server ~txn seg ~mode with
         | `Pages pages -> pages
-        | `Blocked -> raise Would_block
-        | `Deadlock -> raise Deadlock_abort
-        | `Timeout -> raise Lock_timeout);
+        | #refusal as v -> refuse v);
     f_fetch_page =
       (fun ~txn page ~mode ~into ->
         span "fetch_page" @@ fun () ->
-        verdict_or_raise
+        check
           (Server.lock server ~txn (Lock_mgr.page_resource ~area:page.area ~page:page.page) mode);
         Server.read_into server page ~off:0 into ~dst_off:0 ~len:(Bytes.length into));
     f_commit =

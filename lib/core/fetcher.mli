@@ -1,16 +1,19 @@
-(** The session's view of "the rest of the system".
+(** The one client protocol of a {!Server}.
 
-    One record of operations through which a session obtains segments,
-    locks, commits and allocations. The paper's observation that "the
-    interface provided by the node server is the same in both modes, it
-    is just the process boundaries that differ" is realised here: the
-    same session engine runs over {!direct} (plain calls into a
-    co-located server) and {!Remote.fetcher} (every operation crosses the
-    simulated network).
+    One record of operations through which a client obtains segments,
+    pages, locks, commits and allocations, and answers the server's
+    callbacks. The paper's observation that "the interface provided by
+    the node server is the same in both modes, it is just the process
+    boundaries that differ" is realised here: a {!Session}, a
+    {!Node_server} (on behalf of its local applications) and the shard
+    router ([Bess_shard.Shard]) all reach their servers through a [t],
+    either {!direct} (plain calls into a co-located server) or
+    {!Remote.fetcher} (every operation crosses the simulated network).
 
     Operations that cannot proceed raise {!Would_block} (the requester
-    should abort/retry later) or {!Deadlock_abort} (this transaction was
-    chosen as the deadlock victim). *)
+    should abort/retry later), {!Deadlock_abort} (this transaction was
+    chosen as the deadlock victim) or {!Lock_timeout}; {!refuse} is the
+    one place a refused verdict becomes one of them. *)
 
 module Page_id = Bess_cache.Page_id
 module Lock_mgr = Bess_lock.Lock_mgr
@@ -23,6 +26,13 @@ exception Deadlock_abort
     only. The transaction aborts, but retrying it is reasonable —
     retrying after {!Deadlock_abort} (a proven cycle) is not. *)
 exception Lock_timeout
+
+(** A lock request the server did not grant. *)
+type refusal = [ `Blocked | `Deadlock | `Timeout ]
+
+(** Raise the exception a refusal maps to: [`Blocked] -> {!Would_block},
+    [`Deadlock] -> {!Deadlock_abort}, [`Timeout] -> {!Lock_timeout}. *)
+val refuse : [< refusal ] -> 'a
 
 type t = {
   client_id : int;
@@ -45,6 +55,18 @@ type t = {
   f_register_sink : (Lock_mgr.resource -> Lock_mode.t -> Server.callback_reply) -> unit;
       (** install the handler for server-initiated callbacks *)
 }
+
+(** The callback sink of a client that caches pages (section 3): refuse
+    while [busy ()] (a transaction is open, so the page may be in use;
+    the requester blocks and retries), otherwise [drop] the page and
+    answer [`Dropped]. Sessions and node servers register it through
+    [f_register_sink]. *)
+val page_sink :
+  busy:(unit -> bool) ->
+  drop:(Page_id.t -> unit) ->
+  Lock_mgr.resource ->
+  Lock_mode.t ->
+  Server.callback_reply
 
 (** Direct same-machine embedding (node 2 of Figure 2). *)
 val direct : client_id:int -> Server.t -> t

@@ -245,74 +245,55 @@ let fetcher (net : network) ~client_id ~server_id : Fetcher.t =
     try call net ~src:client_id ~dst:server_id req
     with Exhausted _ -> raise (Remote_error "request timed out: retries exhausted")
   in
-  let verdict = function
-    | R_verdict `Granted -> ()
-    | R_verdict `Blocked -> raise Fetcher.Would_block
-    | R_verdict `Deadlock -> raise Fetcher.Deadlock_abort
-    | R_verdict `Timeout -> raise Fetcher.Lock_timeout
+  (* Every answer an operation did not expect: a refused lock, the
+     server's error, or a protocol mismatch. *)
+  let fail = function
+    | R_verdict (#Fetcher.refusal as v) -> Fetcher.refuse v
     | R_error e -> raise (Remote_error e)
     | _ -> raise (Remote_error "protocol mismatch")
   in
   {
     client_id;
-    f_begin =
-      (fun () ->
-        match call (Begin { rid = rid () }) with
-        | R_txn t -> t
-        | _ -> raise (Remote_error "protocol mismatch"));
-    f_lock = (fun ~txn r mode -> verdict (call (Lock { txn; r; mode })));
+    f_begin = (fun () -> match call (Begin { rid = rid () }) with R_txn t -> t | r -> fail r);
+    f_lock =
+      (fun ~txn r mode ->
+        match call (Lock { txn; r; mode }) with R_verdict `Granted -> () | r -> fail r);
     f_fetch_segment =
       (fun ~txn seg ~mode ->
-        match call (Fetch_segment { txn; seg; mode }) with
-        | R_pages pages -> pages
-        | R_verdict `Blocked -> raise Fetcher.Would_block
-        | R_verdict `Deadlock -> raise Fetcher.Deadlock_abort
-        | R_verdict `Timeout -> raise Fetcher.Lock_timeout
-        | _ -> raise (Remote_error "protocol mismatch"));
+        match call (Fetch_segment { txn; seg; mode }) with R_pages pages -> pages | r -> fail r);
     f_fetch_page =
       (fun ~txn page ~mode ~into ->
         match call (Fetch_page { txn; page; mode }) with
         | R_page p -> Bytes.blit p 0 into 0 (Bytes.length into)
-        | R_verdict `Blocked -> raise Fetcher.Would_block
-        | R_verdict `Deadlock -> raise Fetcher.Deadlock_abort
-        | R_verdict `Timeout -> raise Fetcher.Lock_timeout
-        | _ -> raise (Remote_error "protocol mismatch"));
+        | r -> fail r);
     f_commit =
       (fun ~txn updates ->
-        match call (Commit { rid = rid (); txn; updates }) with
-        | R_ok -> ()
-        | R_error e -> raise (Remote_error e)
-        | _ -> raise (Remote_error "protocol mismatch"));
+        match call (Commit { rid = rid (); txn; updates }) with R_ok -> () | r -> fail r);
     f_commit_begin =
       (fun ~txn updates ->
         (* Deferred durability costs one extra small message pair (the
            explicit ack poll); the payload crosses the wire once. *)
         match call (Commit_begin { rid = rid (); txn; updates }) with
-        | R_ticket h ->
+        | R_ticket h -> (
             let await_rid = rid () in
-            fun () -> (
+            fun () ->
               match call (Await_commit { rid = await_rid; ticket = h }) with
               | R_ok -> ()
-              | R_error e -> raise (Remote_error e)
-              | _ -> raise (Remote_error "protocol mismatch"))
-        | R_error e -> raise (Remote_error e)
-        | _ -> raise (Remote_error "protocol mismatch"));
+              | r -> fail r)
+        | r -> fail r);
     f_abort = (fun ~txn -> ignore (call (Abort { rid = rid (); txn })));
     f_prepare =
       (fun ~txn ~coordinator updates ->
         match call (Prepare { rid = rid (); txn; coordinator; updates }) with
         | R_vote true -> `Vote_yes
         | R_vote false -> `Vote_no
-        | _ -> raise (Remote_error "protocol mismatch"));
+        | r -> fail r);
     f_decide =
       (fun ~txn decision ->
         ignore (call (Decide { rid = rid (); txn; commit = decision = `Commit })));
     f_alloc_segment =
       (fun ~area ~npages ->
-        match call (Alloc { rid = rid (); area; npages }) with
-        | R_seg s -> s
-        | R_error e -> raise (Remote_error e)
-        | _ -> raise (Remote_error "protocol mismatch"));
+        match call (Alloc { rid = rid (); area; npages }) with R_seg s -> s | r -> fail r);
     f_free_segment = (fun seg -> ignore (call (Free { rid = rid (); seg })));
     f_register_sink =
       (fun sink ->
@@ -324,9 +305,6 @@ let fetcher (net : network) ~client_id ~server_id : Fetcher.t =
             | _ -> R_error "clients only accept callbacks"));
   }
 
-(* Attach a further database to an existing remote session: operations on
-   it cross the wire to its own server (distributed transactions commit
-   with 2PC, coordinated by the session's first server). *)
 (* Server-initiated callback over the wire. A lost callback (injected
    drop) maps to [`Refused] — the requester keeps blocking and will ask
    again — NEVER to [`Dropped], which would wrongly invalidate a live
@@ -339,18 +317,22 @@ let wire_callback (net : network) ~server_id ~client_id r mode =
   | exception Net.Timeout _ -> `Refused
   | exception Net.No_such_endpoint _ -> `Dropped
 
-let attach (net : network) ~client_id session (db : Db.t) =
-  let fetcher = fetcher net ~client_id ~server_id:(Db.db_id db) in
+(* A fetcher to [db]'s server whose callbacks route through the network. *)
+let connect (net : network) ~client_id (db : Db.t) =
   Server.connect_client (Db.server db) ~client:client_id
     ~sink:(wire_callback net ~server_id:(Db.db_id db) ~client_id);
+  fetcher net ~client_id ~server_id:(Db.db_id db)
+
+(* Attach a further database to an existing remote session: operations on
+   it cross the wire to its own server (distributed transactions commit
+   with 2PC, coordinated by the session's first server). *)
+let attach (net : network) ~client_id session (db : Db.t) =
+  let fetcher = connect net ~client_id db in
   Session.attach_db session ~area_ids:(Db.area_ids db) ~db_id:(Db.db_id db)
     ~catalog:(Db.catalog db) ~fetcher ~default_area:(Db.default_area db) ()
 
 (* A session over the network: an application on a bare node. *)
 let session ?pool_slots ?(page_size = 4096) (net : network) ~client_id (db : Db.t) =
-  let fetcher = fetcher net ~client_id ~server_id:(Db.db_id db) in
-  (* The server-side callback sink routes through the network too. *)
-  Server.connect_client (Db.server db) ~client:client_id
-    ~sink:(wire_callback net ~server_id:(Db.db_id db) ~client_id);
+  let fetcher = connect net ~client_id db in
   Session.create ?pool_slots ~page_size ~area_ids:(Db.area_ids db) ~db_id:(Db.db_id db)
     ~catalog:(Db.catalog db) ~fetcher ~default_area:(Db.default_area db) ()

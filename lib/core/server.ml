@@ -516,8 +516,8 @@ let prepared_txns t =
     t.txns []
   |> List.sort compare
 
-(* Abort every active transaction of a client (used when a node server
-   reconnects after a crash and its old transactions are orphans). *)
+(* Abort every active transaction of a client (a client that leaves
+   holding locks: [Bess_sched.Driver]'s churn disconnects). *)
 let abort_client_txns t ~client =
   let orphans =
     Hashtbl.fold

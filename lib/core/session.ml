@@ -694,21 +694,12 @@ let attach_db t ?area_ids ~db_id ~catalog ~fetcher ~default_area () =
   Hashtbl.replace t.dbs db_id
     { b_catalog = catalog; b_fetcher = fetcher; b_default_area = default_area;
       b_area_ids = area_ids; b_txn = None; b_forward_seg = None };
-  fetcher.f_register_sink (fun r _mode ->
-      match r with
-      | { space = 0; a = area; b = page } ->
-          let page_id = { Page_id.area; page } in
-          (* Conservative: while a transaction is open, assume the page
-             may be in use and refuse; the requester blocks and retries
-             (section 3's callback protocol). Otherwise drop the cached
-             page. *)
-          if t.in_txn then `Refused
-          else begin
-            drop_cached_page t page_id;
-            Stats.bump t.c.c_callbacks_dropped;
-            `Dropped
-          end
-      | _ -> `Dropped);
+  fetcher.f_register_sink
+    (Fetcher.page_sink
+       ~busy:(fun () -> t.in_txn)
+       ~drop:(fun page_id ->
+         drop_cached_page t page_id;
+         Stats.bump t.c.c_callbacks_dropped));
   Event.fire t.hooks (Db_open { db = db_id })
 
 let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fetcher

@@ -4,22 +4,24 @@
 
    Shard i runs the database with host (and endpoint, and db_id) i+1 and
    owns a committed working set of data pages. Everything a client does
-   crosses the wire: begin, X-lock-and-fetch, and the commit itself
+   crosses the wire: begin, X-lock-and-fetch and abort through one
+   {!Bess.Remote.fetcher} per (client, shard), and the commit itself
    through {!Twopc.commit} -- matching the paper's multi-server
    configuration where "a database may span storage areas of several
    BeSS servers" and distributed commits run two-phase. *)
 
 module Page_id = Bess_cache.Page_id
 module Lock_mode = Bess_lock.Lock_mode
+module Fetcher = Bess.Fetcher
 module Remote = Bess.Remote
-module Stats = Bess_util.Stats
 
 type t = {
   net : Remote.network;
   dbs : Bess.Db.t array;
   pages : Page_id.t array array; (* per shard, in popularity order *)
   coord : Twopc.t;
-  rids : (int, int ref) Hashtbl.t; (* per-client request-id streams *)
+  fetchers : Fetcher.t Bess_util.Int_pair.Tbl.t; (* (client, shard) -> its wire client *)
+  page_buf : Bytes.t; (* the X-fetch target every transaction reuses *)
   (* (endpoint, txn) of the most recent {!txn} attempt's participants:
      harness introspection, so a torture test can ask the coordinator
      about the exact transactions a crashed commit left behind. *)
@@ -42,7 +44,8 @@ let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?policy
     Array.map (fun db -> Bess_sched.Driver.seed_working_set db ~n_pages:pages_per_shard) dbs
   in
   let coord = Twopc.create ~id:coord_id ?policy ~net () in
-  { net; dbs; pages; coord; rids = Hashtbl.create 64; last_parts = [] }
+  { net; dbs; pages; coord; fetchers = Bess_util.Int_pair.Tbl.create 64;
+    page_buf = Bytes.create page_size; last_parts = [] }
 
 let n_shards t = Array.length t.dbs
 let net t = t.net
@@ -63,21 +66,18 @@ let shard_of_oid t (oid : Bess.Oid.t) = shard_of_host t ~host:oid.host
 let server_of_oid t oid = server t (shard_of_oid t oid)
 let endpoint_of_oid t oid = endpoint t (shard_of_oid t oid)
 
-let rid t ~client =
-  let r =
-    match Hashtbl.find_opt t.rids client with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add t.rids client r;
-        r
-  in
-  incr r;
-  !r
-
 (* ---- Cross-shard transactions over the wire ---- *)
 
-exception Protocol of string
+(* A client's fetcher for one shard, built on first use. Each carries
+   its own request-id stream; the shard's server dedups by (src, rid), so
+   the streams of one client never meet at one server. *)
+let fetcher t ~client sidx =
+  match Bess_util.Int_pair.Tbl.find_opt t.fetchers (client, sidx) with
+  | Some f -> f
+  | None ->
+      let f = Remote.fetcher t.net ~client_id:client ~server_id:(endpoint t sidx) in
+      Bess_util.Int_pair.Tbl.add t.fetchers (client, sidx) f;
+      f
 
 (* One global transaction: begin + X-fetch on every involved shard, then
    two-phase commit. [writes] is [(shard, page rank, offset, value)].
@@ -97,54 +97,36 @@ let txn ?chaos t ~client ~(writes : (int * int * int * Bytes.t) list) () =
   let begun = ref [] in
   let abort_all () =
     List.iter
-      (fun (ep, tx) ->
-        try ignore (Remote.call t.net ~src:client ~dst:ep
-                      (Remote.Abort { rid = rid t ~client; txn = tx }))
-        with Remote.Unreachable _ | Remote.Exhausted _ -> ())
+      (fun ((f : Fetcher.t), tx) ->
+        try f.f_abort ~txn:tx with Remote.Remote_error _ | Remote.Unreachable _ -> ())
       !begun
-  in
-  let fetch_x ~ep ~tx pid =
-    match Remote.call t.net ~src:client ~dst:ep
-            (Remote.Fetch_page { txn = tx; page = pid; mode = Lock_mode.X })
-    with
-    | Remote.R_page bytes -> `Page bytes
-    | Remote.R_verdict (`Blocked | `Deadlock | `Timeout) -> `Blocked
-    | Remote.R_error _ -> `Blocked
-    | _ -> raise (Protocol "fetch_page")
   in
   match
     List.map
       (fun (sidx, ws) ->
-        let ep = endpoint t sidx in
-        let tx =
-          match Remote.call t.net ~src:client ~dst:ep (Remote.Begin { rid = rid t ~client }) with
-          | Remote.R_txn x -> x
-          | _ -> raise (Protocol "begin")
-        in
-        begun := (ep, tx) :: !begun;
+        let f = fetcher t ~client sidx in
+        let tx = f.f_begin () in
+        begun := (f, tx) :: !begun;
         let updates =
           List.map
             (fun (rank, offset, value) ->
-              let pid = t.pages.(sidx).(rank) in
-              match fetch_x ~ep ~tx pid with
-              | `Page bytes ->
-                  { Bess.Server.page = pid;
-                    offset;
-                    before = Bytes.sub bytes offset (Bytes.length value);
-                    after = value }
-              | `Blocked -> raise Exit)
+              let page = t.pages.(sidx).(rank) in
+              f.f_fetch_page ~txn:tx page ~mode:Lock_mode.X ~into:t.page_buf;
+              { Bess.Server.page;
+                offset;
+                before = Bytes.sub t.page_buf offset (Bytes.length value);
+                after = value })
             ws
         in
-        (ep, tx, updates))
+        (endpoint t sidx, tx, updates))
       by_shard
   with
   | parts ->
       t.last_parts <- List.map (fun (ep, tx, _) -> (ep, tx)) parts;
       (Twopc.commit ?chaos t.coord ~parts :> [ `Committed | `Aborted | `Blocked ])
-  | exception Exit ->
-      abort_all ();
-      `Blocked
-  | exception (Remote.Unreachable _ | Remote.Exhausted _) ->
+  | exception
+      ( Fetcher.Would_block | Fetcher.Deadlock_abort | Fetcher.Lock_timeout
+      | Remote.Remote_error _ | Remote.Unreachable _ ) ->
       abort_all ();
       `Blocked
 
@@ -164,17 +146,14 @@ let resolve_in_doubt t =
       List.iter
         (fun (tx, coord_ep) ->
           let dst = if coord_ep >= 0 then coord_ep else Twopc.id t.coord in
-          match
-            Remote.call t.net ~src:ep ~dst (Remote.Query_decision { rid = 0; shard = ep; txn = tx })
-          with
-          | Remote.R_decision true ->
+          match Twopc.query_decision t.net ~shard:ep ~coordinator:dst ~txn:tx with
+          | Some true ->
               Bess.Server.commit_prepared srv ~txn:tx;
               incr resolved
-          | Remote.R_decision false ->
+          | Some false ->
               Bess.Server.abort_prepared srv ~txn:tx;
               incr resolved
-          | _ -> incr unresolved
-          | exception (Remote.Unreachable _ | Remote.Exhausted _) -> incr unresolved)
+          | None -> incr unresolved)
         (Bess.Server.prepared_txns srv))
     t.dbs;
   (!resolved, !unresolved)

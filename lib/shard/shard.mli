@@ -40,10 +40,10 @@ val shard_of_oid : t -> Bess.Oid.t -> int
 val server_of_oid : t -> Bess.Oid.t -> Bess.Server.t
 val endpoint_of_oid : t -> Bess.Oid.t -> int
 
-exception Protocol of string
-
 (** [txn t ~client ~writes ()] runs one global transaction over the
-    wire: [writes] is [(shard, page rank, offset, value)]. [`Blocked]
+    wire: [writes] is [(shard, page rank, offset, value)]. Begin,
+    X-lock-and-fetch and abort go through one {!Bess.Remote.fetcher} per
+    (client, shard), the commit through {!Twopc.commit}. [`Blocked]
     means a page lock was unavailable or a begin/fetch was lost; every
     transaction the attempt began has been aborted and the caller may
     retry. [chaos] is passed through to {!Twopc.commit}.

@@ -115,6 +115,18 @@ let register_endpoint t =
           Remote.R_decision known
       | _ -> Remote.R_error "coordinator only answers decision queries")
 
+(* The participant's side of in-doubt resolution: shard endpoint [shard]
+   asks [coordinator] the fate of its prepared [txn]. [Some true] is
+   commit, [Some false] (presumed) abort, [None] no answer. Un-keyed
+   ([rid = 0]): a query changes nothing, so a redelivery is harmless. *)
+let query_decision net ~shard ~coordinator ~txn =
+  match
+    Remote.call net ~src:shard ~dst:coordinator (Remote.Query_decision { rid = 0; shard; txn })
+  with
+  | Remote.R_decision d -> Some d
+  | _ -> None
+  | exception (Remote.Unreachable _ | Remote.Exhausted _) -> None
+
 let create ?(id = 900) ?(policy = Group_commit.Immediate) ~net () =
   let log = Log.create () in
   let gc = Group_commit.create ~policy log in

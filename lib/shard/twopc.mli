@@ -38,6 +38,13 @@ val create :
   unit ->
   t
 
+(** [query_decision net ~shard ~coordinator ~txn]: participant [shard]
+    (an endpoint) asks the coordinator endpoint for the fate of its
+    prepared [txn]: [Some true] commit, [Some false] (presumed) abort,
+    [None] when no answer came (coordinator down, messages lost). *)
+val query_decision :
+  Bess.Remote.network -> shard:int -> coordinator:int -> txn:int -> bool option
+
 val id : t -> int
 val stats : t -> Bess_util.Stats.t
 val log : t -> Bess_wal.Log.t

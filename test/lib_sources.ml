@@ -1,9 +1,10 @@
-(* The library's OCaml sources, for the hygiene tests that check every
-   instrumentation call site in lib/. The test rule depends on them (see
-   test/dune), so dune copies them into the build tree: from the test's
-   working directory they are at ../lib, and at lib when the binary is
-   run from the repository root. No version control is needed, so the
-   checks also run in an exported source tree. *)
+(* The library's OCaml sources, for the hygiene tests that check call
+   sites in lib/ (instrumentation, the one client protocol). The test
+   rule depends on them (see test/dune), so dune copies them into the
+   build tree: from the test's working directory they are at ../lib, and
+   at lib when the binary is run from the repository root. No version
+   control is needed, so the checks also run in an exported source
+   tree. *)
 
 let root = if Sys.file_exists "lib" then "lib" else "../lib"
 
@@ -16,9 +17,10 @@ let rec files dir =
            [ path ]
          else [])
 
-(* Every match of the [Str] regexp [re] within a line of the sources,
-   sorted and deduplicated — what `grep -ho RE | sort -u` prints. *)
-let matches re =
+(* Every match of the [Str] regexp [re] within a line of [paths] (by
+   default every source), sorted and deduplicated — what
+   `grep -ho RE | sort -u` prints. *)
+let matches ?(paths = files root) re =
   let re = Str.regexp re in
   let found = ref [] in
   let scan line =
@@ -43,5 +45,5 @@ let matches re =
             | None -> ()
           in
           lines ()))
-    (files root);
+    paths;
   List.sort_uniq compare !found

@@ -23,7 +23,8 @@ let fresh_setup ?(cache_slots = 8) ?(n_vframes = 16) ?n_procs () =
   done;
   Bess.Session.commit s;
   let node =
-    Bess.Node_server.create ~cache_slots ~n_vframes ?n_procs ~id:999 (Bess.Db.server db)
+    Bess.Node_server.create ~cache_slots ~n_vframes ?n_procs
+      (Bess.Fetcher.direct ~client_id:999 (Bess.Db.server db))
   in
   (db, seg, node)
 
@@ -158,7 +159,10 @@ let test_interrupted_commit_abort_restores () =
   let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:2 () in
   Bess.Session.commit s;
   Bess.Session.drop_all_cached s;
-  let node = Bess.Node_server.create ~cache_slots:4 ~id:998 ~n_procs:1 (Bess.Db.server db) in
+  let node =
+    Bess.Node_server.create ~cache_slots:4 ~n_procs:1
+      (Bess.Fetcher.direct ~client_id:998 (Bess.Db.server db))
+  in
   let procs = Bess.Node_server.procs node in
   let write v =
     for i = 0 to 1 do
@@ -257,7 +261,10 @@ let test_commit_spends_parked_writes () =
   park_page0 node procs seg 999;
   Bess.Node_server.commit node;
   Alcotest.(check int) "the parked image was shipped" 999 (upstream_read db seg ~off:0);
-  let other = Bess.Node_server.create ~cache_slots:2 ~id:997 ~n_procs:1 (Bess.Db.server db) in
+  let other =
+    Bess.Node_server.create ~cache_slots:2 ~n_procs:1
+      (Bess.Fetcher.direct ~client_id:997 (Bess.Db.server db))
+  in
   let other_procs = Bess.Node_server.procs other in
   let addr, _ = Bess.Node_server.shm_access other ~proc:0 (data_page seg 0) ~write:true in
   Vmem.write_i64 other_procs.(0).Bess.Node_server.pvma addr 7;
@@ -265,6 +272,70 @@ let test_commit_spends_parked_writes () =
   Alcotest.(check int) "upstream holds the newer value" 7 (upstream_read db seg ~off:0);
   Alcotest.(check int) "the node reads it" 7 (node_read node procs seg ~off:0);
   Bess.Node_server.commit node
+
+(* Callback locking reaches the node server. A node that read a page
+   and committed keeps it cached; another node's X request calls it back,
+   the idle node drops the page, and its next read fetches the new
+   value instead of serving the stale copy. *)
+let test_callback_drops_stale_page () =
+  let db, seg, node = fresh_setup ~n_procs:1 () in
+  let procs = Bess.Node_server.procs node in
+  Alcotest.(check int) "the committed value" (upstream_read db seg ~off:0)
+    (node_read node procs seg ~off:0);
+  Bess.Node_server.commit node;
+  let other =
+    Bess.Node_server.create ~cache_slots:2 ~n_procs:1
+      (Bess.Fetcher.direct ~client_id:997 (Bess.Db.server db))
+  in
+  let addr, _ = Bess.Node_server.shm_access other ~proc:0 (data_page seg 0) ~write:true in
+  Vmem.write_i64 (Bess.Node_server.procs other).(0).Bess.Node_server.pvma addr 7;
+  Bess.Node_server.commit other;
+  Alcotest.(check int) "upstream holds the newer value" 7 (upstream_read db seg ~off:0);
+  Alcotest.(check int) "the node reads it, not its stale copy" 7 (node_read node procs seg ~off:0);
+  Bess.Node_server.commit node
+
+(* While the node's transaction is open, it refuses a callback: the
+   conflicting request blocks and the node's page stays mapped. *)
+let test_callback_refused_while_txn_open () =
+  let db, seg, node = fresh_setup ~n_procs:1 () in
+  let pvma = (Bess.Node_server.procs node).(0).Bess.Node_server.pvma in
+  let page = data_page seg 0 in
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 page ~write:false in
+  let server = Bess.Db.server db in
+  let refused () = Bess_util.Stats.get (Bess.Server.stats server) "server.callbacks_refused" in
+  let refused_before = refused () in
+  let txn = Bess.Server.begin_txn server ~client:77 in
+  let verdict =
+    Bess.Server.lock server ~txn
+      (Bess_lock.Lock_mgr.page_resource ~area:page.area ~page:page.page)
+      Bess_lock.Lock_mode.X
+  in
+  Alcotest.(check bool) "the conflicting request blocks" true (verdict = `Blocked);
+  Alcotest.(check int) "the node refused the callback" (refused_before + 1) (refused ());
+  Alcotest.(check bool) "the node's page stays mapped" true (Vmem.frame_at pvma addr <> None);
+  Alcotest.(check int) "and readable" (upstream_read db seg ~off:0) (Vmem.read_i64 pvma addr);
+  Bess.Server.abort_client server ~txn;
+  Bess.Node_server.commit node
+
+(* A read access maps the page read-only: a store through it faults
+   instead of changing the shared cache untracked. A write access
+   upgrades the mapping; commit puts it back to read-only. *)
+let test_shm_read_access_is_read_only () =
+  let db, seg, node = fresh_setup ~n_procs:1 () in
+  let pvma = (Bess.Node_server.procs node).(0).Bess.Node_server.pvma in
+  let page = data_page seg 0 in
+  let store_faults addr =
+    match Vmem.write_i64 pvma addr 42 with
+    | () -> false
+    | exception Vmem.Access_violation _ -> true
+  in
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 page ~write:false in
+  Alcotest.(check bool) "a store through a read access faults" true (store_faults addr);
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 page ~write:true in
+  Alcotest.(check bool) "a write access upgrades the mapping" false (store_faults addr);
+  Bess.Node_server.commit node;
+  Alcotest.(check int) "the tracked store was shipped" 42 (upstream_read db seg ~off:0);
+  Alcotest.(check bool) "commit puts the mapping back to read-only" true (store_faults addr)
 
 let suite =
   [
@@ -283,4 +354,8 @@ let suite =
       test_shared_cache_counts_each_access_once;
     Alcotest.test_case "abort_voids_parked_writes" `Quick test_abort_voids_parked_writes;
     Alcotest.test_case "commit_spends_parked_writes" `Quick test_commit_spends_parked_writes;
+    Alcotest.test_case "callback_drops_stale_page" `Quick test_callback_drops_stale_page;
+    Alcotest.test_case "callback_refused_while_txn_open" `Quick
+      test_callback_refused_while_txn_open;
+    Alcotest.test_case "shm_read_access_is_read_only" `Quick test_shm_read_access_is_read_only;
   ]

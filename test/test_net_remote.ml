@@ -113,6 +113,29 @@ let test_remote_traffic_shape () =
   let delta = Net.messages net - after_commit in
   Alcotest.(check bool) "cached reread is cheap" true (delta <= 4)
 
+(* Every client of a server speaks Fetcher. No module but the transport
+   builds a request, except Twopc's prepare, decide and decision query,
+   whose rids derive from (gid, participant) so a re-drive stays
+   idempotent; and the node server calls no server operation (it names
+   only the update record). *)
+let test_one_client_protocol () =
+  let requests =
+    {|Remote\.\(Begin\|Lock\|Fetch_segment\|Fetch_page\|Commit\|Commit_begin\|Await_commit\||}
+    ^ {|Abort\|Prepare\|Decide\|Query_decision\|Alloc\|Free\|Callback\)\b|}
+  in
+  let sources = Lib_sources.files Lib_sources.root in
+  let named base = List.filter (fun p -> Filename.basename p = base) sources in
+  Alcotest.(check (list string)) "requests built outside the transport and Twopc" []
+    (Lib_sources.matches
+       ~paths:(List.filter (fun p -> Filename.basename p <> "twopc.ml") sources)
+       requests);
+  Alcotest.(check (list string)) "Twopc's own requests"
+    [ "Remote.Decide"; "Remote.Prepare"; "Remote.Query_decision" ]
+    (Lib_sources.matches ~paths:(named "twopc.ml") requests);
+  Alcotest.(check (list string)) "what the node server names of Server"
+    [ "Server.page"; "Server.update" ]
+    (Lib_sources.matches ~paths:(named "node_server.ml") {|Server\.[a-z_]+|})
+
 let suite =
   [
     Alcotest.test_case "net_accounting" `Quick test_net_accounting;
@@ -120,4 +143,5 @@ let suite =
     Alcotest.test_case "remote_end_to_end" `Quick test_remote_session_end_to_end;
     Alcotest.test_case "remote_callback" `Quick test_remote_callback_over_wire;
     Alcotest.test_case "remote_traffic_shape" `Quick test_remote_traffic_shape;
+    Alcotest.test_case "one_client_protocol" `Quick test_one_client_protocol;
   ]

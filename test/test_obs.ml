@@ -397,7 +397,8 @@ let test_snapshot_keys_hygienic () =
       page = data.Bess_storage.Seg_addr.first_page + i }
   in
   let node =
-    Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~id:7301 ~n_procs:2 (Bess.Db.server db)
+    Bess.Node_server.create ~cache_slots:2 ~n_vframes:8 ~n_procs:2
+      (Bess.Fetcher.direct ~client_id:7301 (Bess.Db.server db))
   in
   List.iter
     (fun (proc, i) -> ignore (Bess.Node_server.shm_access node ~proc (page i) ~write:false))

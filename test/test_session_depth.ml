@@ -166,7 +166,8 @@ let test_node_server_eviction_integration () =
   let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:8 () in
   Bess.Session.commit s;
   let node =
-    Bess.Node_server.create ~cache_slots:3 ~n_vframes:16 ~id:888 ~n_procs:2 (Bess.Db.server db)
+    Bess.Node_server.create ~cache_slots:3 ~n_vframes:16 ~n_procs:2
+      (Bess.Fetcher.direct ~client_id:888 (Bess.Db.server db))
   in
   let procs = Bess.Node_server.procs node in
   let page i =
