@@ -830,7 +830,7 @@ let pages_crc server pages =
 
 let e10 () =
   let rows = ref [] in
-  let restarts_ok = ref true in
+  let restarts_ok = ref true and second_ok = ref true in
   List.iter
     (fun n_txns ->
       let db = Workloads.fresh_db ~cache_slots:4096 () in
@@ -865,6 +865,12 @@ let e10 () =
       in
       if !redone <> updates || not (Int32.equal crc (pages_crc server pages)) then
         restarts_ok := false;
+      (* Crash and restart again with no new work, from a log that now
+         ends in the first restart's records. *)
+      Bess.Server.crash server;
+      if (Bess.Server.recover server).redone <> !redone
+         || not (Int32.equal crc (pages_crc server pages))
+      then second_ok := false;
       rows :=
         [ Report.count n_txns; Report.bytes log_bytes; Report.count !redone; Report.ns t ]
         :: !rows)
@@ -875,6 +881,9 @@ let e10 () =
     (List.rev !rows);
   Report.gate !restarts_ok
     "e10: every restart redoes all logged updates and restores the pre-crash page images: ";
+  Report.gate !second_ok
+    "e10: a second restart with no new work redoes as many updates and leaves the same page \
+     images: ";
   (* 2PC vs local commit, measured in wire messages over the simulated
      network. *)
   let rows = ref [] and twopc_ok = ref true in
@@ -2187,12 +2196,16 @@ let r1 () =
     Report.time_ns ~runs:3 (fun () ->
         ignore (Table.select orders ~where:(fun r -> Table.get_int orders r "id" = n_orders / 2)))
   in
+  let probes = ref 0 and probes_found = ref 0 in
   let probe_ns =
     Report.time_per_op ~iters:(scale 2_000)
       (let i = ref 0 in
        fun () ->
          incr i;
-         ignore (Hash_index.lookup hidx ~key:(!i mod n_orders)))
+         incr probes;
+         match Hash_index.lookup hidx ~key:(!i mod n_orders) with
+         | [] -> ()
+         | _ :: _ -> incr probes_found)
   in
   let btree_ns =
     Report.time_per_op ~iters:(scale 2_000)
@@ -2202,23 +2215,28 @@ let r1 () =
          ignore (Btree.lookup bidx ~key:(!i * 37 mod 100_000)))
   in
   (* range query: btree range vs filtered scan *)
+  let range_rows = ref 0 and scan_rows = ref 0 in
   let range_btree_ns =
     Report.time_ns ~runs:3 (fun () ->
         let n = ref 0 in
-        Btree.range bidx ~lo:50_000 ~hi:51_000 (fun _ _ -> incr n))
+        Btree.range bidx ~lo:50_000 ~hi:51_000 (fun _ _ -> incr n);
+        range_rows := !n)
   in
   let range_scan_ns =
     Report.time_ns ~runs:3 (fun () ->
-        ignore
-          (Table.select orders ~where:(fun r ->
-               let v = Table.get_int orders r "total" in
-               v >= 50_000 && v <= 51_000)))
+        scan_rows :=
+          List.length
+            (Table.select orders ~where:(fun r ->
+                 let v = Table.get_int orders r "total" in
+                 v >= 50_000 && v <= 51_000)))
   in
   (* join: pointer dereference vs nested loop on ids *)
+  let join_pairs = ref 0 in
   let ptr_join_ns =
     Report.time_ns ~runs:3 (fun () ->
         let n = ref 0 in
-        Table.join_ref orders ~ref_col:"cust" (fun _ _ -> incr n))
+        Table.join_ref orders ~ref_col:"cust" (fun _ _ -> incr n);
+        join_pairs := !n)
   in
   let sample = Stdlib.max 1 (n_orders / 100) in
   let nested_join_ns =
@@ -2249,7 +2267,13 @@ let r1 () =
       [ "join: swizzled FK (all rows)"; Report.ns ptr_join_ns; "one pointer hop/row" ];
       [ "join: nested loop (extrapolated)"; Report.ns nested_scaled;
         Printf.sprintf "measured on %d rows" sample ];
-    ]
+    ];
+  Report.gate (!range_rows = !scan_rows)
+    "r1: b+tree range rows equal the filtered scan's (%d, %d): " !range_rows !scan_rows;
+  Report.gate (!probes_found = !probes)
+    "r1: hash probes that find their key: %d of %d: " !probes_found !probes;
+  Report.gate (!join_pairs = n_orders)
+    "r1: swizzled-FK join pairs, one per order: %d (%d): " !join_pairs n_orders
 
 (* ---- T1: causal tracing demo ---------------------------------------------- *)
 

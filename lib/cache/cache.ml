@@ -224,6 +224,8 @@ let mark_dirty t s =
     t.n_dirty <- t.n_dirty + 1
   end
 
+let mark_clean = clear_dirty
+
 let mark_dirty_at t s ~lsn =
   if not s.dirty then s.rec_lsn <- lsn;
   mark_dirty t s

@@ -65,6 +65,11 @@ val mark_dirty : t -> slot -> unit
     [lsn] as its recovery LSN, which write-back and discard reset. *)
 val mark_dirty_at : t -> slot -> lsn:int -> unit
 
+(** Clear a slot's dirty bit without writing it back, for a caller that
+    made its bytes durable elsewhere (a node server's commit ships them
+    upstream). *)
+val mark_clean : t -> slot -> unit
+
 (** Drop a page without writeback (callback revocation, abort purge).
     Raises if pinned. *)
 val discard : t -> Page_id.t -> unit

@@ -13,7 +13,8 @@ let pp ppf t = Fmt.pf ppf "%d:%d" t.area t.page
    for the area — far beyond what any workload here allocates. *)
 let key_page_bits = 40
 
-let to_key t = (t.area lsl key_page_bits) lor t.page
+let key ~area ~page = (area lsl key_page_bits) lor page
+let to_key t = key ~area:t.area ~page:t.page
 
 let of_key k =
   { area = k lsr key_page_bits; page = k land ((1 lsl key_page_bits) - 1) }

@@ -13,6 +13,10 @@ val pp : Format.formatter -> t -> unit
     the {!Bess_obs.Mrc}/{!Bess_obs.Heat} sketches. *)
 val to_key : t -> int
 
+(** [key ~area ~page] is [to_key (make ~area ~page)], built without the
+    record. *)
+val key : area:int -> page:int -> int
+
 val of_key : int -> t
 
 module Tbl : Hashtbl.S with type key = t

@@ -370,12 +370,18 @@ let finish_write_set t =
   Hashtbl.reset t.pending_writes
 
 (* Commit the node-wide transaction upstream: ship every dirty shared
-   page as a full-page update. *)
+   page as a full-page update. Upstream then holds the cached bytes, so
+   the shipped pages are clean: evicting one later parks nothing. (A
+   local commit keeps them dirty, since upstream still holds the old
+   value.) *)
 let commit t =
   match t.txn with
   | None -> ()
   | Some txn ->
       t.fetcher.f_commit ~txn (collect_updates t);
+      Hashtbl.iter
+        (fun page _ -> Option.iter (Cache.mark_clean t.cache) (Cache.find_slot t.cache page))
+        t.dirty;
       finish_write_set t;
       t.txn <- None;
       Bess_util.Stats.incr t.stats "node.commits"

@@ -565,6 +565,7 @@ let recover t =
      the Prepare record at its head (which names the coordinator); the
      emptied post-crash lock table grants them uncontended. *)
   let log = Store.log t.store in
+  let module Frame = Bess_wal.Log_record.Frame in
   let in_doubt = Hashtbl.create 8 in
   let pages = ref [] in
   List.iter
@@ -574,14 +575,15 @@ let recover t =
         match head.body with Bess_wal.Log_record.Prepare p -> p.coordinator | _ -> -1
       in
       Hashtbl.replace in_doubt tx (last_lsn, coordinator);
+      (* The chain behind the head is read in place: a page and a
+         prev_lsn per record, no image decoded. *)
       let rec walk lsn =
         if lsn <> 0 then begin
-          let r, _ = Bess_wal.Log.read log lsn in
-          (match r.body with
-          | Bess_wal.Log_record.Update { page; _ } | Bess_wal.Log_record.Clr { page; _ } ->
-              pages := (lsn, tx, page) :: !pages
+          let buf = Bess_wal.Log.buffer log and off = Bess_wal.Log.frame_offset log lsn in
+          (match Frame.kind buf off with
+          | Update | Clr -> pages := (lsn, tx, Frame.page buf off) :: !pages
           | _ -> ());
-          walk r.prev_lsn
+          walk (Frame.prev_lsn buf off)
         end
       in
       walk head.prev_lsn)

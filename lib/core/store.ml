@@ -221,16 +221,18 @@ let log_prepare t ~txn ~prev_lsn ~coordinator =
   lsn
 
 (* The abstract page interface ARIES recovery and rollback drive. During
-   recovery the cache is cold, so this reads/writes through it normally. *)
+   recovery the cache is cold, so this reads/writes through it normally:
+   one pin per write, however many images the write copies. *)
 let page_io t : Bess_wal.Recovery.page_io =
   {
     page_lsn = get_page_lsn t;
     write =
-      (fun page ~lsn ~offset image ->
+      (fun page apply ->
         with_page t page (fun slot ->
-            Bytes.blit image 0 slot.Bess_cache.Cache.bytes offset (Bytes.length image);
-            Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn);
-        set_page_lsn t page lsn);
+            apply (fun ~lsn ~offset src pos len ->
+                Bytes.blit src pos slot.Bess_cache.Cache.bytes offset len;
+                Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn;
+                set_page_lsn t page lsn)));
   }
 
 (* Roll back one transaction in place (used by the open-server in-place

@@ -226,15 +226,19 @@ let recover t =
   Decided.reset t.decided;
   Hashtbl.reset t.pending;
   let max_gid = ref 0 in
-  Log.iter t.log (fun _ (r : Log_record.t) ->
-      match r.body with
-      | Decision { gid; participants } ->
-          max_gid := Stdlib.max !max_gid gid;
-          List.iter (fun k -> Decided.replace t.decided k gid) participants;
-          if participants <> [] then
-            Hashtbl.replace t.pending gid
-              (List.mapi (fun i (s, x) -> (i, s, x)) participants)
-      | End { txn } -> Hashtbl.remove t.pending txn
+  (* Only Decision records are decoded; an End's gid is read in place. *)
+  Log.iter_frames t.log (fun _ buf off ->
+      match Log_record.Frame.kind buf off with
+      | Decision -> (
+          match (Log_record.decode_frame buf off).body with
+          | Decision { gid; participants } ->
+              max_gid := Stdlib.max !max_gid gid;
+              List.iter (fun k -> Decided.replace t.decided k gid) participants;
+              if participants <> [] then
+                Hashtbl.replace t.pending gid
+                  (List.mapi (fun i (s, x) -> (i, s, x)) participants)
+          | _ -> assert false)
+      | End -> Hashtbl.remove t.pending (Log_record.Frame.txn buf off)
       | _ -> ());
   t.up <- true;
   (* Epoch marker: an empty forced Decision record claiming gid

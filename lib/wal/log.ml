@@ -73,13 +73,13 @@ let ensure t extra =
 
 (* The master record, as ARIES keeps it: an [End_checkpoint] completes
    the checkpoint opened by the latest [Begin_checkpoint] before it. Kept
-   current by [append] and rebuilt by the validating scan. *)
-let begin_checkpoint_tag = Log_record.tag_of_body Begin_checkpoint
-let end_checkpoint_tag = Log_record.tag_of_body (End_checkpoint { txns = []; dirty = [] })
-
-let note_record t ~tag lsn =
-  if tag = begin_checkpoint_tag then t.ckpt_open <- lsn
-  else if tag = end_checkpoint_tag then t.master <- Some (t.ckpt_open, lsn)
+   current by [append] and rebuilt by the validating scan, from the kind
+   of the record at [off]. *)
+let note_record t off =
+  match Log_record.Frame.kind t.buf off with
+  | Begin_checkpoint -> t.ckpt_open <- off + base
+  | End_checkpoint -> t.master <- Some (t.ckpt_open, off + base)
+  | _ -> ()
 
 let append t (record : Log_record.t) =
   Span.with_span ~kind:"wal.append" (fun () ->
@@ -87,9 +87,9 @@ let append t (record : Log_record.t) =
       ensure t n;
       let lsn = t.used + base in
       Log_record.encode_into record t.buf t.used;
+      note_record t t.used;
       t.used <- t.used + n;
       t.last_lsn <- lsn;
-      note_record t ~tag:(Log_record.tag_of_body record.body) lsn;
       Stats.bump t.c_appends;
       Stats.bump_by t.c_bytes n;
       Stats.record t.h_append_bytes n;
@@ -170,34 +170,46 @@ let flush t ?lsn () =
         in
         attempt 1)
 
-let read t lsn =
-  let off = lsn - base in
-  if off < 0 || off >= t.used then invalid_arg "Log.read: LSN out of range";
-  let record, next = Log_record.decode t.buf off in
-  (record, next + base)
+let buffer t = t.buf
 
-(* Iterate records from [from] (default: start of log) in append order. *)
-let iter ?(from = base) t f =
-  let rec go lsn =
-    if lsn - base < t.used then begin
-      match Log_record.decode t.buf (lsn - base) with
-      | record, next ->
-          f lsn record;
-          go (next + base)
-      | exception Log_record.Torn_record -> () (* torn tail: stop *)
+let frame_offset t lsn =
+  let off = lsn - base in
+  if off < 0 || off >= t.used then invalid_arg "Log: LSN out of range";
+  off
+
+let read t lsn =
+  let off = frame_offset t lsn in
+  (Log_record.decode_frame t.buf off, off + Log_record.Frame.size t.buf off + base)
+
+(* The frame walker every sequential reader goes through. Bytes
+   [0, used) hold whole, valid records (the invariant in log.mli), so a
+   frame shorter than any record or running past [used] is a broken
+   invariant, not a torn tail: it raises rather than ending the walk. *)
+let iter_frames ?(from = base) ?(until = max_int) t f =
+  let rec go off =
+    if off < t.used && off + base < until then begin
+      let n = Log_record.Frame.size t.buf off in
+      if n < Log_record.min_size || off + n > t.used then
+        invalid_arg (Printf.sprintf "Log: broken frame at LSN %d" (off + base));
+      f (off + base) t.buf off;
+      go (off + n)
     end
   in
-  go from
+  go (from - base)
+
+let iter ?from t f =
+  iter_frames ?from t (fun lsn buf off -> f lsn (Log_record.decode_frame buf off))
 
 let fold ?from t f init =
   let acc = ref init in
   iter ?from t (fun lsn r -> acc := f !acc lsn r);
   !acc
 
-(* The one validating scan of a restart: the longest prefix of whole,
-   CRC-valid records within bytes [0, limit), checked with
-   [Log_record.validate] and never decoded. Sets [last_lsn] and the master
-   record from it and returns its length. *)
+(* The one validating scan of a restart, and the only place a restart
+   checks a CRC: the longest prefix of whole, CRC-valid records within
+   bytes [0, limit), checked with [Log_record.validate] and never
+   decoded. Sets [last_lsn] and the master record from it and returns its
+   length. *)
 let scan_valid t ~limit =
   t.last_lsn <- 0;
   t.ckpt_open <- 0;
@@ -206,9 +218,9 @@ let scan_valid t ~limit =
     if off >= limit then off
     else
       match Log_record.validate t.buf off with
-      | tag, next when next <= limit ->
+      | next when next <= limit ->
           t.last_lsn <- off + base;
-          note_record t ~tag (off + base);
+          note_record t off;
           go next
       | _ -> off (* whole only past [limit] *)
       | exception Log_record.Torn_record -> off
@@ -225,9 +237,10 @@ let crash t ?(tear = 0) () =
      fails its CRC and must not sit in front of post-recovery appends,
      which would otherwise be unreachable behind the garbage. *)
   let survive = scan_valid t ~limit:(Stdlib.max 0 (t.flushed - tear)) in
-  (* Model the loss: bytes past the durable prefix are gone, not merely
-     hidden -- a truncated record must fail its CRC. *)
-  Bytes.fill t.buf survive (Bytes.length t.buf - survive) '\000';
+  (* Model the loss: the bytes past the durable prefix are gone, not
+     merely hidden -- a truncated record must fail its CRC. Bytes past
+     [used] never held a record and are never read. *)
+  Bytes.fill t.buf survive (t.used - survive) '\000';
   t.used <- survive;
   t.flushed <- survive
 
@@ -260,7 +273,7 @@ let open_existing path =
      resurrect them as phantom records. Truncate file and buffer alike. *)
   if valid < len then begin
     Unix.ftruncate fd valid;
-    Bytes.fill buf valid (Bytes.length buf - valid) '\000';
+    Bytes.fill buf valid (len - valid) '\000';
     Stats.incr t.stats "log.reopen_truncations"
   end;
   t

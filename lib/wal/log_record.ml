@@ -61,8 +61,23 @@ let pp ppf t =
 (* ---- Serialization ------------------------------------------------------ *)
 
 (* Full record image: [total_len u32][crc u32][tag u8][prev_lsn u32][body].
-   total_len covers tag..body; crc covers the same range. *)
+   total_len covers tag..body; crc covers the same range. The offsets
+   below, relative to the record's start, are the layout the encoder
+   writes and the one {!Frame} reads in place. *)
 let header = 8
+let tag_at = header
+let prev_at = header + 1
+let body_at = header + 5
+
+(* Every body but the checkpoints' starts with a u32 txn (a Decision's
+   gid). Update and Clr go on with the page, the page offset, and a
+   length-prefixed image: Update's before image and then its after
+   image, Clr's one image and then its undo-next LSN. *)
+let txn_at = body_at
+let area_at = body_at + 4
+let page_at = body_at + 8
+let offset_at = body_at + 12
+let image_at = body_at + 16
 
 let body_size = function
   | Update u -> 16 + 4 + Bytes.length u.before + 4 + Bytes.length u.after
@@ -73,7 +88,8 @@ let body_size = function
   | Begin_checkpoint -> 0
   | End_checkpoint e -> 4 + (9 * List.length e.txns) + 4 + (12 * List.length e.dirty)
 
-let size t = header + 5 + body_size t.body
+let size t = body_at + body_size t.body
+let min_size = size { prev_lsn = 0; body = Begin_checkpoint }
 
 (* Writers thread the write position: each returns the offset past what
    it wrote. *)
@@ -88,25 +104,31 @@ let put_bytes buf pos b =
 
 let put_page buf pos (p : page_id) = put_u32 buf (put_u32 buf pos p.area) p.page
 
+(* The fixed-offset head of an Update or Clr at [off]; returns [image_at]. *)
+let put_image_head buf off ~txn (p : page_id) ~offset =
+  ignore (put_u32 buf (off + txn_at) txn);
+  ignore (put_page buf (off + area_at) p);
+  ignore (put_u32 buf (off + offset_at) offset);
+  off + image_at
+
 let status_code = function Running -> 0 | Committed -> 1 | Prepared -> 2
 
-let put_body buf pos = function
+(* The body of the record at [off]; returns the offset past it. *)
+let put_body buf off = function
   | Update u ->
-      let pos = put_page buf (put_u32 buf pos u.txn) u.page in
-      let pos = put_bytes buf (put_u32 buf pos u.offset) u.before in
-      put_bytes buf pos u.after
+      let pos = put_image_head buf off ~txn:u.txn u.page ~offset:u.offset in
+      put_bytes buf (put_bytes buf pos u.before) u.after
   | Clr c ->
-      let pos = put_page buf (put_u32 buf pos c.txn) c.page in
-      let pos = put_bytes buf (put_u32 buf pos c.offset) c.image in
-      put_u32 buf pos c.undo_next
-  | Commit { txn } | Abort { txn } | End { txn } -> put_u32 buf pos txn
-  | Prepare p -> put_u32 buf (put_u32 buf pos p.txn) p.coordinator
+      let pos = put_image_head buf off ~txn:c.txn c.page ~offset:c.offset in
+      put_u32 buf (put_bytes buf pos c.image) c.undo_next
+  | Commit { txn } | Abort { txn } | End { txn } -> put_u32 buf (off + txn_at) txn
+  | Prepare p -> put_u32 buf (put_u32 buf (off + txn_at) p.txn) p.coordinator
   | Decision d ->
-      let pos = put_u32 buf (put_u32 buf pos d.gid) (List.length d.participants) in
+      let pos = put_u32 buf (put_u32 buf (off + txn_at) d.gid) (List.length d.participants) in
       List.fold_left
         (fun pos (shard, txn) -> put_u32 buf (put_u32 buf pos shard) txn)
         pos d.participants
-  | Begin_checkpoint -> pos
+  | Begin_checkpoint -> off + body_at
   | End_checkpoint e ->
       let pos =
         List.fold_left
@@ -114,7 +136,7 @@ let put_body buf pos = function
             let pos = put_u32 buf (put_u32 buf pos txn) lsn in
             Bess_util.Codec.set_u8 buf pos (status_code status);
             pos + 1)
-          (put_u32 buf pos (List.length e.txns))
+          (put_u32 buf (off + body_at) (List.length e.txns))
           e.txns
       in
       List.fold_left
@@ -125,13 +147,12 @@ let put_body buf pos = function
 (* [encode_into t buf off] writes the image of [t] at [off] in place; the
    caller has made room for [size t] bytes. *)
 let encode_into t buf off =
-  let payload = off + header in
-  Bess_util.Codec.set_u8 buf payload (tag_of_body t.body);
-  let stop = put_body buf (put_u32 buf (payload + 1) t.prev_lsn) t.body in
-  let len = stop - payload in
+  Bess_util.Codec.set_u8 buf (off + tag_at) (tag_of_body t.body);
+  ignore (put_u32 buf (off + prev_at) t.prev_lsn);
+  let len = put_body buf off t.body - (off + header) in
   Bess_util.Codec.set_u32 buf off len;
   Bess_util.Codec.set_u32 buf (off + 4)
-    (Bess_util.Crc32.to_int (Bess_util.Crc32.bytes ~off:payload ~len buf))
+    (Bess_util.Crc32.to_int (Bess_util.Crc32.bytes ~off:(off + header) ~len buf))
 
 let encode t =
   let out = Bytes.create (size t) in
@@ -140,10 +161,49 @@ let encode t =
 
 exception Torn_record
 
+(* ---- Frames: valid record images read in place ----------------------------- *)
+
+module Frame = struct
+  type kind =
+    | Update
+    | Clr
+    | Commit
+    | Abort
+    | End
+    | Prepare
+    | Begin_checkpoint
+    | End_checkpoint
+    | Decision
+
+  (* In tag order: tag [n] names [kinds.(n - 1)]. *)
+  let kinds =
+    [| Update; Clr; Commit; Abort; End; Prepare; Begin_checkpoint; End_checkpoint; Decision |]
+
+  let u32 b off at = Bess_util.Codec.get_u32 b (off + at)
+  let size b off = header + Bess_util.Codec.get_u32 b off
+  let kind b off = kinds.(Bess_util.Codec.get_u8 b (off + tag_at) - 1)
+  let prev_lsn b off = u32 b off prev_at
+  let txn b off = u32 b off txn_at
+  let page_key b off = Bess_cache.Page_id.key ~area:(u32 b off area_at) ~page:(u32 b off page_at)
+  let page b off = { area = u32 b off area_at; page = u32 b off page_at }
+  let offset b off = u32 b off offset_at
+
+  (* The redo image's length prefix: Update's after image follows its
+     before image; Clr's image is the first. *)
+  let redo_len_at b off =
+    match kind b off with
+    | Update -> off + image_at + 4 + u32 b off image_at
+    | Clr -> off + image_at
+    | _ -> invalid_arg "Log_record.Frame: no redo image"
+
+  let redo_pos b off = redo_len_at b off + 4
+  let redo_len b off = Bess_util.Codec.get_u32 b (redo_len_at b off)
+end
+
 (* [validate b off] checks the framing of the record at [off] -- length,
-   CRC and tag -- without decoding it, and returns its tag and the offset
-   of the next record. Raises [Torn_record] on truncation, CRC mismatch
-   (expected at the very tail after a crash) or an unknown tag. *)
+   CRC and tag -- without decoding it, and returns the offset of the next
+   record. Raises [Torn_record] on truncation, CRC mismatch (expected at
+   the very tail after a crash) or an unknown tag. *)
 let validate b off =
   if off + header > Bytes.length b then raise Torn_record;
   let len = Bess_util.Codec.get_u32 b off in
@@ -151,20 +211,14 @@ let validate b off =
   if len = 0 || off + header + len > Bytes.length b then raise Torn_record;
   if Bess_util.Crc32.to_int (Bess_util.Crc32.bytes ~off:(off + header) ~len b) <> crc then
     raise Torn_record;
-  let tag = Bess_util.Codec.get_u8 b (off + header) in
-  if tag < 1 || tag > 9 then raise Torn_record;
-  (tag, off + header + len)
+  let tag = Bess_util.Codec.get_u8 b (off + tag_at) in
+  if tag < 1 || tag > Array.length Frame.kinds then raise Torn_record;
+  off + header + len
 
-(* [decode b off] parses the record at [off]; returns it and the offset of
-   the next record. Raises [Torn_record] where [validate] would. *)
-let decode b off =
-  let _, next = validate b off in
-  let pos = ref (off + header) in
-  let u8 () =
-    let v = Bess_util.Codec.get_u8 b !pos in
-    incr pos;
-    v
-  in
+(* Parse a valid image: the head at its fixed offsets, the rest in
+   order. Checks nothing but a checkpoint's status codes. *)
+let decode_frame b off =
+  let pos = ref (off + body_at) in
   let u32 () =
     let v = Bess_util.Codec.get_u32 b !pos in
     pos := !pos + 4;
@@ -181,44 +235,38 @@ let decode b off =
     let page = u32 () in
     { area; page }
   in
-  let tag = u8 () in
-  let prev_lsn = u32 () in
+  let txn () = Frame.txn b off in
   let body =
-    match tag with
-    | 1 ->
-        let txn = u32 () in
-        let pg = page () in
-        let offset = u32 () in
+    match Frame.kind b off with
+    | Frame.Update ->
+        pos := off + image_at;
         let before = bytes_ () in
         let after = bytes_ () in
-        Update { txn; page = pg; offset; before; after }
-    | 2 ->
-        let txn = u32 () in
-        let pg = page () in
-        let offset = u32 () in
+        Update { txn = txn (); page = Frame.page b off; offset = Frame.offset b off; before; after }
+    | Frame.Clr ->
+        pos := off + image_at;
         let image = bytes_ () in
         let undo_next = u32 () in
-        Clr { txn; page = pg; offset; image; undo_next }
-    | 3 -> Commit { txn = u32 () }
-    | 4 -> Abort { txn = u32 () }
-    | 5 -> End { txn = u32 () }
-    | 6 ->
-        let txn = u32 () in
-        let coordinator = u32 () in
-        Prepare { txn; coordinator }
-    | 7 -> Begin_checkpoint
-    | 8 ->
+        Clr { txn = txn (); page = Frame.page b off; offset = Frame.offset b off; image; undo_next }
+    | Frame.Commit -> Commit { txn = txn () }
+    | Frame.Abort -> Abort { txn = txn () }
+    | Frame.End -> End { txn = txn () }
+    | Frame.Prepare ->
+        Prepare { txn = txn (); coordinator = Bess_util.Codec.get_u32 b (off + txn_at + 4) }
+    | Frame.Begin_checkpoint -> Begin_checkpoint
+    | Frame.End_checkpoint ->
         let n_txns = u32 () in
         let txns = List.init n_txns (fun _ ->
             let txn = u32 () in
             let lsn = u32 () in
             let status =
-              match u8 () with
+              match Bess_util.Codec.get_u8 b !pos with
               | 0 -> Running
               | 1 -> Committed
               | 2 -> Prepared
               | _ -> raise Torn_record
             in
+            incr pos;
             (txn, lsn, status))
         in
         let n_dirty = u32 () in
@@ -228,15 +276,21 @@ let decode b off =
             (pg, lsn))
         in
         End_checkpoint { txns; dirty }
-    | 9 ->
-        let gid = u32 () in
+    | Frame.Decision ->
+        pos := off + txn_at + 4;
         let n = u32 () in
         let participants = List.init n (fun _ ->
             let shard = u32 () in
             let txn = u32 () in
             (shard, txn))
         in
-        Decision { gid; participants }
-    | _ -> raise Torn_record
+        Decision { gid = txn (); participants }
   in
-  ({ prev_lsn; body }, next)
+  { prev_lsn = Frame.prev_lsn b off; body }
+
+(* [decode b off] checks and parses the record at [off]; returns it and
+   the offset of the next record. Raises [Torn_record] where [validate]
+   would. *)
+let decode b off =
+  let next = validate b off in
+  (decode_frame b off, next)

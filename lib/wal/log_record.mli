@@ -39,12 +39,12 @@ type t = { prev_lsn : int;  (** previous record of the same transaction; 0 = non
 
 val pp : Format.formatter -> t -> unit
 
-(** The record's tag byte, [1..9] in constructor order. *)
-val tag_of_body : body -> int
-
 (** Length of the full record image: length prefix, CRC, tag, prev_lsn,
     body. *)
 val size : t -> int
+
+(** The size of the smallest record. *)
+val min_size : int
 
 (** [encode_into t buf off] writes the full image of [t] at [off]; [buf]
     must have [size t] bytes from [off]. *)
@@ -56,12 +56,59 @@ val encode : t -> Bytes.t
 exception Torn_record
 
 (** [validate b off] checks the length, CRC and tag of the record at
-    [off] without decoding it and returns the tag with the offset of the
-    next record; raises {!Torn_record} on truncation, CRC mismatch or an
-    unknown tag. *)
-val validate : Bytes.t -> int -> int * int
+    [off] without decoding it and returns the offset of the next record;
+    raises {!Torn_record} on truncation, CRC mismatch or an unknown tag. *)
+val validate : Bytes.t -> int -> int
 
-(** [decode b off] parses the record at [off] and returns it with the
-    offset of the next record; raises {!Torn_record} on truncation or CRC
-    mismatch. *)
+(** [decode b off] checks the record at [off] as {!validate} does, parses
+    it and returns it with the offset of the next record; raises
+    {!Torn_record} where {!validate} would. For untrusted bytes. *)
 val decode : Bytes.t -> int -> t * int
+
+(** Readers of a record image at [off] in [b] that is already known to be
+    whole and valid, such as any record of a {!Log}. They read the
+    fixed-offset fields the encoder writes, in place, check no CRC, and
+    allocate nothing but {!page}'s record. *)
+module Frame : sig
+  (** The record's constructor, from its tag byte. *)
+  type kind =
+    | Update
+    | Clr
+    | Commit
+    | Abort
+    | End
+    | Prepare
+    | Begin_checkpoint
+    | End_checkpoint
+    | Decision
+
+  (** Bytes the record spans: {!size} of the record. *)
+  val size : Bytes.t -> int -> int
+
+  val kind : Bytes.t -> int -> kind
+  val prev_lsn : Bytes.t -> int -> int
+
+  (** The transaction of an Update, Clr, Commit, Abort, End or Prepare;
+      a Decision's gid. *)
+  val txn : Bytes.t -> int -> int
+
+  (** An Update's or Clr's page as {!Bess_cache.Page_id.to_key} packs it. *)
+  val page_key : Bytes.t -> int -> int
+
+  (** An Update's or Clr's page (a fresh record). *)
+  val page : Bytes.t -> int -> page_id
+
+  (** The page offset an Update's or Clr's images start at. *)
+  val offset : Bytes.t -> int -> int
+
+  (** Where in [b] the image that redo repeats starts, and its length:
+      an Update's after image, a Clr's image. Raises [Invalid_argument]
+      for any other kind. *)
+  val redo_pos : Bytes.t -> int -> int
+
+  val redo_len : Bytes.t -> int -> int
+end
+
+(** [decode_frame b off] parses a valid record image (see {!Frame})
+    without checking it. *)
+val decode_frame : Bytes.t -> int -> t

@@ -9,10 +9,12 @@
    across repeated crashes. Transactions in the prepared state survive
    recovery as in-doubt -- their fate belongs to the 2PC coordinator. *)
 
+type blit = lsn:int -> offset:int -> Bytes.t -> int -> int -> unit
+
 type page_io = {
   page_lsn : Log_record.page_id -> int;
-  write : Log_record.page_id -> lsn:int -> offset:int -> Bytes.t -> unit;
-      (* applies record [lsn]'s image; [lsn] becomes the page LSN *)
+  write : Log_record.page_id -> (blit -> unit) -> unit;
+      (* pins the page once and runs the function with a blit into it *)
 }
 
 type txn_status = Log_record.txn_status = Running | Committed | Prepared
@@ -27,7 +29,128 @@ type outcome = {
 
 (* ---- Analysis ----------------------------------------------------------- *)
 
-module Page_tbl = Bess_cache.Page_id.Tbl
+module Frame = Log_record.Frame
+
+(* The transaction table during the scan, which looks a transaction up
+   for nearly every record. A stdlib table costs a C call per hash and a
+   fresh binding per insertion; this one is open addressing with linear
+   probing over flat arrays (keys >= 0; -1 marks a free slot) and
+   allocates only to grow. Each binding holds an int and the sequence
+   number of its latest insertion. *)
+module Txn_tbl = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable seqs : int array;
+    mutable size : int;
+    mutable peak : int; (* most bindings ever held at once *)
+    mutable next_seq : int;
+  }
+
+  let create () =
+    { keys = Array.make 64 (-1); vals = Array.make 64 0; seqs = Array.make 64 0; size = 0;
+      peak = 0; next_seq = 0 }
+
+  let home t k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 32)) land (Array.length t.keys - 1)
+
+  (* The slot holding [k], else the free slot that ends its probe. *)
+  let rec probe t k i =
+    let k' = t.keys.(i) in
+    if k' = k || k' < 0 then i else probe t k ((i + 1) land (Array.length t.keys - 1))
+
+  (* The slot holding [k], or -1. *)
+  let find t k =
+    let i = probe t k (home t k) in
+    if t.keys.(i) = k then i else -1
+
+  let place t k v seq =
+    let i = probe t k (home t k) in
+    t.keys.(i) <- k;
+    t.vals.(i) <- v;
+    t.seqs.(i) <- seq
+
+  (* Bind [k], which is absent, to [v]; at most half the slots fill. *)
+  let add t k v =
+    if 2 * (t.size + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals and seqs = t.seqs in
+      let n = 2 * Array.length keys in
+      t.keys <- Array.make n (-1);
+      t.vals <- Array.make n 0;
+      t.seqs <- Array.make n 0;
+      Array.iteri (fun i k -> if k >= 0 then place t k vals.(i) seqs.(i)) keys
+    end;
+    place t k v t.next_seq;
+    t.next_seq <- t.next_seq + 1;
+    t.size <- t.size + 1;
+    if t.size > t.peak then t.peak <- t.size
+
+  (* Backward-shift deletion: each later binding of the probe run moves
+     into the hole if its home slot allows, so no run is ever cut by a
+     stale free slot. Top-level, so that a call allocates no closure. *)
+  let rec shift t hole j =
+    let m = Array.length t.keys - 1 in
+    let j = (j + 1) land m in
+    let kj = t.keys.(j) in
+    if kj < 0 then t.keys.(hole) <- -1
+    else if (j - home t kj) land m >= (j - hole) land m then begin
+      t.keys.(hole) <- kj;
+      t.vals.(hole) <- t.vals.(j);
+      t.seqs.(hole) <- t.seqs.(j);
+      shift t j j
+    end
+    else shift t hole j
+
+  let remove t k =
+    let i = find t k in
+    if i >= 0 then begin
+      shift t i i;
+      t.size <- t.size - 1
+    end
+end
+
+(* The transaction table binds a txn to its status and last LSN, packed. *)
+let pack status last =
+  (last lsl 2) lor match status with Running -> 0 | Committed -> 1 | Prepared -> 2
+
+let status_of v = match v land 3 with 0 -> Running | 1 -> Committed | _ -> Prepared
+
+let set_txn (att : Txn_tbl.t) txn status last =
+  match Txn_tbl.find att txn with
+  | -1 -> Txn_tbl.add att txn (pack status last)
+  | i -> att.vals.(i) <- pack status last
+
+(* Restart appends End records, and hands undo its losers, in the order a
+   [Hashtbl] that saw the scan's insertions and removals one by one
+   iterates. That order follows from the bindings left, the order of
+   their latest insertions and the bucket count, which [Hashtbl.create 16]
+   doubles whenever it holds more than two bindings per bucket. A table
+   created with the bucket count the peak reached and filled in insertion
+   order iterates the same way. *)
+let txn_table (att : Txn_tbl.t) =
+  let buckets = ref 16 in
+  while att.peak > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let live = ref [] in
+  Array.iteri
+    (fun i txn -> if txn >= 0 then live := (att.seqs.(i), txn, att.vals.(i)) :: !live)
+    att.keys;
+  let h = Hashtbl.create !buckets in
+  List.iter
+    (fun (_, txn, v) -> Hashtbl.add h txn (status_of v, v lsr 2))
+    (List.sort compare !live);
+  h
+
+(* Page keys ({!Bess_cache.Page_id.to_key}) to dirty-page-table
+   entries, hashed in OCaml rather than by a C call per Update/CLR. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k lxor (k lsr 40)) * 0x9E3779B1 lsr 8
+end)
 
 (* A dirty-page-table entry, with the redo work analysis finds for it:
    the LSNs, in log order, of the page's Update/CLR records at or after
@@ -44,13 +167,17 @@ type analysis = {
   pages : dirty list; (* pages with redo work, by first redo LSN *)
 }
 
+(* One pass over the log's frames from the checkpoint the master record
+   names: each record's kind, transaction and page are read in place.
+   Nothing is decoded, and nothing allocated per record but the tables'
+   and the LSN arrays' growth. *)
 let analyse log =
-  let att = Hashtbl.create 16 in
-  let dpt = Page_tbl.create 64 in
+  let att = Txn_tbl.create () in
+  let dpt = Key_tbl.create 64 in
   let pages = ref [] in
   let add_dirty p rec_lsn =
     let d = { page = p; rec_lsn; lsns = [||]; n = 0 } in
-    Page_tbl.add dpt p d;
+    Key_tbl.add dpt (Bess_cache.Page_id.to_key p) d;
     d
   in
   (* Redo repeats history: every Update/CLR at or after its page's
@@ -78,72 +205,77 @@ let analyse log =
         | End_checkpoint e ->
             (* Prepared entries come back prepared: their Prepare record
                may lie behind the checkpoint, where the scan never looks. *)
-            List.iter (fun (txn, last, status) -> Hashtbl.replace att txn (status, last)) e.txns;
+            List.iter (fun (txn, last, status) -> set_txn att txn status last) e.txns;
             List.iter
-              (fun (p, rec_lsn) -> if not (Page_tbl.mem dpt p) then ignore (add_dirty p rec_lsn))
+              (fun (p, rec_lsn) ->
+                if not (Key_tbl.mem dpt (Bess_cache.Page_id.to_key p)) then
+                  ignore (add_dirty p rec_lsn))
               e.dirty;
             (* A dirty page whose recovery LSN lies behind the checkpoint
                has redo work there: collect it first, so each page's LSNs
                stay in log order. *)
-            let low = Page_tbl.fold (fun _ d acc -> Stdlib.min acc d.rec_lsn) dpt start in
-            let rec behind lsn =
-              if lsn < start then begin
-                let r, next = Log.read log lsn in
-                (match r.body with
-                | Update { page; _ } | Clr { page; _ } ->
-                    Option.iter (fun d -> note d lsn) (Page_tbl.find_opt dpt page)
+            let low = Key_tbl.fold (fun _ d acc -> Stdlib.min acc d.rec_lsn) dpt start in
+            Log.iter_frames ~from:low ~until:start log (fun lsn buf off ->
+                match Frame.kind buf off with
+                | Update | Clr -> (
+                    match Key_tbl.find dpt (Frame.page_key buf off) with
+                    | d -> note d lsn
+                    | exception Not_found -> ())
                 | _ -> ());
-                behind next
-              end
-            in
-            behind low;
             start
         | _ -> invalid_arg "Recovery.analyse: master record is not an End_checkpoint")
   in
-  Log.iter ~from:scan_from log (fun lsn (r : Log_record.t) ->
-      let touch_page (p : Log_record.page_id) =
-        note (match Page_tbl.find_opt dpt p with Some d -> d | None -> add_dirty p lsn) lsn
-      in
-      match r.body with
-      | Update u ->
-          Hashtbl.replace att u.txn (Running, lsn);
-          touch_page u.page
-      | Clr c ->
-          Hashtbl.replace att c.txn (Running, lsn);
-          touch_page c.page
-      | Prepare p ->
-          Hashtbl.replace att p.txn (Prepared, lsn)
-      | Commit c -> Hashtbl.replace att c.txn (Committed, lsn)
-      | Abort a ->
+  Log.iter_frames ~from:scan_from log (fun lsn buf off ->
+      match Frame.kind buf off with
+      | Update | Clr ->
+          set_txn att (Frame.txn buf off) Running lsn;
+          let d =
+            match Key_tbl.find dpt (Frame.page_key buf off) with
+            | d -> d
+            | exception Not_found -> add_dirty (Frame.page buf off) lsn
+          in
+          note d lsn
+      | Prepare -> set_txn att (Frame.txn buf off) Prepared lsn
+      | Commit -> set_txn att (Frame.txn buf off) Committed lsn
+      | Abort -> (
           (* An abort record alone does not finish the rollback; keep the
              transaction as a loser so undo completes it. *)
-          let last = match Hashtbl.find_opt att a.txn with Some (_, l) -> l | None -> lsn in
-          Hashtbl.replace att a.txn (Running, last)
-      | End e -> Hashtbl.remove att e.txn
-      | Decision _ (* coordinator-log record; carries no page or txn state *)
-      | Begin_checkpoint | End_checkpoint _ -> ());
-  { att; pages = List.rev !pages }
+          let txn = Frame.txn buf off in
+          match Txn_tbl.find att txn with
+          | -1 -> Txn_tbl.add att txn (pack Running lsn)
+          | i -> att.vals.(i) <- att.vals.(i) land lnot 3)
+      | End -> Txn_tbl.remove att (Frame.txn buf off)
+      | Decision (* coordinator-log record; carries no page or txn state *)
+      | Begin_checkpoint | End_checkpoint -> ());
+  { att = txn_table att; pages = List.rev !pages }
 
 (* ---- Redo ---------------------------------------------------------------- *)
 
 (* Page by page, in order of first appearance: each page's records are
    physical images independent of every other page's, so only the order
    within a page matters, and a page is loaded and written back about
-   once however small the cache. *)
+   once however small the cache. A page LSN only rises, so the records
+   to repeat are those past the page's LSN when redo reaches it; the page
+   is pinned once for all of them, and each image is copied straight
+   from the log buffer into it. *)
 let redo log io (a : analysis) =
   let redone = ref 0 in
   List.iter
     (fun d ->
-      for i = 0 to d.n - 1 do
-        let lsn = d.lsns.(i) in
-        if io.page_lsn d.page < lsn then begin
-          (match (fst (Log.read log lsn)).body with
-          | Update u -> io.write d.page ~lsn ~offset:u.offset u.after
-          | Clr c -> io.write d.page ~lsn ~offset:c.offset c.image
-          | _ -> assert false);
-          incr redone
-        end
-      done)
+      let page_lsn = io.page_lsn d.page in
+      let first = ref 0 in
+      while !first < d.n && d.lsns.(!first) <= page_lsn do
+        incr first
+      done;
+      if !first < d.n then
+        io.write d.page (fun blit ->
+            for i = !first to d.n - 1 do
+              let lsn = d.lsns.(i) in
+              let buf = Log.buffer log and off = Log.frame_offset log lsn in
+              blit ~lsn ~offset:(Frame.offset buf off) buf (Frame.redo_pos buf off)
+                (Frame.redo_len buf off);
+              incr redone
+            done))
     a.pages;
   !redone
 
@@ -186,7 +318,8 @@ let undo_losers log io losers =
               }
             in
             let clr_lsn = Log.append log clr in
-            io.write u.page ~lsn:clr_lsn ~offset:u.offset u.before;
+            io.write u.page (fun blit ->
+                blit ~lsn:clr_lsn ~offset:u.offset u.before 0 (Bytes.length u.before));
             incr undone;
             continue_at txn record.prev_lsn
         | Clr c ->

@@ -40,6 +40,11 @@ let test_local_commit_no_upstream_traffic () =
   Alcotest.(check int) "no upstream commit yet" before (server_commits ());
   Alcotest.(check int) "one local commit" 1
     (Bess_util.Stats.get (Bess.Node_server.stats node) "node.local_commits");
+  (* Upstream still holds the old value, so the cached page stays dirty. *)
+  Alcotest.(check (option bool)) "still dirty" (Some true)
+    (Option.map
+       (fun (s : Bess_cache.Cache.slot) -> s.dirty)
+       (Bess_cache.Cache.find_slot (Bess.Node_server.cache node) (page 0)));
   (* The node's own readers see the locally committed value. *)
   let addr, _ = Bess.Node_server.shm_access node ~proc:0 (page 0) ~write:false in
   Alcotest.(check int) "node sees its local commit" 111

@@ -235,6 +235,23 @@ let node_read node procs seg ~off =
 let upstream_read db seg ~off =
   Bess_util.Codec.get_i64 (Bess.Server.read_page (Bess.Db.server db) (data_page seg 0)) off
 
+(* A commit leaves the pages it shipped clean: the committed page 0,
+   evicted by two later reads, is not parked as if dirty, and the node
+   reads back the committed value. *)
+let test_commit_cleans_shipped_pages () =
+  let db, seg, node = fresh_setup ~cache_slots:2 ~n_procs:1 () in
+  let procs = Bess.Node_server.procs node in
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 (data_page seg 0) ~write:true in
+  Vmem.write_i64 procs.(0).Bess.Node_server.pvma addr 4242;
+  Bess.Node_server.commit node;
+  ignore (Bess.Node_server.shm_access node ~proc:0 (data_page seg 1) ~write:false);
+  ignore (Bess.Node_server.shm_access node ~proc:0 (data_page seg 2) ~write:false);
+  Alcotest.(check int) "nothing parked" 0
+    (Bess_util.Stats.get (Bess.Node_server.stats node) "node.dirty_parked");
+  Alcotest.(check int) "upstream holds the commit" 4242 (upstream_read db seg ~off:0);
+  Alcotest.(check int) "the node reads it back" 4242 (node_read node procs seg ~off:0);
+  Bess.Node_server.commit node
+
 (* An abort voids the parked image: the next transaction reads the
    upstream copy, and committing another field of the page does not
    carry the aborted write upstream. *)
@@ -354,6 +371,7 @@ let suite =
       test_shared_cache_counts_each_access_once;
     Alcotest.test_case "abort_voids_parked_writes" `Quick test_abort_voids_parked_writes;
     Alcotest.test_case "commit_spends_parked_writes" `Quick test_commit_spends_parked_writes;
+    Alcotest.test_case "commit_cleans_shipped_pages" `Quick test_commit_cleans_shipped_pages;
     Alcotest.test_case "callback_drops_stale_page" `Quick test_callback_drops_stale_page;
     Alcotest.test_case "callback_refused_while_txn_open" `Quick
       test_callback_refused_while_txn_open;

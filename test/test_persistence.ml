@@ -172,7 +172,8 @@ let test_wal_file_backed_recovery () =
   let log2 = Bess_wal.Log.open_existing path in
   let io : Bess_wal.Recovery.page_io =
     { page_lsn = (fun _ -> 0);
-      write = (fun _ ~lsn:_ ~offset image -> Bytes.blit image 0 store offset (Bytes.length image)) }
+      write =
+        (fun _ apply -> apply (fun ~lsn:_ ~offset src pos len -> Bytes.blit src pos store offset len)) }
   in
   let outcome = Bess_wal.Recovery.recover log2 io in
   Alcotest.(check (list int)) "winner found in reopened log" [ 1 ] outcome.winners;

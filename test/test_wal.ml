@@ -17,10 +17,15 @@ let io_of (s : fake_store) : Recovery.page_io =
   {
     page_lsn = (fun p -> Option.value ~default:0 (Hashtbl.find_opt s.lsns p));
     write =
-      (fun p ~lsn ~offset image ->
-        Bytes.blit image 0 s.pages.(p.page) offset (Bytes.length image);
-        Hashtbl.replace s.lsns p lsn);
+      (fun p apply ->
+        apply (fun ~lsn ~offset src pos len ->
+            Bytes.blit src pos s.pages.(p.page) offset len;
+            Hashtbl.replace s.lsns p lsn));
   }
+
+(* Write one record's image, in one page write. *)
+let write_image (io : Recovery.page_io) p ~lsn ~offset image =
+  io.write p (fun blit -> blit ~lsn ~offset image 0 (Bytes.length image))
 
 (* Log an update and apply it to the store (normal forward processing). *)
 let update log (s : fake_store) ~txn ~prev ~pg ~offset ~after =
@@ -84,7 +89,8 @@ module Ref = struct
         | End e -> Hashtbl.remove att e.txn
         | Decision _ | Begin_checkpoint | End_checkpoint _ -> ());
     let redo_from = Hashtbl.fold (fun _ rec_lsn acc -> Stdlib.min acc rec_lsn) dpt max_int in
-    { att; dpt; redo_from = (if redo_from = max_int then Log.last_lsn log + 1 else redo_from) }
+    (* No dirty page: redo starts at the end of the log. *)
+    { att; dpt; redo_from = (if redo_from = max_int then Log.size_bytes log + 1 else redo_from) }
 
   let redo log (io : Recovery.page_io) a =
     let redone = ref 0 in
@@ -93,7 +99,7 @@ module Ref = struct
           match Hashtbl.find_opt a.dpt p with
           | Some rec_lsn when lsn >= rec_lsn ->
               if io.page_lsn p < lsn then begin
-                io.write p ~lsn ~offset image;
+                write_image io p ~lsn ~offset image;
                 incr redone
               end
           | _ -> ()
@@ -127,7 +133,7 @@ module Ref = struct
                     body = Clr { txn; page = u.page; offset = u.offset; image = u.before;
                                  undo_next = record.prev_lsn } }
               in
-              io.write u.page ~lsn:clr_lsn ~offset:u.offset u.before;
+              write_image io u.page ~lsn:clr_lsn ~offset:u.offset u.before;
               incr undone;
               if record.prev_lsn = 0 then Hashtbl.remove next txn
               else Hashtbl.replace next txn record.prev_lsn
@@ -490,11 +496,13 @@ let crashing_io log (s : fake_store) countdown : Recovery.page_io =
   let io = io_of s in
   { io with
     write =
-      (fun p ~lsn ~offset image ->
-        if !countdown = 0 then raise Mid_recovery_crash;
-        decr countdown;
-        Log.flush log ();
-        io.write p ~lsn ~offset image) }
+      (fun p apply ->
+        io.write p (fun blit ->
+            apply (fun ~lsn ~offset src pos len ->
+                if !countdown = 0 then raise Mid_recovery_crash;
+                decr countdown;
+                Log.flush log ();
+                blit ~lsn ~offset src pos len))) }
 
 type model = {
   log : Log.t;
@@ -525,9 +533,11 @@ let replay ops =
     let io = io_of m.store in
     { io with
       write =
-        (fun p ~lsn ~offset image ->
-          io.write p ~lsn ~offset image;
-          if m.first_dirty.(p.page) = 0 then m.first_dirty.(p.page) <- lsn) }
+        (fun p apply ->
+          io.write p (fun blit ->
+              apply (fun ~lsn ~offset src pos len ->
+                  blit ~lsn ~offset src pos len;
+                  if m.first_dirty.(p.page) = 0 then m.first_dirty.(p.page) <- lsn))) }
   in
   (* The tables as they stand now. Recovery LSNs as ARIES keeps them (the
      LSN that first dirtied the page) or as the page LSN; both lie behind
@@ -668,6 +678,96 @@ let prop_restart_matches_log_order =
       if records <> records' then QCheck.Test.fail_report "log records differ";
       true)
 
+(* ---- Restart reads the log in place -------------------------------------- *)
+
+(* A restart over 10k committed 8-byte updates to 256 pages. Analysis and
+   redo read each record where it lies, so the restart allocates a few
+   minor words per redone record (the per-page LSN arrays' growth);
+   decoding a record, both images and all, costs tens. *)
+let test_restart_allocation () =
+  let log = Log.create () in
+  let s = { pages = Array.init 256 (fun _ -> Bytes.make 64 '\000'); lsns = Hashtbl.create 256 } in
+  let n = 10_000 in
+  for txn = 1 to n do
+    let l = update log s ~txn ~prev:0 ~pg:(txn * 37 mod 256) ~offset:(txn mod 7 * 8) ~after:"abcdefgh" in
+    let c = Log.append log { prev_lsn = l; body = Commit { txn } } in
+    ignore (Log.append log { prev_lsn = c; body = End { txn } })
+  done;
+  Log.flush log ();
+  Log.crash log ();
+  Hashtbl.reset s.lsns;
+  let io = io_of s in
+  let before = Stdlib.Gc.minor_words () in
+  let outcome = Recovery.recover log io in
+  let per_record = (Stdlib.Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every update redone" n outcome.redone;
+  if per_record >= 8.0 then
+    Alcotest.failf "%.1f minor words per redone record (bound 8)" per_record
+
+(* Restart appends End records for its winners, and undo rolls its
+   losers back, in transaction-table order. With 400 transactions live at
+   once (sparse ids, some ended along the way) the table grows several
+   times and then empties to 60, and the restart still appends what the
+   reference does, record for record. *)
+let test_many_live_transactions () =
+  let restart recover =
+    let log = Log.create () in
+    let s = { pages = Array.init 64 (fun _ -> Bytes.make 64 '\000'); lsns = Hashtbl.create 64 } in
+    let txn i = (i * 7919) + 3 in
+    let last = Array.make 400 0 in
+    for round = 0 to 2 do
+      for i = 0 to 399 do
+        last.(i) <-
+          update log s ~txn:(txn i) ~prev:last.(i) ~pg:((i + round) mod 64) ~offset:(round * 8)
+            ~after:"abcdefgh"
+      done;
+      (* A few transactions commit and end between rounds. *)
+      for i = 0 to 399 do
+        if i mod 50 = round then begin
+          let c = Log.append log { prev_lsn = last.(i); body = Commit { txn = txn i } } in
+          last.(i) <- Log.append log { prev_lsn = c; body = End { txn = txn i } }
+        end
+      done
+    done;
+    (* Most of the rest end too, so the table ends far below its peak:
+       a winner, a prepared transaction and a loser in every twenty. *)
+    for i = 0 to 399 do
+      let prev_lsn = last.(i) and txn = txn i in
+      match i mod 20 with
+      | 0 -> ignore (Log.append log { prev_lsn; body = Commit { txn } })
+      | 1 -> ignore (Log.append log { prev_lsn; body = Prepare { txn; coordinator = 1 } })
+      | 2 -> ()
+      | _ ->
+          if i mod 50 > 2 then begin
+            let c = Log.append log { prev_lsn; body = Commit { txn } } in
+            ignore (Log.append log { prev_lsn = c; body = End { txn } })
+          end
+    done;
+    Log.flush log ();
+    Log.crash log ();
+    Hashtbl.reset s.lsns;
+    let o = recover log (io_of s) in
+    (o, pages_of s, records_of log)
+  in
+  let o, pages, records = restart Recovery.recover in
+  let o', pages', records' = restart Ref.recover in
+  Alcotest.(check bool) "same outcome" true (o = o');
+  Alcotest.(check bool) "same page images" true (pages = pages');
+  Alcotest.(check int) "same record count" (List.length records') (List.length records);
+  Alcotest.(check bool) "same records in the same order" true (records = records')
+
+(* The frame walker trusts the log's invariant, and says so when it is
+   broken: a zeroed length field inside the log raises instead of ending
+   the walk as a torn tail would. *)
+let test_broken_frame_raises () =
+  let log = Log.create () in
+  ignore (Log.append log { prev_lsn = 0; body = Commit { txn = 1 } });
+  let second = Log.append log { prev_lsn = 0; body = Commit { txn = 2 } } in
+  Bytes.fill (Log.buffer log) (Log.frame_offset log second) 4 '\000';
+  Alcotest.check_raises "zero-length frame"
+    (Invalid_argument (Printf.sprintf "Log: broken frame at LSN %d" second))
+    (fun () -> Log.iter log (fun _ _ -> ()))
+
 (* ---- Group commit -------------------------------------------------------- *)
 
 let forces log = Bess_util.Stats.get (Log.stats log) "log.forces"
@@ -787,6 +887,9 @@ let suite =
       test_master_falls_back_past_torn_checkpoint;
     Alcotest.test_case "reopen_restores_master" `Quick test_reopen_restores_master;
     QCheck_alcotest.to_alcotest prop_restart_matches_log_order;
+    Alcotest.test_case "restart_allocation" `Quick test_restart_allocation;
+    Alcotest.test_case "broken_frame_raises" `Quick test_broken_frame_raises;
+    Alcotest.test_case "many_live_transactions" `Quick test_many_live_transactions;
     Alcotest.test_case "group_commit_policy_parse" `Quick test_group_commit_policy_parse;
     Alcotest.test_case "group_commit_batches" `Quick test_group_commit_batches;
     Alcotest.test_case "group_commit_window" `Quick test_group_commit_window;
