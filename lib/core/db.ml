@@ -70,6 +70,9 @@ let areas t = t.areas
 let default_area t = t.default_area
 let area_ids t = Bess_storage.Area_set.ids t.areas
 
+let page_size t =
+  Bess_storage.Area.page_size (Bess_storage.Area_set.find t.areas t.default_area)
+
 let fresh_client t =
   let c = t.next_client in
   t.next_client <- c + 1;
@@ -79,10 +82,8 @@ let fresh_client t =
 let session ?pool_slots t =
   let client_id = fresh_client t in
   let fetcher = Fetcher.direct ~client_id t.server in
-  Session.create ?pool_slots
-    ~page_size:(Bess_storage.Area.page_size (Bess_storage.Area_set.find t.areas t.default_area))
-    ~area_ids:(area_ids t) ~db_id:t.db_id ~catalog:t.catalog ~fetcher
-    ~default_area:t.default_area ()
+  Session.create ?pool_slots ~page_size:(page_size t) ~area_ids:(area_ids t) ~db_id:t.db_id
+    ~catalog:t.catalog ~fetcher ~default_area:t.default_area ()
 
 (* Attach this database to an existing session (inter-database work). *)
 let attach t session =

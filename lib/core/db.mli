@@ -45,6 +45,9 @@ val areas : t -> Bess_storage.Area_set.t
 val default_area : t -> int
 val area_ids : t -> int list
 
+(** The page size of the default area: a session's pool pages. *)
+val page_size : t -> int
+
 (** A direct (same-machine) client session on this database (node 2 of
     Figure 2). Remote and node-server clients are built in {!Remote} and
     {!Node_server}. *)

@@ -48,7 +48,6 @@ type t = {
   smt : Smt.t;
   clock : Two_level.t;
   procs : proc array;
-  page_size : int;
   mutable txn : int option; (* node-server-wide transaction at the upstream *)
   (* Each page the transaction wrote, with its before-image: the page's
      committed bytes, copied at its first write under the X lock into a
@@ -60,8 +59,16 @@ type t = {
      transaction keeps seeing its own writes. Commit and abort empty it. *)
   pending_writes : (Page_id.t, Bytes.t) Hashtbl.t;
   staging : Bytes.t; (* a missed page's upstream fetch lands here *)
+  (* Client logging, once enabled (see {!enable_client_logging}): the
+     local log, and the updates of the local commits it holds, not yet
+     shipped upstream, newest first. *)
+  mutable client_log : Bess_wal.Log.t option;
+  mutable queue : Server.update list;
   stats : Bess_util.Stats.t;
 }
+
+(* The node serves databases of the default page size. *)
+let page_size = 4096
 
 (* IPC cost model for copy-on-access requests (local socket, not LAN),
    charged to the simulated clock: per message and per byte copied. *)
@@ -82,8 +89,7 @@ let drop_page t page =
 (* [n_procs] shared-memory processes attach at creation. All of them
    reserve the same number of PVMA frames (section 4.1.2). The node's
    client id upstream is [fetcher.client_id]. *)
-let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
-    ?(n_procs = 0) (fetcher : Fetcher.t) =
+let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(n_procs = 0) (fetcher : Fetcher.t) =
   let cache = Cache.create ~nslots:cache_slots ~page_size in
   let smt = Smt.create ~n_vframes in
   let procs =
@@ -109,12 +115,13 @@ let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(page_size = 4096)
       smt;
       clock;
       procs;
-      page_size;
       txn = None;
       dirty = Hashtbl.create 32;
       free_images = [];
       pending_writes = Hashtbl.create 32;
       staging = Bytes.create page_size;
+      client_log = None;
+      queue = [];
       stats = Bess_util.Stats.create ();
     }
   in
@@ -153,7 +160,7 @@ let account_ipc t ~bytes =
 
 let procs t = t.procs
 
-(* ---- Client logging state (the future work of section 6) ----
+(* ---- Client logging (the future work of section 6) ----
 
    "The BeSS node server running on a node that has local disk space can
    exploit this space for logging purposes. In this way, the BeSS node
@@ -162,40 +169,30 @@ let procs t = t.procs
 
    With client logging enabled, {!commit_local} makes a transaction
    durable by forcing the *local* log only -- no upstream messages on the
-   commit path. The updates stay queued (write-behind) while the node
-   keeps its upstream X locks, so no other client can observe the
-   un-propagated state; {!propagate} ships the queue upstream in one
-   batch. Each upstream transaction the node opens (or has open when
-   logging is enabled) is marked in the log by a forced checkpoint
-   record naming it; each propagation, once upstream has committed it,
-   by one naming none. After a node crash, {!recover_node} replays the
-   local log: the upstream transaction of the last mark, the orphan, is
-   aborted through the fetcher, locks re-acquired, and the work locally
-   committed since the last propagation mark re-shipped. *)
+   commit path. Its updates join the node's queue (write-behind) and the
+   upstream transaction stays open, so its X locks keep every other
+   client off the unshipped state. {!commit} is the one way work goes
+   upstream: one upstream commit ships the queue, oldest first, then the
+   open write set, and the local log, whose work is now upstream's,
+   starts afresh. So the log covers at most the upstream transaction now
+   open: a forced mark naming it, written when the node opens it (or
+   when logging is enabled with it open), then the local commits made
+   under it. After a node crash, {!recover_node} folds that log: the
+   marked transaction, the orphan, is aborted through the fetcher, and
+   the local commits are re-locked and re-shipped. *)
 
-type client_log = {
-  log : Bess_wal.Log.t;
-  gc : Bess_wal.Group_commit.t; (* local-commit force scheduler *)
-  mutable local_txns : int;
-  mutable queue : Server.update list list; (* locally committed, unshipped; newest first *)
-}
-
-let client_logs : (int, client_log) Hashtbl.t = Hashtbl.create 4
-(* keyed by node id so a "rebooted" node (fresh record, same id) finds
-   its durable log again; path-backed logs survive real restarts too. *)
-
-let id t = t.fetcher.client_id
+(* Force a mark naming [txn], the upstream transaction just opened. *)
+let mark_upstream log txn =
+  ignore
+    (Bess_wal.Log.append log
+       { prev_lsn = 0;
+         body = End_checkpoint { txns = [ (txn, 0, Bess_wal.Log_record.Running) ]; dirty = [] } });
+  Bess_wal.Log.flush log ()
 
 let client_log t =
-  match Hashtbl.find_opt client_logs (id t) with
-  | Some cl -> cl
+  match t.client_log with
+  | Some log -> log
   | None -> invalid_arg "Node_server: client logging not enabled"
-
-(* Force a mark naming the upstream transaction now running, if any. *)
-let mark_upstream cl txn =
-  let txns = match txn with Some txn -> [ (txn, 0, Bess_wal.Log_record.Running) ] | None -> [] in
-  ignore (Bess_wal.Log.append cl.log { prev_lsn = 0; body = End_checkpoint { txns; dirty = [] } });
-  Bess_wal.Log.flush cl.log ()
 
 (* ---- Upstream transaction management ----
 
@@ -209,7 +206,7 @@ let upstream_txn t =
   | None ->
       let txn = t.fetcher.f_begin () in
       t.txn <- Some txn;
-      Option.iter (fun cl -> mark_upstream cl (Some txn)) (Hashtbl.find_opt client_logs (id t));
+      Option.iter (fun log -> mark_upstream log txn) t.client_log;
       txn
 
 let lock_page t page mode =
@@ -217,6 +214,17 @@ let lock_page t page mode =
   t.fetcher.f_lock ~txn
     (Lock_mgr.page_resource ~area:page.Page_id.area ~page:page.Page_id.page)
     mode
+
+(* The node's own image of a page upstream does not have yet: a dirty
+   page evicted mid-transaction, else the newest queued local commit's.
+   Either takes precedence over the upstream (committed) copy. *)
+let own_image t page =
+  match Hashtbl.find_opt t.pending_writes page with
+  | Some _ as image -> image
+  | None ->
+      List.find_map
+        (fun (u : Server.update) -> if Page_id.equal u.page page then Some u.after else None)
+        t.queue
 
 (* Bring a page into the shared cache (fetching from the owning server on
    a miss), returning its slot; a write takes the X lock even when the
@@ -227,22 +235,24 @@ let lock_page t page mode =
 let shared_slot t page ~write =
   let mode = if write then Lock_mode.X else Lock_mode.S in
   if write then lock_page t page mode;
-  let parked = Hashtbl.find_opt t.pending_writes page in
-  if Cache.find_slot t.cache page = None then begin
-    match parked with
-    | Some _ -> lock_page t page mode
-    | None ->
-        t.fetcher.f_fetch_page ~txn:(upstream_txn t) page ~mode ~into:t.staging;
-        Bess_util.Stats.incr t.stats "node.upstream_fetches"
-  end;
+  let own =
+    if Cache.find_slot t.cache page <> None then None
+    else
+      match own_image t page with
+      | Some _ as image ->
+          lock_page t page mode;
+          image
+      | None ->
+          t.fetcher.f_fetch_page ~txn:(upstream_txn t) page ~mode ~into:t.staging;
+          Bess_util.Stats.incr t.stats "node.upstream_fetches";
+          None
+  in
   let slot =
     Cache.load t.cache page ~fill:(fun buf ->
-        (* Our own uncommitted writes take precedence over the upstream
-           (committed) copy. *)
-        Bytes.blit (Option.value parked ~default:t.staging) 0 buf 0 t.page_size)
+        Bytes.blit (Option.value own ~default:t.staging) 0 buf 0 page_size)
   in
   (* A refetched dirty page is still dirty. *)
-  if parked <> None then begin
+  if own <> None then begin
     Cache.mark_dirty t.cache slot;
     Hashtbl.remove t.pending_writes page
   end;
@@ -259,9 +269,9 @@ let mark_written t page (slot : Cache.slot) =
       | b :: rest ->
           t.free_images <- rest;
           b
-      | [] -> Bytes.create t.page_size
+      | [] -> Bytes.create page_size
     in
-    Bytes.blit slot.bytes 0 image 0 t.page_size;
+    Bytes.blit slot.bytes 0 image 0 page_size;
     Hashtbl.replace t.dirty page image
   end
 
@@ -280,7 +290,7 @@ let shm_access t ~proc:proc_id page ~write =
     | Some v -> v
     | None -> failwith "Node_server: SVMA exhausted"
   in
-  let addr = p.pvma_base + (vframe * t.page_size) in
+  let addr = p.pvma_base + (vframe * page_size) in
   if write then mark_written t page slot;
   let prot = if Hashtbl.mem t.dirty page then Vmem.Prot_read_write else Vmem.Prot_read in
   (match Two_level.state t.clock ~proc:proc_id ~vframe with
@@ -315,7 +325,7 @@ let coa_fetch t page ~write =
   account_ipc t ~bytes:32;
   let slot = shared_slot t page ~write in
   let copy = Bytes.copy slot.Cache.bytes in
-  account_ipc t ~bytes:t.page_size;
+  account_ipc t ~bytes:page_size;
   Bess_util.Stats.incr t.stats "node.coa_fetches";
   copy
 
@@ -326,7 +336,7 @@ let coa_write_back t page bytes =
   account_ipc t ~bytes:(Bytes.length bytes + 32);
   let slot = shared_slot t page ~write:true in
   mark_written t page slot;
-  Bytes.blit bytes 0 slot.Cache.bytes 0 t.page_size;
+  Bytes.blit bytes 0 slot.Cache.bytes 0 page_size;
   Bess_util.Stats.incr t.stats "node.coa_writebacks"
 
 (* ---- Transaction boundaries ---- *)
@@ -360,7 +370,7 @@ let finish_write_set t =
         (fun vframe ->
           Array.iter
             (fun p ->
-              let addr = p.pvma_base + (vframe * t.page_size) in
+              let addr = p.pvma_base + (vframe * page_size) in
               if Vmem.prot_at p.pvma addr = Vmem.Prot_read_write then
                 Vmem.set_prot p.pvma addr 1 Vmem.Prot_read)
             t.procs)
@@ -369,101 +379,93 @@ let finish_write_set t =
   Hashtbl.reset t.dirty;
   Hashtbl.reset t.pending_writes
 
-(* Commit the node-wide transaction upstream: ship every dirty shared
-   page as a full-page update. Upstream then holds the cached bytes, so
-   the shipped pages are clean: evicting one later parks nothing. (A
-   local commit keeps them dirty, since upstream still holds the old
-   value.) *)
+(* Mark a shipped page clean: upstream now holds its cached bytes, so
+   evicting it later parks nothing. *)
+let mark_shipped t page = Option.iter (Cache.mark_clean t.cache) (Cache.find_slot t.cache page)
+
+(* The upstream transaction is over, and with it the client log's work:
+   committed upstream, or void. The log starts afresh. *)
+let end_upstream t =
+  t.txn <- None;
+  t.queue <- [];
+  if Option.is_some t.client_log then t.client_log <- Some (Bess_wal.Log.create ())
+
+(* The node's one upstream commit: the queued local commits, oldest
+   first, then every dirty shared page of the open write set as a
+   full-page update, in one commit of the node-wide transaction. The
+   shipped pages are clean afterwards. (A local commit keeps them dirty,
+   since upstream still holds the old value.) *)
 let commit t =
   match t.txn with
   | None -> ()
   | Some txn ->
-      t.fetcher.f_commit ~txn (collect_updates t);
-      Hashtbl.iter
-        (fun page _ -> Option.iter (Cache.mark_clean t.cache) (Cache.find_slot t.cache page))
-        t.dirty;
+      t.fetcher.f_commit ~txn (List.rev_append t.queue (collect_updates t));
+      List.iter (fun (u : Server.update) -> mark_shipped t u.page) t.queue;
+      Hashtbl.iter (fun page _ -> mark_shipped t page) t.dirty;
       finish_write_set t;
-      t.txn <- None;
+      end_upstream t;
       Bess_util.Stats.incr t.stats "node.commits"
 
+(* Roll back the current local transaction. Its dirty shared pages are
+   stale: unmap them from every process, release their SMT frames, and
+   drop them from the cache (a locally committed one refetches from the
+   queue). With no local commit queued the upstream transaction aborts
+   too; otherwise it stays open, and its X locks keep hiding the queued
+   work until {!commit} ships it. *)
 let abort t =
   match t.txn with
   | None -> ()
   | Some txn ->
-      t.fetcher.f_abort ~txn;
-      (* Dirty shared pages are stale: unmap them from every process,
-         release their SMT frames, and drop them from the cache. *)
+      let ends = t.queue = [] in
+      if ends then t.fetcher.f_abort ~txn;
       Hashtbl.iter (fun page _ -> drop_page t page) t.dirty;
       finish_write_set t;
-      t.txn <- None;
+      if ends then end_upstream t;
       Bess_util.Stats.incr t.stats "node.aborts"
 
 (* ---- Client logging ---- *)
 
-let enable_client_logging ?path ?group_commit t =
-  let cl =
-    match Hashtbl.find_opt client_logs (id t) with
-    | Some cl -> cl
-    | None ->
-        let log = Bess_wal.Log.create ?path () in
-        let cl = { log; gc = Bess_wal.Group_commit.create log; local_txns = 0; queue = [] } in
-        Hashtbl.add client_logs (id t) cl;
-        cl
-  in
-  (* An upstream transaction already open becomes the orphan a restart
-     must abort. *)
-  if t.txn <> None then mark_upstream cl t.txn;
-  Option.iter (Bess_wal.Group_commit.set_policy cl.gc) group_commit
+let enable_client_logging t =
+  if Option.is_none t.client_log then begin
+    let log = Bess_wal.Log.create () in
+    t.client_log <- Some log;
+    (* An upstream transaction already open becomes the orphan a restart
+       must abort. *)
+    Option.iter (mark_upstream log) t.txn
+  end
 
-(* Commit against the local log only: log it, register a durability
-   ticket with the local group-commit scheduler, queue the updates, keep
-   the upstream transaction (and its X locks) open. The local commit is
-   acknowledged only once the ticket is awaited. *)
-let commit_local_begin t =
-  let cl = client_log t in
+(* Commit against the local log only: log the write set as one local
+   transaction (its records name the upstream transaction it rides on),
+   force the log through its commit record, queue the updates, and keep
+   the upstream transaction (and its X locks) open. *)
+let commit_local t =
+  let log = client_log t in
+  let txn = Option.value t.txn ~default:0 in
   let updates = collect_updates t in
-  cl.local_txns <- cl.local_txns + 1;
-  let ltxn = cl.local_txns in
-  let prev = ref 0 in
-  List.iter
-    (fun (u : Server.update) ->
-      prev :=
-        Bess_wal.Log.append cl.log
-          { prev_lsn = !prev;
+  let prev_lsn =
+    List.fold_left
+      (fun prev_lsn (u : Server.update) ->
+        Bess_wal.Log.append log
+          { prev_lsn;
             body =
               Update
-                { txn = ltxn; page = u.page;
-                  offset = u.offset; before = u.before; after = u.after } })
-    updates;
-  let lsn = Bess_wal.Log.append cl.log { prev_lsn = !prev; body = Commit { txn = ltxn } } in
-  let ticket = Bess_wal.Group_commit.commit_lsn cl.gc ~lsn in
-  cl.queue <- updates :: cl.queue;
+                { txn; page = u.page; offset = u.offset; before = u.before; after = u.after } })
+      0 updates
+  in
+  ignore (Bess_wal.Log.append log { prev_lsn; body = Commit { txn } });
+  Bess_wal.Log.flush log ();
+  t.queue <- List.rev_append updates t.queue;
   finish_write_set t;
-  Bess_util.Stats.incr t.stats "node.local_commits";
-  ticket
+  Bess_util.Stats.incr t.stats "node.local_commits"
 
-let await_local t ticket = Bess_wal.Group_commit.await (client_log t).gc ticket
-
-let commit_local t = await_local t (commit_local_begin t)
-
-(* Ship every locally committed transaction upstream in one batch, then
-   mark the log: what precedes the mark is upstream. *)
+(* Ship the queued local commits upstream: re-assert their X locks
+   (idempotent while the upstream transaction that took them is open;
+   after a node crash they died with the orphan), then {!commit}. Each
+   local commit forced its own records, so there is nothing left to
+   force first. *)
 let propagate t =
-  let cl = client_log t in
-  if cl.queue <> [] then begin
-    (* Write-behind only ships locally *durable* work: drain any commits
-       still waiting on a grouped force before moving them upstream. *)
-    Bess_wal.Group_commit.force cl.gc;
-    let txn = upstream_txn t in
-    let updates = List.concat (List.rev cl.queue) in
-    (* Re-assert the X locks (idempotent when already held). *)
-    List.iter (fun (u : Server.update) -> lock_page t u.page Lock_mode.X) updates;
-    t.fetcher.f_commit ~txn updates;
-    t.txn <- None;
-    cl.queue <- [];
-    mark_upstream cl None;
-    Bess_util.Stats.incr t.stats "node.propagations"
-  end
+  List.iter (fun (u : Server.update) -> lock_page t u.page Lock_mode.X) t.queue;
+  commit t
 
 (* Node crash: all volatile state dies; the client log survives. *)
 let crash_node t =
@@ -473,39 +475,31 @@ let crash_node t =
   Hashtbl.reset t.dirty;
   Hashtbl.reset t.pending_writes;
   t.txn <- None;
-  (match Hashtbl.find_opt client_logs (id t) with
-  | Some cl ->
-      cl.queue <- [] (* the volatile queue is gone; the log is not *);
-      Bess_wal.Group_commit.reset cl.gc;
-      Bess_wal.Log.crash cl.log () (* lose the unforced tail too *)
-  | None -> ());
+  t.queue <- [];
+  Option.iter (fun log -> Bess_wal.Log.crash log ()) t.client_log;
   Bess_util.Stats.incr t.stats "node.crashes"
 
 (* Reboot: one pass over the durable local log finds the orphaned
-   upstream transaction (the last mark's) and the transactions locally
-   committed since the last propagation mark (updates whose commit
-   record was lost are void); abort the orphan, then re-lock and
-   re-ship. *)
+   upstream transaction (the last mark's: a recovery whose re-lock was
+   refused leaves a second) and the local commits made under the marks
+   (updates whose commit record was lost are void); abort the orphan,
+   then re-lock and re-ship. *)
 let recover_node t =
-  let cl = client_log t in
   let orphan, _, queue =
-    Bess_wal.Log.fold cl.log
+    Bess_wal.Log.fold (client_log t)
       (fun ((orphan, batch, queue) as acc) _ (r : Bess_wal.Log_record.t) ->
         match r.body with
-        (* A begin mark names the new orphan; only a propagation mark
-           says that the work before it is upstream. *)
         | End_checkpoint { txns = (txn, _, _) :: _; _ } -> (Some txn, batch, queue)
-        | End_checkpoint { txns = []; _ } -> (None, [], [])
         | Update u ->
             ( orphan,
               { Server.page = u.page; offset = u.offset; before = u.before; after = u.after }
               :: batch,
               queue )
-        | Commit _ -> (orphan, [], List.rev batch :: queue)
+        | Commit _ -> (orphan, [], batch @ queue)
         | _ -> acc)
       (None, [], [])
   in
   Option.iter (fun txn -> t.fetcher.f_abort ~txn) orphan;
-  cl.queue <- queue;
+  t.queue <- queue;
   Bess_util.Stats.incr t.stats "node.recoveries";
   propagate t

@@ -81,8 +81,7 @@ let resp_cost = function
 
 type network = (req, resp) Net.t
 
-let network ?per_message_ns ?per_byte_ns () =
-  Net.create ?per_message_ns ?per_byte_ns ~req_cost ~resp_cost ()
+let network () = Net.create ~req_cost ~resp_cost ()
 
 (* How many (src, rid) -> resp answers the server remembers for replay;
    old entries age out FIFO. Far beyond any plausible retry window. *)
@@ -332,7 +331,7 @@ let attach (net : network) ~client_id session (db : Db.t) =
     ~catalog:(Db.catalog db) ~fetcher ~default_area:(Db.default_area db) ()
 
 (* A session over the network: an application on a bare node. *)
-let session ?pool_slots ?(page_size = 4096) (net : network) ~client_id (db : Db.t) =
+let session (net : network) ~client_id (db : Db.t) =
   let fetcher = connect net ~client_id db in
-  Session.create ?pool_slots ~page_size ~area_ids:(Db.area_ids db) ~db_id:(Db.db_id db)
+  Session.create ~page_size:(Db.page_size db) ~area_ids:(Db.area_ids db) ~db_id:(Db.db_id db)
     ~catalog:(Db.catalog db) ~fetcher ~default_area:(Db.default_area db) ()

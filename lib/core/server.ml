@@ -154,13 +154,13 @@ let install_lock_hooks t =
              Bess_util.Stats.bump t.c.lock_wakes;
              f ()))
 
-let create ?log_path ?log ?group_commit ?(cache_slots = 1024) ~id areas =
+let create ?log_path ?log ?(cache_slots = 1024) ~id areas =
   let stats = Bess_util.Stats.create () in
   Bess_obs.Registry.register_stats "server" stats;
   let t =
     {
       id;
-      store = Store.create ?log_path ?log ?group_commit ~cache_slots areas;
+      store = Store.create ?log_path ?log ~cache_slots areas;
       locks = Lock_mgr.create ();
       cb = Callback.create ();
       txns = Hashtbl.create 64;
@@ -191,7 +191,6 @@ let store t = t.store
 let locks t = t.locks
 let hooks t = t.hooks
 let stats t = t.stats
-let callback_registry t = t.cb
 let id t = t.id
 let set_detection t d = t.detect <- d
 let set_group_policy t p = Store.set_group_policy t.store p

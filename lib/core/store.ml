@@ -33,7 +33,7 @@ type t = {
 let get_page_lsn t page = Option.value ~default:0 (Page_id.Tbl.find_opt t.page_lsn page)
 let set_page_lsn t page lsn = Page_id.Tbl.replace t.page_lsn page lsn
 
-let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
+let create ?log_path ?log ?(cache_slots = 256) areas =
   let page_size =
     match Bess_storage.Area_set.ids areas with
     | id :: _ -> Bess_storage.Area.page_size (Bess_storage.Area_set.find areas id)
@@ -50,7 +50,7 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
       cache;
       clock = Bess_cache.Clock.create cache;
       log = the_log;
-      gc = Bess_wal.Group_commit.create ?policy:group_commit the_log;
+      gc = Bess_wal.Group_commit.create the_log;
       page_lsn = Page_id.Tbl.create 1024;
       ckpt_bytes = 0;
       stats;
@@ -59,6 +59,14 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 256) areas =
       c_page_flush_bytes = Bess_util.Stats.counter stats "store.page_flush_bytes";
     }
   in
+  (* The registry's [wal] is the store's log: a log or scheduler made
+     elsewhere (a 2PC coordinator's, a node server's client log) does
+     not register, so every [wal.*] names this store's. *)
+  Bess_obs.Registry.register_stats "wal" (Bess_wal.Log.stats the_log);
+  Bess_obs.Registry.register_gauge "wal" "wal.unflushed_bytes" (fun () ->
+      Bess_wal.Log.size_bytes t.log - Bess_wal.Log.flushed_lsn t.log);
+  Bess_obs.Registry.register_gauge "wal" "wal.pending_tickets" (fun () ->
+      Bess_wal.Group_commit.pending t.gc);
   (* Log growth since the last completed checkpoint: the recovery-work
      backlog a checkpoint policy would bound. Clamped — a crash can
      shrink the log below the last checkpoint's high-water mark. *)
@@ -109,7 +117,6 @@ let cache t = t.cache
 let log t = t.log
 let areas t = t.areas
 let stats t = t.stats
-let group_commit t = t.gc
 let set_group_policy t p = Bess_wal.Group_commit.set_policy t.gc p
 let await_commit t ticket = Bess_wal.Group_commit.await t.gc ticket
 

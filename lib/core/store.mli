@@ -12,21 +12,19 @@ module Page_id = Bess_cache.Page_id
 type t
 
 (** [log] supplies a pre-opened (possibly recovered-from) log; [log_path]
-    otherwise names a fresh backing file. [group_commit] sets the force
-    scheduling policy for every commit site (default {!Bess_wal.Group_commit.Immediate}).
-    The page cache is the registry's [cache] ({!Bess_cache.Cache.register}). *)
+    otherwise names a fresh backing file. Every commit site forces
+    through one scheduler, {!Bess_wal.Group_commit.Immediate} until
+    {!set_group_policy}. The page cache is the registry's [cache]
+    ({!Bess_cache.Cache.register}); the log's stats, its unflushed bytes
+    and the scheduler's pending tickets are its [wal]. *)
 val create :
   ?log_path:string ->
   ?log:Bess_wal.Log.t ->
-  ?group_commit:Bess_wal.Group_commit.policy ->
   ?cache_slots:int ->
   Bess_storage.Area_set.t ->
   t
 val cache : t -> Bess_cache.Cache.t
 val log : t -> Bess_wal.Log.t
-
-(** The force scheduler all commit sites register with. *)
-val group_commit : t -> Bess_wal.Group_commit.t
 
 val set_group_policy : t -> Bess_wal.Group_commit.policy -> unit
 
@@ -34,7 +32,6 @@ val set_group_policy : t -> Bess_wal.Group_commit.policy -> unit
 val await_commit : t -> Bess_wal.Group_commit.ticket -> unit
 val areas : t -> Bess_storage.Area_set.t
 val stats : t -> Bess_util.Stats.t
-val set_page_lsn : t -> Page_id.t -> int -> unit
 
 (** [read_into t page ~off dst ~dst_off ~len] copies [len] bytes of the
     cached [page] from [off] into [dst] at [dst_off], allocating nothing.

@@ -28,24 +28,17 @@ type t = {
   mutable last_parts : (int * int) list;
 }
 
-(* The coordinator's endpoint, clear of the shards' 1..n. *)
-let coord_id = 900
-
-let create ?(n = 2) ?(pages_per_shard = 8) ?(page_size = 4096) ?policy
-    ?per_message_ns ?per_byte_ns () =
+let create ?(n = 2) ?(pages_per_shard = 8) () =
   if n <= 0 then invalid_arg "Shard.create: need at least one shard";
-  let net = Remote.network ?per_message_ns ?per_byte_ns () in
-  let dbs =
-    Array.init n (fun i ->
-        Bess.Db.create_memory ~page_size ~host:(i + 1) ~db_id:(i + 1) ())
-  in
+  let net = Remote.network () in
+  let dbs = Array.init n (fun i -> Bess.Db.create_memory ~host:(i + 1) ~db_id:(i + 1) ()) in
   Array.iter (fun db -> Remote.serve net (Bess.Db.server db)) dbs;
   let pages =
     Array.map (fun db -> Bess_sched.Driver.seed_working_set db ~n_pages:pages_per_shard) dbs
   in
-  let coord = Twopc.create ~id:coord_id ?policy ~net () in
+  let coord = Twopc.create ~net () in
   { net; dbs; pages; coord; fetchers = Bess_util.Int_pair.Tbl.create 64;
-    page_buf = Bytes.create page_size; last_parts = [] }
+    page_buf = Bytes.create (Bess.Db.page_size dbs.(0)); last_parts = [] }
 
 let n_shards t = Array.length t.dbs
 let net t = t.net
@@ -189,7 +182,7 @@ let page_image t i rank = Bess.Server.read_page (server t i) t.pages.(i).(rank)
    byte-for-byte replay witness. *)
 let images_crc t =
   (* Every shard shares one page size, so one buffer serves them all. *)
-  let page_size = Bess_cache.Cache.page_size (Bess.Store.cache (Bess.Server.store (server t 0))) in
+  let page_size = Bess.Db.page_size t.dbs.(0) in
   let buf = Bytes.create page_size in
   let crc = ref Int32.zero in
   Array.iteri

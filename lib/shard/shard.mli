@@ -11,15 +11,7 @@ type t
 (** [create ~n ()] builds [n] in-memory shards, serves each on the
     network, allocates [pages_per_shard] data pages per shard, and
     registers the coordinator on endpoint 900. *)
-val create :
-  ?n:int ->
-  ?pages_per_shard:int ->
-  ?page_size:int ->
-  ?policy:Bess_wal.Group_commit.policy ->
-  ?per_message_ns:int ->
-  ?per_byte_ns:int ->
-  unit ->
-  t
+val create : ?n:int -> ?pages_per_shard:int -> unit -> t
 
 val n_shards : t -> int
 val net : t -> Bess.Remote.network

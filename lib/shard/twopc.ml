@@ -127,14 +127,14 @@ let query_decision net ~shard ~coordinator ~txn =
   | _ -> None
   | exception (Remote.Unreachable _ | Remote.Exhausted _) -> None
 
-let create ?(id = 900) ?(policy = Group_commit.Immediate) ~net () =
+let create ~net () =
   let log = Log.create () in
-  let gc = Group_commit.create ~policy log in
+  let gc = Group_commit.create log in
   let stats = Stats.create () in
   Bess_obs.Registry.register_stats "2pc" stats;
   let t =
     {
-      id;
+      id = 900 (* clear of the shards' endpoints 1..n *);
       net;
       log;
       gc;

@@ -27,16 +27,10 @@ type t
     failed decision force). The caller resolves with {!recover}. *)
 exception Crashed
 
-(** [create ~net ()] registers the coordinator on endpoint [id]
-    (default 900) answering [Query_decision]. The decision log is
-    in memory; [policy] is the decision force policy (default
-    [Immediate]). *)
-val create :
-  ?id:int ->
-  ?policy:Bess_wal.Group_commit.policy ->
-  net:Bess.Remote.network ->
-  unit ->
-  t
+(** [create ~net ()] registers the coordinator on endpoint 900
+    answering [Query_decision]. The decision log is in memory and forces
+    each decision as it is logged. *)
+val create : net:Bess.Remote.network -> unit -> t
 
 (** [query_decision net ~shard ~coordinator ~txn]: participant [shard]
     (an endpoint) asks the coordinator endpoint for the fate of its

@@ -86,14 +86,10 @@ let policy_of_string s =
 
 let create ?(policy = Immediate) log =
   let st = Log.stats log in
-  let t =
-    { log; policy; pending = []; n_pending = 0; window_start = -1;
-      c_forces = Stats.counter st "wal.group.forces";
-      h_commits_per_force = Stats.hist st "wal.group.commits_per_force";
-      h_force_wait = Stats.hist st "wal.force_wait_ns" }
-  in
-  Bess_obs.Registry.register_gauge "wal" "wal.pending_tickets" (fun () -> t.n_pending);
-  t
+  { log; policy; pending = []; n_pending = 0; window_start = -1;
+    c_forces = Stats.counter st "wal.group.forces";
+    h_commits_per_force = Stats.hist st "wal.group.commits_per_force";
+    h_force_wait = Stats.hist st "wal.force_wait_ns" }
 
 let policy t = t.policy
 let pending t = t.n_pending

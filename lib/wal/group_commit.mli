@@ -32,8 +32,7 @@ val set_policy : t -> policy -> unit
 (** Number of registered-but-unreleased tickets. *)
 val pending : t -> int
 
-(** The underlying log's stats (group-commit counters live there, under
-    the registry's "wal" key). *)
+(** The underlying log's stats: the group-commit counters live there. *)
 val stats : t -> Bess_util.Stats.t
 
 (** Register a waiter for [lsn]; may force immediately per policy. *)

@@ -37,18 +37,12 @@ let make ~buf ~used ~backing =
   (* Eager: the append-size distribution is part of every report even
      before the first record. *)
   ignore (Stats.histogram stats "log.append_bytes");
-  Bess_obs.Registry.register_stats "wal" stats;
-  let t =
-    { buf; used; flushed = used; last_lsn = 0; ckpt_open = 0; master = None; backing; stats;
-      c_appends = Stats.counter stats "log.appends";
-      c_bytes = Stats.counter stats "log.bytes";
-      h_append_bytes = Stats.hist stats "log.append_bytes";
-      c_forces = Stats.counter stats "log.forces";
-      c_forced_bytes = Stats.counter stats "log.forced_bytes" }
-  in
-  Bess_obs.Registry.register_gauge "wal" "wal.unflushed_bytes" (fun () ->
-      t.used - t.flushed);
-  t
+  { buf; used; flushed = used; last_lsn = 0; ckpt_open = 0; master = None; backing; stats;
+    c_appends = Stats.counter stats "log.appends";
+    c_bytes = Stats.counter stats "log.bytes";
+    h_append_bytes = Stats.hist stats "log.append_bytes";
+    c_forces = Stats.counter stats "log.forces";
+    c_forced_bytes = Stats.counter stats "log.forced_bytes" }
 
 let create ?path () =
   let backing =

@@ -132,6 +132,23 @@ let test_uncommitted_local_work_lost_in_crash () =
     = `Granted);
   Bess.Server.abort_client server ~txn:t
 
+let upstream_value db (page : Page_id.t) =
+  Bess_util.Codec.get_i64 (Bess.Server.read_page (Bess.Db.server db) page) 0
+
+(* Another client commits [v] to [page] over whatever upstream holds. *)
+let other_client_commits db (page : Page_id.t) v =
+  let server = Bess.Db.server db in
+  let txn = Bess.Server.begin_txn server ~client:79 in
+  let r = Bess_lock.Lock_mgr.page_resource ~area:page.area ~page:page.page in
+  Alcotest.(check bool) "the other client gets the page" true
+    (Bess.Server.lock server ~txn r Bess_lock.Lock_mode.X = `Granted);
+  let before = Bess.Server.read_page server page in
+  let after = Bytes.copy before in
+  Bess_util.Codec.set_i64 after 0 v;
+  Alcotest.(check bool) "the other client commits" true
+    (Bess.Server.commit_client server ~txn ~updates:[ { Bess.Server.page; offset = 0; before; after } ]
+    = `Committed)
+
 (* Propagated work is upstream for good: a crash after a propagation
    re-ships nothing, so a newer value another client committed since is
    not overwritten by the replay. *)
@@ -141,21 +158,10 @@ let test_crash_after_propagate_reships_nothing () =
   write_via_node node procs (page 0) 31;
   Bess.Node_server.commit_local node;
   Bess.Node_server.propagate node;
-  let server = Bess.Db.server db in
-  let txn = Bess.Server.begin_txn server ~client:79 in
-  let r = Bess_lock.Lock_mgr.page_resource ~area:(page 0).area ~page:(page 0).page in
-  Alcotest.(check bool) "the other client gets the page" true
-    (Bess.Server.lock server ~txn r Bess_lock.Lock_mode.X = `Granted);
-  let before = Bess.Server.read_page server (page 0) in
-  let after = Bytes.copy before in
-  Bess_util.Codec.set_i64 after 0 55;
-  let updates = [ { Bess.Server.page = page 0; offset = 0; before; after } ] in
-  Alcotest.(check bool) "the other client commits" true
-    (Bess.Server.commit_client server ~txn ~updates = `Committed);
+  other_client_commits db (page 0) 55;
   Bess.Node_server.crash_node node;
   Bess.Node_server.recover_node node;
-  Alcotest.(check int) "the newer upstream value survives recovery" 55
-    (Bess_util.Codec.get_i64 (Bess.Server.read_page server (page 0)) 0)
+  Alcotest.(check int) "the newer upstream value survives recovery" 55 (upstream_value db (page 0))
 
 let other_client_locks db (page : Page_id.t) mode =
   let server = Bess.Db.server db in
@@ -187,28 +193,123 @@ let test_begin_mark_keeps_local_commits () =
   Alcotest.(check bool) "no orphan lock" true
     (other_client_locks db (page 1) Bess_lock.Lock_mode.X = `Granted)
 
-(* A propagation whose re-lock is refused leaves its begin mark in the
-   log; the queued work still survives a crash that follows. *)
+(* An abort after a local commit keeps the upstream transaction and its
+   X lock on the queued page. Once the node crashes, another client
+   queues for that lock; recovery aborts the orphan, which hands the
+   page over, so the propagation's re-lock is refused. The queued work
+   still survives a crash that follows. *)
 let test_refused_propagation_keeps_local_commits () =
   let db, node, page = setup ~id:602 () in
   let procs = Bess.Node_server.procs node in
   write_via_node node procs (page 0) 43;
   Bess.Node_server.commit_local node;
   Bess.Node_server.abort node;
+  Alcotest.(check bool) "the node still holds the page" true
+    (other_client_locks db (page 0) Bess_lock.Lock_mode.X = `Blocked);
+  Bess.Node_server.crash_node node;
   let server = Bess.Db.server db in
   let t = Bess.Server.begin_txn server ~client:79 in
-  Alcotest.(check bool) "another client takes the page" true
+  Alcotest.(check bool) "another client waits for the orphan's lock" true
     (Bess.Server.lock server ~txn:t
        (Bess_lock.Lock_mgr.page_resource ~area:(page 0).area ~page:(page 0).page)
        Bess_lock.Lock_mode.X
-    = `Granted);
+    = `Blocked);
   Alcotest.check_raises "propagation blocks" Bess.Fetcher.Would_block (fun () ->
-      Bess.Node_server.propagate node);
+      Bess.Node_server.recover_node node);
   Bess.Server.abort_client server ~txn:t;
   Bess.Node_server.crash_node node;
   Bess.Node_server.recover_node node;
   Alcotest.(check int) "the local commit reached upstream" 43
     (Bess_util.Codec.get_i64 (Bess.Server.read_page server (page 0)) 0)
+
+(* An upstream commit after a local one ships the queued work with the
+   open write set: once the node's locks go, upstream has both pages, so
+   a later propagation has nothing to put over another client's newer
+   value. *)
+let test_commit_ships_local_commits () =
+  let db, node, page = setup () in
+  let procs = Bess.Node_server.procs node in
+  write_via_node node procs (page 0) 43;
+  Bess.Node_server.commit_local node;
+  write_via_node node procs (page 1) 44;
+  Alcotest.(check bool) "the queued page is the node's" true
+    (other_client_locks db (page 0) Bess_lock.Lock_mode.X = `Blocked);
+  Bess.Node_server.commit node;
+  Alcotest.(check int) "upstream has the local commit" 43 (upstream_value db (page 0));
+  Alcotest.(check int) "upstream has the open write" 44 (upstream_value db (page 1));
+  other_client_commits db (page 0) 55;
+  Bess.Node_server.propagate node;
+  Alcotest.(check int) "the newer value survives" 55 (upstream_value db (page 0))
+
+(* An abort after a local commit rolls back only the current local
+   transaction: the locally committed page stays locked, reads back at
+   its committed value, and ships with the next propagation. *)
+let test_abort_keeps_local_commits () =
+  let db, node, page = setup () in
+  let procs = Bess.Node_server.procs node in
+  write_via_node node procs (page 0) 43;
+  Bess.Node_server.commit_local node;
+  write_via_node node procs (page 0) 99;
+  Bess.Node_server.abort node;
+  Alcotest.(check bool) "the page stays locked" true
+    (other_client_locks db (page 0) Bess_lock.Lock_mode.X = `Blocked);
+  let addr, _ = Bess.Node_server.shm_access node ~proc:0 (page 0) ~write:false in
+  Alcotest.(check int) "the page reads as committed" 43
+    (Vmem.read_i64 procs.(0).Bess.Node_server.pvma addr);
+  Bess.Node_server.propagate node;
+  Alcotest.(check int) "propagation ships it" 43 (upstream_value db (page 0))
+
+(* The client log belongs to the node: two nodes with one client id over
+   two databases recover only their own work. *)
+let test_logs_are_per_node () =
+  let db_a, node_a, page = setup () in
+  let db_b, node_b, _ = setup () in
+  write_via_node node_a (Bess.Node_server.procs node_a) (page 0) 31;
+  Bess.Node_server.commit_local node_a;
+  write_via_node node_b (Bess.Node_server.procs node_b) (page 0) 32;
+  Bess.Node_server.commit_local node_b;
+  Bess.Node_server.crash_node node_a;
+  Bess.Node_server.recover_node node_a;
+  Alcotest.(check int) "node a's work reached its database" 31 (upstream_value db_a (page 0));
+  Alcotest.(check bool) "node b's did not yet" true (upstream_value db_b (page 0) <> 32);
+  Bess.Node_server.propagate node_b;
+  Alcotest.(check int) "node b ships its own" 32 (upstream_value db_b (page 0))
+
+(* Shipping truncates the client log, so a crash right after ships
+   nothing. *)
+let test_log_truncated_when_shipped () =
+  let db, node, page = setup () in
+  let procs = Bess.Node_server.procs node in
+  let server_commits () =
+    Bess_util.Stats.get (Bess.Server.stats (Bess.Db.server db)) "server.commits"
+  in
+  write_via_node node procs (page 0) 31;
+  Bess.Node_server.commit_local node;
+  Bess.Node_server.propagate node;
+  Alcotest.(check int) "the local log is empty" 0
+    (Bess_wal.Log.size_bytes (Bess.Node_server.client_log node));
+  let shipped = server_commits () in
+  Bess.Node_server.crash_node node;
+  Bess.Node_server.recover_node node;
+  Alcotest.(check int) "recovery ships nothing" shipped (server_commits ())
+
+(* The registry's [wal] stays the data server's: a client log does not
+   register. *)
+let test_wal_names_the_server () =
+  Bess_obs.Registry.with_fresh @@ fun () ->
+  let db, node, page = setup ~id:604 () in
+  for i = 0 to 3 do
+    write_via_node node (Bess.Node_server.procs node) (page i) 31;
+    Bess.Node_server.commit_local node
+  done;
+  let own =
+    Bess_util.Stats.get
+      (Bess_wal.Log.stats (Bess.Store.log (Bess.Server.store (Bess.Db.server db))))
+      "log.appends"
+  in
+  Alcotest.(check (option int)) "wal.log.appends is the server's" (Some own)
+    (List.assoc_opt "wal.log.appends"
+       (Bess_obs.Registry.counters (Bess_obs.Registry.snapshot ())))
 
 (* Logging enabled while an upstream transaction is open: that
    transaction is the orphan a restart aborts, so its X lock goes. *)
@@ -236,4 +337,9 @@ let suite =
     Alcotest.test_case "refused_propagation_keeps_local_commits" `Quick
       test_refused_propagation_keeps_local_commits;
     Alcotest.test_case "enable_with_open_txn" `Quick test_enable_with_open_txn;
+    Alcotest.test_case "commit_ships_local_commits" `Quick test_commit_ships_local_commits;
+    Alcotest.test_case "abort_keeps_local_commits" `Quick test_abort_keeps_local_commits;
+    Alcotest.test_case "logs_are_per_node" `Quick test_logs_are_per_node;
+    Alcotest.test_case "log_truncated_when_shipped" `Quick test_log_truncated_when_shipped;
+    Alcotest.test_case "wal_names_the_server" `Quick test_wal_names_the_server;
   ]

@@ -264,6 +264,21 @@ let test_query_unknown_txn_is_abort () =
   | Remote.R_decision b -> Alcotest.(check bool) "absent decision means abort" false b
   | _ -> Alcotest.fail "protocol mismatch"
 
+(* The registry's [wal] is a data server's log, never the coordinator's
+   decision log: the last shard's store registered last. *)
+let test_wal_names_a_shard () =
+  fresh @@ fun () ->
+  let sh = Shard.create ~n:2 () in
+  let own =
+    Bess_util.Stats.get
+      (Bess_wal.Log.stats (Bess.Store.log (Bess.Server.store (Shard.server sh 1))))
+      "log.appends"
+  in
+  let snap = Bess_obs.Registry.counters (Bess_obs.Registry.snapshot ()) in
+  Alcotest.(check bool) "the shard logged its seed" true (own > 0);
+  Alcotest.(check (option int)) "wal.log.appends is the shard's" (Some own)
+    (List.assoc_opt "wal.log.appends" snap)
+
 let suite =
   [
     Alcotest.test_case "oid host routing" `Quick test_routing;
@@ -281,4 +296,5 @@ let suite =
     Alcotest.test_case "coord crash decided re-drives" `Quick
       test_coordinator_crash_after_decision_redrives;
     Alcotest.test_case "query unknown txn answers abort" `Quick test_query_unknown_txn_is_abort;
+    Alcotest.test_case "wal names a shard's log" `Quick test_wal_names_a_shard;
   ]
