@@ -78,6 +78,7 @@ let page_sink ~busy ~drop (r : Lock_mgr.resource) (_ : Lock_mode.t) : Server.cal
    shape in both modes. *)
 let direct ~client_id (server : Server.t) : t =
   let span op f = Bess_obs.Span.with_span ~kind:"client.request" ~attrs:[ ("op", op) ] f in
+  let page_size = Bess_cache.Cache.page_size (Store.cache (Server.store server)) in
   {
     client_id;
     f_begin = (fun () -> span "begin" @@ fun () -> Server.begin_txn server ~client:client_id);
@@ -93,6 +94,8 @@ let direct ~client_id (server : Server.t) : t =
     f_fetch_page =
       (fun ~txn page ~mode ~into ->
         span "fetch_page" @@ fun () ->
+        if Bytes.length into <> page_size then
+          invalid_arg "Fetcher.f_fetch_page: buffer is not one server page long";
         check
           (Server.lock server ~txn (Lock_mgr.page_resource ~area:page.area ~page:page.page) mode);
         Server.read_into server page ~off:0 into ~dst_off:0 ~len:(Bytes.length into));

@@ -40,7 +40,8 @@ type t = {
   f_lock : txn:int -> Lock_mgr.resource -> Lock_mode.t -> unit;
   f_fetch_segment : txn:int -> Bess_storage.Seg_addr.t -> mode:Lock_mode.t -> Bytes.t list;
   f_fetch_page : txn:int -> Page_id.t -> mode:Lock_mode.t -> into:Bytes.t -> unit;
-      (** lock the page in [mode] and copy it into [into], one page long *)
+      (** lock the page in [mode] and copy it into [into], which must be
+          one server page long ([Invalid_argument] otherwise) *)
   f_commit : txn:int -> Server.update list -> unit;
   f_commit_begin : txn:int -> Server.update list -> unit -> unit;
       (** group-commit path: logs the commit and releases server state,

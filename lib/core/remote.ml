@@ -99,7 +99,9 @@ let serve (net : network) (server : Server.t) =
      remembers nothing, so a retry after a dropped *request* (or a
      failed execution) runs it for real. *)
   let completed : resp Bess_util.Int_pair.Tbl.t = Bess_util.Int_pair.Tbl.create 64 in
-  let order : (int * int) Queue.t = Queue.create () in
+  (* The keys of [completed] in arrival order, as a ring: once full, the
+     slot a new key takes holds the oldest, which ages out. *)
+  let ring = Array.make dedup_window (0, 0) and arrivals = ref 0 in
   Bess_obs.Registry.register_gauge "server" "server.dedup_entries" (fun () ->
       Bess_util.Int_pair.Tbl.length completed);
   let dedup ~src ~rid f =
@@ -111,10 +113,11 @@ let serve (net : network) (server : Server.t) =
           resp
       | None ->
           let resp = f () in
-          Bess_util.Int_pair.Tbl.replace completed (src, rid) resp;
-          Queue.push (src, rid) order;
-          if Queue.length order > dedup_window then
-            Bess_util.Int_pair.Tbl.remove completed (Queue.pop order);
+          let key = (src, rid) and slot = !arrivals mod dedup_window in
+          Bess_util.Int_pair.Tbl.replace completed key resp;
+          if !arrivals >= dedup_window then Bess_util.Int_pair.Tbl.remove completed ring.(slot);
+          ring.(slot) <- key;
+          incr arrivals;
           resp
   in
   let dispatch ~src req =
@@ -263,7 +266,10 @@ let fetcher (net : network) ~client_id ~server_id : Fetcher.t =
     f_fetch_page =
       (fun ~txn page ~mode ~into ->
         match call (Fetch_page { txn; page; mode }) with
-        | R_page p -> Bytes.blit p 0 into 0 (Bytes.length into)
+        | R_page p ->
+            if Bytes.length into <> Bytes.length p then
+              invalid_arg "Fetcher.f_fetch_page: buffer is not one server page long";
+            Bytes.blit p 0 into 0 (Bytes.length into)
         | r -> fail r);
     f_commit =
       (fun ~txn updates ->

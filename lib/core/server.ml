@@ -30,6 +30,11 @@ module Lock_mgr = Bess_lock.Lock_mgr
 module Lock_mode = Bess_lock.Lock_mode
 module Callback = Bess_lock.Callback
 
+(* Transaction and client ids as keys. [Int.hash] is the polymorphic
+   hash on an int, so folds over [txns] (checkpoints, orphaned
+   transactions) visit them in the order a polymorphic table would. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 (* One server.request span per public operation, so client/net spans
    above and lock/store spans below hang off a common parent. *)
 let in_request op f =
@@ -85,12 +90,12 @@ type t = {
   store : Store.t;
   locks : Lock_mgr.t;
   mutable cb : Callback.t;
-  txns : (int, txn_state) Hashtbl.t;
-  sinks : (int, Lock_mgr.resource -> Lock_mode.t -> callback_reply) Hashtbl.t;
+  txns : txn_state Int_tbl.t;
+  sinks : (Lock_mgr.resource -> Lock_mode.t -> callback_reply) Int_tbl.t;
   (* One-shot wake subscriptions for transactions whose lock request
      returned [`Blocked] via {!lock_async}: popped and invoked when the
      lock manager grants the transaction in place on a release. *)
-  wake_subs : (int, unit -> unit) Hashtbl.t;
+  wake_subs : (unit -> unit) Int_tbl.t;
   hooks : Event.hooks;
   mutable next_txn : int;
   mutable detect : [ `Graph | `Timeout ];
@@ -109,7 +114,7 @@ let run_callbacks t ~requester r mode =
       let all_dropped =
         List.for_all
           (fun other ->
-            match Hashtbl.find_opt t.sinks other with
+            match Int_tbl.find_opt t.sinks other with
             | None ->
                 (* Disconnected client: its cache is gone. *)
                 Callback.dropped t.cb ~client:other r;
@@ -141,16 +146,16 @@ let install_lock_hooks t =
   Lock_mgr.set_grant_filter t.locks
     (Some
        (fun ~txn r mode ->
-         match Hashtbl.find_opt t.txns txn with
+         match Int_tbl.find_opt t.txns txn with
          | None -> true
          | Some ts -> run_callbacks t ~requester:ts.client r mode = `Ok));
   Lock_mgr.set_wake_hook t.locks
     (Some
        (fun ~txn ->
-         match Hashtbl.find_opt t.wake_subs txn with
+         match Int_tbl.find_opt t.wake_subs txn with
          | None -> ()
          | Some f ->
-             Hashtbl.remove t.wake_subs txn;
+             Int_tbl.remove t.wake_subs txn;
              Bess_util.Stats.bump t.c.lock_wakes;
              f ()))
 
@@ -163,9 +168,9 @@ let create ?log_path ?log ?(cache_slots = 1024) ~id areas =
       store = Store.create ?log_path ?log ~cache_slots areas;
       locks = Lock_mgr.create ();
       cb = Callback.create ();
-      txns = Hashtbl.create 64;
-      sinks = Hashtbl.create 8;
-      wake_subs = Hashtbl.create 16;
+      txns = Int_tbl.create 64;
+      sinks = Int_tbl.create 8;
+      wake_subs = Int_tbl.create 16;
       hooks = Event.hooks_create ();
       next_txn = 1;
       detect = `Graph;
@@ -176,7 +181,7 @@ let create ?log_path ?log ?(cache_slots = 1024) ~id areas =
   in
   install_lock_hooks t;
   Bess_obs.Registry.register_gauge "server" "server.active_txns" (fun () ->
-      Hashtbl.length t.txns);
+      Int_tbl.length t.txns);
   (* Prepared-but-undecided transactions: they hold X locks until their
      coordinator's verdict arrives, so a stuck coordinator shows up
      here. Counted at the four status transitions rather than by folding
@@ -184,7 +189,7 @@ let create ?log_path ?log ?(cache_slots = 1024) ~id areas =
      `bessctl top` read gauges in a loop. *)
   Bess_obs.Registry.register_gauge "server" "server.in_doubt" (fun () -> t.n_prepared);
   Bess_obs.Registry.register_gauge "server" "server.connected_clients" (fun () ->
-      Hashtbl.length t.sinks);
+      Int_tbl.length t.sinks);
   t
 
 let store t = t.store
@@ -198,14 +203,14 @@ let set_group_policy t p = Store.set_group_policy t.store p
 (* ---- Clients ---- *)
 
 let connect_client t ~client ~sink =
-  if not (Hashtbl.mem t.sinks client) then
+  if not (Int_tbl.mem t.sinks client) then
     Bess_util.Stats.incr t.stats "server.client_connects";
-  Hashtbl.replace t.sinks client sink
+  Int_tbl.replace t.sinks client sink
 
 let disconnect_client t ~client =
-  if Hashtbl.mem t.sinks client then
+  if Int_tbl.mem t.sinks client then
     Bess_util.Stats.incr t.stats "server.client_disconnects";
-  Hashtbl.remove t.sinks client;
+  Int_tbl.remove t.sinks client;
   Callback.forget_client t.cb ~client
 
 (* ---- Transactions ---- *)
@@ -214,12 +219,12 @@ let begin_txn t ~client =
   in_request "begin" @@ fun () ->
   let txn_id = t.next_txn in
   t.next_txn <- txn_id + 1;
-  Hashtbl.replace t.txns txn_id { txn_id; client; last_lsn = 0; status = Active; coord = -1 };
+  Int_tbl.replace t.txns txn_id { txn_id; client; last_lsn = 0; status = Active; coord = -1 };
   Event.fire t.hooks (Txn_begin { txn = txn_id });
   txn_id
 
 let txn t txn_id =
-  match Hashtbl.find_opt t.txns txn_id with
+  match Int_tbl.find_opt t.txns txn_id with
   | Some ts -> ts
   | None -> invalid_arg (Printf.sprintf "Server: unknown transaction %d" txn_id)
 
@@ -260,10 +265,10 @@ let lock t ~txn:txn_id r mode =
 let lock_async t ~txn:txn_id r mode ~on_wake =
   match lock t ~txn:txn_id r mode with
   | `Blocked ->
-      Hashtbl.replace t.wake_subs txn_id on_wake;
+      Int_tbl.replace t.wake_subs txn_id on_wake;
       `Blocked
   | v ->
-      Hashtbl.remove t.wake_subs txn_id;
+      Int_tbl.remove t.wake_subs txn_id;
       v
 
 (* ---- Page service ---- *)
@@ -294,7 +299,7 @@ let fetch_segment t ~txn:txn_id (seg : Bess_storage.Seg_addr.t) ~mode =
 let release_locks_keep_cached t ts =
   (* The ending transaction can no longer be waiting; drop its wake
      subscription before the release below fires wakes for others. *)
-  Hashtbl.remove t.wake_subs ts.txn_id;
+  Int_tbl.remove t.wake_subs ts.txn_id;
   (* Strict 2PL release; the client keeps its cached copies, so the
      callback registry retains them (X downgrades to S: the client's copy
      stays valid for reading until called back). *)
@@ -314,7 +319,7 @@ let end_txn ?(fire = true) t ts ~commit =
   if ts.status = Prepared then t.n_prepared <- t.n_prepared - 1;
   ts.status <- Ended;
   release_locks_keep_cached t ts;
-  Hashtbl.remove t.txns ts.txn_id;
+  Int_tbl.remove t.txns ts.txn_id;
   if commit then begin
     if fire then Event.fire t.hooks (Txn_commit { txn = ts.txn_id });
     Bess_util.Stats.bump t.c.commits
@@ -384,7 +389,7 @@ let commit_client t ~txn ~(updates : update list) =
 
 let abort_client t ~txn:txn_id =
   in_request "abort" @@ fun () ->
-  match Hashtbl.find_opt t.txns txn_id with
+  match Int_tbl.find_opt t.txns txn_id with
   | None ->
       (* Idempotent: a retried abort, or one racing a commit attempt that
          already ended the transaction (an indeterminate failure the
@@ -455,7 +460,7 @@ let abort_inplace t ~txn:txn_id =
    or the participant crashed and lost it) votes no. *)
 let prepare t ~txn:txn_id ~coordinator ~(updates : update list) =
   in_request "prepare" @@ fun () ->
-  match Hashtbl.find_opt t.txns txn_id with
+  match Int_tbl.find_opt t.txns txn_id with
   | None ->
       Bess_util.Stats.bump t.c.prepare_noops;
       `Vote_no
@@ -484,7 +489,7 @@ let prepare t ~txn:txn_id ~coordinator ~(updates : update list) =
    nothing left to do and still acknowledge. *)
 let commit_prepared t ~txn:txn_id =
   in_request "decide" @@ fun () ->
-  match Hashtbl.find_opt t.txns txn_id with
+  match Int_tbl.find_opt t.txns txn_id with
   | Some ts when ts.status = Prepared ->
       ignore (Store.log_commit t.store ~txn:txn_id ~prev_lsn:ts.last_lsn);
       end_txn ~fire:false t ts ~commit:true
@@ -492,7 +497,7 @@ let commit_prepared t ~txn:txn_id =
 
 let abort_prepared t ~txn:txn_id =
   in_request "decide" @@ fun () ->
-  match Hashtbl.find_opt t.txns txn_id with
+  match Int_tbl.find_opt t.txns txn_id with
   | Some ts when ts.status = Prepared ->
       ignore (Store.rollback t.store ~txn:txn_id ~last_lsn:ts.last_lsn);
       end_txn ~fire:false t ts ~commit:false
@@ -501,16 +506,16 @@ let abort_prepared t ~txn:txn_id =
 (* Transactions re-created as in-doubt by recovery. *)
 let adopt_in_doubt t ~txn:txn_id ~last_lsn ?(coordinator = -1) () =
   (* Replacing an entry that was already Prepared must not double-count. *)
-  (match Hashtbl.find_opt t.txns txn_id with
+  (match Int_tbl.find_opt t.txns txn_id with
   | Some ts when ts.status = Prepared -> ()
   | _ -> t.n_prepared <- t.n_prepared + 1);
-  Hashtbl.replace t.txns txn_id
+  Int_tbl.replace t.txns txn_id
     { txn_id; client = -1; last_lsn; status = Prepared; coord = coordinator }
 
 (* Prepared transactions with the coordinator each is waiting on — what a
    shard hands to its resolver after restart. *)
 let prepared_txns t =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun id ts acc -> if ts.status = Prepared then (id, ts.coord) :: acc else acc)
     t.txns []
   |> List.sort compare
@@ -519,7 +524,7 @@ let prepared_txns t =
    holding locks: [Bess_sched.Driver]'s churn disconnects). *)
 let abort_client_txns t ~client =
   let orphans =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun id ts acc -> if ts.client = client && ts.status = Active then id :: acc else acc)
       t.txns []
   in
@@ -530,7 +535,7 @@ let abort_client_txns t ~client =
 
 let checkpoint t =
   let txns =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun _ ts acc ->
         match ts.status with
         | Active -> (ts.txn_id, ts.last_lsn, Bess_wal.Log_record.Running) :: acc
@@ -544,10 +549,10 @@ let crash t =
   Store.crash t.store;
   (* All client connections, cached-copy registrations, lock state and
      parked wake subscriptions are volatile server state: gone. *)
-  Hashtbl.reset t.txns;
+  Int_tbl.reset t.txns;
   t.n_prepared <- 0;
-  Hashtbl.reset t.sinks;
-  Hashtbl.reset t.wake_subs;
+  Int_tbl.reset t.sinks;
+  Int_tbl.reset t.wake_subs;
   t.cb <- Callback.create ();
   Lock_mgr.reset t.locks
 

@@ -12,60 +12,59 @@ type client = int
 
 type entry = { mutable cached : (client * Lock_mode.t) list }
 
-type t = { table : (Lock_mgr.resource, entry) Hashtbl.t }
+module Resource_tbl = Lock_mgr.Resource_tbl
 
-let create () = { table = Hashtbl.create 256 }
+type t = { table : entry Resource_tbl.t }
+
+let create () = { table = Resource_tbl.create 256 }
 
 let entry t r =
-  match Hashtbl.find_opt t.table r with
+  match Resource_tbl.find_opt t.table r with
   | Some e -> e
   | None ->
       let e = { cached = [] } in
-      Hashtbl.add t.table r e;
+      Resource_tbl.add t.table r e;
       e
 
 let cached_mode t ~client r =
-  match Hashtbl.find_opt t.table r with
+  match Resource_tbl.find_opt t.table r with
   | None -> None
-  | Some e -> List.assoc_opt client e.cached
+  | Some e -> Lock_mode.holder_mode client e.cached
 
 (* A client requests [mode] on [r]. Either it can be granted immediately
    (registry updated), or the listed other clients must first be called
    back (downgraded to nothing for X requests, to S for others). *)
 let request t ~client r mode =
   let e = entry t r in
-  let conflicting =
-    List.filter
-      (fun (c, m) -> c <> client && not (Lock_mode.compatible mode m))
-      e.cached
-  in
-  if conflicting = [] then begin
-    let prior = List.assoc_opt client e.cached in
-    let mode' = match prior with Some m -> Lock_mode.sup m mode | None -> mode in
-    e.cached <- (client, mode') :: List.remove_assoc client e.cached;
-    `Granted
-  end
-  else `Callback_needed (List.map fst conflicting)
+  match
+    List.filter (fun (c, m) -> c <> client && not (Lock_mode.compatible mode m)) e.cached
+  with
+  | [] ->
+      let prior = Lock_mode.holder_mode client e.cached in
+      let mode' = match prior with Some m -> Lock_mode.sup m mode | None -> mode in
+      e.cached <- (client, mode') :: Lock_mode.remove_holder client e.cached;
+      `Granted
+  | conflicting -> `Callback_needed (List.map fst conflicting)
 
 (* The server completed a callback: the client dropped its cached copy. *)
 let dropped t ~client r =
-  match Hashtbl.find_opt t.table r with
+  match Resource_tbl.find_opt t.table r with
   | None -> ()
   | Some e ->
-      e.cached <- List.remove_assoc client e.cached;
-      if e.cached = [] then Hashtbl.remove t.table r
+      e.cached <- Lock_mode.remove_holder client e.cached;
+      if List.is_empty e.cached then Resource_tbl.remove t.table r
 
 (* The client downgraded (e.g. X -> S after a writing txn ended). *)
 let downgraded t ~client r mode =
   let e = entry t r in
-  e.cached <- (client, mode) :: List.remove_assoc client e.cached
+  e.cached <- (client, mode) :: Lock_mode.remove_holder client e.cached
 
 (* Client disconnect: purge everything it cached. *)
 let forget_client t ~client =
   let empty = ref [] in
-  Hashtbl.iter
+  Resource_tbl.iter
     (fun r e ->
-      e.cached <- List.remove_assoc client e.cached;
-      if e.cached = [] then empty := r :: !empty)
+      e.cached <- Lock_mode.remove_holder client e.cached;
+      if List.is_empty e.cached then empty := r :: !empty)
     t.table;
-  List.iter (Hashtbl.remove t.table) !empty
+  List.iter (Resource_tbl.remove t.table) !empty

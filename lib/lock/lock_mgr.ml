@@ -16,13 +16,20 @@
    in [release_all] to purge ghost waiters) turned every release into O(table)
    and hot-key convoys into O(waiters^2). Waiters now live in a per-entry
    FIFO [Queue.t] of records with a cancelled flag (O(1) enqueue, O(1)
-   lazy cancel, amortised compaction), each entry indexes its live waiters
-   by transaction, and each transaction tracks the exact set of resources
-   it is queued on — so [release_all] touches only the entries the
-   transaction actually holds or waits on. The counter
+   lazy cancel, amortised compaction), and each transaction lists the
+   resources it holds, in acquisition order, and the live waiters it has
+   queued (a transaction waits on one request at a time, so that list is
+   short however long a convoy grows) — so [release_all] touches only the
+   entries the transaction actually holds or waits on. The counter
    [lock.release_scan_entries] records how many entries each release
    visited; the regression test asserts it stays linear in the number of
    transactions.
+
+   Every table is specialised: resources hash by integer mixing and
+   compare field by field, transactions are int keys, and no table is
+   built per transaction or per entry, so an uncontended acquire and
+   release allocate a handful of small blocks and hash nothing
+   polymorphically.
 
    Grant handoff (wake-on-release): [release_all] does not merely hint
    at who might be grantable — it grants the maximal compatible FIFO
@@ -55,6 +62,23 @@ let pp_resource ppf r =
   let name = match r.space with 0 -> "page" | 1 -> "obj" | _ -> "res" in
   Fmt.pf ppf "%s(%d,%d)" name r.a r.b
 
+module Resource = struct
+  type t = resource
+
+  let equal r r' = r.b = r'.b && r.a = r'.a && r.space = r'.space
+
+  (* Multiply and xor-shift: every bit of every field reaches the low
+     bits a bucket index keeps, so pages and areas past 2^24 spread as
+     well as small ones. *)
+  let hash r =
+    let h = (((r.space * 0x9E3779B1) lxor r.a) * 0x9E3779B1) lxor r.b in
+    let h = h * 0x9E3779B1 in
+    (h lxor (h lsr 29)) land max_int
+end
+
+module Resource_tbl = Hashtbl.Make (Resource)
+module Int_tbl = Hashtbl.Make (Int)
+
 (* A request may wait this long, in simulated ns, before [`Timeout]
    detection declares it deadlocked. See DESIGN.md §4h for the measured
    waits it is sized against. *)
@@ -62,17 +86,21 @@ let timeout_ns = 200_000_000
 
 type waiter = {
   w_txn : int;
+  w_res : resource;
   w_mode : Lock_mode.t;
   w_seq : int; (* per-table enqueue order *)
   w_enqueued_ns : int; (* simulated clock at enqueue *)
   mutable w_cancelled : bool; (* granted, purged or aborted; skipped on iteration *)
   mutable w_woken_ns : int; (* clock at the most recent wake; -1 if never *)
+  (* A wait crosses acquire calls (enqueue in one, grant or purge in
+     another), so its span cannot live on the stack: it is opened as a
+     root span at enqueue and closed when the waiter leaves the queue. *)
+  mutable w_span : Span.handle;
 }
 
 type entry = {
   mutable granted : (int * Lock_mode.t) list; (* txn, cumulative mode *)
   waiting : waiter Queue.t; (* FIFO order; may hold cancelled nodes *)
-  by_txn : (int, waiter) Hashtbl.t; (* live waiters only *)
   mutable n_live : int;
 }
 
@@ -106,19 +134,15 @@ let counters stats =
   }
 
 type t = {
-  table : (resource, entry) Hashtbl.t;
-  held : (int, (resource, unit) Hashtbl.t) Hashtbl.t; (* txn -> granted resources *)
-  waits : (int, (resource, unit) Hashtbl.t) Hashtbl.t; (* txn -> resources it queues on *)
+  table : entry Resource_tbl.t;
+  held : resource list Int_tbl.t; (* txn -> granted resources, newest first *)
+  waits : waiter list Int_tbl.t; (* txn -> its live waiters *)
   mutable next_seq : int; (* stamps [w_seq] *)
   stats : Bess_util.Stats.t;
   c : counters;
   mutable n_waiters : int; (* live waiters across all entries, kept incrementally *)
   mutable wake_hook : (txn:int -> unit) option;
   mutable grant_filter : (txn:int -> resource -> Lock_mode.t -> bool) option;
-  (* A wait crosses acquire calls (enqueue in one, grant or purge in
-     another), so its span cannot live on the stack: it is opened as a
-     root span at enqueue and parked here until the wait resolves. *)
-  wait_spans : (int * resource, Span.handle) Hashtbl.t;
 }
 
 let create () =
@@ -129,12 +153,12 @@ let create () =
   ignore (Bess_util.Stats.histogram stats "lock.wake_to_grant_ns");
   Bess_obs.Registry.register_stats "lock" stats;
   let t =
-    { table = Hashtbl.create 256; held = Hashtbl.create 32; waits = Hashtbl.create 32;
+    { table = Resource_tbl.create 256; held = Int_tbl.create 32; waits = Int_tbl.create 32;
       next_seq = 0; stats; c = counters stats; n_waiters = 0; wake_hook = None;
-      grant_filter = None; wait_spans = Hashtbl.create 16 }
+      grant_filter = None }
   in
   Bess_obs.Registry.register_gauge "lock" "lock.table_size" (fun () ->
-      Hashtbl.length t.table);
+      Resource_tbl.length t.table);
   (* Incremental: folding the whole table here made every Series window
      O(table). *)
   Bess_obs.Registry.register_gauge "lock" "lock.waiters" (fun () -> t.n_waiters);
@@ -145,12 +169,11 @@ let create () =
    restart) and the wake hook and grant filter stay. A parked wait span
    is dropped unclosed, as its transaction is. *)
 let reset t =
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.held;
-  Hashtbl.reset t.waits;
+  Resource_tbl.reset t.table;
+  Int_tbl.reset t.held;
+  Int_tbl.reset t.waits;
   t.next_seq <- 0;
-  t.n_waiters <- 0;
-  Hashtbl.reset t.wait_spans
+  t.n_waiters <- 0
 
 let stats t = t.stats
 
@@ -159,14 +182,14 @@ let set_wake_hook t f = t.wake_hook <- f
 let set_grant_filter t f = t.grant_filter <- f
 
 let entry t r =
-  match Hashtbl.find_opt t.table r with
+  match Resource_tbl.find_opt t.table r with
   | Some e -> e
   | None ->
-      let e = { granted = []; waiting = Queue.create (); by_txn = Hashtbl.create 4; n_live = 0 } in
-      Hashtbl.add t.table r e;
+      let e = { granted = []; waiting = Queue.create (); n_live = 0 } in
+      Resource_tbl.add t.table r e;
       e
 
-let entry_empty e = e.granted = [] && e.n_live = 0
+let entry_empty e = match e.granted with [] -> e.n_live = 0 | _ :: _ -> false
 
 (* Live waiters in FIFO order. *)
 let iter_live e f = Queue.iter (fun w -> if not w.w_cancelled then f w) e.waiting
@@ -182,22 +205,28 @@ let maybe_compact e =
   end
 
 let held_mode t ~txn r =
-  match Hashtbl.find_opt t.table r with
+  match Resource_tbl.find_opt t.table r with
   | None -> None
-  | Some e -> List.assoc_opt txn e.granted
+  | Some e -> Lock_mode.holder_mode txn e.granted
 
 let holds t ~txn r mode =
   match held_mode t ~txn r with Some m -> Lock_mode.covers m mode | None -> false
 
-let txn_set tbl txn =
-  match Hashtbl.find_opt tbl txn with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 8 in
-      Hashtbl.add tbl txn s;
-      s
+let txn_list tbl txn = Option.value (Int_tbl.find_opt tbl txn) ~default:[]
 
-let record_held t ~txn r = Hashtbl.replace (txn_set t.held txn) r ()
+(* Called on a fresh grant only: an upgrade's resource is listed already. *)
+let record_held t ~txn r = Int_tbl.replace t.held txn (r :: txn_list t.held txn)
+
+(* [txn]'s live waiter on [e] (resource [r]), found through the
+   transaction's own short wait list rather than the entry's queue. *)
+let queued t e ~txn r =
+  if e.n_live = 0 then None
+  else
+    let rec find = function
+      | [] -> None
+      | w :: ws -> if Resource.equal w.w_res r then Some w else find ws
+    in
+    find (txn_list t.waits txn)
 
 (* Would granting [mode] to [txn] conflict with other granted locks? *)
 let conflicts e ~txn mode =
@@ -206,8 +235,8 @@ let conflicts e ~txn mode =
 (* A request may jump the queue only if it is a lock *upgrade* (the txn
    already holds the resource); fresh requests respect FIFO order so
    writers are not starved. *)
-let blocked_by_queue e ~txn =
-  e.n_live > if Hashtbl.mem e.by_txn txn then 1 else 0
+let blocked_by_queue t e ~txn r =
+  e.n_live > if Option.is_some (queued t e ~txn r) then 1 else 0
 
 (* ---- Waits-for graph ----------------------------------------------------- *)
 
@@ -220,32 +249,28 @@ let blocked_by_queue e ~txn =
    newer waiter of the same mode reaches (the same holders, a shorter
    queue prefix), so once a waiter's prefix has been enumerated, older
    same-mode waiters on that resource need not be. [covered] remembers,
-   per (resource, mode), the newest enumerated waiter. The one successor
+   per resource and mode, the newest enumerated waiter. The one successor
    the newer waiter skipped is its own transaction (as a holder, for an
    upgrade); that only matters when it is the requester, which the skip
    checks. A convoy of n same-mode waiters costs O(n) per check, where
    rebuilding the whole table's edges cost O(sum of queue^2). *)
 let creates_cycle t ~txn =
-  let visited = Hashtbl.create 16 in
-  let covered = Hashtbl.create 8 in
-  let rec reaches v =
-    match Hashtbl.find_opt t.waits v with
-    | None -> false
-    | Some rs ->
-        let rs = Hashtbl.fold (fun r () acc -> r :: acc) rs [] in
-        List.exists (fun r -> reaches_via v r) rs
-  and reaches_via v r =
-    let e = Hashtbl.find t.table r in
-    let w = Hashtbl.find e.by_txn v in
+  let visited = Int_tbl.create 16 in
+  let covered = Resource_tbl.create 8 in
+  let rec reaches v = List.exists (reaches_via v) (txn_list t.waits v)
+  and reaches_via v w =
+    let e = Resource_tbl.find t.table w.w_res in
     let conflicts_with m = not (Lock_mode.compatible w.w_mode m) in
-    match Hashtbl.find_opt covered (r, w.w_mode) with
-    | Some (newest, setter) when newest.w_seq > w.w_seq ->
-        setter = txn
-        && (match List.assoc_opt txn e.granted with
+    let newest = Option.value (Resource_tbl.find_opt covered w.w_res) ~default:[] in
+    match List.find_opt (fun n -> n.w_mode = w.w_mode) newest with
+    | Some n when n.w_seq > w.w_seq ->
+        n.w_txn = txn
+        && (match Lock_mode.holder_mode txn e.granted with
            | Some m -> conflicts_with m
            | None -> false)
     | _ ->
-        Hashtbl.replace covered (r, w.w_mode) (w, v);
+        Resource_tbl.replace covered w.w_res
+          (w :: List.filter (fun n -> n.w_mode <> w.w_mode) newest);
         (* Newest-first, so the first expansion of a convoy covers it. *)
         let earlier = ref [] in
         (try
@@ -259,9 +284,9 @@ let creates_cycle t ~txn =
         List.exists (fun s -> s <> v && (s = txn || visit s)) holders
         || List.exists (fun s -> s <> v && (s = txn || visit s)) !earlier
   and visit s =
-    (not (Hashtbl.mem visited s))
+    (not (Int_tbl.mem visited s))
     && begin
-         Hashtbl.add visited s ();
+         Int_tbl.add visited s ();
          reaches s
        end
   in
@@ -275,123 +300,104 @@ let creates_cycle t ~txn =
    the ambient load drains, so callers get to tell them apart. *)
 type verdict = [ `Granted | `Blocked | `Deadlock | `Timeout ]
 
-let remove_waiter t e ~txn r =
-  match Hashtbl.find_opt e.by_txn txn with
-  | None -> ()
-  | Some w ->
-      w.w_cancelled <- true;
-      Hashtbl.remove e.by_txn txn;
-      e.n_live <- e.n_live - 1;
-      t.n_waiters <- t.n_waiters - 1;
-      (match Hashtbl.find_opt t.waits txn with
-      | Some s ->
-          Hashtbl.remove s r;
-          if Hashtbl.length s = 0 then Hashtbl.remove t.waits txn
-      | None -> ());
-      maybe_compact e
+(* Take [w] off its entry and its transaction's wait list, and close its
+   wait span with [outcome]. *)
+let remove_waiter t e w ~outcome =
+  w.w_cancelled <- true;
+  e.n_live <- e.n_live - 1;
+  t.n_waiters <- t.n_waiters - 1;
+  (match List.filter (fun w' -> w' != w) (txn_list t.waits w.w_txn) with
+  | [] -> Int_tbl.remove t.waits w.w_txn
+  | ws -> Int_tbl.replace t.waits w.w_txn ws);
+  maybe_compact e;
+  if w.w_span != Span.none then begin
+    Span.finish ~attrs:[ ("outcome", outcome) ] w.w_span;
+    w.w_span <- Span.none
+  end
+
+let span_attrs ~txn r mode =
+  [ ("txn", string_of_int txn); ("resource", Fmt.str "%a" pp_resource r);
+    ("mode", Lock_mode.to_string mode) ]
 
 let enqueue_waiter t e ~txn r mode =
   let w =
-    { w_txn = txn; w_mode = mode; w_seq = t.next_seq; w_enqueued_ns = Span.now_ns ();
-      w_cancelled = false; w_woken_ns = -1 }
+    { w_txn = txn; w_res = r; w_mode = mode; w_seq = t.next_seq;
+      w_enqueued_ns = Span.now_ns (); w_cancelled = false; w_woken_ns = -1;
+      w_span = Span.none }
   in
   t.next_seq <- t.next_seq + 1;
   Queue.push w e.waiting;
-  Hashtbl.replace e.by_txn txn w;
   e.n_live <- e.n_live + 1;
   t.n_waiters <- t.n_waiters + 1;
-  Hashtbl.replace (txn_set t.waits txn) r ()
+  Int_tbl.replace t.waits txn (w :: txn_list t.waits txn);
+  (* Open the parked wait span. Root span: the wait resolves in a
+     different call (possibly a different client's), so it cannot nest
+     under whatever span is ambient right now. *)
+  if Span.enabled () then
+    w.w_span <- Span.start ~root:true ~attrs:(span_attrs ~txn r mode) ~kind:"lock.wait" ();
+  w
 
 (* A request that waited is about to be granted: record how long it sat
    in the queue, and — if a release woke it — the dead time between that
    wake and the grant, in simulated ns. Handoff grants stamp [w_woken_ns]
    first, so their dead time is identically zero; a waiter woken by a
    veto pays the gap until its re-poll. *)
-let observe_wait t e ~txn =
-  match Hashtbl.find_opt e.by_txn txn with
+let observe_wait t w =
+  let now = Span.now_ns () in
+  Bess_util.Stats.record t.c.wait_ns (now - w.w_enqueued_ns);
+  if w.w_woken_ns >= 0 then Bess_util.Stats.record t.c.wake_to_grant_ns (now - w.w_woken_ns)
+
+(* [txn]'s own request on [r] is granted: a waiter it left queued
+   there is settled. *)
+let settle t e ~txn r =
+  match queued t e ~txn r with
   | Some w ->
-      let now = Span.now_ns () in
-      Bess_util.Stats.record t.c.wait_ns (now - w.w_enqueued_ns);
-      if w.w_woken_ns >= 0 then
-        Bess_util.Stats.record t.c.wake_to_grant_ns (now - w.w_woken_ns)
+      observe_wait t w;
+      remove_waiter t e w ~outcome:"granted"
   | None -> ()
-
-(* Open the parked wait span for a newly enqueued request. Root span:
-   the wait resolves in a different call (possibly a different client's),
-   so it cannot nest under whatever span is ambient right now. *)
-let begin_wait t ~txn r ~mode =
-  if Span.enabled () && not (Hashtbl.mem t.wait_spans (txn, r)) then
-    Hashtbl.replace t.wait_spans (txn, r)
-      (Span.start ~root:true
-         ~attrs:
-           [ ("txn", string_of_int txn); ("resource", Fmt.str "%a" pp_resource r);
-             ("mode", Lock_mode.to_string mode) ]
-         ~kind:"lock.wait" ())
-
-let end_wait t ~txn r ~outcome =
-  (* Empty unless spans are installed: skip hashing the key. *)
-  if Hashtbl.length t.wait_spans > 0 then
-    match Hashtbl.find_opt t.wait_spans (txn, r) with
-    | None -> ()
-    | Some h ->
-        Hashtbl.remove t.wait_spans (txn, r);
-        Span.finish ~attrs:[ ("outcome", outcome) ] h
 
 let acquire ?(detect = `Graph) t ~txn r mode : verdict =
   let e = entry t r in
-  let current = List.assoc_opt txn e.granted in
+  let current = Lock_mode.holder_mode txn e.granted in
   let want = match current with Some m -> Lock_mode.sup m mode | None -> mode in
-  let attrs () =
-    if Span.enabled () then
-      [ ("txn", string_of_int txn); ("resource", Fmt.str "%a" pp_resource r);
-        ("mode", Lock_mode.to_string mode) ]
-    else []
-  in
-  Span.with_span ~attrs:(attrs ()) ~kind:"lock.acquire" (fun () ->
+  let attrs = if Span.enabled () then span_attrs ~txn r mode else [] in
+  Span.with_span ~attrs ~kind:"lock.acquire" (fun () ->
       match current with
       | Some m when Lock_mode.covers m mode ->
           Bess_util.Stats.bump t.c.regrants;
-          observe_wait t e ~txn;
-          remove_waiter t e ~txn r;
-          end_wait t ~txn r ~outcome:"granted";
+          settle t e ~txn r;
           `Granted
       | _ ->
-          let is_upgrade = current <> None in
-          if (not (conflicts e ~txn want)) && (is_upgrade || not (blocked_by_queue e ~txn))
+          let is_upgrade = Option.is_some current in
+          if (not (conflicts e ~txn want)) && (is_upgrade || not (blocked_by_queue t e ~txn r))
           then begin
-            e.granted <- (txn, want) :: List.remove_assoc txn e.granted;
-            observe_wait t e ~txn;
-            remove_waiter t e ~txn r;
-            end_wait t ~txn r ~outcome:"granted";
-            record_held t ~txn r;
+            e.granted <- (txn, want) :: Lock_mode.remove_holder txn e.granted;
+            settle t e ~txn r;
+            if not is_upgrade then record_held t ~txn r;
             Bess_util.Stats.bump t.c.grants;
             `Granted
           end
           else begin
-            if not (Hashtbl.mem e.by_txn txn) then begin
-              enqueue_waiter t e ~txn r want;
-              Bess_util.Stats.bump t.c.blocks;
-              begin_wait t ~txn r ~mode:want
-            end;
+            let w =
+              match queued t e ~txn r with
+              | Some w -> w
+              | None ->
+                  Bess_util.Stats.bump t.c.blocks;
+                  enqueue_waiter t e ~txn r want
+            in
+            let give_up outcome counter verdict =
+              remove_waiter t e w ~outcome;
+              Bess_util.Stats.bump counter;
+              if entry_empty e then Resource_tbl.remove t.table r;
+              verdict
+            in
             match detect with
             | `Graph ->
-                if creates_cycle t ~txn then begin
-                  remove_waiter t e ~txn r;
-                  end_wait t ~txn r ~outcome:"deadlock";
-                  Bess_util.Stats.bump t.c.deadlocks;
-                  if entry_empty e then Hashtbl.remove t.table r;
-                  `Deadlock
-                end
+                if creates_cycle t ~txn then give_up "deadlock" t.c.deadlocks `Deadlock
                 else `Blocked
             | `Timeout ->
-                let w = Hashtbl.find e.by_txn txn in
-                if Span.now_ns () - w.w_enqueued_ns >= timeout_ns then begin
-                  remove_waiter t e ~txn r;
-                  end_wait t ~txn r ~outcome:"timeout";
-                  Bess_util.Stats.bump t.c.timeouts;
-                  if entry_empty e then Hashtbl.remove t.table r;
-                  `Timeout
-                end
+                if Span.now_ns () - w.w_enqueued_ns >= timeout_ns then
+                  give_up "timeout" t.c.timeouts `Timeout
                 else `Blocked
           end)
 
@@ -429,17 +435,13 @@ let grant_scan t e r =
       in
       (* The filter ran arbitrary code: re-check before transferring. *)
       if ok && (not w.w_cancelled) && not (conflicts e ~txn:w.w_txn w.w_mode) then begin
-        let want =
-          match List.assoc_opt w.w_txn e.granted with
-          | Some m -> Lock_mode.sup m w.w_mode
-          | None -> w.w_mode
-        in
+        let current = Lock_mode.holder_mode w.w_txn e.granted in
+        let want = match current with Some m -> Lock_mode.sup m w.w_mode | None -> w.w_mode in
         w.w_woken_ns <- Span.now_ns ();
-        observe_wait t e ~txn:w.w_txn;
-        e.granted <- (w.w_txn, want) :: List.remove_assoc w.w_txn e.granted;
-        record_held t ~txn:w.w_txn r;
-        remove_waiter t e ~txn:w.w_txn r;
-        end_wait t ~txn:w.w_txn r ~outcome:"handoff";
+        observe_wait t w;
+        e.granted <- (w.w_txn, want) :: Lock_mode.remove_holder w.w_txn e.granted;
+        if Option.is_none current then record_held t ~txn:w.w_txn r;
+        remove_waiter t e w ~outcome:"handoff";
         Bess_util.Stats.bump t.c.grants;
         Bess_util.Stats.bump t.c.handoffs;
         granted_txns := w.w_txn :: !granted_txns;
@@ -466,63 +468,54 @@ let grant_scan t e r =
   | Some f -> List.iter (fun txn -> f ~txn) granted);
   granted
 
-(* Release everything held by [txn] (strict 2PL: only at commit/abort).
-   Cost is O(resources the transaction holds or waits on), not
-   O(lock table): the per-txn wait set replaces the old whole-table scan
-   for ghost waiters (requests still queued on resources the transaction
-   never got — those would block later requesters in FIFO order, and the
-   transactions queued behind them must be woken or they stall forever,
-   since no release on those resources is coming).
+(* Release everything held by [txn] (strict 2PL: only at commit/abort),
+   in acquisition order. Cost is O(resources the transaction holds or
+   waits on), not O(lock table): the per-txn wait list replaces the old
+   whole-table scan for ghost waiters (requests still queued on resources
+   the transaction never got — those would block later requesters in
+   FIFO order, and the transactions queued behind them must be woken or
+   they stall forever, since no release on those resources is coming).
 
    Returns the transactions granted in place (their wake hooks already
-   fired). *)
+   fired), each once, in the order they were first granted. *)
 let release_all t ~txn =
-  let wake = ref [] in
-  let woken = Hashtbl.create 16 in
+  let woken = ref [] in
   let scanned = ref 0 in
   let note_woken w_txn =
-    if not (Hashtbl.mem woken w_txn) then begin
-      Hashtbl.add woken w_txn ();
-      wake := w_txn :: !wake
-    end
+    if not (List.exists (fun x -> x = w_txn) !woken) then woken := w_txn :: !woken
   in
   let visit r =
     incr scanned;
-    match Hashtbl.find_opt t.table r with
+    match Resource_tbl.find_opt t.table r with
     | None -> ()
     | Some e ->
-        e.granted <- List.remove_assoc txn e.granted;
-        remove_waiter t e ~txn r;
-        end_wait t ~txn r ~outcome:"released";
+        e.granted <- Lock_mode.remove_holder txn e.granted;
+        (match queued t e ~txn r with
+        | Some w -> remove_waiter t e w ~outcome:"released"
+        | None -> ());
         List.iter note_woken (grant_scan t e r);
-        if entry_empty e then Hashtbl.remove t.table r
+        if entry_empty e then Resource_tbl.remove t.table r
   in
-  (match Hashtbl.find_opt t.held txn with
+  (match Int_tbl.find_opt t.held txn with
   | None -> ()
   | Some resources ->
-      Hashtbl.iter (fun r () -> visit r) resources;
-      Hashtbl.remove t.held txn);
-  (match Hashtbl.find_opt t.waits txn with
-  | None -> ()
-  | Some resources ->
-      (* Copy first: [visit] edits this set through [remove_waiter]. *)
-      let rs = Hashtbl.fold (fun r () acc -> r :: acc) resources [] in
-      List.iter visit rs);
+      List.iter visit (List.rev resources);
+      Int_tbl.remove t.held txn);
+  (* The list is a snapshot: [visit] edits the table through
+     [remove_waiter]. *)
+  List.iter (fun w -> visit w.w_res) (txn_list t.waits txn);
   Bess_util.Stats.bump t.c.release_alls;
   Bess_util.Stats.bump_by t.c.release_scan_entries !scanned;
-  List.rev !wake
+  List.rev !woken
 
-let held_resources t ~txn =
-  match Hashtbl.find_opt t.held txn with
-  | Some s -> Hashtbl.fold (fun r () acc -> r :: acc) s []
-  | None -> []
+let held_resources t ~txn = List.rev (txn_list t.held txn)
 
 let waiters t r =
-  match Hashtbl.find_opt t.table r with
+  match Resource_tbl.find_opt t.table r with
   | None -> []
   | Some e ->
       let acc = ref [] in
       iter_live e (fun w -> acc := (w.w_txn, w.w_mode) :: !acc);
       List.rev !acc
 
-let n_locks t = Hashtbl.length t.table
+let n_locks t = Resource_tbl.length t.table

@@ -21,6 +21,18 @@ val page_resource : area:int -> page:int -> resource
 val object_resource : db:int -> slot:int -> resource
 val pp_resource : Format.formatter -> resource -> unit
 
+(** Resources as hash keys: equality compares all three fields, and the
+    hash mixes them as integers, with no polymorphic hashing or
+    comparison. *)
+module Resource : sig
+  type t = resource
+
+  val equal : t -> t -> bool
+  val hash : t -> int
+end
+
+module Resource_tbl : Hashtbl.S with type key = resource
+
 type t
 
 val create : unit -> t
@@ -78,6 +90,8 @@ val holds : t -> txn:int -> resource -> Lock_mode.t -> bool
     (their wake hooks already fired). *)
 val release_all : t -> txn:int -> int list
 
+(** The resources [txn] holds, in the order it first acquired them
+    (the order {!release_all} releases them in). *)
 val held_resources : t -> txn:int -> resource list
 
 (** Live waiters queued on a resource, in FIFO order, with the

@@ -31,4 +31,15 @@ let sup a b =
 
 (* [covers held want]: does holding [held] already satisfy a request for
    [want]? True iff sup held want = held. *)
-let covers held want = sup held want = held
+let covers held want = sup held want == held
+
+(* Holder lists, [(id, mode)] pairs: a lock entry's granting
+   transactions, a callback entry's caching clients. [List.assoc_opt]
+   and [List.remove_assoc] without polymorphic comparison. *)
+let rec holder_mode id = function
+  | [] -> None
+  | (id', m) :: rest -> if id' = id then Some m else holder_mode id rest
+
+let rec remove_holder id = function
+  | [] -> []
+  | ((id', _) as h) :: rest -> if id' = id then rest else h :: remove_holder id rest

@@ -14,16 +14,22 @@ type t = {
 
 let create () = { buckets = Array.make 63 0; count = 0; sum = 0; min = max_int; max = 0 }
 
+(* The index of the highest set bit (0 for 0 and 1), found by halving
+   the width searched: six steps cover the 63-bit range. *)
 let bucket_of v =
-  if v <= 1 then 0
-  else
-    (* index of the highest set bit *)
-    let rec go v i = if v = 1 then i else go (v lsr 1) (i + 1) in
-    go v 0
+  let v = ref v and i = ref 0 in
+  if !v lsr 32 <> 0 then (v := !v lsr 32; i := 32);
+  if !v lsr 16 <> 0 then (v := !v lsr 16; i := !i + 16);
+  if !v lsr 8 <> 0 then (v := !v lsr 8; i := !i + 8);
+  if !v lsr 4 <> 0 then (v := !v lsr 4; i := !i + 4);
+  if !v lsr 2 <> 0 then (v := !v lsr 2; i := !i + 2);
+  if !v lsr 1 <> 0 then i := !i + 1;
+  !i
 
 let observe t v =
   let v = if v < 0 then 0 else v in
-  t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
+  let i = bucket_of v in
+  t.buckets.(i) <- t.buckets.(i) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v < t.min then t.min <- v;

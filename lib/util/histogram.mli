@@ -4,6 +4,10 @@ type t
 
 val create : unit -> t
 
+(** The bucket a non-negative sample falls in: the index of its highest
+    set bit, 0 for 0 and 1. *)
+val bucket_of : int -> int
+
 (** Record one non-negative sample (negatives clamp to 0). *)
 val observe : t -> int -> unit
 

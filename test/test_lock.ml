@@ -505,6 +505,125 @@ let test_release_scan_subquadratic () =
     true
     (large <= 30 * small)
 
+(* A table whose every key collides: only [Resource.equal] tells keys
+   apart. *)
+module Colliding = Hashtbl.Make (struct
+  include Lock_mgr.Resource
+
+  let hash _ = 0
+end)
+
+(* Resources that agree in the bits a weak key would keep: both
+   namespaces over the same coordinates, and areas and pages that differ
+   only at bit 24 or above. Both the lock table's own resource table and
+   one where every hash collides must keep each of them apart. *)
+let prop_resource_table_distinct =
+  QCheck.Test.make ~name:"resource table tells colliding resources apart" ~count:200
+    QCheck.(
+      small_list (pair bool (pair (pair (int_bound 2) (int_bound 2)) (pair (int_bound 2) (int_bound 2)))))
+    (fun keys ->
+      let rs =
+        List.sort_uniq compare
+          (List.map
+             (fun (obj, ((a, a_hi), (b, b_hi))) ->
+               { Lock_mgr.space = Bool.to_int obj; a = a + (a_hi lsl 24); b = b + (b_hi lsl 24) })
+             keys)
+      in
+      let tbl = Lock_mgr.Resource_tbl.create 4 and colliding = Colliding.create 4 in
+      List.iteri
+        (fun i r ->
+          Lock_mgr.Resource_tbl.replace tbl r i;
+          Colliding.replace colliding r i)
+        rs;
+      Lock_mgr.Resource_tbl.length tbl = List.length rs
+      && Colliding.length colliding = List.length rs
+      && List.for_all
+           (fun (i, r) ->
+             Lock_mgr.Resource_tbl.find_opt tbl r = Some i && Colliding.find_opt colliding r = Some i)
+           (List.mapi (fun i r -> (i, r)) rs))
+
+(* [held_resources] against a model of what was granted, in grant order:
+   a granted acquire, or an in-place grant reported by a release, adds
+   the resource a transaction asked for (once); a release empties the
+   transaction's list. Each transaction has at most one request pending,
+   which it re-polls until it resolves, so a release's wake list says
+   which resource each woken transaction got. *)
+let prop_held_resources_match_model =
+  QCheck.Test.make ~name:"held_resources equals the model's granted set" ~count:300
+    QCheck.(small_list (triple (int_bound 3) (int_bound 3) (option (oneofl Lock_mode.all))))
+    (fun ops ->
+      let m = Lock_mgr.create () in
+      let resources =
+        [| r1; r2; obj1; Lock_mgr.page_resource ~area:1 ~page:(1 + (1 lsl 24)) |]
+      in
+      let granted = Array.make 4 [] and pending = Array.make 4 None in
+      let grant i ri =
+        if not (List.mem ri granted.(i)) then granted.(i) <- granted.(i) @ [ ri ];
+        pending.(i) <- None
+      in
+      List.iter
+        (fun (i, ri, op) ->
+          match op with
+          | None ->
+              let woken = Lock_mgr.release_all m ~txn:(i + 1) in
+              granted.(i) <- [];
+              pending.(i) <- None;
+              List.iter
+                (fun txn ->
+                  match pending.(txn - 1) with
+                  | Some ri -> grant (txn - 1) ri
+                  | None -> QCheck.Test.fail_report "woke a transaction with nothing pending")
+                woken
+          | Some mode -> (
+              let ri = Option.value pending.(i) ~default:ri in
+              match Lock_mgr.acquire m ~txn:(i + 1) resources.(ri) mode with
+              | `Granted -> grant i ri
+              | `Blocked -> pending.(i) <- Some ri
+              | `Deadlock -> pending.(i) <- None
+              | `Timeout -> QCheck.Test.fail_report "timeout under graph detection"))
+        ops;
+      List.for_all
+        (fun i ->
+          Lock_mgr.held_resources m ~txn:(i + 1) = List.map (fun ri -> resources.(ri)) granted.(i)
+          && Array.for_all
+               (fun ri ->
+                 Option.is_some (Lock_mgr.held_mode m ~txn:(i + 1) resources.(ri))
+                 = List.mem ri granted.(i))
+               [| 0; 1; 2; 3 |])
+        [ 0; 1; 2; 3 ])
+
+(* An uncontended X acquire and its release allocate a few small blocks:
+   no table is built per transaction or per lock entry, and no key is
+   boxed for a polymorphic hash. Minor words are deterministic, so the
+   bound is tight. *)
+let test_acquire_release_allocation () =
+  let max_words = 96.0 in
+  let m = Lock_mgr.create () in
+  let cycle txn =
+    let r = Lock_mgr.page_resource ~area:1 ~page:(txn mod 64) in
+    ignore (Lock_mgr.acquire m ~txn r Lock_mode.X);
+    ignore (Lock_mgr.release_all m ~txn)
+  in
+  for txn = 1 to 1_000 do
+    cycle txn
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for txn = 1_001 to 1_000 + n do
+    cycle txn
+  done;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "nothing left locked" 0 (Lock_mgr.n_locks m);
+  if per_cycle > max_words then
+    Alcotest.failf "%.1f minor words per acquire and release (bound %.0f)" per_cycle max_words
+
+(* Lock resources are keyed only through the typed tables: a polymorphic
+   [Hashtbl.t] keyed by one (or by a tuple holding one) anywhere in the
+   library hashes and compares structurally on the lock path. *)
+let test_no_polymorphic_resource_tables () =
+  Alcotest.(check (list string)) "polymorphic tables keyed by a lock resource" []
+    (Lib_sources.matches {|resource, [^)]*) Hashtbl\.t|})
+
 let suite =
   [
     Alcotest.test_case "mode_algebra" `Quick test_mode_algebra;
@@ -532,4 +651,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_no_incompatible_grants;
     QCheck_alcotest.to_alcotest prop_release_all_is_total;
     QCheck_alcotest.to_alcotest prop_graph_detector_matches_reference;
+    QCheck_alcotest.to_alcotest prop_resource_table_distinct;
+    QCheck_alcotest.to_alcotest prop_held_resources_match_model;
+    Alcotest.test_case "acquire_release_allocation" `Quick test_acquire_release_allocation;
+    Alcotest.test_case "no_polymorphic_resource_tables" `Quick
+      test_no_polymorphic_resource_tables;
   ]

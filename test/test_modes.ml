@@ -354,6 +354,36 @@ let test_shm_read_access_is_read_only () =
   Alcotest.(check int) "the tracked store was shipped" 42 (upstream_read db seg ~off:0);
   Alcotest.(check bool) "commit puts the mapping back to read-only" true (store_faults addr)
 
+(* A node serves 4096-byte pages. Over a database of 8 KB pages both
+   fetchers refuse the short buffer, rather than copying the first half
+   of each page into it. *)
+let test_fetch_refuses_other_page_size () =
+  let db = Bess.Db.create_memory ~page_size:8192 ~db_id:52 () in
+  let s = Bess.Db.session db in
+  Bess.Session.begin_txn s;
+  let seg = Bess.Session.create_segment s ~slotted_pages:1 ~data_pages:1 () in
+  Bess.Session.commit s;
+  Bess.Session.drop_all_cached s;
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a 4096-byte buffer took an 8 KB page" what
+    | exception Invalid_argument _ -> ()
+  in
+  let node =
+    Bess.Node_server.create ~cache_slots:4 ~n_procs:1
+      (Bess.Fetcher.direct ~client_id:995 (Bess.Db.server db))
+  in
+  refused "node over a direct fetcher" (fun () ->
+      Bess.Node_server.shm_access node ~proc:0 (data_page seg 0) ~write:false);
+  let net = Bess.Remote.network () in
+  Bess.Remote.serve net (Bess.Db.server db);
+  let f = Bess.Remote.connect net ~client_id:996 db in
+  let txn = f.f_begin () in
+  refused "remote fetcher" (fun () ->
+      f.f_fetch_page ~txn (data_page seg 0) ~mode:Bess_lock.Lock_mode.S ~into:(Bytes.create 4096));
+  f.f_fetch_page ~txn (data_page seg 0) ~mode:Bess_lock.Lock_mode.S ~into:(Bytes.create 8192);
+  f.f_abort ~txn
+
 let suite =
   [
     Alcotest.test_case "shm_same_vframe" `Quick test_shm_same_vframe_all_processes;
@@ -376,4 +406,5 @@ let suite =
     Alcotest.test_case "callback_refused_while_txn_open" `Quick
       test_callback_refused_while_txn_open;
     Alcotest.test_case "shm_read_access_is_read_only" `Quick test_shm_read_access_is_read_only;
+    Alcotest.test_case "fetch_refuses_other_page_size" `Quick test_fetch_refuses_other_page_size;
   ]

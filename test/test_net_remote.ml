@@ -136,12 +136,30 @@ let test_one_client_protocol () =
     [ "Server.page"; "Server.update" ]
     (Lib_sources.matches ~paths:(named "node_server.ml") {|Server\.[a-z_]+|})
 
+(* The server remembers the answers of the last [dedup_window] keyed
+   requests: a redelivery inside the window replays its answer, and one
+   older than the window runs again. *)
+let test_dedup_window_ages_out () =
+  let db = Bess.Db.create_memory ~db_id:61 () in
+  let net = Bess.Remote.network () in
+  Bess.Remote.serve net (Bess.Db.server db);
+  let begin_txn rid =
+    match Bess.Remote.call net ~src:7 ~dst:61 (Bess.Remote.Begin { rid }) with
+    | Bess.Remote.R_txn txn -> txn
+    | _ -> Alcotest.fail "Begin answered something else"
+  in
+  let txns = Array.init (Bess.Remote.dedup_window + 1) (fun i -> begin_txn (i + 1)) in
+  Alcotest.(check int) "the oldest remembered request replays" txns.(1) (begin_txn 2);
+  Alcotest.(check bool) "a request past the window runs again" true (begin_txn 1 <> txns.(0));
+  Alcotest.(check int) "which ages out the oldest" (txns.(Bess.Remote.dedup_window) + 2) (begin_txn 2)
+
 let suite =
   [
     Alcotest.test_case "net_accounting" `Quick test_net_accounting;
     Alcotest.test_case "net_unknown_endpoint" `Quick test_net_unknown_endpoint;
     Alcotest.test_case "remote_end_to_end" `Quick test_remote_session_end_to_end;
     Alcotest.test_case "remote_callback" `Quick test_remote_callback_over_wire;
+    Alcotest.test_case "dedup_window_ages_out" `Quick test_dedup_window_ages_out;
     Alcotest.test_case "remote_traffic_shape" `Quick test_remote_traffic_shape;
     Alcotest.test_case "one_client_protocol" `Quick test_one_client_protocol;
   ]

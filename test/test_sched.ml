@@ -288,6 +288,42 @@ let test_commit_major_allocation () =
     Alcotest.failf "%.0f direct major words per commit, bound %.0f" per_commit
       max_words_per_commit
 
+(* One client transaction as [Driver] runs it, on one cached page:
+   begin, X-lock, read the before-image, commit, await the ticket. The
+   server's per-transaction state is int-keyed and its lock and callback
+   tables typed, so the cycle's minor words stay under a tight bound
+   (they are deterministic). *)
+let test_commit_cycle_allocation () =
+  let max_words = 400.0 in
+  let db = fresh_db () in
+  let server = Bess.Db.server db in
+  let pid = (seed_pages db ~n_pages:1).(0) in
+  let r = Lock_mgr.page_resource ~area:pid.area ~page:pid.page in
+  Bess.Server.connect_client server ~client:1 ~sink:(fun _ _ -> `Dropped);
+  let before = Bytes.create 8 and after = Bytes.make 8 'x' in
+  let cycle () =
+    let txn = Bess.Server.begin_txn server ~client:1 in
+    ignore (Bess.Server.lock server ~txn r Bess_lock.Lock_mode.X);
+    Bess.Server.read_into server pid ~off:0 before ~dst_off:0 ~len:8;
+    match
+      Bess.Server.commit_client_begin server ~txn
+        ~updates:[ { Bess.Server.page = pid; offset = 0; before; after } ]
+    with
+    | `Committed ticket -> Bess.Server.await_commit server ticket
+    | `Lock_violation -> Alcotest.fail "lock violation"
+  in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let n = 5_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let per_cycle = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_cycle > max_words then
+    Alcotest.failf "%.1f minor words per client transaction (bound %.0f)" per_cycle max_words
+
 let suite =
   [
     Alcotest.test_case "heap_order" `Quick test_heap_order;
@@ -301,4 +337,5 @@ let suite =
     Alcotest.test_case "parked_client_gives_up_at_deadline" `Quick
       test_parked_client_gives_up_at_deadline;
     Alcotest.test_case "commit_major_allocation" `Quick test_commit_major_allocation;
+    Alcotest.test_case "commit_cycle_allocation" `Quick test_commit_cycle_allocation;
   ]

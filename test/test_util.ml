@@ -268,8 +268,31 @@ let prop_crc_reference =
         one = crc_bitwise crc b off len
         && one = Crc32.update (Crc32.update crc b off k) b (off + k) (len - k))
 
+(* The bit-at-a-time bucket index [Histogram.bucket_of] replaced. *)
+let bucket_bitwise v =
+  let rec go v i = if v <= 1 then i else go (v lsr 1) (i + 1) in
+  go v 0
+
+let test_bucket_of_edges () =
+  let edges =
+    [ 0; 1; max_int ] @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+      (List.init 61 (fun k -> k + 1))
+  in
+  List.iter
+    (fun v -> Alcotest.(check int) (string_of_int v) (bucket_bitwise v) (Histogram.bucket_of v))
+    edges
+
+let prop_bucket_of =
+  QCheck.Test.make ~name:"bucket_of equals the bit-by-bit reference" ~count:1000
+    QCheck.(oneof [ small_nat; map abs int ])
+    (fun v ->
+      let v = if v < 0 then max_int else v in
+      Histogram.bucket_of v = bucket_bitwise v)
+
 let suite =
   [
+    Alcotest.test_case "bucket_of_edges" `Quick test_bucket_of_edges;
+    QCheck_alcotest.to_alcotest prop_bucket_of;
     Alcotest.test_case "prng_deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng_bounds" `Quick test_prng_bounds;
     Alcotest.test_case "prng_split" `Quick test_prng_split_independent;
