@@ -30,10 +30,9 @@ module Lock_mgr = Bess_lock.Lock_mgr
 module Lock_mode = Bess_lock.Lock_mode
 module Callback = Bess_lock.Callback
 
-(* Transaction and client ids as keys. [Int.hash] is the polymorphic
-   hash on an int, so folds over [txns] (checkpoints, orphaned
-   transactions) visit them in the order a polymorphic table would. *)
-module Int_tbl = Hashtbl.Make (Int)
+(* Transaction and client ids as keys. Folds over [txns] sort what
+   they collect, so no order follows the table's layout. *)
+module Int_tbl = Bess_util.Int_tbl
 
 (* One server.request span per public operation, so client/net spans
    above and lock/store spans below hang off a common parent. *)
@@ -503,15 +502,6 @@ let abort_prepared t ~txn:txn_id =
       end_txn ~fire:false t ts ~commit:false
   | Some _ | None -> Bess_util.Stats.bump t.c.decide_noops
 
-(* Transactions re-created as in-doubt by recovery. *)
-let adopt_in_doubt t ~txn:txn_id ~last_lsn ?(coordinator = -1) () =
-  (* Replacing an entry that was already Prepared must not double-count. *)
-  (match Int_tbl.find_opt t.txns txn_id with
-  | Some ts when ts.status = Prepared -> ()
-  | _ -> t.n_prepared <- t.n_prepared + 1);
-  Int_tbl.replace t.txns txn_id
-    { txn_id; client = -1; last_lsn; status = Prepared; coord = coordinator }
-
 (* Prepared transactions with the coordinator each is waiting on — what a
    shard hands to its resolver after restart. *)
 let prepared_txns t =
@@ -521,18 +511,21 @@ let prepared_txns t =
   |> List.sort compare
 
 (* Abort every active transaction of a client (a client that leaves
-   holding locks: [Bess_sched.Driver]'s churn disconnects). *)
+   holding locks: [Bess_sched.Driver]'s churn disconnects), oldest
+   first. *)
 let abort_client_txns t ~client =
   let orphans =
     Int_tbl.fold
       (fun id ts acc -> if ts.client = client && ts.status = Active then id :: acc else acc)
       t.txns []
+    |> List.sort Int.compare
   in
   List.iter (fun id -> abort_client t ~txn:id) orphans;
   List.length orphans
 
 (* ---- Maintenance ---- *)
 
+(* The checkpoint lists the live transactions by id. *)
 let checkpoint t =
   let txns =
     Int_tbl.fold
@@ -542,6 +535,7 @@ let checkpoint t =
         | Prepared -> (ts.txn_id, ts.last_lsn, Bess_wal.Log_record.Prepared) :: acc
         | Ended -> acc)
       t.txns []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
   in
   Store.checkpoint t.store ~txns
 
@@ -570,47 +564,46 @@ let recover t =
      emptied post-crash lock table grants them uncontended. *)
   let log = Store.log t.store in
   let module Frame = Bess_wal.Log_record.Frame in
-  let in_doubt = Hashtbl.create 8 in
   let pages = ref [] in
   List.iter
-    (fun (tx, last_lsn) ->
+    (fun (txn_id, last_lsn) ->
       let head, _ = Bess_wal.Log.read log last_lsn in
-      let coordinator =
+      let coord =
         match head.body with Bess_wal.Log_record.Prepare p -> p.coordinator | _ -> -1
       in
-      Hashtbl.replace in_doubt tx (last_lsn, coordinator);
+      (* A restart with no crash before it finds the entry Prepared
+         already, and must not count it twice. *)
+      (match Int_tbl.find_opt t.txns txn_id with
+      | Some ts when ts.status = Prepared -> ()
+      | _ -> t.n_prepared <- t.n_prepared + 1);
+      Int_tbl.replace t.txns txn_id
+        { txn_id; client = -1; last_lsn; status = Prepared; coord };
       (* The chain behind the head is read in place: a page and a
          prev_lsn per record, no image decoded. *)
       let rec walk lsn =
         if lsn <> 0 then begin
           let buf = Bess_wal.Log.buffer log and off = Bess_wal.Log.frame_offset log lsn in
           (match Frame.kind buf off with
-          | Update | Clr -> pages := (lsn, tx, Frame.page buf off) :: !pages
+          | Update | Clr -> pages := (lsn, txn_id, Frame.page buf off) :: !pages
           | _ -> ());
           walk (Frame.prev_lsn buf off)
         end
       in
       walk head.prev_lsn)
     outcome.in_doubt;
-  (* Retaken in log order, the order the transactions first took them. *)
-  let relock = Hashtbl.create 8 in
+  (* Retaken in log order, the order the transactions first took them;
+     a page written again is already held. *)
   List.iter
-    (fun (_, tx, (page : Bess_wal.Log_record.page_id)) ->
-      Hashtbl.replace relock (tx, Lock_mgr.page_resource ~area:page.area ~page:page.page) ())
-    (List.sort compare !pages);
-  Hashtbl.iter
-    (fun txn_id (last_lsn, coordinator) ->
-      adopt_in_doubt t ~txn:txn_id ~last_lsn ~coordinator ())
-    in_doubt;
-  Hashtbl.iter
-    (fun (tx, r) () ->
-      (match Lock_mgr.acquire t.locks ~txn:tx r Lock_mode.X with
-      | `Granted -> Bess_util.Stats.incr t.stats "server.indoubt_relocks"
-      | `Blocked | `Deadlock | `Timeout ->
-          (* Two in-doubt transactions never overlap on a page (both held
-             X before the crash), so this cannot happen. *)
-          assert false))
-    relock;
+    (fun (_, txn, (page : Bess_wal.Log_record.page_id)) ->
+      let r = Lock_mgr.page_resource ~area:page.area ~page:page.page in
+      if not (Lock_mgr.holds t.locks ~txn r Lock_mode.X) then
+        match Lock_mgr.acquire t.locks ~txn r Lock_mode.X with
+        | `Granted -> Bess_util.Stats.incr t.stats "server.indoubt_relocks"
+        | `Blocked | `Deadlock | `Timeout ->
+            (* Two in-doubt transactions never overlap on a page (both held
+               X before the crash), so this cannot happen. *)
+            assert false)
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !pages);
   outcome
 
 let shutdown t = Store.flush_all t.store

@@ -52,6 +52,7 @@
    schedules it on the event heap) and re-polls when it fires. *)
 
 module Span = Bess_obs.Span
+module Int_tbl = Bess_util.Int_tbl
 
 type resource = { space : int; a : int; b : int }
 
@@ -67,17 +68,12 @@ module Resource = struct
 
   let equal r r' = r.b = r'.b && r.a = r'.a && r.space = r'.space
 
-  (* Multiply and xor-shift: every bit of every field reaches the low
-     bits a bucket index keeps, so pages and areas past 2^24 spread as
-     well as small ones. *)
-  let hash r =
-    let h = (((r.space * 0x9E3779B1) lxor r.a) * 0x9E3779B1) lxor r.b in
-    let h = h * 0x9E3779B1 in
-    (h lxor (h lsr 29)) land max_int
+  (* Each field is mixed into the hash of those before it, so pages and
+     areas past 2^24 spread as well as small ones. *)
+  let hash r = Int_tbl.mix (Int_tbl.mix (Int_tbl.mix r.space lxor r.a) lxor r.b)
 end
 
 module Resource_tbl = Hashtbl.Make (Resource)
-module Int_tbl = Hashtbl.Make (Int)
 
 (* A request may wait this long, in simulated ns, before [`Timeout]
    detection declares it deadlocked. See DESIGN.md §4h for the measured

@@ -5,7 +5,7 @@
 type t = int * int
 
 let equal ((a, b) : t) ((c, d) : t) = Int.equal a c && Int.equal b d
-let hash ((a, b) : t) = Hashtbl.hash ((a * 65599) + b)
+let hash ((a, b) : t) = Int_tbl.mix (Int_tbl.mix a lxor b)
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

@@ -30,30 +30,18 @@ type outcome = {
 (* ---- Analysis ----------------------------------------------------------- *)
 
 module Frame = Log_record.Frame
+module Int_tbl = Bess_util.Int_tbl
 
 (* The transaction table during the scan, which looks a transaction up
-   for nearly every record. A stdlib table costs a C call per hash and a
-   fresh binding per insertion; this one is open addressing with linear
-   probing over flat arrays (keys >= 0; -1 marks a free slot) and
-   allocates only to grow. Each binding holds an int and the sequence
-   number of its latest insertion. *)
+   for nearly every record. A stdlib table allocates a fresh binding per
+   insertion; this one is open addressing with linear probing over flat
+   arrays (keys >= 0; -1 marks a free slot) and allocates only to
+   grow. *)
 module Txn_tbl = struct
-  type t = {
-    mutable keys : int array;
-    mutable vals : int array;
-    mutable seqs : int array;
-    mutable size : int;
-    mutable peak : int; (* most bindings ever held at once *)
-    mutable next_seq : int;
-  }
+  type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
 
-  let create () =
-    { keys = Array.make 64 (-1); vals = Array.make 64 0; seqs = Array.make 64 0; size = 0;
-      peak = 0; next_seq = 0 }
-
-  let home t k =
-    let h = k * 0x9E3779B97F4A7C1 in
-    (h lxor (h lsr 32)) land (Array.length t.keys - 1)
+  let create () = { keys = Array.make 64 (-1); vals = Array.make 64 0; size = 0 }
+  let home t k = Int_tbl.mix k land (Array.length t.keys - 1)
 
   (* The slot holding [k], else the free slot that ends its probe. *)
   let rec probe t k i =
@@ -65,26 +53,22 @@ module Txn_tbl = struct
     let i = probe t k (home t k) in
     if t.keys.(i) = k then i else -1
 
-  let place t k v seq =
+  let place t k v =
     let i = probe t k (home t k) in
     t.keys.(i) <- k;
-    t.vals.(i) <- v;
-    t.seqs.(i) <- seq
+    t.vals.(i) <- v
 
   (* Bind [k], which is absent, to [v]; at most half the slots fill. *)
   let add t k v =
     if 2 * (t.size + 1) > Array.length t.keys then begin
-      let keys = t.keys and vals = t.vals and seqs = t.seqs in
+      let keys = t.keys and vals = t.vals in
       let n = 2 * Array.length keys in
       t.keys <- Array.make n (-1);
       t.vals <- Array.make n 0;
-      t.seqs <- Array.make n 0;
-      Array.iteri (fun i k -> if k >= 0 then place t k vals.(i) seqs.(i)) keys
+      Array.iteri (fun i k -> if k >= 0 then place t k vals.(i)) keys
     end;
-    place t k v t.next_seq;
-    t.next_seq <- t.next_seq + 1;
-    t.size <- t.size + 1;
-    if t.size > t.peak then t.peak <- t.size
+    place t k v;
+    t.size <- t.size + 1
 
   (* Backward-shift deletion: each later binding of the probe run moves
      into the hole if its home slot allows, so no run is ever cut by a
@@ -97,7 +81,6 @@ module Txn_tbl = struct
     else if (j - home t kj) land m >= (j - hole) land m then begin
       t.keys.(hole) <- kj;
       t.vals.(hole) <- t.vals.(j);
-      t.seqs.(hole) <- t.seqs.(j);
       shift t j j
     end
     else shift t hole j
@@ -121,36 +104,16 @@ let set_txn (att : Txn_tbl.t) txn status last =
   | -1 -> Txn_tbl.add att txn (pack status last)
   | i -> att.vals.(i) <- pack status last
 
-(* Restart appends End records, and hands undo its losers, in the order a
-   [Hashtbl] that saw the scan's insertions and removals one by one
-   iterates. That order follows from the bindings left, the order of
-   their latest insertions and the bucket count, which [Hashtbl.create 16]
-   doubles whenever it holds more than two bindings per bucket. A table
-   created with the bucket count the peak reached and filled in insertion
-   order iterates the same way. *)
-let txn_table (att : Txn_tbl.t) =
-  let buckets = ref 16 in
-  while att.peak > 2 * !buckets do
-    buckets := 2 * !buckets
-  done;
+(* The live transactions, as [(txn, status, last LSN)] by txn. *)
+let live_txns (att : Txn_tbl.t) =
   let live = ref [] in
   Array.iteri
-    (fun i txn -> if txn >= 0 then live := (att.seqs.(i), txn, att.vals.(i)) :: !live)
+    (fun i txn ->
+      if txn >= 0 then
+        let v = att.vals.(i) in
+        live := (txn, status_of v, v lsr 2) :: !live)
     att.keys;
-  let h = Hashtbl.create !buckets in
-  List.iter
-    (fun (_, txn, v) -> Hashtbl.add h txn (status_of v, v lsr 2))
-    (List.sort compare !live);
-  h
-
-(* Page keys ({!Bess_cache.Page_id.to_key}) to dirty-page-table
-   entries, hashed in OCaml rather than by a C call per Update/CLR. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = (k lxor (k lsr 40)) * 0x9E3779B1 lsr 8
-end)
+  List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !live
 
 (* A dirty-page-table entry, with the redo work analysis finds for it:
    the LSNs, in log order, of the page's Update/CLR records at or after
@@ -163,7 +126,7 @@ type dirty = {
 }
 
 type analysis = {
-  att : (int, txn_status * int) Hashtbl.t; (* txn -> status, last_lsn *)
+  live : (int * txn_status * int) list; (* txn, status, last_lsn; by txn *)
   pages : dirty list; (* pages with redo work, by first redo LSN *)
 }
 
@@ -173,11 +136,11 @@ type analysis = {
    and the LSN arrays' growth. *)
 let analyse log =
   let att = Txn_tbl.create () in
-  let dpt = Key_tbl.create 64 in
+  let dpt = Int_tbl.create 64 in
   let pages = ref [] in
   let add_dirty p rec_lsn =
     let d = { page = p; rec_lsn; lsns = [||]; n = 0 } in
-    Key_tbl.add dpt (Bess_cache.Page_id.to_key p) d;
+    Int_tbl.add dpt (Bess_cache.Page_id.to_key p) d;
     d
   in
   (* Redo repeats history: every Update/CLR at or after its page's
@@ -208,17 +171,17 @@ let analyse log =
             List.iter (fun (txn, last, status) -> set_txn att txn status last) e.txns;
             List.iter
               (fun (p, rec_lsn) ->
-                if not (Key_tbl.mem dpt (Bess_cache.Page_id.to_key p)) then
+                if not (Int_tbl.mem dpt (Bess_cache.Page_id.to_key p)) then
                   ignore (add_dirty p rec_lsn))
               e.dirty;
             (* A dirty page whose recovery LSN lies behind the checkpoint
                has redo work there: collect it first, so each page's LSNs
                stay in log order. *)
-            let low = Key_tbl.fold (fun _ d acc -> Stdlib.min acc d.rec_lsn) dpt start in
+            let low = Int_tbl.fold (fun _ d acc -> Stdlib.min acc d.rec_lsn) dpt start in
             Log.iter_frames ~from:low ~until:start log (fun lsn buf off ->
                 match Frame.kind buf off with
                 | Update | Clr -> (
-                    match Key_tbl.find dpt (Frame.page_key buf off) with
+                    match Int_tbl.find dpt (Frame.page_key buf off) with
                     | d -> note d lsn
                     | exception Not_found -> ())
                 | _ -> ());
@@ -230,7 +193,7 @@ let analyse log =
       | Update | Clr ->
           set_txn att (Frame.txn buf off) Running lsn;
           let d =
-            match Key_tbl.find dpt (Frame.page_key buf off) with
+            match Int_tbl.find dpt (Frame.page_key buf off) with
             | d -> d
             | exception Not_found -> add_dirty (Frame.page buf off) lsn
           in
@@ -247,7 +210,7 @@ let analyse log =
       | End -> Txn_tbl.remove att (Frame.txn buf off)
       | Decision (* coordinator-log record; carries no page or txn state *)
       | Begin_checkpoint | End_checkpoint -> ());
-  { att = txn_table att; pages = List.rev !pages }
+  { live = live_txns att; pages = List.rev !pages }
 
 (* ---- Redo ---------------------------------------------------------------- *)
 
@@ -345,25 +308,20 @@ let rollback_txn log io ~txn ~last_lsn =
 
 (* ---- Full restart -------------------------------------------------------- *)
 
+(* Restart's appends follow the transaction ids: the winners' End
+   records in ascending id, then undo's CLRs, then the losers' End
+   records in ascending id. *)
 let recover log io =
   let a = analyse log in
   let redone = redo log io a in
-  let winners = ref [] and losers = ref [] and in_doubt = ref [] in
-  Hashtbl.iter
-    (fun txn (status, last) ->
-      match status with
-      | Committed ->
-          winners := txn :: !winners;
-          ignore (Log.append log { prev_lsn = last; body = End { txn } })
-      | Prepared -> in_doubt := (txn, last) :: !in_doubt
-      | Running -> losers := (txn, last) :: !losers)
-    a.att;
-  let undone = undo_losers log io !losers in
+  let with_status status =
+    List.filter_map (fun (txn, s, last) -> if s = status then Some (txn, last) else None) a.live
+  in
+  let winners = with_status Committed and losers = with_status Running in
+  List.iter
+    (fun (txn, last) -> ignore (Log.append log { prev_lsn = last; body = End { txn } }))
+    winners;
+  let undone = undo_losers log io losers in
   Log.flush log ();
-  {
-    winners = List.sort compare !winners;
-    losers = List.sort compare (List.map fst !losers);
-    in_doubt = List.sort compare !in_doubt;
-    redone;
-    undone;
-  }
+  { winners = List.map fst winners; losers = List.map fst losers;
+    in_doubt = with_status Prepared; redone; undone }

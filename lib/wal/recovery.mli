@@ -44,5 +44,10 @@ val rollback_txn : Log.t -> page_io -> txn:int -> last_lsn:int -> int
     page in place; redo goes page by page over the LSNs analysis found,
     one {!page_io} write per page, blitting each image from the log
     buffer; undo rolls the losers back with CLRs, decoding only the
-    records it undoes. *)
+    records it undoes.
+
+    The records a restart appends come in an order the log defines: the
+    winners' End records in ascending transaction id, then the CLRs
+    (largest next undo LSN first), then the losers' End records in
+    ascending transaction id. *)
 val recover : Log.t -> page_io -> outcome

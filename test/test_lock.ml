@@ -624,6 +624,22 @@ let test_no_polymorphic_resource_tables () =
   Alcotest.(check (list string)) "polymorphic tables keyed by a lock resource" []
     (Lib_sources.matches {|resource, [^)]*) Hashtbl\.t|})
 
+(* Integer keys hash through [Bess_util.Int_tbl.mix], and no order on
+   the restart, lock or server paths can follow a polymorphic table's
+   layout: the library instantiates no [Hashtbl.Make (Int)], and the
+   three modules create no polymorphic table. *)
+let test_one_integer_hash () =
+  Alcotest.(check (list string)) "Hashtbl.Make over Int" []
+    (Lib_sources.matches {|Hashtbl\.Make *(Int)|});
+  let paths =
+    List.filter
+      (fun p -> List.mem (Filename.basename p) [ "recovery.ml"; "server.ml"; "lock_mgr.ml" ])
+      (Lib_sources.files Lib_sources.root)
+  in
+  Alcotest.(check int) "the three modules found" 3 (List.length paths);
+  Alcotest.(check (list string)) "polymorphic tables created" []
+    (Lib_sources.matches ~paths {|Hashtbl\.create|})
+
 let suite =
   [
     Alcotest.test_case "mode_algebra" `Quick test_mode_algebra;
@@ -656,4 +672,5 @@ let suite =
     Alcotest.test_case "acquire_release_allocation" `Quick test_acquire_release_allocation;
     Alcotest.test_case "no_polymorphic_resource_tables" `Quick
       test_no_polymorphic_resource_tables;
+    Alcotest.test_case "one_integer_hash" `Quick test_one_integer_hash;
   ]

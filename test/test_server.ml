@@ -301,6 +301,42 @@ let test_in_doubt_across_crash () =
   Alcotest.(check string) "decided commit applied" "2PC!"
     (Bytes.sub_string (Bess.Server.read_page server page) 400 4)
 
+(* A prepared transaction takes its X locks back after a restart in log
+   order: the order it first wrote the pages, which their hash does not
+   follow. A page written twice is locked once. *)
+let test_indoubt_relocks_in_log_order () =
+  let db = fresh_db () in
+  ignore (seed db);
+  let server = Bess.Db.server db in
+  let area = Bess.Db.default_area db in
+  let pages = [ 9; 2; 14; 5; 11; 3 ] in
+  let t = Bess.Server.begin_txn server ~client:1 in
+  let write page after =
+    Bess.Server.update_inplace server ~txn:t { Page_id.area; page } ~offset:64
+      (Bytes.of_string after)
+  in
+  List.iter (fun page -> write page "1st!") pages;
+  write 14 "2nd!";
+  Alcotest.(check bool) "vote yes" true
+    (Bess.Server.prepare server ~txn:t ~coordinator:3 ~updates:[] = `Vote_yes);
+  Bess.Server.crash server;
+  let relocks () =
+    Bess_util.Stats.get (Bess.Server.stats server) "server.indoubt_relocks"
+  in
+  let before = relocks () in
+  let outcome = Bess.Server.recover server in
+  Alcotest.(check (list int)) "in doubt" [ t ] (List.map fst outcome.in_doubt);
+  Alcotest.(check (list (pair int int))) "coordinator known" [ (t, 3) ]
+    (Bess.Server.prepared_txns server);
+  Alcotest.(check (list int)) "held in first-write order" pages
+    (List.map
+       (fun (r : Lock_mgr.resource) -> r.b)
+       (Lock_mgr.held_resources (Bess.Server.locks server) ~txn:t));
+  Alcotest.(check int) "one relock per distinct page" (List.length pages) (relocks () - before);
+  Bess.Server.abort_prepared server ~txn:t;
+  Alcotest.(check int) "locks released" 0
+    (List.length (Lock_mgr.held_resources (Bess.Server.locks server) ~txn:t))
+
 let test_deadlock_detection_between_sessions () =
   let db = fresh_db () in
   let server = Bess.Db.server db in
@@ -380,5 +416,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_read_into;
     Alcotest.test_case "two_phase_commit_paths" `Quick test_two_phase_commit_paths;
     Alcotest.test_case "in_doubt_across_crash" `Quick test_in_doubt_across_crash;
+    Alcotest.test_case "indoubt_relocks_in_log_order" `Quick test_indoubt_relocks_in_log_order;
     Alcotest.test_case "deadlock_between_sessions" `Quick test_deadlock_detection_between_sessions;
   ]

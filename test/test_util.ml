@@ -289,6 +289,78 @@ let prop_bucket_of =
       let v = if v < 0 then max_int else v in
       Histogram.bucket_of v = bucket_bitwise v)
 
+(* A hash table against a map from each key to its bindings, newest
+   first: [add] shadows a binding, [replace] rebinds the newest,
+   [remove] uncovers the one below. After every step [find_opt],
+   [find_all] and [length] must agree with the map. *)
+module Table_model (K : Map.OrderedType) (T : Hashtbl.S with type key = K.t) = struct
+  module M = Map.Make (K)
+
+  let agrees ops =
+    let t = T.create 4 and m = ref M.empty in
+    let bindings k = Option.value (M.find_opt k !m) ~default:[] in
+    let set k = function [] -> m := M.remove k !m | vs -> m := M.add k vs !m in
+    let below k = match bindings k with [] -> [] | _ :: vs -> vs in
+    List.for_all
+      (fun (op, k, v) ->
+        (match op with
+        | 0 ->
+            T.add t k v;
+            set k (v :: bindings k)
+        | 1 ->
+            T.replace t k v;
+            set k (v :: below k)
+        | 2 ->
+            T.remove t k;
+            set k (below k)
+        | _ -> ());
+        T.find_opt t k = List.nth_opt (bindings k) 0
+        && T.find_all t k = bindings k
+        && T.length t = M.fold (fun _ vs n -> n + List.length vs) !m 0)
+      ops
+end
+
+module Int_model = Table_model (Int) (Bess_util.Int_tbl)
+
+module Pair_model =
+  Table_model
+    (struct
+      type t = int * int
+
+      let compare = compare
+    end)
+    (Bess_util.Int_pair.Tbl)
+
+(* Op 3 is a bare find; keys come from a small set, so most ops hit a
+   key bound before. *)
+let table_ops key =
+  QCheck.Gen.(list_size (0 -- 200) (triple (0 -- 3) key small_nat))
+
+let prop_int_tbl_model =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-40) 40;
+          map (fun k -> (1 lsl 40) + k) (int_range (-4) 4);
+          map (fun k -> min_int + k) (int_range 0 4);
+          map2
+            (fun area page -> Bess_cache.Page_id.to_key { area; page })
+            (int_range 0 3) (int_range 0 40);
+        ])
+  in
+  QCheck.Test.make ~name:"int table agrees with a map model" ~count:300
+    (QCheck.make (table_ops key) ~print:QCheck.Print.(list (triple int int int)))
+    Int_model.agrees
+
+let prop_int_pair_tbl_model =
+  let coord = QCheck.Gen.(map2 (fun hi lo -> (hi lsl 24) + lo) (0 -- 3) (-4 -- 4)) in
+  QCheck.Test.make ~name:"int pair table agrees with a map model" ~count:300
+    (QCheck.make
+       (table_ops (QCheck.Gen.pair coord coord))
+       ~print:QCheck.Print.(list (triple int (pair int int) int)))
+    Pair_model.agrees
+
 let suite =
   [
     Alcotest.test_case "bucket_of_edges" `Quick test_bucket_of_edges;
@@ -310,4 +382,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_codec_i64;
     QCheck_alcotest.to_alcotest prop_crc_concat;
     QCheck_alcotest.to_alcotest prop_crc_reference;
+    QCheck_alcotest.to_alcotest prop_int_tbl_model;
+    QCheck_alcotest.to_alcotest prop_int_pair_tbl_model;
   ]

@@ -157,21 +157,23 @@ module Ref = struct
     let a = analyse log in
     let redone = redo log io a in
     let winners = ref [] and losers = ref [] and in_doubt = ref [] in
-    Hashtbl.iter
-      (fun txn (status, last) ->
+    (* Ascending id: winners' End records, then undo (CLRs, then the
+       losers' End records in the order given). *)
+    List.iter
+      (fun (txn, (status, last)) ->
         match (status : Recovery.txn_status) with
         | Committed ->
             winners := txn :: !winners;
             ignore (Log.append log { prev_lsn = last; body = End { txn } })
         | Prepared -> in_doubt := (txn, last) :: !in_doubt
         | Running -> losers := (txn, last) :: !losers)
-      a.att;
-    let undone = undo_losers log io !losers in
+      (List.sort compare (List.of_seq (Hashtbl.to_seq a.att)));
+    let undone = undo_losers log io (List.rev !losers) in
     Log.flush log ();
     {
-      winners = List.sort compare !winners;
-      losers = List.sort compare (List.map fst !losers);
-      in_doubt = List.sort compare !in_doubt;
+      winners = List.rev !winners;
+      losers = List.rev_map fst !losers;
+      in_doubt = List.rev !in_doubt;
       redone;
       undone;
     }
@@ -704,9 +706,9 @@ let test_restart_allocation () =
   if per_record >= 8.0 then
     Alcotest.failf "%.1f minor words per redone record (bound 8)" per_record
 
-(* Restart appends End records for its winners, and undo rolls its
-   losers back, in transaction-table order. With 400 transactions live at
-   once (sparse ids, some ended along the way) the table grows several
+(* Restart's appends follow the transaction ids, however the table that
+   analysis keeps them in grows and shrinks. With 400 transactions live
+   at once (sparse ids, some ended along the way) the table grows several
    times and then empties to 60, and the restart still appends what the
    reference does, record for record. *)
 let test_many_live_transactions () =
@@ -755,6 +757,51 @@ let test_many_live_transactions () =
   Alcotest.(check bool) "same page images" true (pages = pages');
   Alcotest.(check int) "same record count" (List.length records') (List.length records);
   Alcotest.(check bool) "same records in the same order" true (records = records')
+
+(* The records a restart appends: the winners' End records in ascending
+   id, then the CLRs (latest update first), then the losers' End records
+   in ascending id. The ids are sparse and logged out of order, so a hash
+   table's iteration order would not sort them. *)
+let test_restart_ends_in_txn_order () =
+  let log = Log.create () in
+  let s = fake_store () in
+  let winners = [ 4242; 17; 65_537; 900; 333 ] in
+  let running = [ 7001; 58; 12 ] and aborted = [ 2500; 41; 1_000_003 ] in
+  let losers = running @ aborted in
+  let last =
+    List.mapi
+      (fun i txn -> (txn, update log s ~txn ~prev:0 ~pg:(i mod 8) ~offset:(i * 4) ~after:"abcd"))
+      (winners @ losers)
+  in
+  List.iter
+    (fun txn -> ignore (Log.append log { prev_lsn = List.assoc txn last; body = Commit { txn } }))
+    winners;
+  List.iter
+    (fun txn -> ignore (Log.append log { prev_lsn = List.assoc txn last; body = Abort { txn } }))
+    aborted;
+  Log.flush log ();
+  let crash_lsn = Log.last_lsn log in
+  Log.crash log ();
+  Hashtbl.reset s.lsns;
+  let o = Recovery.recover log (io_of s) in
+  let sorted = List.sort Int.compare in
+  Alcotest.(check (list int)) "winners" (sorted winners) o.winners;
+  Alcotest.(check (list int)) "losers" (sorted losers) o.losers;
+  let appended =
+    List.filter_map
+      (fun (lsn, (r : Log_record.t)) ->
+        if lsn <= crash_lsn then None
+        else
+          match r.body with
+          | End e -> Some ("end", e.txn)
+          | Clr c -> Some ("clr", c.txn)
+          | _ -> Some ("other", 0))
+      (records_of log)
+  in
+  let tag k = List.map (fun txn -> (k, txn)) in
+  Alcotest.(check (list (pair string int))) "appended records"
+    (tag "end" (sorted winners) @ tag "clr" (List.rev losers) @ tag "end" (sorted losers))
+    appended
 
 (* The frame walker trusts the log's invariant, and says so when it is
    broken: a zeroed length field inside the log raises instead of ending
@@ -890,6 +937,7 @@ let suite =
     Alcotest.test_case "restart_allocation" `Quick test_restart_allocation;
     Alcotest.test_case "broken_frame_raises" `Quick test_broken_frame_raises;
     Alcotest.test_case "many_live_transactions" `Quick test_many_live_transactions;
+    Alcotest.test_case "restart_ends_in_txn_order" `Quick test_restart_ends_in_txn_order;
     Alcotest.test_case "group_commit_policy_parse" `Quick test_group_commit_policy_parse;
     Alcotest.test_case "group_commit_batches" `Quick test_group_commit_batches;
     Alcotest.test_case "group_commit_window" `Quick test_group_commit_window;
