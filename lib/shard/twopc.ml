@@ -40,7 +40,8 @@ module Group_commit = Bess_wal.Group_commit
 module Stats = Bess_util.Stats
 module Span = Bess_obs.Span
 module Fault = Bess_fault.Fault
-module Decided = Bess_util.Int_pair.Tbl
+module Int_tbl = Bess_util.Int_tbl
+module Pair_set = Bess_util.Pair_set
 
 type counters = {
   begins : Stats.counter;
@@ -70,14 +71,18 @@ type t = {
   net : Remote.network;
   log : Log.t;
   gc : Group_commit.t;
-  (* Durable commit decisions by participant, INCLUDING fully acked
-     ones: a participant that crashed after committing may still query
-     long after the End record retired the gid, and must hear commit. *)
-  decided : int Decided.t; (* (shard, txn) -> gid *)
-  (* Commit decisions not yet acked by every participant, as
+  (* The (shard, txn) participants of every durable commit decision,
+     INCLUDING fully acked ones. It is never pruned on End: a
+     participant that crashed while prepared still acks the decide (as
+     a no-op, [server.decide_noops]), so the coordinator logs End, yet
+     on restart that participant is in doubt and must still hear
+     commit (test_shard.ml "in-doubt keeps X locks across restart").
+     Only a crash empties it; recovery refills it from the log. *)
+  decided : Pair_set.t;
+  (* Commit decisions not yet acked by every participant, by gid, as
      (original index, shard, txn) so re-driven rids match the first
      send. *)
-  pending : (int, (int * int * int) list) Hashtbl.t;
+  pending : (int * int * int) list Int_tbl.t;
   mutable next_gid : int;
   mutable up : bool;
   stats : Stats.t;
@@ -110,7 +115,7 @@ let register_endpoint t =
       match req with
       | Remote.Query_decision { shard; txn; _ } ->
           Stats.incr t.stats "2pc.queries";
-          let known = Decided.mem t.decided (shard, txn) in
+          let known = Pair_set.mem t.decided shard txn in
           if not known then Stats.incr t.stats "2pc.presumed_aborts";
           Remote.R_decision known
       | _ -> Remote.R_error "coordinator only answers decision queries")
@@ -138,8 +143,8 @@ let create ~net () =
       net;
       log;
       gc;
-      decided = Decided.create 256;
-      pending = Hashtbl.create 32;
+      decided = Pair_set.create 256;
+      pending = Int_tbl.create 32;
       next_gid = 1;
       up = true;
       stats;
@@ -147,7 +152,7 @@ let create ~net () =
     }
   in
   Bess_obs.Registry.register_gauge "2pc" "2pc.unresolved" (fun () ->
-      Hashtbl.length t.pending);
+      Int_tbl.length t.pending);
   register_endpoint t;
   t
 
@@ -155,8 +160,8 @@ let id t = t.id
 let stats t = t.stats
 let log t = t.log
 let up t = t.up
-let unresolved t = Hashtbl.length t.pending
-let has_decision t ~shard ~txn = Decided.mem t.decided (shard, txn)
+let unresolved t = Int_tbl.length t.pending
+let has_decision t ~shard ~txn = Pair_set.mem t.decided shard txn
 
 (* Lose everything volatile; only the forced log prefix survives. The
    endpoint drops off the network, so participant queries bounce until
@@ -166,8 +171,8 @@ let crash t =
     Stats.incr t.stats "2pc.coord_crashes";
     Log.crash t.log ();
     Group_commit.reset t.gc;
-    Decided.reset t.decided;
-    Hashtbl.reset t.pending;
+    Pair_set.clear t.decided;
+    Int_tbl.reset t.pending;
     Net.unregister t.net ~id:t.id;
     t.up <- false
   end
@@ -185,7 +190,7 @@ let force t lsn =
 (* One round of commit-decide fan-out for [gid]: every ack retires its
    participant; when none remain the End record closes the entry. *)
 let decide_round t gid =
-  match Hashtbl.find_opt t.pending gid with
+  match Int_tbl.find_opt t.pending gid with
   | None -> ()
   | Some unacked ->
       let still =
@@ -206,40 +211,53 @@ let decide_round t gid =
       in
       if still = [] then begin
         ignore (Log.append t.log { prev_lsn = 0; body = End { txn = gid } });
-        Hashtbl.remove t.pending gid
+        Int_tbl.remove t.pending gid
       end
-      else Hashtbl.replace t.pending gid still
+      else Int_tbl.replace t.pending gid still
 
 (* Re-send every unacked commit decision (after a crash, or after decide
    deliveries were lost); returns how many gids remain unacked. *)
 let redrive t =
   if not t.up then invalid_arg "Twopc.redrive: coordinator is down";
-  let gids = Hashtbl.fold (fun g _ acc -> g :: acc) t.pending [] |> List.sort compare in
+  let gids = Int_tbl.fold (fun g _ acc -> g :: acc) t.pending [] |> List.sort Int.compare in
   List.iter
     (fun g ->
       Stats.incr t.stats "2pc.redrives";
       decide_round t g)
     gids;
-  Hashtbl.length t.pending
+  Int_tbl.length t.pending
 
+let pending_parts participants = List.mapi (fun i (s, x) -> (i, s, x)) participants
+
+(* One walk over the decision log's frames, decoding nothing: each
+   Decision's participants go into [decided] as read in place, and its
+   gid into [live] (gid -> LSN) until an End retires it. Only the few
+   gids still live at the end are decoded, to rebuild [pending]. *)
 let recover t =
-  Decided.reset t.decided;
-  Hashtbl.reset t.pending;
+  Pair_set.clear t.decided;
+  Int_tbl.reset t.pending;
+  let live = Int_tbl.create 64 in
   let max_gid = ref 0 in
-  (* Only Decision records are decoded; an End's gid is read in place. *)
-  Log.iter_frames t.log (fun _ buf off ->
+  Log.iter_frames t.log (fun lsn buf off ->
       match Log_record.Frame.kind buf off with
-      | Decision -> (
-          match (Log_record.decode_frame buf off).body with
-          | Decision { gid; participants } ->
-              max_gid := Stdlib.max !max_gid gid;
-              List.iter (fun k -> Decided.replace t.decided k gid) participants;
-              if participants <> [] then
-                Hashtbl.replace t.pending gid
-                  (List.mapi (fun i (s, x) -> (i, s, x)) participants)
-          | _ -> assert false)
-      | End -> Hashtbl.remove t.pending (Log_record.Frame.txn buf off)
+      | Decision ->
+          let gid = Log_record.Frame.txn buf off in
+          let n = Log_record.Frame.n_participants buf off in
+          if gid > !max_gid then max_gid := gid;
+          for i = 0 to n - 1 do
+            Pair_set.add t.decided
+              (Log_record.Frame.participant_shard buf off i)
+              (Log_record.Frame.participant_txn buf off i)
+          done;
+          if n > 0 then Int_tbl.replace live gid lsn
+      | End -> Int_tbl.remove live (Log_record.Frame.txn buf off)
       | _ -> ());
+  Int_tbl.iter
+    (fun gid lsn ->
+      match (Log_record.decode_frame (Log.buffer t.log) (Log.frame_offset t.log lsn)).body with
+      | Decision { participants; _ } -> Int_tbl.replace t.pending gid (pending_parts participants)
+      | _ -> assert false)
+    live;
   t.up <- true;
   (* Epoch marker: an empty forced Decision record claiming gid
      headroom, so gids (hence rids) handed out after the crash can never
@@ -302,8 +320,8 @@ let commit ?(chaos = fun () -> ()) t ~parts =
     let pl = List.map (fun (s, x, _) -> (s, x)) parts in
     let lsn = Log.append t.log { prev_lsn = 0; body = Decision { gid; participants = pl } } in
     force t lsn;
-    List.iter (fun k -> Decided.replace t.decided k gid) pl;
-    Hashtbl.replace t.pending gid (List.mapi (fun i (s, x) -> (i, s, x)) pl);
+    List.iter (fun (s, x) -> Pair_set.add t.decided s x) pl;
+    Int_tbl.replace t.pending gid (pending_parts pl);
     Stats.bump t.c.decisions_logged;
     if Fault.fire "2pc.coord.crash_decided" then begin
       crash t;

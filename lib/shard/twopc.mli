@@ -50,7 +50,12 @@ val up : t -> bool
 val unresolved : t -> int
 
 (** Whether a durable COMMIT decision names [(shard, txn)] — what the
-    query endpoint answers; absence means (presumed) abort. *)
+    query endpoint answers; absence means (presumed) abort. Every
+    decision counts, including those an End record retired: a
+    participant that crashed while prepared may ask after its no-op ack
+    let the coordinator log End. The participants are kept in a flat
+    set of packed pairs ({!Bess_util.Pair_set}), so a [shard] outside
+    [\[0, 2^30)] or a [txn] outside u32 is never named. *)
 val has_decision : t -> shard:int -> txn:int -> bool
 
 (** Drive one global transaction: prepare each [(shard, txn, updates)]
@@ -69,11 +74,16 @@ val commit :
     still unacked (participants that stayed unreachable). *)
 val redrive : t -> int
 
-(** Lose all volatile state (decision tables, unforced log tail) and
-    leave the network. *)
+(** Lose all volatile state (the decision set, the unacked decisions,
+    the unforced log tail) and leave the network. The decision set is
+    emptied in place and keeps its capacity for {!recover}. *)
 val crash : t -> unit
 
-(** Rebuild the decision tables from the log (Decision records minus
-    End-retired ones), force an epoch marker, rejoin the network and
-    re-drive unacked decisions; returns what {!redrive} returned. *)
+(** Rebuild the decision tables from the log in one walk over its
+    frames, decoding nothing: every Decision's participants go into the
+    decision set as read in place, and each gid no End record retired
+    is remembered with its LSN; only those few Decisions are decoded,
+    to rebuild the unacked decisions. Then force an epoch marker, rejoin
+    the network and re-drive unacked decisions; returns what {!redrive}
+    returned. *)
 val recover : t -> int

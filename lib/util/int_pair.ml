@@ -1,6 +1,6 @@
 (* Pairs of ints as hash-table keys: (src, dst) routes, (src, request
-   id) dedup keys, (shard, txn) decisions. The specialised table neither
-   hashes nor compares polymorphically. *)
+   id) dedup keys, (client, shard) wire clients. The specialised table
+   neither hashes nor compares polymorphically. *)
 
 type t = int * int
 

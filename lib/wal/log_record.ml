@@ -79,12 +79,18 @@ let page_at = body_at + 8
 let offset_at = body_at + 12
 let image_at = body_at + 16
 
+(* A Decision goes on with its participant count and then, per
+   participant, a u32 shard and a u32 txn. *)
+let n_parts_at = body_at + 4
+let part_shard_at i = body_at + 8 + (8 * i)
+let part_txn_at i = part_shard_at i + 4
+
 let body_size = function
   | Update u -> 16 + 4 + Bytes.length u.before + 4 + Bytes.length u.after
   | Clr c -> 16 + 4 + Bytes.length c.image + 4
   | Commit _ | Abort _ | End _ -> 4
   | Prepare _ -> 8
-  | Decision d -> 8 + (8 * List.length d.participants)
+  | Decision d -> part_shard_at (List.length d.participants) - body_at
   | Begin_checkpoint -> 0
   | End_checkpoint e -> 4 + (9 * List.length e.txns) + 4 + (12 * List.length e.dirty)
 
@@ -124,10 +130,14 @@ let put_body buf off = function
   | Commit { txn } | Abort { txn } | End { txn } -> put_u32 buf (off + txn_at) txn
   | Prepare p -> put_u32 buf (put_u32 buf (off + txn_at) p.txn) p.coordinator
   | Decision d ->
-      let pos = put_u32 buf (put_u32 buf (off + txn_at) d.gid) (List.length d.participants) in
-      List.fold_left
-        (fun pos (shard, txn) -> put_u32 buf (put_u32 buf pos shard) txn)
-        pos d.participants
+      ignore (put_u32 buf (off + txn_at) d.gid);
+      ignore (put_u32 buf (off + n_parts_at) (List.length d.participants));
+      List.iteri
+        (fun i (shard, txn) ->
+          ignore (put_u32 buf (off + part_shard_at i) shard);
+          ignore (put_u32 buf (off + part_txn_at i) txn))
+        d.participants;
+      off + part_shard_at (List.length d.participants)
   | Begin_checkpoint -> off + body_at
   | End_checkpoint e ->
       let pos =
@@ -187,6 +197,9 @@ module Frame = struct
   let page_key b off = Bess_cache.Page_id.key ~area:(u32 b off area_at) ~page:(u32 b off page_at)
   let page b off = { area = u32 b off area_at; page = u32 b off page_at }
   let offset b off = u32 b off offset_at
+  let n_participants b off = u32 b off n_parts_at
+  let participant_shard b off i = u32 b off (part_shard_at i)
+  let participant_txn b off i = u32 b off (part_txn_at i)
 
   (* The redo image's length prefix: Update's after image follows its
      before image; Clr's image is the first. *)
@@ -277,12 +290,9 @@ let decode_frame b off =
         in
         End_checkpoint { txns; dirty }
     | Frame.Decision ->
-        pos := off + txn_at + 4;
-        let n = u32 () in
-        let participants = List.init n (fun _ ->
-            let shard = u32 () in
-            let txn = u32 () in
-            (shard, txn))
+        let participants =
+          List.init (Frame.n_participants b off) (fun i ->
+              (Frame.participant_shard b off i, Frame.participant_txn b off i))
         in
         Decision { gid = txn (); participants }
   in

@@ -101,6 +101,15 @@ module Frame : sig
   (** The page offset an Update's or Clr's images start at. *)
   val offset : Bytes.t -> int -> int
 
+  (** A Decision's participant count. *)
+  val n_participants : Bytes.t -> int -> int
+
+  (** [participant_shard b off i] and [participant_txn b off i]: the
+      [i]-th participant of a Decision, [0 <= i <] {!n_participants}. *)
+  val participant_shard : Bytes.t -> int -> int -> int
+
+  val participant_txn : Bytes.t -> int -> int -> int
+
   (** Where in [b] the image that redo repeats starts, and its length:
       an Update's after image, a Clr's image. Raises [Invalid_argument]
       for any other kind. *)

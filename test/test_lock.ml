@@ -625,18 +625,20 @@ let test_no_polymorphic_resource_tables () =
     (Lib_sources.matches {|resource, [^)]*) Hashtbl\.t|})
 
 (* Integer keys hash through [Bess_util.Int_tbl.mix], and no order on
-   the restart, lock or server paths can follow a polymorphic table's
-   layout: the library instantiates no [Hashtbl.Make (Int)], and the
-   three modules create no polymorphic table. *)
+   the restart, lock, server or 2PC coordinator paths can follow a
+   polymorphic table's layout: the library instantiates no
+   [Hashtbl.Make (Int)], and the four modules create no polymorphic
+   table. *)
 let test_one_integer_hash () =
   Alcotest.(check (list string)) "Hashtbl.Make over Int" []
     (Lib_sources.matches {|Hashtbl\.Make *(Int)|});
   let paths =
     List.filter
-      (fun p -> List.mem (Filename.basename p) [ "recovery.ml"; "server.ml"; "lock_mgr.ml" ])
+      (fun p ->
+        List.mem (Filename.basename p) [ "recovery.ml"; "server.ml"; "lock_mgr.ml"; "twopc.ml" ])
       (Lib_sources.files Lib_sources.root)
   in
-  Alcotest.(check int) "the three modules found" 3 (List.length paths);
+  Alcotest.(check int) "the four modules found" 4 (List.length paths);
   Alcotest.(check (list string)) "polymorphic tables created" []
     (Lib_sources.matches ~paths {|Hashtbl\.create|})
 

@@ -279,6 +279,204 @@ let test_wal_names_a_shard () =
   Alcotest.(check (option int)) "wal.log.appends is the shard's" (Some own)
     (List.assoc_opt "wal.log.appends" snap)
 
+(* ---- Coordinator restart against a decoding reference ------------------- *)
+
+module Log = Bess_wal.Log
+module Log_record = Bess_wal.Log_record
+
+(* What the coordinator's decision log says, read the plain way: every
+   record decoded. [decided] holds every participant any Decision
+   names; [live] the participants of each gid that no End has
+   retired. *)
+module Reference = struct
+  module Pairs = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type t = { decided : Pairs.t; live : (int * int) list list; max_gid : int }
+
+  let of_log log =
+    let decided = ref Pairs.empty and live = Hashtbl.create 16 and max_gid = ref 0 in
+    Log.iter_frames log (fun _ buf off ->
+        match (Log_record.decode_frame buf off).body with
+        | Decision { gid; participants } ->
+            max_gid := max !max_gid gid;
+            List.iter (fun p -> decided := Pairs.add p !decided) participants;
+            if participants <> [] then Hashtbl.replace live gid participants
+        | End { txn } -> Hashtbl.remove live txn
+        | _ -> ());
+    { decided = !decided; live = List.of_seq (Hashtbl.to_seq_values live); max_gid = !max_gid }
+
+  (* Gids a re-drive cannot finish: some participant is off the net. *)
+  let unfinished r ~down =
+    List.length (List.filter (List.exists (fun (ep, _) -> down ep)) r.live)
+end
+
+type step =
+  | Txn of { writes : (int * int * int) list; victim : int option; fault : string option }
+      (** (shard, rank, offset) writes; [victim] leaves the net once the
+          votes are in; [fault] is a coordinator crash site to fire *)
+  | Up of int
+  | Redrive
+  | Resolve
+  | Restart
+
+let pp_step = function
+  | Txn { writes; victim; fault } ->
+      Printf.sprintf "Txn %s victim=%s fault=%s"
+        (String.concat ";" (List.map (fun (s, r, o) -> Printf.sprintf "%d.%d+%d" s r o) writes))
+        (match victim with Some v -> string_of_int v | None -> "-")
+        (Option.value fault ~default:"-")
+  | Up i -> Printf.sprintf "Up %d" i
+  | Redrive -> "Redrive"
+  | Resolve -> "Resolve"
+  | Restart -> "Restart"
+
+let n_shards = 3
+
+let gen_step =
+  let open QCheck.Gen in
+  let write = triple (0 -- (n_shards - 1)) (0 -- 7) (map (fun o -> o * 8) (0 -- 3)) in
+  let txn =
+    map3
+      (fun writes victim fault ->
+        (* Cross-shard: another shard joins writes that all hit one. *)
+        let s0, _, _ = List.hd writes in
+        let writes =
+          if List.exists (fun (s, _, _) -> s <> s0) writes then writes
+          else ((s0 + 1) mod n_shards, 0, 0) :: writes
+        in
+        Txn { writes; victim; fault })
+      (list_size (2 -- 4) write)
+      (frequency [ (3, return None); (1, map Option.some (0 -- (n_shards - 1))) ])
+      (frequency
+         [ (6, return None); (1, return (Some "2pc.coord.crash_undecided"));
+           (2, return (Some "2pc.coord.crash_decided")) ])
+  in
+  frequency
+    [ (8, txn); (2, map (fun i -> Up i) (0 -- (n_shards - 1))); (1, return Redrive);
+      (1, return Resolve); (2, return Restart) ]
+
+(* Crash the coordinator (a no-op when an injected crash already took
+   it down), read the reference off what survived, recover, and compare
+   every answer the recovered coordinator gives with the reference's. *)
+let restart_and_check sh ~down ~probes =
+  let coord = Shard.coord sh in
+  Twopc.crash coord;
+  let r = Reference.of_log (Twopc.log coord) in
+  let ep_down ep = down.(ep - 1) in
+  let want = Reference.unfinished r ~down:ep_down in
+  Alcotest.(check int) "recover's re-drive leaves the reference's unfinished gids" want
+    (Twopc.recover coord);
+  Alcotest.(check int) "unresolved" want (Twopc.unresolved coord);
+  Alcotest.(check int) "a second re-drive" want (Twopc.redrive coord);
+  let check (ep, tx) =
+    Alcotest.(check bool)
+      (Printf.sprintf "has_decision (%d, %d)" ep tx)
+      (Reference.Pairs.mem (ep, tx) r.decided)
+      (Twopc.has_decision coord ~shard:ep ~txn:tx)
+  in
+  Reference.Pairs.iter
+    (fun (ep, tx) ->
+      check (ep, tx);
+      check (ep, tx + 1);
+      check (ep + n_shards, tx))
+    r.decided;
+  List.iter check probes;
+  (* The epoch marker, the last empty Decision, claims gids past every
+     one the log held. *)
+  let marker =
+    Log.fold (Twopc.log coord)
+      (fun m _ (rec_ : Log_record.t) ->
+        match rec_.body with Decision { gid; participants = [] } -> gid | _ -> m)
+      0
+  in
+  Alcotest.(check bool) "epoch marker past every gid" true (marker > r.max_gid)
+
+let run_restart_steps steps =
+  fresh @@ fun () ->
+  let sh = Shard.create ~n:n_shards () in
+  let coord = Shard.coord sh in
+  let net = Shard.net sh in
+  let down = Array.make n_shards false in
+  let take_down i =
+    if not down.(i) then begin
+      Net.unregister net ~id:(Shard.endpoint sh i);
+      down.(i) <- true
+    end
+  in
+  (* Participants of every attempt that reached 2PC, committed or not,
+     and some that no attempt named. *)
+  let probes = ref [ (0, 0); (1, 0); (n_shards, (1 lsl 32) - 1); (1, 424_242) ] in
+  let ensure_up () = if not (Twopc.up coord) then restart_and_check sh ~down ~probes:!probes in
+  List.iter
+    (fun step ->
+      match step with
+      | Txn { writes; victim; fault } -> (
+          ensure_up ();
+          Option.iter
+            (fun site ->
+              Fault.configure site (Fault.Plan [ 1 ]);
+              Fault.seed 1)
+            fault;
+          let chaos () = Option.iter take_down victim in
+          let writes = List.map (fun (s, rank, off) -> (s, rank, off, i64 (rank + 1))) writes in
+          (match Shard.txn ~chaos sh ~client:700 ~writes () with
+          | `Committed | `Aborted | `Blocked -> ()
+          | exception Twopc.Crashed -> ());
+          Fault.reset ();
+          probes := Shard.last_parts sh @ !probes)
+      | Up i ->
+          if down.(i) then begin
+            Remote.serve net (Shard.server sh i);
+            down.(i) <- false
+          end
+      | Redrive -> if Twopc.up coord then ignore (Twopc.redrive coord)
+      | Resolve -> ignore (Shard.resolve_in_doubt sh)
+      | Restart -> restart_and_check sh ~down ~probes:!probes)
+    steps;
+  restart_and_check sh ~down ~probes:!probes;
+  (* With every shard back, a re-drive finishes every decision. *)
+  Array.iteri (fun i d -> if d then Remote.serve net (Shard.server sh i)) down;
+  Alcotest.(check int) "every decision finishes" 0 (Twopc.redrive coord);
+  true
+
+let prop_coordinator_restart_equals_reference =
+  QCheck.Test.make ~name:"coordinator_restart_equals_reference" ~count:40
+    (QCheck.make
+       QCheck.Gen.(list_size (1 -- 40) gen_step)
+       ~print:QCheck.Print.(list pp_step))
+    run_restart_steps
+
+(* Restart reads each Decision's participants in place: the only
+   per-record allocation is the gid -> LSN entry of a decision not yet
+   retired, a few words. Decoding each record and keying a polymorphic
+   pair table by its participants cost tens. *)
+let test_coordinator_restart_allocation () =
+  fresh @@ fun () ->
+  let sh = Shard.create ~n:2 () in
+  let coord = Shard.coord sh in
+  let log = Twopc.log coord in
+  let n = 10_000 in
+  for g = 1 to n do
+    let participants = [ (1, 2 * g); (2, (2 * g) + 1) ] in
+    ignore (Log.append log { prev_lsn = 0; body = Decision { gid = g; participants } });
+    ignore (Log.append log { prev_lsn = 0; body = End { txn = g } })
+  done;
+  Log.flush log ();
+  Twopc.crash coord;
+  let before = Stdlib.Gc.minor_words () in
+  let unacked = Twopc.recover coord in
+  let per_record = (Stdlib.Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "nothing to re-drive" 0 unacked;
+  Alcotest.(check bool) "first decision recovered" true (Twopc.has_decision coord ~shard:1 ~txn:2);
+  Alcotest.(check bool) "last decision recovered" true
+    (Twopc.has_decision coord ~shard:2 ~txn:((2 * n) + 1));
+  if per_record >= 8.0 then
+    Alcotest.failf "%.1f minor words per Decision record (bound 8)" per_record
+
 let suite =
   [
     Alcotest.test_case "oid host routing" `Quick test_routing;
@@ -297,4 +495,7 @@ let suite =
       test_coordinator_crash_after_decision_redrives;
     Alcotest.test_case "query unknown txn answers abort" `Quick test_query_unknown_txn_is_abort;
     Alcotest.test_case "wal names a shard's log" `Quick test_wal_names_a_shard;
+    QCheck_alcotest.to_alcotest prop_coordinator_restart_equals_reference;
+    Alcotest.test_case "coordinator_restart_allocation" `Quick
+      test_coordinator_restart_allocation;
   ]

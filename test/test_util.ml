@@ -361,6 +361,80 @@ let prop_int_pair_tbl_model =
        ~print:QCheck.Print.(list (triple int (pair int int) int)))
     Pair_model.agrees
 
+(* The flat pair set against a [Set] of pairs over random add, mem and
+   clear sequences. Up to 2,000 adds from a capacity of 8 cross eight
+   doublings; the keys include the range's edges and pairs whose packed
+   keys all hash to slot 0 of every capacity up to 1,024, so their
+   probes chain. *)
+module Pairs = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let colliding =
+  let rec go acc lo =
+    if List.length acc = 64 then acc
+    else
+      let k = (3 lsl 32) lor lo in
+      go (if Bess_util.Int_tbl.mix k land 1023 = 0 then (3, lo) :: acc else acc) (lo + 1)
+  in
+  Array.of_list (go [] 0)
+
+let pair_set_ops =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, pair (0 -- 5) (0 -- 3_000));
+          (1, map (fun i -> colliding.(i)) (0 -- (Array.length colliding - 1)));
+          ( 1,
+            pair
+              (oneofl [ 0; 1; (1 lsl 30) - 1 ])
+              (oneofl [ 0; 1; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 32) - 1 ]) );
+        ])
+  in
+  (* Op 0 adds, op 1 asks, op 2 clears. *)
+  let op = QCheck.Gen.(frequency [ (12, return 0); (6, return 1); (1, return 2) ]) in
+  QCheck.Gen.(list_size (0 -- 2_000) (pair op key))
+
+let prop_pair_set_model =
+  QCheck.Test.make ~name:"pair set agrees with a set of pairs" ~count:100
+    (QCheck.make pair_set_ops ~print:QCheck.Print.(list (pair int (pair int int))))
+    (fun ops ->
+      let t = Bess_util.Pair_set.create 4 and m = ref Pairs.empty in
+      List.for_all
+        (fun (op, ((hi, lo) as k)) ->
+          let cap = Bess_util.Pair_set.capacity t in
+          (match op with
+          | 0 ->
+              Bess_util.Pair_set.add t hi lo;
+              m := Pairs.add k !m
+          | 2 ->
+              Bess_util.Pair_set.clear t;
+              m := Pairs.empty
+          | _ -> ());
+          Bess_util.Pair_set.mem t hi lo = Pairs.mem k !m
+          && Bess_util.Pair_set.cardinal t = Pairs.cardinal !m
+          && Bess_util.Pair_set.capacity t >= 2 * Pairs.cardinal !m
+          && (op <> 2 || Bess_util.Pair_set.capacity t = cap))
+        ops
+      && Pairs.for_all (fun (hi, lo) -> Bess_util.Pair_set.mem t hi lo) !m)
+
+let test_pair_set_range () =
+  let t = Bess_util.Pair_set.create 4 in
+  Bess_util.Pair_set.add t ((1 lsl 30) - 1) ((1 lsl 32) - 1);
+  List.iter
+    (fun (hi, lo) ->
+      let name = Printf.sprintf "(%d, %d)" hi lo in
+      Alcotest.check_raises name (Invalid_argument "Pair_set.add: pair out of range") (fun () ->
+          Bess_util.Pair_set.add t hi lo);
+      Alcotest.(check bool) (name ^ " is no member") false (Bess_util.Pair_set.mem t hi lo))
+    [ (1 lsl 30, 0); (-1, 0); (0, -1); (0, 1 lsl 32); (max_int, max_int); (min_int, 0) ];
+  Alcotest.(check int) "only the in-range pair" 1 (Bess_util.Pair_set.cardinal t);
+  Alcotest.(check bool) "the largest pair is a member" true
+    (Bess_util.Pair_set.mem t ((1 lsl 30) - 1) ((1 lsl 32) - 1))
+
 let suite =
   [
     Alcotest.test_case "bucket_of_edges" `Quick test_bucket_of_edges;
@@ -384,4 +458,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crc_reference;
     QCheck_alcotest.to_alcotest prop_int_tbl_model;
     QCheck_alcotest.to_alcotest prop_int_pair_tbl_model;
+    QCheck_alcotest.to_alcotest prop_pair_set_model;
+    Alcotest.test_case "pair_set_range" `Quick test_pair_set_range;
   ]
