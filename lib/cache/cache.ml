@@ -11,6 +11,7 @@
 
 module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
+module Int_map = Bess_util.Int_map
 
 type slot = {
   index : int;
@@ -18,20 +19,20 @@ type slot = {
   mutable page : Page_id.t option;
   mutable dirty : bool;
   mutable rec_lsn : int; (* LSN that took the page from clean to dirty; 0 while clean *)
+  mutable page_lsn : int; (* LSN of the last change logged to the page; 0 when unmapped *)
   mutable pins : int;
 }
 
 type t = {
   slots : slot array;
   page_size : int;
-  map : int Page_id.Tbl.t; (* page -> slot index *)
-  mutable writeback : Page_id.t -> Bytes.t -> unit;
+  map : Int_map.t; (* [Page_id.to_key] page -> slot index; never grows *)
+  (* Bit [i mod word_bits] of word [i / word_bits] is set while slot [i]
+     is unmapped, so the lowest free slot is a find-first-set away. *)
+  unmapped : int array;
+  mutable writeback : Page_id.t -> Bytes.t -> lsn:int -> unit;
   mutable choose_victim : unit -> int option;
   mutable n_dirty : int; (* slots with [dirty] set, kept incrementally *)
-  (* Every slot below [free_hint] is mapped, so the lowest free slot is
-     at or above it. [unmap] lowers it; [free_slot] raises it past the
-     mapped slots it finds there. *)
-  mutable free_hint : int;
   (* Observer of every counted lookup (the memory X-ray feeds off this);
      one match on [None] when absent, so the hot path stays free. *)
   mutable access_hook : (Page_id.t -> hit:bool -> unit) option;
@@ -46,23 +47,33 @@ type t = {
   c_discards : Stats.counter;
 }
 
+let word_bits = Sys.int_size
+
+let set_unmapped t i =
+  let w = i / word_bits in
+  t.unmapped.(w) <- t.unmapped.(w) lor (1 lsl (i mod word_bits))
+
+let clear_unmapped t i =
+  let w = i / word_bits in
+  t.unmapped.(w) <- t.unmapped.(w) land lnot (1 lsl (i mod word_bits))
+
 let create ~nslots ~page_size =
   if nslots <= 0 then invalid_arg "Cache.create: nslots must be positive";
   let slots =
     Array.init nslots (fun index ->
         { index; bytes = Bytes.create page_size; page = None; dirty = false; rec_lsn = 0;
-          pins = 0 })
+          page_lsn = 0; pins = 0 })
   in
   let stats = Stats.create () in
   let t =
     {
       slots;
       page_size;
-      map = Page_id.Tbl.create (2 * nslots);
-      writeback = (fun _ _ -> ());
+      map = Int_map.create nslots;
+      unmapped = Array.make ((nslots + word_bits - 1) / word_bits) 0;
+      writeback = (fun _ _ ~lsn:_ -> ());
       choose_victim = (fun () -> None);
       n_dirty = 0;
-      free_hint = 0;
       access_hook = None;
       stats;
       c_hits = Stats.counter stats "cache.hits";
@@ -75,6 +86,9 @@ let create ~nslots ~page_size =
       c_discards = Stats.counter stats "cache.discards";
     }
   in
+  for i = 0 to nslots - 1 do
+    set_unmapped t i
+  done;
   (* Default policy: first unpinned slot (FIFO-ish); real policies are
      installed with [set_victim_chooser]. *)
   t.choose_victim <-
@@ -94,7 +108,7 @@ let create ~nslots ~page_size =
 let register t =
   Bess_obs.Registry.register_stats "cache" t.stats;
   Bess_obs.Registry.register_gauge "cache" "cache.resident_pages" (fun () ->
-      Page_id.Tbl.length t.map);
+      Int_map.length t.map);
   Bess_obs.Registry.register_gauge "cache" "cache.dirty_pages" (fun () -> t.n_dirty)
 
 let nslots t = Array.length t.slots
@@ -113,106 +127,118 @@ let clear_dirty t s =
     t.n_dirty <- t.n_dirty - 1
   end
 
-let lookup t page =
-  match Page_id.Tbl.find_opt t.map page with
-  | Some i ->
-      Stats.bump t.c_hits;
-      (match t.access_hook with None -> () | Some f -> f page ~hit:true);
-      Some t.slots.(i)
-  | None ->
-      Stats.bump t.c_misses;
-      (match t.access_hook with None -> () | Some f -> f page ~hit:false);
-      None
+(* The index of the slot holding [page], or -1. *)
+let index t page = Int_map.find t.map (Page_id.to_key page)
 
 (* Peek without touching hit/miss counters (for assertions and tools). *)
-let find_slot t page = Option.map (fun i -> t.slots.(i)) (Page_id.Tbl.find_opt t.map page)
+let find_slot t page = match index t page with -1 -> None | i -> Some t.slots.(i)
 
-let n_resident t = Page_id.Tbl.length t.map
+let page_lsn t page = match index t page with -1 -> 0 | i -> t.slots.(i).page_lsn
 
-(* Every mapped slot has exactly one [map] entry, so the table's size
+let n_resident t = Int_map.length t.map
+
+(* Every mapped slot has exactly one [map] entry, so the map's size
    counts the unmapped slots too, in O(1). *)
 let n_unmapped t = Array.length t.slots - n_resident t
 
 (* Forget a slot's page (eviction, discard): it becomes free. *)
 let unmap t s page =
-  Page_id.Tbl.remove t.map page;
+  Int_map.remove t.map (Page_id.to_key page);
   s.page <- None;
-  if s.index < t.free_hint then t.free_hint <- s.index;
+  s.page_lsn <- 0;
+  set_unmapped t s.index;
   clear_dirty t s
 
 exception Cache_full
 
+(* Free slot [s], writing its page back first if dirty; returns [s]. *)
+let evict t s =
+  if s.pins > 0 then invalid_arg "Cache: policy chose a pinned slot";
+  (match s.page with
+  | Some page ->
+      (* Clean/dirty split: a dirty eviction is a page written to
+         storage only to make room — the write-amplification signal —
+         while a clean one costs nothing downstream. [cache.evictions]
+         stays as the total. *)
+      if s.dirty then begin
+        t.writeback page s.bytes ~lsn:s.page_lsn;
+        Stats.bump t.c_dirty_writebacks;
+        Stats.bump t.c_evict_dirty
+      end
+      else Stats.bump t.c_evict_clean;
+      unmap t s page;
+      Stats.bump t.c_evictions
+  | None -> clear_dirty t s);
+  s
+
 (* Evict the slot chosen by the policy, writing it back if dirty.
-   Returns the freed slot. *)
+   Returns the freed slot. The span's closure is built only while a
+   collector records. *)
 let evict_one t =
   match t.choose_victim () with
   | None -> raise Cache_full
   | Some i ->
-      Span.with_span ~kind:"cache.evict" (fun () ->
-          let s = t.slots.(i) in
-          if s.pins > 0 then invalid_arg "Cache: policy chose a pinned slot";
-          (match s.page with
-          | Some page ->
-              (* Clean/dirty split: a dirty eviction is a page written to
-                 storage only to make room — the write-amplification
-                 signal — while a clean one costs nothing downstream.
-                 [cache.evictions] stays as the total. *)
-              if s.dirty then begin
-                t.writeback page s.bytes;
-                Stats.bump t.c_dirty_writebacks;
-                Stats.bump t.c_evict_dirty
-              end
-              else Stats.bump t.c_evict_clean;
-              unmap t s page;
-              Stats.bump t.c_evictions
-          | None -> clear_dirty t s);
-          s)
+      let s = t.slots.(i) in
+      if Span.enabled () then Span.with_span ~kind:"cache.evict" (fun () -> evict t s)
+      else evict t s
 
-(* Top-level, not local, so that a call allocates no closure. *)
-let rec skip_mapped slots i =
-  if i >= Array.length slots then i
-  else match slots.(i).page with Some _ -> skip_mapped slots (i + 1) | None -> i
+(* The index of [x]'s lowest set bit; [x] is not 0. *)
+let lowest_bit x =
+  let x = x land -x in
+  let n = if x land 0xFFFF_FFFF = 0 then 32 else 0 in
+  let n = if (x lsr n) land 0xFFFF = 0 then n + 16 else n in
+  let n = if (x lsr n) land 0xFF = 0 then n + 8 else n in
+  let n = if (x lsr n) land 0xF = 0 then n + 4 else n in
+  let n = if (x lsr n) land 0x3 = 0 then n + 2 else n in
+  if (x lsr n) land 0x1 = 0 then n + 1 else n
 
-let rec scan_free t i =
-  if i >= Array.length t.slots then evict_one t
-  else
-    let s = t.slots.(i) in
-    match s.page with None when s.pins = 0 -> s | _ -> scan_free t (i + 1)
+(* The lowest unmapped, unpinned slot from word [w] on, whose bits not
+   yet examined are [bits]; else the policy's victim. Top-level, so
+   that a call allocates no closure. *)
+let rec scan_free t w bits =
+  if bits <> 0 then
+    let s = t.slots.((w * word_bits) + lowest_bit bits) in
+    if s.pins = 0 then s else scan_free t w (bits land (bits - 1))
+  else if w + 1 < Array.length t.unmapped then scan_free t (w + 1) t.unmapped.(w + 1)
+  else evict_one t
 
 (* Find a free slot, evicting if necessary: the lowest-index unmapped,
    unpinned slot, else the policy's victim. A full cache (the steady
    state of a spilling working set) goes straight to the policy. The
-   scan starts at [free_hint], which it first moves past mapped slots
-   only: the slot it returns stays unmapped until its fill succeeds, so
-   a fill that raises leaves it choosable. *)
-let free_slot t =
-  if n_unmapped t = 0 then evict_one t
-  else begin
-    t.free_hint <- skip_mapped t.slots t.free_hint;
-    scan_free t t.free_hint
-  end
+   slot returned stays unmapped until its fill succeeds, so a fill that
+   raises leaves it choosable. *)
+let free_slot t = if n_unmapped t = 0 then evict_one t else scan_free t 0 t.unmapped.(0)
 
 (* [load t page ~fill] returns the slot holding [page], reading it with
    [fill] on a miss. The returned slot is pinned; callers unpin. *)
+let miss t page key fill =
+  let s = free_slot t in
+  fill s.bytes;
+  Stats.bump t.c_loads;
+  s.page <- Some page;
+  s.pins <- s.pins + 1;
+  Int_map.replace t.map key s.index;
+  clear_unmapped t s.index;
+  s
+
 let load t page ~fill =
-  match lookup t page with
-  | Some s ->
+  let key = Page_id.to_key page in
+  if key < 0 then invalid_arg "Cache.load: negative page key";
+  match Int_map.find t.map key with
+  | -1 ->
+      Stats.bump t.c_misses;
+      (match t.access_hook with None -> () | Some f -> f page ~hit:false);
+      if Span.enabled () then
+        Span.with_span ~kind:"cache.miss"
+          ~attrs:[ ("page", Printf.sprintf "%d:%d" page.Page_id.area page.Page_id.page) ]
+          (fun () -> miss t page key fill)
+      else miss t page key fill
+  | i ->
+      Stats.bump t.c_hits;
+      (match t.access_hook with None -> () | Some f -> f page ~hit:true);
+      let s = t.slots.(i) in
       s.pins <- s.pins + 1;
       s
-  | None ->
-      Span.with_span ~kind:"cache.miss"
-        ~attrs:
-          (if Span.enabled () then
-             [ ("page", Printf.sprintf "%d:%d" page.Page_id.area page.Page_id.page) ]
-           else [])
-        (fun () ->
-          let s = free_slot t in
-          fill s.bytes;
-          Stats.bump t.c_loads;
-          s.page <- Some page;
-          s.pins <- s.pins + 1;
-          Page_id.Tbl.replace t.map page s.index;
-          s)
 
 let unpin _t s =
   if s.pins <= 0 then invalid_arg "Cache.unpin: slot not pinned";
@@ -228,14 +254,15 @@ let mark_clean = clear_dirty
 
 let mark_dirty_at t s ~lsn =
   if not s.dirty then s.rec_lsn <- lsn;
+  s.page_lsn <- lsn;
   mark_dirty t s
 
 (* Drop a clean or dirty page without writing it back (callback locking:
    the client discards its cached copy; aborts may also purge). *)
 let discard t page =
-  match Page_id.Tbl.find_opt t.map page with
-  | None -> ()
-  | Some i ->
+  match index t page with
+  | -1 -> ()
+  | i ->
       let s = t.slots.(i) in
       if s.pins > 0 then invalid_arg "Cache.discard: page is pinned";
       unmap t s page;
@@ -244,12 +271,13 @@ let discard t page =
 (* Re-key a resident page to a new identity without touching its bytes
    (segment relocation: same frame, new disk address). *)
 let rekey t ~old_page ~new_page =
-  match Page_id.Tbl.find_opt t.map old_page with
-  | None -> invalid_arg "Cache.rekey: page not resident"
-  | Some i ->
-      if Page_id.Tbl.mem t.map new_page then invalid_arg "Cache.rekey: target already resident";
-      Page_id.Tbl.remove t.map old_page;
-      Page_id.Tbl.replace t.map new_page i;
+  match index t old_page with
+  | -1 -> invalid_arg "Cache.rekey: page not resident"
+  | i ->
+      let key = Page_id.to_key new_page in
+      if Int_map.mem t.map key then invalid_arg "Cache.rekey: target already resident";
+      Int_map.remove t.map (Page_id.to_key old_page);
+      Int_map.replace t.map key i;
       t.slots.(i).page <- Some new_page
 
 (* Write back every dirty page (checkpoint / shutdown). *)
@@ -258,7 +286,7 @@ let flush_all t =
     (fun s ->
       match s.page with
       | Some page when s.dirty ->
-          t.writeback page s.bytes;
+          t.writeback page s.bytes ~lsn:s.page_lsn;
           clear_dirty t s;
           Stats.incr t.stats "cache.flush_writebacks"
       | _ -> ())

@@ -11,6 +11,9 @@ type slot = {
   mutable rec_lsn : int;
       (** recovery LSN: the LSN that took the page from clean to dirty
           (see {!mark_dirty_at}); 0 while clean *)
+  mutable page_lsn : int;
+      (** page LSN: the LSN of the last change logged to the page while
+          it sat in this frame ({!mark_dirty_at}); 0 when unmapped *)
   mutable pins : int;
 }
 
@@ -29,8 +32,10 @@ val page_size : t -> int
 val stats : t -> Bess_util.Stats.t
 val slot : t -> int -> slot
 
-(** Called with (page, bytes) before a dirty page is evicted. *)
-val set_writeback : t -> (Page_id.t -> Bytes.t -> unit) -> unit
+(** Called with (page, bytes, page LSN) before a dirty page is evicted
+    and by {!flush_all}: the WAL rule forces the log through [lsn]
+    first. *)
+val set_writeback : t -> (Page_id.t -> Bytes.t -> lsn:int -> unit) -> unit
 
 (** The policy: return an unpinned slot index to evict, or [None]. *)
 val set_victim_chooser : t -> (unit -> int option) -> unit
@@ -45,6 +50,9 @@ val set_access_hook : t -> (Page_id.t -> hit:bool -> unit) option -> unit
 (** Lookup without touching the counters. *)
 val find_slot : t -> Page_id.t -> slot option
 
+(** The page LSN of [page]'s frame, or 0 when [page] is not resident. *)
+val page_lsn : t -> Page_id.t -> int
+
 val n_resident : t -> int
 
 (** Slots holding no page: [nslots t - n_resident t]. While it is 0,
@@ -55,14 +63,17 @@ exception Cache_full
 
 (** [load t page ~fill] returns the (pinned) slot holding [page], calling
     [fill] into the frame on a miss; raises {!Cache_full} when every slot
-    is pinned. *)
+    is pinned. A miss takes the lowest-index unmapped, unpinned slot,
+    else the policy's victim. Pages are keyed by {!Page_id.to_key}:
+    a page whose key is negative raises [Invalid_argument]. *)
 val load : t -> Page_id.t -> fill:(Bytes.t -> unit) -> slot
 
 val unpin : t -> slot -> unit
 val mark_dirty : t -> slot -> unit
 
-(** {!mark_dirty} for a change logged at [lsn]: a clean page takes
-    [lsn] as its recovery LSN, which write-back and discard reset. *)
+(** {!mark_dirty} for a change logged at [lsn]: [lsn] becomes the
+    frame's page LSN, and a clean page takes it as its recovery LSN,
+    which write-back and discard reset. *)
 val mark_dirty_at : t -> slot -> lsn:int -> unit
 
 (** Clear a slot's dirty bit without writing it back, for a caller that

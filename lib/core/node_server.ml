@@ -125,7 +125,7 @@ let create ?(cache_slots = 256) ?(n_vframes = 1024) ?(n_procs = 0) (fetcher : Fe
       stats = Bess_util.Stats.create ();
     }
   in
-  Cache.set_writeback t.cache (fun page bytes ->
+  Cache.set_writeback t.cache (fun page bytes ~lsn:_ ->
       (* A dirty shared page evicted mid-transaction: park its image
          until commit ships it upstream. *)
       Hashtbl.replace t.pending_writes page (Bytes.copy bytes);

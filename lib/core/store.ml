@@ -8,11 +8,12 @@
      updates are already logged), and commit forces only the log, never
      data pages.
 
-   Page LSNs are kept in a volatile table rather than on the pages
-   themselves: update records carry physical byte images, so redo is
-   idempotent and correct even from LSN zero; the table only serves the
-   WAL rule during normal operation and as a redo filter within a run.
-   (See DESIGN.md, faithfulness substitutions.) *)
+   Page LSNs are kept in the cache frames ([Cache.slot.page_lsn]) rather
+   than on the pages themselves: update records carry physical byte
+   images, so redo is idempotent and correct even from LSN zero. A
+   frame's LSN serves the WAL rule when the frame is written back and
+   filters redo while the page stays resident; an evicted or crashed
+   page reads as LSN 0. (See DESIGN.md §7, "Page LSNs are volatile".) *)
 
 module Page_id = Bess_cache.Page_id
 
@@ -22,16 +23,12 @@ type t = {
   clock : Bess_cache.Clock.t; (* second-chance policy; ref bits fed by with_page *)
   log : Bess_wal.Log.t;
   gc : Bess_wal.Group_commit.t; (* force scheduler for all commit sites *)
-  page_lsn : int Page_id.Tbl.t;
   mutable ckpt_bytes : int; (* log size when the last checkpoint completed *)
   stats : Bess_util.Stats.t;
   c_updates : Bess_util.Stats.counter;
   c_logical_bytes : Bess_util.Stats.counter;
   c_page_flush_bytes : Bess_util.Stats.counter;
 }
-
-let get_page_lsn t page = Option.value ~default:0 (Page_id.Tbl.find_opt t.page_lsn page)
-let set_page_lsn t page lsn = Page_id.Tbl.replace t.page_lsn page lsn
 
 let create ?log_path ?log ?(cache_slots = 256) areas =
   let page_size =
@@ -51,7 +48,6 @@ let create ?log_path ?log ?(cache_slots = 256) areas =
       clock = Bess_cache.Clock.create cache;
       log = the_log;
       gc = Bess_wal.Group_commit.create the_log;
-      page_lsn = Page_id.Tbl.create 1024;
       ckpt_bytes = 0;
       stats;
       c_updates = Bess_util.Stats.counter stats "store.updates";
@@ -83,10 +79,9 @@ let create ?log_path ?log ?(cache_slots = 256) areas =
         + Bess_util.Stats.value t.c_page_flush_bytes
       in
       if logical = 0 then 0 else 100 * durable / logical);
-  Bess_cache.Cache.set_writeback cache (fun page bytes ->
+  Bess_cache.Cache.set_writeback cache (fun page bytes ~lsn ->
       (* WAL rule: force the log past this page's LSN first. A WAL-rule
          force advances the durable horizon for waiting committers too. *)
-      let lsn = get_page_lsn t page in
       if lsn > Bess_wal.Log.flushed_lsn t.log then begin
         Bess_wal.Log.flush t.log ~lsn ();
         Bess_wal.Group_commit.release_durable t.gc
@@ -195,7 +190,6 @@ let apply_update t ~txn ~prev_lsn (page : Page_id.t) ~offset ~before ~after =
   with_page t page (fun slot ->
       Bytes.blit after 0 slot.Bess_cache.Cache.bytes offset (Bytes.length after);
       Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn);
-  set_page_lsn t page lsn;
   Bess_util.Stats.bump t.c_updates;
   (* The numerator's baseline: bytes the application asked to change,
      before logging and flushing amplify them. *)
@@ -232,14 +226,13 @@ let log_prepare t ~txn ~prev_lsn ~coordinator =
    one pin per write, however many images the write copies. *)
 let page_io t : Bess_wal.Recovery.page_io =
   {
-    page_lsn = get_page_lsn t;
+    page_lsn = Bess_cache.Cache.page_lsn t.cache;
     write =
       (fun page apply ->
         with_page t page (fun slot ->
             apply (fun ~lsn ~offset src pos len ->
                 Bytes.blit src pos slot.Bess_cache.Cache.bytes offset len;
-                Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn;
-                set_page_lsn t page lsn)));
+                Bess_cache.Cache.mark_dirty_at t.cache slot ~lsn)));
   }
 
 (* Roll back one transaction in place (used by the open-server in-place
@@ -267,8 +260,8 @@ let checkpoint t ~txns =
   t.ckpt_bytes <- Bess_wal.Log.size_bytes t.log;
   Bess_util.Stats.incr t.stats "store.checkpoints"
 
-(* Crash simulation: throw away all volatile state (cache contents, page
-   LSNs) and the unforced log tail. *)
+(* Crash simulation: throw away all volatile state (cache contents, and
+   with them the page LSNs) and the unforced log tail. *)
 let crash t =
   (* The black box records the pre-crash state: spans, fault firings and
      gauges as they stood when the failure hit (no-op while disarmed). *)
@@ -281,7 +274,6 @@ let crash t =
   let resident = ref [] in
   Bess_cache.Cache.iter_resident t.cache (fun page _ -> resident := page :: !resident);
   List.iter (fun p -> Bess_cache.Cache.discard t.cache p) !resident;
-  Page_id.Tbl.reset t.page_lsn;
   Bess_util.Stats.incr t.stats "store.crashes"
 
 (* ARIES restart. *)

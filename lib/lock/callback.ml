@@ -6,7 +6,11 @@
    cached copies, the server must call those copies back before granting.
    The caller (the BeSS server) performs the actual callback messages; this
    module is the bookkeeping: who to call back, and registry maintenance
-   when callbacks succeed, are refused, or clients disconnect. *)
+   when callbacks succeed, are refused, or clients disconnect.
+
+   An entry stays once made, even when its holder list empties: the next
+   request for the resource finds it in place rather than re-adding it.
+   The registry is bounded by the resources ever cached. *)
 
 type client = int
 
@@ -19,9 +23,9 @@ type t = { table : entry Resource_tbl.t }
 let create () = { table = Resource_tbl.create 256 }
 
 let entry t r =
-  match Resource_tbl.find_opt t.table r with
-  | Some e -> e
-  | None ->
+  match Resource_tbl.find t.table r with
+  | e -> e
+  | exception Not_found ->
       let e = { cached = [] } in
       Resource_tbl.add t.table r e;
       e
@@ -31,28 +35,37 @@ let cached_mode t ~client r =
   | None -> None
   | Some e -> Lock_mode.holder_mode client e.cached
 
+(* Whether a holder is another client caching in a mode [mode]
+   conflicts with. *)
+let conflicting client mode (c, m) = c <> client && not (Lock_mode.compatible mode m)
+
+(* [List.exists (conflicting client mode)] without the closure. *)
+let rec conflicts client mode = function
+  | [] -> false
+  | h :: rest -> conflicting client mode h || conflicts client mode rest
+
 (* A client requests [mode] on [r]. Either it can be granted immediately
    (registry updated), or the listed other clients must first be called
    back (downgraded to nothing for X requests, to S for others). *)
 let request t ~client r mode =
   let e = entry t r in
-  match
-    List.filter (fun (c, m) -> c <> client && not (Lock_mode.compatible mode m)) e.cached
-  with
-  | [] ->
-      let prior = Lock_mode.holder_mode client e.cached in
-      let mode' = match prior with Some m -> Lock_mode.sup m mode | None -> mode in
-      e.cached <- (client, mode') :: Lock_mode.remove_holder client e.cached;
-      `Granted
-  | conflicting -> `Callback_needed (List.map fst conflicting)
+  if conflicts client mode e.cached then
+    `Callback_needed
+      (List.filter_map
+         (fun ((c, _) as h) -> if conflicting client mode h then Some c else None)
+         e.cached)
+  else begin
+    let prior = Lock_mode.holder_mode client e.cached in
+    let mode' = match prior with Some m -> Lock_mode.sup m mode | None -> mode in
+    e.cached <- (client, mode') :: Lock_mode.remove_holder client e.cached;
+    `Granted
+  end
 
 (* The server completed a callback: the client dropped its cached copy. *)
 let dropped t ~client r =
-  match Resource_tbl.find_opt t.table r with
-  | None -> ()
-  | Some e ->
-      e.cached <- Lock_mode.remove_holder client e.cached;
-      if List.is_empty e.cached then Resource_tbl.remove t.table r
+  match Resource_tbl.find t.table r with
+  | e -> e.cached <- Lock_mode.remove_holder client e.cached
+  | exception Not_found -> ()
 
 (* The client downgraded (e.g. X -> S after a writing txn ended). *)
 let downgraded t ~client r mode =
@@ -61,10 +74,4 @@ let downgraded t ~client r mode =
 
 (* Client disconnect: purge everything it cached. *)
 let forget_client t ~client =
-  let empty = ref [] in
-  Resource_tbl.iter
-    (fun r e ->
-      e.cached <- Lock_mode.remove_holder client e.cached;
-      if List.is_empty e.cached then empty := r :: !empty)
-    t.table;
-  List.iter (Resource_tbl.remove t.table) !empty
+  Resource_tbl.iter (fun _ e -> e.cached <- Lock_mode.remove_holder client e.cached) t.table

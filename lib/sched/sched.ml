@@ -15,10 +15,13 @@
 module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
 
-type event = { at : int; seq : int; run : unit -> unit }
-
+(* The heap is three parallel arrays: entry [i]'s due time, sequence
+   number and closure. The ints sit unboxed, so comparing two entries
+   reads no closure, and moving an entry writes one pointer. *)
 type t = {
-  mutable heap : event array;
+  mutable ats : int array;
+  mutable seqs : int array;
+  mutable runs : (unit -> unit) array;
   mutable size : int;
   mutable next_seq : int;
   mutable events_run : int;
@@ -31,14 +34,14 @@ type t = {
   h_late_ns : Stats.hist;
 }
 
-let dummy = { at = 0; seq = 0; run = ignore }
-
 let create () =
   let stats = Stats.create () in
   Bess_obs.Registry.register_stats "sched" stats;
   let t =
     {
-      heap = Array.make 64 dummy;
+      ats = Array.make 64 0;
+      seqs = Array.make 64 0;
+      runs = Array.make 64 ignore;
       size = 0;
       next_seq = 0;
       events_run = 0;
@@ -59,62 +62,77 @@ let pending t = t.size
 let events_run t = t.events_run
 let current_lag_ns t = t.current_lag_ns
 
-(* Strict total order: due time first, scheduling order on ties. *)
-let before a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
+(* Strict total order: due time first, scheduling order on ties. The
+   annotations keep the comparison on ints, not the polymorphic one. *)
+let before (at : int) (seq : int) (at' : int) (seq' : int) = at < at' || (at = at' && seq < seq')
 
 let grow t =
-  let h = Array.make (2 * Array.length t.heap) dummy in
-  Array.blit t.heap 0 h 0 t.size;
-  t.heap <- h
+  let n = 2 * Array.length t.ats in
+  let extend a fill =
+    let a' = Array.make n fill in
+    Array.blit a 0 a' 0 t.size;
+    a'
+  in
+  t.ats <- extend t.ats 0;
+  t.seqs <- extend t.seqs 0;
+  t.runs <- extend t.runs ignore
 
-let push t e =
-  if t.size = Array.length t.heap then grow t;
-  let h = t.heap in
-  let i = ref t.size in
+(* Copy the entry at [src] into slot [dst]. *)
+let move t ~src ~dst =
+  t.ats.(dst) <- t.ats.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.runs.(dst) <- t.runs.(src)
+
+(* Sift a hole at [i] up past every parent after the entry [(at, seq)];
+   the slot where it stops is the entry's. *)
+let rec sift_up t i at seq =
+  if i = 0 then 0
+  else
+    let parent = (i - 1) / 2 in
+    if before at seq t.ats.(parent) t.seqs.(parent) then begin
+      move t ~src:parent ~dst:i;
+      sift_up t parent at seq
+    end
+    else i
+
+(* Sift a hole at [i] down past every smaller child than [(at, seq)]. *)
+let rec sift_down t i at seq =
+  let l = (2 * i) + 1 in
+  if l >= t.size then i
+  else
+    let r = l + 1 in
+    let c = if r < t.size && before t.ats.(r) t.seqs.(r) t.ats.(l) t.seqs.(l) then r else l in
+    if before t.ats.(c) t.seqs.(c) at seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t c at seq
+    end
+    else i
+
+let push t at seq f =
+  if t.size = Array.length t.ats then grow t;
+  let i = sift_up t t.size at seq in
   t.size <- t.size + 1;
-  h.(!i) <- e;
-  (* Sift up. *)
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if before h.(!i) h.(parent) then begin
-      let tmp = h.(parent) in
-      h.(parent) <- h.(!i);
-      h.(!i) <- tmp;
-      i := parent
-    end
-    else continue := false
-  done
+  t.ats.(i) <- at;
+  t.seqs.(i) <- seq;
+  t.runs.(i) <- f
 
+(* Drop the root: the last entry fills the hole it leaves. *)
 let pop t =
-  let h = t.heap in
-  let min = h.(0) in
-  t.size <- t.size - 1;
-  h.(0) <- h.(t.size);
-  h.(t.size) <- dummy;
-  (* Sift down. *)
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && before h.(l) h.(!smallest) then smallest := l;
-    if r < t.size && before h.(r) h.(!smallest) then smallest := r;
-    if !smallest <> !i then begin
-      let tmp = h.(!smallest) in
-      h.(!smallest) <- h.(!i);
-      h.(!i) <- tmp;
-      i := !smallest
-    end
-    else continue := false
-  done;
-  min
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    let at = t.ats.(last) and seq = t.seqs.(last) and f = t.runs.(last) in
+    let i = sift_down t 0 at seq in
+    t.ats.(i) <- at;
+    t.seqs.(i) <- seq;
+    t.runs.(i) <- f
+  end;
+  t.runs.(last) <- ignore
 
 let schedule_at t ~at f =
   let at = Stdlib.max at (Span.now_ns ()) in
-  let e = { at; seq = t.next_seq; run = f } in
+  push t at t.next_seq f;
   t.next_seq <- t.next_seq + 1;
-  push t e;
   Stats.bump t.c_scheduled;
   if t.size > Stats.value t.c_heap_peak then Stats.assign t.c_heap_peak t.size
 
@@ -125,23 +143,24 @@ let schedule t ~after f =
 let run t =
   let ran = ref 0 in
   while t.size > 0 do
-    let e = pop t in
+    let at = t.ats.(0) and f = t.runs.(0) in
+    pop t;
     let now = Span.now_ns () in
-    if e.at > now then begin
-      Span.advance_ns (e.at - now);
+    if at > now then begin
+      Span.advance_ns (at - now);
       t.current_lag_ns <- 0
     end
     else begin
       (* The event runs late: simulated work overran its due time. The
          lag is visible to the callback ([current_lag_ns]) so the driver
          can bill queueing delay to the transaction it belongs to. *)
-      t.current_lag_ns <- now - e.at;
-      if e.at < now then begin
+      t.current_lag_ns <- now - at;
+      if at < now then begin
         Stats.bump t.c_late;
-        Stats.record t.h_late_ns (now - e.at)
+        Stats.record t.h_late_ns (now - at)
       end
     end;
-    e.run ();
+    f ();
     t.current_lag_ns <- 0;
     incr ran;
     t.events_run <- t.events_run + 1;

@@ -7,23 +7,25 @@
    over different physical devices ... it provides a convenient mechanism
    for parallel I/O processing"). *)
 
+module Int_tbl = Bess_util.Int_tbl
+
 type t = {
-  areas : (int, Area.t) Hashtbl.t;
+  areas : Area.t Int_tbl.t; (* every page read and write looks its area up here *)
   mutable order : int list; (* area ids in registration order, for striping *)
 }
 
-let create () = { areas = Hashtbl.create 8; order = [] }
+let create () = { areas = Int_tbl.create 8; order = [] }
 
 let add t area =
   let id = Area.id area in
-  if Hashtbl.mem t.areas id then invalid_arg "Area_set.add: duplicate area id";
-  Hashtbl.add t.areas id area;
+  if Int_tbl.mem t.areas id then invalid_arg "Area_set.add: duplicate area id";
+  Int_tbl.add t.areas id area;
   t.order <- t.order @ [ id ]
 
 let find t id =
-  match Hashtbl.find_opt t.areas id with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Area_set.find: unknown area %d" id)
+  match Int_tbl.find t.areas id with
+  | a -> a
+  | exception Not_found -> invalid_arg (Printf.sprintf "Area_set.find: unknown area %d" id)
 
 let ids t = t.order
 let iter t f = List.iter (fun id -> f (find t id)) t.order

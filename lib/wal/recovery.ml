@@ -30,187 +30,146 @@ type outcome = {
 (* ---- Analysis ----------------------------------------------------------- *)
 
 module Frame = Log_record.Frame
-module Int_tbl = Bess_util.Int_tbl
+module Int_map = Bess_util.Int_map
 
-(* The transaction table during the scan, which looks a transaction up
-   for nearly every record. A stdlib table allocates a fresh binding per
-   insertion; this one is open addressing with linear probing over flat
-   arrays (keys >= 0; -1 marks a free slot) and allocates only to
-   grow. *)
-module Txn_tbl = struct
-  type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
-
-  let create () = { keys = Array.make 64 (-1); vals = Array.make 64 0; size = 0 }
-  let home t k = Int_tbl.mix k land (Array.length t.keys - 1)
-
-  (* The slot holding [k], else the free slot that ends its probe. *)
-  let rec probe t k i =
-    let k' = t.keys.(i) in
-    if k' = k || k' < 0 then i else probe t k ((i + 1) land (Array.length t.keys - 1))
-
-  (* The slot holding [k], or -1. *)
-  let find t k =
-    let i = probe t k (home t k) in
-    if t.keys.(i) = k then i else -1
-
-  let place t k v =
-    let i = probe t k (home t k) in
-    t.keys.(i) <- k;
-    t.vals.(i) <- v
-
-  (* Bind [k], which is absent, to [v]; at most half the slots fill. *)
-  let add t k v =
-    if 2 * (t.size + 1) > Array.length t.keys then begin
-      let keys = t.keys and vals = t.vals in
-      let n = 2 * Array.length keys in
-      t.keys <- Array.make n (-1);
-      t.vals <- Array.make n 0;
-      Array.iteri (fun i k -> if k >= 0 then place t k vals.(i)) keys
-    end;
-    place t k v;
-    t.size <- t.size + 1
-
-  (* Backward-shift deletion: each later binding of the probe run moves
-     into the hole if its home slot allows, so no run is ever cut by a
-     stale free slot. Top-level, so that a call allocates no closure. *)
-  let rec shift t hole j =
-    let m = Array.length t.keys - 1 in
-    let j = (j + 1) land m in
-    let kj = t.keys.(j) in
-    if kj < 0 then t.keys.(hole) <- -1
-    else if (j - home t kj) land m >= (j - hole) land m then begin
-      t.keys.(hole) <- kj;
-      t.vals.(hole) <- t.vals.(j);
-      shift t j j
-    end
-    else shift t hole j
-
-  let remove t k =
-    let i = find t k in
-    if i >= 0 then begin
-      shift t i i;
-      t.size <- t.size - 1
-    end
-end
-
-(* The transaction table binds a txn to its status and last LSN, packed. *)
+(* The transaction table binds a txn to its status and last LSN, packed
+   into one non-negative int, in a flat map that allocates only to grow:
+   the scan looks a transaction up for nearly every record. *)
 let pack status last =
   (last lsl 2) lor match status with Running -> 0 | Committed -> 1 | Prepared -> 2
 
 let status_of v = match v land 3 with 0 -> Running | 1 -> Committed | _ -> Prepared
 
-let set_txn (att : Txn_tbl.t) txn status last =
-  match Txn_tbl.find att txn with
-  | -1 -> Txn_tbl.add att txn (pack status last)
-  | i -> att.vals.(i) <- pack status last
-
 (* The live transactions, as [(txn, status, last LSN)] by txn. *)
-let live_txns (att : Txn_tbl.t) =
-  let live = ref [] in
-  Array.iteri
-    (fun i txn ->
-      if txn >= 0 then
-        let v = att.vals.(i) in
-        live := (txn, status_of v, v lsr 2) :: !live)
-    att.keys;
-  List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !live
+let live_txns att =
+  List.sort
+    (fun (a, _, _) (b, _, _) -> Int.compare a b)
+    (Int_map.fold (fun txn v acc -> (txn, status_of v, v lsr 2) :: acc) att [])
 
-(* A dirty-page-table entry, with the redo work analysis finds for it:
-   the LSNs, in log order, of the page's Update/CLR records at or after
-   its recovery LSN. LSNs, not records, so the tables stay small. *)
+(* A dirty-page-table entry: the page, its recovery LSN, and its redo
+   work, the Update/CLR records at or after that LSN. The first pass
+   counts them; the second writes their LSNs, in log order, into
+   [lsns.(next - count) ..] of the one array all pages share. *)
 type dirty = {
   page : Log_record.page_id;
   rec_lsn : int;
-  mutable lsns : int array;
-  mutable n : int;
+  mutable count : int;
+  mutable next : int;
 }
 
 type analysis = {
   live : (int * txn_status * int) list; (* txn, status, last_lsn; by txn *)
   pages : dirty list; (* pages with redo work, by first redo LSN *)
+  lsns : int array; (* after the second pass, page [d]'s LSNs end at [d.next] *)
 }
 
-(* One pass over the log's frames from the checkpoint the master record
-   names: each record's kind, transaction and page are read in place.
-   Nothing is decoded, and nothing allocated per record but the tables'
-   and the LSN arrays' growth. *)
+(* Two passes over the log's frames, from the checkpoint the master
+   record names (from the earliest recovery LSN its dirty-page table
+   holds, for the pages in it). The first keeps the transaction table
+   and counts each dirty page's redo records; the second, reading only
+   each record's kind and page, lays their LSNs out in one exactly
+   sized array. Nothing is decoded, and nothing allocated per record
+   but the tables' growth. *)
 let analyse log =
-  let att = Txn_tbl.create () in
-  let dpt = Int_tbl.create 64 in
+  let att = Int_map.create 32 in
+  let set_txn txn status last = Int_map.replace att txn (pack status last) in
+  (* Page key -> index into [dirty]. *)
+  let dpt = Int_map.create 64 in
+  let dirty = ref [||] and n_dirty = ref 0 in
   let pages = ref [] in
-  let add_dirty p rec_lsn =
-    let d = { page = p; rec_lsn; lsns = [||]; n = 0 } in
-    Int_tbl.add dpt (Bess_cache.Page_id.to_key p) d;
+  let add_dirty key p rec_lsn =
+    let d = { page = p; rec_lsn; count = 0; next = 0 } in
+    if !n_dirty = Array.length !dirty then begin
+      let a = Array.make (Stdlib.max 16 (2 * !n_dirty)) d in
+      Array.blit !dirty 0 a 0 !n_dirty;
+      dirty := a
+    end;
+    !dirty.(!n_dirty) <- d;
+    Int_map.replace dpt key !n_dirty;
+    incr n_dirty;
     d
   in
   (* Redo repeats history: every Update/CLR at or after its page's
      recovery LSN. *)
-  let note (d : dirty) lsn =
+  let count (d : dirty) lsn =
     if lsn >= d.rec_lsn then begin
-      if d.n = 0 then pages := d :: !pages;
-      if d.n = Array.length d.lsns then begin
-        let a = Array.make (Stdlib.max 4 (2 * d.n)) 0 in
-        Array.blit d.lsns 0 a 0 d.n;
-        d.lsns <- a
-      end;
-      d.lsns.(d.n) <- lsn;
-      d.n <- d.n + 1
+      if d.count = 0 then pages := d :: !pages;
+      d.count <- d.count + 1
     end
   in
   (* Seed the tables from the master record's checkpoint; scanning from
      the log start is always correct, the checkpoint only shortens the
-     scan. *)
-  let scan_from =
+     scan. [low] is where the second pass starts. *)
+  let scan_from, low =
     match Log.master log with
-    | None -> 1
+    | None -> (1, 1)
     | Some (start, end_lsn) -> (
         match (fst (Log.read log end_lsn)).body with
         | End_checkpoint e ->
             (* Prepared entries come back prepared: their Prepare record
                may lie behind the checkpoint, where the scan never looks. *)
-            List.iter (fun (txn, last, status) -> set_txn att txn status last) e.txns;
+            List.iter (fun (txn, last, status) -> set_txn txn status last) e.txns;
             List.iter
               (fun (p, rec_lsn) ->
-                if not (Int_tbl.mem dpt (Bess_cache.Page_id.to_key p)) then
-                  ignore (add_dirty p rec_lsn))
+                let key = Bess_cache.Page_id.to_key p in
+                if not (Int_map.mem dpt key) then ignore (add_dirty key p rec_lsn))
               e.dirty;
             (* A dirty page whose recovery LSN lies behind the checkpoint
-               has redo work there: collect it first, so each page's LSNs
+               has redo work there: count it first, so each page's LSNs
                stay in log order. *)
-            let low = Int_tbl.fold (fun _ d acc -> Stdlib.min acc d.rec_lsn) dpt start in
-            Log.iter_frames ~from:low ~until:start log (fun lsn buf off ->
+            let low = ref start in
+            for i = 0 to !n_dirty - 1 do
+              low := Stdlib.min !low !dirty.(i).rec_lsn
+            done;
+            Log.iter_frames ~from:!low ~until:start log (fun lsn buf off ->
                 match Frame.kind buf off with
                 | Update | Clr -> (
-                    match Int_tbl.find dpt (Frame.page_key buf off) with
-                    | d -> note d lsn
-                    | exception Not_found -> ())
+                    match Int_map.find dpt (Frame.page_key buf off) with
+                    | -1 -> ()
+                    | i -> count !dirty.(i) lsn)
                 | _ -> ());
-            start
+            (start, !low)
         | _ -> invalid_arg "Recovery.analyse: master record is not an End_checkpoint")
   in
   Log.iter_frames ~from:scan_from log (fun lsn buf off ->
       match Frame.kind buf off with
       | Update | Clr ->
-          set_txn att (Frame.txn buf off) Running lsn;
+          set_txn (Frame.txn buf off) Running lsn;
           let d =
-            match Int_tbl.find dpt (Frame.page_key buf off) with
-            | d -> d
-            | exception Not_found -> add_dirty (Frame.page buf off) lsn
+            match Int_map.find dpt (Frame.page_key buf off) with
+            | -1 -> add_dirty (Frame.page_key buf off) (Frame.page buf off) lsn
+            | i -> !dirty.(i)
           in
-          note d lsn
-      | Prepare -> set_txn att (Frame.txn buf off) Prepared lsn
-      | Commit -> set_txn att (Frame.txn buf off) Committed lsn
+          count d lsn
+      | Prepare -> set_txn (Frame.txn buf off) Prepared lsn
+      | Commit -> set_txn (Frame.txn buf off) Committed lsn
       | Abort -> (
           (* An abort record alone does not finish the rollback; keep the
              transaction as a loser so undo completes it. *)
           let txn = Frame.txn buf off in
-          match Txn_tbl.find att txn with
-          | -1 -> Txn_tbl.add att txn (pack Running lsn)
-          | i -> att.vals.(i) <- att.vals.(i) land lnot 3)
-      | End -> Txn_tbl.remove att (Frame.txn buf off)
+          match Int_map.find att txn with
+          | -1 -> set_txn txn Running lsn
+          | v -> Int_map.replace att txn (v land lnot 3))
+      | End -> Int_map.remove att (Frame.txn buf off)
       | Decision (* coordinator-log record; carries no page or txn state *)
       | Begin_checkpoint | End_checkpoint -> ());
-  { live = live_txns att; pages = List.rev !pages }
+  let pages = List.rev !pages in
+  let total = List.fold_left (fun n d -> d.next <- n; n + d.count) 0 pages in
+  let lsns = Array.make total 0 in
+  if total > 0 then
+    Log.iter_frames ~from:low log (fun lsn buf off ->
+        match Frame.kind buf off with
+        | Update | Clr -> (
+            match Int_map.find dpt (Frame.page_key buf off) with
+            | -1 -> ()
+            | i ->
+                let d = !dirty.(i) in
+                if lsn >= d.rec_lsn then begin
+                  lsns.(d.next) <- lsn;
+                  d.next <- d.next + 1
+                end)
+        | _ -> ());
+  { live = live_txns att; pages; lsns }
 
 (* ---- Redo ---------------------------------------------------------------- *)
 
@@ -226,14 +185,14 @@ let redo log io (a : analysis) =
   List.iter
     (fun d ->
       let page_lsn = io.page_lsn d.page in
-      let first = ref 0 in
-      while !first < d.n && d.lsns.(!first) <= page_lsn do
+      let first = ref (d.next - d.count) in
+      while !first < d.next && a.lsns.(!first) <= page_lsn do
         incr first
       done;
-      if !first < d.n then
+      if !first < d.next then
         io.write d.page (fun blit ->
-            for i = !first to d.n - 1 do
-              let lsn = d.lsns.(i) in
+            for i = !first to d.next - 1 do
+              let lsn = a.lsns.(i) in
               let buf = Log.buffer log and off = Log.frame_offset log lsn in
               blit ~lsn ~offset:(Frame.offset buf off) buf (Frame.redo_pos buf off)
                 (Frame.redo_len buf off);

@@ -26,7 +26,7 @@ let test_load_hit_miss () =
 let test_eviction_and_writeback () =
   let c = Cache.create ~nslots:2 ~page_size:64 in
   let written = ref [] in
-  Cache.set_writeback c (fun page _ -> written := page :: !written);
+  Cache.set_writeback c (fun page _ ~lsn:_ -> written := page :: !written);
   let s1 = fill_with c 1 in
   Cache.mark_dirty c s1;
   Cache.unpin c s1;
@@ -40,7 +40,7 @@ let test_evict_split_and_dirty_gauge () =
   Bess_obs.Registry.with_fresh (fun () ->
       let c = Cache.create ~nslots:2 ~page_size:64 in
       Cache.register c;
-      Cache.set_writeback c (fun _ _ -> ());
+      Cache.set_writeback c (fun _ _ ~lsn:_ -> ());
       let get k = Bess_util.Stats.get (Cache.stats c) k in
       let gauge name =
         List.assoc_opt name (Bess_obs.Registry.gauges (Bess_obs.Registry.snapshot ()))
@@ -214,6 +214,71 @@ let prop_two_level_invariants =
       Two_level.check_invariants tl;
       true)
 
+(* The WAL rule reads the evicted frame's page LSN: a page updated at
+   LSNs a < b, with the log forced through a only, forces the log
+   through b when it is written back. The frame's recovery LSN is a, so
+   a write-back that read it would leave b volatile. *)
+let test_writeback_forces_page_lsn () =
+  Bess_obs.Registry.with_fresh (fun () ->
+      let areas = Bess_storage.Area_set.create () in
+      Bess_storage.Area_set.add areas
+        (Bess_storage.Area.create ~page_size:2048 ~extent_order:4 ~id:0 `Memory);
+      let store = Bess.Store.create ~cache_slots:1 areas in
+      let log = Bess.Store.log store in
+      let seg = Option.get (Bess.Store.alloc_segment store ~area:0 ~npages:2) in
+      let p = Page_id.make ~area:0 ~page:seg.first_page in
+      let q = Page_id.make ~area:0 ~page:(seg.first_page + 1) in
+      let update ~prev_lsn ~offset =
+        Bess.Store.apply_update store ~txn:1 ~prev_lsn p ~offset ~before:(Bytes.make 4 '\000')
+          ~after:(Bytes.of_string "abcd")
+      in
+      let a = update ~prev_lsn:0 ~offset:0 in
+      Bess_wal.Log.flush log ~lsn:a ();
+      let b = update ~prev_lsn:a ~offset:8 in
+      let slot = Option.get (Cache.find_slot (Bess.Store.cache store) p) in
+      Alcotest.(check (pair int int)) "recovery and page LSN" (a, b)
+        (slot.Cache.rec_lsn, slot.Cache.page_lsn);
+      Alcotest.(check bool) "b not yet durable" true (Bess_wal.Log.flushed_lsn log < b);
+      ignore (Bess.Store.read_page store q);
+      Alcotest.(check bool) "p evicted" true (Cache.find_slot (Bess.Store.cache store) p = None);
+      Alcotest.(check bool) "log forced through b" true (Bess_wal.Log.flushed_lsn log >= b);
+      Alcotest.(check int) "unmapped frame's page LSN" 0 (Cache.page_lsn (Bess.Store.cache store) p))
+
+(* A miss that evicts a dirty page allocates nothing in the cache but
+   the slot's [Some page] (2 words, which the public [page] field
+   needs): no span closure while no collector records, no map cell, no
+   option from the lookup. The policy, write-back and fill here
+   allocate nothing either. *)
+let fill_nothing (_ : Bytes.t) = ()
+
+let test_miss_allocation () =
+  let c = Cache.create ~nslots:4 ~page_size:64 in
+  let victims = Array.init 4 Option.some in
+  let hand = ref 0 in
+  Cache.set_victim_chooser c (fun () ->
+      hand := (!hand + 1) land 3;
+      victims.(!hand));
+  let lsns = ref 0 in
+  Cache.set_writeback c (fun _ _ ~lsn -> lsns := !lsns + lsn);
+  let pages = Array.init 64 pid in
+  let n = 10_000 in
+  let load i =
+    let s = Cache.load c pages.(i land 63) ~fill:fill_nothing in
+    Cache.mark_dirty_at c s ~lsn:(i + 1);
+    Cache.unpin c s
+  in
+  for i = 0 to 3 do
+    load i
+  done;
+  let before = Gc.minor_words () in
+  for i = 4 to n + 3 do
+    load i
+  done;
+  let per_miss = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every load a dirty eviction" n
+    (Bess_util.Stats.get (Cache.stats c) "cache.evict_dirty");
+  if per_miss > 2.01 then Alcotest.failf "%.2f minor words per miss (bound 2)" per_miss
+
 (* The free-slot choice against the full scan it replaced. Random
    load/discard/rekey sequences over caches of up to 64 slots, with some
    loads left pinned, some whose fill raises, and the default victim
@@ -385,4 +450,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_two_level_invariants;
     QCheck_alcotest.to_alcotest prop_free_slot_matches_scan;
     QCheck_alcotest.to_alcotest prop_state_clock_is_clock;
+    Alcotest.test_case "writeback_forces_page_lsn" `Quick test_writeback_forces_page_lsn;
+    Alcotest.test_case "miss_allocation" `Quick test_miss_allocation;
   ]

@@ -98,7 +98,50 @@ let test_heap_order_random () =
   (* Due times are absolute, so compare relative shapes: both runs must
      execute the same scheduling sequence. *)
   Alcotest.(check (list int)) "identical execution order" (List.map snd a) (List.map snd b);
-  Alcotest.(check bool) "nondecreasing (tick, seq)" true (sorted a)
+  Alcotest.(check bool) "nondecreasing (tick, seq)" true (sorted a);
+  (* While the heap drains, each event schedules up to two more, 0 to 49
+     ns after its own tick (so ties with queued events abound), until
+     4000 have been scheduled. A sorted set of (tick, seq) run the same
+     way gives the reference order. *)
+  let mix = Bess_util.Int_tbl.mix in
+  let spawn id = if id >= 4000 then [] else List.init (mix id mod 3) (fun j -> mix ((8 * id) + j) mod 50) in
+  let now = Span.now_ns () in
+  let initial i = now + (mix (i + 100_000) mod 64) in
+  let sched = Sched.create () in
+  let ran = ref [] and next = ref 0 in
+  let rec add at =
+    let id = !next in
+    incr next;
+    Sched.schedule_at sched ~at (fun () ->
+        ran := (at, id) :: !ran;
+        List.iter (fun d -> add (at + d)) (spawn id))
+  in
+  for i = 0 to 999 do
+    add (initial i)
+  done;
+  ignore (Sched.run sched);
+  let module Q = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  let q = ref Q.empty and next = ref 0 and expected = ref [] in
+  let add at =
+    q := Q.add (at, !next) !q;
+    incr next
+  in
+  for i = 0 to 999 do
+    add (initial i)
+  done;
+  while not (Q.is_empty !q) do
+    let ((at, id) as e) = Q.min_elt !q in
+    q := Q.remove e !q;
+    expected := e :: !expected;
+    List.iter (fun d -> add (at + d)) (spawn id)
+  done;
+  Alcotest.(check bool) "events scheduled while draining" true (List.length !ran > 2000);
+  Alcotest.(check (list (pair int int))) "drain order with reentrant schedules" (List.rev !expected)
+    (List.rev !ran)
 
 (* ---- Driver determinism -------------------------------------------------- *)
 

@@ -435,6 +435,79 @@ let test_pair_set_range () =
   Alcotest.(check bool) "the largest pair is a member" true
     (Bess_util.Pair_set.mem t ((1 lsl 30) - 1) ((1 lsl 32) - 1))
 
+(* The flat int map against a [Map] over random replace, remove and
+   find sequences. Up to 2,000 ops from a capacity of 8 cross several
+   doublings. Besides small keys and key 0, the keys include two sets
+   of 64 that hash to one home slot in every capacity up to 1,024: slot
+   0, so their probe runs chain, and the last slot, so their runs wrap
+   the array end, which removal's backward shift must follow. *)
+module Int_map_model = Map.Make (Int)
+
+let homed_at_mask low =
+  let rec go acc k =
+    if List.length acc = 64 then acc
+    else go (if Bess_util.Int_tbl.mix k land 1023 = low then k :: acc else acc) (k + 1)
+  in
+  Array.of_list (go [] 0)
+
+let chained = homed_at_mask 0
+let wrapping = homed_at_mask 1023
+
+let int_map_ops =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, 0 -- 3_000);
+          (2, map (fun i -> chained.(i)) (0 -- 63));
+          (2, map (fun i -> wrapping.(i)) (0 -- 63));
+          (1, oneofl [ 0; 1; max_int ]);
+        ])
+  in
+  (* Op 0 binds, op 1 removes, op 2 asks. *)
+  let op = QCheck.Gen.(frequency [ (8, return 0); (4, return 1); (4, return 2) ]) in
+  QCheck.Gen.(list_size (0 -- 2_000) (triple op key (0 -- 1_000_000)))
+
+let prop_int_map_model =
+  QCheck.Test.make ~name:"int map agrees with a map of ints" ~count:200
+    (QCheck.make int_map_ops ~print:QCheck.Print.(list (triple int int int)))
+    (fun ops ->
+      let module M = Bess_util.Int_map in
+      let t = M.create 4 and m = ref Int_map_model.empty in
+      let agrees k =
+        M.find t k = Option.value ~default:(-1) (Int_map_model.find_opt k !m)
+        && M.mem t k = Int_map_model.mem k !m
+      in
+      List.for_all
+        (fun (op, k, v) ->
+          (match op with
+          | 0 ->
+              M.replace t k v;
+              m := Int_map_model.add k v !m
+          | 1 ->
+              M.remove t k;
+              m := Int_map_model.remove k !m
+          | _ -> ());
+          agrees k
+          && M.length t = Int_map_model.cardinal !m
+          && M.capacity t >= 2 * M.length t)
+        ops
+      && Int_map_model.for_all (fun k _ -> agrees k) !m
+      && List.sort compare (M.fold (fun k v acc -> (k, v) :: acc) t [])
+         = Int_map_model.bindings !m)
+
+let test_int_map_negative_key () =
+  let module M = Bess_util.Int_map in
+  let t = M.create 4 in
+  M.replace t 0 7;
+  Alcotest.check_raises "replace" (Invalid_argument "Int_map.replace: negative key") (fun () ->
+      M.replace t (-1) 0);
+  M.remove t (-1);
+  Alcotest.(check int) "find -1" (-1) (M.find t (-1));
+  Alcotest.(check bool) "mem min_int" false (M.mem t min_int);
+  Alcotest.(check int) "key 0 kept" 7 (M.find t 0);
+  Alcotest.(check int) "one binding" 1 (M.length t)
+
 let suite =
   [
     Alcotest.test_case "bucket_of_edges" `Quick test_bucket_of_edges;
@@ -460,4 +533,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_int_pair_tbl_model;
     QCheck_alcotest.to_alcotest prop_pair_set_model;
     Alcotest.test_case "pair_set_range" `Quick test_pair_set_range;
+    QCheck_alcotest.to_alcotest prop_int_map_model;
+    Alcotest.test_case "int_map_negative_key" `Quick test_int_map_negative_key;
   ]
