@@ -65,12 +65,12 @@ let check = function `Granted -> () | #refusal as v -> refuse v
    the cached page and give it up. A lock on anything but a page names
    nothing cached. *)
 let page_sink ~busy ~drop (r : Lock_mgr.resource) (_ : Lock_mode.t) : Server.callback_reply =
-  match r with
-  | { space = 0; _ } when busy () -> `Refused
-  | { space = 0; a = area; b = page } ->
-      drop { Page_id.area; page };
-      `Dropped
-  | _ -> `Dropped
+  if not (Lock_mgr.is_page r) then `Dropped
+  else if busy () then `Refused
+  else begin
+    drop { Page_id.area = Lock_mgr.major r; page = Lock_mgr.minor r };
+    `Dropped
+  end
 
 (* Direct, same-machine embedding. Each operation still opens a
    client.request span — the co-located analogue of the net.rpc span a

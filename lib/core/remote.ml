@@ -12,6 +12,9 @@ module Page_id = Bess_cache.Page_id
 module Lock_mgr = Bess_lock.Lock_mgr
 module Lock_mode = Bess_lock.Lock_mode
 module Net = Bess_net.Net
+module Int_map = Bess_util.Int_map
+module Int_store = Bess_util.Int_store
+module Int_tbl = Bess_util.Int_tbl
 
 (* Mutating requests carry a per-client request id ([rid]) so the server
    can deduplicate deliveries: with injected drops a client retries
@@ -19,7 +22,8 @@ module Net = Bess_net.Net
    never ran — execute it) from a lost *reply* (it ran — replay the
    remembered answer). Reads (Lock and the fetches) are naturally
    idempotent under strict 2PL regrants and go un-keyed; [rid = 0]
-   means "no id". *)
+   means "no id". Any positive rid is its own key; a negative one is
+   refused with [Invalid_argument] before the handler runs. *)
 type req =
   | Begin of { rid : int }
   | Lock of { txn : int; r : Lock_mgr.resource; mode : Lock_mode.t }
@@ -92,33 +96,57 @@ let dedup_window = 4096
 let serve (net : network) (server : Server.t) =
   (* Outstanding group-commit tickets of remote clients, keyed by the
      wire handle returned from Commit_begin. *)
-  let tickets : (int, Bess_wal.Group_commit.ticket) Hashtbl.t = Hashtbl.create 8 in
+  let tickets : Bess_wal.Group_commit.ticket Int_tbl.t = Int_tbl.create 8 in
   let next_ticket = ref 1 in
   (* Exactly-once execution of mutating requests: remember each keyed
      request's answer and replay it on redelivery. A handler that raises
      remembers nothing, so a retry after a dropped *request* (or a
-     failed execution) runs it for real. *)
-  let completed : resp Bess_util.Int_pair.Tbl.t = Bess_util.Int_pair.Tbl.create 64 in
-  (* The keys of [completed] in arrival order, as a ring: once full, the
-     slot a new key takes holds the oldest, which ages out. *)
-  let ring = Array.make dedup_window (0, 0) and arrivals = ref 0 in
+     failed execution) runs it for real. The answers live in a ring of
+     [dedup_window] slots, in arrival order, each with its (src, rid):
+     once full, the slot a new answer takes holds the oldest, which ages
+     out. Each endpoint has an [Int_map] from its rids to their slots, so
+     a rid of any size is its own key: a rid packed beside the endpoint
+     would have a fixed field to outgrow, and the 2PC coordinator's rids
+     move on by 128 million at each of its restarts. *)
+  let rids_by_src : Int_map.t Int_store.t = Int_store.create 64 in
+  let rids_of src =
+    let i = Int_store.index rids_by_src src in
+    if i >= 0 then Int_store.get rids_by_src i
+    else begin
+      let rids = Int_map.create 16 in
+      Int_store.add rids_by_src src rids;
+      rids
+    end
+  in
+  let ring_src = Array.make dedup_window 0 and ring_rid = Array.make dedup_window 0 in
+  let ring_resps = Array.make dedup_window R_ok in
+  let arrivals = ref 0 in
+  (* Every arrival adds one key and, once the ring is full, ages one
+     out. *)
   Bess_obs.Registry.register_gauge "server" "server.dedup_entries" (fun () ->
-      Bess_util.Int_pair.Tbl.length completed);
+      Stdlib.min !arrivals dedup_window);
   let dedup ~src ~rid f =
     if rid = 0 then f ()
-    else
-      match Bess_util.Int_pair.Tbl.find_opt completed (src, rid) with
-      | Some resp ->
-          Bess_util.Stats.incr (Server.stats server) "server.dup_replays";
-          resp
-      | None ->
-          let resp = f () in
-          let key = (src, rid) and slot = !arrivals mod dedup_window in
-          Bess_util.Int_pair.Tbl.replace completed key resp;
-          if !arrivals >= dedup_window then Bess_util.Int_pair.Tbl.remove completed ring.(slot);
-          ring.(slot) <- key;
-          incr arrivals;
-          resp
+    else begin
+      if rid < 0 then invalid_arg "Remote.serve: negative request id";
+      let rids = rids_of src in
+      let i = Int_map.find rids rid in
+      if i >= 0 then begin
+        Bess_util.Stats.incr (Server.stats server) "server.dup_replays";
+        ring_resps.(i)
+      end
+      else begin
+        let resp = f () in
+        let slot = !arrivals mod dedup_window in
+        if !arrivals >= dedup_window then Int_map.remove (rids_of ring_src.(slot)) ring_rid.(slot);
+        ring_src.(slot) <- src;
+        ring_rid.(slot) <- rid;
+        ring_resps.(slot) <- resp;
+        Int_map.replace rids rid slot;
+        incr arrivals;
+        resp
+      end
+    end
   in
   let dispatch ~src req =
     match req with
@@ -148,17 +176,17 @@ let serve (net : network) (server : Server.t) =
             | `Committed ticket ->
                 let h = !next_ticket in
                 next_ticket := h + 1;
-                Hashtbl.replace tickets h ticket;
+                Int_tbl.replace tickets h ticket;
                 R_ticket h
             | `Lock_violation -> R_error "lock violation")
     | Await_commit { rid; ticket } ->
         dedup ~src ~rid (fun () ->
-            match Hashtbl.find_opt tickets ticket with
+            match Int_tbl.find_opt tickets ticket with
             | Some tk ->
                 Server.await_commit server tk;
                 (* Drop the handle only once the wait succeeded: a retry
                    after a failed await must still find its ticket. *)
-                Hashtbl.remove tickets ticket;
+                Int_tbl.remove tickets ticket;
                 R_ok
             | None -> R_error "unknown commit ticket")
     | Abort { rid; txn } ->

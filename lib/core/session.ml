@@ -42,6 +42,8 @@ module Seg_addr = Bess_storage.Seg_addr
 module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
 module Codec = Bess_util.Codec
+module Int_map = Bess_util.Int_map
+module Int_store = Bess_util.Int_store
 
 exception Corruption of { addr : int }
 exception Stale_oid of Oid.t
@@ -106,7 +108,7 @@ type t = {
   slot_vm : int array; (* pool slot index -> VM page address currently backed *)
   dbs : (int, db_binding) Hashtbl.t;
   main_db : int;
-  segs : seg_rt Bess_util.Int_pair.Tbl.t; (* (db, segment id) -> runtime *)
+  segs : seg_rt Int_store.t; (* packed (db, segment id) -> runtime *)
   mutable regions : region option array; (* vmem page index -> region *)
   mapped : int Page_id.Tbl.t; (* disk page -> VM page address *)
   write_set : write_entry Page_id.Tbl.t;
@@ -287,33 +289,34 @@ let drop_cached_page t page_id =
 
 (* Wave 1: know a segment and reserve its slotted address range. *)
 let get_seg t ~db_id ~seg_id =
-  match Bess_util.Int_pair.Tbl.find_opt t.segs (db_id, seg_id) with
-  | Some seg -> seg
-  | None ->
-      let b = binding t db_id in
-      let slotted_disk = Catalog.find_segment b.b_catalog seg_id in
-      let slotted_base = Vmem.reserve t.vmem slotted_disk.npages in
-      let seg =
-        {
-          db_id;
-          seg_id;
-          slotted_disk;
-          slotted_base;
-          slotted_present = false;
-          data_disk = { area = 0; first_page = 0; npages = 0 };
-          data_base = 0;
-          capacity = Layout.slots_capacity ~pages:slotted_disk.npages ~page_size:(page_size t);
-          large_bases = Hashtbl.create 4;
-          large_disks = Hashtbl.create 4;
-          gen = 0;
-          refs_gen = -1;
-          refs = [||];
-        }
-      in
-      add_region t ~base:slotted_base ~npages:slotted_disk.npages (Slotted seg);
-      Bess_util.Int_pair.Tbl.replace t.segs (db_id, seg_id) seg;
-      Bess_util.Stats.incr t.stats "session.wave1_reservations";
-      seg
+  let key = Int_map.pack db_id seg_id in
+  let i = Int_store.index t.segs key in
+  if i >= 0 then Int_store.get t.segs i
+  else
+    let b = binding t db_id in
+    let slotted_disk = Catalog.find_segment b.b_catalog seg_id in
+    let slotted_base = Vmem.reserve t.vmem slotted_disk.npages in
+    let seg =
+      {
+        db_id;
+        seg_id;
+        slotted_disk;
+        slotted_base;
+        slotted_present = false;
+        data_disk = { area = 0; first_page = 0; npages = 0 };
+        data_base = 0;
+        capacity = Layout.slots_capacity ~pages:slotted_disk.npages ~page_size:(page_size t);
+        large_bases = Hashtbl.create 4;
+        large_disks = Hashtbl.create 4;
+        gen = 0;
+        refs_gen = -1;
+        refs = [||];
+      }
+    in
+    add_region t ~base:slotted_base ~npages:slotted_disk.npages (Slotted seg);
+    Int_store.add t.segs key seg;
+    Bess_util.Stats.incr t.stats "session.wave1_reservations";
+    seg
 
 let slot_addr seg idx = seg.slotted_base + Layout.slot_offset idx
 
@@ -722,7 +725,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
       slot_vm = Array.make pool_slots 0;
       dbs = Hashtbl.create 4;
       main_db = db_id;
-      segs = Bess_util.Int_pair.Tbl.create 64;
+      segs = Int_store.create 64;
       regions = Array.make 1024 None;
       mapped = Page_id.Tbl.create 1024;
       write_set = Page_id.Tbl.create 64;
@@ -746,7 +749,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
     }
   in
   Bess_obs.Registry.register_gauge "session" "session.cached_segments" (fun () ->
-      Bess_util.Int_pair.Tbl.length t.segs);
+      Int_store.length t.segs);
   Bess_obs.Registry.register_gauge "session" "session.mapped_pages" (fun () ->
       Page_id.Tbl.length t.mapped);
   self := Some t;

@@ -8,32 +8,33 @@
    module is the bookkeeping: who to call back, and registry maintenance
    when callbacks succeed, are refused, or clients disconnect.
 
-   An entry stays once made, even when its holder list empties: the next
-   request for the resource finds it in place rather than re-adding it.
-   The registry is bounded by the resources ever cached. *)
+   Each resource ever cached has one slot, its holder list, in an
+   [Int_store] keyed by the packed resource. A slot stays once made,
+   even when its holder list empties: the next request for the resource
+   finds it in place rather than re-adding it. The registry is bounded
+   by the resources ever cached. *)
+
+module Int_store = Bess_util.Int_store
 
 type client = int
 
-type entry = { mutable cached : (client * Lock_mode.t) list }
+(* Each resource's holders, by the packed resource. *)
+type t = (client * Lock_mode.t) list Int_store.t
 
-module Resource_tbl = Lock_mgr.Resource_tbl
+let create () : t = Int_store.create 256
 
-type t = { table : entry Resource_tbl.t }
+(* [r]'s slot, made on its first request. *)
+let slot t (r : Lock_mgr.resource) =
+  let i = Int_store.index t (r :> int) in
+  if i >= 0 then i
+  else begin
+    Int_store.add t (r :> int) [];
+    Int_store.length t - 1
+  end
 
-let create () = { table = Resource_tbl.create 256 }
-
-let entry t r =
-  match Resource_tbl.find t.table r with
-  | e -> e
-  | exception Not_found ->
-      let e = { cached = [] } in
-      Resource_tbl.add t.table r e;
-      e
-
-let cached_mode t ~client r =
-  match Resource_tbl.find_opt t.table r with
-  | None -> None
-  | Some e -> Lock_mode.holder_mode client e.cached
+let cached_mode t ~client (r : Lock_mgr.resource) =
+  let i = Int_store.index t (r :> int) in
+  if i < 0 then None else Lock_mode.holder_mode client (Int_store.get t i)
 
 (* Whether a holder is another client caching in a mode [mode]
    conflicts with. *)
@@ -48,30 +49,32 @@ let rec conflicts client mode = function
    (registry updated), or the listed other clients must first be called
    back (downgraded to nothing for X requests, to S for others). *)
 let request t ~client r mode =
-  let e = entry t r in
-  if conflicts client mode e.cached then
+  let i = slot t r in
+  let cached = Int_store.get t i in
+  if conflicts client mode cached then
     `Callback_needed
       (List.filter_map
          (fun ((c, _) as h) -> if conflicting client mode h then Some c else None)
-         e.cached)
+         cached)
   else begin
-    let prior = Lock_mode.holder_mode client e.cached in
+    let prior = Lock_mode.holder_mode client cached in
     let mode' = match prior with Some m -> Lock_mode.sup m mode | None -> mode in
-    e.cached <- (client, mode') :: Lock_mode.remove_holder client e.cached;
+    Int_store.set t i ((client, mode') :: Lock_mode.remove_holder client cached);
     `Granted
   end
 
 (* The server completed a callback: the client dropped its cached copy. *)
-let dropped t ~client r =
-  match Resource_tbl.find t.table r with
-  | e -> e.cached <- Lock_mode.remove_holder client e.cached
-  | exception Not_found -> ()
+let dropped t ~client (r : Lock_mgr.resource) =
+  let i = Int_store.index t (r :> int) in
+  if i >= 0 then Int_store.set t i (Lock_mode.remove_holder client (Int_store.get t i))
 
 (* The client downgraded (e.g. X -> S after a writing txn ended). *)
 let downgraded t ~client r mode =
-  let e = entry t r in
-  e.cached <- (client, mode) :: Lock_mode.remove_holder client e.cached
+  let i = slot t r in
+  Int_store.set t i ((client, mode) :: Lock_mode.remove_holder client (Int_store.get t i))
 
 (* Client disconnect: purge everything it cached. *)
 let forget_client t ~client =
-  Resource_tbl.iter (fun _ e -> e.cached <- Lock_mode.remove_holder client e.cached) t.table
+  for i = 0 to Int_store.length t - 1 do
+    Int_store.set t i (Lock_mode.remove_holder client (Int_store.get t i))
+  done

@@ -8,8 +8,11 @@
    exact waits-for-graph cycle check (what a local lock manager can
    afford). Experiments can choose either.
 
-   Resources are small integer triples so page, file and object locks all
-   fit one table: [space] names the namespace (see {!resource}).
+   A resource is one packed int, so page and object locks share one
+   table and one key space: a namespace bit, then the area (or
+   database) and the page (or slot), at widths that cover every id the
+   system issues (see [page_resource]). Comparing two resources is
+   comparing two ints.
 
    Hot-path complexity matters here: with 10^4..10^6 simulated clients the
    old list-based representation (append-at-tail enqueue, whole-table scan
@@ -25,11 +28,13 @@
    visited; the regression test asserts it stays linear in the number of
    transactions.
 
-   Every table is specialised: resources hash by integer mixing and
-   compare field by field, transactions are int keys, and no table is
-   built per transaction or per entry, so an uncontended acquire and
-   release allocate a handful of small blocks and hash nothing
-   polymorphically.
+   Every table is flat or int-keyed: the lock table is a pool of entry
+   records indexed by resource through a [Bess_util.Int_map], and an
+   entry whose last holder and waiter leave goes back to the pool's
+   free list with its queue, to be reused by the next resource locked.
+   Transactions are [Int_tbl] keys, and no table is built per
+   transaction or per entry, so an uncontended acquire and release
+   allocate a handful of small blocks and hash nothing polymorphically.
 
    Grant handoff (wake-on-release): [release_all] does not merely hint
    at who might be grantable — it grants the maximal compatible FIFO
@@ -53,27 +58,36 @@
 
 module Span = Bess_obs.Span
 module Int_tbl = Bess_util.Int_tbl
+module Int_map = Bess_util.Int_map
 
-type resource = { space : int; a : int; b : int }
+(* Bit 61 is the namespace (0 page, 1 object), bits 40-60 the area or
+   database, bits 0-39 the page or slot: the widths [Page_id.to_key]
+   gives area and page, less the namespace bit. Areas are numbered
+   [db_id * 100 + k] and object slots [seg_id lsl 16 lor idx], so both
+   stay far inside them. Packed this way, int order is the order of
+   (namespace, area or db, page or slot). *)
+type resource = int
 
-let page_resource ~area ~page = { space = 0; a = area; b = page }
-let object_resource ~db ~slot = { space = 1; a = db; b = slot }
+let minor_bits = 40
+let major_bits = 21
+let object_space = 1 lsl (major_bits + minor_bits)
+
+let pack ~msg space major minor =
+  if major lsr major_bits <> 0 || minor lsr minor_bits <> 0 then invalid_arg msg;
+  space lor (major lsl minor_bits) lor minor
+
+let page_resource ~area ~page =
+  pack ~msg:"Lock_mgr.page_resource: coordinate out of range" 0 area page
+
+let object_resource ~db ~slot =
+  pack ~msg:"Lock_mgr.object_resource: coordinate out of range" object_space db slot
+
+let is_page r = r land object_space = 0
+let major r = (r lsr minor_bits) land ((1 lsl major_bits) - 1)
+let minor r = r land ((1 lsl minor_bits) - 1)
 
 let pp_resource ppf r =
-  let name = match r.space with 0 -> "page" | 1 -> "obj" | _ -> "res" in
-  Fmt.pf ppf "%s(%d,%d)" name r.a r.b
-
-module Resource = struct
-  type t = resource
-
-  let equal r r' = r.b = r'.b && r.a = r'.a && r.space = r'.space
-
-  (* Each field is mixed into the hash of those before it, so pages and
-     areas past 2^24 spread as well as small ones. *)
-  let hash r = Int_tbl.mix (Int_tbl.mix (Int_tbl.mix r.space lxor r.a) lxor r.b)
-end
-
-module Resource_tbl = Hashtbl.Make (Resource)
+  Fmt.pf ppf "%s(%d,%d)" (if is_page r then "page" else "obj") (major r) (minor r)
 
 (* A request may wait this long, in simulated ns, before [`Timeout]
    detection declares it deadlocked. See DESIGN.md §4h for the measured
@@ -95,6 +109,8 @@ type waiter = {
 }
 
 type entry = {
+  slot : int; (* its index in the pool *)
+  mutable res : resource; (* the resource it is bound to; -1 while free *)
   mutable granted : (int * Lock_mode.t) list; (* txn, cumulative mode *)
   waiting : waiter Queue.t; (* FIFO order; may hold cancelled nodes *)
   mutable n_live : int;
@@ -130,7 +146,11 @@ let counters stats =
   }
 
 type t = {
-  table : entry Resource_tbl.t;
+  index : Int_map.t; (* resource -> the slot of its entry in [pool] *)
+  mutable pool : entry array; (* slots [0, n_made) hold made entries; the rest are filler *)
+  mutable n_made : int;
+  mutable free : int array; (* a stack of the made slots bound to nothing *)
+  mutable n_free : int;
   held : resource list Int_tbl.t; (* txn -> granted resources, newest first *)
   waits : waiter list Int_tbl.t; (* txn -> its live waiters *)
   mutable next_seq : int; (* stamps [w_seq] *)
@@ -149,23 +169,42 @@ let create () =
   ignore (Bess_util.Stats.histogram stats "lock.wake_to_grant_ns");
   Bess_obs.Registry.register_stats "lock" stats;
   let t =
-    { table = Resource_tbl.create 256; held = Int_tbl.create 32; waits = Int_tbl.create 32;
-      next_seq = 0; stats; c = counters stats; n_waiters = 0; wake_hook = None;
-      grant_filter = None }
+    { index = Int_map.create 256; pool = [||]; n_made = 0; free = [||]; n_free = 0;
+      held = Int_tbl.create 32; waits = Int_tbl.create 32; next_seq = 0; stats;
+      c = counters stats; n_waiters = 0; wake_hook = None; grant_filter = None }
   in
   Bess_obs.Registry.register_gauge "lock" "lock.table_size" (fun () ->
-      Resource_tbl.length t.table);
+      Int_map.length t.index);
   (* Incremental: folding the whole table here made every Series window
      O(table). *)
   Bess_obs.Registry.register_gauge "lock" "lock.waiters" (fun () -> t.n_waiters);
   t
 
-(* A crash loses the table: every field goes back to what [create]
-   gives, in place, while the stats (so counts continue across the
-   restart) and the wake hook and grant filter stay. A parked wait span
-   is dropped unclosed, as its transaction is. *)
+(* An entry bound to a resource goes back to the free list, its queue
+   emptied of cancelled nodes. A free entry stays free, so a caller
+   still holding one after a reentrant release freed it cannot free it
+   twice. *)
+let drop_entry t e =
+  if e.res >= 0 then begin
+    Int_map.remove t.index e.res;
+    e.res <- -1;
+    Queue.clear e.waiting;
+    t.free.(t.n_free) <- e.slot;
+    t.n_free <- t.n_free + 1
+  end
+
+(* A crash loses the table: every entry is unbound and every other
+   field goes back to what [create] gives, in place, while the stats (so
+   counts continue across the restart) and the wake hook and grant
+   filter stay. A parked wait span is dropped unclosed, as its
+   transaction is. *)
 let reset t =
-  Resource_tbl.reset t.table;
+  for i = 0 to t.n_made - 1 do
+    let e = t.pool.(i) in
+    e.granted <- [];
+    e.n_live <- 0;
+    drop_entry t e
+  done;
   Int_tbl.reset t.held;
   Int_tbl.reset t.waits;
   t.next_seq <- 0;
@@ -177,13 +216,33 @@ let n_waiters t = t.n_waiters
 let set_wake_hook t f = t.wake_hook <- f
 let set_grant_filter t f = t.grant_filter <- f
 
+(* [r]'s entry, bound from the free list (or a new slot) if it has
+   none. *)
 let entry t r =
-  match Resource_tbl.find_opt t.table r with
-  | Some e -> e
-  | None ->
-      let e = { granted = []; waiting = Queue.create (); n_live = 0 } in
-      Resource_tbl.add t.table r e;
-      e
+  let i = Int_map.find t.index r in
+  if i >= 0 then Array.unsafe_get t.pool i
+  else begin
+    let e =
+      if t.n_free > 0 then begin
+        t.n_free <- t.n_free - 1;
+        t.pool.(t.free.(t.n_free))
+      end
+      else begin
+        let i = t.n_made in
+        let e = { slot = i; res = -1; granted = []; waiting = Queue.create (); n_live = 0 } in
+        if i = Array.length t.pool then begin
+          t.pool <- Array.append t.pool (Array.make (max 64 i) e);
+          t.free <- Array.append t.free (Array.make (max 64 i) 0)
+        end;
+        t.pool.(i) <- e;
+        t.n_made <- i + 1;
+        e
+      end
+    in
+    e.res <- r;
+    Int_map.replace t.index r e.slot;
+    e
+  end
 
 let entry_empty e = match e.granted with [] -> e.n_live = 0 | _ :: _ -> false
 
@@ -201,9 +260,8 @@ let maybe_compact e =
   end
 
 let held_mode t ~txn r =
-  match Resource_tbl.find_opt t.table r with
-  | None -> None
-  | Some e -> Lock_mode.holder_mode txn e.granted
+  let i = Int_map.find t.index r in
+  if i < 0 then None else Lock_mode.holder_mode txn t.pool.(i).granted
 
 let holds t ~txn r mode =
   match held_mode t ~txn r with Some m -> Lock_mode.covers m mode | None -> false
@@ -220,7 +278,7 @@ let queued t e ~txn r =
   else
     let rec find = function
       | [] -> None
-      | w :: ws -> if Resource.equal w.w_res r then Some w else find ws
+      | w :: ws -> if w.w_res = r then Some w else find ws
     in
     find (txn_list t.waits txn)
 
@@ -252,12 +310,12 @@ let blocked_by_queue t e ~txn r =
    rebuilding the whole table's edges cost O(sum of queue^2). *)
 let creates_cycle t ~txn =
   let visited = Int_tbl.create 16 in
-  let covered = Resource_tbl.create 8 in
+  let covered = Int_tbl.create 8 in
   let rec reaches v = List.exists (reaches_via v) (txn_list t.waits v)
   and reaches_via v w =
-    let e = Resource_tbl.find t.table w.w_res in
+    let e = t.pool.(Int_map.find t.index w.w_res) in
     let conflicts_with m = not (Lock_mode.compatible w.w_mode m) in
-    let newest = Option.value (Resource_tbl.find_opt covered w.w_res) ~default:[] in
+    let newest = Option.value (Int_tbl.find_opt covered w.w_res) ~default:[] in
     match List.find_opt (fun n -> n.w_mode = w.w_mode) newest with
     | Some n when n.w_seq > w.w_seq ->
         n.w_txn = txn
@@ -265,7 +323,7 @@ let creates_cycle t ~txn =
            | Some m -> conflicts_with m
            | None -> false)
     | _ ->
-        Resource_tbl.replace covered w.w_res
+        Int_tbl.replace covered w.w_res
           (w :: List.filter (fun n -> n.w_mode <> w.w_mode) newest);
         (* Newest-first, so the first expansion of a convoy covers it. *)
         let earlier = ref [] in
@@ -384,7 +442,7 @@ let acquire ?(detect = `Graph) t ~txn r mode : verdict =
             let give_up outcome counter verdict =
               remove_waiter t e w ~outcome;
               Bess_util.Stats.bump counter;
-              if entry_empty e then Resource_tbl.remove t.table r;
+              if entry_empty e then drop_entry t e;
               verdict
             in
             match detect with
@@ -482,15 +540,16 @@ let release_all t ~txn =
   in
   let visit r =
     incr scanned;
-    match Resource_tbl.find_opt t.table r with
-    | None -> ()
-    | Some e ->
-        e.granted <- Lock_mode.remove_holder txn e.granted;
-        (match queued t e ~txn r with
-        | Some w -> remove_waiter t e w ~outcome:"released"
-        | None -> ());
-        List.iter note_woken (grant_scan t e r);
-        if entry_empty e then Resource_tbl.remove t.table r
+    let i = Int_map.find t.index r in
+    if i >= 0 then begin
+      let e = t.pool.(i) in
+      e.granted <- Lock_mode.remove_holder txn e.granted;
+      (match queued t e ~txn r with
+      | Some w -> remove_waiter t e w ~outcome:"released"
+      | None -> ());
+      List.iter note_woken (grant_scan t e r);
+      if entry_empty e then drop_entry t e
+    end
   in
   (match Int_tbl.find_opt t.held txn with
   | None -> ()
@@ -507,11 +566,12 @@ let release_all t ~txn =
 let held_resources t ~txn = List.rev (txn_list t.held txn)
 
 let waiters t r =
-  match Resource_tbl.find_opt t.table r with
-  | None -> []
-  | Some e ->
-      let acc = ref [] in
-      iter_live e (fun w -> acc := (w.w_txn, w.w_mode) :: !acc);
-      List.rev !acc
+  let i = Int_map.find t.index r in
+  if i < 0 then []
+  else begin
+    let acc = ref [] in
+    iter_live t.pool.(i) (fun w -> acc := (w.w_txn, w.w_mode) :: !acc);
+    List.rev !acc
+  end
 
-let n_locks t = Resource_tbl.length t.table
+let n_locks t = Int_map.length t.index

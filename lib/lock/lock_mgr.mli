@@ -13,25 +13,32 @@
     never advances time or wakes an expired waiter; a parked caller
     keeps its own deadline and re-polls when it fires. *)
 
-(** A lockable resource: [space] separates the page / object
-    namespaces; [a]/[b] are namespace-specific coordinates. *)
-type resource = { space : int; a : int; b : int }
+(** A lockable resource, packed into one non-negative int: a namespace
+    bit (page or object), then an area or database id in [\[0, 2^21)],
+    then a page or slot number in [\[0, 2^40)]. Equal resources are
+    equal ints, and int order is the order of (namespace, area or
+    database, page or slot). *)
+type resource = private int
 
+(** Raise [Invalid_argument] if [area] lies outside [\[0, 2^21)] or
+    [page] outside [\[0, 2^40)]. *)
 val page_resource : area:int -> page:int -> resource
+
+(** Raise [Invalid_argument] if [db] lies outside [\[0, 2^21)] or
+    [slot] outside [\[0, 2^40)]. *)
 val object_resource : db:int -> slot:int -> resource
+
+(** Whether the resource came from {!page_resource}. *)
+val is_page : resource -> bool
+
+(** The area of a page resource, or the database of an object one. *)
+val major : resource -> int
+
+(** The page of a page resource, or the slot of an object one. *)
+val minor : resource -> int
+
+(** [page(area,page)] or [obj(db,slot)]. *)
 val pp_resource : Format.formatter -> resource -> unit
-
-(** Resources as hash keys: equality compares all three fields, and the
-    hash mixes them as integers, with no polymorphic hashing or
-    comparison. *)
-module Resource : sig
-  type t = resource
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
-module Resource_tbl : Hashtbl.S with type key = resource
 
 type t
 

@@ -11,16 +11,22 @@
    directly (handlers may issue nested calls -- a node server forwarding a
    fetch to the owning server, a 2PC coordinator contacting participants).
    Cost parameters default to a LAN-ish ratio: crossing processes is three
-   orders of magnitude more expensive than a function call. *)
+   orders of magnitude more expensive than a function call.
+
+   Both tables a delivery reads are int-keyed: handlers by endpoint id,
+   and each route's counter by its [(src, dst)] pair packed into one
+   int. *)
 
 module Span = Bess_obs.Span
 module Stats = Bess_util.Stats
-module Route = Bess_util.Int_pair.Tbl
+module Int_map = Bess_util.Int_map
+module Int_store = Bess_util.Int_store
+module Int_tbl = Bess_util.Int_tbl
 
 type ('req, 'resp) handler = src:int -> 'req -> 'resp
 
 type ('req, 'resp) t = {
-  handlers : (int, ('req, 'resp) handler) Hashtbl.t;
+  handlers : ('req, 'resp) handler Int_tbl.t;
   req_cost : 'req -> int; (* payload size in bytes, for accounting *)
   resp_cost : 'resp -> int;
   per_message_ns : int;
@@ -30,8 +36,9 @@ type ('req, 'resp) t = {
   c_messages : Stats.counter;
   c_bytes : Stats.counter;
   (* One route's labeled [net.calls{src->dst}] handle, made on its first
-     message, so a delivery formats no label. *)
-  routes : Stats.counter Route.t;
+     message, so a delivery formats no label; keyed by the packed
+     route. *)
+  routes : Stats.counter Int_store.t;
 }
 
 let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost () =
@@ -39,7 +46,7 @@ let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost 
   Bess_obs.Registry.register_stats "net" stats;
   let t =
     {
-      handlers = Hashtbl.create 16;
+      handlers = Int_tbl.create 16;
       req_cost;
       resp_cost;
       per_message_ns;
@@ -48,7 +55,7 @@ let create ?(per_message_ns = 150_000) ?(per_byte_ns = 10) ~req_cost ~resp_cost 
       stats;
       c_messages = Stats.counter stats "net.messages";
       c_bytes = Stats.counter stats "net.bytes";
-      routes = Route.create 16;
+      routes = Int_store.create 16;
     }
   in
   Bess_obs.Registry.register_gauge "net" "net.in_flight" (fun () -> t.in_flight);
@@ -65,9 +72,9 @@ let delivering t f =
 (* Re-registering an endpoint replaces its handler: a client that
    attaches to several servers keeps one endpoint whose successive sink
    closures are behaviourally identical. *)
-let register t ~id handler = Hashtbl.replace t.handlers id handler
+let register t ~id handler = Int_tbl.replace t.handlers id handler
 
-let unregister t ~id = Hashtbl.remove t.handlers id
+let unregister t ~id = Int_tbl.remove t.handlers id
 
 let stats t = t.stats
 
@@ -87,13 +94,14 @@ let account t ~bytes =
   Stats.bump_by t.c_bytes bytes
 
 let route_calls t ~src ~dst =
-  match Route.find_opt t.routes (src, dst) with
-  | Some c -> c
-  | None ->
-      let label = Printf.sprintf "%d->%d" src dst in
-      let c = Stats.labeled_counter t.stats "net.calls" ~label in
-      Route.add t.routes (src, dst) c;
-      c
+  let key = Int_map.pack src dst in
+  let i = Int_store.index t.routes key in
+  if i >= 0 then Int_store.get t.routes i
+  else begin
+    let c = Stats.labeled_counter t.stats "net.calls" ~label:(Printf.sprintf "%d->%d" src dst) in
+    Int_store.add t.routes key c;
+    c
+  end
 
 let route_attrs src dst =
   if Span.enabled () then [ ("src", string_of_int src); ("dst", string_of_int dst) ] else []
@@ -128,9 +136,9 @@ let inject_delay t =
    stamps the outgoing request with a net.rpc span whose net.wire
    children separate wire time from the handler's own time. *)
 let call t ~src ~dst req =
-  match Hashtbl.find_opt t.handlers dst with
-  | None -> dead_letter t ~bytes:(t.req_cost req) dst
-  | Some handler ->
+  match Int_tbl.find t.handlers dst with
+  | exception Not_found -> dead_letter t ~bytes:(t.req_cost req) dst
+  | handler ->
       Span.with_span ~attrs:(route_attrs src dst) ~kind:"net.rpc" (fun () ->
           delivering t @@ fun () ->
           inject_delay t;

@@ -14,13 +14,15 @@ module Page_id = Bess_cache.Page_id
 module Lock_mode = Bess_lock.Lock_mode
 module Fetcher = Bess.Fetcher
 module Remote = Bess.Remote
+module Int_map = Bess_util.Int_map
+module Int_store = Bess_util.Int_store
 
 type t = {
   net : Remote.network;
   dbs : Bess.Db.t array;
   pages : Page_id.t array array; (* per shard, in popularity order *)
   coord : Twopc.t;
-  fetchers : Fetcher.t Bess_util.Int_pair.Tbl.t; (* (client, shard) -> its wire client *)
+  fetchers : Fetcher.t Int_store.t; (* packed (client, shard) -> its wire client *)
   page_buf : Bytes.t; (* the X-fetch target every transaction reuses *)
   (* (endpoint, txn) of the most recent {!txn} attempt's participants:
      harness introspection, so a torture test can ask the coordinator
@@ -37,7 +39,7 @@ let create ?(n = 2) ?(pages_per_shard = 8) () =
     Array.map (fun db -> Bess_sched.Driver.seed_working_set db ~n_pages:pages_per_shard) dbs
   in
   let coord = Twopc.create ~net () in
-  { net; dbs; pages; coord; fetchers = Bess_util.Int_pair.Tbl.create 64;
+  { net; dbs; pages; coord; fetchers = Int_store.create 64;
     page_buf = Bytes.create (Bess.Db.page_size dbs.(0)); last_parts = [] }
 
 let n_shards t = Array.length t.dbs
@@ -65,12 +67,14 @@ let endpoint_of_oid t oid = endpoint t (shard_of_oid t oid)
    its own request-id stream; the shard's server dedups by (src, rid), so
    the streams of one client never meet at one server. *)
 let fetcher t ~client sidx =
-  match Bess_util.Int_pair.Tbl.find_opt t.fetchers (client, sidx) with
-  | Some f -> f
-  | None ->
-      let f = Remote.fetcher t.net ~client_id:client ~server_id:(endpoint t sidx) in
-      Bess_util.Int_pair.Tbl.add t.fetchers (client, sidx) f;
-      f
+  let key = Int_map.pack client sidx in
+  let i = Int_store.index t.fetchers key in
+  if i >= 0 then Int_store.get t.fetchers i
+  else begin
+    let f = Remote.fetcher t.net ~client_id:client ~server_id:(endpoint t sidx) in
+    Int_store.add t.fetchers key f;
+    f
+  end
 
 (* One global transaction: begin + X-fetch on every involved shard, then
    two-phase commit. [writes] is [(shard, page rank, offset, value)].

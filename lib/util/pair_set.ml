@@ -1,16 +1,12 @@
-(* Open addressing over one int array. A slot holds a packed pair or
-   [empty]; packed pairs are non-negative, so [-1] is never one. The
-   array's length is a power of two and at least twice the pairs it
-   holds, so a probe always reaches an empty slot. Nothing is ever
-   removed but by [clear], so no tombstones. *)
+(* Open addressing over one int array. A slot holds a pair packed by
+   [Int_map.pack] or [empty]; packed pairs are non-negative, so [-1] is
+   never one. The array's length is a power of two and at least twice
+   the pairs it holds, so a probe always reaches an empty slot. Nothing
+   is ever removed but by [clear], so no tombstones. *)
 
 let empty = -1
-let max_hi = 1 lsl 30
-let max_lo = 1 lsl 32
 
 type t = { mutable slots : int array; mutable size : int }
-
-let in_range hi lo = hi >= 0 && hi < max_hi && lo >= 0 && lo < max_lo
 
 let create n =
   let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
@@ -32,8 +28,9 @@ let grow t =
   t.slots <- slots
 
 let add t hi lo =
-  if not (in_range hi lo) then invalid_arg "Pair_set.add: pair out of range";
-  let k = (hi lsl 32) lor lo in
+  let k =
+    try Int_map.pack hi lo with Invalid_argument _ -> invalid_arg "Pair_set.add: pair out of range"
+  in
   let i = slot t.slots k in
   if t.slots.(i) = empty then begin
     t.slots.(i) <- k;
@@ -42,10 +39,9 @@ let add t hi lo =
   end
 
 let mem t hi lo =
-  in_range hi lo
-  &&
-  let k = (hi lsl 32) lor lo in
-  t.slots.(slot t.slots k) = k
+  match Int_map.pack hi lo with
+  | k -> t.slots.(slot t.slots k) = k
+  | exception Invalid_argument _ -> false
 
 let cardinal t = t.size
 let capacity t = Array.length t.slots

@@ -1,6 +1,6 @@
 (** A set of pairs of small non-negative ints, such as the
     [(shard, txn)] participants of 2PC decisions, held flat: each pair
-    is packed as [hi lsl 32 lor lo] into one int array under open
+    is packed by {!Int_map.pack} into one int array under open
     addressing with linear probing. Adding a pair allocates nothing but
     the array's doubling, and {!clear} keeps the array.
 

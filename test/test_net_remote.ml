@@ -153,6 +153,75 @@ let test_dedup_window_ages_out () =
   Alcotest.(check bool) "a request past the window runs again" true (begin_txn 1 <> txns.(0));
   Alcotest.(check int) "which ages out the oldest" (txns.(Bess.Remote.dedup_window) + 2) (begin_txn 2)
 
+(* A rid of any size is its own dedup key, as the 2PC coordinator needs
+   (its rids jump by 2^27 at each restart): a rid past 2^32 or 2^42
+   must neither replay the answer of the rid it would alias if truncated
+   to that width nor be replayed in its place. A negative rid is
+   refused before the handler runs. *)
+let test_wide_request_ids_keep_their_own_keys () =
+  let db = Bess.Db.create_memory ~db_id:62 () in
+  let net = Bess.Remote.network () in
+  Bess.Remote.serve net (Bess.Db.server db);
+  let begin_txn rid =
+    match Bess.Remote.call net ~src:7 ~dst:62 (Bess.Remote.Begin { rid }) with
+    | Bess.Remote.R_txn txn -> txn
+    | _ -> Alcotest.fail "Begin answered something else"
+  in
+  let replays () =
+    Bess_util.Stats.get (Bess.Server.stats (Bess.Db.server db)) "server.dup_replays"
+  in
+  let rids = [ 5; (1 lsl 32) + 5; (1 lsl 42) + 5; max_int ] in
+  let txns = List.map begin_txn rids in
+  Alcotest.(check int) "each rid began its own transaction" (List.length rids)
+    (List.length (List.sort_uniq compare txns));
+  Alcotest.(check int) "nothing replayed" 0 (replays ());
+  List.iter2
+    (fun rid txn ->
+      Alcotest.(check int) (Printf.sprintf "rid %d replays its own answer" rid) txn (begin_txn rid))
+    (List.rev rids) (List.rev txns);
+  Alcotest.(check int) "one replay each" (List.length rids) (replays ());
+  Alcotest.check_raises "rid -5" (Invalid_argument "Remote.serve: negative request id") (fun () ->
+      ignore (begin_txn (-5)));
+  Alcotest.(check int) "no transaction begun" (List.fold_left max 0 txns + 1) (begin_txn 6)
+
+(* A keyed round trip (Begin, then Abort) through [Net.call] and the
+   served handler, with the dedup window already full, so every request
+   also ages an old key out. The key is packed into an int, so neither
+   the lookup nor the ring allocates; what is left is the requests and
+   answers themselves and the server's transaction state. Minor words
+   are deterministic, so the bound is tight: 167 words measured, where
+   a tuple key, a hash bucket and a boxed ring entry per request made
+   201. *)
+let test_keyed_request_allocation () =
+  let max_words = 170.0 in
+  let db = Bess.Db.create_memory ~db_id:63 () in
+  let net = Bess.Remote.network () in
+  Bess.Remote.serve net (Bess.Db.server db);
+  let rid = ref 0 in
+  let round_trip () =
+    incr rid;
+    let txn =
+      match Bess_net.Net.call net ~src:7 ~dst:63 (Bess.Remote.Begin { rid = !rid }) with
+      | Bess.Remote.R_txn txn -> txn
+      | _ -> Alcotest.fail "Begin answered something else"
+    in
+    incr rid;
+    match Bess_net.Net.call net ~src:7 ~dst:63 (Bess.Remote.Abort { rid = !rid; txn }) with
+    | Bess.Remote.R_ok -> ()
+    | _ -> Alcotest.fail "Abort answered something else"
+  in
+  for _ = 1 to Bess.Remote.dedup_window do
+    round_trip ()
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    round_trip ()
+  done;
+  let per_trip = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_trip > max_words then
+    Alcotest.failf "%.1f minor words per keyed round trip (bound %.0f)" per_trip max_words
+
 let suite =
   [
     Alcotest.test_case "net_accounting" `Quick test_net_accounting;
@@ -162,4 +231,7 @@ let suite =
     Alcotest.test_case "dedup_window_ages_out" `Quick test_dedup_window_ages_out;
     Alcotest.test_case "remote_traffic_shape" `Quick test_remote_traffic_shape;
     Alcotest.test_case "one_client_protocol" `Quick test_one_client_protocol;
+    Alcotest.test_case "wide_request_ids_keep_their_own_keys" `Quick
+      test_wide_request_ids_keep_their_own_keys;
+    Alcotest.test_case "keyed_request_allocation" `Quick test_keyed_request_allocation;
   ]

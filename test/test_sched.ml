@@ -334,10 +334,11 @@ let test_commit_major_allocation () =
 (* One client transaction as [Driver] runs it, on one cached page:
    begin, X-lock, read the before-image, commit, await the ticket. The
    server's per-transaction state is int-keyed and its lock and callback
-   tables typed, so the cycle's minor words stay under a tight bound
-   (they are deterministic). *)
+   tables are keyed by packed resources, so the cycle's minor words stay
+   under a tight bound (they are deterministic): 328 measured, 350 with
+   resource records in hash tables. *)
 let test_commit_cycle_allocation () =
-  let max_words = 400.0 in
+  let max_words = 360.0 in
   let db = fresh_db () in
   let server = Bess.Db.server db in
   let pid = (seed_pages db ~n_pages:1).(0) in

@@ -330,7 +330,7 @@ let test_indoubt_relocks_in_log_order () =
     (Bess.Server.prepared_txns server);
   Alcotest.(check (list int)) "held in first-write order" pages
     (List.map
-       (fun (r : Lock_mgr.resource) -> r.b)
+       Lock_mgr.minor
        (Lock_mgr.held_resources (Bess.Server.locks server) ~txn:t));
   Alcotest.(check int) "one relock per distinct page" (List.length pages) (relocks () - before);
   Bess.Server.abort_prepared server ~txn:t;

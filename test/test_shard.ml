@@ -254,6 +254,30 @@ let test_coordinator_crash_after_decision_redrives () =
   Alcotest.(check bool) "re-drives counted" true
     (Bess_util.Stats.get (Twopc.stats (Shard.coord sh)) "2pc.redrives" >= 1)
 
+(* Every restart skips [Twopc.epoch_gap] gids of 128 request ids each,
+   so after some thirty restarts the coordinator's rids pass 2^32. The
+   servers' dedup key must still take them: 50 restarts, each after a
+   cross-shard commit, then one more commit that must land everywhere. *)
+let test_commits_after_many_coordinator_restarts () =
+  fresh @@ fun () ->
+  let sh = Shard.create ~n:2 () in
+  let coord = Shard.coord sh in
+  let commit v =
+    match Shard.txn sh ~client:608 ~writes:[ (0, 0, 0, i64 v); (1, 0, 0, i64 (v + 1)) ] () with
+    | `Committed -> ()
+    | _ -> Alcotest.failf "commit %d did not commit" v
+  in
+  for i = 1 to 50 do
+    commit i;
+    Twopc.crash coord;
+    Alcotest.(check int) "nothing to re-drive" 0 (Twopc.recover coord)
+  done;
+  commit 1_000;
+  Alcotest.(check int) "commit landed on shard 0" 1_000 (slot_value sh ~shard:0 ~rank:0 ~offset:0);
+  Alcotest.(check int) "commit landed on shard 1" 1_001 (slot_value sh ~shard:1 ~rank:0 ~offset:0);
+  Alcotest.(check int) "nothing in doubt" 0 (Shard.in_doubt sh);
+  Alcotest.(check int) "no locks leaked" 0 (Shard.locks_held sh)
+
 let test_query_unknown_txn_is_abort () =
   fresh @@ fun () ->
   let sh = Shard.create ~n:2 () in
@@ -493,6 +517,8 @@ let suite =
       test_coordinator_crash_before_decision_presumes_abort;
     Alcotest.test_case "coord crash decided re-drives" `Quick
       test_coordinator_crash_after_decision_redrives;
+    Alcotest.test_case "commits after many coordinator restarts" `Quick
+      test_commits_after_many_coordinator_restarts;
     Alcotest.test_case "query unknown txn answers abort" `Quick test_query_unknown_txn_is_abort;
     Alcotest.test_case "wal names a shard's log" `Quick test_wal_names_a_shard;
     QCheck_alcotest.to_alcotest prop_coordinator_restart_equals_reference;

@@ -322,15 +322,6 @@ end
 
 module Int_model = Table_model (Int) (Bess_util.Int_tbl)
 
-module Pair_model =
-  Table_model
-    (struct
-      type t = int * int
-
-      let compare = compare
-    end)
-    (Bess_util.Int_pair.Tbl)
-
 (* Op 3 is a bare find; keys come from a small set, so most ops hit a
    key bound before. *)
 let table_ops key =
@@ -353,13 +344,66 @@ let prop_int_tbl_model =
     (QCheck.make (table_ops key) ~print:QCheck.Print.(list (triple int int int)))
     Int_model.agrees
 
-let prop_int_pair_tbl_model =
+(* Pairs keyed by [Int_map.pack] against a [Map] of pairs. Coordinates
+   differ only at bit 24 and above or in their low bits, and include
+   negatives: a pair [pack] refuses must raise and change nothing, and
+   every other pair must keep its own binding. Ops 0 and 1 bind, op 2
+   removes, op 3 asks. *)
+module Pair_map_model = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let prop_packed_pair_map_model =
   let coord = QCheck.Gen.(map2 (fun hi lo -> (hi lsl 24) + lo) (0 -- 3) (-4 -- 4)) in
-  QCheck.Test.make ~name:"int pair table agrees with a map model" ~count:300
+  QCheck.Test.make ~name:"packed pair map agrees with a map model" ~count:300
     (QCheck.make
        (table_ops (QCheck.Gen.pair coord coord))
        ~print:QCheck.Print.(list (triple int (pair int int) int)))
-    Pair_model.agrees
+    (fun ops ->
+      let module M = Bess_util.Int_map in
+      let t = M.create 4 and m = ref Pair_map_model.empty in
+      List.for_all
+        (fun (op, ((hi, lo) as k), v) ->
+          (match M.pack hi lo with
+          | key ->
+              if op <= 1 then begin
+                M.replace t key v;
+                m := Pair_map_model.add k v !m
+              end
+              else if op = 2 then begin
+                M.remove t key;
+                m := Pair_map_model.remove k !m
+              end;
+              hi >= 0 && lo >= 0
+              && M.find t key = Option.value ~default:(-1) (Pair_map_model.find_opt k !m)
+          | exception Invalid_argument _ -> hi < 0 || lo < 0)
+          && M.length t = Pair_map_model.cardinal !m)
+        ops
+      && Pair_map_model.for_all (fun (hi, lo) v -> M.find t (M.pack hi lo) = v) !m)
+
+(* [pack] keeps both components whole at the range's corners and
+   refuses each component just outside it. *)
+let test_pack_limits () =
+  let module M = Bess_util.Int_map in
+  List.iter
+    (fun (hi, lo) ->
+      let k = M.pack hi lo in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "(%d, %d) round-trips" hi lo)
+        (hi, lo)
+        (k lsr 32, k land ((1 lsl 32) - 1));
+      Alcotest.(check bool) "non-negative" true (k >= 0))
+    [ (0, 0); ((1 lsl 30) - 1, (1 lsl 32) - 1); (0, (1 lsl 32) - 1); ((1 lsl 30) - 1, 0) ];
+  List.iter
+    (fun (hi, lo) ->
+      Alcotest.check_raises
+        (Printf.sprintf "(%d, %d)" hi lo)
+        (Invalid_argument "Int_map.pack: pair out of range")
+        (fun () -> ignore (M.pack hi lo)))
+    [ (1 lsl 30, 0); (-1, 0); (0, 1 lsl 32); (0, -1); (max_int, 0); (0, max_int); (min_int, 0);
+      (0, min_int) ]
 
 (* The flat pair set against a [Set] of pairs over random add, mem and
    clear sequences. Up to 2,000 adds from a capacity of 8 cross eight
@@ -508,6 +552,31 @@ let test_int_map_negative_key () =
   Alcotest.(check int) "key 0 kept" 7 (M.find t 0);
   Alcotest.(check int) "one binding" 1 (M.length t)
 
+(* An append-only store: indices in the order keys are added, across
+   the array's doublings; keys far apart and colliding in the map; a
+   key added twice or a negative key refused with the store unchanged. *)
+let test_int_store () =
+  let module S = Bess_util.Int_store in
+  let t = S.create 2 in
+  let keys = List.init 100 (fun i -> if i mod 2 = 0 then i * 7 else max_int - i) in
+  List.iter (fun k -> S.add t k (string_of_int k)) keys;
+  Alcotest.(check int) "length" 100 (S.length t);
+  List.iteri
+    (fun i k ->
+      Alcotest.(check int) (Printf.sprintf "index of %d" k) i (S.index t k);
+      Alcotest.(check string) "value" (string_of_int k) (S.get t i))
+    keys;
+  Alcotest.(check int) "absent key" (-1) (S.index t 1);
+  Alcotest.(check int) "negative key" (-1) (S.index t (-7));
+  S.set t 3 "three";
+  Alcotest.(check string) "set" "three" (S.get t (S.index t (max_int - 3)));
+  Alcotest.check_raises "added twice" (Invalid_argument "Int_store.add: key already added")
+    (fun () -> S.add t 14 "again");
+  Alcotest.check_raises "negative" (Invalid_argument "Int_map.replace: negative key") (fun () ->
+      S.add t (-7) "minus");
+  Alcotest.(check int) "length unchanged" 100 (S.length t);
+  Alcotest.(check string) "first value kept" "14" (S.get t (S.index t 14))
+
 let suite =
   [
     Alcotest.test_case "bucket_of_edges" `Quick test_bucket_of_edges;
@@ -530,9 +599,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crc_concat;
     QCheck_alcotest.to_alcotest prop_crc_reference;
     QCheck_alcotest.to_alcotest prop_int_tbl_model;
-    QCheck_alcotest.to_alcotest prop_int_pair_tbl_model;
+    QCheck_alcotest.to_alcotest prop_packed_pair_map_model;
+    Alcotest.test_case "pack_limits" `Quick test_pack_limits;
     QCheck_alcotest.to_alcotest prop_pair_set_model;
     Alcotest.test_case "pair_set_range" `Quick test_pair_set_range;
     QCheck_alcotest.to_alcotest prop_int_map_model;
     Alcotest.test_case "int_map_negative_key" `Quick test_int_map_negative_key;
+    Alcotest.test_case "int_store" `Quick test_int_store;
   ]
