@@ -51,6 +51,15 @@ let create_cmd =
       Printf.eprintf "bad --page-size %d (a power of two, at least 2048)\n" page_size;
       exit 2
     end;
+    if areas < 1 || areas > 99 then begin
+      Printf.eprintf "bad --areas %d (from 1 to 99)\n" areas;
+      exit 2
+    end;
+    let parent = Filename.dirname dir in
+    if not (Sys.file_exists parent && Sys.is_directory parent) then begin
+      Printf.eprintf "bessctl: no directory %s to create %s in\n" parent dir;
+      exit 2
+    end;
     let db = Bess.Db.create_dir ~page_size ~n_areas:areas ~db_id:1 dir in
     Bess.Db.close db;
     Printf.printf "created database in %s (%d areas, %dB pages)\n" dir areas page_size

@@ -51,6 +51,8 @@ let create_memory ?(page_size = 4096) ?(n_areas = 1) ?(extent_order = 8) ?cache_
 
 let create_dir ?(page_size = 4096) ?(n_areas = 1) ?(extent_order = 8) ?cache_slots
     ?(host = 1) ~db_id dir =
+  (* Refused before the directory is made, so a bad count leaves none. *)
+  if n_areas < 1 || n_areas > 99 then invalid_arg "Db: n_areas out of range";
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let db =
     build ~db_id ~host ~dir:(Some dir)

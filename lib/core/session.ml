@@ -19,9 +19,11 @@
    slotted ranges as needed -- which is wave 1 for the next generation.
 
    Write detection: data pages map read-only; the first store faults, the
-   handler X-locks the page, captures an unswizzled before-image, and
-   grants write access. At commit the before/after images are diffed into
-   physical log records shipped to the server.
+   handler X-locks the page, keeps a before-image, and grants write
+   access. A data page's before-image is a copy of its swizzled frame; a
+   slot page's or large-object page's is its canonical (disk) form. At
+   commit the before/after images are diffed into physical log records,
+   in canonical form, shipped to the server.
 
    Corruption guard: slot pages stay write-protected; a user store into
    them raises {!Corruption} at the faulting instruction. The runtime
@@ -75,9 +77,17 @@ type write_entry = {
   we_page : Page_id.t;
   we_vm : int; (* VM address of the page start *)
   we_region : region;
-  we_before : Bytes.t; (* unswizzled (canonical) image at first write *)
+  we_before : Bytes.t; (* the page's image at first write *)
+  we_refs : int array;
+      (* The data page's reference offsets when [we_before] was copied
+         from its swizzled frame; [canonical] if [we_before] is the
+         canonical image. *)
   we_owned : bool; (* [we_before] came from [free_images]; a caller's image is not ours *)
 }
+
+(* The [we_refs] of a canonical before-image: never a reference map's
+   array. *)
+let canonical = [| -1 |]
 
 type swizzle_policy = Eager | On_deref
 
@@ -119,6 +129,7 @@ type t = {
   mutable in_txn : bool;
   mutable txn_span : Span.handle; (* session.txn: open from begin to commit/abort *)
   scratch : Bytes.t; (* one page: the commit-time after-image, diffed then reused *)
+  scratch_before : Bytes.t; (* one page: a canonicalised before-image, at commit *)
   fetched : Bytes.t; (* one page: a fetched page, swizzled here, then copied into the pool *)
   mutable free_images : Bytes.t list; (* page buffers for before-images, recycled at txn end *)
   stats : Bess_util.Stats.t;
@@ -218,18 +229,17 @@ let map_frame t page_id vm_page_addr bytes ~pin ~prot =
    [Segment_replacement]; [discard] also gives up its pool slot, which a
    clock-driven eviction leaves to the pool. *)
 let detach_frame t vm_page_addr ~discard =
-  match Vmem.frame_at t.vmem vm_page_addr with
-  | None -> ()
-  | Some _ ->
-      (match region_at t vm_page_addr with
-      | Some region ->
-          let page_id = page_id_of t region vm_page_addr in
-          Page_id.Tbl.remove t.mapped page_id;
-          if discard then Cache.discard t.pool page_id;
-          Event.fire t.hooks
-            (Segment_replacement { area = page_id.area; page = page_id.page })
-      | None -> ());
-      Vmem.unmap t.vmem vm_page_addr
+  if Vmem.is_mapped t.vmem vm_page_addr then begin
+    (match region_at t vm_page_addr with
+    | Some region ->
+        let page_id = page_id_of t region vm_page_addr in
+        Page_id.Tbl.remove t.mapped page_id;
+        if discard then Cache.discard t.pool page_id;
+        Event.fire t.hooks
+          (Segment_replacement { area = page_id.area; page = page_id.page })
+    | None -> ());
+    Vmem.unmap t.vmem vm_page_addr
+  end
 
 (* Drop the frame behind a VM page (replacement victim or callback). *)
 let unmap_vm_page t vm_page_addr = detach_frame t vm_page_addr ~discard:true
@@ -446,9 +456,9 @@ let ref_map t seg =
     let ps = page_size t in
     let frames =
       Array.init seg.slotted_disk.npages (fun i ->
-          match Vmem.frame_at t.vmem (seg.slotted_base + (i * ps)) with
-          | Some f -> f
-          | None -> invalid_arg "Session: slot page not mapped")
+          let vm = seg.slotted_base + (i * ps) in
+          if Vmem.is_mapped t.vmem vm then Vmem.frame t.vmem vm
+          else invalid_arg "Session: slot page not mapped")
     in
     (* Slots never straddle a page (Layout), so neither do their fields. *)
     let u32 off = Codec.get_u32 frames.(page_no t off) (off land (ps - 1)) in
@@ -499,37 +509,43 @@ let swizzle_page_raw t seg page_idx (bytes : Bytes.t) =
     end
   done
 
-(* The inverse, for commit and before-images: write the canonical
-   (unswizzled) image of a mapped page into [img], one page long. *)
+(* The inverse: put the reference words of [refs], offsets on a data page
+   of [seg], into canonical (unswizzled) form in [img], which holds that
+   page's bytes from offset [from] on. A word that does not lie wholly in
+   [img] is left alone. As in [swizzle_page_raw], the last target's
+   slotted range is tried first. *)
+let unswizzle_refs t seg refs img ~from =
+  let upto = from + Bytes.length img in
+  let last = ref seg in
+  for k = 0 to Array.length refs - 1 do
+    let off = refs.(k) in
+    if off >= from && off + 8 <= upto then begin
+      let v = Codec.get_i64 img (off - from) in
+      if v <> 0 && not (Layout.is_unswizzled v) then begin
+        let l = !last in
+        if v < l.slotted_base || page_no t (v - l.slotted_base) >= l.slotted_disk.npages then
+          last := slot_seg t v;
+        let tseg = !last in
+        if tseg.db_id <> seg.db_id then
+          failwith "Session: direct cross-database reference (must be forward)";
+        Codec.set_i64 img (off - from)
+          (Layout.encode_unswizzled ~seg:tseg.seg_id ~slot:(slot_index tseg v))
+      end
+    end
+  done
+
+let data_page_idx t seg vm_page_addr = page_no t (vm_page_addr - seg.data_base)
+
+(* Write the canonical image of a mapped page into [img], one page
+   long. *)
 let unswizzle_page_into t region vm_page_addr img =
   let ps = page_size t in
-  let frame =
-    match Vmem.frame_at t.vmem vm_page_addr with
-    | Some f -> f
-    | None -> invalid_arg "Session: page not mapped"
-  in
-  Bytes.blit frame 0 img 0 ps;
+  if not (Vmem.is_mapped t.vmem vm_page_addr) then invalid_arg "Session: page not mapped";
+  Bytes.blit (Vmem.frame t.vmem vm_page_addr) 0 img 0 ps;
   match region with
   | Large _ -> () (* raw bytes: nothing to canonicalise *)
   | Data seg ->
-      let page_idx = page_no t (vm_page_addr - seg.data_base) in
-      (* As in [swizzle_page_raw]: the last target's slotted range first. *)
-      let refs = (ref_map t seg).(page_idx) in
-      let last = ref seg in
-      for k = 0 to Array.length refs - 1 do
-        let off = refs.(k) in
-        let v = Codec.get_i64 img off in
-        if v <> 0 && not (Layout.is_unswizzled v) then begin
-          let l = !last in
-          if v < l.slotted_base || page_no t (v - l.slotted_base) >= l.slotted_disk.npages then
-            last := slot_seg t v;
-          let tseg = !last in
-          if tseg.db_id <> seg.db_id then
-            failwith "Session: direct cross-database reference (must be forward)";
-          Codec.set_i64 img off
-            (Layout.encode_unswizzled ~seg:tseg.seg_id ~slot:(slot_index tseg v))
-        end
-      done
+      unswizzle_refs t seg (ref_map t seg).(data_page_idx t seg vm_page_addr) img ~from:0
   | Slotted seg ->
       (* The slot count is read through the mapping, like every runtime
          read of the header outside a fault wave: a slot page the clock
@@ -615,10 +631,22 @@ let note_write t region vm_page_addr =
           img
       | [] -> Bytes.create (page_size t)
     in
-    unswizzle_page_into t region vm_page_addr before;
+    (* A data page keeps its swizzled frame and the reference offsets
+       that locate the words commit must canonicalise; the others keep
+       their canonical image. *)
+    let refs =
+      match region with
+      | Data seg ->
+          if not (Vmem.is_mapped t.vmem vm_page_addr) then invalid_arg "Session: page not mapped";
+          Bytes.blit (Vmem.frame t.vmem vm_page_addr) 0 before 0 (page_size t);
+          (ref_map t seg).(data_page_idx t seg vm_page_addr)
+      | Slotted _ | Large _ ->
+          unswizzle_page_into t region vm_page_addr before;
+          canonical
+    in
     Page_id.Tbl.replace t.write_set page_id
       { we_page = page_id; we_vm = vm_page_addr; we_region = region; we_before = before;
-        we_owned = true };
+        we_refs = refs; we_owned = true };
     (* Dirty pages must not be evicted before commit. *)
     (match Cache.find_slot t.pool page_id with
     | Some slot -> slot.Cache.pins <- slot.Cache.pins + 1
@@ -662,8 +690,8 @@ let handle_fault t _vm ~addr ~access =
       Event.fire t.hooks (Protection_violation { addr; write = access = Vmem.Write });
       raise (Corruption { addr })
   | Some region -> (
-      match Vmem.frame_at t.vmem vm_page with
-      | Some _ -> (
+      match Vmem.is_mapped t.vmem vm_page with
+      | true -> (
           (* Frame present: either the clock revoked access (regrant), or
              this is the first write to a read-only page. *)
           match (Vmem.prot_at t.vmem vm_page, access) with
@@ -673,7 +701,7 @@ let handle_fault t _vm ~addr ~access =
                 write_fault t region vm_page
           | Vmem.Prot_read, Vmem.Write -> write_fault t region vm_page
           | Vmem.Prot_read, Vmem.Read | Vmem.Prot_read_write, _ -> ())
-      | None ->
+      | false ->
           (* Not fetched yet. *)
           (match region with
           | Slotted seg -> slotted_fault t seg
@@ -682,7 +710,7 @@ let handle_fault t _vm ~addr ~access =
               large_fault t seg slot (page_no t (vm_page - Hashtbl.find seg.large_bases slot)));
           (* The wave's own loads may have swept the faulting page to
              protected; the retried access must find it granted. *)
-          if Vmem.frame_at t.vmem vm_page <> None && Vmem.prot_at t.vmem vm_page = Vmem.Prot_none
+          if Vmem.is_mapped t.vmem vm_page && Vmem.prot_at t.vmem vm_page = Vmem.Prot_none
           then ignore (regrant t region vm_page);
           (* On a slot page this raises Corruption. *)
           if access = Vmem.Write then write_fault t region vm_page)
@@ -736,6 +764,7 @@ let create ?(pool_slots = 512) ?(page_size = 4096) ?area_ids ~db_id ~catalog ~fe
       in_txn = false;
       txn_span = Span.none;
       scratch = Bytes.create page_size;
+      scratch_before = Bytes.create page_size;
       fetched = Bytes.create page_size;
       free_images = [];
       stats;
@@ -829,6 +858,55 @@ let begin_txn t =
   ignore (txn_for t (main_binding t));
   Stats.bump t.c.c_txns
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+(* Does a word at one of the offsets [refs], from the [k]th on, differ
+   between the two images? All 64 bits count. *)
+let rec ref_word_changed refs a b k =
+  k < Array.length refs
+  && (get64 a refs.(k) <> get64 b refs.(k) || ref_word_changed refs a b (k + 1))
+
+let rec unswizzle_ranges t seg refs = function
+  | [] -> ()
+  | (r : Diff.range) :: rest ->
+      unswizzle_refs t seg refs r.before ~from:r.offset;
+      unswizzle_refs t seg refs r.after ~from:r.offset;
+      unswizzle_ranges t seg refs rest
+
+(* The canonical diff of a write entry's page: its before-image against
+   its current content, both in canonical form.
+
+   A data page's before-image is its swizzled frame. While the page's
+   reference offsets are the array taken with it and no reference word
+   has changed, each reference word holds the same value in both images,
+   so the canonical images differ in exactly the bytes the swizzled ones
+   do: the two swizzled images are diffed, and only the reference words
+   inside the shipped ranges are rewritten. A reference word lies wholly
+   inside or wholly outside a range, since a range starts and ends on a
+   changed byte. Any other case canonicalises both whole images, the
+   before-image with the offsets it was taken with. *)
+let page_ranges t we =
+  match we.we_region with
+  | Data seg when we.we_refs != canonical ->
+      if not (Vmem.is_mapped t.vmem we.we_vm) then invalid_arg "Session: page not mapped";
+      let frame = Vmem.frame t.vmem we.we_vm in
+      let refs = (ref_map t seg).(data_page_idx t seg we.we_vm) in
+      if refs == we.we_refs && not (ref_word_changed refs we.we_before frame 0) then begin
+        let ranges = Diff.ranges ~before:we.we_before ~after:frame () in
+        unswizzle_ranges t seg refs ranges;
+        ranges
+      end
+      else begin
+        Bytes.blit we.we_before 0 t.scratch_before 0 (page_size t);
+        unswizzle_refs t seg we.we_refs t.scratch_before ~from:0;
+        Bytes.blit frame 0 t.scratch 0 (page_size t);
+        unswizzle_refs t seg refs t.scratch ~from:0;
+        Diff.ranges ~before:t.scratch_before ~after:t.scratch ()
+      end
+  | Data _ | Slotted _ | Large _ ->
+      unswizzle_page_into t we.we_region we.we_vm t.scratch;
+      Diff.ranges ~before:we.we_before ~after:t.scratch ()
+
 let updates_by_db t =
   let per_db = Hashtbl.create 4 in
   Page_id.Tbl.iter
@@ -836,8 +914,7 @@ let updates_by_db t =
       let db =
         match we.we_region with Slotted s | Data s | Large (s, _) -> s.db_id
       in
-      unswizzle_page_into t we.we_region we.we_vm t.scratch;
-      let ranges = Diff.ranges ~before:we.we_before ~after:t.scratch () in
+      let ranges = page_ranges t we in
       let acc = try Hashtbl.find per_db db with Not_found -> [] in
       Hashtbl.replace per_db db
         (List.fold_left
@@ -863,8 +940,7 @@ let finish_write_set t ~keep_frames =
       | Some slot -> if slot.Cache.pins > 0 then slot.Cache.pins <- slot.Cache.pins - 1
       | None -> ());
       if keep_frames then begin
-        if Vmem.frame_at t.vmem we.we_vm <> None then
-          Vmem.set_prot t.vmem we.we_vm 1 Vmem.Prot_read
+        if Vmem.is_mapped t.vmem we.we_vm then Vmem.set_prot t.vmem we.we_vm 1 Vmem.Prot_read
       end)
     t.write_set;
   Page_id.Tbl.reset t.write_set
@@ -929,23 +1005,23 @@ let commit t =
   Event.fire t.hooks (Txn_commit { txn = 0 });
   Stats.bump t.c.c_commits
 
-(* Abort: restore every dirtied frame from its before-image (re-applying
-   swizzling / DP rebasing so the in-memory form stays consistent), then
-   release server-side state. *)
+(* Abort: restore every dirtied frame from its before-image, then
+   release server-side state. A data page's image is its frame at the
+   first write, and a large-object page's is raw bytes, so both come back
+   by a copy. A forced data image is canonical, which is a valid mapped
+   form too (the On_deref policy maps such pages). A slot page's image is
+   in disk form, so its DPs are rebased to the mapping again. *)
 let restore_frame t we =
-  match Vmem.frame_at t.vmem we.we_vm with
-  | None -> ()
-  | Some frame ->
-      Bytes.blit we.we_before 0 frame 0 (Bytes.length we.we_before);
-      (match we.we_region with
-      | Large _ -> ()
-      | Data seg ->
-          let page_idx = page_no t (we.we_vm - seg.data_base) in
-          swizzle_page_raw t seg page_idx frame
-      | Slotted seg ->
-          invalidate_refs seg;
-          convert_slot_page t seg frame ~page_idx:(page_no t (we.we_vm - seg.slotted_base))
-            ~n_slots:(read_header_u32 t seg ~field:Layout.hdr_n_slots) ~last_base:0 Mapped)
+  if Vmem.is_mapped t.vmem we.we_vm then begin
+    let frame = Vmem.frame t.vmem we.we_vm in
+    Bytes.blit we.we_before 0 frame 0 (Bytes.length we.we_before);
+    match we.we_region with
+    | Data _ | Large _ -> ()
+    | Slotted seg ->
+        invalidate_refs seg;
+        convert_slot_page t seg frame ~page_idx:(page_no t (we.we_vm - seg.slotted_base))
+          ~n_slots:(read_header_u32 t seg ~field:Layout.hdr_n_slots) ~last_base:0 Mapped
+  end
 
 let abort t =
   if not t.in_txn then invalid_arg "Session.abort: no transaction open";
@@ -1353,7 +1429,8 @@ let rekey_page t ~old_page ~new_page ~vm =
    recycled. *)
 let force_full_write t region vm ~page_id ~before =
   let entry =
-    { we_page = page_id; we_vm = vm; we_region = region; we_before = before; we_owned = false }
+    { we_page = page_id; we_vm = vm; we_region = region; we_before = before; we_refs = canonical;
+      we_owned = false }
   in
   match Page_id.Tbl.find_opt t.write_set page_id with
   | Some old ->
@@ -1388,19 +1465,19 @@ let reserve_data_range t seg ~(disk : Seg_addr.t) =
 
 (* Move a resident frame to a new VM address and disk identity. *)
 let move_mapping t ~old_page ~new_page ~old_vm ~new_vm =
-  match Vmem.frame_at t.vmem old_vm with
-  | None -> invalid_arg "Session.move_mapping: page not resident"
-  | Some frame ->
-      Cache.rekey t.pool ~old_page ~new_page;
-      Page_id.Tbl.remove t.mapped old_page;
-      Page_id.Tbl.remove t.write_set old_page;
-      Vmem.unmap t.vmem old_vm;
-      Vmem.map t.vmem new_vm frame;
-      Vmem.set_prot t.vmem new_vm 1 Vmem.Prot_read;
-      Page_id.Tbl.replace t.mapped new_page new_vm;
-      (match Cache.find_slot t.pool new_page with
-      | Some slot -> t.slot_vm.(slot.Cache.index) <- new_vm
-      | None -> ())
+  if not (Vmem.is_mapped t.vmem old_vm) then
+    invalid_arg "Session.move_mapping: page not resident";
+  let frame = Vmem.frame t.vmem old_vm in
+  Cache.rekey t.pool ~old_page ~new_page;
+  Page_id.Tbl.remove t.mapped old_page;
+  Page_id.Tbl.remove t.write_set old_page;
+  Vmem.unmap t.vmem old_vm;
+  Vmem.map t.vmem new_vm frame;
+  Vmem.set_prot t.vmem new_vm 1 Vmem.Prot_read;
+  Page_id.Tbl.replace t.mapped new_page new_vm;
+  match Cache.find_slot t.pool new_page with
+  | Some slot -> t.slot_vm.(slot.Cache.index) <- new_vm
+  | None -> ()
 
 (* Map a zeroed frame at [vm] for a brand-new page. *)
 let map_zero_page t page_id vm =
@@ -1411,9 +1488,7 @@ let map_zero_page t page_id vm =
 let release_data_range t _seg ~base ~npages =
   let ps = page_size t in
   for i = 0 to npages - 1 do
-    match Vmem.frame_at t.vmem (base + (i * ps)) with
-    | Some _ -> Vmem.unmap t.vmem (base + (i * ps))
-    | None -> ()
+    if Vmem.is_mapped t.vmem (base + (i * ps)) then Vmem.unmap t.vmem (base + (i * ps))
   done;
   remove_region t ~base ~npages;
   Vmem.release t.vmem base npages

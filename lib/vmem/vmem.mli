@@ -9,10 +9,12 @@
     Protection changes, mappings and faults are counted in {!stats} under
     [vmem.protect_calls], [vmem.map_calls], [vmem.faults.read],
     [vmem.faults.write], etc., so experiments can report the system-call
-    costs the paper discusses in section 2.2. A one-entry translation
-    cache in front of the page-table walk counts its hits under
-    [vmem.tlb_hits]; it is flushed by [set_prot]/[map]/[unmap]/[release]
-    and re-checks protection on every hit. *)
+    costs the paper discusses in section 2.2. The page table is flat:
+    one protection byte and one frame per page number. A one-entry
+    translation cache in front of it holds a page index alone and counts
+    its hits under [vmem.tlb_hits]; it is flushed by
+    [set_prot]/[map]/[unmap]/[release] and re-reads the page's
+    protection on every hit. *)
 
 type prot = Prot_none | Prot_read | Prot_read_write
 type access = Read | Write
@@ -53,10 +55,14 @@ val set_fault_handler : t -> (t -> addr:int -> access:access -> unit) -> unit
     address range and returns its base address (mmap PROT_NONE). *)
 val reserve : t -> int -> int
 
-(** [release t addr npages] returns a reserved range to the pool (munmap). *)
+(** [release t addr npages] returns a reserved range to the pool (munmap).
+    [npages] must be positive and every page reserved; otherwise
+    [Invalid_argument] and nothing changes. *)
 val release : t -> int -> int -> unit
 
-(** [set_prot t addr npages prot] is mprotect: one counted system call. *)
+(** [set_prot t addr npages prot] is mprotect: one counted system call.
+    A range with an unreserved page, or a negative [npages], raises
+    [Invalid_argument] and changes nothing. *)
 val set_prot : t -> int -> int -> prot -> unit
 
 val prot_at : t -> int -> prot
@@ -69,6 +75,14 @@ val map : t -> int -> Bytes.t -> unit
 val unmap : t -> int -> unit
 
 val frame_at : t -> int -> Bytes.t option
+
+(** [is_mapped t addr]: the page holding [addr] is reserved and backed. *)
+val is_mapped : t -> int -> bool
+
+(** [frame t addr] is the frame behind [addr], without the option
+    {!frame_at} allocates; [Invalid_argument] if {!is_mapped} is false. *)
+val frame : t -> int -> Bytes.t
+
 val is_reserved : t -> int -> bool
 
 (** Typed accessors. Each access checks protection of every page touched
