@@ -49,6 +49,48 @@ let slot_scan_image s (seg : Session.seg_rt) page_idx =
   done;
   img
 
+(* The test's own canonical form of a data-page image taken swizzled:
+   each word at [refs] holding a swizzled slot address becomes the
+   unswizzled (segment, slot) it names. *)
+let canonicalise s img refs =
+  let img = Bytes.copy img in
+  Array.iter
+    (fun off ->
+      match Layout.ref_decode (Codec.get_i64 img off) with
+      | Layout.Swizzled addr ->
+          let tseg, slot = Session.unswizzle_addr s addr in
+          Codec.set_i64 img off (Layout.ref_encode (Unswizzled { seg = tseg.seg_id; slot }))
+      | Layout.Null | Layout.Unswizzled _ -> ())
+    refs;
+  img
+
+(* The commit oracle: what a commit ships must equal, as a set of
+   (page, offset, before, after) ranges, the diff of every write-set
+   page's whole canonical before-image against its whole canonical
+   current image. Checked inside the fetcher's commit, while the write
+   set and the frames still hold the transaction. *)
+let check_commit_oracle s (updates : Bess.Server.update list) =
+  let key (page : Bess_cache.Page_id.t) off b a =
+    (page.area, page.page, off, Bytes.to_string b, Bytes.to_string a)
+  in
+  let expected =
+    Bess_cache.Page_id.Tbl.fold
+      (fun _ (we : Session.write_entry) acc ->
+        let before =
+          if we.we_refs == Session.canonical then we.we_before
+          else canonicalise s we.we_before we.we_refs
+        in
+        let after = Session.unswizzle_page_image s we.we_region we.we_vm in
+        List.fold_left
+          (fun acc (r : Bess.Diff.range) -> key we.we_page r.offset r.before r.after :: acc)
+          acc (Bess.Diff.ranges ~before ~after ()))
+      (Session.write_set_table s) []
+  in
+  let shipped = List.map (fun (u : Bess.Server.update) -> key u.page u.offset u.before u.after) updates in
+  if List.sort compare shipped <> List.sort compare expected then
+    QCheck.Test.fail_reportf "a commit shipped %d ranges, the full-canonical diff has %d (or they differ)"
+      (List.length shipped) (List.length expected)
+
 let check_ref_map s (seg : Session.seg_rt) label =
   let ps = Session.page_size s in
   for page_idx = 0 to seg.data_disk.npages - 1 do
@@ -106,13 +148,29 @@ let large_off = 4104
 (* The model: an array of live objects with payload and link. *)
 type mobj = { mutable payload : int; mutable link : int option (* model index *) }
 
-let run_scenario ops =
+let run_scenario ?(policy = Session.Eager) ops =
   let db = Bess.Db.create_memory ~db_id:800 () in
   let ty =
     Bess.Type_desc.register (Bess.Catalog.types (Bess.Db.catalog db)) ~name:"m" ~size:16
       ~ref_offsets:[| 0 |]
   in
-  let s = Bess.Db.session db in
+  (* The session's commits pass through the commit oracle. *)
+  let self = ref None in
+  let base = Bess.Fetcher.direct ~client_id:7700 (Bess.Db.server db) in
+  let fetcher =
+    { base with
+      Bess.Fetcher.f_commit =
+        (fun ~txn updates ->
+          Option.iter (fun s -> check_commit_oracle s updates) !self;
+          base.f_commit ~txn updates) }
+  in
+  let s =
+    Session.create ~page_size:(Bess.Db.page_size db) ~area_ids:(Bess.Db.area_ids db)
+      ~db_id:(Bess.Db.db_id db) ~catalog:(Bess.Db.catalog db) ~fetcher
+      ~default_area:(Bess.Db.default_area db) ()
+  in
+  self := Some s;
+  Session.set_swizzle_policy s policy;
   (* committed model state and in-flight model state *)
   let committed : (int, mobj) Hashtbl.t = Hashtbl.create 32 in
   let working : (int, mobj) Hashtbl.t = Hashtbl.create 32 in
@@ -153,7 +211,20 @@ let run_scenario ops =
   in
   Bess.Session.commit s;
   let ensure_seg () = segs.(0) in
-  Bess.Session.begin_txn s;
+  (* Every mapped data page of the three segments at the start of the
+     open transaction: an abort must restore each byte for byte. *)
+  let at_begin = ref [] in
+  let begin_txn () =
+    Bess.Session.begin_txn s;
+    let ps = Session.page_size s and mem = Session.mem s in
+    at_begin :=
+      Array.to_list segs
+      |> List.concat_map (fun (seg : Session.seg_rt) ->
+             List.init seg.data_disk.npages (fun i -> seg.data_base + (i * ps)))
+      |> List.filter (Vmem.is_mapped mem)
+      |> List.map (fun vm -> (vm, Bytes.copy (Vmem.frame mem vm)))
+  in
+  begin_txn ();
   let commit () =
     Bess.Session.commit s;
     copy_into committed working;
@@ -220,16 +291,16 @@ let run_scenario ops =
         | None -> ())
     | Commit ->
         commit ();
-        Bess.Session.begin_txn s
+        begin_txn ()
     | Resize ->
         commit ();
         let sg = ensure_seg () in
         Bess.Reorg.resize_data_segment s sg ~new_pages:(sg.data_disk.npages + 1);
-        Bess.Session.begin_txn s
+        begin_txn ()
     | Compact ->
         commit ();
         ignore (Bess.Reorg.compact_data_segment s (ensure_seg ()));
-        Bess.Session.begin_txn s
+        begin_txn ()
     | Large (v, p) -> (
         let target =
           match pick larges v with
@@ -254,7 +325,7 @@ let run_scenario ops =
         | None -> ())
     | Vlarge (v, c) ->
         commit ();
-        Bess.Session.begin_txn s;
+        begin_txn ();
         let target =
           match pick vlarges v with
           | Some id when v mod 3 <> 0 ->
@@ -277,16 +348,21 @@ let run_scenario ops =
             Buffer.add_bytes (snd (Hashtbl.find vlarges id)) chunk)
           target;
         Bess.Session.commit s;
-        Bess.Session.begin_txn s
+        begin_txn ()
     | Abort ->
         Bess.Session.abort s;
+        List.iter
+          (fun (vm, img) ->
+            if Vmem.is_mapped (Session.mem s) vm && not (Bytes.equal (Vmem.frame (Session.mem s) vm) img)
+            then QCheck.Test.fail_reportf "abort left data page 0x%x different from its image" vm)
+          !at_begin;
         copy_into working committed;
         (* roll the address tables back with the model: aborted creations
            vanish, aborted deletions resurrect *)
         restore addrs addrs_committed;
         restore larges larges_committed;
         restore large_addrs large_addrs_committed;
-        Bess.Session.begin_txn s
+        begin_txn ()
   in
   let label = function
     | Create _ -> "create" | Create_far _ -> "create_far" | Write _ -> "write" | Link _ -> "link" | Unlink _ -> "unlink"
@@ -365,7 +441,13 @@ let run_scenario ops =
 
 let prop_session_model =
   QCheck.Test.make ~name:"session agrees with a reference model across commit/abort" ~count:40
-    (QCheck.make gen_ops) run_scenario
+    (QCheck.make gen_ops) (fun ops -> run_scenario ops)
+
+(* The same model, commit oracle and byte-for-byte abort check with
+   pages swizzled on dereference instead of at fetch. *)
+let prop_session_model_on_deref =
+  QCheck.Test.make ~name:"commit oracle and abort restore under the on-deref policy" ~count:40
+    (QCheck.make gen_ops) (fun ops -> run_scenario ~policy:Session.On_deref ops)
 
 (* Fixed sequences the random ones reach only sometimes: an object
    deleted, resurrected by abort and then linked from (the abort must
@@ -393,4 +475,5 @@ let test_pinned_sequences () =
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_session_model;
+    QCheck_alcotest.to_alcotest prop_session_model_on_deref;
     Alcotest.test_case "reference map on pinned sequences" `Quick test_pinned_sequences ]
