@@ -121,6 +121,10 @@ type op =
       (* victim index, byte: commit, append to a very large object (a new
          one when the victim is 0 mod 3 or none exists), save, commit,
          begin; bulk bytes bypass the log, so it never rides an abort *)
+  | Refetch
+      (* commit, drop every cached page, begin, and read every data page
+         back in: under the on-deref policy its references stay
+         unswizzled *)
 
 let gen_ops =
   QCheck.Gen.(
@@ -139,6 +143,7 @@ let gen_ops =
            (1, return Compact);
            (2, map2 (fun v p -> Large (v, p)) small_nat small_nat);
            (1, map2 (fun v c -> Vlarge (v, c)) small_nat small_nat);
+           (1, return Refetch);
          ]))
 
 (* Where a large object's payload goes: on its second page. *)
@@ -214,15 +219,18 @@ let run_scenario ?(policy = Session.Eager) ops =
   (* Every mapped data page of the three segments at the start of the
      open transaction: an abort must restore each byte for byte. *)
   let at_begin = ref [] in
-  let begin_txn () =
-    Bess.Session.begin_txn s;
-    let ps = Session.page_size s and mem = Session.mem s in
+  let ps = Session.page_size s and mem = Session.mem s in
+  let snap_frames () =
     at_begin :=
       Array.to_list segs
       |> List.concat_map (fun (seg : Session.seg_rt) ->
              List.init seg.data_disk.npages (fun i -> seg.data_base + (i * ps)))
       |> List.filter (Vmem.is_mapped mem)
       |> List.map (fun vm -> (vm, Bytes.copy (Vmem.frame mem vm)))
+  in
+  let begin_txn () =
+    Bess.Session.begin_txn s;
+    snap_frames ()
   in
   begin_txn ();
   let commit () =
@@ -349,6 +357,17 @@ let run_scenario ?(policy = Session.Eager) ops =
           target;
         Bess.Session.commit s;
         begin_txn ()
+    | Refetch ->
+        commit ();
+        Session.drop_all_cached s;
+        Bess.Session.begin_txn s;
+        Array.iter
+          (fun (seg : Session.seg_rt) ->
+            for i = 0 to seg.data_disk.npages - 1 do
+              ignore (Vmem.read_u8 mem (seg.data_base + (i * ps)))
+            done)
+          segs;
+        snap_frames ()
     | Abort ->
         Bess.Session.abort s;
         List.iter
@@ -367,7 +386,7 @@ let run_scenario ?(policy = Session.Eager) ops =
   let label = function
     | Create _ -> "create" | Create_far _ -> "create_far" | Write _ -> "write" | Link _ -> "link" | Unlink _ -> "unlink"
     | Delete _ -> "delete" | Commit -> "commit" | Abort -> "abort" | Resize -> "resize"
-    | Compact -> "compact" | Large _ -> "large" | Vlarge _ -> "vlarge"
+    | Compact -> "compact" | Large _ -> "large" | Vlarge _ -> "vlarge" | Refetch -> "refetch"
   in
   List.iter
     (fun op ->
@@ -471,7 +490,13 @@ let test_pinned_sequences () =
       [ Large (0, 5); Vlarge (0, 3); Create 1; Delete 0; Create 2; Abort; Large (1, 6);
         Compact; Vlarge (1, 4); Resize; Large (1, 7); Abort; Vlarge (2, 9) ];
       [ Create 1; Create_far (0, 2); Create_far (1, 3); Create 4; Link (0, 1); Link (3, 2);
-        Create 5; Link (4, 3); Commit; Link (1, 0); Abort; Link (2, 4); Compact ] ]
+        Create 5; Link (4, 3); Commit; Link (1, 0); Abort; Link (2, 4); Compact ];
+      [ Create 1; Create 2; Create 3; Link (1, 0); Commit; Write (0, 5); Write (2, 7); Commit ] ];
+  (* Under the on-deref policy: a refetched page keeps unswizzled
+     references, which a write and an abort must leave unswizzled. *)
+  List.iter
+    (fun ops -> ignore (run_scenario ~policy:Session.On_deref ops))
+    [ [ Create 1; Create 2; Link (1, 0); Commit; Refetch; Write (0, 3); Abort; Link (0, 1) ] ]
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_session_model;
