@@ -316,9 +316,20 @@ let walk t idx access =
 let syscalls t =
   Stats.value t.c_reserve_calls + Stats.value t.c_protect_calls + Stats.value t.c_map_calls
 
+(* Deliver one fault to handler [h]: the trap's simulated cost, then the
+   handler, outside which [in_handler] is always false. *)
+let run_handler t h addr access =
+  Span.advance_ns fault_trap_ns;
+  match h t ~addr ~access with
+  | () -> t.in_handler <- false
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.in_handler <- false;
+      Printexc.raise_with_backtrace e bt
+
 (* A TLB miss: walk the page table; if the protection is violated,
    deliver the signal; retry the instruction; a second violation is
-   fatal. *)
+   fatal. Without a span collector the fault builds no span closure. *)
 let resolve_miss t addr access idx =
   let violation reason = raise (Access_violation { addr; access; reason }) in
   if walk t idx access then Array.unsafe_get t.frames idx
@@ -330,17 +341,13 @@ let resolve_miss t addr access idx =
     | Some h ->
         let before = syscalls t in
         t.in_handler <- true;
-        Span.with_span ~kind:"vmem.fault"
-          ~attrs:
-            (if Span.enabled () then
-               [ ("addr", string_of_int addr);
-                 ("access", match access with Read -> "read" | Write -> "write") ]
-             else [])
-          (fun () ->
-            Span.advance_ns fault_trap_ns;
-            Fun.protect
-              ~finally:(fun () -> t.in_handler <- false)
-              (fun () -> h t ~addr ~access));
+        if Span.enabled () then
+          Span.with_span ~kind:"vmem.fault"
+            ~attrs:
+              [ ("addr", string_of_int addr);
+                ("access", match access with Read -> "read" | Write -> "write") ]
+            (fun () -> run_handler t h addr access)
+        else run_handler t h addr access;
         Stats.record t.h_fault_work (syscalls t - before);
         if walk t idx access then Array.unsafe_get t.frames idx
         else violation "fault handler did not resolve access"
