@@ -223,6 +223,222 @@ let test_page_size_power_of_two () =
       Alcotest.(check int) "second range starts a page later" (a + (2 * ps)) (Vmem.reserve vm 1))
     [ 64; 256; 512; 4096; 65536 ]
 
+
+(* ---- Model test: the flat page table against a plain model ---- *)
+
+(* The model keeps, per reserved page number, its protection and, when
+   mapped, its own copy of the frame's bytes; and the one-entry TLB as
+   a page number. Every operation runs on both, and after each one the
+   frames, protections, fault counts, gauges and TLB hits must agree. *)
+type mpage = { mutable mprot : Vmem.prot; mutable mframe : Bytes.t option }
+
+type vop =
+  | Reserve of int
+  | Release of int * int (* page pick, npages *)
+  | Set_prot of int * int * int (* page pick, npages, protection *)
+  | Map of int
+  | Unmap of int
+  | Unprotected of int * int * int (* page pick, npages, offset of a write_u8 inside *)
+  | Read of int * int * int (* accessor, page pick, offset *)
+  | Write of int * int * int * int (* accessor, page pick, offset, value *)
+
+let mps = 64
+
+let gen_vop =
+  QCheck.Gen.(
+    let pick = int_range (-3) 40 and off = int_range (-10) (mps + 10) in
+    frequency
+      [ (2, map (fun n -> Reserve (1 + n)) (int_bound 3));
+        (1, map2 (fun p n -> Release (p, n)) pick (int_range (-1) 3));
+        (3, map3 (fun p n r -> Set_prot (p, n, r)) pick (int_range 0 3) (int_bound 2));
+        (3, map (fun p -> Map p) pick);
+        (1, map (fun p -> Unmap p) pick);
+        (1, map3 (fun p n o -> Unprotected (p, n, o)) pick (int_range 1 2) off);
+        (6, map3 (fun a p o -> Read (a, p, o)) (int_bound 4) pick off);
+        (6, map3 (fun a (p, o) v -> Write (a, p, o, v)) (int_bound 4) (pair pick off) int) ])
+
+let prop_vmem_model =
+  QCheck.Test.make ~name:"vmem agrees with a plain page-table model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) gen_vop))
+    (fun ops ->
+      Bess_obs.Registry.with_fresh @@ fun () ->
+      let vm = Vmem.create ~page_size:mps () in
+      let pages : (int, mpage) Hashtbl.t = Hashtbl.create 16 in
+      let tlb = ref None and tlb_hits = ref 0 and faults_r = ref 0 and faults_w = ref 0 in
+      let protect_calls = ref 0 in
+      Vmem.set_fault_handler vm (fun _ ~addr:_ ~access:_ -> ());
+      (* Page picks name a reserved page by rank, or a wild address. *)
+      let addr_of p =
+        if p < 0 then [| -mps; -1; 1 lsl 40 |].(-p - 1)
+        else
+          match List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) pages []) with
+          | [] -> (p + 1) * mps
+          | ks -> if p >= 30 then (p + 1000) * mps else List.nth ks (p mod List.length ks) * mps
+      in
+      let page a = a asr 6 in
+      let allows pg access =
+        match (Hashtbl.find_opt pages pg, access) with
+        | Some { mframe = Some _; mprot = Prot_read_write }, _ -> true
+        | Some { mframe = Some _; mprot = Prot_read }, Vmem.Read -> true
+        | _ -> false
+      in
+      (* One page's translation, as the TLB and walk do it: raises as the
+         real access does once the handler leaves it unresolved. *)
+      let resolve a access =
+        let pg = page a in
+        if !tlb = Some pg && allows pg access then incr tlb_hits
+        else if allows pg access then tlb := Some pg
+        else begin
+          incr (match access with Vmem.Read -> faults_r | Vmem.Write -> faults_w);
+          raise Exit
+        end;
+        Option.get (Hashtbl.find pages pg).mframe
+      in
+      let flush () = tlb := None in
+      let reserved_range a n =
+        n >= 0 && List.for_all (fun i -> Hashtbl.mem pages (page a + i)) (List.init n Fun.id)
+      in
+      let m_read_bytes a len =
+        let out = Bytes.create len in
+        let pos = ref 0 in
+        while !pos < len do
+          let f = resolve (a + !pos) Vmem.Read in
+          let o = (a + !pos) land (mps - 1) in
+          let c = min (len - !pos) (mps - o) in
+          Bytes.blit f o out !pos c;
+          pos := !pos + c
+        done;
+        out
+      in
+      let m_write_bytes a src =
+        let pos = ref 0 and len = Bytes.length src in
+        while !pos < len do
+          let f = resolve (a + !pos) Vmem.Write in
+          let o = (a + !pos) land (mps - 1) in
+          let c = min (len - !pos) (mps - o) in
+          Bytes.blit src !pos f o c;
+          pos := !pos + c
+        done
+      in
+      let width = [| 1; 4; 8; 3; 8 |] in
+      (* Run [real] and [model]; both must return equal values, or both
+         fault ([Access_violation] / [Exit]) or both refuse. The model
+         runs once. *)
+      let both what real model =
+        let r = try Ok (real ()) with Vmem.Access_violation _ -> Error `Fault | Invalid_argument _ -> Error `Refused in
+        let m = try Ok (model ()) with Exit -> Error `Fault | Invalid_argument _ -> Error `Refused in
+        if r <> m then QCheck.Test.fail_reportf "%s: vmem and the model disagree" what
+      in
+      let apply = function
+        | Reserve n ->
+            let a = Vmem.reserve vm n in
+            for i = 0 to n - 1 do
+              if Hashtbl.mem pages (page a + i) || page a + i <= 0 then
+                QCheck.Test.fail_reportf "reserve returned a page in use";
+              Hashtbl.replace pages (page a + i) { mprot = Prot_none; mframe = None }
+            done
+        | Release (p, n) ->
+            let a = addr_of p in
+            both "release" (fun () -> Vmem.release vm a n) (fun () ->
+                if n <= 0 || not (reserved_range a n) then invalid_arg "release";
+                for i = 0 to n - 1 do Hashtbl.remove pages (page a + i) done;
+                flush ())
+        | Set_prot (p, n, r) ->
+            let a = addr_of p and prot = [| Vmem.Prot_none; Prot_read; Prot_read_write |].(r) in
+            both "set_prot" (fun () -> Vmem.set_prot vm a n prot) (fun () ->
+                if not (reserved_range a n) then invalid_arg "set_prot";
+                for i = 0 to n - 1 do (Hashtbl.find pages (page a + i)).mprot <- prot done;
+                flush ();
+                incr protect_calls)
+        | Map p ->
+            let a = addr_of p and frame = Bytes.init mps (fun i -> Char.chr ((i * 7) land 0xff)) in
+            both "map" (fun () -> Vmem.map vm a frame) (fun () ->
+                match Hashtbl.find_opt pages (page a) with
+                | None -> invalid_arg "map"
+                | Some mp -> mp.mframe <- Some (Bytes.copy frame); flush ())
+        | Unmap p ->
+            let a = addr_of p in
+            both "unmap" (fun () -> Vmem.unmap vm a) (fun () ->
+                match Hashtbl.find_opt pages (page a) with
+                | None -> invalid_arg "unmap"
+                | Some mp -> mp.mframe <- None; mp.mprot <- Prot_none; flush ())
+        | Unprotected (p, n, o) ->
+            let a = addr_of p in
+            both "with_unprotected"
+              (fun () -> Vmem.with_unprotected vm a n (fun () -> Vmem.write_u8 vm (a + o) 0x5a))
+              (fun () ->
+                if not (reserved_range a n) then invalid_arg "with_unprotected";
+                let saved = List.init n (fun i -> (Hashtbl.find pages (page a + i)).mprot) in
+                List.iteri (fun i _ -> (Hashtbl.find pages (page a + i)).mprot <- Prot_read_write) saved;
+                flush ();
+                incr protect_calls;
+                let restore () =
+                  List.iteri (fun i pr -> (Hashtbl.find pages (page a + i)).mprot <- pr) saved;
+                  incr protect_calls
+                in
+                match m_write_bytes (a + o) (Bytes.make 1 '\x5a') with
+                | () -> restore ()
+                | exception e -> restore (); raise e)
+        | Read (k, p, o) ->
+            let a = addr_of p + o in
+            let w = width.(k) in
+            both "read"
+              (fun () ->
+                match k with
+                | 0 -> Bytes.make 1 (Char.chr (Vmem.read_u8 vm a))
+                | 1 -> let b = Bytes.create 4 in Bess_util.Codec.set_u32 b 0 (Vmem.read_u32 vm a); b
+                | 2 -> let b = Bytes.create 8 in Bess_util.Codec.set_i64 b 0 (Vmem.read_i64 vm a); b
+                | _ -> Vmem.read_bytes vm a w)
+              (fun () ->
+                let b = m_read_bytes a w in
+                if k = 2 then Bess_util.Codec.set_i64 b 0 (Bess_util.Codec.get_i64 b 0);
+                b)
+        | Write (k, p, o, v) ->
+            let a = addr_of p + o in
+            let w = width.(k) in
+            let src = Bytes.create 8 in
+            Bess_util.Codec.set_i64 src 0 v;
+            both "write"
+              (fun () ->
+                match k with
+                | 0 -> Vmem.write_u8 vm a v
+                | 1 -> Vmem.write_u32 vm a v
+                | 2 -> Vmem.write_i64 vm a v
+                | _ -> Vmem.write_bytes vm a (Bytes.sub src 0 w))
+              (fun () -> m_write_bytes a (Bytes.sub src 0 w))
+      in
+      let gauge name =
+        List.assoc name (Bess_obs.Registry.gauges (Bess_obs.Registry.snapshot ()))
+      in
+      let stat name = Bess_util.Stats.get (Vmem.stats vm) name in
+      List.iteri
+        (fun step op ->
+          apply op;
+          let fail what = QCheck.Test.fail_reportf "step %d: %s differs from the model" step what in
+          Hashtbl.iter
+            (fun pg mp ->
+              let a = pg * mps in
+              if Vmem.prot_at vm a <> mp.mprot then fail "prot_at";
+              match (Vmem.frame_at vm a, mp.mframe) with
+              | None, None -> ()
+              | Some f, Some m when Bytes.equal f m -> ()
+              | _ -> fail "a frame")
+            pages;
+          List.iter
+            (fun a -> if Vmem.is_reserved vm a then fail "an unreserved address")
+            [ -1; 0; 1 lsl 40 ];
+          let count p = Hashtbl.fold (fun _ mp n -> if p mp then n + 1 else n) pages 0 in
+          if gauge "vmem.reserved_pages" <> Hashtbl.length pages then fail "vmem.reserved_pages";
+          if gauge "vmem.mapped_pages" <> count (fun mp -> mp.mframe <> None) then fail "vmem.mapped_pages";
+          if gauge "vmem.protected_pages" <> count (fun mp -> mp.mprot <> Prot_read_write) then
+            fail "vmem.protected_pages";
+          if stat "vmem.tlb_hits" <> !tlb_hits then fail "vmem.tlb_hits";
+          if stat "vmem.faults.read" <> !faults_r then fail "vmem.faults.read";
+          if stat "vmem.faults.write" <> !faults_w then fail "vmem.faults.write";
+          if stat "vmem.protect_calls" <> !protect_calls then fail "vmem.protect_calls")
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "reserve_release_reuse" `Quick test_reserve_release_reuse;
@@ -238,4 +454,5 @@ let suite =
     Alcotest.test_case "protected_pages_gauge" `Quick test_protected_pages_gauge;
     Alcotest.test_case "negative_addresses_trap" `Quick test_negative_addresses_trap;
     Alcotest.test_case "page_size_power_of_two" `Quick test_page_size_power_of_two;
+    QCheck_alcotest.to_alcotest prop_vmem_model;
   ]
