@@ -540,7 +540,6 @@ let data_page_idx t seg vm_page_addr = page_no t (vm_page_addr - seg.data_base)
    long. *)
 let unswizzle_page_into t region vm_page_addr img =
   let ps = page_size t in
-  if not (Vmem.is_mapped t.vmem vm_page_addr) then invalid_arg "Session: page not mapped";
   Bytes.blit (Vmem.frame t.vmem vm_page_addr) 0 img 0 ps;
   match region with
   | Large _ -> () (* raw bytes: nothing to canonicalise *)
@@ -637,7 +636,6 @@ let note_write t region vm_page_addr =
     let refs =
       match region with
       | Data seg ->
-          if not (Vmem.is_mapped t.vmem vm_page_addr) then invalid_arg "Session: page not mapped";
           Bytes.blit (Vmem.frame t.vmem vm_page_addr) 0 before 0 (page_size t);
           (ref_map t seg).(data_page_idx t seg vm_page_addr)
       | Slotted _ | Large _ ->
@@ -689,31 +687,31 @@ let handle_fault t _vm ~addr ~access =
   | None ->
       Event.fire t.hooks (Protection_violation { addr; write = access = Vmem.Write });
       raise (Corruption { addr })
-  | Some region -> (
-      match Vmem.is_mapped t.vmem vm_page with
-      | true -> (
-          (* Frame present: either the clock revoked access (regrant), or
-             this is the first write to a read-only page. *)
-          match (Vmem.prot_at t.vmem vm_page, access) with
-          | Vmem.Prot_none, _ ->
-              let level = regrant t region vm_page in
-              if access = Vmem.Write && level = Vmem.Prot_read then
-                write_fault t region vm_page
-          | Vmem.Prot_read, Vmem.Write -> write_fault t region vm_page
-          | Vmem.Prot_read, Vmem.Read | Vmem.Prot_read_write, _ -> ())
-      | false ->
-          (* Not fetched yet. *)
-          (match region with
-          | Slotted seg -> slotted_fault t seg
-          | Data seg -> data_fault t seg (page_no t (vm_page - seg.data_base))
-          | Large (seg, slot) ->
-              large_fault t seg slot (page_no t (vm_page - Hashtbl.find seg.large_bases slot)));
-          (* The wave's own loads may have swept the faulting page to
-             protected; the retried access must find it granted. *)
-          if Vmem.is_mapped t.vmem vm_page && Vmem.prot_at t.vmem vm_page = Vmem.Prot_none
-          then ignore (regrant t region vm_page);
-          (* On a slot page this raises Corruption. *)
-          if access = Vmem.Write then write_fault t region vm_page)
+  | Some region ->
+      if Vmem.is_mapped t.vmem vm_page then begin
+        (* Frame present: either the clock revoked access (regrant), or
+           this is the first write to a read-only page. *)
+        match (Vmem.prot_at t.vmem vm_page, access) with
+        | Vmem.Prot_none, _ ->
+            let level = regrant t region vm_page in
+            if access = Vmem.Write && level = Vmem.Prot_read then write_fault t region vm_page
+        | Vmem.Prot_read, Vmem.Write -> write_fault t region vm_page
+        | Vmem.Prot_read, Vmem.Read | Vmem.Prot_read_write, _ -> ()
+      end
+      else begin
+        (* Not fetched yet. *)
+        (match region with
+        | Slotted seg -> slotted_fault t seg
+        | Data seg -> data_fault t seg (page_no t (vm_page - seg.data_base))
+        | Large (seg, slot) ->
+            large_fault t seg slot (page_no t (vm_page - Hashtbl.find seg.large_bases slot)));
+        (* The wave's own loads may have swept the faulting page to
+           protected; the retried access must find it granted. *)
+        if Vmem.is_mapped t.vmem vm_page && Vmem.prot_at t.vmem vm_page = Vmem.Prot_none then
+          ignore (regrant t region vm_page);
+        (* On a slot page this raises Corruption. *)
+        if access = Vmem.Write then write_fault t region vm_page
+      end
 
 (* ---- Construction ---- *)
 
@@ -888,7 +886,6 @@ let rec unswizzle_ranges t seg refs = function
 let page_ranges t we =
   match we.we_region with
   | Data seg when we.we_refs != canonical ->
-      if not (Vmem.is_mapped t.vmem we.we_vm) then invalid_arg "Session: page not mapped";
       let frame = Vmem.frame t.vmem we.we_vm in
       let refs = (ref_map t seg).(data_page_idx t seg we.we_vm) in
       if refs == we.we_refs && not (ref_word_changed refs we.we_before frame 0) then begin
